@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -60,16 +61,17 @@ def _require(cfg: dict, key: str, kinds, kind_name: str):
 
 
 def _jsonable(obj):
+    """Plain JSON types; non-finite floats become None (null) so output is strict JSON."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -458,32 +460,41 @@ def run_config(kind: str, config: dict, seed: int, outdir, threads: int = 1) -> 
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"kind": kind, "seed": int(seed), "results": _jsonable(results)}
     with open(outdir / "results.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
     _write_csv(outdir / "results.csv", header, rows)
     if extra is not None:
         extra(outdir)
     with open(outdir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+        json.dump(manifest, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
     return manifest
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+def _load_object(path, field: str) -> dict:
+    """The JSON object in file ``path``; any defect is a ConfigError naming ``field``."""
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file {p} does not exist", field="config")
+        raise ConfigError(f"{field} file {p} does not exist", field=field)
     try:
         with open(p) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}",
-                          field="config") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object", field="config")
-    return cfg
+            obj = json.load(fh)
+    except ValueError as exc:                 # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{field} file {p} is not valid JSON: {exc}",
+                          field=field) from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{field} root must be a JSON object", field=field)
+    return obj
+
+
+def _load_manifest(path) -> dict:
+    manifest = _load_object(path, "manifest")
+    missing = [key for key in ("kind", "config", "seed") if key not in manifest]
+    if missing:
+        raise ConfigError(f"manifest {path} lacks {', '.join(missing)}", field="manifest")
+    if not isinstance(manifest["config"], dict):
+        raise ConfigError(f"manifest {path}: config must be a JSON object", field="manifest")
+    return manifest
 
 
 def _emit_error(exc: Exception, code: int, outdir) -> None:
@@ -531,15 +542,11 @@ def main(argv=None) -> int:
         if threads is None:
             threads = int(os.environ.get("SYMBOLKIT_THREADS", "1"))
         if args.kind == "rerun":
-            mpath = Path(args.manifest)
-            if not mpath.exists():
-                raise ConfigError(f"manifest {mpath} does not exist", field="manifest")
-            with open(mpath) as fh:
-                manifest = json.load(fh)
+            manifest = _load_manifest(args.manifest)
             run_config(manifest["kind"], manifest["config"], manifest["seed"],
                        outdir, threads)
             return 0
-        config = _load_config(args.config)
+        config = {} if args.config is None else _load_object(args.config, "config")
         seed = args.seed if args.seed is not None else config.get("seed")
         run_config(args.kind, config, seed, outdir, threads)
         return 0

@@ -6,8 +6,15 @@ measure N).  The characteristic exponent
     psi(xi) = -i l.xi + (1/2) xi.Q.xi
               - integral( e^{i xi.y} - 1 - i xi.y 1_{|y|<1}(y) ) N(dy)
 
-is evaluated in closed form for atomic and symmetric-stable jump measures and
-by compensated adaptive quadrature for density-type measures.  Increments are
+is evaluated in closed form for atomic and symmetric-stable jump measures.
+For a density on the line (DensityForm, or a continuous jump law) it is a
+batched sum over fixed Gauss-Kronrod nodes, built once per measure on first
+use: the density is evaluated once per node, and each frequency then costs
+one pass over the panels (Taylor moments where |xi y| is small, angle
+addition elsewhere).  The embedded Gauss-vs-Kronrod error estimate is
+checked per frequency against the adaptive tolerance; a frequency that fails
+it is recomputed by compensated adaptive quadrature, which stays in the tree
+as the oracle.  Increments are
 sampled from the pathwise decomposition: drift + Gaussian + jumps, with the
 small-jump compensator removed as a deterministic drift for every jump that
 is actually simulated.
@@ -20,13 +27,15 @@ sampler, which is all the SDE layer needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .errors import DimensionMismatch, SectorViolation
-from .quadrature import integrate_checked
+from .quadrature import check_error, gk21_rule, integrate_checked
 
 _ATOL = 1e-12
 
@@ -88,6 +97,18 @@ class ContinuousLaw:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.asarray(self.sampler(rng, size), dtype=float).reshape(size, 1)
+
+    @property
+    def clipped_support(self) -> tuple:
+        """The support with infinite ends replaced by -+1e3."""
+        lo, hi = self.support
+        return (lo if np.isfinite(lo) else max(lo, -1e3),
+                hi if np.isfinite(hi) else min(hi, 1e3))
+
+    @cached_property
+    def jump_nodes(self) -> Optional["JumpNodes"]:
+        """Fixed-node table of the jump integral, built on the first exponent call."""
+        return JumpNodes.build(self.density, *self.clipped_support)
 
     def mean_small(self) -> np.ndarray:
         lo = max(self.support[0], -1.0)
@@ -180,12 +201,11 @@ class DensityForm:
         # grow W until the [W, 4W] mass (a proxy for the tail) is negligible
         w = 1.0
         for _ in range(60):
-            tail = quad_tail = 0.0
+            tail = 0.0
             for sgn in (1.0, -1.0):
-                quad_tail += abs(integrate_checked(
+                tail += abs(integrate_checked(
                     lambda y: self.density(sgn * y), w, 4 * w,
                     tol=np.inf, label="tail probe"))
-            tail = quad_tail
             if tail < 1e-10:
                 return w
             w *= 2.0
@@ -227,6 +247,11 @@ class DensityForm:
                     lambda y: y * self.density(sgn * y), self.cutoff, 1.0,
                     tol=1e-9, label=f"{self.name} compensator")
         self.small_jump_drift = comp
+
+    @cached_property
+    def jump_nodes(self) -> Optional["JumpNodes"]:
+        """Fixed-node table of the jump integral, built on the first exponent call."""
+        return JumpNodes.build(self.density, -self.window, self.window)
 
     def sample_jumps(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` jump magnitudes-with-sign from the truncated density."""
@@ -312,6 +337,23 @@ class LevyTriplet:
 # --------------------------------------------------------------------------
 # exponent evaluation
 
+_DENSITY_TOL = 1e-8       # per-frequency error tolerance, as in the adaptive oracle
+_LAW_TOL = 1e-9           # ... and in the continuous-law oracle
+_TAIL_MASS = 1e-14        # mass left beyond the effective support
+_GEOM_RATIO = 0.5         # panels toward 0 shrink by this factor ...
+_GEOM_LEVELS = 80         # ... this many times, down to ~1e-24
+_PANEL_WIDTH = 0.5        # widest panel
+_MAX_NODES = 1 << 15      # per side; wider supports stay on the adaptive path
+_CHUNK_ELEMS = 1 << 16    # frequency x node elements per temporary array
+_SERIES_CUT = 0.5         # |xi| * panel end below which a panel uses its moments
+_GROUP_MIN = 8            # panels of one width that share cos/sin of their offsets
+
+# Taylor coefficients of cos(u) - 1 and sin(u) - u in the powers u^1 .. u^16
+_POWERS = np.arange(1, 17)
+_FACT = np.cumprod(_POWERS.astype(float))
+_COS_M1 = np.where(_POWERS % 2 == 0, (-1.0) ** (_POWERS // 2), 0.0) / _FACT
+_SIN_MU = np.where((_POWERS % 2 == 1) & (_POWERS > 1), (-1.0) ** (_POWERS // 2), 0.0) / _FACT
+
 
 def _jump_exponent_many(measure: LevyMeasureSpec, xi: np.ndarray) -> np.ndarray:
     """Jump part of psi on a batch xi of shape (m, n); returns complex (m,)."""
@@ -333,43 +375,57 @@ def _jump_exponent_many(measure: LevyMeasureSpec, xi: np.ndarray) -> np.ndarray:
                     term = term - 1j * phase
                 out -= measure.rate * p * term
             return out
-        # continuous one-dimensional law: compensated quadrature per point
-        out = np.empty(m, dtype=complex)
-        lo, hi = law.support
-        lo = max(lo, -1e3) if not np.isfinite(lo) else lo
-        hi = min(hi, 1e3) if not np.isfinite(hi) else hi
-        for k in range(m):
-            x1 = float(xi[k, 0])
-            re = integrate_checked(
-                lambda y: (np.cos(x1 * y) - 1.0) * law.density(y), lo, hi,
-                tol=1e-9, points=[p for p in (-1.0, 0.0, 1.0) if lo < p < hi],
-                label="jump integral (re)")
-            im = integrate_checked(
-                lambda y: (np.sin(x1 * y) - x1 * y * (abs(y) < 1.0)) * law.density(y), lo, hi,
-                tol=1e-9, points=[p for p in (-1.0, 0.0, 1.0) if lo < p < hi],
-                label="jump integral (im)")
-            out[k] = -measure.rate * complex(re, im)
-        return out
+        return _fixed_node_exponent(law.jump_nodes, measure.rate, xi[:, 0], _LAW_TOL,
+                                    lambda x1: _law_exponent_adaptive(measure, x1))
 
     if isinstance(measure, DensityForm):
-        out = np.empty(m, dtype=complex)
-        for k in range(m):
-            out[k] = -_density_exponent_integral(measure, float(xi[k, 0]))
-        return out
+        return _fixed_node_exponent(measure.jump_nodes, 1.0, xi[:, 0], _DENSITY_TOL,
+                                    lambda x1: -_density_exponent_adaptive(measure, x1))
 
     raise TypeError(f"unknown measure variant {type(measure).__name__}")
 
 
-def _density_exponent_integral(measure: DensityForm, x1: float) -> complex:
-    """int (e^{i x1 y} - 1 - i x1 y 1_{|y|<1}) nu(y) dy, split at |y| = 1.
+def _fixed_node_exponent(nodes: Optional["JumpNodes"], rate: float, x1: np.ndarray,
+                         tol: float, oracle: Callable[[float], complex]) -> np.ndarray:
+    """-rate * J(x1) on the fixed nodes; frequencies failing the error check go to ``oracle``."""
+    out = np.empty(x1.shape[0], dtype=complex)
+    ok = np.zeros(x1.shape[0], dtype=bool)
+    if nodes is not None:
+        vals, err = nodes.integrate(x1)
+        ok = err <= tol                      # False on NaN
+        out[ok] = -rate * vals[ok]
+    for k in np.flatnonzero(~ok):
+        out[k] = oracle(float(x1[k]))
+    return out
 
-    The inner piece uses the compensated integrand (O(y^2) kills the density
-    singularity); the tail uses cos/sin-weighted quadrature so wide windows
-    with oscillatory integrands stay cheap and accurate.
+
+def _law_exponent_adaptive(measure: FiniteActivity, x1: float) -> complex:
+    """Jump exponent of a continuous-law measure at one frequency by adaptive quadrature.
+
+    The oracle for the fixed nodes and their fallback.
+    """
+    law = measure.law
+    lo, hi = law.clipped_support
+    points = [p for p in (-1.0, 0.0, 1.0) if lo < p < hi]
+    re = integrate_checked(
+        lambda y: (np.cos(x1 * y) - 1.0) * law.density(y), lo, hi,
+        tol=_LAW_TOL, points=points, label="jump integral (re)")
+    im = integrate_checked(
+        lambda y: (np.sin(x1 * y) - x1 * y * (abs(y) < 1.0)) * law.density(y), lo, hi,
+        tol=_LAW_TOL, points=points, label="jump integral (im)")
+    return -measure.rate * complex(re, im)
+
+
+def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
+    """int (e^{i x1 y} - 1 - i x1 y 1_{|y|<1}) nu(y) dy by adaptive quadrature, split at |y| = 1.
+
+    The oracle for the fixed nodes and their fallback.  The inner piece uses
+    the compensated integrand (O(y^2) kills the density singularity); the
+    tail uses cos/sin-weighted quadrature so wide windows with oscillatory
+    integrands stay cheap and accurate.
     """
     if x1 == 0.0:
         return 0.0 + 0.0j
-    from scipy.integrate import quad
 
     w = measure.window
     near_top = min(1.0, w)
@@ -380,33 +436,203 @@ def _density_exponent_integral(measure: DensityForm, x1: float) -> complex:
         val, err = quad(lambda y: -2.0 * np.sin(0.5 * x1 * y) ** 2 * f(y), 0.0,
                         near_top, points=[1e-8], limit=400, epsabs=1e-11,
                         epsrel=1e-11)
-        _check_quad(err, "density jump integral (near, re)")
+        check_error(err, "density jump integral (near, re)")
         re += val
         val, err = quad(lambda y: (np.sin(x1 * y) - x1 * y) * f(y), 0.0, near_top,
                         points=[1e-8], limit=400, epsabs=1e-11, epsrel=1e-11)
-        _check_quad(err, "density jump integral (near, im)")
+        check_error(err, "density jump integral (near, im)")
         im += sgn * val
         if w > 1.0:
             cos_part, err = quad(f, 1.0, w, weight="cos", wvar=x1,
                                  limit=400, epsabs=1e-11, epsrel=1e-11)
-            _check_quad(err, "density jump integral (tail, cos)")
+            check_error(err, "density jump integral (tail, cos)")
             mass, err = quad(f, 1.0, w, limit=400, epsabs=1e-11, epsrel=1e-11)
-            _check_quad(err, "density jump integral (tail mass)")
+            check_error(err, "density jump integral (tail mass)")
             re += cos_part - mass
             sin_part, err = quad(f, 1.0, w, weight="sin", wvar=x1,
                                  limit=400, epsabs=1e-11, epsrel=1e-11)
-            _check_quad(err, "density jump integral (tail, sin)")
+            check_error(err, "density jump integral (tail, sin)")
             im += sgn * sin_part
     return complex(re, im)
 
 
-def _check_quad(err: float, label: str, tol: float = 1e-8) -> None:
-    from .errors import QuadratureFailure
+# --------------------------------------------------------------------------
+# fixed-node jump integral for a density on the line
 
-    if err > tol:
-        raise QuadratureFailure(
-            f"{label}: error estimate {err:.3e} exceeds tolerance {tol:.1e}",
-            achieved=err)
+
+def _powers(t: np.ndarray) -> np.ndarray:
+    """t^1 .. t^16 along a new last axis."""
+    return np.cumprod(np.repeat(t[..., None], _POWERS.size, axis=-1), axis=-1)
+
+
+def _effective_extent(f: Callable[[float], float], a: float, b: float):
+    """(E, mass beyond E): the first E = 2^k > a with int_E^b f <= _TAIL_MASS, else (b, 0)."""
+    e = 1.0
+    while e < b:
+        if e > a:
+            octaves = [e * 2.0 ** k for k in range(1, 64) if e * 2.0 ** k < b]
+            mass = abs(integrate_checked(f, e, b, tol=np.inf, points=octaves,
+                                         label="effective support probe"))
+            if mass <= _TAIL_MASS:
+                return e, mass
+        e *= 2.0
+    return b, 0.0
+
+
+def _panel_segments(a: float, b: float) -> list:
+    """(lo, hi, n) segments of n equal panels covering [a, b], 0 <= a < b.
+
+    Breakpoints at 0 and 1, geometric toward 0 when a = 0; no panel is wider
+    than ``_PANEL_WIDTH``.
+    """
+    cuts = {a, b}
+    if a < 1.0 < b:
+        cuts.add(1.0)
+    if a == 0.0:
+        cuts.update(min(1.0, b) * _GEOM_RATIO ** np.arange(_GEOM_LEVELS + 1))
+    ends = sorted(cuts)
+    return [(lo, hi, int(np.ceil((hi - lo) / _PANEL_WIDTH)))
+            for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+class _HalfLine:
+    """GK21 panels on one half-line of the support, in |y|, ascending.
+
+    ``weights`` (2, P, 21) holds the Kronrod and the Kronrod-minus-Gauss
+    weights times nu.  With u = xi |y|, each frequency needs per panel the
+    sums of weight * (cos(u) - 1) and weight * (sin(u) - u 1_{|y|<1}).  The
+    panels with |xi| * end < ``_SERIES_CUT`` form a prefix; their sums come
+    from prefix tables of Taylor moments, in powers of y / (the prefix's last
+    end) so no power overflows, and stay free of cancellation.  The other
+    panels are summed over their nodes by angle addition,
+    e^{i xi (centre + offset)}: a block of panels of one width shares the
+    exponentials of its 21 offsets.
+    """
+
+    def __init__(self, sign: float, segments: list, density: Callable[[float], float]):
+        x, wk, wg = gk21_rule()
+        center, half, self.blocks = [], [], []
+        start = 0
+        for lo, hi, n in segments:
+            h = 0.5 * (hi - lo) / n
+            center.append(lo + h * (2 * np.arange(n) + 1))
+            half.append(np.full(n, h))
+            if n >= _GROUP_MIN:
+                self.blocks.append((slice(start, start + n), h))
+            elif self.blocks and self.blocks[-1][1] is None:
+                self.blocks[-1] = (slice(self.blocks[-1][0].start, start + n), None)
+            else:
+                self.blocks.append((slice(start, start + n), None))
+            start += n
+        self.sign = sign
+        self.center, self.half = np.concatenate(center), np.concatenate(half)
+        self.top = self.center + self.half
+        self.offsets = x
+        y = self.center[:, None] + self.half[:, None] * x
+        self.nu = np.array([density(sign * t) for t in y.ravel()], dtype=float).reshape(y.shape)
+        w = np.stack([wk * self.nu, (wk - wg) * self.nu]) * self.half[:, None]
+        self.weights = w
+        self.mass = w.sum(axis=2)
+        inner = self.top <= 1.0
+        self.compensator = np.einsum("wpk,pk->wp", w, y) * inner
+
+        # prefix tables (cos, sin) x (Kronrod sum, bound on the |Kronrod - Gauss|
+        # sum) x L x power: row L covers panels p < L, in powers of y / top[L-1]
+        own = np.einsum("wpk,pkq->wpq", w, _powers(y / self.top[:, None]))
+        sin_coef = np.where(_POWERS == 1, ~inner[:, None], _SIN_MU)
+        terms = np.stack([own[0] * _COS_M1, np.abs(own[1] * _COS_M1),
+                          own[0] * sin_coef, np.abs(own[1] * sin_coef)])
+        rescale = _powers(self.top[:-1] / self.top[1:])
+        tables = np.zeros((4, self.top.size + 1, _POWERS.size))
+        for p in range(self.top.size):
+            tables[:, p + 1] = terms[:, p] + (tables[:, p] * rescale[p - 1] if p else 0.0)
+        self.tables = tables.reshape(2, 2, *tables.shape[1:])
+        self.scale = np.concatenate([[1.0], self.top])
+
+    def sums(self, xc: np.ndarray):
+        """Values and error estimates of this half-line's part of J, each (2, c).
+
+        Row 0 is the real part, row 1 the imaginary part without the sign.
+        """
+        c, p = xc.shape[0], self.top.size
+        prefix = (np.abs(xc)[:, None] * self.top < _SERIES_CUT).sum(axis=1)
+        pw = _powers(xc * self.scale[prefix])
+        rows = self.tables[:, :, prefix]                             # (2, 2, c, Q)
+        vals = np.einsum("cq,fcq->fc", pw, rows[:, 0])
+        errs = np.einsum("cq,fcq->fc", np.abs(pw), rows[:, 1])
+        direct = np.zeros((2, 2, c, p))               # (cos, sin) x (Kronrod, diff)
+        p0 = int(prefix.min())
+        for block, h in self.blocks:
+            part = slice(max(block.start, p0), block.stop)
+            if part.start >= part.stop:
+                continue
+            if h is None:
+                ang = xc[:, None, None] * (self.half[part, None] * self.offsets)
+                spec = "cpk,wpk->wcp"
+            else:
+                ang = np.multiply.outer(xc, h * self.offsets)
+                spec = "ck,wpk->wcp"
+            z = (np.exp(1j * np.multiply.outer(xc, self.center[part]))
+                 * np.einsum(spec, np.exp(1j * ang), self.weights[:, part]))
+            direct[0, :, :, part] = z.real - self.mass[:, None, part]
+            direct[1, :, :, part] = z.imag - xc[:, None] * self.compensator[:, None, part]
+        direct = np.where(np.arange(p) >= prefix[:, None], direct, 0.0)
+        return vals + direct[:, 0].sum(axis=-1), errs + np.abs(direct[:, 1]).sum(axis=-1)
+
+
+class JumpNodes:
+    """Fixed nodes for J(xi) = int (e^{i xi y} - 1 - i xi y 1_{|y|<1}) nu(y) dy.
+
+    Each half-line of the support is cut into GK21 panels with breakpoints at
+    0 and 1: geometric toward 0, where nu may be singular like
+    |y|^{-1-alpha}, and at most ``_PANEL_WIDTH`` wide, out to the support or
+    to where the remaining mass drops below ``_TAIL_MASS``.  nu is evaluated
+    once per node, at build; a frequency then costs one pass over the panels
+    (see :class:`_HalfLine`).  The error estimate of a frequency is the sum
+    over panels of |Kronrod - Gauss| plus the bound from the mass beyond the
+    effective support, taken separately for the real and imaginary parts.
+    When the negative half-line mirrors the positive one node for node, only
+    the positive one is summed: the real part doubles and the imaginary part
+    is exactly 0.
+    """
+
+    def __init__(self, sides: list, tail_mass: float):
+        self.mirrored = (len(sides) == 2 and np.array_equal(sides[0].top, sides[1].top)
+                         and np.array_equal(sides[0].nu, sides[1].nu))
+        self.sides = sides[:1] if self.mirrored else sides
+        self.tail_mass = tail_mass
+
+    @staticmethod
+    def build(density: Callable[[float], float], lo: float, hi: float) -> Optional["JumpNodes"]:
+        """Node table for nu on [lo, hi]; None when a half-line would exceed ``_MAX_NODES``."""
+        plans, tail_mass = [], 0.0
+        for sgn, a, b in ((1.0, max(lo, 0.0), hi), (-1.0, max(-hi, 0.0), -lo)):
+            if b <= a:
+                continue
+            top, mass = _effective_extent(lambda y, s=sgn: density(s * y), a, b)
+            segments = _panel_segments(a, top)
+            if 21 * sum(n for _, _, n in segments) > _MAX_NODES:
+                return None
+            plans.append((sgn, segments))
+            tail_mass += mass
+        return JumpNodes([_HalfLine(sgn, segs, density) for sgn, segs in plans], tail_mass)
+
+    def integrate(self, x1: np.ndarray):
+        """J at each frequency of x1 (m,) and its error estimate, the larger of re and im."""
+        m = x1.shape[0]
+        vals, errs = np.zeros((2, m)), np.zeros((2, m))
+        step = max(1, _CHUNK_ELEMS // (21 * max(side.top.size for side in self.sides)))
+        for c0 in range(0, m, step):
+            c = slice(c0, min(m, c0 + step))
+            for side in self.sides:
+                v, e = side.sums(x1[c])
+                vals[0, c] += v[0]
+                vals[1, c] += side.sign * v[1]
+                errs[:, c] += e
+        if self.mirrored:
+            return 2.0 * vals[0] + 0j, 2.0 * (errs[0] + self.tail_mass)
+        return (vals[0] + 1j * vals[1],
+                np.maximum(errs[0] + 2.0 * self.tail_mass, errs[1] + self.tail_mass))
 
 
 def eval_exponent_many(triplet: LevyTriplet, xi: np.ndarray) -> np.ndarray:
@@ -431,7 +657,7 @@ def eval_exponent(triplet: LevyTriplet, xi) -> complex:
 
 
 class CharacteristicExponent:
-    """Evaluable psi with its drift / Gaussian / jump decomposition cached."""
+    """Evaluable psi of a triplet, pointwise and on batches."""
 
     def __init__(self, triplet: LevyTriplet):
         self.triplet = triplet
@@ -445,18 +671,6 @@ class CharacteristicExponent:
 
     def many(self, xi: np.ndarray) -> np.ndarray:
         return eval_exponent_many(self.triplet, xi)
-
-    def drift_part(self, xi) -> complex:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return complex(-1j * (xi @ self.triplet.drift))
-
-    def gaussian_part(self, xi) -> float:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return float(0.5 * xi @ self.triplet.covariance @ xi)
-
-    def jump_part(self, xi) -> complex:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return complex(_jump_exponent_many(self.triplet.levy_measure, xi[None, :])[0])
 
 
 # --------------------------------------------------------------------------

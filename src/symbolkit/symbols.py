@@ -554,9 +554,7 @@ def _jump_generator_term(measure, u: TestFunction, x: float) -> float:
         if isinstance(law, AtomLaw):
             return measure.rate * sum(
                 p * compensated(float(y[0])) for y, p in zip(law.positions, law.probabilities))
-        lo, hi = law.support
-        lo = max(lo, -1e3) if not np.isfinite(lo) else lo
-        hi = min(hi, 1e3) if not np.isfinite(hi) else hi
+        lo, hi = law.clipped_support
         return measure.rate * integrate_checked(
             lambda y: compensated(y) * law.density(y), lo, hi, tol=1e-9,
             points=[p for p in (-1.0, 1.0) if lo < p < hi], label="jump generator")

@@ -191,6 +191,64 @@ class TestMainExitCodes:
             tmp_path / "second" / "results.csv")
 
 
+    def test_rerun_manifest_not_json(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{not json")
+        assert_rerun_schema_error(manifest, tmp_path)
+
+    def test_rerun_manifest_not_object(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(["g-identity", {"d": 1}, 1]))
+        assert_rerun_schema_error(manifest, tmp_path)
+
+    @pytest.mark.parametrize("key", ["kind", "config", "seed"])
+    def test_rerun_manifest_missing_key(self, key, tmp_path):
+        manifest = g_identity_manifest(tmp_path)
+        del manifest[key]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert_rerun_schema_error(path, tmp_path)
+
+    def test_rerun_manifest_config_not_object(self, tmp_path):
+        manifest = g_identity_manifest(tmp_path)
+        manifest["config"] = [1]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert_rerun_schema_error(path, tmp_path)
+
+
+def g_identity_manifest(tmp_path):
+    first = tmp_path / "first"
+    assert main(["g-identity", "--seed", "1", "--out", str(first)]) == 0
+    return json.loads((first / "manifest.json").read_text())
+
+
+def assert_rerun_schema_error(manifest, tmp_path):
+    out = tmp_path / "rerun"
+    code = main(["rerun", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError"
+    assert err["field"] == "manifest"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_growth_zero_median_output_is_strict_json(tmp_path):
+    # a driver with no motion: every scaled median is 0, so the trend slope is undefined
+    cfg = {"model": {"coefficient": {"name": "constant", "params": {"value": 1.0}},
+                     "driver": {"drift": [0.0], "covariance": [[0.0]]}},
+           "lambdas": [1.0], "t_small": [0.01, 0.1], "t_large": [1.0, 2.0],
+           "paths": 50, "steps_per_run": 8}
+    run_config("growth", cfg, 1, tmp_path)
+    for name in ("results.json", "manifest.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+    payload = json.loads((tmp_path / "results.json").read_text())
+    assert all(t["slope"] is None for t in payload["results"]["trends"])
+
+
 def main_with_config(kind, cfg, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

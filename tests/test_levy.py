@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
 import symbolkit as sk
 from symbolkit import catalog
-from symbolkit.levy import (AtomLaw, eval_exponent_many, normal_law,
-                            sample_step_ensemble, stable_density_coefficient)
+from symbolkit import coefficients as co
+from symbolkit.levy import (AtomLaw, _density_exponent_adaptive, _jump_exponent_many,
+                            _law_exponent_adaptive, eval_exponent_many, normal_law,
+                            sample_step_ensemble, stable_density_coefficient, uniform_law)
+from symbolkit.quadrature import gk21_rule
 from symbolkit.seeding import rng_at
 
 
@@ -177,6 +181,124 @@ class TestTripletValidation:
     def test_density_window_must_exceed_cutoff(self):
         with pytest.raises(ValueError, match="window"):
             sk.DensityForm(lambda y: np.exp(-abs(y)), window=0.5, cutoff=1.0)
+
+
+def oracle_measures():
+    """Density-on-the-line measures with the fixed-node exponent (tempered_power 1.5 apart)."""
+    normal = sk.FiniteActivity(2.0, normal_law(0.3, 0.5))
+    return {
+        "tempered": catalog.tempered_density_driver().triplet.levy_measure,
+        "cp_normal": normal,
+        # asymmetric support: the density jumps at -0.7 and 1.9
+        "uniform_asym": sk.FiniteActivity(1.5, uniform_law(-0.7, 1.9)),
+        "exponential": sk.LevyModel.from_dict({"levy_measure": {
+            "kind": "density", "name": "exponential",
+            "params": {"a": 1.0, "b": 1.0}}}).triplet.levy_measure,
+        "frozen_tempered": sk.frozen_triplet(catalog.tempered_density_driver().triplet,
+                                             co.constant(0.6), 0.0).levy_measure,
+        "frozen_normal": sk.frozen_triplet(sk.LevyTriplet([0.0], [[0.0]], normal),
+                                           co.constant(-1.7), 0.0).levy_measure,
+    }
+
+
+def adaptive_jump_exponent(measure, x1):
+    if isinstance(measure, sk.FiniteActivity):
+        return _law_exponent_adaptive(measure, x1)
+    return -_density_exponent_adaptive(measure, x1)
+
+
+def fixed_nodes(measure):
+    return measure.law.jump_nodes if isinstance(measure, sk.FiniteActivity) else measure.jump_nodes
+
+
+class TestFixedNodeExponent:
+    """The fixed-node jump exponent against the adaptive-quadrature oracle."""
+
+    @pytest.mark.parametrize("name", sorted(oracle_measures()))
+    def test_matches_adaptive_oracle(self, name):
+        measure = oracle_measures()[name]
+        xi = np.linspace(-20.0, 20.0, 41)
+        _, err = fixed_nodes(measure).integrate(xi)
+        tol = 1e-9 if isinstance(measure, sk.FiniteActivity) else 1e-8
+        assert (err <= tol).all()            # every value below is a fixed-node value
+        fixed = _jump_exponent_many(measure, xi[:, None])
+        oracle = np.array([adaptive_jump_exponent(measure, float(x)) for x in xi])
+        assert np.abs(fixed - oracle).max() <= 1e-9
+
+    def test_tempered_power_15_matches_closed_form(self):
+        # nu = |y|^{-5/2} e^{-|y|} has psi(xi) = -2 Gamma(-a) ((1+xi^2)^{a/2} cos(a atan xi) - 1);
+        # the window 32 drops mass ~1e-16.  The adaptive oracle misses this by up to
+        # 1e-3 (e.g. at xi = 2.5), so the closed form is the reference here.
+        alpha = 1.5
+        measure = sk.LevyModel.from_dict({"levy_measure": {
+            "kind": "density", "name": "tempered_power",
+            "params": {"alpha": alpha}}}).triplet.levy_measure
+        xi = np.linspace(-20.0, 20.0, 41)
+        _, err = measure.jump_nodes.integrate(xi)
+        assert (err <= 1e-8).all()
+        exact = -2.0 * gamma_fn(-alpha) * (
+            (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(np.abs(xi))) - 1.0)
+        fixed = _jump_exponent_many(measure, xi[:, None])
+        assert np.abs(fixed - exact).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["tempered", "cp_normal", "uniform_asym"])
+    def test_fallback_is_the_oracle_bit_for_bit(self, name):
+        measure = oracle_measures()[name]
+        xi = np.array([25.0, -60.0, 150.0, 400.0, -1000.0])
+        _, err = fixed_nodes(measure).integrate(xi)
+        tol = 1e-9 if isinstance(measure, sk.FiniteActivity) else 1e-8
+        failed = xi[~(err <= tol)]
+        assert failed.size >= 3
+        for x in failed:
+            try:
+                expect = adaptive_jump_exponent(measure, float(x))
+            except sk.QuadratureFailure as exc:
+                with pytest.raises(sk.QuadratureFailure) as raised:
+                    _jump_exponent_many(measure, np.array([[x]]))
+                assert (str(raised.value), raised.value.achieved) == (str(exc), exc.achieved)
+                continue
+            got = _jump_exponent_many(measure, np.array([[x]]))[0]
+            assert (got.real, got.imag) == (expect.real, expect.imag)
+
+    def test_quadrature_failure_still_raised(self):
+        # at |xi| = 1e4 the tempered density's adaptive error estimate is far above 1e-8
+        trip = catalog.tempered_density_driver().triplet
+        with pytest.raises(sk.QuadratureFailure):
+            _density_exponent_adaptive(trip.levy_measure, 1e4)
+        with pytest.raises(sk.QuadratureFailure):
+            sk.eval_exponent(trip, 1e4)
+
+    @pytest.mark.parametrize("name", ["tempered", "cp_normal"])
+    def test_value_does_not_depend_on_the_batch(self, name):
+        measure = oracle_measures()[name]
+        xi = np.linspace(-12.0, 12.0, 97)
+        batch = _jump_exponent_many(measure, xi[:, None])
+        single = np.array([_jump_exponent_many(measure, np.array([[x]]))[0] for x in xi])
+        assert np.array_equal(batch, single)
+
+    def test_symmetric_density_has_zero_imaginary_part(self):
+        measure = oracle_measures()["tempered"]
+        assert measure.jump_nodes.mirrored
+        vals = _jump_exponent_many(measure, np.linspace(-9.0, 9.0, 37)[:, None])
+        assert (vals.imag == 0.0).all()
+
+    def test_node_table_is_lazy_and_cached(self):
+        measure = catalog.tempered_density_driver().triplet.levy_measure
+        assert "jump_nodes" not in vars(measure)
+        _jump_exponent_many(measure, np.array([[1.0]]))
+        table = measure.jump_nodes
+        _jump_exponent_many(measure, np.array([[2.0]]))
+        assert measure.jump_nodes is table
+
+
+def test_gk21_rule_exactness():
+    x, kronrod, gauss = gk21_rule()
+    for degree in range(32):
+        exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+        assert abs(kronrod @ x ** degree - exact) <= 1e-14
+        if degree < 20:
+            assert abs(gauss @ x ** degree - exact) <= 1e-14
+    assert abs(gauss @ x ** 20 - 2.0 / 21) > 1e-8
 
 
 def test_quadrature_failure_reports_achieved_error():
