@@ -159,6 +159,11 @@ class FiniteActivity:
         if self.rate <= 0:
             raise ValueError(f"finite-activity rate must be > 0, got {self.rate}")
 
+    @cached_property
+    def small_jump_mean(self) -> np.ndarray:
+        """E[Y 1_{|Y|<1}] of the law, computed once."""
+        return self.law.mean_small()
+
 
 @dataclass(frozen=True)
 class StableSymmetric:
@@ -312,6 +317,8 @@ class LevyTriplet:
         if w.min(initial=0.0) < -1e-10:
             raise ValueError(f"covariance must be positive semidefinite (eigenvalue {w.min()})")
         self.sigma = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+        self.gaussian = bool(np.any(self.covariance))
+        self._no_jump_values = np.empty((0, n))
         if np.abs(self.sigma @ self.sigma.T - self.covariance).max() > 1e-12 * max(1.0, np.abs(w).max()):
             raise ValueError("square root does not reproduce covariance to tolerance")
         self._check_measure_dim()
@@ -347,6 +354,7 @@ _MAX_NODES = 1 << 15      # per side; wider supports stay on the adaptive path
 _CHUNK_ELEMS = 1 << 16    # frequency x node elements per temporary array
 _SERIES_CUT = 0.5         # |xi| * panel end below which a panel uses its moments
 _GROUP_MIN = 8            # panels of one width that share cos/sin of their offsets
+_NEAR_SPLIT = 1e-8        # the adaptive oracle integrates below this in y, above in log y
 
 # Taylor coefficients of cos(u) - 1 and sin(u) - u in the powers u^1 .. u^16
 _POWERS = np.arange(1, 17)
@@ -420,28 +428,39 @@ def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
     """int (e^{i x1 y} - 1 - i x1 y 1_{|y|<1}) nu(y) dy by adaptive quadrature, split at |y| = 1.
 
     The oracle for the fixed nodes and their fallback.  The inner piece uses
-    the compensated integrand (O(y^2) kills the density singularity); the
-    tail uses cos/sin-weighted quadrature so wide windows with oscillatory
-    integrands stay cheap and accurate.
+    the compensated integrand (O(y^2) kills the density singularity) in two
+    separate integrals: over [0, 1e-8], and above 1e-8 in u = log y, where a
+    density singular like |y|^{-1-alpha} is smooth.  (One adaptive integral
+    over [1e-8, 1] in y is off by 1.8e-5 for alpha = 1.5 at x1 = 0.3, with an
+    error estimate of 6e-12.)  The tail uses cos/sin-weighted quadrature so
+    wide windows with oscillatory integrands stay cheap and accurate.
     """
     if x1 == 0.0:
         return 0.0 + 0.0j
 
     w = measure.window
     near_top = min(1.0, w)
+
+    def near(g, label):
+        pieces = [(g, 0.0, min(_NEAR_SPLIT, near_top))]
+        if near_top > _NEAR_SPLIT:
+            pieces.append((lambda u: g(np.exp(u)) * np.exp(u),
+                           np.log(_NEAR_SPLIT), np.log(near_top)))
+        total = 0.0
+        for h, lo, hi in pieces:
+            val, err = quad(h, lo, hi, limit=400, epsabs=1e-11, epsrel=1e-11)
+            check_error(err, label)
+            total += val
+        return total
+
     re = im = 0.0
     for sgn in (1.0, -1.0):
         f = (lambda y, s=sgn: measure.density(s * y))
         # cos(u) - 1 written cancellation-free as -2 sin^2(u/2)
-        val, err = quad(lambda y: -2.0 * np.sin(0.5 * x1 * y) ** 2 * f(y), 0.0,
-                        near_top, points=[1e-8], limit=400, epsabs=1e-11,
-                        epsrel=1e-11)
-        check_error(err, "density jump integral (near, re)")
-        re += val
-        val, err = quad(lambda y: (np.sin(x1 * y) - x1 * y) * f(y), 0.0, near_top,
-                        points=[1e-8], limit=400, epsabs=1e-11, epsrel=1e-11)
-        check_error(err, "density jump integral (near, im)")
-        im += sgn * val
+        re += near(lambda y: -2.0 * np.sin(0.5 * x1 * y) ** 2 * f(y),
+                   "density jump integral (near, re)")
+        im += sgn * near(lambda y: (np.sin(x1 * y) - x1 * y) * f(y),
+                         "density jump integral (near, im)")
         if w > 1.0:
             cos_part, err = quad(f, 1.0, w, weight="cos", wvar=x1,
                                  limit=400, epsabs=1e-11, epsrel=1e-11)
@@ -682,9 +701,11 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator, size: int) ->
 
     Polar (Chambers-Mallows-Stuck) construction, symmetric case.
     """
-    v = (rng.uniform(size=size) - 0.5) * np.pi
+    v = rng.uniform(size=size)
+    v -= 0.5
+    v *= np.pi
     if abs(alpha - 1.0) < 1e-12:
-        return np.tan(v)
+        return np.tan(v, out=v)
     w = rng.exponential(size=size)
     return (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
             * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha))
@@ -707,42 +728,65 @@ class StepSample:
     jump_positions: np.ndarray
 
 
+_NO_POSITIONS = np.empty(0)
+
+
 def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
                          rng: np.random.Generator) -> StepSample:
-    """Draw m independent one-step increments, keeping discrete jumps separate."""
+    """Draw m independent one-step increments, keeping discrete jumps separate.
+
+    Draws, in this order: the Gaussian normals, then the jump part (stable
+    variates, or Poisson counts followed by jump values and positions).
+    ``smooth`` sums, in this order, drift * dt, the Gaussian part, the stable
+    part, and minus the compensator of the simulated jumps.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = triplet.dim
-    smooth = np.broadcast_to(triplet.drift * dt, (m, n)).copy()
-    if np.any(triplet.covariance):
-        z = rng.normal(size=(m, n))
-        smooth += np.sqrt(dt) * z @ triplet.sigma.T
+    shift = triplet.drift * dt
+    smooth = None
+    if triplet.gaussian:
+        smooth = rng.normal(size=(m, n))
+        smooth *= np.sqrt(dt)
+        if n == 1:
+            smooth *= triplet.sigma[0, 0]       # what z @ sigma.T rounds to when n = 1
+        else:
+            smooth = smooth @ triplet.sigma.T
+        smooth += shift
 
     measure = triplet.levy_measure
-    counts = np.zeros(m, dtype=np.int64)
-    values = np.empty((0, n))
-    positions = np.empty(0)
+    counts = None
+    values, positions = triplet._no_jump_values, _NO_POSITIONS
 
     if isinstance(measure, StableSymmetric):
         draw = sample_standard_stable(measure.alpha, rng, m * n).reshape(m, n)
-        smooth += (measure.scale * dt) ** (1.0 / measure.alpha) * draw
-    elif isinstance(measure, FiniteActivity):
-        counts = rng.poisson(measure.rate * dt, size=m)
+        draw *= (measure.scale * dt) ** (1.0 / measure.alpha)
+        if smooth is None:
+            draw += shift
+            smooth = draw
+        else:
+            smooth += draw
+    elif isinstance(measure, (FiniteActivity, DensityForm)):
+        finite = isinstance(measure, FiniteActivity)
+        counts = rng.poisson((measure.rate if finite else measure.activity) * dt, size=m)
         total = int(counts.sum())
         if total:
-            values = measure.law.sample(rng, total)
+            values = (measure.law.sample(rng, total) if finite
+                      else measure.sample_jumps(rng, total).reshape(total, 1))
             positions = rng.uniform(0.0, dt, size=total)
-        smooth -= dt * measure.rate * measure.law.mean_small()
-    elif isinstance(measure, DensityForm):
-        counts = rng.poisson(measure.activity * dt, size=m)
-        total = int(counts.sum())
-        if total:
-            values = measure.sample_jumps(rng, total).reshape(total, 1)
-            positions = rng.uniform(0.0, dt, size=total)
-        smooth[:, 0] -= dt * measure.small_jump_drift
+        comp = (dt * measure.rate * measure.small_jump_mean if finite
+                else dt * measure.small_jump_drift)
+        if smooth is None:
+            shift = shift - comp
+        else:
+            smooth -= comp
     elif not isinstance(measure, ZeroMeasure):
         raise TypeError(f"unknown measure variant {type(measure).__name__}")
 
+    if smooth is None:
+        smooth = np.full((m, n), shift)
+    if counts is None:
+        counts = np.zeros(m, dtype=np.int64)
     return StepSample(smooth=smooth, jump_counts=counts,
                       jump_values=values, jump_positions=positions)
 

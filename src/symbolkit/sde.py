@@ -10,11 +10,21 @@ dX = -X_- dN the first jump sends the path to zero and every later jump has
 zero effect.  Jump times are snapped to the end of the step they fall in, so
 every recorded jump sits on the grid.
 
-Two engines share this stepping rule: a scalar one that produces a full
-:class:`SamplePath` with its jump record, and a chunked vectorized one for
-Monte Carlo ensembles.  Chunks own seed-derived generators addressed by
-(master seed, caller key, chunk index, block index), so ensemble output is
-invariant under the worker count.
+A scalar engine produces a full :class:`SamplePath` with its jump record;
+the ensemble engine (``simulate_ensemble``, ``simulate_paths_dense``) steps
+a chunk of paths at once and keeps these invariants:
+
+- the chunk's state array is updated in place, with no per-step copy;
+- a path that has left the stop ball is frozen: later steps still draw its
+  variates but change neither its state nor its running maximum;
+- each chunk owns seed-derived generators addressed by (master seed, caller
+  key, chunk index, block index), and every step draws from them in a fixed
+  order: block by block, all of a block's variates for the whole chunk in
+  one call.  Output is therefore invariant under the worker count;
+- the arithmetic rounds as the plain formulation does (a zeroed update
+  summed block by block, then the drift; norms as ``np.linalg.norm``), so
+  results are bit-identical to it.  ``tests/reference_engine.py`` keeps
+  that formulation as the oracle.
 """
 
 from __future__ import annotations
@@ -199,74 +209,129 @@ class EnsembleResult:
     record_steps: Optional[np.ndarray] = None
 
 
-def _advance_chunk(x, active, blocks, drift_field, dt, rngs):
-    """One Euler step for a chunk; returns the updated state array."""
-    m, d = x.shape
-    steps = [drv.sample_step_ensemble(dt, m, rngs[j]) for j, (fld, drv) in enumerate(blocks)]
-    x_new = x.copy()
-    upd = np.zeros((m, d))
-    for j, (fld, drv) in enumerate(blocks):
-        phi = fld.many(x)                       # (m, d, n_j)
-        upd += np.einsum("mdn,mn->md", phi, steps[j].smooth)
+def _times(phi, v, out=None):
+    """Rows of phi (k, d, n) applied to v (k, n): a product when n = 1, else einsum."""
+    if phi.shape[2] == 1:
+        return np.multiply(phi[:, :, 0], v, out=out)
+    return np.einsum("kdn,kn->kd", phi, v, out=out)
+
+
+def _row_norms(v):
+    """|v| per row of (m, d) v, rounded as ``np.linalg.norm(v, axis=1)``; overwrites v."""
+    np.multiply(v, v, out=v)
+    sq = v[:, 0] if v.shape[1] == 1 else v.sum(axis=1)
+    return np.sqrt(sq, out=sq)
+
+
+def _advance_chunk(x, active, blocks, drift_field, dt, rngs, inc, tmp):
+    """One Euler step of a chunk, updating the states x (m, d) in place.
+
+    ``active`` is None while every path is active, else a bool mask; paths
+    outside it stay frozen.  ``inc`` and ``tmp`` are (m, d) scratch arrays.
+    """
+    m = x.shape[0]
+    steps = [drv.sample_step_ensemble(dt, m, rng) for (_, drv), rng in zip(blocks, rngs)]
+    for j, ((fld, _), s) in enumerate(zip(blocks, steps)):
+        if j == 0:
+            _times(fld.many(x), s.smooth, out=inc)
+            inc += 0.0          # the sum starts from 0, which turns -0.0 into +0.0
+        else:
+            inc += _times(fld.many(x), s.smooth, out=tmp)
     if drift_field is not None:
-        upd += drift_field.many(x)[:, :, 0] * dt
-    x_new[active] = x[active] + upd[active]
+        inc += np.multiply(drift_field.many(x)[:, :, 0], dt, out=tmp)
+    if active is None:
+        x += inc
+    else:
+        np.add(x, inc, out=x, where=active[:, None])
+    if any(s.jump_values.shape[0] for s in steps):
+        _apply_jumps(x, active, blocks, steps)
 
-    counts = np.zeros(m, dtype=np.int64)
-    for s in steps:
-        counts += s.jump_counts
-    jumpy = active & (counts > 0)
-    if not jumpy.any():
-        return x_new
 
-    offsets = [np.concatenate([[0], np.cumsum(s.jump_counts)]) for s in steps]
-    single = jumpy & (counts == 1)
-    if single.any():
-        for j, (fld, drv) in enumerate(blocks):
-            ids = np.nonzero(single & (steps[j].jump_counts == 1))[0]
-            if ids.size == 0:
-                continue
-            vals = steps[j].jump_values[offsets[j][ids]]        # (k, n_j)
-            phi = fld.many(x_new[ids])                          # (k, d, n_j)
-            x_new[ids] += np.einsum("kdn,kn->kd", phi, vals)
-    multi = np.nonzero(jumpy & (counts > 1))[0]
+def _apply_jumps(x, active, blocks, steps):
+    """Apply one step's jumps; a path's jumps go one at a time, in position order.
+
+    Each jump is applied with the coefficient at the running pre-jump state.
+    Paths with a single jump are updated together, block by block.
+    """
+    counts = steps[0].jump_counts if len(steps) == 1 else sum(s.jump_counts for s in steps)
+    jumpers = []                    # per block: paths with jumps, index of their first
+    for (fld, _), s in zip(blocks, steps):
+        ids = (s.jump_counts > 0).nonzero()[0]
+        c = s.jump_counts[ids]
+        first = np.cumsum(c) - c
+        jumpers.append((ids, first))
+        single = counts[ids] == 1
+        if active is not None:
+            single &= active[ids]
+        if single.any():
+            k = ids[single]
+            x[k] += _times(fld.many(x[k]), s.jump_values[first[single]])
+    multi = np.unique(np.concatenate([ids[counts[ids] > 1] for ids, _ in jumpers]))
+    if active is not None:
+        multi = multi[active[multi]]
     for i in multi:
         tagged = []
-        for j, s in enumerate(steps):
-            lo, hi = offsets[j][i], offsets[j][i + 1]
-            tagged.extend((float(s.jump_positions[k]), j, s.jump_values[k])
-                          for k in range(lo, hi))
+        for j, (s, (ids, first)) in enumerate(zip(steps, jumpers)):
+            k = np.searchsorted(ids, i)
+            if k < ids.size and ids[k] == i:
+                lo = first[k]
+                tagged.extend((float(s.jump_positions[q]), j, s.jump_values[q])
+                              for q in range(lo, lo + s.jump_counts[i]))
         tagged.sort(key=lambda item: (item[0], item[1]))
-        xi = x_new[i]
+        xi = x[i]
         for _, j, vec in tagged:
             xi = xi + blocks[j][0](xi) @ vec
-        x_new[i] = xi
-    return x_new
+        x[i] = xi
+
+
+def _check_overflow(x, active, k, n_steps):
+    """Raise SimulationOverflow when an active path's state norm exceeds the guard.
+
+    All paths are scanned: a frozen path passed this check when it exited and
+    never holds NaN (NaN never exits), so it cannot change the verdict.
+    """
+    if x.shape[1] == 1:
+        big = x.max() > OVERFLOW_GUARD or x.min() < -OVERFLOW_GUARD
+    else:
+        big = np.linalg.norm(x, axis=1).max() > OVERFLOW_GUARD
+    if big:
+        live = x if active is None else x[active]
+        raise SimulationOverflow(
+            f"state norm {np.linalg.norm(live, axis=1).max():.3e} exceeded "
+            f"{OVERFLOW_GUARD:.0e} at step {k + 1} of {n_steps}")
 
 
 def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
                stop_center, stop_radius, record_steps):
     d = x0.shape[0]
     x = np.tile(x0, (m, 1))
-    active = np.ones(m, dtype=bool)
+    inc, tmp = np.empty((m, d)), np.empty((m, d))
+    active = None                   # None until the first path exits
     maxdist = np.zeros(m)
     records = np.zeros((len(record_steps), m)) if len(record_steps) else None
     rec_pos = {int(s): i for i, s in enumerate(record_steps)}
+    stop_at_x0 = stop_radius is not None and np.array_equal(stop_center, x0)
     for k in range(n_steps):
-        x = _advance_chunk(x, active, blocks, drift_field, dt, rngs)
-        norms = np.linalg.norm(x[active], axis=1) if active.any() else np.empty(0)
-        if norms.size and norms.max() > OVERFLOW_GUARD:
-            raise SimulationOverflow(
-                f"state norm {norms.max():.3e} exceeded {OVERFLOW_GUARD:.0e} "
-                f"at step {k + 1} of {n_steps}")
-        dist = np.linalg.norm(x - x0, axis=1)
-        maxdist = np.where(active, np.maximum(maxdist, dist), maxdist)
+        _advance_chunk(x, active, blocks, drift_field, dt, rngs, inc, tmp)
+        _check_overflow(x, active, k, n_steps)
+        # a frozen path keeps its distances, so it needs no mask here: its
+        # maximum already holds its distance, and it stays outside the ball
+        dist = _row_norms(np.subtract(x, x0, out=inc))
+        np.maximum(maxdist, dist, out=maxdist)
         if stop_radius is not None:
-            dstop = np.linalg.norm(x - stop_center, axis=1)
-            active &= ~(dstop > stop_radius)
+            dstop = dist if stop_at_x0 else _row_norms(np.subtract(x, stop_center, out=tmp))
+            gone = dstop > stop_radius
+            if gone.any():
+                active = ~gone
         if records is not None and (k + 1) in rec_pos:
             records[rec_pos[k + 1]] = maxdist
-    return x, ~active, records
+    return x, np.zeros(m, dtype=bool) if active is None else ~active, records
+
+
+def _check_sizes(n_steps, n_paths, chunk_size=1):
+    for name, value in (("n_steps", n_steps), ("n_paths", n_paths), ("chunk_size", chunk_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
@@ -277,8 +342,10 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     """Simulate ``n_paths`` independent Euler paths; terminal states of X^sigma.
 
     Paths are split into fixed-size chunks with per-chunk generators, so the
-    result depends only on (seed, base_key), not on ``threads``.
+    result depends only on (seed, base_key), not on ``threads``.  Raises
+    ValueError unless ``n_steps``, ``n_paths`` and ``chunk_size`` are >= 1.
     """
+    _check_sizes(n_steps, n_paths, chunk_size)
     d = blocks[0][0].d
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dt = horizon / n_steps
@@ -321,7 +388,11 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
 
 def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,
                          n_paths: int, seed: int, *, base_key=(TAG_ENSEMBLE,)) -> np.ndarray:
-    """All intermediate states for a modest ensemble: array (n_steps+1, M, d)."""
+    """All intermediate states for a modest ensemble: array (n_steps+1, M, d).
+
+    Raises ValueError unless ``n_steps`` and ``n_paths`` are >= 1.
+    """
+    _check_sizes(n_steps, n_paths)
     d = blocks[0][0].d
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dt = horizon / n_steps
@@ -329,9 +400,9 @@ def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,
     out = np.empty((n_steps + 1, n_paths, d))
     x = np.tile(x0, (n_paths, 1))
     out[0] = x
-    active = np.ones(n_paths, dtype=bool)
+    inc, tmp = np.empty_like(x), np.empty_like(x)
     for k in range(n_steps):
-        x = _advance_chunk(x, active, blocks, drift_field, dt, rngs)
+        _advance_chunk(x, None, blocks, drift_field, dt, rngs, inc, tmp)
         out[k + 1] = x
     return out
 

@@ -233,7 +233,7 @@ def default_radius(x) -> float:
 DEFAULT_LADDER = (0.04, 0.02, 0.01, 0.005)
 
 
-def _check_ladder(t_ladder, steps_per_rung):
+def _check_ladder(t_ladder, steps_per_rung, paths_per_rung):
     ladder = tuple(float(t) for t in t_ladder)
     if any(t <= 0 for t in ladder):
         raise ValueError("ladder times must be positive")
@@ -241,6 +241,8 @@ def _check_ladder(t_ladder, steps_per_rung):
         raise ValueError(f"t-ladder must be strictly decreasing, got {ladder}")
     if steps_per_rung < 2:
         raise ValueError("need at least 2 Euler steps per rung so that t >= 2 dt")
+    if paths_per_rung < 1000:
+        raise ValueError("paths_per_rung must be at least 1000")
     return ladder
 
 
@@ -290,6 +292,44 @@ def _consistency_guard(ladder, rungs, residuals):
                 diagnostics=[(r.t, r.value, r.se) for r in rungs])
 
 
+def _estimates_at_x(model: SdeModel, x_index: int, x, xis, ladder, paths_per_rung, seed,
+                    radius, steps_per_rung, check_radius, threads) -> list:
+    """Estimates at one x for each xi, sharing each rung ensemble across xi.
+
+    Rung ensembles are addressed by (x_index, rung, variant): variant 0 at the
+    radius, variant 1 at twice the radius with fresh seeds.
+    """
+    r_used = default_radius(x) if radius is None else float(radius)
+    variants = [(0, r_used)] + ([(1, 2.0 * r_used)] if check_radius else [])
+    terminals = {
+        variant: [_rung_terminals(model, x, t, paths_per_rung, seed,
+                                  (TAG_SYMBOL_MC, x_index, ri, variant), r,
+                                  steps_per_rung, threads)
+                  for ri, t in enumerate(ladder)]
+        for variant, r in variants}
+    out = []
+    for xi in xis:
+        results = {}
+        for variant, _ in variants:
+            rungs = [_rung_stat(_values_for_xi(terminal, x, xi, t), t, steps_per_rung, exited)
+                     for (terminal, exited), t in zip(terminals[variant], ladder)]
+            est, se, residuals = _extrapolate(ladder, [r.value for r in rungs],
+                                              [r.se for r in rungs])
+            _consistency_guard(ladder, rungs, residuals)
+            results[variant] = (est, se, rungs)
+        est, se, rungs = results[0]
+        r_check = None
+        if check_radius:
+            est2, se2, _ = results[1]
+            joint = np.hypot(se, se2)
+            r_check = RSensitivity(radius=2.0 * r_used, estimate=est2, se=se2,
+                                   consistent=bool(abs(est - est2) <= 3.0 * joint + 1e-12))
+        out.append(SymbolEstimate(x=x, xi=xi, estimate=est, se=se, rungs=rungs,
+                                  r_used=r_used, ladder=ladder,
+                                  paths_per_rung=paths_per_rung, r_check=r_check))
+    return out
+
+
 def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
                        paths_per_rung: int = 10_000, seed: int = 0,
                        radius: Optional[float] = None, steps_per_rung: int = 10,
@@ -301,39 +341,13 @@ def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
     from B_radius(x).  ``check_radius`` reruns the ladder at twice the radius
     with fresh seeds; the two extrapolations must agree within 3 joint SE.
     """
-    ladder = _check_ladder(t_ladder, steps_per_rung)
-    if paths_per_rung < 1000:
-        raise ValueError("paths_per_rung must be at least 1000")
+    ladder = _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (model.d,):
         raise DimensionMismatch(f"xi shape {xi.shape}, expected ({model.d},)")
-    r_used = default_radius(x) if radius is None else float(radius)
-
-    def run(variant: int, r: float):
-        rungs = []
-        for ri, t in enumerate(ladder):
-            key = (TAG_SYMBOL_MC, x_index, ri, variant)
-            terminal, exited = _rung_terminals(model, x, t, paths_per_rung, seed,
-                                               key, r, steps_per_rung, threads)
-            values = _values_for_xi(terminal, x, xi, t)
-            rungs.append(_rung_stat(values, t, steps_per_rung, exited))
-        est, se, residuals = _extrapolate(ladder, [r.value for r in rungs],
-                                          [r.se for r in rungs])
-        _consistency_guard(ladder, rungs, residuals)
-        return est, se, rungs
-
-    est, se, rungs = run(0, r_used)
-    r_check = None
-    if check_radius:
-        est2, se2, _ = run(1, 2.0 * r_used)
-        joint = np.hypot(se, se2)
-        consistent = abs(est - est2) <= 3.0 * joint + 1e-12
-        r_check = RSensitivity(radius=2.0 * r_used, estimate=est2, se=se2,
-                               consistent=bool(consistent))
-    return SymbolEstimate(x=x, xi=xi, estimate=est, se=se, rungs=rungs,
-                          r_used=r_used, ladder=ladder,
-                          paths_per_rung=paths_per_rung, r_check=r_check)
+    return _estimates_at_x(model, x_index, x, [xi], ladder, paths_per_rung, seed,
+                           radius, steps_per_rung, check_radius, threads)[0]
 
 
 def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
@@ -344,44 +358,13 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
 
     Returns a list of SymbolEstimate in x-major order.
     """
-    ladder = _check_ladder(t_ladder, steps_per_rung)
-    if paths_per_rung < 1000:
-        raise ValueError("paths_per_rung must be at least 1000")
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
+    ladder = _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
     xis = [np.atleast_1d(np.asarray(v, dtype=float)) for v in xis]
     out = []
     for ix, x in enumerate(xs):
-        r_used = default_radius(x) if radius is None else float(radius)
-        variants = [(0, r_used)] + ([(1, 2.0 * r_used)] if check_radius else [])
-        per_variant = {}
-        for variant, r in variants:
-            terminals = []
-            for ri, t in enumerate(ladder):
-                key = (TAG_SYMBOL_MC, ix, ri, variant)
-                terminals.append(_rung_terminals(model, x, t, paths_per_rung,
-                                                 seed, key, r, steps_per_rung, threads))
-            per_variant[variant] = (r, terminals)
-        for xi in xis:
-            results = {}
-            for variant, (r, terminals) in per_variant.items():
-                rungs = []
-                for (terminal, exited), t in zip(terminals, ladder):
-                    values = _values_for_xi(terminal, x, xi, t)
-                    rungs.append(_rung_stat(values, t, steps_per_rung, exited))
-                est, se, residuals = _extrapolate(ladder, [r_.value for r_ in rungs],
-                                                  [r_.se for r_ in rungs])
-                _consistency_guard(ladder, rungs, residuals)
-                results[variant] = (est, se, rungs)
-            est, se, rungs = results[0]
-            r_check = None
-            if check_radius:
-                est2, se2, _ = results[1]
-                joint = np.hypot(se, se2)
-                r_check = RSensitivity(radius=2.0 * r_used, estimate=est2, se=se2,
-                                       consistent=bool(abs(est - est2) <= 3.0 * joint + 1e-12))
-            out.append(SymbolEstimate(x=x, xi=xi, estimate=est, se=se, rungs=rungs,
-                                      r_used=r_used, ladder=ladder,
-                                      paths_per_rung=paths_per_rung, r_check=r_check))
+        out += _estimates_at_x(model, ix, np.atleast_1d(np.asarray(x, dtype=float)), xis,
+                               ladder, paths_per_rung, seed, radius, steps_per_rung,
+                               check_radius, threads)
     return out
 
 

@@ -256,6 +256,26 @@ def main_with_config(kind, cfg, tmp_path):
                  "--out", str(tmp_path / "out")])
 
 
+GROWTH_CFG = {"model": {"name": "bm_unit"}, "lambdas": [1.0], "t_small": [0.01, 0.1]}
+VARIATION_CFG = {"model": {"name": "bm_unit"}, "gammas": [2.0], "levels": [4]}
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("growth", {**GROWTH_CFG, "steps_per_run": 0}),
+    ("growth", {**GROWTH_CFG, "paths": 0}),
+    ("feller-demo", {"steps": 0}),
+    ("feller-demo", {"trials": 0}),
+    ("variation", {**VARIATION_CFG, "trials": 0}),
+], ids=["growth-steps_per_run", "growth-paths", "feller-demo-steps", "feller-demo-trials",
+        "variation-trials"])
+def test_empty_ensemble_is_config_error(kind, cfg, tmp_path):
+    assert main_with_config(kind, cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+    assert "must be at least 1" in err["message"]
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 class TestFellerDemo:
     def test_tiny_horizon_never_jumps(self):
         report = feller_demo(1e-9, 2000, seed=1)

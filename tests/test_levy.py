@@ -227,8 +227,7 @@ class TestFixedNodeExponent:
 
     def test_tempered_power_15_matches_closed_form(self):
         # nu = |y|^{-5/2} e^{-|y|} has psi(xi) = -2 Gamma(-a) ((1+xi^2)^{a/2} cos(a atan xi) - 1);
-        # the window 32 drops mass ~1e-16.  The adaptive oracle misses this by up to
-        # 1e-3 (e.g. at xi = 2.5), so the closed form is the reference here.
+        # the window 32 drops mass ~1e-16.
         alpha = 1.5
         measure = sk.LevyModel.from_dict({"levy_measure": {
             "kind": "density", "name": "tempered_power",
@@ -240,6 +239,21 @@ class TestFixedNodeExponent:
             (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(np.abs(xi))) - 1.0)
         fixed = _jump_exponent_many(measure, xi[:, None])
         assert np.abs(fixed - exact).max() <= 1e-9
+
+    @pytest.mark.parametrize("alpha, xis", [(0.5, (0.3, 2.5, -2.5, 30.0)),
+                                            (1.5, (0.3, 2.5, -2.5, 30.0)),
+                                            (1.9, (0.3, 2.5, -2.5))])
+    def test_adaptive_oracle_matches_closed_form(self, alpha, xis):
+        # the oracle once integrated [0, 1e-8] twice (off by 1.25e-3 at alpha = 1.5,
+        # xi = 2.5), and one adaptive integral over [1e-8, 1] in y is still off by
+        # 1.8e-5 at alpha = 1.5, xi = 0.3, and by 1.6e-4 at alpha = 1.9
+        measure = sk.LevyModel.from_dict({"levy_measure": {
+            "kind": "density", "name": "tempered_power",
+            "params": {"alpha": alpha}}}).triplet.levy_measure
+        for xi in xis:
+            exact = -2.0 * gamma_fn(-alpha) * (
+                (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(abs(xi))) - 1.0)
+            assert abs(-_density_exponent_adaptive(measure, xi) - exact) <= 1e-8
 
     @pytest.mark.parametrize("name", ["tempered", "cp_normal", "uniform_asym"])
     def test_fallback_is_the_oracle_bit_for_bit(self, name):

@@ -8,7 +8,7 @@ import pytest
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
 from symbolkit.sde import (path_from_binary, path_to_binary, path_to_csv,
-                           simulate_ensemble)
+                           simulate_ensemble, simulate_paths_dense)
 
 
 def zero_model():
@@ -113,6 +113,17 @@ class TestMultiDriver:
         mean = res.terminal[:, 0].mean()
         se = res.terminal[:, 0].std(ddof=1) / np.sqrt(n)
         assert abs(mean - 1.0) <= 3 * se
+
+    @pytest.mark.parametrize("sizes", [(0, 10, 5), (4, 0, 5), (4, 10, 0)])
+    def test_ensemble_sizes_below_one_rejected(self, sizes):
+        n_steps, n_paths, chunk = sizes
+        blocks = catalog.bm_bump().blocks()
+        with pytest.raises(ValueError, match="must be at least 1"):
+            simulate_ensemble(blocks, None, np.zeros(1), 1.0, n_steps, n_paths, 0,
+                              chunk_size=chunk)
+        if chunk:
+            with pytest.raises(ValueError, match="must be at least 1"):
+                simulate_paths_dense(blocks, None, np.zeros(1), 1.0, n_steps, n_paths, 0)
 
     def test_empty_driver_list_rejected(self):
         with pytest.raises(ValueError):
