@@ -31,7 +31,7 @@ from . import __version__
 from . import coefficients as coeff
 from .catalog import (feller_demo_model, resolve_driver, resolve_model,
                       resolve_symbol)
-from .errors import ConfigError, SymbolkitError
+from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
 from .indices import (build_index_report, g_identity_check,
                       index_transfer_check, symbol_bound_diagnostic)
 from .levy import LevyTriplet
@@ -205,11 +205,11 @@ def _kind_symbol_estimate(cfg, seed, threads, outdir):
     est = _estimator_block(cfg, "symbol-estimate")
     xs = [float(v) for v in _grid(cfg, "x_grid", "symbol-estimate")]
     xis = [float(v) for v in _grid(cfg, "xi_grid", "symbol-estimate")]
-    estimates = symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est)
+    records = _mc_records(symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est))
     rows = [[e["x"], e["xi"], e["re"], e["im"], e["se"],
              e["r_check"]["consistent"] if e["r_check"] else True]
-            for e in _mc_records(estimates)]
-    return ({"records": _mc_records(estimates)},
+            for e in records]
+    return ({"records": records},
             ["x", "xi", "re", "im", "se", "r_consistent"], rows, None)
 
 
@@ -501,7 +501,11 @@ def _emit_error(exc: Exception, code: int, outdir) -> None:
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     if isinstance(exc, ConfigError) and exc.field:
         record["field"] = exc.field
-    line = json.dumps(record, sort_keys=True)
+    if isinstance(exc, QuadratureFailure):
+        record["achieved"] = _jsonable(exc.achieved)
+    if isinstance(exc, NonConvergence):
+        record["diagnostics"] = _jsonable(exc.diagnostics)
+    line = json.dumps(record, sort_keys=True, allow_nan=False)
     print(line, file=sys.stderr)
     try:
         Path(outdir).mkdir(parents=True, exist_ok=True)

@@ -68,8 +68,8 @@ def gamma_variation(values, gamma: float) -> VariationResult:
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     v = np.asarray(values, dtype=float)
-    scalar = v.ndim == 1
-    pts = v[:, None] if scalar else v
+    pts = v[:, None] if v.ndim == 1 else v
+    scalar = pts.shape[1] == 1              # (m,) and (m, 1) both take the reduction
     m = pts.shape[0]
     if m < 2:
         raise ValueError("need at least two grid values")

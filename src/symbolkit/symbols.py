@@ -29,9 +29,9 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import DimensionMismatch, NonConvergence, QuadratureFailure
-from .levy import (AtomLaw, CharacteristicExponent, ContinuousLaw, DensityForm,
-                   FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure,
-                   stable_density_coefficient)
+from .levy import (CHUNK_ROWS, AtomLaw, CharacteristicExponent, ContinuousLaw,
+                   DensityForm, FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure,
+                   expi, stable_density_coefficient)
 from .quadrature import integrate_checked
 from .sde import SdeModel, simulate_ensemble
 from .seeding import TAG_SYMBOL_MC
@@ -268,8 +268,15 @@ def _rung_terminals(model: SdeModel, x, t, paths, seed, key, radius,
 
 
 def _values_for_xi(terminal, x, xi, t):
-    phase = (terminal - x) @ xi
-    return -(np.exp(1j * phase) - 1.0) / t
+    """-(e^{i (X_t - x).xi} - 1) / t per path, formed in place, ``CHUNK_ROWS`` paths at a time."""
+    out = np.empty(terminal.shape[0], dtype=complex)
+    for c0 in range(0, out.shape[0], CHUNK_ROWS):
+        e = out[c0:c0 + CHUNK_ROWS]
+        expi((terminal[c0:c0 + CHUNK_ROWS] - x) @ xi, out=e)
+        e -= 1.0
+        np.negative(e, out=e)
+        e /= t
+    return out
 
 
 def _rung_stat(values, t, n_steps, exited) -> RungStat:

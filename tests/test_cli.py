@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from symbolkit.cli import feller_demo, main, run_config
-from symbolkit.errors import ConfigError
+from symbolkit.cli import KINDS, _emit_error, feller_demo, main, run_config
+from symbolkit.errors import ConfigError, NonConvergence
 
 BM_MODEL = {"coefficient": {"name": "bump", "params": {"a": 0.5, "b": 1.0}},
             "driver": {"name": "bm"}}
@@ -247,6 +247,64 @@ def test_growth_zero_median_output_is_strict_json(tmp_path):
         json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
     payload = json.loads((tmp_path / "results.json").read_text())
     assert all(t["slope"] is None for t in payload["results"]["trends"])
+
+
+# one tiny config per CLI kind, for the strict-output test below
+STRICT_CASES = {
+    "simulate": {"model": BM_MODEL, "x0": 0.5, "horizon": 0.5, "step": 0.05},
+    "symbol-analytic": {"model": {"name": "cp_tanh"}, "x_grid": [0.0], "xi_grid": [1.0]},
+    "symbol-estimate": {"model": {"name": "bm_bump"}, "x_grid": [0.0], "xi_grid": [1.0],
+                        "estimator": {"paths": 1000}},
+    "symbol-compare": {"model": {"name": "cp_tanh"}, "x_grid": [0.0], "xi_grid": [1.0],
+                       "estimator": {"paths": 1000}},
+    "generator-check": {"model": {"name": "bm_unit"}, "x_grid": [0.0]},
+    "indices": {"symbol": {"name": "power_law", "params": {"alpha": 1.5}},
+                "x_grid": [0.0], "r_max": 100.0, "r_table": [1.0, 2.0]},
+    "index-transfer": {"driver": {"name": "stable", "params": {"alpha": 1.2}},
+                       "coefficient": {"name": "tanh", "params": {"offset": 1.0, "gain": 0.5}},
+                       "x_grid": [0.0]},
+    "variation": {"model": {"name": "bm_unit"}, "gammas": [1.0, 2.0], "levels": [4],
+                  "trials": 4},
+    "growth": {"model": {"name": "bm_unit"}, "lambdas": [1.0], "t_small": [0.01, 0.1],
+               "t_large": [1.0, 2.0], "paths": 100, "steps_per_run": 8},
+    "g-identity": {"d": 1},
+    "bound-diagnostic": {"model": {"name": "cp_tanh"}, "box": [-1.0, 1.0]},
+    "feller-demo": {"trials": 1000, "steps": 8},
+}
+
+
+def test_strict_cases_cover_every_kind():
+    assert sorted(STRICT_CASES) == sorted(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_writes_strict_json(kind, tmp_path):
+    run_config(kind, STRICT_CASES[kind], 3, tmp_path)
+    for name in ("results.json", "manifest.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+
+
+def test_quadrature_failure_writes_achieved_error(tmp_path):
+    # known failure: the tempered density generator misses its 1e-9 tolerance at x = 0.5
+    cfg = {"model": {"coefficient": {"name": "bump", "params": {"a": 0.5, "b": 1.0}},
+                     "driver": {"name": "tempered"}},
+           "x_grid": [0.5]}
+    assert main_with_config("generator-check", cfg, tmp_path) == 3
+    err = json.loads((tmp_path / "out" / "error.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert err["error"] == "QuadratureFailure"
+    assert err["achieved"] == pytest.approx(2.2e-9, rel=0.1)
+
+
+def test_nonconvergence_writes_diagnostics(tmp_path, capsys):
+    rungs = [(0.04, complex(0.5, -0.25), 0.01), (0.02, complex(0.75, float("nan")), 0.02)]
+    _emit_error(NonConvergence("rungs disagree", diagnostics=rungs), 3, tmp_path)
+    line = (tmp_path / "error.json").read_text()
+    assert capsys.readouterr().err == line
+    err = json.loads(line, parse_constant=_reject_constant)
+    assert err["exit_code"] == 3
+    assert err["diagnostics"] == [[0.04, {"re": 0.5, "im": -0.25}, 0.01],
+                                  [0.02, {"re": 0.75, "im": None}, 0.02]]
 
 
 def main_with_config(kind, cfg, tmp_path):

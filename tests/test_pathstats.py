@@ -23,6 +23,15 @@ def brute_force_variation(values, gamma):
     return best
 
 
+def full_grid_dp(values, gamma):
+    """O(m^2) DP over every grid point, without the turning-point reduction."""
+    v = np.asarray(values, dtype=float)
+    best = np.zeros(v.size)
+    for i in range(1, v.size):
+        best[i] = np.max(best[:i] + np.abs(v[i] - v[:i]) ** gamma)
+    return best[-1]
+
+
 class TestGammaVariation:
     def test_monotone_telescopes_at_gamma_one(self):
         res = sk.gamma_variation([0.0, 0.3, 1.0], 1.0)
@@ -85,6 +94,25 @@ class TestGammaVariation:
                 best = max(best, sum(np.linalg.norm(values[b] - values[a]) ** 2.0
                                      for a, b in zip(pts, pts[1:])))
         assert res.value == pytest.approx(best, abs=1e-12)
+
+    def test_column_path_takes_the_scalar_reduction(self, monkeypatch):
+        # a d = 1 path as (m, 1), e.g. ``path.states``, gives the (m,) call's result
+        reduced = []
+        turning_points = sk.pathstats._turning_points
+        monkeypatch.setattr(sk.pathstats, "_turning_points",
+                            lambda v: reduced.append(v.shape) or turning_points(v))
+        rng = np.random.default_rng(12)
+        for trial in range(18):
+            values = np.cumsum(rng.normal(size=int(rng.integers(2, 300))))
+            gamma = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
+            reduced.clear()
+            flat = sk.gamma_variation(values, gamma)
+            col = sk.gamma_variation(values[:, None], gamma)
+            assert col.value == flat.value, (trial, gamma)
+            np.testing.assert_array_equal(col.partition, flat.partition)
+            if gamma > 1.0:
+                assert reduced == [values.shape] * 2
+                assert col.value == pytest.approx(full_grid_dp(values, gamma), rel=1e-12)
 
     def test_nonincreasing_in_gamma_for_small_increments(self):
         rng = np.random.default_rng(10)
