@@ -10,7 +10,8 @@ config, its hash, package versions and wall time; ``symbolkit rerun``
 replays a manifest.
 
 Exit codes: 0 success, 2 config/schema violation, 3 numerical failure,
-4 I/O error.  Failures emit a machine-readable error JSON on stderr.
+4 I/O error or an allocation that cannot be met.  Failures emit a
+machine-readable error JSON on stderr.
 """
 
 from __future__ import annotations
@@ -544,7 +545,12 @@ def main(argv=None) -> int:
     try:
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("SYMBOLKIT_THREADS", "1"))
+            raw = os.environ.get("SYMBOLKIT_THREADS", "1")
+            try:
+                threads = int(raw)
+            except ValueError:
+                raise ConfigError(f"SYMBOLKIT_THREADS must be an integer, got {raw!r}",
+                                  field="SYMBOLKIT_THREADS") from None
         if args.kind == "rerun":
             manifest = _load_manifest(args.manifest)
             run_config(manifest["kind"], manifest["config"], manifest["seed"],
@@ -560,7 +566,7 @@ def main(argv=None) -> int:
     except SymbolkitError as exc:
         _emit_error(exc, 3, outdir)
         return 3
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         _emit_error(exc, 4, outdir)
         return 4
 

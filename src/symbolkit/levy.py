@@ -858,21 +858,16 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
                       jump_values=values, jump_positions=positions)
 
 
-def sample_increment_parts(triplet: LevyTriplet, dt: float, rng: np.random.Generator):
-    """Single-path step: (smooth part (n,), [(position, jump (n,)), ...] ordered by position)."""
-    step = sample_step_ensemble(triplet, dt, 1, rng)
-    jumps = [(float(step.jump_positions[k]), step.jump_values[k])
-             for k in range(int(step.jump_counts[0]))]
-    jumps.sort(key=lambda item: item[0])
-    return step.smooth[0], jumps
-
-
 def sample_increment(triplet: LevyTriplet, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """One increment of the driver over a window of length dt."""
-    smooth, jumps = sample_increment_parts(triplet, dt, rng)
-    out = smooth.copy()
-    for _, y in jumps:
-        out += y
+    """One increment of the driver over a window of length dt.
+
+    The smooth part of a one-path ``sample_step_ensemble`` draw, plus its
+    jumps added in position order.
+    """
+    step = sample_step_ensemble(triplet, dt, 1, rng)
+    out = step.smooth[0].copy()
+    for k in np.argsort(step.jump_positions, kind="stable"):
+        out += step.jump_values[k]
     return out
 
 
@@ -926,9 +921,6 @@ class LevyModel:
 
     def psi(self, xi) -> complex:
         return self.exponent(xi)
-
-    def sample_increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        return sample_increment(self.triplet, dt, rng)
 
     def sample_step_ensemble(self, dt: float, m: int, rng: np.random.Generator) -> StepSample:
         return sample_step_ensemble(self.triplet, dt, m, rng)

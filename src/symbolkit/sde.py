@@ -10,9 +10,11 @@ dX = -X_- dN the first jump sends the path to zero and every later jump has
 zero effect.  Jump times are snapped to the end of the step they fall in, so
 every recorded jump sits on the grid.
 
-A scalar engine produces a full :class:`SamplePath` with its jump record;
-the ensemble engine (``simulate_ensemble``, ``simulate_paths_dense``) steps
-a chunk of paths at once and keeps these invariants:
+There is one stepping rule, ``_advance_chunk``, which steps a chunk of paths
+at once.  ``simulate_ensemble`` runs it on chunks of paths and keeps only the
+terminal states; ``simulate_paths_dense`` keeps every state; ``simulate_path``
+and ``simulate_multi`` are a one-path dense run that also records each jump
+as (grid time, state-space effect).  The engine keeps these invariants:
 
 - the chunk's state array is updated in place, with no per-step copy;
 - a path that has left the stop ball is frozen: later steps still draw its
@@ -20,11 +22,14 @@ a chunk of paths at once and keeps these invariants:
 - each chunk owns seed-derived generators addressed by (master seed, caller
   key, chunk index, block index), and every step draws from them in a fixed
   order: block by block, all of a block's variates for the whole chunk in
-  one call.  Output is therefore invariant under the worker count;
+  one call.  Output is therefore invariant under the worker count.  A single
+  path uses the generators (master seed, ``TAG_PATH``, block index);
 - the arithmetic rounds as the plain formulation does (a zeroed update
   summed block by block, then the drift; norms as ``np.linalg.norm``), so
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
-  that formulation as the oracle.
+  that formulation as the oracle, and the former single-path engine too;
+- every step runs the overflow guard: a state norm above ``OVERFLOW_GUARD``
+  raises ``SimulationOverflow``.
 """
 
 from __future__ import annotations
@@ -106,25 +111,11 @@ class SamplePath:
 
 
 # --------------------------------------------------------------------------
-# shared stepping
+# single paths
 
 
-def _apply_jumps_scalar(x, blocks, per_block_jumps, record, t_next):
-    """Apply jumps sequentially in position order; mutate record if given."""
-    tagged = []
-    for j, jumps in enumerate(per_block_jumps):
-        tagged.extend((pos, j, vec) for pos, vec in jumps)
-    tagged.sort(key=lambda item: (item[0], item[1]))
-    for _, j, vec in tagged:
-        fld = blocks[j][0]
-        effect = fld(x) @ vec
-        x = x + effect
-        if record is not None:
-            record.append((t_next, effect))
-    return x
-
-
-def _simulate_blocks_scalar(blocks, drift_field, x0, horizon, step, seed):
+def _simulate_one(blocks, drift_field, x0, horizon, step, seed):
+    """One path of the ensemble step, generators ``rng_at(seed, TAG_PATH, j)``."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if horizon < step:
@@ -135,42 +126,20 @@ def _simulate_blocks_scalar(blocks, drift_field, x0, horizon, step, seed):
         raise DimensionMismatch(f"x0 shape {x0.shape}, expected ({d},)")
     n_steps = int(np.ceil(horizon / step - 1e-12))
     times = step * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, d))
-    states[0] = x0
     rngs = [rng_at(seed, TAG_PATH, j) for j in range(len(blocks))]
     jumps: list = []
-    x = x0.copy()
-    from .levy import sample_increment_parts
-
-    for k in range(n_steps):
-        smooth_total = np.zeros(d)
-        per_block_jumps = []
-        for j, (fld, drv) in enumerate(blocks):
-            smooth, jmp = sample_increment_parts(drv.triplet, step, rngs[j])
-            smooth_total += fld(x) @ smooth
-            per_block_jumps.append(jmp)
-        x_new = x + smooth_total
-        if drift_field is not None:
-            x_new = x_new + drift_field(x)[:, 0] * step
-        x_new = _apply_jumps_scalar(x_new, blocks, per_block_jumps, jumps, times[k + 1])
-        norm = np.linalg.norm(x_new)
-        if norm > OVERFLOW_GUARD:
-            raise SimulationOverflow(
-                f"state norm {norm:.3e} exceeded {OVERFLOW_GUARD:.0e} at t={times[k + 1]:.6g}")
-        states[k + 1] = x_new
-        x = x_new
-    return SamplePath(times=times, states=states, jumps=jumps, seed=int(seed))
+    states = _step_dense(blocks, drift_field, x0, step, n_steps, 1, rngs, jumps)
+    return SamplePath(times=times, states=states[:, 0], jumps=jumps, seed=int(seed))
 
 
 def simulate_path(model: SdeModel, x0, horizon: float, step: float, seed: int) -> SamplePath:
     """Euler path of the SDE from x0 up to the horizon."""
-    return _simulate_blocks_scalar(model.blocks(), model.drift_coefficient,
-                                   x0, horizon, step, seed)
+    return _simulate_one(model.blocks(), model.drift_coefficient, x0, horizon, step, seed)
 
 
 def simulate_multi(spec: MultiDriverSpec, x0, horizon: float, step: float, seed: int) -> SamplePath:
     """Euler path driven by independent one-dimensional drivers."""
-    return _simulate_blocks_scalar(spec.blocks(), None, x0, horizon, step, seed)
+    return _simulate_one(spec.blocks(), None, x0, horizon, step, seed)
 
 
 def first_exit_time(path: SamplePath, center, radius: float):
@@ -223,11 +192,13 @@ def _row_norms(v):
     return np.sqrt(sq, out=sq)
 
 
-def _advance_chunk(x, active, blocks, drift_field, dt, rngs, inc, tmp):
+def _advance_chunk(x, active, blocks, drift_field, dt, rngs, inc, tmp, record=None, t=0.0):
     """One Euler step of a chunk, updating the states x (m, d) in place.
 
     ``active`` is None while every path is active, else a bool mask; paths
     outside it stay frozen.  ``inc`` and ``tmp`` are (m, d) scratch arrays.
+    ``record``, if given, is a list that receives (t, state-space effect) for
+    every jump.
     """
     m = x.shape[0]
     steps = [drv.sample_step_ensemble(dt, m, rng) for (_, drv), rng in zip(blocks, rngs)]
@@ -244,10 +215,10 @@ def _advance_chunk(x, active, blocks, drift_field, dt, rngs, inc, tmp):
     else:
         np.add(x, inc, out=x, where=active[:, None])
     if any(s.jump_values.shape[0] for s in steps):
-        _apply_jumps(x, active, blocks, steps)
+        _apply_jumps(x, active, blocks, steps, record, t)
 
 
-def _apply_jumps(x, active, blocks, steps):
+def _apply_jumps(x, active, blocks, steps, record, t):
     """Apply one step's jumps; a path's jumps go one at a time, in position order.
 
     Each jump is applied with the coefficient at the running pre-jump state.
@@ -265,7 +236,11 @@ def _apply_jumps(x, active, blocks, steps):
             single &= active[ids]
         if single.any():
             k = ids[single]
-            x[k] += _times(fld.many(x[k]), s.jump_values[first[single]])
+            effect = _times(fld.many(x[k]), s.jump_values[first[single]])
+            x[k] += effect
+            if record is not None:
+                effect += 0.0   # recorded as fld(x) @ y rounds: -0.0 becomes +0.0
+                record.extend((t, e) for e in effect)
     multi = np.unique(np.concatenate([ids[counts[ids] > 1] for ids, _ in jumpers]))
     if active is not None:
         multi = multi[active[multi]]
@@ -280,7 +255,10 @@ def _apply_jumps(x, active, blocks, steps):
         tagged.sort(key=lambda item: (item[0], item[1]))
         xi = x[i]
         for _, j, vec in tagged:
-            xi = xi + blocks[j][0](xi) @ vec
+            effect = blocks[j][0](xi) @ vec
+            xi = xi + effect
+            if record is not None:
+                record.append((t, effect))
         x[i] = xi
 
 
@@ -386,25 +364,33 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
                           running_max=records, record_steps=record_steps)
 
 
+def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
+    """All states of m paths from x0: array (n_steps+1, m, d).
+
+    The jumps of step k go into ``record``, if given, at grid time (k+1) dt.
+    """
+    out = np.empty((n_steps + 1, m, x0.shape[0]))
+    x = np.tile(x0, (m, 1))
+    out[0] = x
+    inc, tmp = np.empty_like(x), np.empty_like(x)
+    for k in range(n_steps):
+        _advance_chunk(x, None, blocks, drift_field, dt, rngs, inc, tmp, record, dt * (k + 1))
+        _check_overflow(x, None, k, n_steps)
+        out[k + 1] = x
+    return out
+
+
 def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,
                          n_paths: int, seed: int, *, base_key=(TAG_ENSEMBLE,)) -> np.ndarray:
     """All intermediate states for a modest ensemble: array (n_steps+1, M, d).
 
-    Raises ValueError unless ``n_steps`` and ``n_paths`` are >= 1.
+    Raises ValueError unless ``n_steps`` and ``n_paths`` are >= 1, and
+    SimulationOverflow when a state norm exceeds ``OVERFLOW_GUARD``.
     """
     _check_sizes(n_steps, n_paths)
-    d = blocks[0][0].d
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    dt = horizon / n_steps
     rngs = [rng_at(seed, *base_key, 0, j) for j in range(len(blocks))]
-    out = np.empty((n_steps + 1, n_paths, d))
-    x = np.tile(x0, (n_paths, 1))
-    out[0] = x
-    inc, tmp = np.empty_like(x), np.empty_like(x)
-    for k in range(n_steps):
-        _advance_chunk(x, None, blocks, drift_field, dt, rngs, inc, tmp)
-        out[k + 1] = x
-    return out
+    return _step_dense(blocks, drift_field, x0, horizon / n_steps, n_steps, n_paths, rngs)
 
 
 # --------------------------------------------------------------------------

@@ -1,24 +1,33 @@
-"""The allocation-heavy ensemble Euler step, kept as the oracle for the in-place engine.
+"""The straightforward Euler engines, kept as oracles for the in-place engine.
 
 ``sample_step_ensemble``, ``sample_standard_stable``, ``_advance_chunk``,
 ``_run_chunk``, ``simulate_ensemble`` and ``simulate_paths_dense`` are the
-straightforward versions of the engine in ``symbolkit.sde`` and
+straightforward versions of the ensemble engine in ``symbolkit.sde`` and
 ``symbolkit.levy``: a fresh state array and a zeroed update per step,
 ``einsum`` for every block, masks on every step and full ``np.linalg.norm``
 distances.  The only edit is that ``_advance_chunk`` calls this module's
 sampler instead of ``LevyModel.sample_step_ensemble``.  The tests require the
 fast engine to reproduce these functions bit for bit.
+
+``_simulate_blocks_scalar``, ``_apply_jumps_scalar``, ``sample_increment_parts``
+and ``sample_increment`` are the separate single-path engine that
+``simulate_path``/``simulate_multi`` ran on before they became one-path runs
+of the ensemble step.  The only edit is that ``sample_increment_parts`` calls
+this module's sampler.  The tests require the one-path runs to reproduce
+their times, states and jump records bit for bit without a drift field, and
+to 1e-12 with one (the ensemble step adds the drift to the update before the
+state, the scalar engine after).
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from symbolkit.errors import SimulationOverflow
+from symbolkit.errors import DimensionMismatch, SimulationOverflow
 from symbolkit.levy import (DensityForm, FiniteActivity, StableSymmetric, StepSample,
                             ZeroMeasure)
-from symbolkit.sde import DEFAULT_CHUNK, OVERFLOW_GUARD, EnsembleResult
-from symbolkit.seeding import TAG_ENSEMBLE, rng_at
+from symbolkit.sde import DEFAULT_CHUNK, OVERFLOW_GUARD, EnsembleResult, SamplePath
+from symbolkit.seeding import TAG_ENSEMBLE, TAG_PATH, rng_at
 
 
 def sample_standard_stable(alpha, rng, size):
@@ -197,3 +206,73 @@ def simulate_paths_dense(blocks, drift_field, x0, horizon, n_steps, n_paths, see
         x = _advance_chunk(x, active, blocks, drift_field, dt, rngs)
         out[k + 1] = x
     return out
+
+
+def sample_increment_parts(triplet, dt, rng):
+    """Single-path step: (smooth part (n,), [(position, jump (n,)), ...] ordered by position)."""
+    step = sample_step_ensemble(triplet, dt, 1, rng)
+    jumps = [(float(step.jump_positions[k]), step.jump_values[k])
+             for k in range(int(step.jump_counts[0]))]
+    jumps.sort(key=lambda item: item[0])
+    return step.smooth[0], jumps
+
+
+def sample_increment(triplet, dt, rng):
+    """One increment of the driver over a window of length dt."""
+    smooth, jumps = sample_increment_parts(triplet, dt, rng)
+    out = smooth.copy()
+    for _, y in jumps:
+        out += y
+    return out
+
+
+def _apply_jumps_scalar(x, blocks, per_block_jumps, record, t_next):
+    """Apply jumps sequentially in position order; mutate record if given."""
+    tagged = []
+    for j, jumps in enumerate(per_block_jumps):
+        tagged.extend((pos, j, vec) for pos, vec in jumps)
+    tagged.sort(key=lambda item: (item[0], item[1]))
+    for _, j, vec in tagged:
+        fld = blocks[j][0]
+        effect = fld(x) @ vec
+        x = x + effect
+        if record is not None:
+            record.append((t_next, effect))
+    return x
+
+
+def _simulate_blocks_scalar(blocks, drift_field, x0, horizon, step, seed):
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if horizon < step:
+        raise ValueError(f"horizon {horizon} shorter than one step {step}")
+    d = blocks[0][0].d
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (d,):
+        raise DimensionMismatch(f"x0 shape {x0.shape}, expected ({d},)")
+    n_steps = int(np.ceil(horizon / step - 1e-12))
+    times = step * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, d))
+    states[0] = x0
+    rngs = [rng_at(seed, TAG_PATH, j) for j in range(len(blocks))]
+    jumps: list = []
+    x = x0.copy()
+
+    for k in range(n_steps):
+        smooth_total = np.zeros(d)
+        per_block_jumps = []
+        for j, (fld, drv) in enumerate(blocks):
+            smooth, jmp = sample_increment_parts(drv.triplet, step, rngs[j])
+            smooth_total += fld(x) @ smooth
+            per_block_jumps.append(jmp)
+        x_new = x + smooth_total
+        if drift_field is not None:
+            x_new = x_new + drift_field(x)[:, 0] * step
+        x_new = _apply_jumps_scalar(x_new, blocks, per_block_jumps, jumps, times[k + 1])
+        norm = np.linalg.norm(x_new)
+        if norm > OVERFLOW_GUARD:
+            raise SimulationOverflow(
+                f"state norm {norm:.3e} exceeded {OVERFLOW_GUARD:.0e} at t={times[k + 1]:.6g}")
+        states[k + 1] = x_new
+        x = x_new
+    return SamplePath(times=times, states=states, jumps=jumps, seed=int(seed))

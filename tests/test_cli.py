@@ -181,6 +181,33 @@ class TestMainExitCodes:
                      "--out", str(blocker / "nested")])
         assert code == 4
 
+    def test_oversized_grid_exit_4(self, tmp_path):
+        # 1e18 steps: numpy refuses the grid at once, without allocating it
+        cfg = {"model": {"name": "cp_tanh"}, "horizon": 1e9, "step": 1e-9}
+        assert main_with_config("simulate", cfg, tmp_path) == 4
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["exit_code"] == 4
+        assert not (tmp_path / "out" / "results.json").exists()
+
+    def test_dense_overflow_exit_3(self, tmp_path):
+        # the dense ensembles behind variation run the overflow guard every step
+        cfg = {"model": {"coefficient": {"name": "constant"},
+                         "driver": {"drift": [1e306], "covariance": [[0.0]]}},
+               "gammas": [2.0], "levels": [3], "trials": 4}
+        assert main_with_config("variation", cfg, tmp_path) == 3
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "SimulationOverflow"
+        assert not (tmp_path / "out" / "results.json").exists()
+
+    def test_threads_env_not_integer_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SYMBOLKIT_THREADS", "two")
+        code = main(["g-identity", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads((tmp_path / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "SYMBOLKIT_THREADS"
+        assert not (tmp_path / "results.json").exists()
+
     def test_rerun_subcommand(self, tmp_path):
         first = tmp_path / "first"
         assert main(["feller-demo", "--seed", "4", "--out", str(first)]) in (0,)

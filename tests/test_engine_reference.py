@@ -1,4 +1,4 @@
-"""The in-place ensemble engine against the straightforward step kept in reference_engine."""
+"""The in-place ensemble engine against the straightforward engines kept in reference_engine."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from symbolkit import catalog, coefficients as co
 from symbolkit.coefficients import CoefficientField
 from symbolkit.levy import (AtomLaw, FiniteActivity, LevyModel, LevyTriplet, StableSymmetric,
                             normal_law)
-from symbolkit.sde import MultiDriverSpec, simulate_ensemble, simulate_paths_dense
+from symbolkit.sde import MultiDriverSpec, simulate_ensemble, simulate_multi, simulate_paths_dense
 
 
 def _model(driver, phi, drift=None):
@@ -157,3 +157,117 @@ def test_sampler_matches_reference():
             for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+# --------------------------------------------------------------------------
+# single paths: one-path runs of the ensemble step against the scalar engine
+
+
+def _path_multi():
+    # a Brownian column plus a rate-60 +-1 column: most steps carry several jumps
+    return MultiDriverSpec([(co.bump(0.5, 1.0), catalog.bm_driver()),
+                            (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1(rate=60.0))])
+
+
+# name -> (model or MultiDriverSpec, x0, horizon, step)
+PATH_CASES = {
+    "cp_tanh": lambda: (catalog.cp_tanh(), 0.3, 5.0, 1e-3),
+    "stable_sin": lambda: (catalog.stable_sin(), 0.0, 5.0, 1e-3),
+    "feller_demo": lambda: (catalog.feller_demo_model(), 5.0, 8.0, 0.05),
+    "poisson_rate5": lambda: (_model(catalog.poisson_unit(rate=5.0), co.constant(1.0)),
+                              0.0, 2.0, 0.125),
+    "multi": lambda: (_path_multi(), 0.0, 2.0, 0.05),
+    "ragged_horizon": lambda: (catalog.cp_tanh(), 0.0, 1.0, 0.3),
+    "cp_tanh_negative_zero": lambda: (catalog.cp_tanh(), -0.0, 2.0, 0.01),
+    "feller_negative_zero": lambda: (catalog.feller_demo_model(), -0.0, 4.0, 0.05),
+    "zero_coefficient_negative_zero": lambda: (_model(catalog.bm_driver(), co.zero()),
+                                               -0.0, 1.0, 0.1),
+}
+DRIFT_PATH_CASES = {
+    "bm_bump_drift": lambda: (catalog.bm_bump_drift(), 0.0, 10.0, 1e-3),
+    "constant_drift_ode": lambda: (_model(catalog.bm_driver(), co.zero(), co.constant(1.0)),
+                                   0.5, 2.0, 0.25),
+}
+
+
+def _paths(case, seed):
+    model, x0, horizon, step = case()
+    if isinstance(model, MultiDriverSpec):
+        got = simulate_multi(model, x0, horizon, step, seed)
+    else:
+        got = sk.simulate_path(model, x0, horizon, step, seed)
+    want = ref._simulate_blocks_scalar(*_blocks(model), x0, horizon, step, seed)
+    return got, want
+
+
+def _assert_same_jumps(got, want):
+    assert len(got.jumps) == len(want.jumps)
+    for (t, effect), (t_ref, effect_ref) in zip(got.jumps, want.jumps):
+        assert _same_bits(np.asarray(t, dtype=float), np.asarray(t_ref, dtype=float))
+        assert _same_bits(effect, effect_ref)
+
+
+@pytest.mark.parametrize("seed", [12345, 3])
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_path_matches_scalar_reference(case, seed):
+    got, want = _paths(PATH_CASES[case], seed)
+    assert _same_bits(got.times, want.times)
+    assert _same_bits(got.states, want.states)
+    _assert_same_jumps(got, want)
+    assert got.seed == want.seed
+
+
+def test_path_cases_exercise_jumps():
+    for case in ("cp_tanh", "feller_demo", "poisson_rate5", "multi"):
+        _, want = _paths(PATH_CASES[case], 12345)
+        assert want.jumps, case
+    _, want = _paths(PATH_CASES["multi"], 12345)
+    jump_times = [t for t, _ in want.jumps]
+    assert len(jump_times) - len(set(jump_times)) > 20      # many multi-jump steps
+    _, want = _paths(PATH_CASES["feller_demo"], 12345)
+    assert any(not effect.any() for _, effect in want.jumps)  # jumps after absorption
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_PATH_CASES))
+def test_drift_path_within_rounding_of_scalar_reference(case):
+    # x + (phi*s + drift*dt) against (x + phi*s) + drift*dt: rounding-level drift
+    got, want = _paths(DRIFT_PATH_CASES[case], 12345)
+    assert _same_bits(got.times, want.times)
+    assert got.states.shape == want.states.shape
+    assert np.abs(got.states - want.states).max() <= 1e-12 * np.abs(want.states).max()
+    _assert_same_jumps(got, want)
+
+
+def test_path_input_checks_match_scalar_reference():
+    model = catalog.cp_tanh()
+    for args, error in (((0.0, 1.0, 0.0), ValueError), ((0.0, 1.0, -0.1), ValueError),
+                        ((0.0, 0.05, 0.1), ValueError),
+                        (([0.0, 1.0], 1.0, 0.1), sk.DimensionMismatch)):
+        with pytest.raises(error):
+            sk.simulate_path(model, *args, seed=0)
+        with pytest.raises(error):
+            ref._simulate_blocks_scalar(model.blocks(), None, *args, 0)
+
+
+@pytest.mark.parametrize("rate", [1e13, -1e13])
+def test_path_overflow_matches_scalar_reference(rate):
+    model = _model(catalog.drift_driver(rate=rate), co.bump(0.5, 1.0))
+    for run in (lambda: sk.simulate_path(model, 0.0, 1.0, 0.125, 1),
+                lambda: ref._simulate_blocks_scalar(model.blocks(), None, 0.0, 1.0, 0.125, 1)):
+        with pytest.raises(sk.SimulationOverflow):
+            run()
+
+
+def test_sample_increment_matches_reference():
+    triplets = [model.driver.triplet for model in (catalog.bm_bump(), catalog.cp_tanh(),
+                                                    catalog.stable_sin(),
+                                                    catalog.feller_demo_model())]
+    triplets += [catalog.tempered_density_driver().triplet, catalog.drift_driver(0.5).triplet,
+                 catalog.compound_poisson_pm1(rate=80.0).triplet,
+                 _planar_model().driver.triplet, LevyTriplet([0.0], [[0.0]]),
+                 LevyTriplet([0.0], [[2.0]], FiniteActivity(50.0, normal_law(0.2, 0.5)))]
+    for trip in triplets:
+        for seed in range(6):
+            got = sk.sample_increment(trip, 0.1, sk.seeding.rng_at(seed, 4))
+            want = ref.sample_increment(trip, 0.1, sk.seeding.rng_at(seed, 4))
+            assert _same_bits(got, want)
