@@ -34,9 +34,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import j0, k0
 
 from .errors import BijectivityViolation, DegenerateSymbol, DimensionMismatch
-from .levy import (AtomLaw, DensityForm, FiniteActivity, StableSymmetric,
-                   ZeroMeasure, kappa_from_c0, sector_constant,
-                   stable_density_coefficient)
+from .levy import kappa_from_c0, sector_constant
 from .quadrature import halfline_nodes, integrate_checked
 from .symbols import SymbolField
 
@@ -425,41 +423,6 @@ class BoundDiagnostic:
     witnesses: dict
 
 
-def _jump_mass_ratio(measure) -> float:
-    """int y^2/(1+y^2) N(dy) for a one-dimensional measure."""
-    if isinstance(measure, ZeroMeasure):
-        return 0.0
-    if isinstance(measure, FiniteActivity):
-        law = measure.law
-        if isinstance(law, AtomLaw):
-            return measure.rate * sum(
-                p * float(y[0]) ** 2 / (1.0 + float(y[0]) ** 2)
-                for y, p in zip(law.positions, law.probabilities))
-        lo, hi = law.support
-        lo = max(lo, -1e3) if not np.isfinite(lo) else lo
-        hi = min(hi, 1e3) if not np.isfinite(hi) else hi
-        return measure.rate * integrate_checked(
-            lambda y: y * y / (1 + y * y) * law.density(y), lo, hi,
-            tol=1e-9, label="jump mass")
-    if isinstance(measure, StableSymmetric):
-        k = stable_density_coefficient(measure.alpha, measure.scale)
-        inner = integrate_checked(
-            lambda y: y ** (1.0 - measure.alpha) / (1.0 + y * y), 0.0, 1.0,
-            tol=1e-9, points=[1e-10], label="stable mass (near)")
-        outer = integrate_checked(
-            lambda y: y ** (1.0 - measure.alpha) / (1.0 + y * y), 1.0, np.inf,
-            tol=1e-9, label="stable mass (far)")
-        return 2.0 * k * (inner + outer)
-    if isinstance(measure, DensityForm):
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            total += integrate_checked(
-                lambda y: y * y / (1 + y * y) * measure.density(sgn * y),
-                0.0, measure.window, tol=1e-9, points=[1e-8], label="density mass")
-        return total
-    raise TypeError(f"unknown measure variant {type(measure).__name__}")
-
-
 def symbol_bound_diagnostic(p: SymbolField, triplet_field: Callable, box: tuple,
                             *, xi_max: float = 100.0, n_x: int = 21,
                             n_xi: int = 81) -> BoundDiagnostic:
@@ -493,7 +456,7 @@ def symbol_bound_diagnostic(p: SymbolField, triplet_field: Callable, box: tuple,
     for xv in xs:
         trip = triplet_field(np.array([xv]))
         val = (abs(float(trip.drift[0])) + abs(float(trip.covariance[0, 0]))
-               + _jump_mass_ratio(trip.levy_measure))
+               + trip.levy_measure.mass_ratio())
         if val > trip_norm:
             trip_norm, witness_x = val, xv
     slack = float(np.min(2.0 * (1.0 + xi_large ** 2) * unit_sup - p_large))

@@ -29,9 +29,15 @@ time, each row's arithmetic unchanged.  A triplet without drift and Gaussian
 part returns its jump part plus 0.0, which rounds as adding the two zero
 parts did.
 
-Jump measures are a closed set of variants (Zero / FiniteActivity /
-StableSymmetric / DensityForm): each admits both an exponent evaluation and a
-sampler, which is all the SDE layer needs.
+Jump measures are a closed set of variants: ZeroMeasure, FiniteActivity (a
+rate times an AtomLaw or a ContinuousLaw, whose formulas it scales),
+StableSymmetric and DensityForm.  Each holds its own formulas, and the
+exponent, the sampler, the frozen triplet, the generator and the index bounds
+reach a measure only through ``dim`` (None for the zero measure),
+``exponent_many(xi)``, ``sample_step`` (see :func:`sample_step_ensemble`;
+FiniteActivity and DensityForm share one compound-Poisson step),
+``image(phi)`` (the measure under y -> phi y), ``truncation_shift(phi)``,
+``generator_term(u, x)`` and ``mass_ratio()`` (int y^2/(1+y^2) N(dy)).
 """
 
 from __future__ import annotations
@@ -91,6 +97,61 @@ class AtomLaw:
                 out += p * y
         return out
 
+    def exponent_many(self, rate: float, xi: np.ndarray) -> np.ndarray:
+        """-rate * sum_k p_k (e^{i xi.y_k} - 1 - i xi.y_k 1_{|y_k|<1}), atom by atom.
+
+        An atom at the exact negation of an earlier atom's position takes that
+        atom's e^{i phase} conjugated (cos is even, sin is odd); each atom lends
+        its e^{i phase} at most once.  At a zero phase the conjugate's imaginary
+        part is -0 where sin(+-0 + 0.0) is +0; the product with rate * p rounds
+        both to +0.
+        """
+        pos = self.positions
+        partner = {}                # atom k -> the earlier atom at -y_k whose e^{i phase} it takes
+        for k, y in enumerate(pos):
+            taken = set(partner) | set(partner.values())
+            i = next((i for i in range(k) if i not in taken and np.array_equal(pos[i], -y)), None)
+            if i is not None:
+                partner[k] = i
+        lenders = set(partner.values())
+        small = [np.linalg.norm(y) < 1.0 for y in pos]
+        out = np.zeros(xi.shape[0], dtype=complex)
+        for c0 in range(0, xi.shape[0], CHUNK_ROWS):
+            rows = slice(c0, c0 + CHUNK_ROWS)
+            conjugates = {}
+            for k, (y, p) in enumerate(zip(pos, self.probabilities)):
+                phase = xi[rows] @ y if small[k] or k not in partner else None
+                if k in partner:
+                    term = conjugates.pop(partner[k])
+                else:
+                    term = expi(phase)
+                    if k in lenders:
+                        conjugates[k] = np.conj(term)
+                term -= 1.0
+                if small[k]:
+                    term -= 1j * phase
+                term *= rate * p
+                out[rows] -= term
+        return out
+
+    def image(self, phi: float) -> "AtomLaw":
+        return AtomLaw.of([(phi * y[0], p) for y, p in zip(self.positions, self.probabilities)])
+
+    def truncation_integral(self, a: float) -> float:
+        """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law, one-dimensional."""
+        total = 0.0
+        for y, p in zip(self.positions, self.probabilities):
+            yv = float(y[0])
+            total += p * yv * (float(abs(yv) < 1.0 / a) - float(abs(yv) < 1.0))
+        return total
+
+    def generator_integral(self, g: Callable[[float], float]) -> float:
+        return sum(p * g(float(y[0])) for y, p in zip(self.positions, self.probabilities))
+
+    def mass_ratio(self) -> float:
+        return sum(p * float(y[0]) ** 2 / (1.0 + float(y[0]) ** 2)
+                   for y, p in zip(self.positions, self.probabilities))
+
 
 @dataclass(frozen=True)
 class ContinuousLaw:
@@ -115,6 +176,12 @@ class ContinuousLaw:
         return (lo if np.isfinite(lo) else max(lo, -1e3),
                 hi if np.isfinite(hi) else min(hi, 1e3))
 
+    @property
+    def breakpoints(self) -> list:
+        """-1, 0 and 1 where they lie inside the clipped support."""
+        lo, hi = self.clipped_support
+        return [p for p in (-1.0, 0.0, 1.0) if lo < p < hi]
+
     @cached_property
     def jump_nodes(self) -> Optional["JumpNodes"]:
         """Fixed-node table of the jump integral, built on the first exponent call."""
@@ -128,6 +195,35 @@ class ContinuousLaw:
         val = integrate_checked(lambda y: y * self.density(y), lo, hi,
                                 tol=1e-9, label=f"{self.name} small-jump mean")
         return np.array([val])
+
+    def exponent_many(self, rate: float, xi: np.ndarray) -> np.ndarray:
+        return _fixed_node_exponent(self.jump_nodes, rate, xi[:, 0], _LAW_TOL,
+                                    lambda x1: _law_exponent_adaptive(self, rate, x1))
+
+    def image(self, phi: float) -> "ContinuousLaw":
+        a = abs(phi)
+        lo, hi = self.support
+        return ContinuousLaw(
+            name=f"{self.name}*{phi}",
+            sampler=lambda rng, size: phi * np.asarray(self.sampler(rng, size)),
+            density=lambda z: self.density(z / phi) / a,
+            support=tuple(sorted((phi * lo, phi * hi))))
+
+    def truncation_integral(self, a: float) -> float:
+        """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law."""
+        return _truncation_integral(self.density, a)
+
+    def generator_integral(self, g: Callable[[float], float]) -> float:
+        lo, hi = self.clipped_support
+        return integrate_checked(
+            lambda y: g(y) * self.density(y), lo, hi, tol=1e-9,
+            points=[p for p in (-1.0, 1.0) if lo < p < hi], label="jump generator")
+
+    def mass_ratio(self) -> float:
+        # without breakpoints quad never sees the peak of a normal law and returns 0
+        lo, hi = self.clipped_support
+        return integrate_checked(lambda y: y * y / (1 + y * y) * self.density(y), lo, hi,
+                                 tol=1e-9, points=self.breakpoints, label="jump mass")
 
 
 def normal_law(mean: float = 0.0, std: float = 1.0) -> ContinuousLaw:
@@ -149,6 +245,27 @@ def uniform_law(low: float = -1.0, high: float = 1.0) -> ContinuousLaw:
     )
 
 
+def _truncation_integral(density: Callable[[float], float], a: float,
+                         window: float = np.inf) -> float:
+    """int y (1_{|y| < 1/a} - 1_{|y| < 1}) nu(y) dy over |y| <= window, a not 0 or 1."""
+    lo, hi = sorted((1.0, 1.0 / a))
+    sign = 1.0 if 1.0 / a > 1.0 else -1.0
+    top = min(hi, window)
+    val = 0.0
+    if top > lo:
+        for sgn in (1.0, -1.0):
+            val += sgn * integrate_checked(lambda y: y * density(sgn * y), lo, top,
+                                           tol=1e-10, label="indicator correction")
+    return sign * val
+
+
+def _compensated(u, x: float) -> Callable[[float], float]:
+    """y -> u(x + y) - u(x) - y u'(x) 1_{|y|<1}, the generator's jump integrand."""
+    gx = u.u(x)
+    gpx = float(u.grad(x)[0])
+    return lambda y: u.u(x + y) - gx - y * gpx * (abs(y) < 1.0)
+
+
 # --------------------------------------------------------------------------
 # measure variants
 
@@ -156,6 +273,44 @@ def uniform_law(low: float = -1.0, high: float = 1.0) -> ContinuousLaw:
 @dataclass(frozen=True)
 class ZeroMeasure:
     """No jumps."""
+
+    dim = None
+
+    def exponent_many(self, xi: np.ndarray) -> np.ndarray:
+        return np.zeros(xi.shape[0], dtype=complex)
+
+    def sample_step(self, smooth, shift, dt, m, rng):
+        return smooth, shift, None, None
+
+    def image(self, phi: float) -> "ZeroMeasure":
+        return self
+
+    def truncation_shift(self, phi: float) -> float:
+        return 0.0
+
+    def generator_term(self, u, x: float) -> float:
+        return 0.0
+
+    def mass_ratio(self) -> float:
+        return 0.0
+
+
+def _compound_poisson_step(smooth, shift, dt, m, rng, activity, draw, comp):
+    """``sample_step`` of a measure whose jumps are simulated one by one.
+
+    Poisson counts at ``activity`` jumps per unit time, values from
+    ``draw(rng, k)``, positions uniform on (0, dt); ``comp`` is the
+    compensator of the simulated jumps over dt.
+    """
+    counts = rng.poisson(activity * dt, size=m)
+    total = int(counts.sum())
+    jumps = None
+    if total:
+        jumps = (draw(rng, total), rng.uniform(0.0, dt, size=total))
+    if smooth is None:
+        return None, shift - comp, counts, jumps
+    smooth -= comp
+    return smooth, shift, counts, jumps
 
 
 @dataclass(frozen=True)
@@ -174,6 +329,34 @@ class FiniteActivity:
         """E[Y 1_{|Y|<1}] of the law, computed once."""
         return self.law.mean_small()
 
+    @property
+    def dim(self) -> int:
+        return self.law.dim
+
+    def sample_step(self, smooth, shift, dt, m, rng):
+        return _compound_poisson_step(smooth, shift, dt, m, rng, self.rate, self.law.sample,
+                                      dt * self.rate * self.small_jump_mean)
+
+    def exponent_many(self, xi: np.ndarray) -> np.ndarray:
+        return self.law.exponent_many(self.rate, xi)
+
+    def image(self, phi: float) -> LevyMeasureSpec:
+        if phi == 0.0:
+            return ZeroMeasure()
+        return FiniteActivity(rate=self.rate, law=self.law.image(phi))
+
+    def truncation_shift(self, phi: float) -> float:
+        a = abs(phi)
+        if a == 0.0 or a == 1.0:
+            return 0.0
+        return phi * self.rate * self.law.truncation_integral(a)
+
+    def generator_term(self, u, x: float) -> float:
+        return self.rate * self.law.generator_integral(_compensated(u, x))
+
+    def mass_ratio(self) -> float:
+        return self.rate * self.law.mass_ratio()
+
 
 @dataclass(frozen=True)
 class StableSymmetric:
@@ -181,6 +364,7 @@ class StableSymmetric:
 
     alpha: float
     scale: float = 1.0
+    dim = 1
 
     def __post_init__(self):
         if self.alpha == 2.0:
@@ -190,6 +374,45 @@ class StableSymmetric:
         if self.scale <= 0:
             raise ValueError(f"stable scale must be > 0, got {self.scale}")
 
+    def exponent_many(self, xi: np.ndarray) -> np.ndarray:
+        return self.scale * np.linalg.norm(xi, axis=-1) ** self.alpha + 0j
+
+    def sample_step(self, smooth, shift, dt, m, rng):
+        draw = sample_standard_stable(self.alpha, rng, m).reshape(m, 1)
+        draw *= (self.scale * dt) ** (1.0 / self.alpha)
+        if smooth is None:
+            draw += shift
+            return draw, shift, None, None
+        smooth += draw
+        return smooth, shift, None, None
+
+    def image(self, phi: float) -> LevyMeasureSpec:
+        if phi == 0.0:
+            return ZeroMeasure()
+        return StableSymmetric(alpha=self.alpha, scale=self.scale * abs(phi) ** self.alpha)
+
+    def truncation_shift(self, phi: float) -> float:
+        return 0.0                  # the measure is symmetric
+
+    def generator_term(self, u, x: float) -> float:
+        k = stable_density_coefficient(self.alpha, self.scale)
+        gx = u.u(x)
+        w = max(50.0, abs(x) + u.spatial_scale)
+
+        def sym(y):
+            return (u.u(x + y) + u.u(x - y) - 2.0 * gx) * y ** (-1.0 - self.alpha)
+
+        body = integrate_checked(sym, 0.0, w, tol=1e-9, points=[1e-8, 1.0],
+                                 label="stable generator")
+        # beyond w the test function is numerically zero; -2 u(x) tail remains
+        tail = -2.0 * gx * w ** (-self.alpha) / self.alpha
+        return k * (body + tail)
+
+    def mass_ratio(self) -> float:
+        """k pi / sin(pi alpha/2): int_0^inf y^{1-alpha}/(1+y^2) dy = (pi/2) / sin(pi alpha/2)."""
+        k = stable_density_coefficient(self.alpha, self.scale)
+        return k * np.pi / np.sin(np.pi * self.alpha / 2.0)
+
 
 class DensityForm:
     """Jump measure given by a density nu(y) on the line, truncated to |y| <= window.
@@ -198,6 +421,8 @@ class DensityForm:
     inverse CDF); smaller jumps are dropped together with their compensator.
     The exponent integrates the full compensated integrand down to 0.
     """
+
+    dim = 1
 
     def __init__(self, density: Callable[[float], float], window: Optional[float] = None,
                  cutoff: float = 1e-3, name: str = "density"):
@@ -269,9 +494,7 @@ class DensityForm:
         return JumpNodes.build(self.density, -self.window, self.window)
 
     def sample_jumps(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` jump magnitudes-with-sign from the truncated density."""
-        if size == 0:
-            return np.empty(0)
+        """Draw ``size`` jump magnitudes-with-sign from the truncated density, shape (size, 1)."""
         u = rng.uniform(size=size)
         side = rng.uniform(size=size) * self.activity >= self._side_mass[0]
         out = np.empty(size)
@@ -282,7 +505,46 @@ class DensityForm:
             target = u[idx] * self._side_mass[s]
             y = np.interp(target, self._cdfs[s], self._grids[s])
             out[idx] = y if s == 0 else -y
-        return out
+        return out.reshape(size, 1)
+
+    def sample_step(self, smooth, shift, dt, m, rng):
+        return _compound_poisson_step(smooth, shift, dt, m, rng, self.activity,
+                                      self.sample_jumps, dt * self.small_jump_drift)
+
+    def exponent_many(self, xi: np.ndarray) -> np.ndarray:
+        return _fixed_node_exponent(self.jump_nodes, 1.0, xi[:, 0], _DENSITY_TOL,
+                                    lambda x1: -_density_exponent_adaptive(self, x1))
+
+    def image(self, phi: float) -> LevyMeasureSpec:
+        if phi == 0.0:
+            return ZeroMeasure()
+        a = abs(phi)
+        return DensityForm(lambda z: self.density(z / phi) / a, window=self.window * a,
+                           cutoff=self.cutoff * a, name=f"{self.name}*{phi}")
+
+    def truncation_shift(self, phi: float) -> float:
+        a = abs(phi)
+        if a == 0.0 or a == 1.0:
+            return 0.0
+        return phi * _truncation_integral(self.density, a, self.window)
+
+    def generator_term(self, u, x: float) -> float:
+        g = _compensated(u, x)
+        total = 0.0
+        for sgn in (1.0, -1.0):
+            total += integrate_checked(
+                lambda y: g(sgn * y) * self.density(sgn * y),
+                0.0, self.window, tol=1e-9, points=[1e-8, min(1.0, self.window)],
+                label="density generator")
+        return total
+
+    def mass_ratio(self) -> float:
+        total = 0.0
+        for sgn in (1.0, -1.0):
+            total += integrate_checked(
+                lambda y: y * y / (1 + y * y) * self.density(sgn * y),
+                0.0, self.window, tol=1e-9, points=[1e-8], label="density mass")
+        return total
 
 
 LevyMeasureSpec = ZeroMeasure | FiniteActivity | StableSymmetric | DensityForm
@@ -331,16 +593,9 @@ class LevyTriplet:
         self._no_jump_values = np.empty((0, n))
         if np.abs(self.sigma @ self.sigma.T - self.covariance).max() > 1e-12 * max(1.0, np.abs(w).max()):
             raise ValueError("square root does not reproduce covariance to tolerance")
-        self._check_measure_dim()
-
-    def _check_measure_dim(self):
-        m = self.levy_measure
-        if isinstance(m, FiniteActivity) and m.law.dim != self.dim:
-            raise DimensionMismatch(
-                f"jump law dimension {m.law.dim} does not match triplet dimension {self.dim}")
-        if isinstance(m, (StableSymmetric, DensityForm)) and self.dim != 1:
-            raise DimensionMismatch(
-                f"{type(m).__name__} measures are one-dimensional in this variant set")
+        if levy_measure.dim not in (None, n):
+            raise DimensionMismatch(f"{type(levy_measure).__name__} jump dimension "
+                                    f"{levy_measure.dim} does not match triplet dimension {n}")
 
     @property
     def dim(self) -> int:
@@ -395,67 +650,6 @@ def expi(phase, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _jump_exponent_many(measure: LevyMeasureSpec, xi: np.ndarray) -> np.ndarray:
-    """Jump part of psi on a batch xi of shape (m, n); returns complex (m,)."""
-    m = xi.shape[0]
-    if isinstance(measure, ZeroMeasure):
-        return np.zeros(m, dtype=complex)
-
-    if isinstance(measure, StableSymmetric):
-        return measure.scale * np.linalg.norm(xi, axis=-1) ** measure.alpha + 0j
-
-    if isinstance(measure, FiniteActivity):
-        law = measure.law
-        if isinstance(law, AtomLaw):
-            return _atom_exponent_many(measure.rate, law, xi)
-        return _fixed_node_exponent(law.jump_nodes, measure.rate, xi[:, 0], _LAW_TOL,
-                                    lambda x1: _law_exponent_adaptive(measure, x1))
-
-    if isinstance(measure, DensityForm):
-        return _fixed_node_exponent(measure.jump_nodes, 1.0, xi[:, 0], _DENSITY_TOL,
-                                    lambda x1: -_density_exponent_adaptive(measure, x1))
-
-    raise TypeError(f"unknown measure variant {type(measure).__name__}")
-
-
-def _atom_exponent_many(rate: float, law: AtomLaw, xi: np.ndarray) -> np.ndarray:
-    """-rate * sum_k p_k (e^{i xi.y_k} - 1 - i xi.y_k 1_{|y_k|<1}), atom by atom.
-
-    An atom at the exact negation of an earlier atom's position takes that
-    atom's e^{i phase} conjugated (cos is even, sin is odd); each atom lends
-    its e^{i phase} at most once.  At a zero phase the conjugate's imaginary
-    part is -0 where sin(+-0 + 0.0) is +0; the product with rate * p rounds
-    both to +0.
-    """
-    pos = law.positions
-    partner = {}                # atom k -> the earlier atom at -y_k whose e^{i phase} it takes
-    for k, y in enumerate(pos):
-        taken = set(partner) | set(partner.values())
-        i = next((i for i in range(k) if i not in taken and np.array_equal(pos[i], -y)), None)
-        if i is not None:
-            partner[k] = i
-    lenders = set(partner.values())
-    small = [np.linalg.norm(y) < 1.0 for y in pos]
-    out = np.zeros(xi.shape[0], dtype=complex)
-    for c0 in range(0, xi.shape[0], CHUNK_ROWS):
-        rows = slice(c0, c0 + CHUNK_ROWS)
-        conjugates = {}
-        for k, (y, p) in enumerate(zip(pos, law.probabilities)):
-            phase = xi[rows] @ y if small[k] or k not in partner else None
-            if k in partner:
-                term = conjugates.pop(partner[k])
-            else:
-                term = expi(phase)
-                if k in lenders:
-                    conjugates[k] = np.conj(term)
-            term -= 1.0
-            if small[k]:
-                term -= 1j * phase
-            term *= rate * p
-            out[rows] -= term
-    return out
-
-
 def _fixed_node_exponent(nodes: Optional["JumpNodes"], rate: float, x1: np.ndarray,
                          tol: float, oracle: Callable[[float], complex]) -> np.ndarray:
     """-rate * J(x1) on the fixed nodes; frequencies failing the error check go to ``oracle``."""
@@ -470,21 +664,20 @@ def _fixed_node_exponent(nodes: Optional["JumpNodes"], rate: float, x1: np.ndarr
     return out
 
 
-def _law_exponent_adaptive(measure: FiniteActivity, x1: float) -> complex:
-    """Jump exponent of a continuous-law measure at one frequency by adaptive quadrature.
+def _law_exponent_adaptive(law: ContinuousLaw, rate: float, x1: float) -> complex:
+    """Jump exponent of rate * law at one frequency by adaptive quadrature.
 
     The oracle for the fixed nodes and their fallback.
     """
-    law = measure.law
     lo, hi = law.clipped_support
-    points = [p for p in (-1.0, 0.0, 1.0) if lo < p < hi]
+    points = law.breakpoints
     re = integrate_checked(
         lambda y: (np.cos(x1 * y) - 1.0) * law.density(y), lo, hi,
         tol=_LAW_TOL, points=points, label="jump integral (re)")
     im = integrate_checked(
         lambda y: (np.sin(x1 * y) - x1 * y * (abs(y) < 1.0)) * law.density(y), lo, hi,
         tol=_LAW_TOL, points=points, label="jump integral (im)")
-    return -measure.rate * complex(re, im)
+    return -rate * complex(re, im)
 
 
 def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
@@ -725,7 +918,7 @@ def eval_exponent_many(triplet: LevyTriplet, xi: np.ndarray) -> np.ndarray:
     if xi.shape[-1] != triplet.dim:
         raise DimensionMismatch(
             f"xi has dimension {xi.shape[-1]}, triplet has dimension {triplet.dim}")
-    jump = _jump_exponent_many(triplet.levy_measure, xi)
+    jump = triplet.levy_measure.exponent_many(xi)
     if not triplet.gaussian and not triplet.drift.any():
         jump += 0.0                 # the zero drift and Gaussian parts sum to (+0, +0)
         return jump
@@ -806,6 +999,11 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
     variates, or Poisson counts followed by jump values and positions).
     ``smooth`` sums, in this order, drift * dt, the Gaussian part, the stable
     part, and minus the compensator of the simulated jumps.
+
+    The jump part is the measure's ``sample_step(smooth, shift, dt, m, rng)``:
+    it adds its part to ``smooth`` (None without a Gaussian part) or to
+    ``shift``, and returns both with ``counts`` and ``(values, positions)``,
+    each None when it simulates no jumps.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -821,39 +1019,12 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
             smooth = smooth @ triplet.sigma.T
         smooth += shift
 
-    measure = triplet.levy_measure
-    counts = None
-    values, positions = triplet._no_jump_values, _NO_POSITIONS
-
-    if isinstance(measure, StableSymmetric):
-        draw = sample_standard_stable(measure.alpha, rng, m * n).reshape(m, n)
-        draw *= (measure.scale * dt) ** (1.0 / measure.alpha)
-        if smooth is None:
-            draw += shift
-            smooth = draw
-        else:
-            smooth += draw
-    elif isinstance(measure, (FiniteActivity, DensityForm)):
-        finite = isinstance(measure, FiniteActivity)
-        counts = rng.poisson((measure.rate if finite else measure.activity) * dt, size=m)
-        total = int(counts.sum())
-        if total:
-            values = (measure.law.sample(rng, total) if finite
-                      else measure.sample_jumps(rng, total).reshape(total, 1))
-            positions = rng.uniform(0.0, dt, size=total)
-        comp = (dt * measure.rate * measure.small_jump_mean if finite
-                else dt * measure.small_jump_drift)
-        if smooth is None:
-            shift = shift - comp
-        else:
-            smooth -= comp
-    elif not isinstance(measure, ZeroMeasure):
-        raise TypeError(f"unknown measure variant {type(measure).__name__}")
-
+    smooth, shift, counts, jumps = triplet.levy_measure.sample_step(smooth, shift, dt, m, rng)
     if smooth is None:
         smooth = np.full((m, n), shift)
     if counts is None:
         counts = np.zeros(m, dtype=np.int64)
+    values, positions = jumps or (triplet._no_jump_values, _NO_POSITIONS)
     return StepSample(smooth=smooth, jump_counts=counts,
                       jump_values=values, jump_positions=positions)
 

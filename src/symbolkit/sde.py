@@ -273,10 +273,11 @@ def _check_overflow(x, active, k, n_steps):
     else:
         big = np.linalg.norm(x, axis=1).max() > OVERFLOW_GUARD
     if big:
+        # the reported norm squares nothing, so a state beyond 1e154 reads finite
         live = x if active is None else x[active]
+        norm = np.abs(live).max() if x.shape[1] == 1 else np.hypot.reduce(live, axis=1).max()
         raise SimulationOverflow(
-            f"state norm {np.linalg.norm(live, axis=1).max():.3e} exceeded "
-            f"{OVERFLOW_GUARD:.0e} at step {k + 1} of {n_steps}")
+            f"state norm {norm:.3e} exceeded {OVERFLOW_GUARD:.0e} at step {k + 1} of {n_steps}")
 
 
 def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,13 +191,18 @@ class TestMainExitCodes:
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_dense_overflow_exit_3(self, tmp_path):
-        # the dense ensembles behind variation run the overflow guard every step
+        # the dense ensembles behind variation run the overflow guard every step; a
+        # state beyond 1e154 still reports a finite norm, without a numpy warning
         cfg = {"model": {"coefficient": {"name": "constant"},
                          "driver": {"drift": [1e306], "covariance": [[0.0]]}},
                "gammas": [2.0], "levels": [3], "trials": 4}
-        assert main_with_config("variation", cfg, tmp_path) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main_with_config("variation", cfg, tmp_path) == 3
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert err["error"] == "SimulationOverflow"
+        norm = float(err["message"].split()[2])
+        assert 1e154 < norm < np.inf
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_threads_env_not_integer_exit_2(self, tmp_path, monkeypatch):

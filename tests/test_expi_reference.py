@@ -49,7 +49,7 @@ def old_eval_exponent_many(triplet, xi):
     if isinstance(measure, FiniteActivity) and isinstance(measure.law, AtomLaw):
         jump = old_atom_exponent(measure, xi)
     else:
-        jump = levy._jump_exponent_many(measure, xi)
+        jump = measure.exponent_many(xi)
     drift_part = -1j * (xi @ triplet.drift)
     gaussian_part = 0.5 * np.einsum("mi,ij,mj->m", xi, triplet.covariance, xi)
     return drift_part + gaussian_part + jump
@@ -164,7 +164,7 @@ def test_mirrored_atoms_share_at_signed_zeros():
     # y and -y at xi = +-0: the conjugate's -0 sine must not reach the result
     measure = FiniteActivity(1.0, AtomLaw.of([(1.0, 0.5), (-1.0, 0.5)]))
     xi = np.array([[0.0], [-0.0]])
-    got = levy._jump_exponent_many(measure, xi)
+    got = measure.exponent_many(xi)
     assert_same_bits(got, old_atom_exponent(measure, xi))
     assert_same_bits(got, np.zeros(2, dtype=complex))
 

@@ -237,10 +237,8 @@ class TestBoundDiagnostic:
         assert diag.subadditivity_slack >= 0.0
 
     def test_compound_poisson_jump_mass(self):
-        from symbolkit.indices import _jump_mass_ratio
-
         measure = catalog.compound_poisson_pm1().triplet.levy_measure
-        assert _jump_mass_ratio(measure) == pytest.approx(0.5, abs=1e-12)
+        assert measure.mass_ratio() == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("name", list(catalog.AGREEMENT_MODELS))
     def test_catalog_models_consistent(self, name):

@@ -7,8 +7,8 @@ from scipy.special import gamma as gamma_fn
 import symbolkit as sk
 from symbolkit import catalog
 from symbolkit import coefficients as co
-from symbolkit.levy import (AtomLaw, _density_exponent_adaptive, _jump_exponent_many,
-                            _law_exponent_adaptive, eval_exponent_many, normal_law,
+from symbolkit.levy import (AtomLaw, _density_exponent_adaptive, _law_exponent_adaptive,
+                            eval_exponent_many, normal_law,
                             sample_step_ensemble, stable_density_coefficient, uniform_law)
 from symbolkit.quadrature import gk21_rule
 from symbolkit.seeding import rng_at
@@ -203,7 +203,7 @@ def oracle_measures():
 
 def adaptive_jump_exponent(measure, x1):
     if isinstance(measure, sk.FiniteActivity):
-        return _law_exponent_adaptive(measure, x1)
+        return _law_exponent_adaptive(measure.law, measure.rate, x1)
     return -_density_exponent_adaptive(measure, x1)
 
 
@@ -221,7 +221,7 @@ class TestFixedNodeExponent:
         _, err = fixed_nodes(measure).integrate(xi)
         tol = 1e-9 if isinstance(measure, sk.FiniteActivity) else 1e-8
         assert (err <= tol).all()            # every value below is a fixed-node value
-        fixed = _jump_exponent_many(measure, xi[:, None])
+        fixed = measure.exponent_many(xi[:, None])
         oracle = np.array([adaptive_jump_exponent(measure, float(x)) for x in xi])
         assert np.abs(fixed - oracle).max() <= 1e-9
 
@@ -237,7 +237,7 @@ class TestFixedNodeExponent:
         assert (err <= 1e-8).all()
         exact = -2.0 * gamma_fn(-alpha) * (
             (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(np.abs(xi))) - 1.0)
-        fixed = _jump_exponent_many(measure, xi[:, None])
+        fixed = measure.exponent_many(xi[:, None])
         assert np.abs(fixed - exact).max() <= 1e-9
 
     @pytest.mark.parametrize("alpha, xis", [(0.5, (0.3, 2.5, -2.5, 30.0)),
@@ -268,10 +268,10 @@ class TestFixedNodeExponent:
                 expect = adaptive_jump_exponent(measure, float(x))
             except sk.QuadratureFailure as exc:
                 with pytest.raises(sk.QuadratureFailure) as raised:
-                    _jump_exponent_many(measure, np.array([[x]]))
+                    measure.exponent_many(np.array([[x]]))
                 assert (str(raised.value), raised.value.achieved) == (str(exc), exc.achieved)
                 continue
-            got = _jump_exponent_many(measure, np.array([[x]]))[0]
+            got = measure.exponent_many(np.array([[x]]))[0]
             assert (got.real, got.imag) == (expect.real, expect.imag)
 
     def test_quadrature_failure_still_raised(self):
@@ -286,22 +286,22 @@ class TestFixedNodeExponent:
     def test_value_does_not_depend_on_the_batch(self, name):
         measure = oracle_measures()[name]
         xi = np.linspace(-12.0, 12.0, 97)
-        batch = _jump_exponent_many(measure, xi[:, None])
-        single = np.array([_jump_exponent_many(measure, np.array([[x]]))[0] for x in xi])
+        batch = measure.exponent_many(xi[:, None])
+        single = np.array([measure.exponent_many(np.array([[x]]))[0] for x in xi])
         assert np.array_equal(batch, single)
 
     def test_symmetric_density_has_zero_imaginary_part(self):
         measure = oracle_measures()["tempered"]
         assert measure.jump_nodes.mirrored
-        vals = _jump_exponent_many(measure, np.linspace(-9.0, 9.0, 37)[:, None])
+        vals = measure.exponent_many(np.linspace(-9.0, 9.0, 37)[:, None])
         assert (vals.imag == 0.0).all()
 
     def test_node_table_is_lazy_and_cached(self):
         measure = catalog.tempered_density_driver().triplet.levy_measure
         assert "jump_nodes" not in vars(measure)
-        _jump_exponent_many(measure, np.array([[1.0]]))
+        measure.exponent_many(np.array([[1.0]]))
         table = measure.jump_nodes
-        _jump_exponent_many(measure, np.array([[2.0]]))
+        measure.exponent_many(np.array([[2.0]]))
         assert measure.jump_nodes is table
 
 

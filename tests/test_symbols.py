@@ -5,7 +5,7 @@ import pytest
 
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
-from symbolkit.levy import CharacteristicExponent
+from symbolkit.levy import CharacteristicExponent, normal_law, uniform_law
 from symbolkit.symbols import (DEFAULT_LADDER, _extrapolate, empirical_field,
                                gaussian_bump, power_law_symbol, solution_symbol,
                                symbol_from_exponent, symbol_of_model)
@@ -208,6 +208,23 @@ class TestFrozenTriplet:
         for xi in (0.5, 1.7):
             assert sk.eval_exponent(frozen, xi) == pytest.approx(
                 sk.eval_exponent(driver, 2.0 * xi), abs=1e-12)
+
+    @pytest.mark.parametrize("phi_val", [3.0, 0.25, -1.5, 1.0])
+    @pytest.mark.parametrize("name", ["normal", "uniform", "tempered", "exponential"])
+    def test_reproduces_scaled_exponent_densities(self, name, phi_val):
+        # the truncation shift moves mass across |y| = 1 when |phi| != 1
+        if name in ("normal", "uniform"):
+            law = normal_law(0.3, 0.5) if name == "normal" else uniform_law(-0.7, 1.9)
+            measure = sk.FiniteActivity(1.4, law)
+        else:
+            measure = sk.LevyModel.from_dict({"levy_measure": {
+                "kind": "density", "name": "tempered_power" if name == "tempered" else name,
+                "params": {"a": 1.0, "b": 1.0}}}).triplet.levy_measure
+        driver = sk.LevyTriplet([0.3], [[0.0]], measure)
+        frozen = sk.frozen_triplet(driver, co.constant(phi_val), 0.0)
+        for xi in (0.3, -1.0, 2.2):
+            want = sk.eval_exponent(driver, phi_val * xi)
+            assert abs(sk.eval_exponent(frozen, xi) - want) <= 1e-10
 
     def test_zero_coefficient_freezes_to_origin(self):
         driver = catalog.compound_poisson_pm1().triplet
