@@ -48,9 +48,13 @@ class CoefficientField:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(xs), dtype=float).reshape(xs.shape[0], self.d, self.n)
-        return np.stack([self(x) for x in xs])
+        if self.batch_fn is None:
+            return np.stack([self(x) for x in xs])
+        out = self.batch_fn(xs)
+        shape = (xs.shape[0], self.d, self.n)
+        if type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape:
+            return out
+        return np.asarray(out, dtype=float).reshape(shape)
 
 
 def scalar_field(f: Callable[[np.ndarray], np.ndarray], *, bound: float, lipschitz: float,

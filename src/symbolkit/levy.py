@@ -37,7 +37,9 @@ reach a measure only through ``dim`` (None for the zero measure),
 ``exponent_many(xi)``, ``sample_step`` (see :func:`sample_step_ensemble`;
 FiniteActivity and DensityForm share one compound-Poisson step),
 ``image(phi)`` (the measure under y -> phi y), ``truncation_shift(phi)``,
-``generator_term(u, x)`` and ``mass_ratio()`` (int y^2/(1+y^2) N(dy)).
+``generator_term(u, x)``, ``mass_ratio()`` (int y^2/(1+y^2) N(dy)) and
+``step_distributions``, the number of distributions one sampled step draws
+from (0 for zero, 1 for Cauchy, 2 for other stable, 3 for compound Poisson).
 """
 
 from __future__ import annotations
@@ -275,6 +277,7 @@ class ZeroMeasure:
     """No jumps."""
 
     dim = None
+    step_distributions = 0
 
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
         return np.zeros(xi.shape[0], dtype=complex)
@@ -319,6 +322,7 @@ class FiniteActivity:
 
     rate: float
     law: AtomLaw | ContinuousLaw
+    step_distributions = 3          # Poisson counts, jump values, positions
 
     def __post_init__(self):
         if self.rate <= 0:
@@ -374,6 +378,11 @@ class StableSymmetric:
         if self.scale <= 0:
             raise ValueError(f"stable scale must be > 0, got {self.scale}")
 
+    @property
+    def step_distributions(self) -> int:
+        """Uniform angles, plus exponential radii unless alpha = 1 (see sample_standard_stable)."""
+        return 1 if _is_cauchy(self.alpha) else 2
+
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
         return self.scale * np.linalg.norm(xi, axis=-1) ** self.alpha + 0j
 
@@ -423,6 +432,7 @@ class DensityForm:
     """
 
     dim = 1
+    step_distributions = 3          # Poisson counts, jump values, positions
 
     def __init__(self, density: Callable[[float], float], window: Optional[float] = None,
                  cutoff: float = 1e-3, name: str = "density"):
@@ -596,6 +606,11 @@ class LevyTriplet:
         if levy_measure.dim not in (None, n):
             raise DimensionMismatch(f"{type(levy_measure).__name__} jump dimension "
                                     f"{levy_measure.dim} does not match triplet dimension {n}")
+        # one sample_step_ensemble call of K*m rows is K calls of m rows, bit for
+        # bit, when a step draws from at most one distribution (the generator's
+        # stream does not depend on the call size) and n = 1 (n > 1 goes through
+        # a matmul, whose rounding may depend on the row count)
+        self.blockable = n == 1 and self.gaussian + levy_measure.step_distributions <= 1
 
     @property
     def dim(self) -> int:
@@ -956,6 +971,10 @@ class CharacteristicExponent:
 # sampling
 
 
+def _is_cauchy(alpha: float) -> bool:
+    return abs(alpha - 1.0) < 1e-12
+
+
 def sample_standard_stable(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard symmetric alpha-stable variates, cf E e^{i xi X} = e^{-|xi|^alpha}.
 
@@ -964,7 +983,7 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator, size: int) ->
     v = rng.uniform(size=size)
     v -= 0.5
     v *= np.pi
-    if abs(alpha - 1.0) < 1e-12:
+    if _is_cauchy(alpha):
         return np.tan(v, out=v)
     w = rng.exponential(size=size)
     return (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)

@@ -20,10 +20,15 @@ as (grid time, state-space effect).  The engine keeps these invariants:
 - a path that has left the stop ball is frozen: later steps still draw its
   variates but change neither its state nor its running maximum;
 - each chunk owns seed-derived generators addressed by (master seed, caller
-  key, chunk index, block index), and every step draws from them in a fixed
-  order: block by block, all of a block's variates for the whole chunk in
-  one call.  Output is therefore invariant under the worker count.  A single
-  path uses the generators (master seed, ``TAG_PATH``, block index);
+  key, chunk index, block index), one per block, and ``_step_samples``, the
+  one step-draw helper, hands ``_advance_chunk`` each step's draws.  A block
+  draws a step's variates for the whole chunk in one call, in a fixed order;
+  a block whose driver draws from at most one distribution per step, with
+  n = 1 (``LevyTriplet.blockable``), draws K steps in one call of K*m rows
+  from the same stream (K*m <= ``BLOCK_ROWS``), which yields the same
+  variates bit for bit.  Output is therefore invariant under the worker
+  count.  A single path uses the generators (master seed, ``TAG_PATH``,
+  block index);
 - the arithmetic rounds as the plain formulation does (a zeroed update
   summed block by block, then the drift; norms as ``np.linalg.norm``), so
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
@@ -43,11 +48,12 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import DimensionMismatch, SimulationOverflow
-from .levy import LevyModel
+from .levy import LevyModel, StepSample
 from .seeding import TAG_ENSEMBLE, TAG_PATH, rng_at
 
 OVERFLOW_GUARD = 1e12
 DEFAULT_CHUNK = 16384
+BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BLOCK_ROWS
 
 
 @dataclass
@@ -192,16 +198,46 @@ def _row_norms(v):
     return np.sqrt(sq, out=sq)
 
 
-def _advance_chunk(x, active, blocks, drift_field, dt, rngs, inc, tmp, record=None, t=0.0):
+def _driver_steps(driver, dt, n_steps, m, rng):
+    """Yield the driver's ``StepSample`` for each of ``n_steps`` steps of m paths.
+
+    A blockable driver (``LevyTriplet.blockable``) draws K = BLOCK_ROWS // m
+    steps in one call of K*m rows and hands out one m-row slice per step:
+    the same values, bit for bit, as K calls of m rows.  Any other driver,
+    and any driver when K = 1, draws once per step.
+    """
+    k_block = BLOCK_ROWS // m if driver.triplet.blockable else 1
+    if k_block <= 1:
+        for _ in range(n_steps):
+            yield driver.sample_step_ensemble(dt, m, rng)
+        return
+    for k0 in range(0, n_steps, k_block):
+        s = driver.sample_step_ensemble(dt, min(k_block, n_steps - k0) * m, rng)
+        for lo in range(0, s.smooth.shape[0], m):    # a blockable step has no jumps
+            yield StepSample(smooth=s.smooth[lo:lo + m], jump_counts=s.jump_counts[lo:lo + m],
+                             jump_values=s.jump_values, jump_positions=s.jump_positions)
+
+
+def _step_samples(blocks, dt, n_steps, m, rngs):
+    """Per step, a new list of each block's ``StepSample``: the one step-draw helper.
+
+    Callers pass ``next()`` of it straight to ``_advance_chunk``, so that no
+    name holds a step's draws while the next step's are drawn: a chunk's
+    peak memory holds one step's draws, not two.
+    """
+    draws = [_driver_steps(drv, dt, n_steps, m, rng) for (_, drv), rng in zip(blocks, rngs)]
+    for _ in range(n_steps):
+        yield [next(d) for d in draws]
+
+
+def _advance_chunk(x, active, blocks, drift_field, dt, steps, inc, tmp, record=None, t=0.0):
     """One Euler step of a chunk, updating the states x (m, d) in place.
 
-    ``active`` is None while every path is active, else a bool mask; paths
-    outside it stay frozen.  ``inc`` and ``tmp`` are (m, d) scratch arrays.
-    ``record``, if given, is a list that receives (t, state-space effect) for
-    every jump.
+    ``steps`` holds each block's ``StepSample`` for this step.  ``active`` is
+    None while every path is active, else a bool mask; paths outside it stay
+    frozen.  ``inc`` and ``tmp`` are (m, d) scratch arrays.  ``record``, if
+    given, is a list that receives (t, state-space effect) for every jump.
     """
-    m = x.shape[0]
-    steps = [drv.sample_step_ensemble(dt, m, rng) for (_, drv), rng in zip(blocks, rngs)]
     for j, ((fld, _), s) in enumerate(zip(blocks, steps)):
         if j == 0:
             _times(fld.many(x), s.smooth, out=inc)
@@ -268,10 +304,15 @@ def _check_overflow(x, active, k, n_steps):
     All paths are scanned: a frozen path passed this check when it exited and
     never holds NaN (NaN never exits), so it cannot change the verdict.
     """
-    if x.shape[1] == 1:
+    if x.size == 1:
+        v = x.item()                # a Python float decides as the array would, NaN too
+        big = v > OVERFLOW_GUARD or v < -OVERFLOW_GUARD
+    elif x.shape[1] == 1:
         big = x.max() > OVERFLOW_GUARD or x.min() < -OVERFLOW_GUARD
     else:
-        big = np.linalg.norm(x, axis=1).max() > OVERFLOW_GUARD
+        # a square beyond the float range is inf, which exceeds the guard all the same
+        with np.errstate(over="ignore"):
+            big = np.linalg.norm(x, axis=1).max() > OVERFLOW_GUARD
     if big:
         # the reported norm squares nothing, so a state beyond 1e154 reads finite
         live = x if active is None else x[active]
@@ -290,8 +331,9 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
     records = np.zeros((len(record_steps), m)) if len(record_steps) else None
     rec_pos = {int(s): i for i, s in enumerate(record_steps)}
     stop_at_x0 = stop_radius is not None and np.array_equal(stop_center, x0)
+    draws = _step_samples(blocks, dt, n_steps, m, rngs)
     for k in range(n_steps):
-        _advance_chunk(x, active, blocks, drift_field, dt, rngs, inc, tmp)
+        _advance_chunk(x, active, blocks, drift_field, dt, next(draws), inc, tmp)
         _check_overflow(x, active, k, n_steps)
         # a frozen path keeps its distances, so it needs no mask here: its
         # maximum already holds its distance, and it stays outside the ball
@@ -374,8 +416,10 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
     x = np.tile(x0, (m, 1))
     out[0] = x
     inc, tmp = np.empty_like(x), np.empty_like(x)
+    draws = _step_samples(blocks, dt, n_steps, m, rngs)
     for k in range(n_steps):
-        _advance_chunk(x, None, blocks, drift_field, dt, rngs, inc, tmp, record, dt * (k + 1))
+        _advance_chunk(x, None, blocks, drift_field, dt, next(draws), inc, tmp,
+                       record, dt * (k + 1))
         _check_overflow(x, None, k, n_steps)
         out[k + 1] = x
     return out
