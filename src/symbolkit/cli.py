@@ -120,19 +120,7 @@ def _grid(cfg, key, kind, default=None):
 def _ref(cfg, key, kind):
     """Inline JSON object or a path to a JSON file holding one."""
     spec = _require(cfg, key, (dict, str), kind)
-    if isinstance(spec, str):
-        path = Path(spec)
-        if not path.exists():
-            raise ConfigError(f"{kind}: referenced file {path} does not exist", field=key)
-        try:
-            with open(path) as fh:
-                spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{kind}: file {path} is not valid JSON: {exc}",
-                              field=key) from exc
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{kind}: file {path} must hold a JSON object", field=key)
-    return spec
+    return _load_object(spec, key) if isinstance(spec, str) else spec
 
 
 def _estimator_block(cfg, kind):

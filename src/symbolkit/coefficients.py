@@ -3,14 +3,15 @@
 A field wraps Phi: R^d -> R^{d x n} together with declared bound and
 Lipschitz constants.  The declared constants are spot-checked, not derived:
 ``validate_field`` samples random pairs in a box and verifies the claims.
-The shipped catalog covers the bounded Lipschitz coefficients used by the
-experiments; all catalog entries are one-dimensional and vectorize over
-batches of states.
+Each field has one evaluation function, on batches of states; a point call
+is the one-row batch.  The shipped catalog covers the bounded Lipschitz
+coefficients used by the experiments; all catalog entries are
+one-dimensional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,11 +23,11 @@ from .errors import DimensionMismatch
 class CoefficientField:
     """Evaluable coefficient Phi: R^d -> R^{d x n} with declared constants.
 
-    ``fn`` maps a state (d,) to a matrix (d, n).  ``batch_fn``, if given,
-    maps (m, d) -> (m, d, n); otherwise batches fall back to a loop.
+    ``batch_fn`` maps states (m, d) to matrices (m, d, n).  A point call
+    ``fld(x)`` on a state (d,) is row 0 of the one-row batch.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    batch_fn: Callable[[np.ndarray], np.ndarray]
     d: int
     n: int
     bound: float
@@ -35,21 +36,17 @@ class CoefficientField:
     globally_lipschitz: bool = True
     growth_constant: Optional[float] = None
     name: str = "coefficient"
-    batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.d,):
             raise DimensionMismatch(f"{self.name}: state shape {x.shape}, expected ({self.d},)")
-        out = np.asarray(self.fn(x), dtype=float).reshape(self.d, self.n)
-        return out
+        return np.asarray(self.batch_fn(x[None, :]), dtype=float).reshape(1, self.d, self.n)[0]
 
     def many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
-        if self.batch_fn is None:
-            return np.stack([self(x) for x in xs])
         out = self.batch_fn(xs)
         shape = (xs.shape[0], self.d, self.n)
         if type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape:
@@ -62,7 +59,6 @@ def scalar_field(f: Callable[[np.ndarray], np.ndarray], *, bound: float, lipschi
                  name: str = "coefficient") -> CoefficientField:
     """One-dimensional field from a numpy-vectorized scalar function."""
     return CoefficientField(
-        fn=lambda x: np.asarray(f(x[0]), dtype=float).reshape(1, 1),
         batch_fn=lambda xs: np.asarray(f(xs[:, 0]), dtype=float).reshape(-1, 1, 1),
         d=1, n=1, bound=bound, lipschitz=lipschitz, bounded=bounded,
         globally_lipschitz=True, growth_constant=growth_constant, name=name)

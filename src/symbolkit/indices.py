@@ -99,9 +99,6 @@ class KernelG:
     def __call__(self, rho) -> float:
         return eval_g(self.d, rho)
 
-    def quadrature(self, rho) -> float:
-        return eval_g_quadrature(self.d, rho)
-
     def moment(self, k: int) -> float:
         if k not in self._moments:
             area = _sphere_area(self.d)
@@ -109,10 +106,6 @@ class KernelG:
                 lambda r: r ** (k + self.d - 1) * eval_g(self.d, r),
                 0.0, 80.0, tol=1e-9, points=[1e-8, 1.0], label=f"moment {k}")
         return self._moments[k]
-
-    @property
-    def moments(self):
-        return [self.moment(k) for k in range(5)]
 
 
 def g_identity_check(d: int, y_grid) -> float:
@@ -204,8 +197,6 @@ def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig(), *,
         raise DimensionMismatch("H search is implemented for one-dimensional state")
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
     rho, weights = _h_integral_weights(d_kernel)
-    if not p.hermitian:
-        raise ValueError("H folding requires a hermitian symbol")
 
     ys = np.array([x0]) if p.x_independent else _ball_grid(x0, 2.0 * R, cfg.n_state)
     es = np.linspace(-1.0, 1.0, cfg.n_direction)

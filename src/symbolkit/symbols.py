@@ -22,7 +22,7 @@ against the symbol) so they can be cross-checked numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,39 +41,34 @@ from .seeding import TAG_SYMBOL_MC
 
 @dataclass
 class SymbolField:
-    """Evaluable p(x, xi) with a batch path for grid-heavy consumers.
+    """Evaluable p(x, xi), one evaluation function on batches.
 
-    ``fn(x (d,), xi (d,)) -> complex``; ``batch_fn((m,d), (m,d)) -> (m,)``.
-    ``hermitian`` records p(x,-xi) = conj p(x,xi), which holds for every
-    negative definite symbol and lets integrators fold Re p to one half-line.
+    ``batch_fn((m,d), (m,d)) -> (m,)`` complex; a point call ``p(x, xi)`` is
+    row 0 of the one-row batch.  Every symbol here is negative definite, so
+    p(x,-xi) = conj p(x,xi) and integrators may fold Re p to one half-line.
     """
 
-    fn: Callable
+    batch_fn: Callable
     d: int
     kind: str = "analytic"
     name: str = "symbol"
     x_independent: bool = False
-    hermitian: bool = True
-    batch_fn: Optional[Callable] = None
     exponent: Optional[CharacteristicExponent] = None   # set for driver symbols
 
     def __call__(self, x, xi) -> complex:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return complex(self.fn(x, xi))
+        x = np.asarray(x, dtype=float).reshape(1, self.d)
+        xi = np.asarray(xi, dtype=float).reshape(1, self.d)
+        return complex(self.batch_fn(x, xi)[0])
 
     def many(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
         xis = np.asarray(xis, dtype=float).reshape(-1, self.d)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(xs, xis), dtype=complex).reshape(xs.shape[0])
-        return np.array([self.fn(x, xi) for x, xi in zip(xs, xis)], dtype=complex)
+        return np.asarray(self.batch_fn(xs, xis), dtype=complex).reshape(xs.shape[0])
 
 
 def symbol_from_exponent(psi: CharacteristicExponent, name: str = "driver") -> SymbolField:
     """x-free symbol p(x, xi) = psi(xi)."""
     return SymbolField(
-        fn=lambda x, xi: psi(xi),
         batch_fn=lambda xs, xis: psi.many(xis),
         d=psi.dim, x_independent=True, name=name, exponent=psi)
 
@@ -86,12 +81,6 @@ def solution_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
         raise DimensionMismatch(
             f"coefficient has {coefficient.n} columns, driver dimension is {psi.dim}")
 
-    def fn(x, xi):
-        val = psi(coefficient(x).T @ xi)
-        if drift_coefficient is not None:
-            val = val - 1j * float(drift_coefficient(x)[:, 0] @ xi)
-        return val
-
     def batch(xs, xis):
         phi = coefficient.many(xs)                       # (m, d, n)
         args = np.einsum("mdn,md->mn", phi, xis)
@@ -101,7 +90,7 @@ def solution_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
             vals = vals - 1j * np.einsum("md,md->m", psi_vals, xis)
         return vals
 
-    return SymbolField(fn=fn, batch_fn=batch, d=coefficient.d, name=name)
+    return SymbolField(batch_fn=batch, d=coefficient.d, name=name)
 
 
 def symbol_of_model(model: SdeModel) -> SymbolField:
@@ -117,16 +106,13 @@ def multi_driver_symbol(spec) -> SymbolField:
     parts = [solution_symbol(drv.exponent, fld) for fld, drv in spec.blocks()]
     d = parts[0].d
 
-    def fn(x, xi):
-        return sum(p.fn(x, xi) for p in parts)
-
     def batch(xs, xis):
         out = parts[0].many(xs, xis).copy()
         for p in parts[1:]:
             out += p.many(xs, xis)
         return out
 
-    return SymbolField(fn=fn, batch_fn=batch, d=d, name="multi-driver")
+    return SymbolField(batch_fn=batch, d=d, name="multi-driver")
 
 
 def analytic_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
@@ -138,17 +124,12 @@ def analytic_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
 def power_law_symbol(alpha: float, coeff: float = 1.0, d: int = 1) -> SymbolField:
     """p(x, xi) = coeff * |xi|^alpha."""
     return SymbolField(
-        fn=lambda x, xi: coeff * np.linalg.norm(xi) ** alpha + 0j,
         batch_fn=lambda xs, xis: coeff * np.linalg.norm(xis, axis=1) ** alpha + 0j,
         d=d, x_independent=True, name=f"|xi|^{alpha}")
 
 
 def mixed_power_symbol(terms: Sequence[tuple], d: int = 1) -> SymbolField:
     """p(x, xi) = sum_k c_k |xi|^{a_k} for terms [(c_k, a_k), ...]."""
-
-    def fn(x, xi):
-        r = np.linalg.norm(xi)
-        return sum(c * r ** a for c, a in terms) + 0j
 
     def batch(xs, xis):
         r = np.linalg.norm(xis, axis=1)
@@ -158,15 +139,11 @@ def mixed_power_symbol(terms: Sequence[tuple], d: int = 1) -> SymbolField:
         return out
 
     label = "+".join(f"{c}|xi|^{a}" for c, a in terms)
-    return SymbolField(fn=fn, batch_fn=batch, d=d, x_independent=True, name=label)
+    return SymbolField(batch_fn=batch, d=d, x_independent=True, name=label)
 
 
 def stable_like_symbol(alpha_fn: Callable, name: str = "stable-like") -> SymbolField:
     """p(y, xi) = |xi|^{alpha(y)} with a state-dependent index, one-dimensional."""
-
-    def fn(x, xi):
-        r = float(np.linalg.norm(xi))
-        return r ** float(alpha_fn(x[0])) + 0j
 
     def batch(xs, xis):
         r = np.linalg.norm(xis, axis=1)
@@ -176,7 +153,7 @@ def stable_like_symbol(alpha_fn: Callable, name: str = "stable-like") -> SymbolF
         out[pos] = r[pos] ** a[pos]
         return out
 
-    return SymbolField(fn=fn, batch_fn=batch, d=1, name=name)
+    return SymbolField(batch_fn=batch, d=1, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -212,16 +189,6 @@ class SymbolEstimate:
     ladder: tuple
     paths_per_rung: int
     r_check: Optional[RSensitivity] = None
-
-    @property
-    def diagnostics(self) -> dict:
-        return {
-            "rungs": [(r.t, r.value, r.se, r.exited_fraction) for r in self.rungs],
-            "r_used": self.r_used,
-            "r_check": None if self.r_check is None else (
-                self.r_check.radius, self.r_check.estimate, self.r_check.se,
-                self.r_check.consistent),
-        }
 
 
 def default_radius(x) -> float:
@@ -378,16 +345,17 @@ def empirical_field(estimates: Sequence[SymbolEstimate], d: int = 1,
     """Wrap a grid of Monte Carlo estimates as an empirical SymbolField."""
     table = [(np.asarray(e.x), np.asarray(e.xi), e.estimate) for e in estimates]
 
-    def fn(x, xi):
+    def lookup(x, xi):
         for ex, exi, val in table:
             if (np.linalg.norm(ex - x) <= match_tol
                     and np.linalg.norm(exi - xi) <= match_tol):
                 return val
         raise KeyError(f"no estimate at (x={x}, xi={xi})")
 
-    fld = SymbolField(fn=fn, d=d, kind="empirical", name="empirical")
-    fld.grid = list(estimates)
-    return fld
+    def batch(xs, xis):
+        return np.array([lookup(x, xi) for x, xi in zip(xs, xis)], dtype=complex)
+
+    return SymbolField(batch_fn=batch, d=d, kind="empirical", name="empirical")
 
 
 # --------------------------------------------------------------------------
@@ -496,7 +464,7 @@ def generator_apply_fourier(p: SymbolField, u: TestFunction, x, *,
         raise QuadratureFailure(f"window detection failed: {exc}") from exc
 
     def integrand(xi):
-        return np.exp(1j * x0 * xi) * p.fn(x, np.array([xi])) * u.hat(xi)
+        return np.exp(1j * x0 * xi) * p(x, xi) * u.hat(xi)
 
     re = integrate_checked(lambda s: integrand(s).real, -half, half,
                            tol=1e-9, points=[0.0], label="fourier generator (re)")

@@ -136,7 +136,7 @@ def test_one_row_guard_decides_as_the_array_guard(v):
 
 def test_many_passes_a_float64_batch_through_and_rewraps_others():
     kept = np.arange(3.0).reshape(3, 1, 1)
-    fld = CoefficientField(fn=lambda x: x, batch_fn=lambda xs: kept, d=1, n=1,
+    fld = CoefficientField(batch_fn=lambda xs: kept, d=1, n=1,
                            bound=1.0, lipschitz=1.0)
     assert fld.many(np.zeros((3, 1))) is kept
     for other in ([0.0, 1.0, 2.0], np.arange(3), np.arange(3.0), np.arange(3.0, dtype=np.float32)):

@@ -400,6 +400,17 @@ class TestModelReferences:
         with pytest.raises(ConfigError, match="does not exist"):
             run_config("simulate", cfg, 2, tmp_path)
 
+    @pytest.mark.parametrize("content", [b'[{"name": "bm_unit"}]', b'{"name": "\xff"}'],
+                             ids=["json-list", "invalid-utf8"])
+    def test_bad_model_file_exits_2_naming_model(self, tmp_path, content):
+        model_file = tmp_path / "model.json"
+        model_file.write_bytes(content)
+        cfg = {"model": str(model_file), "horizon": 0.5, "step": 0.1}
+        assert main_with_config("simulate", cfg, tmp_path) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "model"
+
 
 def test_env_threads_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SYMBOLKIT_THREADS", "4")

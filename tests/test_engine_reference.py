@@ -22,13 +22,11 @@ def _planar_model():
     driver = LevyModel(LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]],
                                    FiniteActivity(40.0, law)))
     phi = CoefficientField(
-        fn=lambda x: np.array([[1.0 + 0.5 * np.sin(x[1]), 0.2], [0.1, 0.8 + 0.3 * np.cos(x[0])]]),
         batch_fn=lambda xs: np.stack([
             np.stack([1.0 + 0.5 * np.sin(xs[:, 1]), np.full(len(xs), 0.2)], axis=1),
             np.stack([np.full(len(xs), 0.1), 0.8 + 0.3 * np.cos(xs[:, 0])], axis=1)], axis=1),
         d=2, n=2, bound=2.0, lipschitz=1.0)
-    drift = CoefficientField(fn=lambda x: -0.5 * x.reshape(2, 1),
-                             batch_fn=lambda xs: -0.5 * xs[:, :, None],
+    drift = CoefficientField(batch_fn=lambda xs: -0.5 * xs[:, :, None],
                              d=2, n=1, bound=np.inf, lipschitz=0.5, bounded=False)
     return _model(driver, phi, drift)
 
@@ -36,7 +34,6 @@ def _planar_model():
 def _column_model():
     """d = 2 states driven by one scalar compound-Poisson driver (an n = 1 block with d = 2)."""
     phi = CoefficientField(
-        fn=lambda x: np.array([[np.tanh(x[0])], [1.0 + 0.0 * x[1]]]),
         batch_fn=lambda xs: np.stack([np.tanh(xs[:, 0]), np.ones(len(xs))], axis=1)[:, :, None],
         d=2, n=1, bound=2.0, lipschitz=1.0)
     return _model(catalog.compound_poisson_pm1(rate=30.0), phi)

@@ -82,7 +82,7 @@ class TestBigH:
         assert abs(sk.big_H(p, 0.0, radius) - want) <= 1e-3 * radius ** -alpha
 
     def test_zero_symbol(self):
-        p = sk.SymbolField(fn=lambda x, xi: 0.0j, d=1, x_independent=True,
+        p = sk.SymbolField(d=1, x_independent=True,
                            batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex))
         assert sk.big_H(p, 0.0, 1.0) == 0.0
 
@@ -114,7 +114,7 @@ class TestSmallH:
             assert sk.small_h(p, 0.0, R, c0) == pytest.approx(want, rel=1e-9)
 
     def test_zero_symbol(self):
-        p = sk.SymbolField(fn=lambda x, xi: 0.0j, d=1, x_independent=True,
+        p = sk.SymbolField(d=1, x_independent=True,
                            batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex))
         assert sk.small_h(p, 0.0, 1.0, 1e-6) == 0.0
 
@@ -146,7 +146,7 @@ class TestBetaInf:
         assert abs(res.beta - default_stable_like_alpha(x)) <= 0.1
 
     def test_degenerate_symbol_raises(self):
-        p = sk.SymbolField(fn=lambda x, xi: 0.0j, d=1, x_independent=True,
+        p = sk.SymbolField(d=1, x_independent=True,
                            batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex))
         with pytest.raises(sk.DegenerateSymbol):
             sk.beta_inf(p, 0.0)
@@ -187,7 +187,7 @@ class TestBetaZero:
         assert res.x_box == (-5.0, 5.0, 5)
 
     def test_non_decaying_flagged(self):
-        p = sk.SymbolField(fn=lambda x, xi: 1.0 + 0.0j, d=1, x_independent=True,
+        p = sk.SymbolField(d=1, x_independent=True,
                            batch_fn=lambda xs, xis: np.ones(len(xs), dtype=complex))
         res = sk.beta_zero(p)
         assert res.beta == 0.0

@@ -259,7 +259,8 @@ class TestGeneratorFourier:
         assert val == pytest.approx(-0.5, abs=1e-9)
 
     def test_zero_symbol(self):
-        p = sk.SymbolField(fn=lambda x, xi: 0.0 + 0.0j, d=1, x_independent=True)
+        p = sk.SymbolField(batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex), d=1,
+                           x_independent=True)
         assert sk.generator_apply_fourier(p, gaussian_bump(), 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_stable_cross_representation(self):
@@ -273,7 +274,8 @@ class TestGeneratorFourier:
             assert abs(four - intg) <= 1e-3 * max(abs(four), abs(intg))
 
     def test_empirical_kind_rejected(self):
-        p = sk.SymbolField(fn=lambda x, xi: 0.0j, d=1, kind="empirical")
+        p = sk.SymbolField(batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex), d=1,
+                           kind="empirical")
         with pytest.raises(ValueError, match="analytic"):
             sk.generator_apply_fourier(p, gaussian_bump(), 0.0)
 
