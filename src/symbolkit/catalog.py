@@ -9,7 +9,7 @@ import numpy as np
 from . import coefficients as coeff
 from .coefficients import CoefficientField
 from .levy import (AtomLaw, DensityForm, FiniteActivity, LevyModel, LevyTriplet,
-                   StableSymmetric, ZeroMeasure)
+                   StableSymmetric, ZeroMeasure, tempered_power)
 from .sde import SdeModel
 from .symbols import (SymbolField, mixed_power_symbol, power_law_symbol,
                       stable_like_symbol, symbol_from_exponent)
@@ -50,7 +50,7 @@ def stable_driver(alpha: float, scale: float = 1.0) -> LevyModel:
 def tempered_density_driver(alpha: float = 0.5, decay: float = 1.0,
                             cutoff: float = 5e-3, window: float = 40.0) -> LevyModel:
     """Density-form driver nu(y) = |y|^{-1-alpha} e^{-decay |y|}."""
-    dens = lambda y: abs(y) ** (-1.0 - alpha) * np.exp(-decay * abs(y)) if y != 0 else 0.0
+    dens = tempered_power(1.0, alpha, decay)
     return LevyModel(
         LevyTriplet([0.0], [[0.0]], DensityForm(dens, window=window, cutoff=cutoff,
                                                 name="tempered")),
@@ -58,24 +58,22 @@ def tempered_density_driver(alpha: float = 0.5, decay: float = 1.0,
 
 
 _DRIVERS = {
-    "bm": lambda p: bm_driver(p.get("variance", 1.0)),
-    "drift": lambda p: drift_driver(p.get("rate", 1.0)),
-    "cp_pm1": lambda p: compound_poisson_pm1(p.get("rate", 1.0)),
-    "poisson": lambda p: poisson_unit(p.get("rate", 1.0)),
-    "stable": lambda p: stable_driver(p["alpha"], p.get("scale", 1.0)),
-    "tempered": lambda p: tempered_density_driver(
-        p.get("alpha", 0.5), p.get("decay", 1.0), p.get("cutoff", 5e-3),
-        p.get("window", 40.0)),
+    "bm": bm_driver,
+    "drift": drift_driver,
+    "cp_pm1": compound_poisson_pm1,
+    "poisson": poisson_unit,
+    "stable": stable_driver,
+    "tempered": tempered_density_driver,
 }
 
 
 def resolve_driver(spec: dict) -> LevyModel:
-    """Named catalog driver or a full triplet JSON object."""
+    """Named catalog driver (``params``: constructor keywords) or a full triplet object."""
     if "name" in spec:
         name = spec["name"]
         if name not in _DRIVERS:
             raise ValueError(f"unknown driver {name!r}; catalog: {sorted(_DRIVERS)}")
-        return _DRIVERS[name](spec.get("params", {}))
+        return _DRIVERS[name](**spec.get("params", {}))
     return LevyModel.from_dict(spec)
 
 

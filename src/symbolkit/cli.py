@@ -28,19 +28,19 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, sde
 from . import coefficients as coeff
 from .catalog import (feller_demo_model, resolve_driver, resolve_model,
                       resolve_symbol)
 from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
 from .indices import (build_index_report, g_identity_check,
                       index_transfer_check, symbol_bound_diagnostic)
-from .levy import LevyTriplet
 from .pathstats import growth_experiment, variation_experiment
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
 from .symbols import (frozen_triplet, gaussian_bump, generator_apply_fourier,
-                      generator_apply_integro, symbol_mc_table, symbol_of_model)
+                      generator_apply_integro, symbol_from_exponent, symbol_mc_table,
+                      symbol_of_model)
 
 KINDS = ("simulate", "symbol-analytic", "symbol-estimate", "symbol-compare",
          "generator-check", "indices", "index-transfer", "variation",
@@ -90,6 +90,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _rows(records, header) -> list:
+    """CSV rows: each record's values under the header's names."""
+    return [[rec[key] for key in header] for rec in records]
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -103,7 +108,9 @@ def _config_hash(config: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# kind handlers: each returns (results_dict, csv_header, csv_rows, extra_writer)
+# kind handlers: (cfg, seed, threads, outdir) -> (results, csv_header, csv_rows, extra),
+# extra being None or a writer of further files.  The CSV rows are _rows(records,
+# header) of the kind's one record list, unless its columns are not record keys.
 
 
 def _grid(cfg, key, kind, default=None):
@@ -162,13 +169,13 @@ def _kind_simulate(cfg, seed, threads, outdir):
 def _kind_symbol_analytic(cfg, seed, threads, outdir):
     model = resolve_model(_ref(cfg, "model", "symbol-analytic"))
     p = symbol_of_model(model)
-    rows = []
+    records = []
     for x in _grid(cfg, "x_grid", "symbol-analytic"):
         for xi in _grid(cfg, "xi_grid", "symbol-analytic"):
             val = p(np.atleast_1d(float(x)), np.atleast_1d(float(xi)))
-            rows.append([x, xi, val.real, val.imag])
-    return ({"records": [{"x": r[0], "xi": r[1], "re": r[2], "im": r[3]} for r in rows]},
-            ["x", "xi", "re", "im"], rows, None)
+            records.append({"x": x, "xi": xi, "re": val.real, "im": val.imag})
+    header = ["x", "xi", "re", "im"]
+    return {"records": records}, header, _rows(records, header), None
 
 
 def _mc_records(estimates):
@@ -208,25 +215,22 @@ def _kind_symbol_compare(cfg, seed, threads, outdir):
     est = _estimator_block(cfg, "symbol-compare")
     xs = [float(v) for v in _grid(cfg, "x_grid", "symbol-compare")]
     xis = [float(v) for v in _grid(cfg, "xi_grid", "symbol-compare")]
-    estimates = symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est)
-    rows, records = [], []
-    for e in estimates:
+    records = []
+    for e in symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est):
         exact = p(e.x, e.xi)
         err = abs(e.estimate - exact)
         tol = max(3.0 * e.se, 0.05 * (1.0 + abs(exact)))
-        ok = err <= tol
-        r_ok = e.r_check.consistent if e.r_check else True
-        rows.append([float(e.x[0]), float(e.xi[0]), exact.real, exact.imag,
-                     e.estimate.real, e.estimate.imag, e.se, ok, r_ok])
         records.append({"x": float(e.x[0]), "xi": float(e.xi[0]),
                         "analytic_re": exact.real, "analytic_im": exact.imag,
                         "mc_re": e.estimate.real, "mc_im": e.estimate.imag,
                         "se": e.se, "abs_error": err, "tolerance": tol,
-                        "pass": bool(ok), "r_consistent": bool(r_ok)})
-    return ({"records": records, "all_pass": bool(all(r["pass"] for r in records)),
-             "all_r_consistent": bool(all(r["r_consistent"] for r in records))},
-            ["x", "xi", "analytic_re", "analytic_im", "mc_re", "mc_im", "se",
-             "pass", "r_consistent"], rows, None)
+                        "pass": bool(err <= tol),
+                        "r_consistent": bool(e.r_check.consistent if e.r_check else True)})
+    header = ["x", "xi", "analytic_re", "analytic_im", "mc_re", "mc_im", "se",
+              "pass", "r_consistent"]
+    return ({"records": records, "all_pass": all(r["pass"] for r in records),
+             "all_r_consistent": all(r["r_consistent"] for r in records)},
+            header, _rows(records, header), None)
 
 
 def _kind_generator_check(cfg, seed, threads, outdir):
@@ -234,27 +238,23 @@ def _kind_generator_check(cfg, seed, threads, outdir):
     tf_spec = cfg.get("test_function", {})
     u = gaussian_bump(tf_spec.get("center", 0.0), tf_spec.get("width", 1.0))
     p = symbol_of_model(model)
-    rows, records = [], []
+    records = []
     for x in _grid(cfg, "x_grid", "generator-check"):
         xv = np.atleast_1d(float(x))
-        trip = frozen_triplet(model.driver.triplet, model.coefficient, xv)
-        if model.drift_coefficient is not None:
-            extra = float(model.drift_coefficient(xv)[0, 0])
-            trip = LevyTriplet([trip.drift[0] + extra], trip.covariance,
-                               trip.levy_measure)
+        trip = frozen_triplet(model.driver.triplet, model.coefficient, xv,
+                              model.drift_coefficient)
         integro = generator_apply_integro(trip, u, xv)
         fourier = generator_apply_fourier(p, u, xv)
         diff = abs(integro - fourier)
         denom = max(abs(integro), abs(fourier), 1e-12)
-        rel = diff / denom
-        agree = diff <= max(1e-3 * denom, 1e-9)
-        rows.append([float(x), integro, fourier, rel, agree])
         records.append({"x": float(x), "integro": integro, "fourier": fourier,
-                        "abs_diff": diff, "rel_diff": rel, "agree": bool(agree)})
+                        "abs_diff": diff, "rel_diff": diff / denom,
+                        "agree": bool(diff <= max(1e-3 * denom, 1e-9))})
+    header = ["x", "integro", "fourier", "rel_diff", "agree"]
     return ({"records": records,
              "max_abs_diff": max(r["abs_diff"] for r in records),
-             "all_agree": bool(all(r["agree"] for r in records))},
-            ["x", "integro", "fourier", "rel_diff", "agree"], rows, None)
+             "all_agree": all(r["agree"] for r in records)},
+            header, _rows(records, header), None)
 
 
 def _kind_indices(cfg, seed, threads, outdir):
@@ -274,8 +274,6 @@ def _kind_indices(cfg, seed, threads, outdir):
 
 def _kind_index_transfer(cfg, seed, threads, outdir):
     driver = resolve_driver(_ref(cfg, "driver", "index-transfer"))
-    from .symbols import symbol_from_exponent
-
     phi = coeff.from_dict(_require(cfg, "coefficient", dict, "index-transfer"))
     xs = [float(v) for v in _grid(cfg, "x_grid", "index-transfer")]
     report = index_transfer_check(symbol_from_exponent(driver.exponent), phi, xs,
@@ -289,16 +287,14 @@ def _kind_index_transfer(cfg, seed, threads, outdir):
 
 def _kind_variation(cfg, seed, threads, outdir):
     model = resolve_model(_ref(cfg, "model", "variation"))
-    rows = variation_experiment(
+    records = [vars(r) for r in variation_experiment(
         model,
         [float(g) for g in _grid(cfg, "gammas", "variation")],
         [int(k) for k in _grid(cfg, "levels", "variation")],
         int(cfg.get("trials", 16)), seed,
-        horizon=float(cfg.get("horizon", 1.0)), x0=cfg.get("x0", 0.0))
-    csv_rows = [[r.gamma, r.level, r.median, r.q25, r.q75] for r in rows]
-    return ({"rows": [{"gamma": r.gamma, "level": r.level, "n_points": r.n_points,
-                       "median": r.median, "q25": r.q25, "q75": r.q75} for r in rows]},
-            ["gamma", "level", "median", "q25", "q75"], csv_rows, None)
+        horizon=float(cfg.get("horizon", 1.0)), x0=cfg.get("x0", 0.0))]
+    header = ["gamma", "level", "median", "q25", "q75"]
+    return {"rows": records}, header, _rows(records, header), None
 
 
 def _kind_growth(cfg, seed, threads, outdir):
@@ -310,13 +306,13 @@ def _kind_growth(cfg, seed, threads, outdir):
         [float(v) for v in _grid(cfg, "t_large", "growth", default=[])],
         int(cfg.get("paths", 2000)), seed,
         steps_per_run=int(cfg.get("steps_per_run", 256)), threads=threads)
-    csv_rows = [[r.window, r.t, r.lam, r.median_max, r.scaled] for r in profile.rows]
-    return ({"rows": [{"window": r.window, "t": r.t, "lambda": r.lam,
-                       "median_max": r.median_max, "scaled": r.scaled}
-                      for r in profile.rows],
+    records = [{"window": r.window, "t": r.t, "lambda": r.lam,
+                "median_max": r.median_max, "scaled": r.scaled} for r in profile.rows]
+    header = ["window", "t", "lambda", "median_max", "scaled"]
+    return ({"rows": records,
              "trends": [{"window": w, "lambda": lam, **v}
                         for (w, lam), v in sorted(profile.trends.items())]},
-            ["window", "t", "lambda", "median_max", "scaled"], csv_rows, None)
+            header, _rows(records, header), None)
 
 
 def _kind_g_identity(cfg, seed, threads, outdir):
@@ -330,20 +326,19 @@ def _kind_g_identity(cfg, seed, threads, outdir):
         ys = [np.array([a, b]) for a in side for b in side]
     else:
         raise ConfigError("g-identity: d must be 1 or 2", field="d")
-    residual = g_identity_check(d, ys)
-    return ({"d": d, "max_residual": residual, "n_points": len(ys)},
-            ["d", "max_residual"], [[d, residual]], None)
+    results = {"d": d, "max_residual": g_identity_check(d, ys), "n_points": len(ys)}
+    header = ["d", "max_residual"]
+    return results, header, _rows([results], header), None
 
 
 def _kind_bound_diagnostic(cfg, seed, threads, outdir):
     if "model" in cfg:
         model = resolve_model(_ref(cfg, "model", "bound-diagnostic"))
         p = symbol_of_model(model)
-        trip_field = lambda x: frozen_triplet(model.driver.triplet, model.coefficient, x)
+        trip_field = lambda x: frozen_triplet(model.driver.triplet, model.coefficient, x,
+                                              model.drift_coefficient)
     elif "driver" in cfg:
         driver = resolve_driver(cfg["driver"])
-        from .symbols import symbol_from_exponent
-
         p = symbol_from_exponent(driver.exponent)
         trip_field = lambda x: driver.triplet
     else:
@@ -351,12 +346,7 @@ def _kind_bound_diagnostic(cfg, seed, threads, outdir):
     box = cfg.get("box", [-1.0, 1.0])
     diag = symbol_bound_diagnostic(p, trip_field, (float(box[0]), float(box[1])),
                                    xi_max=float(cfg.get("xi_max", 100.0)))
-    results = {"c_p": diag.c_p, "triplet_norm": diag.triplet_norm,
-               "unit_sup": diag.unit_sup,
-               "subadditivity_slack": diag.subadditivity_slack,
-               "lemma_constant": diag.lemma_constant,
-               "consistent": diag.consistent, "witnesses": diag.witnesses}
-    return (results, ["c_p", "triplet_norm", "unit_sup", "slack", "consistent"],
+    return (vars(diag), ["c_p", "triplet_norm", "unit_sup", "slack", "consistent"],
             [[diag.c_p, diag.triplet_norm, diag.unit_sup,
               diag.subadditivity_slack, diag.consistent]], None)
 
@@ -370,10 +360,8 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
     """
     if x0 == 0.0:
         raise ConfigError("feller-demo: x0 must be nonzero", field="x0")
-    from .sde import simulate_ensemble
-
     model = feller_demo_model()
-    res = simulate_ensemble(model.blocks(), None, np.array([x0]), t0, steps,
+    res = sde.simulate_ensemble(model.blocks(), None, np.array([x0]), t0, steps,
                             trials, seed, base_key=(TAG_EXPERIMENT, 2),
                             threads=threads)
     terminal = res.terminal[:, 0]
@@ -391,9 +379,7 @@ def _kind_feller_demo(cfg, seed, threads, outdir):
         x0=float(cfg.get("x0", 5.0)), steps=int(cfg.get("steps", 16)),
         threads=threads)
     header = ["t0", "trials", "frequency", "ci_low", "ci_high", "expected"]
-    return (report, header,
-            [[report["t0"], report["trials"], report["frequency"],
-              report["ci_low"], report["ci_high"], report["expected"]]], None)
+    return report, header, _rows([report], header), None
 
 
 _HANDLERS = {
@@ -429,7 +415,7 @@ def run_config(kind: str, config: dict, seed: int, outdir, threads: int = 1) -> 
         results, header, rows, extra = _HANDLERS[kind](config, int(seed), threads, outdir)
     except (ConfigError, SymbolkitError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{kind}: invalid configuration: {exc}") from exc
     wall = time.monotonic() - t0
 

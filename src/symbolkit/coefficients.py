@@ -33,7 +33,6 @@ class CoefficientField:
     bound: float
     lipschitz: float
     bounded: bool = True
-    globally_lipschitz: bool = True
     growth_constant: Optional[float] = None
     name: str = "coefficient"
 
@@ -61,7 +60,7 @@ def scalar_field(f: Callable[[np.ndarray], np.ndarray], *, bound: float, lipschi
     return CoefficientField(
         batch_fn=lambda xs: np.asarray(f(xs[:, 0]), dtype=float).reshape(-1, 1, 1),
         d=1, n=1, bound=bound, lipschitz=lipschitz, bounded=bounded,
-        globally_lipschitz=True, growth_constant=growth_constant, name=name)
+        growth_constant=growth_constant, name=name)
 
 
 def validate_field(fld: CoefficientField, box_halfwidth: float = 5.0,
@@ -144,19 +143,19 @@ def negative_identity() -> CoefficientField:
 
 
 _CATALOG = {
-    "constant": lambda p: constant(p.get("value", 1.0)),
-    "zero": lambda p: zero(),
-    "bump": lambda p: bump(p.get("a", 0.5), p.get("b", 1.0)),
-    "sine": lambda p: sine(p.get("offset", 0.0), p.get("amplitude", 1.0)),
-    "cosine": lambda p: cosine(p.get("offset", 0.0), p.get("amplitude", 1.0)),
-    "tanh": lambda p: tanh_field(p.get("offset", 0.0), p.get("gain", 1.0)),
-    "neg_identity": lambda p: negative_identity(),
+    "constant": constant,
+    "zero": zero,
+    "bump": bump,
+    "sine": sine,
+    "cosine": cosine,
+    "tanh": tanh_field,
+    "neg_identity": negative_identity,
 }
 
 
 def from_dict(spec: dict) -> CoefficientField:
-    """{"name": ..., "params": {...}} -> catalog coefficient."""
+    """{"name": ..., "params": {constructor keyword arguments}} -> catalog coefficient."""
     name = spec.get("name")
     if name not in _CATALOG:
         raise ValueError(f"unknown coefficient {name!r}; catalog: {sorted(_CATALOG)}")
-    return _CATALOG[name](spec.get("params", {}))
+    return _CATALOG[name](**spec.get("params", {}))

@@ -247,6 +247,19 @@ def uniform_law(low: float = -1.0, high: float = 1.0) -> ContinuousLaw:
     )
 
 
+def tempered_power(a: float = 1.0, alpha: float = 0.5,
+                   b: float = 1.0) -> Callable[[float], float]:
+    """Tempered power tail y -> a |y|^{-1-alpha} e^{-b |y|}, zero at the origin."""
+    a, alpha, b = float(a), float(alpha), float(b)
+    return lambda y: a * abs(y) ** (-1.0 - alpha) * np.exp(-b * abs(y)) if y != 0 else 0.0
+
+
+def exponential(a: float = 1.0, b: float = 1.0) -> Callable[[float], float]:
+    """Two-sided exponential y -> a e^{-b |y|}."""
+    a, b = float(a), float(b)
+    return lambda y: a * np.exp(-b * abs(y))
+
+
 def _truncation_integral(density: Callable[[float], float], a: float,
                          window: float = np.inf) -> float:
     """int y (1_{|y| < 1/a} - 1_{|y| < 1}) nu(y) dy over |y| <= window, a not 0 or 1."""
@@ -1129,17 +1142,8 @@ class LevyModel:
         return LevyModel(LevyTriplet(drift, cov, measure), name=name)
 
 
-_NAMED_DENSITIES = {
-    # tempered power tail: a * |y|^{-1-alpha} * exp(-b |y|)
-    "tempered_power": lambda params: (
-        lambda y, a=float(params.get("a", 1.0)), alpha=float(params.get("alpha", 0.5)),
-               b=float(params.get("b", 1.0)): a * abs(y) ** (-1.0 - alpha) * np.exp(-b * abs(y))
-        if y != 0 else 0.0),
-    # two-sided exponential: a * exp(-b |y|)
-    "exponential": lambda params: (
-        lambda y, a=float(params.get("a", 1.0)), b=float(params.get("b", 1.0)):
-        a * np.exp(-b * abs(y))),
-}
+_NAMED_LAWS = {"normal": normal_law, "uniform": uniform_law}
+_NAMED_DENSITIES = {"tempered_power": tempered_power, "exponential": exponential}
 
 
 def _measure_from_dict(spec: dict) -> LevyMeasureSpec:
@@ -1151,14 +1155,11 @@ def _measure_from_dict(spec: dict) -> LevyMeasureSpec:
         if "atoms" in spec:
             law = AtomLaw.of([(entry[0], entry[1]) for entry in spec["atoms"]])
         else:
-            law_spec = spec["law"]
-            lname = law_spec["name"]
-            if lname == "normal":
-                law = normal_law(law_spec.get("mean", 0.0), law_spec.get("std", 1.0))
-            elif lname == "uniform":
-                law = uniform_law(law_spec.get("low", -1.0), law_spec.get("high", 1.0))
-            else:
+            params = dict(spec["law"])
+            lname = params.pop("name")
+            if lname not in _NAMED_LAWS:
                 raise ValueError(f"unknown continuous jump law {lname!r}")
+            law = _NAMED_LAWS[lname](**params)
         return FiniteActivity(rate=rate, law=law)
     if kind == "stable":
         return StableSymmetric(alpha=float(spec["alpha"]), scale=float(spec.get("scale", 1.0)))
@@ -1166,7 +1167,7 @@ def _measure_from_dict(spec: dict) -> LevyMeasureSpec:
         dname = spec["name"]
         if dname not in _NAMED_DENSITIES:
             raise ValueError(f"unknown named density {dname!r}")
-        density = _NAMED_DENSITIES[dname](spec.get("params", {}))
+        density = _NAMED_DENSITIES[dname](**spec.get("params", {}))
         return DensityForm(density, window=spec.get("window"),
                            cutoff=float(spec.get("cutoff", 1e-3)), name=dname)
     raise ValueError(f"unknown levy_measure kind {kind!r}")

@@ -412,11 +412,12 @@ def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
 
 
 def frozen_triplet(driver_triplet: LevyTriplet, coefficient: CoefficientField,
-                   x) -> LevyTriplet:
+                   x, drift_coefficient: Optional[CoefficientField] = None) -> LevyTriplet:
     """The x-frozen triplet of the solution symbol, one-dimensional.
 
     Drift phi*l (plus the truncation shift when |phi| != 1 moves mass across
-    the unit ball), covariance phi^2 Q, and the image of N under y -> phi*y.
+    the unit ball, plus Psi(x) when there is a drift field), covariance
+    phi^2 Q, and the image of N under y -> phi*y.
     """
     if coefficient.d != 1 or coefficient.n != 1 or driver_triplet.dim != 1:
         raise DimensionMismatch("frozen triplets are implemented for d = n = 1")
@@ -424,6 +425,8 @@ def frozen_triplet(driver_triplet: LevyTriplet, coefficient: CoefficientField,
     phi = float(coefficient(x)[0, 0])
     measure = driver_triplet.levy_measure
     drift = phi * driver_triplet.drift[0] + measure.truncation_shift(phi)
+    if drift_coefficient is not None:
+        drift = drift + float(drift_coefficient(x)[0, 0])
     cov = phi ** 2 * driver_triplet.covariance[0, 0]
     return LevyTriplet([drift], [[cov]], measure.image(phi))
 

@@ -97,6 +97,14 @@ class TestRunConfig:
         assert payload["results"]["consistent"] is True
         assert payload["results"]["subadditivity_slack"] >= 0.0
 
+    def test_bound_diagnostic_counts_the_drift_field(self, tmp_path):
+        # at x = 0: phi = bump(0) = 1.5, so |Q phi^2| = 2.25, and Psi(0) = cos(0) = 1
+        run_config("bound-diagnostic", {"model": {"name": "bm_bump_drift"},
+                                        "box": [-1.0, 1.0]}, 1, tmp_path)
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["results"]["triplet_norm"] == pytest.approx(3.25, abs=1e-12)
+        assert payload["results"]["witnesses"]["triplet_x"] == 0.0
+
     def test_unknown_kind_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             run_config("nope", {}, 1, tmp_path)
@@ -306,8 +314,26 @@ STRICT_CASES = {
 }
 
 
+# the results.csv header of each STRICT_CASES run
+STRICT_HEADERS = {
+    "simulate": "t,x_1",
+    "symbol-analytic": "x,xi,re,im",
+    "symbol-estimate": "x,xi,re,im,se,r_consistent",
+    "symbol-compare": "x,xi,analytic_re,analytic_im,mc_re,mc_im,se,pass,r_consistent",
+    "generator-check": "x,integro,fourier,rel_diff,agree",
+    "indices": "R,H,h",
+    "index-transfer": "x,beta_inf,deviation",
+    "variation": "gamma,level,median,q25,q75",
+    "growth": "window,t,lambda,median_max,scaled",
+    "g-identity": "d,max_residual",
+    "bound-diagnostic": "c_p,triplet_norm,unit_sup,slack,consistent",
+    "feller-demo": "t0,trials,frequency,ci_low,ci_high,expected",
+}
+
+
 def test_strict_cases_cover_every_kind():
     assert sorted(STRICT_CASES) == sorted(KINDS)
+    assert sorted(STRICT_HEADERS) == sorted(KINDS)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -315,6 +341,7 @@ def test_every_kind_writes_strict_json(kind, tmp_path):
     run_config(kind, STRICT_CASES[kind], 3, tmp_path)
     for name in ("results.json", "manifest.json"):
         json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+    assert (tmp_path / "results.csv").read_text().splitlines()[0] == STRICT_HEADERS[kind]
 
 
 def test_quadrature_failure_writes_achieved_error(tmp_path):
@@ -364,6 +391,20 @@ def test_empty_ensemble_is_config_error(kind, cfg, tmp_path):
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
     assert "must be at least 1" in err["message"]
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("bound-diagnostic", {"model": {"name": "cp_tanh"}, "box": [1.0]}),
+    ("bound-diagnostic", {"driver": "bm"}),
+    ("generator-check", {"model": {"name": "bm_unit"}, "x_grid": [0.0],
+                         "test_function": 3}),
+], ids=["bound-diagnostic-short-box", "bound-diagnostic-driver-string",
+        "generator-check-test-function-number"])
+def test_malformed_config_is_config_error(kind, cfg, tmp_path):
+    assert main_with_config(kind, cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
     assert not (tmp_path / "out" / "results.json").exists()
 
 
