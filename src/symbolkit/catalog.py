@@ -148,6 +148,18 @@ def default_stable_like_alpha(y):
     return 1.0 + 0.5 / (1.0 + np.asarray(y) ** 2)
 
 
+def stable_like() -> SymbolField:
+    """|xi|^{alpha(y)} with the default index 1 + 0.5 / (1 + y^2); it takes no parameters."""
+    return stable_like_symbol(default_stable_like_alpha, name="stable_like")
+
+
+_SYMBOLS = {
+    "power_law": power_law_symbol,
+    "mixed_power": mixed_power_symbol,
+    "stable_like": stable_like,
+}
+
+
 def resolve_symbol(spec: dict) -> SymbolField:
     """Named synthetic symbol, a driver exponent, or a model's solution symbol."""
     from .symbols import symbol_of_model
@@ -157,11 +169,6 @@ def resolve_symbol(spec: dict) -> SymbolField:
     if "driver" in spec:
         return symbol_from_exponent(resolve_driver(spec["driver"]).exponent)
     name = spec.get("name")
-    params = spec.get("params", {})
-    if name == "power_law":
-        return power_law_symbol(params["alpha"], params.get("coeff", 1.0))
-    if name == "mixed_power":
-        return mixed_power_symbol([tuple(t) for t in params["terms"]])
-    if name == "stable_like":
-        return stable_like_symbol(default_stable_like_alpha, name="stable_like")
-    raise ValueError(f"unknown symbol {name!r}")
+    if name not in _SYMBOLS:
+        raise ValueError(f"unknown symbol {name!r}; catalog: {sorted(_SYMBOLS)}")
+    return _SYMBOLS[name](**spec.get("params", {}))

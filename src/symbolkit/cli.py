@@ -134,13 +134,17 @@ def _estimator_block(cfg, kind):
     est = cfg.get("estimator", {})
     if not isinstance(est, dict):
         raise ConfigError(f"{kind}: 'estimator' must be an object", field="estimator")
-    return {
-        "t_ladder": tuple(est.get("t_ladder", (0.04, 0.02, 0.01, 0.005))),
-        "paths_per_rung": int(est.get("paths", 10_000)),
-        "radius": est.get("R"),
-        "steps_per_rung": int(est.get("steps_per_rung", 10)),
-        "check_radius": bool(est.get("check_radius", True)),
+    est = dict(est)
+    block = {
+        "t_ladder": tuple(est.pop("t_ladder", (0.04, 0.02, 0.01, 0.005))),
+        "paths_per_rung": int(est.pop("paths", 10_000)),
+        "radius": est.pop("R", None),
+        "steps_per_rung": int(est.pop("steps_per_rung", 10)),
+        "check_radius": bool(est.pop("check_radius", True)),
     }
+    if est:
+        raise ConfigError(f"{kind}: unknown estimator key(s) {sorted(est)}", field="estimator")
+    return block
 
 
 def _kind_simulate(cfg, seed, threads, outdir):
@@ -235,8 +239,7 @@ def _kind_symbol_compare(cfg, seed, threads, outdir):
 
 def _kind_generator_check(cfg, seed, threads, outdir):
     model = resolve_model(_ref(cfg, "model", "generator-check"))
-    tf_spec = cfg.get("test_function", {})
-    u = gaussian_bump(tf_spec.get("center", 0.0), tf_spec.get("width", 1.0))
+    u = gaussian_bump(**cfg.get("test_function", {}))
     p = symbol_of_model(model)
     records = []
     for x in _grid(cfg, "x_grid", "generator-check"):

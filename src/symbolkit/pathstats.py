@@ -9,6 +9,26 @@ turning points, which is lossless: merging same-sign increments never
 decreases a term ((a+b)^gamma >= a^gamma + b^gamma for a, b >= 0), and an
 alternating partition point only improves by moving to the local extremum.
 
+On scalar paths the program then looks only at the suffix maxima and suffix
+minima of u[0..i-1] as predecessors of turning point i (Butkus and
+Norvaisa, "Computation of p-variation", Lith. Math. J. 58, 2018).  This
+loses nothing: if j is neither and u_i >= u_j, some m in (j, i) has
+u_m < u_j, so V[m] >= V[j] + |u_m - u_j|^gamma >= V[j] and
+|u_i - u_m| > |u_i - u_j|, and m's candidate is at least j's (u_i < u_j is
+the mirror case).  Each step of a candidate (subtract, sqrt(d*d), numpy's
+``**``, add) is a monotone rounded operation, so the inequality holds for the
+floats too and the value is the full program's bit for bit; so is the
+partition, unless a pruned j ties its dominating m exactly, which needs the
+margin |u_j - u_m|^gamma to vanish in rounding.  A random walk has about
+sqrt(k) suffix extrema, so k turning points cost O(k sqrt k) instead of
+O(k^2).  A walk with drift keeps O(k) suffix minima (or maxima) and a
+damped oscillation keeps every extremum; both stay O(k^2), as do paths with
+d > 1, where every earlier point is a candidate.  Rows run in blocks of 32:
+one matrix holds the powers from the block's rows to their candidates in
+earlier blocks and to the block's own rows, and the short recurrence inside
+the block runs in Python on those powers.  ``tests/reference_pathstats.py``
+keeps the full O(k^2) program as the oracle.
+
 ``variation_experiment`` tracks the finest-grid sum across dyadic refinement
 levels.  That is deliberately not the subpartition supremum: the refining
 sums are the statistic with a known limit (for a Brownian path they settle at
@@ -43,24 +63,91 @@ class VariationResult:
         return float(np.sum(steps ** self.gamma))
 
 
+_BLOCK = 32            # DP rows per block
+_CELLS = 1 << 16       # most entries (rows x columns) in one block matrix
+
+
 def _turning_points(v: np.ndarray) -> np.ndarray:
-    """Endpoints plus direction-reversal indices; monotone runs keep their end."""
-    m = v.shape[0]
-    keep = [0]
-    last_sign = 0
-    for i in range(1, m):
-        diff = v[i] - v[keep[-1]]
-        if diff == 0.0:
-            continue
-        s = 1 if diff > 0 else -1
-        if s == last_sign:
-            keep[-1] = i
+    """Endpoints plus the last index of each run of same-sign nonzero steps."""
+    step = np.diff(v)
+    moves = np.flatnonzero(step != 0.0)
+    up = step[moves] > 0.0
+    ends = np.concatenate((moves[:-1][up[:-1] != up[1:]], moves[-1:])) + 1
+    keep = np.concatenate(([0], ends, [v.shape[0] - 1]))
+    return keep[:-1] if keep[-2] == keep[-1] else keep
+
+
+def _gap_powers(rows: np.ndarray, cols: np.ndarray, gamma: float) -> np.ndarray:
+    """|rows[r] - cols[c]|^gamma, rounded as ``np.linalg.norm`` and numpy's ``**`` round it.
+
+    ``norm`` sums fewer than eight squared coordinates left to right (numpy
+    sums longer rows pairwise), so for d < 8 the sum runs one coordinate at a
+    time on (rows, cols) arrays, which is several times faster than reducing
+    a short last axis; longer rows call ``norm`` itself, one row at a time.
+    """
+    d = rows.shape[1]
+    if d >= 8:
+        return np.array([np.linalg.norm(row - cols, axis=1) for row in rows]) ** gamma
+    sq = 0.0
+    for c in range(d):
+        gap = rows[:, c, None] - cols[None, :, c]
+        sq = sq + gap * gap
+    return np.sqrt(sq) ** gamma
+
+
+def _best_chain(u: np.ndarray, gamma: float) -> tuple:
+    """(V[k-1], maximising chain 0 -> k-1) of V[i] = max_j V[j] + |u_i - u_j|^gamma.
+
+    Ties go to the earliest j among the kept candidates.  On d = 1 these
+    are the suffix maxima and minima of u[0..i-1], kept in two monotone
+    stacks; for d > 1 every earlier row is one, and ``upper`` holds only the
+    rows of the current block.
+    """
+    k, d = u.shape
+    x = u[:, 0].tolist()
+    best = np.zeros(k)
+    parent = [0] * k
+    upper, lower = [], []      # suffix maxima and minima of u[:i]
+    a = 0
+    while a < k:
+        if d == 1:             # a row on both stacks repeats a column: same maximum
+            cols = np.sort(np.array(upper + lower, dtype=np.int64))
         else:
-            keep.append(i)
-            last_sign = s
-    if keep[-1] != m - 1:
-        keep.append(m - 1)
-    return np.asarray(keep, dtype=np.int64)
+            cols, upper = np.arange(a), []
+        n = cols.size
+        b = min(k, a + max(1, min(_BLOCK, _CELLS // (n + _BLOCK))))
+        powers = _gap_powers(u[a:b], u[np.concatenate((cols, np.arange(a, b)))], gamma)
+        if n:
+            cand = best[cols] + powers[:, :n]
+            pick = cand.argmax(axis=1)
+            top, arg = cand[np.arange(b - a), pick].tolist(), cols[pick].tolist()
+        else:                  # the first block: row 0 is the start, at value 0
+            top, arg = [0.0] + [-np.inf] * (b - 1), [0] * b
+        inner = powers[:, n:].tolist()
+        vals = []
+        for i, v, p, row in zip(range(a, b), top, arg, inner):
+            for stack in (upper, lower):
+                for j in reversed(stack):
+                    if j < a:
+                        break
+                    c = vals[j - a] + row[j - a]
+                    if c > v or (c == v and j < p):
+                        v, p = c, j
+            vals.append(v)
+            parent[i] = p
+            if d == 1:
+                while upper and x[upper[-1]] < x[i]:
+                    upper.pop()
+                while lower and x[lower[-1]] > x[i]:
+                    lower.pop()
+                lower.append(i)
+            upper.append(i)
+        best[a:b] = vals
+        a = b
+    chain = [k - 1]
+    while chain[-1] != 0:
+        chain.append(parent[chain[-1]])
+    return best[-1], chain[::-1]
 
 
 def gamma_variation(values, gamma: float) -> VariationResult:
@@ -80,21 +167,8 @@ def gamma_variation(values, gamma: float) -> VariationResult:
                                grid_size=m, partition=np.arange(m, dtype=np.int64))
 
     idx = _turning_points(pts[:, 0]) if scalar else np.arange(m, dtype=np.int64)
-    u = pts[idx]
-    k = u.shape[0]
-    best = np.zeros(k)
-    parent = np.zeros(k, dtype=np.int64)
-    for i in range(1, k):
-        gaps = np.linalg.norm(u[i] - u[:i], axis=1)
-        cand = best[:i] + gaps ** gamma
-        j = int(np.argmax(cand))
-        best[i] = cand[j]
-        parent[i] = j
-    chain = [k - 1]
-    while chain[-1] != 0:
-        chain.append(int(parent[chain[-1]]))
-    chain.reverse()
-    return VariationResult(gamma=gamma, value=float(best[-1]), grid_size=m,
+    value, chain = _best_chain(pts[idx], gamma)
+    return VariationResult(gamma=gamma, value=float(value), grid_size=m,
                            partition=idx[np.asarray(chain, dtype=np.int64)])
 
 

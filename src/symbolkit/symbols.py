@@ -121,14 +121,14 @@ def analytic_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
     return solution_symbol(psi, coefficient, drift_coefficient)(x, xi)
 
 
-def power_law_symbol(alpha: float, coeff: float = 1.0, d: int = 1) -> SymbolField:
+def power_law_symbol(alpha: float, coeff: float = 1.0) -> SymbolField:
     """p(x, xi) = coeff * |xi|^alpha."""
     return SymbolField(
         batch_fn=lambda xs, xis: coeff * np.linalg.norm(xis, axis=1) ** alpha + 0j,
-        d=d, x_independent=True, name=f"|xi|^{alpha}")
+        d=1, x_independent=True, name=f"|xi|^{alpha}")
 
 
-def mixed_power_symbol(terms: Sequence[tuple], d: int = 1) -> SymbolField:
+def mixed_power_symbol(terms: Sequence[tuple]) -> SymbolField:
     """p(x, xi) = sum_k c_k |xi|^{a_k} for terms [(c_k, a_k), ...]."""
 
     def batch(xs, xis):
@@ -139,7 +139,7 @@ def mixed_power_symbol(terms: Sequence[tuple], d: int = 1) -> SymbolField:
         return out
 
     label = "+".join(f"{c}|xi|^{a}" for c, a in terms)
-    return SymbolField(batch_fn=batch, d=d, x_independent=True, name=label)
+    return SymbolField(batch_fn=batch, d=1, x_independent=True, name=label)
 
 
 def stable_like_symbol(alpha_fn: Callable, name: str = "stable-like") -> SymbolField:

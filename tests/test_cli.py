@@ -399,8 +399,15 @@ def test_empty_ensemble_is_config_error(kind, cfg, tmp_path):
     ("bound-diagnostic", {"driver": "bm"}),
     ("generator-check", {"model": {"name": "bm_unit"}, "x_grid": [0.0],
                          "test_function": 3}),
+    ("generator-check", {"model": {"name": "bm_unit"}, "x_grid": [0.0],
+                         "test_function": {"centre": 2.0}}),
+    ("symbol-estimate", {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0],
+                         "estimator": {"path": 500}}),
+    ("symbol-compare", {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0],
+                        "estimator": {"paths": 2000, "t_lader": [0.01]}}),
 ], ids=["bound-diagnostic-short-box", "bound-diagnostic-driver-string",
-        "generator-check-test-function-number"])
+        "generator-check-test-function-number", "generator-check-test-function-typo",
+        "symbol-estimate-estimator-typo", "symbol-compare-estimator-typo"])
 def test_malformed_config_is_config_error(kind, cfg, tmp_path):
     assert main_with_config(kind, cfg, tmp_path) == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())

@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_pathstats as ref
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
-from symbolkit.pathstats import growth_experiment, variation_experiment
+from symbolkit.pathstats import _turning_points, growth_experiment, variation_experiment
 
 
 def brute_force_variation(values, gamma):
@@ -130,6 +133,85 @@ class TestGammaVariation:
             keep = sorted({0, len(values) - 1, *rng.choice(len(values), 10).tolist()})
             coarse = sk.gamma_variation(values[keep], gamma).value
             assert coarse <= full + 1e-12
+
+
+def assert_same_as_oracle(values, gamma):
+    got, want = sk.gamma_variation(values, gamma), ref.gamma_variation(values, gamma)
+    assert got.value == want.value, (gamma, got.value, want.value)
+    np.testing.assert_array_equal(got.partition, want.partition)
+
+
+class TestTurningPoints:
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 2.0, 2.0, 1.0, 1.0], [0.0, 0.0, 1.0],
+        [0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 1.0], [5.0, 5.0, 5.0], [2.0], [0.0, 1.0],
+        [1.0, 1.0], [-0.0, 0.0, 1.0, -0.0], [1.0, -1.0, 1.0, -1.0],
+    ], ids=lambda v: str(v))
+    def test_plateaus_runs_and_short_inputs(self, values):
+        v = np.asarray(values)
+        np.testing.assert_array_equal(_turning_points(v), ref.turning_points(v))
+        assert _turning_points(v).dtype == np.int64
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_matches_the_scan(self, values):
+        v = np.asarray(values, dtype=float)
+        np.testing.assert_array_equal(_turning_points(v), ref.turning_points(v))
+
+
+def _path(seed, n, d, drift, jump_rate):
+    """Random walk with drift, jumps and runs of zero steps (plateaus)."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(scale=0.1, size=(n, d)) + drift
+    steps += (rng.random((n, 1)) < jump_rate) * rng.normal(scale=3.0, size=(n, d))
+    steps[rng.random(n) < 0.1] = 0.0
+    values = np.cumsum(steps, axis=0)
+    return values[:, 0] if d == 1 else values
+
+
+class TestPrunedProgram:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-4, 4), min_size=2, max_size=9),
+           st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    def test_small_grids_equal_brute_force(self, values, gamma):
+        v = np.asarray(values, dtype=float)
+        res = sk.gamma_variation(v, gamma)
+        assert abs(res.value - brute_force_variation(v, gamma)) <= 1e-12 * (1.0 + res.value)
+        assert_same_as_oracle(v, gamma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 400), st.sampled_from([1, 2, 3, 8]),
+           st.floats(-0.05, 0.05), st.sampled_from([0.0, 0.02, 0.2]),
+           st.sampled_from([1.1, 1.5, 2.0, 2.5, 3.0]))
+    def test_bit_identical_to_the_full_program(self, seed, n, d, drift, jump_rate, gamma):
+        assert_same_as_oracle(_path(seed, n, d, drift, jump_rate), gamma)
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+    def test_long_random_walk(self, gamma):
+        # 4,855 turning points, about as many as a 10k-step benchmark path has
+        assert_same_as_oracle(_path(3, 11000, 1, 0.01, 0.01), gamma)
+
+    def test_damped_oscillation_keeps_every_extremum(self):
+        # every turning point stays a suffix extremum: the O(k^2) case, with the
+        # block height cut so that a block matrix stays within its cell budget
+        k = 3000
+        values = (-1.0) ** np.arange(k) / np.arange(1.0, k + 1)
+        assert_same_as_oracle(values, 2.0)
+
+    def test_vector_path_with_capped_blocks(self):
+        assert_same_as_oracle(_path(4, 1500, 2, 0.0, 0.05), 1.5)
+
+    def test_rounding_tie_goes_to_a_kept_candidate(self):
+        # the first swing puts V near 1e18, where one ulp is 128, so the last
+        # row's candidates tie after rounding; the full program takes point 3
+        # (u = 1), the earliest, but it is not a suffix extremum of the points
+        # before the last, and the pruned program takes point 4 (u = -1)
+        v = [-999998.0, 2.0, -3.0, 1.0, -1.0, -1.0, 2.0, -1.0]
+        got, want = sk.gamma_variation(v, 3.0), ref.gamma_variation(v, 3.0)
+        assert got.value == want.value
+        np.testing.assert_array_equal(want.partition, [0, 1, 2, 3, 7])
+        np.testing.assert_array_equal(got.partition, [0, 1, 2, 3, 4, 7])
+        assert got.reevaluate(v) == want.reevaluate(v) == got.value
 
 
 class TestVariationExperiment:

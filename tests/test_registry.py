@@ -10,6 +10,7 @@ from symbolkit import coefficients as co
 from symbolkit.cli import main
 from symbolkit.levy import (DensityForm, FiniteActivity, LevyModel, LevyTriplet, exponential,
                             normal_law, tempered_power, uniform_law)
+from symbolkit.symbols import mixed_power_symbol, power_law_symbol, stable_like_symbol
 
 XS = np.linspace(-3.0, 3.0, 13)
 XIS = np.array([-7.5, -1.0, -0.25, 0.0, 0.5, 2.0, 30.0])
@@ -128,3 +129,42 @@ def test_tempered_driver_density_is_bit_identical(alpha, decay):
         for v in (y, -y, np.float64(y)):
             got, want = density(v), parent(v)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (v, got, want)
+
+
+SYMBOLS = [
+    ("power_law", {"alpha": 1.5, "coeff": 3.0}, lambda: power_law_symbol(1.5, 3.0)),
+    ("mixed_power", {"terms": [[1.0, 0.7], [2.0, 1.6]]},
+     lambda: mixed_power_symbol([(1.0, 0.7), (2.0, 1.6)])),
+    ("stable_like", {}, lambda: stable_like_symbol(catalog.default_stable_like_alpha)),
+]
+
+
+@pytest.mark.parametrize("name,params,direct", SYMBOLS, ids=[s[0] for s in SYMBOLS])
+def test_symbol_spec_is_the_constructor(name, params, direct):
+    built = catalog.resolve_symbol({"name": name, "params": params})
+    xs, xis = np.repeat(XS, XIS.size)[:, None], np.tile(XIS, XS.size)[:, None]
+    np.testing.assert_array_equal(built.many(xs, xis), direct().many(xs, xis))
+
+
+def test_symbol_catalog_is_covered():
+    assert sorted(name for name, _, _ in SYMBOLS) == sorted(catalog._SYMBOLS)
+
+
+MISSPELLED_SYMBOLS = {
+    "power_law-coef": {"name": "power_law", "params": {"alpha": 1.5, "coef": 3.0}},
+    "power_law-d": {"name": "power_law", "params": {"alpha": 1.5, "d": 2}},
+    "mixed_power-term": {"name": "mixed_power", "params": {"term": [[1.0, 0.7]]}},
+    "stable_like-params": {"name": "stable_like", "params": {"alpha": 1.5}},
+    "unknown-name": {"name": "powerlaw", "params": {"alpha": 1.5}},
+}
+
+
+@pytest.mark.parametrize("which", sorted(MISSPELLED_SYMBOLS))
+def test_misspelled_symbol_exits_2(which, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"symbol": MISSPELLED_SYMBOLS[which], "x_grid": [0.0]}))
+    out = tmp_path / "out"
+    assert main(["indices", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+    assert not (out / "results.json").exists()
