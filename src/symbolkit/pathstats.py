@@ -160,6 +160,8 @@ def gamma_variation(values, gamma: float) -> VariationResult:
     m = pts.shape[0]
     if m < 2:
         raise ValueError("need at least two grid values")
+    if not np.isfinite(pts).all():
+        raise ValueError("path values must be finite (NaN or inf sample)")
 
     if gamma <= 1.0:
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)

@@ -46,6 +46,8 @@ class SymbolField:
     ``batch_fn((m,d), (m,d)) -> (m,)`` complex; a point call ``p(x, xi)`` is
     row 0 of the one-row batch.  Every symbol here is negative definite, so
     p(x,-xi) = conj p(x,xi) and integrators may fold Re p to one half-line.
+    The index searches in ``indices`` depend on this holding bit for bit for
+    Re p and |p|: they evaluate p on nonnegative directions only.
     """
 
     batch_fn: Callable

@@ -59,6 +59,22 @@ class TestGammaVariation:
         with pytest.raises(ValueError):
             sk.gamma_variation([1.0], 2.0)
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0, np.nan, 0.5, 2.0],         # the reduction used to step over the NaN
+        [0.0, np.nan, 1.0],
+        [0.0, np.inf, 1.0],
+        [-np.inf, 0.0],
+        [[0.0, 0.0], [1.0, np.nan], [0.5, 2.0]],
+        [[0.0, 0.0], [1.0, 1.0], [-np.inf, 2.0], [0.5, 0.5]],
+    ])
+    def test_nonfinite_sample_rejected(self, values, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            sk.gamma_variation(values, gamma)
+        if np.ndim(values) == 1:
+            with pytest.raises(ValueError, match="finite"):
+                sk.gamma_variation(np.asarray(values)[:, None], gamma)
+
     def test_dp_equals_brute_force(self):
         rng = np.random.default_rng(99)
         for trial in range(100):
