@@ -122,7 +122,7 @@ class AtomLaw:
             rows = slice(c0, c0 + CHUNK_ROWS)
             conjugates = {}
             for k, (y, p) in enumerate(zip(pos, self.probabilities)):
-                phase = xi[rows] @ y if small[k] or k not in partner else None
+                phase = row_dot(xi[rows], y) if small[k] or k not in partner else None
                 if k in partner:
                     term = conjugates.pop(partner[k])
                 else:
@@ -676,6 +676,19 @@ def expi(phase, out: Optional[np.ndarray] = None) -> np.ndarray:
     np.add(phase, 0.0, out=out.imag)
     np.sin(out.imag, out=out.imag)
     return out
+
+
+def row_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The phases rows @ v of rows (k, d) and v (d,); in d = 1 the elementwise product.
+
+    The product costs a fifth of the matmul.  The two differ only where the
+    phase is zero: the matmul adds the product to +0.0, so it returns +0
+    where the product is -0.  Callers feed the phase to ``expi`` (cos is
+    even, and the sine is taken of phase + 0.0) or subtract 1j * phase from
+    cos(phase) - 1, whose +0 absorbs the real part's +-0, so the sign never
+    reaches a result.
+    """
+    return rows[:, 0] * v[0] if v.shape[0] == 1 else rows @ v
 
 
 def _fixed_node_exponent(nodes: Optional["JumpNodes"], rate: float, x1: np.ndarray,

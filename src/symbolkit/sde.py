@@ -8,7 +8,11 @@ drawn positions, each with the coefficient evaluated at the running pre-jump
 state.  That keeps the X_{t-} convention visible at jump times: for
 dX = -X_- dN the first jump sends the path to zero and every later jump has
 zero effect.  Jump times are snapped to the end of the step they fall in, so
-every recorded jump sits on the grid.
+every recorded jump sits on the grid.  Across paths the jumps go in rounds:
+paths with one jump are updated together, and paths with several take their
+r-th jump in round r, with one coefficient call per block and round.  The
+batched product rounds as the point product ``fld(x) @ y`` would, so the
+result is the path-by-path one bit for bit.
 
 There is one stepping rule, ``_advance_chunk``, which steps a chunk of paths
 at once.  ``simulate_ensemble`` runs it on chunks of paths and keeps only the
@@ -18,7 +22,8 @@ as (grid time, state-space effect).  The engine keeps these invariants:
 
 - the chunk's state array is updated in place, with no per-step copy;
 - a path that has left the stop ball is frozen: later steps still draw its
-  variates but change neither its state nor its running maximum;
+  variates but change neither its state nor its running maximum (kept only
+  when ``record_max_steps`` asks for it);
 - each chunk owns seed-derived generators addressed by (master seed, caller
   key, chunk index, block index), one per block, and ``_step_samples``, the
   one step-draw helper, hands ``_advance_chunk`` each step's draws.  A block
@@ -258,15 +263,23 @@ def _apply_jumps(x, active, blocks, steps, record, t):
     """Apply one step's jumps; a path's jumps go one at a time, in position order.
 
     Each jump is applied with the coefficient at the running pre-jump state.
-    Paths with a single jump are updated together, block by block.
+    Paths with a single jump are updated together, block by block.  Paths
+    with several jumps go in rounds: round r applies the r-th jump, in the
+    order (position, block, draw), of every such path, with one ``many``
+    call per block.  Its effect is the batched ``np.matmul`` of phi and the
+    jump column, which rounds as the point product ``fld(x) @ y`` does: the
+    sum starts from +0.0 when n = 1 and adds the n products in the same
+    order when n > 1 (``einsum`` does not).
     """
     counts = steps[0].jump_counts if len(steps) == 1 else sum(s.jump_counts for s in steps)
-    jumpers = []                    # per block: paths with jumps, index of their first
-    for (fld, _), s in zip(blocks, steps):
+    multi = counts > 1
+    if active is not None:
+        multi &= active
+    path, pos, blk, row = [], [], [], []     # every jump of the multi-jump paths
+    for j, ((fld, _), s) in enumerate(zip(blocks, steps)):
         ids = (s.jump_counts > 0).nonzero()[0]
         c = s.jump_counts[ids]
         first = np.cumsum(c) - c
-        jumpers.append((ids, first))
         single = counts[ids] == 1
         if active is not None:
             single &= active[ids]
@@ -277,25 +290,32 @@ def _apply_jumps(x, active, blocks, steps, record, t):
             if record is not None:
                 effect += 0.0   # recorded as fld(x) @ y rounds: -0.0 becomes +0.0
                 record.extend((t, e) for e in effect)
-    multi = np.unique(np.concatenate([ids[counts[ids] > 1] for ids, _ in jumpers]))
-    if active is not None:
-        multi = multi[active[multi]]
-    for i in multi:
-        tagged = []
-        for j, (s, (ids, first)) in enumerate(zip(steps, jumpers)):
-            k = np.searchsorted(ids, i)
-            if k < ids.size and ids[k] == i:
-                lo = first[k]
-                tagged.extend((float(s.jump_positions[q]), j, s.jump_values[q])
-                              for q in range(lo, lo + s.jump_counts[i]))
-        tagged.sort(key=lambda item: (item[0], item[1]))
-        xi = x[i]
-        for _, j, vec in tagged:
-            effect = blocks[j][0](xi) @ vec
-            xi = xi + effect
+        sel = multi[ids]
+        if sel.any():
+            c = c[sel]
+            q = np.arange(c.sum()) + np.repeat(first[sel] - (np.cumsum(c) - c), c)
+            path.append(np.repeat(ids[sel], c))
+            pos.append(s.jump_positions[q])
+            blk.append(np.full(q.size, j))
+            row.append(q)
+    if not path:
+        return
+    path, pos, blk, row = map(np.concatenate, (path, pos, blk, row))
+    order = np.lexsort((blk, pos, path))         # stable: a tie keeps the draw order
+    path, blk, row = path[order], blk[order], row[order]
+    starts = np.flatnonzero(np.diff(path, prepend=-1))
+    rank = np.arange(path.size) - np.repeat(starts, np.diff(starts, append=path.size))
+    for r in range(rank.max() + 1):
+        now = rank == r
+        for j, ((fld, _), s) in enumerate(zip(blocks, steps)):
+            sel = now & (blk == j)
+            if not sel.any():
+                continue
+            k = path[sel]
+            effect = np.matmul(fld.many(x[k]), s.jump_values[row[sel], :, None])[:, :, 0]
+            x[k] += effect
             if record is not None:
-                record.append((t, effect))
-        x[i] = xi
+                record.extend((t, e) for e in effect)
 
 
 def _check_overflow(x, active, k, n_steps):
@@ -327,8 +347,8 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
     x = np.tile(x0, (m, 1))
     inc, tmp = np.empty((m, d)), np.empty((m, d))
     active = None                   # None until the first path exits
-    maxdist = np.zeros(m)
     records = np.zeros((len(record_steps), m)) if len(record_steps) else None
+    maxdist = np.zeros(m) if records is not None else None     # nothing reads it otherwise
     rec_pos = {int(s): i for i, s in enumerate(record_steps)}
     stop_at_x0 = stop_radius is not None and np.array_equal(stop_center, x0)
     draws = _step_samples(blocks, dt, n_steps, m, rngs)
@@ -337,8 +357,10 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
         _check_overflow(x, active, k, n_steps)
         # a frozen path keeps its distances, so it needs no mask here: its
         # maximum already holds its distance, and it stays outside the ball
-        dist = _row_norms(np.subtract(x, x0, out=inc))
-        np.maximum(maxdist, dist, out=maxdist)
+        if records is not None or stop_at_x0:
+            dist = _row_norms(np.subtract(x, x0, out=inc))
+        if records is not None:
+            np.maximum(maxdist, dist, out=maxdist)
         if stop_radius is not None:
             dstop = dist if stop_at_x0 else _row_norms(np.subtract(x, stop_center, out=tmp))
             gone = dstop > stop_radius

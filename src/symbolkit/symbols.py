@@ -29,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import DimensionMismatch, NonConvergence, QuadratureFailure
-from .levy import CHUNK_ROWS, CharacteristicExponent, LevyTriplet, expi
+from .levy import CHUNK_ROWS, CharacteristicExponent, LevyTriplet, expi, row_dot
 from .quadrature import integrate_checked
 from .sde import SdeModel, simulate_ensemble
 from .seeding import TAG_SYMBOL_MC
@@ -239,7 +239,7 @@ def _values_for_xi(terminal, x, xi, t):
     out = np.empty(terminal.shape[0], dtype=complex)
     for c0 in range(0, out.shape[0], CHUNK_ROWS):
         e = out[c0:c0 + CHUNK_ROWS]
-        expi((terminal[c0:c0 + CHUNK_ROWS] - x) @ xi, out=e)
+        expi(row_dot(terminal[c0:c0 + CHUNK_ROWS] - x, xi), out=e)
         e -= 1.0
         np.negative(e, out=e)
         e /= t

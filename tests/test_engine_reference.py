@@ -46,6 +46,21 @@ def _multi_spec():
                             (co.sine(0.5, 1.0), catalog.bm_driver())])
 
 
+def _burst_spec():
+    # rates of hundreds: a step of 0.025 often carries 8 or more jumps on one path
+    return MultiDriverSpec([(co.bump(0.5, 1.0), catalog.compound_poisson_pm1(rate=300.0)),
+                            (co.tanh_field(0.0, 0.2), catalog.poisson_unit(rate=150.0)),
+                            (co.sine(0.5, 1.0), catalog.bm_driver())])
+
+
+def _planar_burst_model():
+    model = _planar_model()
+    law = model.driver.triplet.levy_measure.law
+    driver = LevyModel(LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]],
+                                   FiniteActivity(400.0, law)))
+    return _model(driver, model.coefficient, model.drift_coefficient)
+
+
 CASES = {name: (lambda name=name: (catalog.MODEL_CATALOG[name](), 0.0))
          for name in catalog.MODEL_CATALOG}
 CASES["feller_demo"] = lambda: (catalog.feller_demo_model(), 5.0)
@@ -64,6 +79,14 @@ CASES.update({
     "column": lambda: (_column_model(), np.array([0.0, 1.0])),
     "multi": lambda: (_multi_spec(), 0.0),
 })
+# name -> (model, x0, a stop radius that some but not all paths leave); multi-jump
+# steps take the rounds of sde._apply_jumps
+BURSTS = {
+    "burst": lambda: (_model(catalog.compound_poisson_pm1(rate=400.0), co.bump(0.5, 1.0)),
+                      0.0, 8.0),
+    "burst_multi": lambda: (_burst_spec(), 0.0, 10.0),
+    "burst_planar": lambda: (_planar_burst_model(), np.array([0.3, -0.1]), 80.0),
+}
 
 
 def _blocks(model):
@@ -97,6 +120,70 @@ def test_ensemble_matches_reference(case, threads):
         _assert_same_ensemble(got, want)
         assert want.exited.any() == ("stop_radius" in stop
                                      and case not in ("zero_coefficient", "tiny_coefficient"))
+
+
+def _first_step_counts(model, dt, m, key):
+    """Jumps per path in the first step of chunk 0, drawn as the engines draw them."""
+    return sum(ref.sample_step_ensemble(drv.triplet, dt, m, sk.seeding.rng_at(*key, j)).jump_counts
+               for j, (_, drv) in enumerate(model.blocks()))
+
+
+@pytest.mark.parametrize("case", sorted(BURSTS))
+def test_burst_cases_reach_eight_jumps_in_a_step(case):
+    # the first step of the ensemble and the dense runs below
+    model, _, _ = BURSTS[case]()
+    assert _first_step_counts(model, 0.25 / 10, 200, (2, 7, 3, 0)).max() >= 8
+    assert _first_step_counts(model, 1.0 / 64, 16, (5, 3, 0, 6, 0)).max() >= 8
+
+
+@pytest.mark.parametrize("stopped", [False, True])
+@pytest.mark.parametrize("case", sorted(BURSTS))
+def test_burst_ensemble_matches_reference(case, stopped):
+    model, x0, radius = BURSTS[case]()
+    blocks, drift = _blocks(model)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    kwargs = dict(base_key=(7, 3), stop_radius=radius if stopped else None,
+                  record_max_steps=[3, 10], chunk_size=200, threads=2)
+    got = simulate_ensemble(blocks, drift, x0, 0.25, 10, 400, 2, **kwargs)
+    want = ref.simulate_ensemble(blocks, drift, x0, 0.25, 10, 400, 2, **kwargs)
+    _assert_same_ensemble(got, want)
+    assert (0.0 < want.exited.mean() < 1.0) == stopped
+
+
+@pytest.mark.parametrize("case", sorted(BURSTS))
+def test_burst_dense_matches_reference(case):
+    model, x0, _ = BURSTS[case]()
+    blocks, drift = _blocks(model)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    got = simulate_paths_dense(blocks, drift, x0, 1.0, 64, 16, 5, base_key=(3, 0, 6))
+    want = ref.simulate_paths_dense(blocks, drift, x0, 1.0, 64, 16, 5, base_key=(3, 0, 6))
+    assert _same_bits(got, want)
+
+
+def test_multi_jump_step_takes_rounds_not_point_calls(monkeypatch):
+    spec = _burst_spec()
+    blocks = spec.blocks()
+    steps = [drv.sample_step_ensemble(0.01, 500, sk.seeding.rng_at(8, j))
+             for j, (_, drv) in enumerate(blocks)]
+    counts = sum(s.jump_counts for s in steps)
+    assert counts.max() >= 8 and (counts == 1).any()
+    calls = {"point": 0, "many": 0}
+    point, many = CoefficientField.__call__, CoefficientField.many
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CoefficientField, "__call__", counted("point", point))
+    monkeypatch.setattr(CoefficientField, "many", counted("many", many))
+    x = np.linspace(-1.0, 1.0, 500)[:, None]
+    record = []
+    sk.sde._apply_jumps(x, None, blocks, steps, record, 0.01)
+    assert calls["point"] == 0
+    assert calls["many"] <= counts.max() * len(blocks) + len(blocks)
+    assert len(record) == counts.sum()
 
 
 def test_exits_happen_mid_run():
