@@ -125,19 +125,21 @@ MODEL_CATALOG = {
 AGREEMENT_MODELS = ("bm_bump", "cp_tanh", "stable_sin", "bm_bump_drift")
 
 
+def _explicit_model(*, coefficient, driver, drift_coefficient=None, label="sde") -> SdeModel:
+    phi = coeff.from_dict(coefficient)
+    drift = coeff.from_dict(drift_coefficient) if drift_coefficient else None
+    return SdeModel(coefficient=phi, driver=resolve_driver(driver), drift_coefficient=drift,
+                    name=label)
+
+
 def resolve_model(spec: dict) -> SdeModel:
-    """{"name": catalog} or {"coefficient": ..., "driver": ..., "drift_coefficient"?}."""
-    if "name" in spec and "driver" not in spec:
-        name = spec["name"]
-        if name not in MODEL_CATALOG:
-            raise ValueError(f"unknown model {name!r}; catalog: {sorted(MODEL_CATALOG)}")
-        return MODEL_CATALOG[name]()
-    phi = coeff.from_dict(spec["coefficient"])
-    drift = (coeff.from_dict(spec["drift_coefficient"])
-             if spec.get("drift_coefficient") else None)
-    driver = resolve_driver(spec["driver"])
-    return SdeModel(coefficient=phi, driver=driver, drift_coefficient=drift,
-                    name=spec.get("label", "sde"))
+    """{"name": catalog} or {"coefficient": ..., "driver": ..., "drift_coefficient"?, "label"?}."""
+    if "name" not in spec:
+        return _explicit_model(**spec)
+    name = spec["name"]
+    if name not in MODEL_CATALOG:
+        raise ValueError(f"unknown model {name!r}; catalog: {sorted(MODEL_CATALOG)}")
+    return MODEL_CATALOG[name](**{k: v for k, v in spec.items() if k != "name"})
 
 
 # --------------------------------------------------------------------------

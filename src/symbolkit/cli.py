@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -38,27 +39,32 @@ from .indices import (build_index_report, g_identity_check,
 from .pathstats import growth_experiment, variation_experiment
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
-from .symbols import (frozen_triplet, gaussian_bump, generator_apply_fourier,
-                      generator_apply_integro, symbol_from_exponent, symbol_mc_table,
-                      symbol_of_model)
-
-KINDS = ("simulate", "symbol-analytic", "symbol-estimate", "symbol-compare",
-         "generator-check", "indices", "index-transfer", "variation",
-         "growth", "g-identity", "bound-diagnostic", "feller-demo")
-
+from .symbols import (DEFAULT_LADDER, frozen_triplet, gaussian_bump,
+                      generator_apply_fourier, generator_apply_integro, symbol_from_exponent,
+                      symbol_mc_table, symbol_of_model)
 
 # --------------------------------------------------------------------------
 # config helpers
 
 
-def _require(cfg: dict, key: str, kinds, kind_name: str):
-    if key not in cfg:
-        raise ConfigError(f"{kind_name}: missing required field {key!r}", field=key)
-    value = cfg[key]
-    if kinds is not None and not isinstance(value, kinds):
-        raise ConfigError(
-            f"{kind_name}: field {key!r} has type {type(value).__name__}", field=key)
-    return value
+def _call(fn, spec, where: str, *args):
+    """fn(*args, **spec): fn's keyword-only parameters are the keys of the JSON object spec.
+
+    An unknown or missing key is a ConfigError naming it, and so is a key with a
+    bool default that is given anything but true or false.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object", field=where)
+    params = [p for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    unknown = sorted(set(spec) - {p.name for p in params})
+    missing = [p.name for p in params if p.default is p.empty and p.name not in spec]
+    not_bool = [p.name for p in params if isinstance(p.default, bool)
+                and p.name in spec and not isinstance(spec[p.name], bool)]
+    for keys, what in ((unknown, "unknown key(s) {}"), (missing, "missing required key(s) {}"),
+                       (not_bool, "key(s) {} must be true or false")):
+        if keys:
+            raise ConfigError(f"{where}: " + what.format(keys), field=keys[0])
+    return fn(*args, **spec)
 
 
 def _jsonable(obj):
@@ -108,51 +114,47 @@ def _config_hash(config: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# kind handlers: (cfg, seed, threads, outdir) -> (results, csv_header, csv_rows, extra),
-# extra being None or a writer of further files.  The CSV rows are _rows(records,
+# kind handlers: (seed, threads, /, **config) -> (results, csv_header, csv_rows, extra),
+# extra being None or a writer of further files.  A handler's keyword-only parameters
+# are its kind's config keys, with their defaults.  The CSV rows are _rows(records,
 # header) of the kind's one record list, unless its columns are not record keys.
 
 
-def _grid(cfg, key, kind, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"{kind}: missing required field {key!r}", field=key)
-        return list(default)
-    vals = cfg[key]
-    if not isinstance(vals, list) or not vals:
-        raise ConfigError(f"{kind}: field {key!r} must be a nonempty list", field=key)
-    return vals
+def _grid(vals, key: str) -> list:
+    if not isinstance(vals, (list, tuple)) or not vals:
+        raise ConfigError(f"field {key!r} must be a nonempty list", field=key)
+    return list(vals)
 
 
-def _ref(cfg, key, kind):
+def _ref(spec, key: str) -> dict:
     """Inline JSON object or a path to a JSON file holding one."""
-    spec = _require(cfg, key, (dict, str), kind)
-    return _load_object(spec, key) if isinstance(spec, str) else spec
+    if isinstance(spec, str):
+        return _load_object(spec, key)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"field {key!r} has type {type(spec).__name__}", field=key)
+    return spec
 
 
-def _estimator_block(cfg, kind):
-    est = cfg.get("estimator", {})
-    if not isinstance(est, dict):
-        raise ConfigError(f"{kind}: 'estimator' must be an object", field="estimator")
-    est = dict(est)
-    block = {
-        "t_ladder": tuple(est.pop("t_ladder", (0.04, 0.02, 0.01, 0.005))),
-        "paths_per_rung": int(est.pop("paths", 10_000)),
-        "radius": est.pop("R", None),
-        "steps_per_rung": int(est.pop("steps_per_rung", 10)),
-        "check_radius": bool(est.pop("check_radius", True)),
-    }
-    if est:
-        raise ConfigError(f"{kind}: unknown estimator key(s) {sorted(est)}", field="estimator")
-    return block
+def _model(spec):
+    return resolve_model(_ref(spec, "model"))
 
 
-def _kind_simulate(cfg, seed, threads, outdir):
-    model = resolve_model(_ref(cfg, "model", "simulate"))
-    x0 = cfg.get("x0", 0.0)
-    horizon = float(_require(cfg, "horizon", (int, float), "simulate"))
-    step = float(_require(cfg, "step", (int, float), "simulate"))
-    path = simulate_path(model, x0, horizon, step, seed)
+def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=10,
+               check_radius=True) -> dict:
+    """symbol_mc_table's keywords from the estimator block."""
+    return {"t_ladder": tuple(t_ladder), "paths_per_rung": int(paths), "radius": R,
+            "steps_per_rung": int(steps_per_rung), "check_radius": check_radius}
+
+
+def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
+    est = _call(_estimator, estimator, "estimator")
+    xs = [float(v) for v in _grid(x_grid, "x_grid")]
+    xis = [float(v) for v in _grid(xi_grid, "xi_grid")]
+    return symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est)
+
+
+def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=False):
+    path = simulate_path(_model(model), x0, float(horizon), float(step), seed)
     header = ["t"] + [f"x_{j + 1}" for j in range(path.d)]
     rows = [[t] + list(state) for t, state in zip(path.times, path.states)]
     results = {
@@ -163,19 +165,18 @@ def _kind_simulate(cfg, seed, threads, outdir):
     }
 
     def extra(outdir):
-        if cfg.get("binary", False):
+        if binary:
             with open(outdir / "path.bin", "wb") as fh:
                 path_to_binary(path, fh)
 
     return results, header, rows, extra
 
 
-def _kind_symbol_analytic(cfg, seed, threads, outdir):
-    model = resolve_model(_ref(cfg, "model", "symbol-analytic"))
-    p = symbol_of_model(model)
+def _kind_symbol_analytic(seed, threads, /, *, model, x_grid, xi_grid):
+    p = symbol_of_model(_model(model))
     records = []
-    for x in _grid(cfg, "x_grid", "symbol-analytic"):
-        for xi in _grid(cfg, "xi_grid", "symbol-analytic"):
+    for x in _grid(x_grid, "x_grid"):
+        for xi in _grid(xi_grid, "xi_grid"):
             val = p(np.atleast_1d(float(x)), np.atleast_1d(float(xi)))
             records.append({"x": x, "xi": xi, "re": val.real, "im": val.imag})
     header = ["x", "xi", "re", "im"]
@@ -200,12 +201,8 @@ def _mc_records(estimates):
     return records
 
 
-def _kind_symbol_estimate(cfg, seed, threads, outdir):
-    model = resolve_model(_ref(cfg, "model", "symbol-estimate"))
-    est = _estimator_block(cfg, "symbol-estimate")
-    xs = [float(v) for v in _grid(cfg, "x_grid", "symbol-estimate")]
-    xis = [float(v) for v in _grid(cfg, "xi_grid", "symbol-estimate")]
-    records = _mc_records(symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est))
+def _kind_symbol_estimate(seed, threads, /, *, model, x_grid, xi_grid, estimator={}):
+    records = _mc_records(_mc_table(_model(model), x_grid, xi_grid, estimator, seed, threads))
     rows = [[e["x"], e["xi"], e["re"], e["im"], e["se"],
              e["r_check"]["consistent"] if e["r_check"] else True]
             for e in records]
@@ -213,14 +210,11 @@ def _kind_symbol_estimate(cfg, seed, threads, outdir):
             ["x", "xi", "re", "im", "se", "r_consistent"], rows, None)
 
 
-def _kind_symbol_compare(cfg, seed, threads, outdir):
-    model = resolve_model(_ref(cfg, "model", "symbol-compare"))
+def _kind_symbol_compare(seed, threads, /, *, model, x_grid, xi_grid, estimator={}):
+    model = _model(model)
     p = symbol_of_model(model)
-    est = _estimator_block(cfg, "symbol-compare")
-    xs = [float(v) for v in _grid(cfg, "x_grid", "symbol-compare")]
-    xis = [float(v) for v in _grid(cfg, "xi_grid", "symbol-compare")]
     records = []
-    for e in symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est):
+    for e in _mc_table(model, x_grid, xi_grid, estimator, seed, threads):
         exact = p(e.x, e.xi)
         err = abs(e.estimate - exact)
         tol = max(3.0 * e.se, 0.05 * (1.0 + abs(exact)))
@@ -237,12 +231,12 @@ def _kind_symbol_compare(cfg, seed, threads, outdir):
             header, _rows(records, header), None)
 
 
-def _kind_generator_check(cfg, seed, threads, outdir):
-    model = resolve_model(_ref(cfg, "model", "generator-check"))
-    u = gaussian_bump(**cfg.get("test_function", {}))
+def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
+    model = _model(model)
+    u = gaussian_bump(**test_function)
     p = symbol_of_model(model)
     records = []
-    for x in _grid(cfg, "x_grid", "generator-check"):
+    for x in _grid(x_grid, "x_grid"):
         xv = np.atleast_1d(float(x))
         trip = frozen_triplet(model.driver.triplet, model.coefficient, xv,
                               model.drift_coefficient)
@@ -260,27 +254,24 @@ def _kind_generator_check(cfg, seed, threads, outdir):
             header, _rows(records, header), None)
 
 
-def _kind_indices(cfg, seed, threads, outdir):
-    symbol = resolve_symbol(_require(cfg, "symbol", dict, "indices"))
-    xs = [float(v) for v in _grid(cfg, "x_grid", "indices", default=[0.0])]
-    box = cfg.get("x_box")
+def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_max=1e8,
+                  r_max=1e4, r_table=(0.1, 1.0, 10.0, 100.0), compute_beta0=True):
     report = build_index_report(
-        symbol, xs,
-        eta_max=float(cfg.get("eta_max", 1e8)),
-        r_max=float(cfg.get("r_max", 1e4)),
-        x_box=tuple(box) if box else None,
-        r_table=[float(v) for v in cfg.get("r_table", (0.1, 1.0, 10.0, 100.0))],
-        compute_beta0=bool(cfg.get("compute_beta0", True)))
+        resolve_symbol(symbol), [float(v) for v in _grid(x_grid, "x_grid")],
+        eta_max=float(eta_max), r_max=float(r_max),
+        x_box=tuple(x_box) if x_box else None,
+        r_table=[float(v) for v in r_table],
+        compute_beta0=compute_beta0)
     rows = [[r, h_up, h_low] for r, h_up, h_low in report.functional_table]
     return report.to_dict(), ["R", "H", "h"], rows, None
 
 
-def _kind_index_transfer(cfg, seed, threads, outdir):
-    driver = resolve_driver(_ref(cfg, "driver", "index-transfer"))
-    phi = coeff.from_dict(_require(cfg, "coefficient", dict, "index-transfer"))
-    xs = [float(v) for v in _grid(cfg, "x_grid", "index-transfer")]
+def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_max=1e8):
+    driver = resolve_driver(_ref(driver, "driver"))
+    phi = coeff.from_dict(coefficient)
+    xs = [float(v) for v in _grid(x_grid, "x_grid")]
     report = index_transfer_check(symbol_from_exponent(driver.exponent), phi, xs,
-                                  eta_max=float(cfg.get("eta_max", 1e8)))
+                                  eta_max=float(eta_max))
     rows = [[x, b, abs(b - report.beta_driver)] for x, b in report.per_x]
     return ({"beta_driver": report.beta_driver,
              "per_x": [{"x": x, "beta": b} for x, b in report.per_x],
@@ -288,27 +279,24 @@ def _kind_index_transfer(cfg, seed, threads, outdir):
             ["x", "beta_inf", "deviation"], rows, None)
 
 
-def _kind_variation(cfg, seed, threads, outdir):
-    model = resolve_model(_ref(cfg, "model", "variation"))
+def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horizon=1.0,
+                    x0=0.0):
     records = [vars(r) for r in variation_experiment(
-        model,
-        [float(g) for g in _grid(cfg, "gammas", "variation")],
-        [int(k) for k in _grid(cfg, "levels", "variation")],
-        int(cfg.get("trials", 16)), seed,
-        horizon=float(cfg.get("horizon", 1.0)), x0=cfg.get("x0", 0.0))]
+        _model(model),
+        [float(g) for g in _grid(gammas, "gammas")],
+        [int(k) for k in _grid(levels, "levels")],
+        int(trials), seed, horizon=float(horizon), x0=x0)]
     header = ["gamma", "level", "median", "q25", "q75"]
     return {"rows": records}, header, _rows(records, header), None
 
 
-def _kind_growth(cfg, seed, threads, outdir):
-    model = resolve_model(_ref(cfg, "model", "growth"))
+def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large=(),
+                 paths=2000, steps_per_run=256):
     profile = growth_experiment(
-        model, float(cfg.get("x", 0.0)),
-        [float(v) for v in _grid(cfg, "lambdas", "growth")],
-        [float(v) for v in _grid(cfg, "t_small", "growth", default=[])],
-        [float(v) for v in _grid(cfg, "t_large", "growth", default=[])],
-        int(cfg.get("paths", 2000)), seed,
-        steps_per_run=int(cfg.get("steps_per_run", 256)), threads=threads)
+        _model(model), float(x),
+        [float(v) for v in _grid(lambdas, "lambdas")],
+        [float(v) for v in t_small], [float(v) for v in t_large],
+        int(paths), seed, steps_per_run=int(steps_per_run), threads=threads)
     records = [{"window": r.window, "t": r.t, "lambda": r.lam,
                 "median_max": r.median_max, "scaled": r.scaled} for r in profile.rows]
     header = ["window", "t", "lambda", "median_max", "scaled"]
@@ -318,10 +306,10 @@ def _kind_growth(cfg, seed, threads, outdir):
             header, _rows(records, header), None)
 
 
-def _kind_g_identity(cfg, seed, threads, outdir):
-    d = int(cfg.get("d", 1))
-    if "y_grid" in cfg:
-        ys = [np.asarray(y, dtype=float) for y in cfg["y_grid"]]
+def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
+    d = int(d)
+    if y_grid is not None:
+        ys = [np.asarray(y, dtype=float) for y in y_grid]
     elif d == 1:
         ys = list(np.linspace(-10.0, 10.0, 41))
     elif d == 2:
@@ -334,21 +322,24 @@ def _kind_g_identity(cfg, seed, threads, outdir):
     return results, header, _rows([results], header), None
 
 
-def _kind_bound_diagnostic(cfg, seed, threads, outdir):
-    if "model" in cfg:
-        model = resolve_model(_ref(cfg, "model", "bound-diagnostic"))
+def _kind_bound_diagnostic(seed, threads, /, *, model=None, driver=None, box=(-1.0, 1.0),
+                           xi_max=100.0):
+    if (model is None) == (driver is None):
+        raise ConfigError("bound-diagnostic: need exactly one of 'model' and 'driver'",
+                          field="model")
+    if not isinstance(box, (list, tuple)) or len(box) != 2:
+        raise ConfigError("bound-diagnostic: 'box' must hold exactly two numbers", field="box")
+    if model is not None:
+        model = _model(model)
         p = symbol_of_model(model)
         trip_field = lambda x: frozen_triplet(model.driver.triplet, model.coefficient, x,
                                               model.drift_coefficient)
-    elif "driver" in cfg:
-        driver = resolve_driver(cfg["driver"])
+    else:
+        driver = resolve_driver(driver)
         p = symbol_from_exponent(driver.exponent)
         trip_field = lambda x: driver.triplet
-    else:
-        raise ConfigError("bound-diagnostic: need 'model' or 'driver'", field="model")
-    box = cfg.get("box", [-1.0, 1.0])
     diag = symbol_bound_diagnostic(p, trip_field, (float(box[0]), float(box[1])),
-                                   xi_max=float(cfg.get("xi_max", 100.0)))
+                                   xi_max=float(xi_max))
     return (vars(diag), ["c_p", "triplet_norm", "unit_sup", "slack", "consistent"],
             [[diag.c_p, diag.triplet_norm, diag.unit_sup,
               diag.subadditivity_slack, diag.consistent]], None)
@@ -376,11 +367,10 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
             "frequency_at_zero": float(np.mean(terminal == 0.0))}
 
 
-def _kind_feller_demo(cfg, seed, threads, outdir):
-    report = feller_demo(
-        float(cfg.get("t0", np.log(2.0))), int(cfg.get("trials", 100_000)), seed,
-        x0=float(cfg.get("x0", 5.0)), steps=int(cfg.get("steps", 16)),
-        threads=threads)
+def _kind_feller_demo(seed, threads, /, *, t0=math.log(2.0), trials=100_000, x0=5.0,
+                      steps=16):
+    report = feller_demo(float(t0), int(trials), seed, x0=float(x0), steps=int(steps),
+                         threads=threads)
     header = ["t0", "trials", "frequency", "ci_low", "ci_high", "expected"]
     return report, header, _rows([report], header), None
 
@@ -399,6 +389,7 @@ _HANDLERS = {
     "bound-diagnostic": _kind_bound_diagnostic,
     "feller-demo": _kind_feller_demo,
 }
+KINDS = tuple(_HANDLERS)
 
 
 # --------------------------------------------------------------------------
@@ -413,9 +404,10 @@ def run_config(kind: str, config: dict, seed: int, outdir, threads: int = 1) -> 
         raise ConfigError("a master seed is required (config 'seed' or --seed)",
                           field="seed")
     outdir = Path(outdir)
+    keys = {key: value for key, value in config.items() if key != "seed"}
     t0 = time.monotonic()
     try:
-        results, header, rows, extra = _HANDLERS[kind](config, int(seed), threads, outdir)
+        results, header, rows, extra = _call(_HANDLERS[kind], keys, kind, int(seed), threads)
     except (ConfigError, SymbolkitError):
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:

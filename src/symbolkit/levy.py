@@ -745,7 +745,8 @@ def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
                            np.log(_NEAR_SPLIT), np.log(near_top)))
         total = 0.0
         for h, lo, hi in pieces:
-            val, err = quad(h, lo, hi, limit=400, epsabs=1e-11, epsrel=1e-11)
+            val, err = quad(h, lo, hi, limit=400, epsabs=1e-11, epsrel=1e-11,
+                            full_output=1)[:2]
             check_error(err, label)
             total += val
         return total
@@ -759,14 +760,15 @@ def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
         im += sgn * near(lambda y: (np.sin(x1 * y) - x1 * y) * f(y),
                          "density jump integral (near, im)")
         if w > 1.0:
-            cos_part, err = quad(f, 1.0, w, weight="cos", wvar=x1,
-                                 limit=400, epsabs=1e-11, epsrel=1e-11)
+            cos_part, err = quad(f, 1.0, w, weight="cos", wvar=x1, limit=400,
+                                 epsabs=1e-11, epsrel=1e-11, full_output=1)[:2]
             check_error(err, "density jump integral (tail, cos)")
-            mass, err = quad(f, 1.0, w, limit=400, epsabs=1e-11, epsrel=1e-11)
+            mass, err = quad(f, 1.0, w, limit=400, epsabs=1e-11, epsrel=1e-11,
+                             full_output=1)[:2]
             check_error(err, "density jump integral (tail mass)")
             re += cos_part - mass
-            sin_part, err = quad(f, 1.0, w, weight="sin", wvar=x1,
-                                 limit=400, epsabs=1e-11, epsrel=1e-11)
+            sin_part, err = quad(f, 1.0, w, weight="sin", wvar=x1, limit=400,
+                                 epsabs=1e-11, epsrel=1e-11, full_output=1)[:2]
             check_error(err, "density jump integral (tail, sin)")
             im += sgn * sin_part
     return complex(re, im)
@@ -1148,39 +1150,52 @@ class LevyModel:
         {"drift": [...], "covariance": [[...]],
          "levy_measure": {"kind": "zero"|"atoms"|"stable"|"density", ...}}
         """
-        drift = np.asarray(spec.get("drift", [0.0]), dtype=float)
-        n = np.atleast_1d(drift).shape[0]
-        cov = np.asarray(spec.get("covariance", np.zeros((n, n))), dtype=float)
-        measure = _measure_from_dict(spec.get("levy_measure", {"kind": "zero"}))
-        return LevyModel(LevyTriplet(drift, cov, measure), name=name)
+        return LevyModel(_triplet(**spec), name=name)
+
+
+def _triplet(*, drift=(0.0,), covariance=None, levy_measure=None) -> LevyTriplet:
+    drift = np.asarray(drift, dtype=float)
+    n = np.atleast_1d(drift).shape[0]
+    cov = np.zeros((n, n)) if covariance is None else np.asarray(covariance, dtype=float)
+    measure = ZeroMeasure() if levy_measure is None else _measure_from_dict(levy_measure)
+    return LevyTriplet(drift, cov, measure)
 
 
 _NAMED_LAWS = {"normal": normal_law, "uniform": uniform_law}
 _NAMED_DENSITIES = {"tempered_power": tempered_power, "exponential": exponential}
 
 
+def _named(table: dict, what: str, name, params: dict):
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    return table[name](**params)
+
+
+def _atoms_measure(*, rate, atoms=None, law=None) -> FiniteActivity:
+    if (atoms is None) == (law is None):
+        raise ValueError("an atoms measure takes exactly one of 'atoms' and 'law'")
+    if atoms is not None:
+        law = AtomLaw.of([(entry[0], entry[1]) for entry in atoms])
+    else:
+        params = dict(law)
+        law = _named(_NAMED_LAWS, "continuous jump law", params.pop("name"), params)
+    return FiniteActivity(rate=float(rate), law=law)
+
+
+def _stable_measure(*, alpha, scale=1.0) -> StableSymmetric:
+    return StableSymmetric(alpha=float(alpha), scale=float(scale))
+
+
+def _density_measure(*, name, params={}, window=None, cutoff=1e-3) -> DensityForm:
+    density = _named(_NAMED_DENSITIES, "named density", name, params)
+    return DensityForm(density, window=window, cutoff=float(cutoff), name=name)
+
+
+# one constructor per levy_measure kind; its keyword-only parameters are the kind's keys
+_MEASURES = {"zero": ZeroMeasure, "atoms": _atoms_measure, "stable": _stable_measure,
+             "density": _density_measure}
+
+
 def _measure_from_dict(spec: dict) -> LevyMeasureSpec:
-    kind = spec.get("kind")
-    if kind == "zero":
-        return ZeroMeasure()
-    if kind == "atoms":
-        rate = float(spec["rate"])
-        if "atoms" in spec:
-            law = AtomLaw.of([(entry[0], entry[1]) for entry in spec["atoms"]])
-        else:
-            params = dict(spec["law"])
-            lname = params.pop("name")
-            if lname not in _NAMED_LAWS:
-                raise ValueError(f"unknown continuous jump law {lname!r}")
-            law = _NAMED_LAWS[lname](**params)
-        return FiniteActivity(rate=rate, law=law)
-    if kind == "stable":
-        return StableSymmetric(alpha=float(spec["alpha"]), scale=float(spec.get("scale", 1.0)))
-    if kind == "density":
-        dname = spec["name"]
-        if dname not in _NAMED_DENSITIES:
-            raise ValueError(f"unknown named density {dname!r}")
-        density = _NAMED_DENSITIES[dname](**spec.get("params", {}))
-        return DensityForm(density, window=spec.get("window"),
-                           cutoff=float(spec.get("cutoff", 1e-3)), name=dname)
-    raise ValueError(f"unknown levy_measure kind {kind!r}")
+    params = dict(spec)
+    return _named(_MEASURES, "levy_measure kind", params.pop("kind"), params)

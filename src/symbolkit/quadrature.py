@@ -3,7 +3,9 @@
 Adaptive integrals go through :func:`integrate_checked`, which wraps
 ``scipy.integrate.quad`` and raises :class:`~symbolkit.errors.QuadratureFailure`
 with the achieved error estimate instead of silently returning a bad value;
-:func:`check_error` is that failure rule on its own.
+:func:`check_error` is that failure rule on its own.  Every ``quad`` call asks
+for ``full_output``, so scipy returns its diagnostics instead of printing an
+``IntegrationWarning``: the tolerance check is the only verdict.
 
 Fixed-node integrals use :func:`gk21_rule`: the 21-point Gauss-Kronrod rule
 with its embedded 10-point Gauss rule (QUADPACK's qk21).  Laid on a list of
@@ -41,7 +43,7 @@ def integrate_checked(f, a, b, *, tol=1e-9, points=None, limit=200, label="integ
     kwargs = {"limit": limit, "epsabs": min(tol * 1e-2, 1e-10), "epsrel": 1e-11}
     if points is not None and np.isfinite(a) and np.isfinite(b):
         kwargs["points"] = points
-    value, err = quad(f, a, b, **kwargs)
+    value, err = quad(f, a, b, full_output=1, **kwargs)[:2]
     check_error(err, label, tol)
     return value
 

@@ -1,13 +1,17 @@
 """CLI runner: schemas, exit codes, determinism, manifest replay."""
 
+import inspect
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from symbolkit import cli
 from symbolkit.cli import KINDS, _emit_error, feller_demo, main, run_config
 from symbolkit.errors import ConfigError, NonConvergence
 
@@ -394,20 +398,82 @@ def test_empty_ensemble_is_config_error(kind, cfg, tmp_path):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
-@pytest.mark.parametrize("kind, cfg", [
-    ("bound-diagnostic", {"model": {"name": "cp_tanh"}, "box": [1.0]}),
-    ("bound-diagnostic", {"driver": "bm"}),
-    ("generator-check", {"model": {"name": "bm_unit"}, "x_grid": [0.0],
-                         "test_function": 3}),
-    ("generator-check", {"model": {"name": "bm_unit"}, "x_grid": [0.0],
-                         "test_function": {"centre": 2.0}}),
-    ("symbol-estimate", {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0],
-                         "estimator": {"path": 500}}),
-    ("symbol-compare", {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0],
-                        "estimator": {"paths": 2000, "t_lader": [0.01]}}),
-], ids=["bound-diagnostic-short-box", "bound-diagnostic-driver-string",
-        "generator-check-test-function-number", "generator-check-test-function-typo",
-        "symbol-estimate-estimator-typo", "symbol-compare-estimator-typo"])
+def _triplet_model(measure=None, **driver):
+    """BM_MODEL's coefficient with a full-triplet driver."""
+    if measure is not None:
+        driver["levy_measure"] = measure
+    return {"coefficient": BM_MODEL["coefficient"],
+            "driver": {"drift": [0.0], "covariance": [[0.0]], **driver}}
+
+
+SIMULATE_CFG = {"model": BM_MODEL, "horizon": 0.1, "step": 0.05}
+ESTIMATE_CFG = {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0]}
+INDICES_CFG = {"symbol": {"name": "power_law", "params": {"alpha": 1.5}}, "x_grid": [0.0],
+               "r_max": 100.0, "r_table": [1.0], "compute_beta0": False}
+ATOMS = {"kind": "atoms", "rate": 1.0, "atoms": [[1.0, 1.0]]}
+
+# each config exits 2: a malformed value, or a key no kind or spec declares (the
+# misspelled keys would otherwise be dropped and their defaults used)
+MALFORMED = {
+    "bound-diagnostic-short-box": ("bound-diagnostic", {"model": {"name": "cp_tanh"},
+                                                        "box": [1.0]}),
+    "bound-diagnostic-driver-string": ("bound-diagnostic", {"driver": "bm"}),
+    "generator-check-test-function-number": (
+        "generator-check", {"model": {"name": "bm_unit"}, "x_grid": [0.0], "test_function": 3}),
+    "generator-check-test-function-typo": (
+        "generator-check", {"model": {"name": "bm_unit"}, "x_grid": [0.0],
+                            "test_function": {"centre": 2.0}}),
+    "symbol-estimate-estimator-typo": ("symbol-estimate",
+                                       {**ESTIMATE_CFG, "estimator": {"path": 500}}),
+    "symbol-compare-estimator-typo": ("symbol-compare",
+                                      {**ESTIMATE_CFG,
+                                       "estimator": {"paths": 2000, "t_lader": [0.01]}}),
+    # one misspelled top-level key per kind
+    "simulate-binnary": ("simulate", {**SIMULATE_CFG, "binnary": True}),
+    "symbol-analytic-xi_gird": ("symbol-analytic",
+                                {"model": {"name": "bm_unit"}, "x_grid": [0.0],
+                                 "xi_grid": [1.0], "xi_gird": [2.0]}),
+    "symbol-estimate-estimater": ("symbol-estimate",
+                                  {**ESTIMATE_CFG, "estimater": {"paths": 1000}}),
+    "symbol-compare-estimatr": ("symbol-compare", {**ESTIMATE_CFG, "estimatr": {}}),
+    "generator-check-test_functon": ("generator-check",
+                                     {"model": {"name": "bm_unit"}, "x_grid": [0.0],
+                                      "test_functon": {"center": 1.0}}),
+    "indices-eta_mx": ("indices", {**INDICES_CFG, "eta_mx": 1e3}),
+    "index-transfer-eta_mx": ("index-transfer",
+                              {"driver": {"name": "stable", "params": {"alpha": 1.2}},
+                               "coefficient": {"name": "constant"}, "x_grid": [0.0],
+                               "eta_mx": 1e3}),
+    "variation-trails": ("variation", {**VARIATION_CFG, "trails": 4}),
+    "growth-path": ("growth", {**GROWTH_CFG, "path": 100}),
+    "g-identity-dd": ("g-identity", {"dd": 2}),
+    "bound-diagnostic-xi_mx": ("bound-diagnostic", {"model": {"name": "cp_tanh"},
+                                                    "xi_mx": 10.0}),
+    "feller-demo-trails": ("feller-demo", {"trails": 1000}),
+    # misspelled keys of the model, the triplet and the measures
+    "model-drift_coeficient": ("simulate", {**SIMULATE_CFG, "model": {
+        **BM_MODEL, "drift_coeficient": {"name": "cosine"}}}),
+    "triplet-covariances": ("simulate", {**SIMULATE_CFG,
+                                         "model": _triplet_model(covariances=[[1.0]])}),
+    "stable-scal": ("simulate", {**SIMULATE_CFG, "model": _triplet_model(
+        {"kind": "stable", "alpha": 1.5, "scal": 2.0})}),
+    "density-cutof": ("simulate", {**SIMULATE_CFG, "model": _triplet_model(
+        {"kind": "density", "name": "exponential", "cutof": 0.1})}),
+    # values the strict checks reject
+    "indices-compute_beta0-string": ("indices", {**INDICES_CFG, "compute_beta0": "false"}),
+    "estimator-check_radius-string": ("symbol-estimate",
+                                      {**ESTIMATE_CFG, "estimator": {"check_radius": "false"}}),
+    "simulate-binary-number": ("simulate", {**SIMULATE_CFG, "binary": 1}),
+    "bound-diagnostic-model-and-driver": ("bound-diagnostic", {"model": {"name": "cp_tanh"},
+                                                               "driver": {"name": "bm"}}),
+    "bound-diagnostic-long-box": ("bound-diagnostic", {"model": {"name": "cp_tanh"},
+                                                       "box": [-1.0, 1.0, 7.0]}),
+    "atoms-and-law": ("simulate", {**SIMULATE_CFG, "model": _triplet_model(
+        {**ATOMS, "law": {"name": "normal"}})}),
+}
+
+
+@pytest.mark.parametrize("kind, cfg", MALFORMED.values(), ids=list(MALFORMED))
 def test_malformed_config_is_config_error(kind, cfg, tmp_path):
     assert main_with_config(kind, cfg, tmp_path) == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())
@@ -477,3 +543,36 @@ def test_console_script_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results.json").exists()
+
+
+def _readme_kind_keys():
+    """{name: (required keys, [(optional key, default)])}, read off the README's kind keys."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| kind | required keys | optional keys = default |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, required, optional = (cell.strip() for cell in line.strip("|").split("|"))
+        defaults = re.findall(r"`(\w+)` = `([^`]*)`", optional)
+        table[re.match(r"`([\w-]+)`", name).group(1)] = (
+            re.findall(r"`(\w+)`", required),
+            [(key, json.loads(text)) for key, text in defaults])
+    return table
+
+
+def test_readme_kind_keys_match_the_signatures():
+    # the README table and each kind's keyword-only signature declare the same keys,
+    # required ones and defaults, in the same order
+    table = _readme_kind_keys()
+    schemas = {**cli._HANDLERS, "estimator": cli._estimator}
+    assert sorted(table) == sorted(schemas)
+    for name, fn in schemas.items():
+        params = [p for p in inspect.signature(fn).parameters.values()
+                  if p.kind is p.KEYWORD_ONLY]
+        required = [p.name for p in params if p.default is p.empty]
+        optional = [(p.name, json.dumps(cli._jsonable(p.default)))
+                    for p in params if p.default is not p.empty]
+        readme_required, readme_optional = table[name]
+        assert readme_required == required, name
+        assert [(key, json.dumps(value)) for key, value in readme_optional] == optional, name
