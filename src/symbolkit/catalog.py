@@ -8,53 +8,48 @@ import numpy as np
 
 from . import coefficients as coeff
 from .coefficients import CoefficientField
-from .levy import (AtomLaw, DensityForm, FiniteActivity, LevyModel, LevyTriplet,
-                   StableSymmetric, ZeroMeasure, tempered_power)
+from .levy import (AtomLaw, DensityForm, FiniteActivity, LevyTriplet, StableSymmetric,
+                   ZeroMeasure, catalog_entry, named, tempered_power)
 from .sde import SdeModel
 from .symbols import (SymbolField, mixed_power_symbol, power_law_symbol,
-                      stable_like_symbol, symbol_from_exponent)
+                      stable_like_symbol, symbol_from_exponent, symbol_of_model)
 
 # --------------------------------------------------------------------------
 # drivers
 
 
-def bm_driver(variance: float = 1.0) -> LevyModel:
+def bm_driver(variance: float = 1.0) -> LevyTriplet:
     """Standard Brownian driver: psi(xi) = variance * xi^2 / 2."""
-    return LevyModel(LevyTriplet([0.0], [[variance]], ZeroMeasure()), name="bm")
+    return LevyTriplet([0.0], [[variance]], ZeroMeasure(), name="bm")
 
 
-def drift_driver(rate: float = 1.0) -> LevyModel:
-    return LevyModel(LevyTriplet([rate], [[0.0]], ZeroMeasure()), name="drift")
+def drift_driver(rate: float = 1.0) -> LevyTriplet:
+    return LevyTriplet([rate], [[0.0]], ZeroMeasure(), name="drift")
 
 
-def compound_poisson_pm1(rate: float = 1.0) -> LevyModel:
+def compound_poisson_pm1(rate: float = 1.0) -> LevyTriplet:
     """Rate-``rate`` compound Poisson with symmetric unit jumps +-1."""
     law = AtomLaw.of([(1.0, 0.5), (-1.0, 0.5)])
-    return LevyModel(LevyTriplet([0.0], [[0.0]], FiniteActivity(rate, law)),
-                     name="cp_pm1")
+    return LevyTriplet([0.0], [[0.0]], FiniteActivity(rate, law), name="cp_pm1")
 
 
-def poisson_unit(rate: float = 1.0) -> LevyModel:
+def poisson_unit(rate: float = 1.0) -> LevyTriplet:
     """Standard Poisson process: unit jumps at rate ``rate``."""
     law = AtomLaw.of([(1.0, 1.0)])
-    return LevyModel(LevyTriplet([0.0], [[0.0]], FiniteActivity(rate, law)),
-                     name="poisson")
+    return LevyTriplet([0.0], [[0.0]], FiniteActivity(rate, law), name="poisson")
 
 
-def stable_driver(alpha: float, scale: float = 1.0) -> LevyModel:
+def stable_driver(alpha: float, scale: float = 1.0) -> LevyTriplet:
     """Symmetric alpha-stable driver: psi(xi) = scale * |xi|^alpha."""
-    return LevyModel(LevyTriplet([0.0], [[0.0]], StableSymmetric(alpha, scale)),
-                     name=f"stable{alpha}")
+    return LevyTriplet([0.0], [[0.0]], StableSymmetric(alpha, scale), name=f"stable{alpha}")
 
 
 def tempered_density_driver(alpha: float = 0.5, decay: float = 1.0,
-                            cutoff: float = 5e-3, window: float = 40.0) -> LevyModel:
+                            cutoff: float = 5e-3, window: float = 40.0) -> LevyTriplet:
     """Density-form driver nu(y) = |y|^{-1-alpha} e^{-decay |y|}."""
     dens = tempered_power(1.0, alpha, decay)
-    return LevyModel(
-        LevyTriplet([0.0], [[0.0]], DensityForm(dens, window=window, cutoff=cutoff,
-                                                name="tempered")),
-        name="tempered")
+    return LevyTriplet([0.0], [[0.0]], DensityForm(dens, window=window, cutoff=cutoff,
+                                                   name="tempered"), name="tempered")
 
 
 _DRIVERS = {
@@ -67,21 +62,18 @@ _DRIVERS = {
 }
 
 
-def resolve_driver(spec: dict) -> LevyModel:
+def resolve_driver(spec: dict) -> LevyTriplet:
     """Named catalog driver (``params``: constructor keywords) or a full triplet object."""
     if "name" in spec:
-        name = spec["name"]
-        if name not in _DRIVERS:
-            raise ValueError(f"unknown driver {name!r}; catalog: {sorted(_DRIVERS)}")
-        return _DRIVERS[name](**spec.get("params", {}))
-    return LevyModel.from_dict(spec)
+        return catalog_entry(_DRIVERS, "driver", spec)
+    return LevyTriplet.from_dict(spec)
 
 
 # --------------------------------------------------------------------------
 # models
 
 
-def _model(name: str, driver: LevyModel, phi: CoefficientField,
+def _model(name: str, driver: LevyTriplet, phi: CoefficientField,
            psi: Optional[CoefficientField] = None) -> SdeModel:
     return SdeModel(coefficient=phi, driver=driver, drift_coefficient=psi, name=name)
 
@@ -136,10 +128,8 @@ def resolve_model(spec: dict) -> SdeModel:
     """{"name": catalog} or {"coefficient": ..., "driver": ..., "drift_coefficient"?, "label"?}."""
     if "name" not in spec:
         return _explicit_model(**spec)
-    name = spec["name"]
-    if name not in MODEL_CATALOG:
-        raise ValueError(f"unknown model {name!r}; catalog: {sorted(MODEL_CATALOG)}")
-    return MODEL_CATALOG[name](**{k: v for k, v in spec.items() if k != "name"})
+    return named(MODEL_CATALOG, "model", spec["name"],
+                 {k: v for k, v in spec.items() if k != "name"})
 
 
 # --------------------------------------------------------------------------
@@ -163,14 +153,11 @@ _SYMBOLS = {
 
 
 def resolve_symbol(spec: dict) -> SymbolField:
-    """Named synthetic symbol, a driver exponent, or a model's solution symbol."""
-    from .symbols import symbol_of_model
-
-    if "model" in spec:
-        return symbol_of_model(resolve_model(spec["model"]))
-    if "driver" in spec:
-        return symbol_from_exponent(resolve_driver(spec["driver"]).exponent)
-    name = spec.get("name")
-    if name not in _SYMBOLS:
-        raise ValueError(f"unknown symbol {name!r}; catalog: {sorted(_SYMBOLS)}")
-    return _SYMBOLS[name](**spec.get("params", {}))
+    """Named synthetic symbol, {"driver": ...} (its exponent) or {"model": ...} (its solution symbol)."""
+    if "model" in spec or "driver" in spec:
+        if len(spec) > 1:
+            raise ValueError(f"a model or driver symbol takes no other key, got {sorted(spec)}")
+        if "model" in spec:
+            return symbol_of_model(resolve_model(spec["model"]))
+        return symbol_from_exponent(resolve_driver(spec["driver"]))
+    return catalog_entry(_SYMBOLS, "symbol", spec)

@@ -238,8 +238,7 @@ def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
     records = []
     for x in _grid(x_grid, "x_grid"):
         xv = np.atleast_1d(float(x))
-        trip = frozen_triplet(model.driver.triplet, model.coefficient, xv,
-                              model.drift_coefficient)
+        trip = frozen_triplet(model.driver, model.coefficient, xv, model.drift_coefficient)
         integro = generator_apply_integro(trip, u, xv)
         fourier = generator_apply_fourier(p, u, xv)
         diff = abs(integro - fourier)
@@ -270,8 +269,7 @@ def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_m
     driver = resolve_driver(_ref(driver, "driver"))
     phi = coeff.from_dict(coefficient)
     xs = [float(v) for v in _grid(x_grid, "x_grid")]
-    report = index_transfer_check(symbol_from_exponent(driver.exponent), phi, xs,
-                                  eta_max=float(eta_max))
+    report = index_transfer_check(driver, phi, xs, eta_max=float(eta_max))
     rows = [[x, b, abs(b - report.beta_driver)] for x, b in report.per_x]
     return ({"beta_driver": report.beta_driver,
              "per_x": [{"x": x, "beta": b} for x, b in report.per_x],
@@ -332,12 +330,12 @@ def _kind_bound_diagnostic(seed, threads, /, *, model=None, driver=None, box=(-1
     if model is not None:
         model = _model(model)
         p = symbol_of_model(model)
-        trip_field = lambda x: frozen_triplet(model.driver.triplet, model.coefficient, x,
+        trip_field = lambda x: frozen_triplet(model.driver, model.coefficient, x,
                                               model.drift_coefficient)
     else:
         driver = resolve_driver(driver)
-        p = symbol_from_exponent(driver.exponent)
-        trip_field = lambda x: driver.triplet
+        p = symbol_from_exponent(driver)
+        trip_field = lambda x: driver
     diag = symbol_bound_diagnostic(p, trip_field, (float(box[0]), float(box[1])),
                                    xi_max=float(xi_max))
     return (vars(diag), ["c_p", "triplet_norm", "unit_sup", "slack", "consistent"],

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch
+from .levy import catalog_entry
 
 
 @dataclass
@@ -155,7 +156,4 @@ _CATALOG = {
 
 def from_dict(spec: dict) -> CoefficientField:
     """{"name": ..., "params": {constructor keyword arguments}} -> catalog coefficient."""
-    name = spec.get("name")
-    if name not in _CATALOG:
-        raise ValueError(f"unknown coefficient {name!r}; catalog: {sorted(_CATALOG)}")
-    return _CATALOG[name](**spec.get("params", {}))
+    return catalog_entry(_CATALOG, "coefficient", spec)

@@ -16,7 +16,7 @@ The upper functional
               ( int Re p(y, rho e / R) g(rho) drho + |p(y, e/R)| )
 
 uses the one-dimensional kernel in the line integral as displayed in the
-source formula (``d_kernel`` overrides it).  Suprema over continua are
+source formula.  Suprema over continua are
 realized as deterministic grids with refinement passes around the incumbent,
 so every result is reproducible.  beta^x_inf is read off the log-log ratio
 of the symbol over a shrinking-ball sup (limsup surrogate: maximum over the
@@ -39,13 +39,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 from scipy.special import j0, k0
 
 from .errors import BijectivityViolation, DegenerateSymbol, DimensionMismatch
-from .levy import kappa_from_c0, sector_constant
+from .levy import LevyTriplet, kappa_from_c0, sector_constant
 from .quadrature import halfline_nodes, integrate_checked
-from .symbols import SymbolField
+from .symbols import SymbolField, solution_symbol, symbol_from_exponent
 
 _LAMBDA_CUT = 60.0   # e^{-lam/2} tail beyond this is < 1e-13
 
@@ -92,29 +91,6 @@ def eval_g(d: int, rho) -> float:
     if d == 3:
         return np.exp(-r) / (4 * np.pi * r)
     return eval_g_quadrature(d, r)
-
-
-def _sphere_area(d: int) -> float:
-    return 2 * np.pi ** (d / 2) / gamma_fn(d / 2)
-
-
-class KernelG:
-    """g_d with cached absolute moments m_k = int |rho|^k g_d(rho) drho, k <= 4."""
-
-    def __init__(self, d: int):
-        self.d = d
-        self._moments = {}
-
-    def __call__(self, rho) -> float:
-        return eval_g(self.d, rho)
-
-    def moment(self, k: int) -> float:
-        if k not in self._moments:
-            area = _sphere_area(self.d)
-            self._moments[k] = area * integrate_checked(
-                lambda r: r ** (k + self.d - 1) * eval_g(self.d, r),
-                0.0, 80.0, tol=1e-9, points=[1e-8, 1.0], label=f"moment {k}")
-        return self._moments[k]
 
 
 def g_identity_check(d: int, y_grid) -> float:
@@ -167,15 +143,11 @@ def _window_grid(center: float, halfwidth: float, lo: float, hi: float, n: int) 
 # H and h
 
 
-def _h_integral_weights(d_kernel: int):
-    """Nodes rho and weights for int_{-inf}^{inf} f(rho) g_{d_kernel}(|rho|) drho,
+def _h_integral_weights():
+    """Nodes rho and weights for int_{-inf}^{inf} f(rho) g_1(|rho|) drho,
     folded to the half line for f even."""
     rho, w = halfline_nodes()
-    if d_kernel == 1:
-        gv = np.exp(-rho)                       # 2 * g_1
-    else:
-        gv = 2.0 * np.array([eval_g(d_kernel, r) for r in rho])
-    return rho, w * gv
+    return rho, w * np.exp(-rho)                # 2 * g_1
 
 
 def _eval_symbol_grid(p: SymbolField, ys: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -201,15 +173,14 @@ def _h_values(p: SymbolField, ys: np.ndarray, es: np.ndarray, R: float,
     return vals.real @ weights + edge
 
 
-def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig(), *,
-          d_kernel: int = 1) -> float:
+def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig()) -> float:
     """Upper maximal-symbol functional H(x, R) by grid search with refinement."""
     if R <= 0:
         raise ValueError("R must be positive")
     if p.d != 1:
         raise DimensionMismatch("H search is implemented for one-dimensional state")
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    rho, weights = _h_integral_weights(d_kernel)
+    rho, weights = _h_integral_weights()
 
     ys = np.array([x0]) if p.x_independent else _ball_grid(x0, 2.0 * R, cfg.n_state)
     es = np.linspace(-1.0, 1.0, cfg.n_direction)
@@ -335,8 +306,7 @@ def beta_inf(p: SymbolField, x, eta_max: float = 1e8,
 
 def beta_zero(p: SymbolField, r_max: float = 1e4, *, r_min: float = 1.0,
               points_per_decade: int = 6, window_decades: float = 1.0,
-              x_box: Optional[tuple] = None, cfg: SearchConfig = SearchConfig(),
-              d_kernel: int = 1) -> Beta0Result:
+              x_box: Optional[tuple] = None, cfg: SearchConfig = SearchConfig()) -> Beta0Result:
     """Upper index at zero: decay exponent of sup_x H(x, R) as R grows.
 
     For x-dependent symbols the outer sup runs over a declared compact box
@@ -350,8 +320,7 @@ def beta_zero(p: SymbolField, r_max: float = 1e4, *, r_min: float = 1.0,
         x_grid = np.linspace(box[0], box[1], int(box[2]))
     n_pts = max(3, int(np.ceil(points_per_decade * np.log10(r_max / r_min))))
     rs = np.geomspace(r_min, r_max, n_pts)
-    hs = np.array([max(big_H(p, xv, R, cfg, d_kernel=d_kernel) for xv in x_grid)
-                   for R in rs])
+    hs = np.array([max(big_H(p, xv, R, cfg) for xv in x_grid) for R in rs])
     points = [(float(np.log(R)), float(np.log(h)) if h > 0 else -np.inf)
               for R, h in zip(rs, hs)]
     window = (r_max / 10.0 ** window_decades, r_max)
@@ -372,20 +341,15 @@ class IndexTransferReport:
     max_deviation: float
 
 
-def index_transfer_check(driver_symbol: SymbolField, coefficient, x_set,
-                         *, eta_max: float = 1e8, det_tol: float = 1e-8,
-                         ball: float = 0.25) -> IndexTransferReport:
-    """Compare beta^x_inf of the solution symbol with beta^psi_inf of the driver.
+def index_transfer_check(driver: LevyTriplet, coefficient, x_set, *, eta_max: float = 1e8,
+                         det_tol: float = 1e-8, ball: float = 0.25) -> IndexTransferReport:
+    """Compare beta^x_inf of the solution symbol with beta^psi_inf of the driver triplet.
 
     Requires d = n and a bijective frequency map: |det Phi(y)| must stay above
     ``det_tol`` on sampled neighborhoods of every base point.
     """
-    from .symbols import solution_symbol  # deferred: symbols imports sde at load
-
     if coefficient.d != coefficient.n:
         raise DimensionMismatch("index transfer requires d = n")
-    if driver_symbol.exponent is None:
-        raise ValueError("driver_symbol must carry its exponent (use symbol_from_exponent)")
     for x in x_set:
         ys = _ball_grid(float(np.atleast_1d(x)[0]), ball, 41)
         dets = np.array([np.linalg.det(coefficient(np.array([y]))) for y in ys])
@@ -393,8 +357,8 @@ def index_transfer_check(driver_symbol: SymbolField, coefficient, x_set,
             bad = ys[int(np.abs(dets).argmin())]
             raise BijectivityViolation(
                 f"|det Phi({bad:.4f})| = {np.abs(dets).min():.2e} <= {det_tol:g}")
-    beta_psi = beta_inf(driver_symbol, 0.0, eta_max=eta_max).beta
-    sol = solution_symbol(driver_symbol.exponent, coefficient)
+    beta_psi = beta_inf(symbol_from_exponent(driver), 0.0, eta_max=eta_max).beta
+    sol = solution_symbol(driver, coefficient)
     per_x = []
     for x in x_set:
         res = beta_inf(sol, x, eta_max=eta_max)

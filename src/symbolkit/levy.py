@@ -1,15 +1,16 @@
 """Levy processes as triplets: exponent evaluation and increment sampling.
 
-A driving process is described by a triplet (drift l, covariance Q, jump
-measure N).  The characteristic exponent
+A driving process is its triplet (drift l, covariance Q, jump measure N):
+``LevyTriplet`` is the driver object, and it evaluates the characteristic
+exponent
 
     psi(xi) = -i l.xi + (1/2) xi.Q.xi
               - integral( e^{i xi.y} - 1 - i xi.y 1_{|y|<1}(y) ) N(dy)
 
-is evaluated in closed form for atomic and symmetric-stable jump measures.
-For a density on the line (DensityForm, or a continuous jump law) it is a
-batched sum over fixed Gauss-Kronrod nodes, built once per measure on first
-use: the density is evaluated once per node, and each frequency then costs
+itself.  The jump part is closed form for atomic and symmetric-stable
+measures.  For a density on the line (DensityForm, or a continuous jump law)
+it is a batched sum over fixed Gauss-Kronrod nodes, built once per measure on
+first use: the density is evaluated once per node, and each frequency then costs
 one pass over the panels (Taylor moments where |xi y| is small, angle
 addition elsewhere).  The embedded Gauss-vs-Kronrod error estimate is
 checked per frequency against the adaptive tolerance; a frequency that fails
@@ -213,7 +214,7 @@ class ContinuousLaw:
 
     def truncation_integral(self, a: float) -> float:
         """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law."""
-        return _truncation_integral(self.density, a)
+        return _truncation_integral(self.density, a, self.support)
 
     def generator_integral(self, g: Callable[[float], float]) -> float:
         lo, hi = self.clipped_support
@@ -260,15 +261,19 @@ def exponential(a: float = 1.0, b: float = 1.0) -> Callable[[float], float]:
     return lambda y: a * np.exp(-b * abs(y))
 
 
-def _truncation_integral(density: Callable[[float], float], a: float,
-                         window: float = np.inf) -> float:
-    """int y (1_{|y| < 1/a} - 1_{|y| < 1}) nu(y) dy over |y| <= window, a not 0 or 1."""
+def _truncation_integral(density: Callable[[float], float], a: float, support: tuple) -> float:
+    """int y (1_{|y| < 1/a} - 1_{|y| < 1}) nu(y) dy over the support, a not 0 or 1.
+
+    Each side stops at its end of the support: quad misses a jump of nu to 0
+    just inside the range (1.2e-3 off, within its error estimate of 1e-10, for
+    uniform(-0.7, 1.9) and 1/a = 1.9016).
+    """
     lo, hi = sorted((1.0, 1.0 / a))
     sign = 1.0 if 1.0 / a > 1.0 else -1.0
-    top = min(hi, window)
     val = 0.0
-    if top > lo:
-        for sgn in (1.0, -1.0):
+    for sgn, end in ((1.0, support[1]), (-1.0, -support[0])):
+        top = min(hi, end)
+        if top > lo:
             val += sgn * integrate_checked(lambda y: y * density(sgn * y), lo, top,
                                            tol=1e-10, label="indicator correction")
     return sign * val
@@ -549,7 +554,7 @@ class DensityForm:
         a = abs(phi)
         if a == 0.0 or a == 1.0:
             return 0.0
-        return phi * _truncation_integral(self.density, a, self.window)
+        return phi * _truncation_integral(self.density, a, (-self.window, self.window))
 
     def generator_term(self, u, x: float) -> float:
         g = _compensated(u, x)
@@ -591,17 +596,22 @@ def stable_density_coefficient(alpha: float, scale: float = 1.0) -> float:
 
 
 class LevyTriplet:
-    """Levy triplet (drift, covariance, jump measure) in dimension n.
+    """A driving Levy process: its triplet (drift, covariance, jump measure) in dimension n.
 
-    Validates at construction: Q symmetric positive semidefinite with its
-    stored square root reproducing Q to 1e-12 per entry, and the jump measure
-    integrating (1 ^ |y|^2) finitely.
+    The triplet fixes the exponent psi: ``driver(xi)`` evaluates it at one
+    frequency and ``driver.many(xi)`` on a batch (both through
+    :func:`eval_exponent_many`); :func:`sample_step_ensemble` samples its
+    increments.  Validates at construction: Q symmetric positive semidefinite
+    with its stored square root reproducing Q to 1e-12 per entry, and the
+    jump measure integrating (1 ^ |y|^2) finitely.
     """
 
-    def __init__(self, drift, covariance, levy_measure: LevyMeasureSpec = ZeroMeasure()):
+    def __init__(self, drift, covariance, levy_measure: LevyMeasureSpec = ZeroMeasure(),
+                 name: str = "levy"):
         self.drift = np.atleast_1d(np.asarray(drift, dtype=float))
         self.covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
         self.levy_measure = levy_measure
+        self.name = name
         n = self.drift.shape[0]
         if self.covariance.shape != (n, n):
             raise DimensionMismatch(
@@ -628,6 +638,26 @@ class LevyTriplet:
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
+
+    def __call__(self, xi) -> complex:
+        """psi(xi) at a single frequency of shape (n,)."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if xi.shape != (self.dim,):
+            raise DimensionMismatch(f"xi shape {xi.shape} does not match dimension {self.dim}")
+        return complex(eval_exponent_many(self, xi[None, :])[0])
+
+    def many(self, xi: np.ndarray) -> np.ndarray:
+        """psi on a batch of frequencies, shape (m, n) -> complex (m,)."""
+        return eval_exponent_many(self, xi)
+
+    @staticmethod
+    def from_dict(spec: dict, name: str = "levy") -> "LevyTriplet":
+        """Build from the JSON object layout documented in the README.
+
+        {"drift": [...], "covariance": [[...]],
+         "levy_measure": {"kind": "zero"|"atoms"|"stable"|"density", ...}}
+        """
+        return _triplet(name, **spec)
 
     def __repr__(self):
         return (f"LevyTriplet(drift={self.drift.tolist()}, "
@@ -970,31 +1000,6 @@ def eval_exponent_many(triplet: LevyTriplet, xi: np.ndarray) -> np.ndarray:
     return drift_part + gaussian_part + jump
 
 
-def eval_exponent(triplet: LevyTriplet, xi) -> complex:
-    """Levy-Khintchine exponent psi(xi) for a single frequency."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (triplet.dim,):
-        raise DimensionMismatch(f"xi shape {xi.shape} does not match dimension {triplet.dim}")
-    return complex(eval_exponent_many(triplet, xi[None, :])[0])
-
-
-class CharacteristicExponent:
-    """Evaluable psi of a triplet, pointwise and on batches."""
-
-    def __init__(self, triplet: LevyTriplet):
-        self.triplet = triplet
-
-    @property
-    def dim(self) -> int:
-        return self.triplet.dim
-
-    def __call__(self, xi) -> complex:
-        return eval_exponent(self.triplet, xi)
-
-    def many(self, xi: np.ndarray) -> np.ndarray:
-        return eval_exponent_many(self.triplet, xi)
-
-
 # --------------------------------------------------------------------------
 # sampling
 
@@ -1098,8 +1103,8 @@ C0_FLOOR = 1e-6
 def sector_constant(exponent, xi_grid, *, floor: float = C0_FLOOR) -> float:
     """Sector constant c0 = max |Im psi| / Re psi over the grid, floored.
 
-    ``exponent`` is any callable xi -> complex (a CharacteristicExponent or a
-    frozen symbol slice).  Raises SectorViolation where Re psi = 0 with
+    ``exponent`` is any callable xi -> complex (a LevyTriplet or a frozen
+    symbol slice).  Raises SectorViolation where Re psi = 0 with
     Im psi != 0.
     """
     c0 = 0.0
@@ -1122,63 +1127,48 @@ def kappa_from_c0(c0: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# model wrapper and JSON construction
+# JSON construction
 
 
-class LevyModel:
-    """A driving Levy process: triplet + exponent + samplers."""
-
-    def __init__(self, triplet: LevyTriplet, name: str = "levy"):
-        self.triplet = triplet
-        self.exponent = CharacteristicExponent(triplet)
-        self.name = name
-
-    @property
-    def dim(self) -> int:
-        return self.triplet.dim
-
-    def psi(self, xi) -> complex:
-        return self.exponent(xi)
-
-    def sample_step_ensemble(self, dt: float, m: int, rng: np.random.Generator) -> StepSample:
-        return sample_step_ensemble(self.triplet, dt, m, rng)
-
-    @staticmethod
-    def from_dict(spec: dict, name: str = "levy") -> "LevyModel":
-        """Build from the JSON object layout documented in the README.
-
-        {"drift": [...], "covariance": [[...]],
-         "levy_measure": {"kind": "zero"|"atoms"|"stable"|"density", ...}}
-        """
-        return LevyModel(_triplet(**spec), name=name)
-
-
-def _triplet(*, drift=(0.0,), covariance=None, levy_measure=None) -> LevyTriplet:
+def _triplet(name, /, *, drift=(0.0,), covariance=None, levy_measure=None) -> LevyTriplet:
     drift = np.asarray(drift, dtype=float)
     n = np.atleast_1d(drift).shape[0]
     cov = np.zeros((n, n)) if covariance is None else np.asarray(covariance, dtype=float)
     measure = ZeroMeasure() if levy_measure is None else _measure_from_dict(levy_measure)
-    return LevyTriplet(drift, cov, measure)
+    return LevyTriplet(drift, cov, measure, name=name)
+
+
+def named(table: dict, what: str, name, params: dict):
+    """table[name](**params): the one lookup of a name in a table of constructors."""
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}; catalog: {sorted(table)}")
+    return table[name](**params)
+
+
+def catalog_entry(table: dict, what: str, spec: dict):
+    """The catalog entry {"name": ..., "params": {...}}: "params" is optional, no other key."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a {what} entry must be a JSON object, got {spec!r}")
+    extra = sorted(set(spec) - {"name", "params"})
+    if extra:
+        raise ValueError(f"a {what} entry takes only 'name' and 'params', got {extra}")
+    return named(table, what, spec.get("name"), spec.get("params", {}))
 
 
 _NAMED_LAWS = {"normal": normal_law, "uniform": uniform_law}
 _NAMED_DENSITIES = {"tempered_power": tempered_power, "exponential": exponential}
 
 
-def _named(table: dict, what: str, name, params: dict):
-    if name not in table:
-        raise ValueError(f"unknown {what} {name!r}")
-    return table[name](**params)
-
-
 def _atoms_measure(*, rate, atoms=None, law=None) -> FiniteActivity:
     if (atoms is None) == (law is None):
         raise ValueError("an atoms measure takes exactly one of 'atoms' and 'law'")
     if atoms is not None:
-        law = AtomLaw.of([(entry[0], entry[1]) for entry in atoms])
+        if any(len(entry) != 2 for entry in atoms):
+            raise ValueError("each atom must be [position, probability]")
+        law = AtomLaw.of(atoms)
     else:
         params = dict(law)
-        law = _named(_NAMED_LAWS, "continuous jump law", params.pop("name"), params)
+        law = named(_NAMED_LAWS, "continuous jump law", params.pop("name"), params)
     return FiniteActivity(rate=float(rate), law=law)
 
 
@@ -1187,7 +1177,7 @@ def _stable_measure(*, alpha, scale=1.0) -> StableSymmetric:
 
 
 def _density_measure(*, name, params={}, window=None, cutoff=1e-3) -> DensityForm:
-    density = _named(_NAMED_DENSITIES, "named density", name, params)
+    density = named(_NAMED_DENSITIES, "named density", name, params)
     return DensityForm(density, window=window, cutoff=float(cutoff), name=name)
 
 
@@ -1198,4 +1188,4 @@ _MEASURES = {"zero": ZeroMeasure, "atoms": _atoms_measure, "stable": _stable_mea
 
 def _measure_from_dict(spec: dict) -> LevyMeasureSpec:
     params = dict(spec)
-    return _named(_MEASURES, "levy_measure kind", params.pop("kind"), params)
+    return named(_MEASURES, "levy_measure kind", params.pop("kind"), params)

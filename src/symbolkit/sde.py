@@ -53,7 +53,8 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import DimensionMismatch, SimulationOverflow
-from .levy import LevyModel, StepSample
+from . import levy
+from .levy import LevyTriplet, StepSample
 from .seeding import TAG_ENSEMBLE, TAG_PATH, rng_at
 
 OVERFLOW_GUARD = 1e12
@@ -63,10 +64,10 @@ BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BL
 
 @dataclass
 class SdeModel:
-    """Coefficient field, optional drift field, and driving Levy model."""
+    """Coefficient field, optional drift field, and driving Levy triplet."""
 
     coefficient: CoefficientField
-    driver: LevyModel
+    driver: LevyTriplet
     drift_coefficient: Optional[CoefficientField] = None
     name: str = "sde"
 
@@ -90,7 +91,7 @@ class SdeModel:
 class MultiDriverSpec:
     """Independent one-dimensional drivers with their coefficient columns."""
 
-    drivers: Sequence[tuple]  # (CoefficientField with n=1, LevyModel with dim 1)
+    drivers: Sequence[tuple]  # (CoefficientField with n=1, LevyTriplet with dim 1)
 
     def __post_init__(self):
         if not self.drivers:
@@ -209,15 +210,16 @@ def _driver_steps(driver, dt, n_steps, m, rng):
     A blockable driver (``LevyTriplet.blockable``) draws K = BLOCK_ROWS // m
     steps in one call of K*m rows and hands out one m-row slice per step:
     the same values, bit for bit, as K calls of m rows.  Any other driver,
-    and any driver when K = 1, draws once per step.
+    and any driver when K = 1, draws once per step.  The sampler is looked up
+    in ``levy`` at each call, so a wrapper put there sees every draw.
     """
-    k_block = BLOCK_ROWS // m if driver.triplet.blockable else 1
+    k_block = BLOCK_ROWS // m if driver.blockable else 1
     if k_block <= 1:
         for _ in range(n_steps):
-            yield driver.sample_step_ensemble(dt, m, rng)
+            yield levy.sample_step_ensemble(driver, dt, m, rng)
         return
     for k0 in range(0, n_steps, k_block):
-        s = driver.sample_step_ensemble(dt, min(k_block, n_steps - k0) * m, rng)
+        s = levy.sample_step_ensemble(driver, dt, min(k_block, n_steps - k0) * m, rng)
         for lo in range(0, s.smooth.shape[0], m):    # a blockable step has no jumps
             yield StepSample(smooth=s.smooth[lo:lo + m], jump_counts=s.jump_counts[lo:lo + m],
                              jump_values=s.jump_values, jump_positions=s.jump_positions)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import DimensionMismatch, NonConvergence, QuadratureFailure
-from .levy import CHUNK_ROWS, CharacteristicExponent, LevyTriplet, expi, row_dot
+from .levy import CHUNK_ROWS, LevyTriplet, expi, row_dot
 from .quadrature import integrate_checked
 from .sde import SdeModel, simulate_ensemble
 from .seeding import TAG_SYMBOL_MC
@@ -52,10 +52,8 @@ class SymbolField:
 
     batch_fn: Callable
     d: int
-    kind: str = "analytic"
     name: str = "symbol"
     x_independent: bool = False
-    exponent: Optional[CharacteristicExponent] = None   # set for driver symbols
 
     def __call__(self, x, xi) -> complex:
         x = np.asarray(x, dtype=float).reshape(1, self.d)
@@ -68,25 +66,24 @@ class SymbolField:
         return np.asarray(self.batch_fn(xs, xis), dtype=complex).reshape(xs.shape[0])
 
 
-def symbol_from_exponent(psi: CharacteristicExponent, name: str = "driver") -> SymbolField:
-    """x-free symbol p(x, xi) = psi(xi)."""
-    return SymbolField(
-        batch_fn=lambda xs, xis: psi.many(xis),
-        d=psi.dim, x_independent=True, name=name, exponent=psi)
+def symbol_from_exponent(driver: LevyTriplet, name: str = "driver") -> SymbolField:
+    """x-free symbol p(x, xi) = psi(xi) of the driver's exponent."""
+    return SymbolField(batch_fn=lambda xs, xis: driver.many(xis), d=driver.dim,
+                       x_independent=True, name=name)
 
 
-def solution_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
+def solution_symbol(driver: LevyTriplet, coefficient: CoefficientField,
                     drift_coefficient: Optional[CoefficientField] = None,
                     name: str = "solution") -> SymbolField:
-    """Symbol of the SDE solution: psi(Phi^T(x) xi) - i Psi(x).xi."""
-    if coefficient.n != psi.dim:
+    """Symbol of the SDE solution: psi(Phi^T(x) xi) - i Psi(x).xi, psi the driver's exponent."""
+    if coefficient.n != driver.dim:
         raise DimensionMismatch(
-            f"coefficient has {coefficient.n} columns, driver dimension is {psi.dim}")
+            f"coefficient has {coefficient.n} columns, driver dimension is {driver.dim}")
 
     def batch(xs, xis):
         phi = coefficient.many(xs)                       # (m, d, n)
         args = np.einsum("mdn,md->mn", phi, xis)
-        vals = psi.many(args)
+        vals = driver.many(args)
         if drift_coefficient is not None:
             psi_vals = drift_coefficient.many(xs)[:, :, 0]
             vals = vals - 1j * np.einsum("md,md->m", psi_vals, xis)
@@ -96,7 +93,7 @@ def solution_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
 
 
 def symbol_of_model(model: SdeModel) -> SymbolField:
-    return solution_symbol(model.driver.exponent, model.coefficient,
+    return solution_symbol(model.driver, model.coefficient,
                            model.drift_coefficient, name=model.name)
 
 
@@ -105,7 +102,7 @@ def multi_driver_symbol(spec) -> SymbolField:
 
     Independence makes the exponents add: p(x, xi) = sum_j psi_j(Phi^j(x) xi).
     """
-    parts = [solution_symbol(drv.exponent, fld) for fld, drv in spec.blocks()]
+    parts = [solution_symbol(drv, fld) for fld, drv in spec.blocks()]
     d = parts[0].d
 
     def batch(xs, xis):
@@ -115,12 +112,6 @@ def multi_driver_symbol(spec) -> SymbolField:
         return out
 
     return SymbolField(batch_fn=batch, d=d, name="multi-driver")
-
-
-def analytic_symbol(psi: CharacteristicExponent, coefficient: CoefficientField,
-                    x, xi, drift_coefficient: Optional[CoefficientField] = None) -> complex:
-    """Point evaluation of the solution symbol."""
-    return solution_symbol(psi, coefficient, drift_coefficient)(x, xi)
 
 
 def power_law_symbol(alpha: float, coeff: float = 1.0) -> SymbolField:
@@ -342,24 +333,6 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
     return out
 
 
-def empirical_field(estimates: Sequence[SymbolEstimate], d: int = 1,
-                    match_tol: float = 1e-9) -> SymbolField:
-    """Wrap a grid of Monte Carlo estimates as an empirical SymbolField."""
-    table = [(np.asarray(e.x), np.asarray(e.xi), e.estimate) for e in estimates]
-
-    def lookup(x, xi):
-        for ex, exi, val in table:
-            if (np.linalg.norm(ex - x) <= match_tol
-                    and np.linalg.norm(exi - xi) <= match_tol):
-                return val
-        raise KeyError(f"no estimate at (x={x}, xi={xi})")
-
-    def batch(xs, xis):
-        return np.array([lookup(x, xi) for x, xi in zip(xs, xis)], dtype=complex)
-
-    return SymbolField(batch_fn=batch, d=d, kind="empirical", name="empirical")
-
-
 # --------------------------------------------------------------------------
 # test functions
 
@@ -376,7 +349,6 @@ class TestFunction:
     grad: Callable
     hess: Callable
     hat: Callable
-    hat_l1: float
     hat_halfwidth: Callable     # tol -> window where |hat| >= tol inside
     spatial_scale: float
 
@@ -405,7 +377,7 @@ def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
         return np.sqrt(2.0 * np.log(amp / tol)) / s
 
     return TestFunction(name=f"gaussian({m},{s})", u=u, grad=grad, hess=hess,
-                        hat=hat, hat_l1=1.0, hat_halfwidth=halfwidth,
+                        hat=hat, hat_halfwidth=halfwidth,
                         spatial_scale=abs(m) + 10.0 * s)
 
 
@@ -457,8 +429,6 @@ def generator_apply_fourier(p: SymbolField, u: TestFunction, x, *,
     Integrates over the window where |hat-u| >= window_tol and checks that the
     imaginary residual stays below imag_tol * scale.
     """
-    if p.kind != "analytic":
-        raise ValueError("Fourier form needs an analytic symbol")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if p.d != 1:
         raise DimensionMismatch("Fourier form is implemented in one dimension")

@@ -6,7 +6,7 @@ straightforward versions of the ensemble engine in ``symbolkit.sde`` and
 ``symbolkit.levy``: a fresh state array and a zeroed update per step,
 ``einsum`` for every block, masks on every step and full ``np.linalg.norm``
 distances.  The only edit is that ``_advance_chunk`` calls this module's
-sampler instead of ``LevyModel.sample_step_ensemble``.  The tests require the
+sampler instead of ``levy.sample_step_ensemble``.  The tests require the
 fast engine to reproduce these functions bit for bit.
 
 ``_simulate_blocks_scalar``, ``_apply_jumps_scalar``, ``sample_increment_parts``
@@ -81,7 +81,7 @@ def sample_step_ensemble(triplet, dt, m, rng):
 def _advance_chunk(x, active, blocks, drift_field, dt, rngs):
     """One Euler step for a chunk; returns the updated state array."""
     m, d = x.shape
-    steps = [sample_step_ensemble(drv.triplet, dt, m, rngs[j])
+    steps = [sample_step_ensemble(drv, dt, m, rngs[j])
              for j, (fld, drv) in enumerate(blocks)]
     x_new = x.copy()
     upd = np.zeros((m, d))
@@ -262,7 +262,7 @@ def _simulate_blocks_scalar(blocks, drift_field, x0, horizon, step, seed):
         smooth_total = np.zeros(d)
         per_block_jumps = []
         for j, (fld, drv) in enumerate(blocks):
-            smooth, jmp = sample_increment_parts(drv.triplet, step, rngs[j])
+            smooth, jmp = sample_increment_parts(drv, step, rngs[j])
             smooth_total += fld(x) @ smooth
             per_block_jumps.append(jmp)
         x_new = x + smooth_total

@@ -37,15 +37,14 @@ def h_values(p: SymbolField, ys: np.ndarray, es: np.ndarray, R: float,
     return integrals + edge
 
 
-def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig(), *,
-          d_kernel: int = 1) -> float:
+def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig()) -> float:
     """Upper maximal-symbol functional H(x, R) by grid search with refinement."""
     if R <= 0:
         raise ValueError("R must be positive")
     if p.d != 1:
         raise DimensionMismatch("H search is implemented for one-dimensional state")
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    rho, weights = _h_integral_weights(d_kernel)
+    rho, weights = _h_integral_weights()
 
     ys = np.array([x0]) if p.x_independent else _ball_grid(x0, 2.0 * R, cfg.n_state)
     es = np.linspace(-1.0, 1.0, cfg.n_direction)

@@ -7,7 +7,9 @@
 unchanged as oracles.  The tests require the methods to reproduce them bit for
 bit, except ``mass_ratio`` of a continuous jump law (here ``quad`` misses the
 peak of a normal law) and of a stable measure (here the inner ``quad`` counts
-[0, 1e-10] twice), which are checked against mpmath instead.
+[0, 1e-10] twice), which are checked against mpmath instead, and
+``truncation_shift`` of a uniform law (here ``quad`` runs across the law's
+ends), which is checked against its closed form.
 """
 
 import numpy as np

@@ -18,7 +18,6 @@ from symbolkit import catalog, coefficients as co
 from symbolkit.catalog import default_stable_like_alpha
 from symbolkit.cli import feller_demo, run_config
 from symbolkit.indices import symbol_bound_diagnostic
-from symbolkit.levy import CharacteristicExponent
 from symbolkit.pathstats import variation_experiment
 from symbolkit.symbols import (gaussian_bump, mixed_power_symbol,
                                power_law_symbol, stable_like_symbol,
@@ -96,8 +95,7 @@ def test_criterion_3_index_recovery():
 
 def test_criterion_4_index_transfer():
     driver = catalog.stable_driver(1.2)
-    rep = sk.index_transfer_check(symbol_from_exponent(driver.exponent),
-                                  co.tanh_field(1.0, 0.5), [-2.0, -0.5, 0.0, 0.5, 2.0])
+    rep = sk.index_transfer_check(driver, co.tanh_field(1.0, 0.5), [-2.0, -0.5, 0.0, 0.5, 2.0])
     assert rep.max_deviation <= 0.1, rep.per_x
     announce(4, "index transfer beta^x = beta^psi")
 
@@ -128,7 +126,7 @@ def test_criterion_6_h_closed_form():
 
 def _solution_triplet_field(model):
     def field(x):
-        trip = sk.frozen_triplet(model.driver.triplet, model.coefficient, x)
+        trip = sk.frozen_triplet(model.driver, model.coefficient, x)
         if model.drift_coefficient is not None:
             extra = float(model.drift_coefficient(np.atleast_1d(x))[0, 0])
             trip = sk.LevyTriplet([trip.drift[0] + extra], trip.covariance,
@@ -144,9 +142,8 @@ def test_criterion_7_boundedness_lemma():
         cases.append((name, symbol_of_model(model), _solution_triplet_field(model)))
     for driver in (catalog.bm_driver(), catalog.compound_poisson_pm1(),
                    catalog.stable_driver(1.0)):
-        trip = driver.triplet
-        cases.append((driver.name, symbol_from_exponent(driver.exponent),
-                      lambda x, trip=trip: trip))
+        cases.append((driver.name, symbol_from_exponent(driver),
+                      lambda x, driver=driver: driver))
     for name, p, field in cases:
         diag = symbol_bound_diagnostic(p, field, (-2.0, 2.0), xi_max=100.0)
         assert np.isfinite(diag.c_p) and np.isfinite(diag.triplet_norm), name
@@ -191,7 +188,7 @@ def test_criterion_9_generator_consistency():
         "stable1": sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.0)),
     }
     for name, trip in triplets.items():
-        p = symbol_from_exponent(CharacteristicExponent(trip))
+        p = symbol_from_exponent(trip)
         for x in (-1.0, 0.0, 1.0):
             integro = sk.generator_apply_integro(trip, u, x)
             fourier = sk.generator_apply_fourier(p, u, x)

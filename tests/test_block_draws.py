@@ -17,29 +17,29 @@ import reference_engine as ref
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
 from symbolkit.coefficients import CoefficientField
-from symbolkit.levy import (FiniteActivity, LevyModel, LevyTriplet, StableSymmetric,
-                            ZeroMeasure, normal_law)
+from symbolkit.levy import (FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure, normal_law,
+                            sample_step_ensemble)
 from symbolkit.sde import BLOCK_ROWS, _check_overflow, _driver_steps, simulate_paths_dense
 from symbolkit.seeding import rng_at
 
 BLOCKED = {
     "gaussian": lambda: catalog.bm_driver(),
-    "gaussian_drift": lambda: LevyModel(LevyTriplet([0.3], [[2.0]], ZeroMeasure())),
-    "zero_triplet": lambda: LevyModel(LevyTriplet([0.0], [[0.0]], ZeroMeasure())),
+    "gaussian_drift": lambda: LevyTriplet([0.3], [[2.0]], ZeroMeasure()),
+    "zero_triplet": lambda: LevyTriplet([0.0], [[0.0]], ZeroMeasure()),
     "drift_only": lambda: catalog.drift_driver(-1.5),
     "cauchy": lambda: catalog.stable_driver(1.0),
-    "cauchy_drift": lambda: LevyModel(LevyTriplet([0.3], [[0.0]], StableSymmetric(1.0, 0.5))),
+    "cauchy_drift": lambda: LevyTriplet([0.3], [[0.0]], StableSymmetric(1.0, 0.5)),
 }
 PER_STEP = {
-    "gaussian_cauchy": lambda: LevyModel(LevyTriplet([0.1], [[0.5]], StableSymmetric(1.0))),
+    "gaussian_cauchy": lambda: LevyTriplet([0.1], [[0.5]], StableSymmetric(1.0)),
     "stable_0.7": lambda: catalog.stable_driver(0.7),
     "stable_1.5": lambda: catalog.stable_driver(1.5, 0.7),
     "compound_poisson": lambda: catalog.compound_poisson_pm1(rate=30.0),
-    "gaussian_poisson": lambda: LevyModel(LevyTriplet([0.0], [[1.0]],
-                                                      FiniteActivity(20.0, normal_law(0.1, 0.6)))),
+    "gaussian_poisson": lambda: LevyTriplet([0.0], [[1.0]],
+                                            FiniteActivity(20.0, normal_law(0.1, 0.6))),
     "density": lambda: catalog.tempered_density_driver(),
-    "gaussian_n2": lambda: LevyModel(LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]])),
-    "zero_triplet_n2": lambda: LevyModel(LevyTriplet([0.5, 0.0], np.zeros((2, 2)))),
+    "gaussian_n2": lambda: LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]]),
+    "zero_triplet_n2": lambda: LevyTriplet([0.5, 0.0], np.zeros((2, 2))),
 }
 DRIVERS = {**BLOCKED, **PER_STEP}
 
@@ -56,7 +56,7 @@ def _steps_for(m):
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_predicate_blocks_one_distribution_drivers_with_n_1(name):
-    assert DRIVERS[name]().triplet.blockable == (name in BLOCKED)
+    assert DRIVERS[name]().blockable == (name in BLOCKED)
 
 
 @pytest.mark.parametrize("m", [1, 3, BLOCK_ROWS + 1])
@@ -68,7 +68,7 @@ def test_helper_steps_are_successive_sampler_calls(name, m):
     rng = rng_at(4, 2)
     assert len(got) == n_steps
     for s in got:
-        want = driver.sample_step_ensemble(0.01, m, rng)
+        want = sample_step_ensemble(driver, 0.01, m, rng)
         for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
             assert _same_bits(getattr(s, field), getattr(want, field)), field
 
@@ -81,7 +81,7 @@ def test_blocked_driver_leaves_the_stream_where_per_step_draws_do(name):
     for _ in _driver_steps(driver, 0.02, n_steps, m, blocked):
         pass
     for _ in range(n_steps):
-        driver.sample_step_ensemble(0.02, m, plain)
+        sample_step_ensemble(driver, 0.02, m, plain)
     assert blocked.random() == plain.random()
 
 

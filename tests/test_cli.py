@@ -411,6 +411,7 @@ ESTIMATE_CFG = {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0]}
 INDICES_CFG = {"symbol": {"name": "power_law", "params": {"alpha": 1.5}}, "x_grid": [0.0],
                "r_max": 100.0, "r_table": [1.0], "compute_beta0": False}
 ATOMS = {"kind": "atoms", "rate": 1.0, "atoms": [[1.0, 1.0]]}
+ANALYTIC_CFG = {"model": BM_MODEL, "x_grid": [0.0], "xi_grid": [1.0]}
 
 # each config exits 2: a malformed value, or a key no kind or spec declares (the
 # misspelled keys would otherwise be dropped and their defaults used)
@@ -470,6 +471,19 @@ MALFORMED = {
                                                        "box": [-1.0, 1.0, 7.0]}),
     "atoms-and-law": ("simulate", {**SIMULATE_CFG, "model": _triplet_model(
         {**ATOMS, "law": {"name": "normal"}})}),
+    "atom-three-numbers": ("symbol-analytic", {**ANALYTIC_CFG, "model": _triplet_model(
+        {**ATOMS, "atoms": [[1.0, 0.5, 9.0], [-1.0, 0.5]]})}),
+    # a catalog entry takes only "name" and "params"; a model or driver symbol only its key
+    "coefficient-param": ("symbol-analytic", {**ANALYTIC_CFG, "model": {
+        **BM_MODEL, "coefficient": {"name": "constant", "param": {"value": 3.0}}}}),
+    "driver-param": ("symbol-analytic", {**ANALYTIC_CFG, "model": {
+        **BM_MODEL, "driver": {"name": "bm", "param": {"variance": 4.0}}}}),
+    "symbol-param": ("indices", {**INDICES_CFG, "symbol": {"name": "stable_like",
+                                                           "param": {"alpha": 1.5}}}),
+    "driver-symbol-x_box": ("indices", {**INDICES_CFG, "symbol": {"driver": {"name": "bm"},
+                                                                  "x_box": [0, 1, 2]}}),
+    "model-symbol-x_box": ("indices", {**INDICES_CFG, "symbol": {"model": {"name": "cp_tanh"},
+                                                                 "x_box": [0, 1, 2]}}),
 }
 
 

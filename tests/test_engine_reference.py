@@ -7,8 +7,7 @@ import reference_engine as ref
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
 from symbolkit.coefficients import CoefficientField
-from symbolkit.levy import (AtomLaw, FiniteActivity, LevyModel, LevyTriplet, StableSymmetric,
-                            normal_law)
+from symbolkit.levy import AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, normal_law
 from symbolkit.sde import MultiDriverSpec, simulate_ensemble, simulate_multi, simulate_paths_dense
 
 
@@ -19,8 +18,7 @@ def _model(driver, phi, drift=None):
 def _planar_model():
     """d = 2 states driven by a two-dimensional jump-diffusion (einsum and matmul paths)."""
     law = AtomLaw.of([((0.5, -0.2), 0.5), ((-1.5, 0.3), 0.5)])
-    driver = LevyModel(LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]],
-                                   FiniteActivity(40.0, law)))
+    driver = LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]], FiniteActivity(40.0, law))
     phi = CoefficientField(
         batch_fn=lambda xs: np.stack([
             np.stack([1.0 + 0.5 * np.sin(xs[:, 1]), np.full(len(xs), 0.2)], axis=1),
@@ -55,9 +53,8 @@ def _burst_spec():
 
 def _planar_burst_model():
     model = _planar_model()
-    law = model.driver.triplet.levy_measure.law
-    driver = LevyModel(LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]],
-                                   FiniteActivity(400.0, law)))
+    law = model.driver.levy_measure.law
+    driver = LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]], FiniteActivity(400.0, law))
     return _model(driver, model.coefficient, model.drift_coefficient)
 
 
@@ -66,8 +63,8 @@ CASES = {name: (lambda name=name: (catalog.MODEL_CATALOG[name](), 0.0))
 CASES["feller_demo"] = lambda: (catalog.feller_demo_model(), 5.0)
 CASES.update({
     "tempered": lambda: (_model(catalog.tempered_density_driver(), co.bump(0.5, 1.0)), 0.0),
-    "normal_law": lambda: (_model(LevyModel(LevyTriplet(
-        [0.3], [[0.0]], FiniteActivity(25.0, normal_law(0.1, 0.6)))), co.bump(0.5, 1.0)), 0.2),
+    "normal_law": lambda: (_model(LevyTriplet(
+        [0.3], [[0.0]], FiniteActivity(25.0, normal_law(0.1, 0.6))), co.bump(0.5, 1.0)), 0.2),
     "stable_1.5": lambda: (_model(catalog.stable_driver(1.5, 0.7), co.cosine(1.5, 1.0),
                                   co.sine(0.0, 0.5)), -0.4),
     "stable_0.7": lambda: (_model(catalog.stable_driver(0.7), co.tanh_field(1.0, 0.5)), 0.0),
@@ -124,7 +121,7 @@ def test_ensemble_matches_reference(case, threads):
 
 def _first_step_counts(model, dt, m, key):
     """Jumps per path in the first step of chunk 0, drawn as the engines draw them."""
-    return sum(ref.sample_step_ensemble(drv.triplet, dt, m, sk.seeding.rng_at(*key, j)).jump_counts
+    return sum(ref.sample_step_ensemble(drv, dt, m, sk.seeding.rng_at(*key, j)).jump_counts
                for j, (_, drv) in enumerate(model.blocks()))
 
 
@@ -163,7 +160,7 @@ def test_burst_dense_matches_reference(case):
 def test_multi_jump_step_takes_rounds_not_point_calls(monkeypatch):
     spec = _burst_spec()
     blocks = spec.blocks()
-    steps = [drv.sample_step_ensemble(0.01, 500, sk.seeding.rng_at(8, j))
+    steps = [sk.levy.sample_step_ensemble(drv, 0.01, 500, sk.seeding.rng_at(8, j))
              for j, (_, drv) in enumerate(blocks)]
     counts = sum(s.jump_counts for s in steps)
     assert counts.max() >= 8 and (counts == 1).any()
@@ -228,10 +225,10 @@ def test_overflow_matches_reference(radius, rate):
 
 
 def test_sampler_matches_reference():
-    triplets = [model.driver.triplet for model in (catalog.bm_bump(), catalog.cp_tanh(),
+    triplets = [model.driver for model in (catalog.bm_bump(), catalog.cp_tanh(),
                                                     catalog.stable_sin())]
-    triplets += [catalog.tempered_density_driver().triplet, catalog.drift_driver(0.5).triplet,
-                 _planar_model().driver.triplet,
+    triplets += [catalog.tempered_density_driver(), catalog.drift_driver(0.5),
+                 _planar_model().driver,
                  LevyTriplet([0.2], [[0.4]], StableSymmetric(1.3, 0.5)),
                  LevyTriplet([0.0], [[2.0]], FiniteActivity(3.0, normal_law(0.2, 0.5)))]
     for trip in triplets:
@@ -343,12 +340,12 @@ def test_path_overflow_matches_scalar_reference(rate):
 
 
 def test_sample_increment_matches_reference():
-    triplets = [model.driver.triplet for model in (catalog.bm_bump(), catalog.cp_tanh(),
+    triplets = [model.driver for model in (catalog.bm_bump(), catalog.cp_tanh(),
                                                     catalog.stable_sin(),
                                                     catalog.feller_demo_model())]
-    triplets += [catalog.tempered_density_driver().triplet, catalog.drift_driver(0.5).triplet,
-                 catalog.compound_poisson_pm1(rate=80.0).triplet,
-                 _planar_model().driver.triplet, LevyTriplet([0.0], [[0.0]]),
+    triplets += [catalog.tempered_density_driver(), catalog.drift_driver(0.5),
+                 catalog.compound_poisson_pm1(rate=80.0),
+                 _planar_model().driver, LevyTriplet([0.0], [[0.0]]),
                  LevyTriplet([0.0], [[2.0]], FiniteActivity(50.0, normal_law(0.2, 0.5)))]
     for trip in triplets:
         for seed in range(6):

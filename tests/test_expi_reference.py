@@ -119,8 +119,8 @@ def planar_triplet():
 
 
 TRIPLETS = {
-    "cp_pm1": catalog.compound_poisson_pm1(2.0).triplet,
-    "poisson": catalog.poisson_unit(3.0).triplet,
+    "cp_pm1": catalog.compound_poisson_pm1(2.0),
+    "poisson": catalog.poisson_unit(3.0),
     "asymmetric": atom_triplet([(1.5, 0.2), (-0.7, 0.5), (3.0, 0.3)]),
     "compensated": atom_triplet([(0.4, 0.25), (-0.4, 0.25), (-2.0, 0.5)]),
     "zero_and_repeats": atom_triplet([(0.0, 0.2), (1.0, 0.2), (-1.0, 0.2), (1.0, 0.2),
@@ -172,7 +172,7 @@ def test_mirrored_atoms_share_at_signed_zeros():
 @pytest.mark.parametrize("name", ["tempered", "cp_normal"])
 def test_fixed_node_panels_bit_for_bit(name, monkeypatch):
     # the density and law panels form their exponentials through expi too
-    measure = (catalog.tempered_density_driver().triplet.levy_measure if name == "tempered"
+    measure = (catalog.tempered_density_driver().levy_measure if name == "tempered"
                else FiniteActivity(2.0, normal_law(0.3, 0.5)))
     triplet = LevyTriplet([0.0], [[0.0]], measure)
     xi = np.linspace(-20.0, 20.0, 81)[:, None]

@@ -15,9 +15,9 @@ from symbolkit import catalog
 from symbolkit import coefficients as co
 from symbolkit.levy import FiniteActivity, LevyTriplet, normal_law
 from symbolkit.sde import MultiDriverSpec
-from symbolkit.symbols import (SymbolEstimate, empirical_field, mixed_power_symbol,
-                               multi_driver_symbol, power_law_symbol, solution_symbol,
-                               stable_like_symbol, symbol_from_exponent, symbol_of_model)
+from symbolkit.symbols import (mixed_power_symbol, multi_driver_symbol, power_law_symbol,
+                               solution_symbol, stable_like_symbol, symbol_from_exponent,
+                               symbol_of_model)
 
 VALUES = (0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 3.0, -3.0, 25.0)
 BUMP_X = -1.523386358242358     # numpy's scalar x ** 2 rounds one ulp away from x * x here
@@ -87,14 +87,13 @@ DRIVERS = {
     "cauchy": lambda: _driver("stable", alpha=1.0),
     "stable1.5": lambda: _driver("stable", alpha=1.5, scale=0.5),
     "tempered": lambda: _driver("tempered"),
-    "normal-law": lambda: catalog.LevyModel(
-        LevyTriplet([0.1], [[0.5]], FiniteActivity(3.0, normal_law(0.2, 0.8)))),
+    "normal-law": lambda: LevyTriplet([0.1], [[0.5]], FiniteActivity(3.0, normal_law(0.2, 0.8))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_driver_symbol_point_is_batch_row(name):
-    p = symbol_from_exponent(DRIVERS[name]().exponent, name=name)
+    p = symbol_from_exponent(DRIVERS[name](), name=name)
     assert_symbol_rows(p, *grid())
 
 
@@ -104,7 +103,7 @@ def test_model_symbol_point_is_batch_row(name):
 
 
 def test_solution_symbol_with_drift_point_is_batch_row():
-    p = solution_symbol(DRIVERS["normal-law"]().exponent, co.bump(0.5, 1.0),
+    p = solution_symbol(DRIVERS["normal-law"](), co.bump(0.5, 1.0),
                         drift_coefficient=co.tanh_field(-0.5, 2.0))
     assert_symbol_rows(p, *grid())
 
@@ -135,10 +134,3 @@ def test_stable_like_point_is_batch_row_property(pairs):
     with np.errstate(over="ignore"):        # |xi|^alpha overflows to inf for huge |xi|
         assert_symbol_rows(stable_like_symbol(catalog.default_stable_like_alpha), xs, xis)
 
-
-def test_empirical_field_point_is_batch_row():
-    xs, xis = grid()
-    estimates = [SymbolEstimate(x=x, xi=xi, estimate=complex(k, -0.5 * k), se=0.0,
-                                rungs=[], r_used=1.0, ladder=(), paths_per_rung=1000)
-                 for k, (x, xi) in enumerate(zip(xs, xis))]
-    assert_symbol_rows(empirical_field(estimates), xs, xis)

@@ -11,8 +11,7 @@ from symbolkit.indices import (eval_g_quadrature, index_transfer_check,
                                symbol_bound_diagnostic, symbol_sector_constant)
 from symbolkit.levy import kappa_from_c0
 from symbolkit.quadrature import integrate_checked
-from symbolkit.symbols import (mixed_power_symbol, power_law_symbol,
-                               stable_like_symbol, symbol_from_exponent,
+from symbolkit.symbols import (mixed_power_symbol, power_law_symbol, stable_like_symbol,
                                symbol_of_model)
 
 
@@ -45,9 +44,11 @@ class TestKernel:
             sk.eval_g(2, 0.0)
 
     def test_moments_are_factorials_d1(self):
-        kern = sk.KernelG(1)
+        # int |rho|^k g_1(rho) drho over the line = k!
         for k in range(5):
-            assert kern.moment(k) == pytest.approx(G(k + 1), abs=1e-6)
+            moment = 2 * integrate_checked(lambda r: r ** k * sk.eval_g(1, r), 0.0, 80.0,
+                                           tol=1e-9, points=[1e-8, 1.0])
+            assert moment == pytest.approx(G(k + 1), abs=1e-6)
 
     def test_positive_and_radial(self):
         rng = np.random.default_rng(1)
@@ -197,27 +198,24 @@ class TestBetaZero:
 class TestIndexTransfer:
     def test_tanh_coefficient_preserves_index(self):
         driver = catalog.stable_driver(1.2)
-        rep = index_transfer_check(symbol_from_exponent(driver.exponent),
-                                   co.tanh_field(1.0, 0.5), [-2.0, 0.0, 2.0])
+        rep = index_transfer_check(driver, co.tanh_field(1.0, 0.5), [-2.0, 0.0, 2.0])
         assert rep.beta_driver == pytest.approx(1.2, abs=1e-9)
         assert rep.max_deviation <= 0.1
 
     def test_identity_coefficient_exact(self):
         driver = catalog.stable_driver(0.9)
-        rep = index_transfer_check(symbol_from_exponent(driver.exponent),
-                                   co.constant(1.0), [-1.0, 0.5])
+        rep = index_transfer_check(driver, co.constant(1.0), [-1.0, 0.5])
         assert rep.max_deviation <= 1e-12
 
     def test_singular_coefficient_rejected(self):
         driver = catalog.stable_driver(1.2)
         with pytest.raises(sk.BijectivityViolation):
-            index_transfer_check(symbol_from_exponent(driver.exponent),
-                                 co.tanh_field(0.0, 1.0), [0.0])
+            index_transfer_check(driver, co.tanh_field(0.0, 1.0), [0.0])
 
 
 def solution_triplet_field(model):
     def field(x):
-        trip = sk.frozen_triplet(model.driver.triplet, model.coefficient, x)
+        trip = sk.frozen_triplet(model.driver, model.coefficient, x)
         if model.drift_coefficient is not None:
             extra = float(model.drift_coefficient(np.atleast_1d(x))[0, 0])
             trip = sk.LevyTriplet([trip.drift[0] + extra], trip.covariance,
@@ -237,7 +235,7 @@ class TestBoundDiagnostic:
         assert diag.subadditivity_slack >= 0.0
 
     def test_compound_poisson_jump_mass(self):
-        measure = catalog.compound_poisson_pm1().triplet.levy_measure
+        measure = catalog.compound_poisson_pm1().levy_measure
         assert measure.mass_ratio() == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("name", list(catalog.AGREEMENT_MODELS))

@@ -29,32 +29,32 @@ def catalog_triplets():
                                     sk.FiniteActivity(2.0, normal_law(0.3, 0.5))),
         "stable_07": sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(0.7)),
         "stable_15": sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.5, 2.0)),
-        "tempered": catalog.tempered_density_driver().triplet,
+        "tempered": catalog.tempered_density_driver(),
     }
 
 
 class TestEvalExponent:
     def test_gaussian_half_xi_squared(self):
         trip = sk.LevyTriplet([0.0], [[1.0]])
-        assert sk.eval_exponent(trip, 2.0) == pytest.approx(2.0 + 0.0j, abs=1e-14)
+        assert trip(2.0) == pytest.approx(2.0 + 0.0j, abs=1e-14)
 
     def test_zero_frequency_vanishes(self):
         for trip in catalog_triplets().values():
-            assert sk.eval_exponent(trip, 0.0) == pytest.approx(0.0, abs=1e-12)
+            assert trip(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_atoms_one_minus_cos(self):
         # two unit atoms: psi(xi) = 1 - cos(xi); compensators cancel by symmetry
-        val = sk.eval_exponent(cp_pm1_triplet(), np.pi)
+        val = cp_pm1_triplet()(np.pi)
         assert val == pytest.approx(2.0 + 0.0j, abs=1e-14)
 
     def test_stable_power_law(self):
         trip = sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.3, 0.7))
-        assert sk.eval_exponent(trip, -2.0) == pytest.approx(0.7 * 2.0 ** 1.3, abs=1e-12)
+        assert trip(-2.0) == pytest.approx(0.7 * 2.0 ** 1.3, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         trip = sk.LevyTriplet([0.0, 0.0], np.eye(2))
         with pytest.raises(sk.DimensionMismatch):
-            sk.eval_exponent(trip, np.array([1.0, 2.0, 3.0]))
+            trip(np.array([1.0, 2.0, 3.0]))
 
     def test_density_form_matches_closed_form_stable(self):
         # nu(y) = k |y|^{-1-alpha} truncated far out approximates scale |xi|^alpha
@@ -64,7 +64,7 @@ class TestEvalExponent:
         trip = sk.LevyTriplet([0.0], [[0.0]],
                               sk.DensityForm(dens, window=4000.0, cutoff=1e-4))
         for xi in (0.7, 2.0):
-            val = sk.eval_exponent(trip, xi)
+            val = trip(xi)
             # truncation at the window removes ~2k W^-alpha / alpha of mass
             assert val.real == pytest.approx(abs(xi) ** alpha, rel=5e-3)
             assert abs(val.imag) < 1e-9
@@ -142,7 +142,7 @@ class TestSampling:
             w = np.exp(1j * xi * total)
             emp = w.mean()
             se = np.sqrt((w.real.var(ddof=1) + w.imag.var(ddof=1)) / m)
-            exact = np.exp(-dt * sk.eval_exponent(trip, float(xi)))
+            exact = np.exp(-dt * trip(float(xi)))
             assert abs(emp - exact) <= 4 * se, (name, xi, abs(emp - exact), se)
 
 
@@ -187,14 +187,14 @@ def oracle_measures():
     """Density-on-the-line measures with the fixed-node exponent (tempered_power 1.5 apart)."""
     normal = sk.FiniteActivity(2.0, normal_law(0.3, 0.5))
     return {
-        "tempered": catalog.tempered_density_driver().triplet.levy_measure,
+        "tempered": catalog.tempered_density_driver().levy_measure,
         "cp_normal": normal,
         # asymmetric support: the density jumps at -0.7 and 1.9
         "uniform_asym": sk.FiniteActivity(1.5, uniform_law(-0.7, 1.9)),
-        "exponential": sk.LevyModel.from_dict({"levy_measure": {
+        "exponential": sk.LevyTriplet.from_dict({"levy_measure": {
             "kind": "density", "name": "exponential",
-            "params": {"a": 1.0, "b": 1.0}}}).triplet.levy_measure,
-        "frozen_tempered": sk.frozen_triplet(catalog.tempered_density_driver().triplet,
+            "params": {"a": 1.0, "b": 1.0}}}).levy_measure,
+        "frozen_tempered": sk.frozen_triplet(catalog.tempered_density_driver(),
                                              co.constant(0.6), 0.0).levy_measure,
         "frozen_normal": sk.frozen_triplet(sk.LevyTriplet([0.0], [[0.0]], normal),
                                            co.constant(-1.7), 0.0).levy_measure,
@@ -229,9 +229,9 @@ class TestFixedNodeExponent:
         # nu = |y|^{-5/2} e^{-|y|} has psi(xi) = -2 Gamma(-a) ((1+xi^2)^{a/2} cos(a atan xi) - 1);
         # the window 32 drops mass ~1e-16.
         alpha = 1.5
-        measure = sk.LevyModel.from_dict({"levy_measure": {
+        measure = sk.LevyTriplet.from_dict({"levy_measure": {
             "kind": "density", "name": "tempered_power",
-            "params": {"alpha": alpha}}}).triplet.levy_measure
+            "params": {"alpha": alpha}}}).levy_measure
         xi = np.linspace(-20.0, 20.0, 41)
         _, err = measure.jump_nodes.integrate(xi)
         assert (err <= 1e-8).all()
@@ -247,9 +247,9 @@ class TestFixedNodeExponent:
         # the oracle once integrated [0, 1e-8] twice (off by 1.25e-3 at alpha = 1.5,
         # xi = 2.5), and one adaptive integral over [1e-8, 1] in y is still off by
         # 1.8e-5 at alpha = 1.5, xi = 0.3, and by 1.6e-4 at alpha = 1.9
-        measure = sk.LevyModel.from_dict({"levy_measure": {
+        measure = sk.LevyTriplet.from_dict({"levy_measure": {
             "kind": "density", "name": "tempered_power",
-            "params": {"alpha": alpha}}}).triplet.levy_measure
+            "params": {"alpha": alpha}}}).levy_measure
         for xi in xis:
             exact = -2.0 * gamma_fn(-alpha) * (
                 (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(abs(xi))) - 1.0)
@@ -276,11 +276,11 @@ class TestFixedNodeExponent:
 
     def test_quadrature_failure_still_raised(self):
         # at |xi| = 1e4 the tempered density's adaptive error estimate is far above 1e-8
-        trip = catalog.tempered_density_driver().triplet
+        trip = catalog.tempered_density_driver()
         with pytest.raises(sk.QuadratureFailure):
             _density_exponent_adaptive(trip.levy_measure, 1e4)
         with pytest.raises(sk.QuadratureFailure):
-            sk.eval_exponent(trip, 1e4)
+            trip(1e4)
 
     @pytest.mark.parametrize("name", ["tempered", "cp_normal"])
     def test_value_does_not_depend_on_the_batch(self, name):
@@ -297,7 +297,7 @@ class TestFixedNodeExponent:
         assert (vals.imag == 0.0).all()
 
     def test_node_table_is_lazy_and_cached(self):
-        measure = catalog.tempered_density_driver().triplet.levy_measure
+        measure = catalog.tempered_density_driver().levy_measure
         assert "jump_nodes" not in vars(measure)
         measure.exponent_many(np.array([[1.0]]))
         table = measure.jump_nodes
@@ -326,18 +326,17 @@ def test_quadrature_failure_reports_achieved_error():
 
 class TestSectorConstant:
     def test_symmetric_symbol_hits_floor(self):
-        psi = sk.CharacteristicExponent(
-            sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.5)))
+        psi = sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.5))
         grid = [np.array([v]) for v in (0.5, 1.0, 2.0, 4.0)]
         assert sk.sector_constant(psi, grid) == pytest.approx(1e-6)
 
     def test_bm_with_drift(self):
-        psi = sk.CharacteristicExponent(sk.LevyTriplet([1.0], [[1.0]]))
+        psi = sk.LevyTriplet([1.0], [[1.0]])
         grid = [np.array([v]) for v in (1.0, 2.0, 4.0)]
         assert sk.sector_constant(psi, grid) == pytest.approx(2.0)
 
     def test_pure_drift_violates(self):
-        psi = sk.CharacteristicExponent(sk.LevyTriplet([1.0], [[0.0]]))
+        psi = sk.LevyTriplet([1.0], [[0.0]])
         with pytest.raises(sk.SectorViolation):
             sk.sector_constant(psi, [np.array([1.0])])
 
@@ -348,20 +347,20 @@ class TestSectorConstant:
 
 class TestJson:
     def test_model_from_dict_atoms(self):
-        model = sk.LevyModel.from_dict({
+        driver = sk.LevyTriplet.from_dict({
             "drift": [0.5], "covariance": [[2.0]],
             "levy_measure": {"kind": "atoms", "rate": 1.0,
                              "atoms": [[1.0, 0.5], [-1.0, 0.5]]}})
-        val = model.psi(np.pi)
+        val = driver(np.pi)
         assert val == pytest.approx(0.5 * np.pi ** 2 * 2.0 + 2.0 - 0.5j * np.pi, abs=1e-12)
 
     def test_model_from_dict_stable_and_zero(self):
-        stable = sk.LevyModel.from_dict(
+        stable = sk.LevyTriplet.from_dict(
             {"drift": [0.0], "levy_measure": {"kind": "stable", "alpha": 1.1}})
-        assert stable.psi(2.0) == pytest.approx(2.0 ** 1.1)
-        zero = sk.LevyModel.from_dict({"drift": [0.0]})
-        assert zero.psi(5.0) == 0.0
+        assert stable(2.0) == pytest.approx(2.0 ** 1.1)
+        zero = sk.LevyTriplet.from_dict({"drift": [0.0]})
+        assert zero(5.0) == 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            sk.LevyModel.from_dict({"drift": [0.0], "levy_measure": {"kind": "bogus"}})
+            sk.LevyTriplet.from_dict({"drift": [0.0], "levy_measure": {"kind": "bogus"}})

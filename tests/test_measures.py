@@ -24,7 +24,7 @@ XI = np.linspace(-12.0, 12.0, 49)[:, None]
 
 
 def _measures():
-    exponential = sk.LevyModel.from_dict({"levy_measure": {
+    exponential = sk.LevyTriplet.from_dict({"levy_measure": {
         "kind": "density", "name": "exponential", "params": {"a": 1.0, "b": 1.0}}})
     return {
         "zero": sk.ZeroMeasure(),
@@ -37,12 +37,21 @@ def _measures():
         "stable_07": sk.StableSymmetric(0.7, 0.9),
         "stable_10": sk.StableSymmetric(1.0),
         "stable_15": sk.StableSymmetric(1.5, 1.3),
-        "tempered": catalog.tempered_density_driver().triplet.levy_measure,
-        "exponential": exponential.triplet.levy_measure,
+        "tempered": catalog.tempered_density_driver().levy_measure,
+        "exponential": exponential.levy_measure,
     }
 
 
 MEASURES = _measures()
+
+
+def uniform_truncation_shift(rate, low, high, phi) -> float:
+    """phi * rate * int y (1_{|y| < 1/|phi|} - 1_{|y| < 1}) dy / (high - low) on [low, high]."""
+    def moment_below(r):
+        a, b = max(low, -r), min(high, r)
+        return (b * b - a * a) / (2.0 * (high - low)) if b > a else 0.0
+
+    return phi * rate * (moment_below(1.0 / abs(phi)) - moment_below(1.0)) if phi else 0.0
 
 
 def same_bits(a, b) -> bool:
@@ -96,6 +105,12 @@ def test_image_matches_reference(name, phi):
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_truncation_shift_matches_reference(name, phi):
     measure = MEASURES[name]
+    if name == "uniform":
+        # the reference integrates across the law's ends, which quad can miss (9.4e-4
+        # off at 1/|phi| = 1.9016); the method stops at them: check the closed form
+        assert measure.truncation_shift(phi) == pytest.approx(
+            uniform_truncation_shift(1.5, -0.7, 1.9, phi), abs=1e-12)
+        return
     assert same_bits(np.float64(measure.truncation_shift(phi)),
                      np.float64(ref._drift_indicator_correction(measure, phi)))
 

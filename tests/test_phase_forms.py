@@ -13,8 +13,7 @@ import pytest
 
 from symbolkit import catalog, symbols
 from symbolkit import coefficients as co
-from symbolkit.levy import (CHUNK_ROWS, AtomLaw, FiniteActivity, LevyModel, LevyTriplet,
-                            expi)
+from symbolkit.levy import CHUNK_ROWS, AtomLaw, FiniteActivity, LevyTriplet, expi
 from symbolkit.sde import SdeModel
 from symbolkit.symbols import _values_for_xi, symbol_of_model
 
@@ -110,8 +109,8 @@ def test_atom_exponent_planar_keeps_the_matmul():
 
 
 def _atom_model(atoms, phi):
-    return SdeModel(coefficient=phi, driver=LevyModel(LevyTriplet(
-        [0.2], [[0.5]], FiniteActivity(1.5, AtomLaw.of(atoms)))))
+    return SdeModel(coefficient=phi, driver=LevyTriplet(
+        [0.2], [[0.5]], FiniteActivity(1.5, AtomLaw.of(atoms))))
 
 
 SYMBOL_MODELS = {

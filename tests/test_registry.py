@@ -8,7 +8,7 @@ import pytest
 from symbolkit import catalog
 from symbolkit import coefficients as co
 from symbolkit.cli import main
-from symbolkit.levy import (DensityForm, FiniteActivity, LevyModel, LevyTriplet, exponential,
+from symbolkit.levy import (DensityForm, FiniteActivity, LevyTriplet, exponential,
                             normal_law, tempered_power, uniform_law)
 from symbolkit.symbols import mixed_power_symbol, power_law_symbol, stable_like_symbol
 
@@ -84,8 +84,8 @@ DRIVERS = [
 @pytest.mark.parametrize("name,params,direct", DRIVERS, ids=[d[0] for d in DRIVERS])
 def test_driver_spec_is_the_constructor(name, params, direct):
     built = catalog.resolve_driver({"name": name, "params": params})
-    np.testing.assert_array_equal(built.exponent.many(XIS[:, None]),
-                                  direct().exponent.many(XIS[:, None]))
+    np.testing.assert_array_equal(built.many(XIS[:, None]),
+                                  direct().many(XIS[:, None]))
     assert built.name == direct().name
 
 
@@ -110,10 +110,10 @@ MEASURES = [
 @pytest.mark.parametrize("spec,direct", MEASURES, ids=["normal", "uniform", "tempered_power",
                                                        "exponential"])
 def test_measure_spec_is_the_constructor(spec, direct):
-    built = LevyModel.from_dict(_triplet_driver(spec))
-    ref = LevyModel(LevyTriplet([0.0], [[0.0]], direct()))
-    np.testing.assert_array_equal(built.exponent.many(XIS[:, None]),
-                                  ref.exponent.many(XIS[:, None]))
+    built = LevyTriplet.from_dict(_triplet_driver(spec))
+    ref = LevyTriplet([0.0], [[0.0]], direct())
+    np.testing.assert_array_equal(built.many(XIS[:, None]),
+                                  ref.many(XIS[:, None]))
 
 
 def _parent_tempered(alpha, decay):
@@ -123,7 +123,7 @@ def _parent_tempered(alpha, decay):
 
 @pytest.mark.parametrize("alpha,decay", [(0.5, 1.0), (1.5, 0.25), (1, 2)])
 def test_tempered_driver_density_is_bit_identical(alpha, decay):
-    density = catalog.tempered_density_driver(alpha, decay).triplet.levy_measure.density
+    density = catalog.tempered_density_driver(alpha, decay).levy_measure.density
     parent = _parent_tempered(alpha, decay)
     for y in (0.0, 1e-9, 0.5, 1.0, 40.0):
         for v in (y, -y, np.float64(y)):

@@ -1,12 +1,13 @@
 """Path simulation: scheme conventions, exit times, determinism."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import symbolkit as sk
-from symbolkit import catalog, coefficients as co
+from symbolkit import catalog, coefficients as co, levy
 from symbolkit.sde import (path_from_binary, path_to_binary, path_to_csv,
                            simulate_ensemble, simulate_paths_dense)
 
@@ -212,6 +213,25 @@ class TestEnsemble:
                                 64, 256, seed=3, record_max_steps=[16, 32, 48, 64])
         diffs = np.diff(res.running_max, axis=0)
         assert diffs.min() >= 0.0
+
+
+def test_sampler_and_exponent_are_looked_up_in_levy_at_call_time(monkeypatch):
+    # bench/tracing.py wraps these two module globals: every step draw and every
+    # exponent batch of an ensemble, a path and a solution symbol must reach them
+    calls = Counter()
+    for name in ("sample_step_ensemble", "eval_exponent_many"):
+        def counted(*args, _f=getattr(levy, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(levy, name, counted)
+    model = catalog.cp_tanh()           # compound Poisson: one sampler call per step
+    simulate_ensemble(model.blocks(), None, np.array([0.0]), 0.1, 4, 100, seed=1)
+    assert calls == {"sample_step_ensemble": 4}
+    sk.simulate_path(model, 0.0, 0.1, 0.05, seed=2)
+    assert calls == {"sample_step_ensemble": 6}
+    sk.symbol_of_model(model).many(np.zeros((3, 1)), np.ones((3, 1)))
+    model.driver(1.0)
+    assert calls == {"sample_step_ensemble": 6, "eval_exponent_many": 2}
 
 
 class TestCoefficientValidation:

@@ -2,36 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
-from symbolkit.levy import CharacteristicExponent, normal_law, uniform_law
-from symbolkit.symbols import (DEFAULT_LADDER, _extrapolate, empirical_field,
-                               gaussian_bump, power_law_symbol, solution_symbol,
+from symbolkit.levy import normal_law, uniform_law
+from symbolkit.symbols import (DEFAULT_LADDER, _extrapolate, gaussian_bump, power_law_symbol, solution_symbol,
                                symbol_from_exponent, symbol_of_model)
 
 
 def stable1_exponent():
-    return CharacteristicExponent(
-        sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.0)))
+    return sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.0))
 
 
 class TestAnalyticSymbol:
     def test_stable_with_sine_coefficient(self):
         # p(x, xi) = |sin(x)|^1 |xi|^1 at x = pi/2, xi = 3
-        val = sk.analytic_symbol(stable1_exponent(), co.sine(0.0, 1.0),
-                                 np.pi / 2, 3.0)
+        val = solution_symbol(stable1_exponent(), co.sine(0.0, 1.0))(np.pi / 2, 3.0)
         assert val == pytest.approx(3.0 + 0.0j, abs=1e-12)
 
     def test_zero_frequency(self):
-        val = sk.analytic_symbol(stable1_exponent(), co.bump(0.5, 1.0), 0.7, 0.0)
+        val = solution_symbol(stable1_exponent(), co.bump(0.5, 1.0))(0.7, 0.0)
         assert val == 0.0
 
     def test_bm_with_drift_coefficient(self):
-        psi = CharacteristicExponent(sk.LevyTriplet([0.0], [[1.0]]))
+        driver = sk.LevyTriplet([0.0], [[1.0]])
         c, m = 1.3, 0.4
-        val = sk.analytic_symbol(psi, co.constant(c), 2.0, 1.5,
-                                 drift_coefficient=co.constant(m))
+        val = solution_symbol(driver, co.constant(c), co.constant(m))(2.0, 1.5)
         assert val == pytest.approx(0.5 * c ** 2 * 1.5 ** 2 - 1j * m * 1.5, abs=1e-12)
 
     def test_solution_symbol_hermitian_and_zero(self):
@@ -179,16 +177,6 @@ class TestEstimateSymbolMc:
         # shared rung paths: estimate at -xi is exactly the conjugate
         assert ests[1].estimate == pytest.approx(np.conj(ests[0].estimate), abs=1e-14)
 
-    def test_empirical_field_lookup(self):
-        model = catalog.bm_bump()
-        ests = sk.symbol_mc_table(model, [0.0], [1.0], paths_per_rung=1000,
-                                  seed=10, check_radius=False)
-        fld = empirical_field(ests)
-        assert fld.kind == "empirical"
-        assert fld(np.array([0.0]), np.array([1.0])) == ests[0].estimate
-        with pytest.raises(KeyError):
-            fld(np.array([0.5]), np.array([1.0]))
-
 
 class TestFrozenTriplet:
     @pytest.mark.parametrize("phi_val", [3.0, 0.25, -1.5, 1.0])
@@ -198,16 +186,16 @@ class TestFrozenTriplet:
                                     [(0.5, 0.7), (-2.0, 0.3)])))
         frozen = sk.frozen_triplet(driver, co.constant(phi_val), 0.0)
         for xi in (0.3, -1.0, 2.2):
-            want = sk.eval_exponent(driver, phi_val * xi)
-            got = sk.eval_exponent(frozen, xi)
+            want = driver(phi_val * xi)
+            got = frozen(xi)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_reproduces_scaled_exponent_stable(self):
         driver = sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.3, 0.8))
         frozen = sk.frozen_triplet(driver, co.constant(2.0), 0.0)
         for xi in (0.5, 1.7):
-            assert sk.eval_exponent(frozen, xi) == pytest.approx(
-                sk.eval_exponent(driver, 2.0 * xi), abs=1e-12)
+            assert frozen(xi) == pytest.approx(
+                driver(2.0 * xi), abs=1e-12)
 
     @pytest.mark.parametrize("phi_val", [3.0, 0.25, -1.5, 1.0])
     @pytest.mark.parametrize("name", ["normal", "uniform", "tempered", "exponential"])
@@ -217,20 +205,55 @@ class TestFrozenTriplet:
             law = normal_law(0.3, 0.5) if name == "normal" else uniform_law(-0.7, 1.9)
             measure = sk.FiniteActivity(1.4, law)
         else:
-            measure = sk.LevyModel.from_dict({"levy_measure": {
+            measure = sk.LevyTriplet.from_dict({"levy_measure": {
                 "kind": "density", "name": "tempered_power" if name == "tempered" else name,
-                "params": {"a": 1.0, "b": 1.0}}}).triplet.levy_measure
+                "params": {"a": 1.0, "b": 1.0}}}).levy_measure
         driver = sk.LevyTriplet([0.3], [[0.0]], measure)
         frozen = sk.frozen_triplet(driver, co.constant(phi_val), 0.0)
         for xi in (0.3, -1.0, 2.2):
-            want = sk.eval_exponent(driver, phi_val * xi)
-            assert abs(sk.eval_exponent(frozen, xi) - want) <= 1e-10
+            want = driver(phi_val * xi)
+            assert abs(frozen(xi) - want) <= 1e-10
 
     def test_zero_coefficient_freezes_to_origin(self):
-        driver = catalog.compound_poisson_pm1().triplet
+        driver = catalog.compound_poisson_pm1()
         frozen = sk.frozen_triplet(driver, co.zero(), 0.0)
         assert isinstance(frozen.levy_measure, sk.ZeroMeasure)
-        assert sk.eval_exponent(frozen, 3.0) == 0.0
+        assert frozen(3.0) == 0.0
+
+
+# the paper's identity p(x, xi) = psi_x(xi), psi_x the exponent of the x-frozen triplet:
+# (driver, tolerance, examples) per measure variant; a density image costs tens of ms
+IDENTITY_DRIVERS = {
+    "gaussian": (lambda: sk.LevyTriplet([0.3], [[0.7]]), 1e-12, 100),
+    "atoms": (lambda: sk.LevyTriplet([0.3], [[0.7]], sk.FiniteActivity(
+        1.3, sk.AtomLaw.of([(0.5, 0.7), (-2.0, 0.3)]))), 1e-12, 100),
+    "stable": (lambda: sk.LevyTriplet([0.2], [[0.0]], sk.StableSymmetric(1.3, 0.8)), 1e-12, 100),
+    "normal-law": (lambda: sk.LevyTriplet([0.3], [[0.0]], sk.FiniteActivity(
+        1.4, normal_law(0.3, 0.5))), 1e-9, 20),
+    "uniform-law": (lambda: sk.LevyTriplet([0.3], [[0.0]], sk.FiniteActivity(
+        1.4, uniform_law(-0.7, 1.9))), 1e-9, 20),
+    "tempered": (catalog.tempered_density_driver, 1e-8, 20),
+}
+# x-dependent coefficients with 0.5 <= |phi| <= 1.5, one of them negative
+X_COEFFICIENTS = {"bump": co.bump(0.5, 1.0), "tanh": co.tanh_field(1.0, 0.5),
+                  "sine": co.sine(-1.0, 0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_DRIVERS))
+def test_frozen_triplet_exponent_is_the_solution_symbol(name):
+    make, tol, examples = IDENTITY_DRIVERS[name]
+    driver = make()
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.sampled_from(sorted(X_COEFFICIENTS)), st.floats(-5.0, 5.0),
+           st.floats(-10.0, 10.0))
+    @example("tanh", -1.8143370852339782, 4.768617111904474)   # 1/|phi| just above 1.9
+    def check(coef, x, xi):
+        phi = X_COEFFICIENTS[coef]
+        want = solution_symbol(driver, phi)(x, xi)
+        assert abs(sk.frozen_triplet(driver, phi, x)(xi) - want) <= tol, (coef, x, xi)
+
+    check()
 
 
 class TestGeneratorIntegro:
@@ -254,7 +277,7 @@ class TestGeneratorIntegro:
 
 class TestGeneratorFourier:
     def test_bm_matches_integro(self):
-        p = symbol_from_exponent(CharacteristicExponent(sk.LevyTriplet([0.0], [[1.0]])))
+        p = symbol_from_exponent(sk.LevyTriplet([0.0], [[1.0]]))
         val = sk.generator_apply_fourier(p, gaussian_bump(), 0.0)
         assert val == pytest.approx(-0.5, abs=1e-9)
 
@@ -266,18 +289,12 @@ class TestGeneratorFourier:
     def test_stable_cross_representation(self):
         # |xi| symbol vs the Cauchy jump density 1/(pi y^2): two routes, one operator
         trip = sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.0))
-        p = symbol_from_exponent(CharacteristicExponent(trip))
+        p = symbol_from_exponent(trip)
         u = gaussian_bump()
         for x in (-1.0, 0.0, 1.0):
             four = sk.generator_apply_fourier(p, u, x)
             intg = sk.generator_apply_integro(trip, u, x)
             assert abs(four - intg) <= 1e-3 * max(abs(four), abs(intg))
-
-    def test_empirical_kind_rejected(self):
-        p = sk.SymbolField(batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex), d=1,
-                           kind="empirical")
-        with pytest.raises(ValueError, match="analytic"):
-            sk.generator_apply_fourier(p, gaussian_bump(), 0.0)
 
 
 class TestTestFunction:
@@ -296,7 +313,7 @@ class TestTestFunction:
         from scipy.integrate import quad
 
         val, _ = quad(lambda s: abs(u.hat(s)), -30, 30)
-        assert val == pytest.approx(u.hat_l1, abs=1e-9)
+        assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_derivatives(self):
         u = gaussian_bump(0.5, 0.8)
