@@ -87,6 +87,8 @@ def _jsonable(obj):
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -104,8 +106,7 @@ def _rows(records, header) -> list:
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def _config_hash(config: dict) -> str:
@@ -156,7 +157,7 @@ def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
 def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=False):
     path = simulate_path(_model(model), x0, float(horizon), float(step), seed)
     header = ["t"] + [f"x_{j + 1}" for j in range(path.d)]
-    rows = [[t] + list(state) for t, state in zip(path.times, path.states)]
+    rows = np.column_stack((path.times, path.states)).tolist()
     results = {
         "terminal": path.states[-1].tolist(),
         "n_steps": int(len(path.times) - 1),

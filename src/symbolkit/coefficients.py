@@ -103,8 +103,13 @@ def validate_field(fld: CoefficientField, box_halfwidth: float = 5.0,
 # catalog; sup / Lipschitz constants are analytic for each family
 
 def constant(value: float = 1.0) -> CoefficientField:
-    return scalar_field(lambda x: np.full_like(np.asarray(x, dtype=float), value),
-                        bound=abs(value), lipschitz=0.0, name=f"constant({value})")
+    def batch_fn(xs):
+        out = np.empty((xs.shape[0], 1, 1))
+        out.fill(value)
+        return out
+
+    return CoefficientField(batch_fn=batch_fn, d=1, n=1, bound=abs(value), lipschitz=0.0,
+                            name=f"constant({value})")
 
 
 def zero() -> CoefficientField:

@@ -40,7 +40,9 @@ FiniteActivity and DensityForm share one compound-Poisson step),
 ``image(phi)`` (the measure under y -> phi y), ``truncation_shift(phi)``,
 ``generator_term(u, x)``, ``mass_ratio()`` (int y^2/(1+y^2) N(dy)) and
 ``step_distributions``, the number of distributions one sampled step draws
-from (0 for zero, 1 for Cauchy, 2 for other stable, 3 for compound Poisson).
+from (0 for zero, 1 for Cauchy, 2 for other stable, 3 for compound Poisson),
+and, for the compound-Poisson variants, ``activity`` (simulated jumps per unit
+time, the rate of :func:`poisson_counts`).
 """
 
 from __future__ import annotations
@@ -316,6 +318,15 @@ class ZeroMeasure:
         return 0.0
 
 
+def poisson_counts(rng, activity, dt, size):
+    """Jump counts of ``size`` path-steps of length dt at ``activity`` jumps per unit time.
+
+    The one count draw of a compound-Poisson step: ``sde._driver_steps``
+    also draws its look-ahead with it, then rewinds the generator.
+    """
+    return rng.poisson(activity * dt, size=size)
+
+
 def _compound_poisson_step(smooth, shift, dt, m, rng, activity, draw, comp):
     """``sample_step`` of a measure whose jumps are simulated one by one.
 
@@ -323,7 +334,7 @@ def _compound_poisson_step(smooth, shift, dt, m, rng, activity, draw, comp):
     ``draw(rng, k)``, positions uniform on (0, dt); ``comp`` is the
     compensator of the simulated jumps over dt.
     """
-    counts = rng.poisson(activity * dt, size=m)
+    counts = poisson_counts(rng, activity, dt, m)
     total = int(counts.sum())
     jumps = None
     if total:
@@ -354,6 +365,11 @@ class FiniteActivity:
     @property
     def dim(self) -> int:
         return self.law.dim
+
+    @property
+    def activity(self) -> float:
+        """Simulated jumps per unit time."""
+        return self.rate
 
     def sample_step(self, smooth, shift, dt, m, rng):
         return _compound_poisson_step(smooth, shift, dt, m, rng, self.rate, self.law.sample,
@@ -634,6 +650,14 @@ class LevyTriplet:
         # stream does not depend on the call size) and n = 1 (n > 1 goes through
         # a matmul, whose rounding may depend on the row count)
         self.blockable = n == 1 and self.gaussian + levy_measure.step_distributions <= 1
+        # a compound-Poisson step with n = 1 and no Gaussian part draws only its
+        # Poisson counts when no path jumps, so a run of jump-free steps is one
+        # call too: sde._driver_steps finds the run by drawing the counts of K
+        # steps ahead and rewinding the generator to its saved state, with
+        # K = min(BLOCK_ROWS // m, floor(1 / (activity dt m))), about one
+        # expected jump per look-ahead; K <= 1 draws step by step
+        self.jump_activity = (levy_measure.activity if n == 1 and not self.gaussian
+                              and levy_measure.step_distributions == 3 else None)
 
     @property
     def dim(self) -> int:

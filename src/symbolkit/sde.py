@@ -31,9 +31,15 @@ as (grid time, state-space effect).  The engine keeps these invariants:
   a block whose driver draws from at most one distribution per step, with
   n = 1 (``LevyTriplet.blockable``), draws K steps in one call of K*m rows
   from the same stream (K*m <= ``BLOCK_ROWS``), which yields the same
-  variates bit for bit.  Output is therefore invariant under the worker
-  count.  A single path uses the generators (master seed, ``TAG_PATH``,
-  block index);
+  variates bit for bit.  A pure compound-Poisson driver with n = 1
+  (``LevyTriplet.jump_activity``) draws only Poisson counts on a step where
+  no path jumps: it draws the counts of its next
+  K = min(BLOCK_ROWS // m, floor(1 / (activity dt m))) steps, about one
+  expected jump, rewinds the generator to its saved state, and then draws
+  the steps before the first jump in one call and that step alone; K <= 1
+  draws step by step.
+  Output is therefore invariant under the worker count.  A single path uses
+  the generators (master seed, ``TAG_PATH``, block index);
 - the arithmetic rounds as the plain formulation does (a zeroed update
   summed block by block, then the drift; norms as ``np.linalg.norm``), so
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
@@ -209,32 +215,54 @@ def _driver_steps(driver, dt, n_steps, m, rng):
 
     A blockable driver (``LevyTriplet.blockable``) draws K = BLOCK_ROWS // m
     steps in one call of K*m rows and hands out one m-row slice per step:
-    the same values, bit for bit, as K calls of m rows.  Any other driver,
-    and any driver when K = 1, draws once per step.  The sampler is looked up
-    in ``levy`` at each call, so a wrapper put there sees every draw.
+    the same values, bit for bit, as K calls of m rows.  A driver with a
+    ``jump_activity`` (pure compound Poisson) looks ahead at the Poisson counts
+    of its next K steps, K = min(BLOCK_ROWS // m, floor(1 / (activity dt m)))
+    (``_steps_before_jump``): the steps before the first that jumps are one
+    call, and that step is drawn alone.  Any other driver, and any driver
+    when K <= 1, draws once per step.  The sampler is looked up in ``levy``
+    at each call, so a wrapper put there sees every draw, once per path-step.
     """
-    k_block = BLOCK_ROWS // m if driver.blockable else 1
+    rate = driver.jump_activity
+    k_block = BLOCK_ROWS // m if driver.blockable or rate is not None else 1
+    if rate is not None and rate * dt * m * k_block > 1.0:
+        k_block = int(1.0 / (rate * dt * m))
     if k_block <= 1:
         for _ in range(n_steps):
             yield levy.sample_step_ensemble(driver, dt, m, rng)
         return
-    for k0 in range(0, n_steps, k_block):
-        s = levy.sample_step_ensemble(driver, dt, min(k_block, n_steps - k0) * m, rng)
-        for lo in range(0, s.smooth.shape[0], m):    # a blockable step has no jumps
-            yield StepSample(smooth=s.smooth[lo:lo + m], jump_counts=s.jump_counts[lo:lo + m],
-                             jump_values=s.jump_values, jump_positions=s.jump_positions)
+    no_jumps = np.zeros(m, dtype=np.int64)
+    k0 = 0
+    while k0 < n_steps:
+        k = min(k_block, n_steps - k0)
+        j = k if rate is None else _steps_before_jump(rng, rate, dt, k, m)
+        if j:
+            s = levy.sample_step_ensemble(driver, dt, j * m, rng)
+            for lo in range(0, j * m, m):       # none of these steps jumps
+                yield StepSample(smooth=s.smooth[lo:lo + m], jump_counts=no_jumps,
+                                 jump_values=s.jump_values, jump_positions=s.jump_positions)
+        if j < k:
+            yield levy.sample_step_ensemble(driver, dt, m, rng)
+        k0 += min(j + 1, k)
+
+
+def _steps_before_jump(rng, rate, dt, k, m):
+    """How many of the next k steps of m paths draw no jump; leaves ``rng`` as it was.
+
+    Draws the k steps' counts as their own draws would (``levy.poisson_counts``,
+    the first draw of a step without a Gaussian part), then restores the
+    generator's state.
+    """
+    bits = rng.bit_generator
+    saved = bits.state
+    hits = np.flatnonzero(levy.poisson_counts(rng, rate, dt, k * m))
+    bits.state = saved
+    return int(hits[0]) // m if hits.size else k
 
 
 def _step_samples(blocks, dt, n_steps, m, rngs):
-    """Per step, a new list of each block's ``StepSample``: the one step-draw helper.
-
-    Callers pass ``next()`` of it straight to ``_advance_chunk``, so that no
-    name holds a step's draws while the next step's are drawn: a chunk's
-    peak memory holds one step's draws, not two.
-    """
-    draws = [_driver_steps(drv, dt, n_steps, m, rng) for (_, drv), rng in zip(blocks, rngs)]
-    for _ in range(n_steps):
-        yield [next(d) for d in draws]
+    """Per step, a tuple of each block's ``StepSample``: the one step-draw helper."""
+    return zip(*[_driver_steps(drv, dt, n_steps, m, rng) for (_, drv), rng in zip(blocks, rngs)])
 
 
 def _advance_chunk(x, active, blocks, drift_field, dt, steps, inc, tmp, record=None, t=0.0):
@@ -257,7 +285,8 @@ def _advance_chunk(x, active, blocks, drift_field, dt, steps, inc, tmp, record=N
         x += inc
     else:
         np.add(x, inc, out=x, where=active[:, None])
-    if any(s.jump_values.shape[0] for s in steps):
+    if (steps[0].jump_values.shape[0] if len(steps) == 1
+            else any(s.jump_values.shape[0] for s in steps)):
         _apply_jumps(x, active, blocks, steps, record, t)
 
 
@@ -330,7 +359,9 @@ def _check_overflow(x, active, k, n_steps):
         v = x.item()                # a Python float decides as the array would, NaN too
         big = v > OVERFLOW_GUARD or v < -OVERFLOW_GUARD
     elif x.shape[1] == 1:
-        big = x.max() > OVERFLOW_GUARD or x.min() < -OVERFLOW_GUARD
+        # one reduction of |x|, as max > guard or min < -guard decides: a NaN
+        # anywhere makes the maximum NaN, which raises neither way
+        big = np.maximum.reduce(np.abs(x), axis=None) > OVERFLOW_GUARD
     else:
         # a square beyond the float range is inf, which exceeds the guard all the same
         with np.errstate(over="ignore"):
@@ -487,12 +518,26 @@ def path_to_binary(path: SamplePath, fh) -> None:
 
 
 def path_from_binary(fh) -> SamplePath:
+    """Read one ``path_to_binary`` record, which must fill the rest of ``fh``.
+
+    Raises ValueError on a wrong magic or version, and on a header or body
+    cut short or followed by further bytes, naming the expected and actual
+    byte counts.
+    """
     magic = fh.read(4)
     if magic != _MAGIC:
         raise ValueError("not a symbolkit path record")
-    version, d, length = struct.unpack("<IIQ", fh.read(16))
+    head = fh.read(16)
+    if len(head) != 16:
+        raise ValueError(f"path record header cut short: expected 20 bytes, got {4 + len(head)}")
+    version, d, length = struct.unpack("<IIQ", head)
     if version != _VERSION:
         raise ValueError(f"unsupported record version {version}")
-    times = np.frombuffer(fh.read(8 * length), dtype="<f8").copy()
-    states = np.frombuffer(fh.read(8 * length * d), dtype="<f8").reshape(length, d).copy()
+    body = fh.read()
+    if len(body) != 8 * length * (d + 1):
+        raise ValueError(f"path record of length {length} and d = {d}: expected "
+                         f"{20 + 8 * length * (d + 1)} bytes, got {20 + len(body)}")
+    values = np.frombuffer(body, dtype="<f8")
+    times = values[:length].copy()
+    states = values[length:].reshape(length, d).copy()
     return SamplePath(times=times, states=states, jumps=[], seed=-1)

@@ -2,10 +2,14 @@
 
 A driver whose step draws from at most one distribution, with n = 1, draws K
 steps in one ``sample_step_ensemble`` call of K*m rows (``sde.BLOCK_ROWS``
-bounds K*m).  These tests pin that the slices it hands out are, bit for bit,
-what successive m-row calls on the same generator return, for every measure
-variant, that the predicate blocks exactly the drivers it may, and that dense
-runs still reproduce the reference engine across block boundaries.
+bounds K*m).  A pure compound-Poisson driver with n = 1 looks its Poisson
+counts K steps ahead and draws the jump-free steps before the first jump in
+one call, K = min(BLOCK_ROWS // m, floor(1 / (rate dt m))).  These tests pin
+that the slices the helper hands out are, bit for bit, what successive m-row
+calls on the same generator return, for every measure variant, that the
+predicates pick exactly the drivers they may, that paths, dense runs and
+ensembles still reproduce the reference engines across block boundaries, and
+that one-step draws have the characteristic function exp(-dt psi).
 """
 
 import warnings
@@ -15,12 +19,13 @@ import pytest
 
 import reference_engine as ref
 import symbolkit as sk
-from symbolkit import catalog, coefficients as co
+from symbolkit import catalog, coefficients as co, levy
 from symbolkit.coefficients import CoefficientField
-from symbolkit.levy import (FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure, normal_law,
-                            sample_step_ensemble)
-from symbolkit.sde import BLOCK_ROWS, _check_overflow, _driver_steps, simulate_paths_dense
-from symbolkit.seeding import rng_at
+from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure,
+                            normal_law, sample_step_ensemble)
+from symbolkit.sde import (BLOCK_ROWS, _check_overflow, _driver_steps, simulate_ensemble,
+                           simulate_paths_dense)
+from symbolkit.seeding import TAG_PATH, rng_at
 
 BLOCKED = {
     "gaussian": lambda: catalog.bm_driver(),
@@ -40,8 +45,13 @@ PER_STEP = {
     "density": lambda: catalog.tempered_density_driver(),
     "gaussian_n2": lambda: LevyTriplet([0.1, -0.2], [[1.0, 0.3], [0.3, 0.5]]),
     "zero_triplet_n2": lambda: LevyTriplet([0.5, 0.0], np.zeros((2, 2))),
+    "cp_drift": lambda: LevyTriplet([0.3], [[0.0]],
+                                    FiniteActivity(2.0, AtomLaw.of([(1.0, 0.5), (-0.5, 0.5)]))),
+    "normal_law": lambda: LevyTriplet([0.0], [[0.0]], FiniteActivity(1.5, normal_law(0.1, 0.6))),
 }
 DRIVERS = {**BLOCKED, **PER_STEP}
+# pure compound Poisson with n = 1: the jump-free steps after a count look-ahead
+LOOKAHEAD = ("compound_poisson", "cp_drift", "density", "normal_law")
 
 
 def _same_bits(a, b):
@@ -57,6 +67,11 @@ def _steps_for(m):
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_predicate_blocks_one_distribution_drivers_with_n_1(name):
     assert DRIVERS[name]().blockable == (name in BLOCKED)
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_look_ahead_only_for_pure_compound_poisson_with_n_1(name):
+    assert (DRIVERS[name]().jump_activity is not None) == (name in LOOKAHEAD)
 
 
 @pytest.mark.parametrize("m", [1, 3, BLOCK_ROWS + 1])
@@ -85,6 +100,23 @@ def test_blocked_driver_leaves_the_stream_where_per_step_draws_do(name):
     assert blocked.random() == plain.random()
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name", LOOKAHEAD)
+def test_look_ahead_steps_are_successive_sampler_calls(name, m):
+    # 0.1 expected jumps per path-step: K = 10 steps at m = 1, 3 at m = 3; 200 steps
+    # end in a ragged block either way
+    driver = DRIVERS[name]()
+    dt = 0.1 / driver.jump_activity
+    helper, plain = rng_at(4, 3), rng_at(4, 3)
+    got = list(_driver_steps(driver, dt, 200, m, helper))
+    assert len(got) == 200 and sum(int(s.jump_counts.sum()) for s in got) >= 10
+    for s in got:
+        want = sample_step_ensemble(driver, dt, m, plain)
+        for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
+            assert _same_bits(getattr(s, field), getattr(want, field)), field
+    assert helper.random() == plain.random()
+
+
 DENSE_MODELS = {
     "bm_unit": catalog.bm_unit,
     "stable_sin": catalog.stable_sin,
@@ -110,6 +142,100 @@ def test_dense_matches_reference_across_blocks(name, n_steps, n_paths):
 
 
 # --------------------------------------------------------------------------
+# compound-Poisson look-ahead against the reference engines (the one-path cases
+# are in test_engine_reference.PATH_CASES)
+
+
+def _tanh_model(driver):
+    return sk.SdeModel(coefficient=co.tanh_field(2.0, 1.0), driver=driver)
+
+
+def _first_jump(seed, rate, step, k):
+    """The first of a path's first k steps that jumps, drawn as the look-ahead draws it."""
+    hits = np.flatnonzero(rng_at(seed, TAG_PATH, 0).poisson(rate * step, size=k))
+    return hits[0] if hits.size else None
+
+
+@pytest.mark.parametrize("rate", [30.0, 2.0])       # K = 3 and 50 at step 0.01
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_jump_on_the_edge_of_a_look_ahead_block(where, rate):
+    k = int(1.0 / (rate * 1e-2))
+    pos = 0 if where == "first" else k - 1
+    seed = next(s for s in range(10_000) if _first_jump(s, rate, 1e-2, k) == pos)
+    model = _tanh_model(catalog.compound_poisson_pm1(rate=rate))
+    got = sk.simulate_path(model, 0.0, 1.0, 1e-2, seed)
+    want = ref._simulate_blocks_scalar(model.blocks(), None, 0.0, 1.0, 1e-2, seed)
+    assert want.jumps[0][0] == want.times[pos + 1]
+    assert _same_bits(got.states, want.states) and len(got.jumps) == len(want.jumps)
+    for (t, effect), (t_ref, effect_ref) in zip(got.jumps, want.jumps):
+        assert t == t_ref and _same_bits(effect, effect_ref)
+
+
+@pytest.mark.parametrize("n_paths", [1, 4, 16])     # K = 200, 50 and 12
+def test_look_ahead_dense_matches_reference(n_paths):
+    model = _tanh_model(catalog.compound_poisson_pm1(rate=2.0))
+    args = (model.blocks(), None, np.array([0.2]), 1.0, 400, n_paths, 8)
+    got = simulate_paths_dense(*args, base_key=(5, 1))
+    want = ref.simulate_paths_dense(*args, base_key=(5, 1))
+    assert _same_bits(got, want)
+
+
+def test_look_ahead_inside_an_ensemble_matches_reference():
+    # chunks of 3, 3, 3 and 1 paths: K = 66 and 200
+    model = _tanh_model(catalog.compound_poisson_pm1(rate=2.0))
+    kwargs = dict(stop_radius=1.5, record_max_steps=[100, 400], chunk_size=3)
+    got = simulate_ensemble(model.blocks(), None, np.zeros(1), 1.0, 400, 10, 6, **kwargs)
+    want = ref.simulate_ensemble(model.blocks(), None, np.zeros(1), 1.0, 400, 10, 6, **kwargs)
+    for field in ("terminal", "exited", "running_max", "record_steps"):
+        assert _same_bits(getattr(got, field), getattr(want, field)), field
+
+
+def test_long_compound_poisson_path_makes_few_sampler_calls(monkeypatch):
+    rows = []
+    sampler = levy.sample_step_ensemble
+
+    def counted(*args):
+        rows.append(args[2])
+        return sampler(*args)
+
+    monkeypatch.setattr(levy, "sample_step_ensemble", counted)
+    path = sk.simulate_path(catalog.cp_tanh(), 0.0, 10.0, 1e-3, 7)   # rate 1
+    n_steps, k = len(path.times) - 1, min(BLOCK_ROWS, int(1.0 / 1e-3))
+    assert n_steps == 10_000 and path.jumps
+    assert len(rows) <= 2 * (len(path.jumps) + -(-n_steps // k)) + 1
+    assert sum(rows) == n_steps         # each path-step drawn once
+
+
+# --------------------------------------------------------------------------
+# sampler against exponent: E exp(i xi Z_dt) = exp(-dt psi(xi)) for one-step draws
+
+ECF_DRIVERS = {     # one driver per measure variant, drawn as the engine draws them
+    "gaussian_drift": (BLOCKED["gaussian_drift"], 0.2),
+    "atoms": (lambda: catalog.compound_poisson_pm1(rate=2.0), 0.1),      # look-ahead, K = 5
+    "atoms_drift": (DRIVERS["cp_drift"], 0.2),                           # look-ahead, K = 2
+    "normal_law": (DRIVERS["normal_law"], 0.2),                          # look-ahead, K = 3
+    "cauchy": (BLOCKED["cauchy_drift"], 0.2),                            # block-drawn
+    "stable_1.5": (PER_STEP["stable_1.5"], 0.2),                         # step by step
+    "density": (DRIVERS["density"], 0.004),                              # look-ahead, K = 5
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECF_DRIVERS))
+def test_step_draws_have_the_exponent_characteristic_function(name):
+    make, dt = ECF_DRIVERS[name]
+    driver, n = make(), 20_000
+    z = np.empty(n)
+    for i, s in enumerate(_driver_steps(driver, dt, n, 1, rng_at(31, 2))):
+        z[i] = s.smooth[0, 0] + s.jump_values[:, 0].sum()
+    for xi in (0.5, 1.5, 3.0):
+        want = np.exp(-dt * driver(np.array([xi])))
+        c, s = np.cos(xi * z), np.sin(xi * z)
+        for part, got, target in ((c, c.mean(), want.real), (s, s.mean(), want.imag)):
+            se = part.std() / np.sqrt(n)
+            assert abs(got - target) <= 5 * se + 1e-12, (xi, got, target, se)
+
+
+# --------------------------------------------------------------------------
 # the one-row step: overflow guard and coefficient batches
 
 
@@ -130,8 +256,24 @@ def test_one_row_guard_decides_as_the_array_guard(v):
             return str(err)
         return None
 
-    # the two-row array takes the max/min reduction; its zero row cannot raise
+    # the two-row array takes the reduction of |x|; its zero row cannot raise
     assert raises(np.array([[v]])) == raises(np.array([[v], [0.0]]))
+
+
+@pytest.mark.parametrize("pair", [(np.nan, 2e12), (-2e12, np.nan), (np.nan, np.inf),
+                                  (-np.inf, 1.0), (np.inf, -np.inf), (1e12, -1e12),
+                                  (-0.0, np.nan), (3e12, -4e12)])
+def test_column_guard_decides_as_max_and_min(pair):
+    # a NaN anywhere makes max and min NaN, so the max/min test never raises then
+    x = np.array(pair)[:, None]
+    with np.errstate(invalid="ignore"):
+        want = bool(x.max() > 1e12 or x.min() < -1e12)
+    try:
+        _check_overflow(x, None, 0, 1)
+        raised = False
+    except sk.SimulationOverflow:
+        raised = True
+    assert raised == want
 
 
 def test_many_passes_a_float64_batch_through_and_rewraps_others():

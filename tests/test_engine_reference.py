@@ -250,6 +250,7 @@ def _path_multi():
                             (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1(rate=60.0))])
 
 
+_TANH = co.tanh_field(2.0, 1.0)
 # name -> (model or MultiDriverSpec, x0, horizon, step)
 PATH_CASES = {
     "cp_tanh": lambda: (catalog.cp_tanh(), 0.3, 5.0, 1e-3),
@@ -263,6 +264,25 @@ PATH_CASES = {
     "feller_negative_zero": lambda: (catalog.feller_demo_model(), -0.0, 4.0, 0.05),
     "zero_coefficient_negative_zero": lambda: (_model(catalog.bm_driver(), co.zero()),
                                                -0.0, 1.0, 0.1),
+    # pure compound Poisson looks K = min(BLOCK_ROWS, floor(1 / (rate step))) steps ahead
+    "look_ahead_capped": lambda: (_model(catalog.compound_poisson_pm1(rate=2.0), _TANH),
+                                  0.1, 0.8197, 1e-4),            # K = 4096, 8197 steps
+    "look_ahead_k3": lambda: (_model(catalog.compound_poisson_pm1(rate=30.0), _TANH),
+                              0.1, 10.0, 1e-2),
+    "look_ahead_rate_400": lambda: (_model(catalog.compound_poisson_pm1(rate=400.0), _TANH),
+                                    0.1, 3.0, 1e-2),                 # K = 0: step by step
+    "look_ahead_normal_law": lambda: (_model(LevyTriplet(
+        [0.0], [[0.0]], FiniteActivity(1.5, normal_law(0.1, 0.6))), _TANH), 0.1, 10.0, 1e-2),
+    "look_ahead_tempered": lambda: (_model(catalog.tempered_density_driver(), _TANH),
+                                    0.1, 1.0, 1e-3),                 # K = 20
+    "look_ahead_drift": lambda: (_model(LevyTriplet([0.3], [[0.0]], FiniteActivity(
+        2.0, AtomLaw.of([(1.0, 0.5), (-0.5, 0.5)]))), _TANH), 0.1, 10.0, 1e-2),
+    "gaussian_poisson": lambda: (_model(LevyTriplet(
+        [0.0], [[1.0]], FiniteActivity(20.0, normal_law(0.1, 0.6))), _TANH), 0.1, 10.0, 1e-2),
+    # the benchmark's simulate_multi pair: a Brownian and a compound-Poisson column
+    "path_scalar_multi": lambda: (MultiDriverSpec([
+        (co.bump(0.5, 1.0), catalog.bm_driver()),
+        (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1())]), 0.0, 4.0, 2e-3),
 }
 DRIFT_PATH_CASES = {
     "bm_bump_drift": lambda: (catalog.bm_bump_drift(), 0.0, 10.0, 1e-3),
@@ -299,7 +319,8 @@ def test_path_matches_scalar_reference(case, seed):
 
 
 def test_path_cases_exercise_jumps():
-    for case in ("cp_tanh", "feller_demo", "poisson_rate5", "multi"):
+    for case in ("cp_tanh", "feller_demo", "poisson_rate5", "multi", "path_scalar_multi",
+                 *(name for name in PATH_CASES if name.startswith("look_ahead"))):
         _, want = _paths(PATH_CASES[case], 12345)
         assert want.jumps, case
     _, want = _paths(PATH_CASES["multi"], 12345)

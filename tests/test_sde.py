@@ -5,11 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co, levy
 from symbolkit.sde import (path_from_binary, path_to_binary, path_to_csv,
                            simulate_ensemble, simulate_paths_dense)
+from symbolkit.seeding import TAG_PATH, rng_at
 
 
 def zero_model():
@@ -218,20 +221,26 @@ class TestEnsemble:
 def test_sampler_and_exponent_are_looked_up_in_levy_at_call_time(monkeypatch):
     # bench/tracing.py wraps these two module globals: every step draw and every
     # exponent batch of an ensemble, a path and a solution symbol must reach them
-    calls = Counter()
+    calls, rows = Counter(), []
     for name in ("sample_step_ensemble", "eval_exponent_many"):
         def counted(*args, _f=getattr(levy, name), _name=name):
             calls[_name] += 1
+            if _name == "sample_step_ensemble":
+                rows.append(args[2])
             return _f(*args)
         monkeypatch.setattr(levy, name, counted)
-    model = catalog.cp_tanh()           # compound Poisson: one sampler call per step
+    model = catalog.cp_tanh()           # compound Poisson, rate 1
+    # 100 paths at dt = 0.025 expect 2.5 jumps per step: no look-ahead, one call per step
     simulate_ensemble(model.blocks(), None, np.array([0.0]), 0.1, 4, 100, seed=1)
     assert calls == {"sample_step_ensemble": 4}
+    # the path's two steps (dt = 0.05) draw no jump, so they are one call of two rows
+    assert not rng_at(2, TAG_PATH, 0).poisson(0.05, size=2).any()
     sk.simulate_path(model, 0.0, 0.1, 0.05, seed=2)
-    assert calls == {"sample_step_ensemble": 6}
+    assert calls == {"sample_step_ensemble": 5}
+    assert sum(rows) == 4 * 100 + 2         # every path-step drawn once, through the global
     sk.symbol_of_model(model).many(np.zeros((3, 1)), np.ones((3, 1)))
     model.driver(1.0)
-    assert calls == {"sample_step_ensemble": 6, "eval_exponent_many": 2}
+    assert calls == {"sample_step_ensemble": 5, "eval_exponent_many": 2}
 
 
 class TestCoefficientValidation:
@@ -271,3 +280,35 @@ class TestExport:
         back = path_from_binary(buf)
         assert np.array_equal(back.times, path.times)
         assert np.array_equal(back.states, path.states)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda rec: rec[:13], "expected 20 bytes, got 13"),
+        (lambda rec: rec[:-5], "expected 92 bytes, got 87"),
+        (lambda rec: rec + b"\0", "expected 92 bytes, got 93"),
+        (lambda rec: rec[:20], "expected 92 bytes, got 20"),
+    ], ids=["short_header", "short_body", "trailing_byte", "no_body"])
+    def test_bad_record_raises_value_error_with_byte_counts(self, cut, message):
+        # d = 2, length 3: a 20-byte header and 3 * (1 + 2) float64 values
+        buf = io.BytesIO()
+        path_to_binary(sk.SamplePath(times=np.arange(3.0), states=np.ones((3, 2)), jumps=[],
+                                     seed=0), buf)
+        with pytest.raises(ValueError, match=message):
+            path_from_binary(io.BytesIO(cut(buf.getvalue())))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, 1e300, -1e300])
+            | st.floats(allow_nan=False), min_size=d + 1, max_size=d + 1), min_size=1))))
+    def test_binary_roundtrip_keeps_every_bit(self, case):
+        d, rows = case
+        values = np.array(rows)
+        path = sk.SamplePath(times=values[:, 0].copy(), states=values[:, 1:].copy(), jumps=[],
+                             seed=3)
+        buf = io.BytesIO()
+        path_to_binary(path, buf)
+        assert len(buf.getvalue()) == 20 + 8 * values.size
+        back = path_from_binary(io.BytesIO(buf.getvalue()))
+        assert back.states.shape == (len(rows), d)
+        assert back.times.tobytes() == path.times.tobytes()
+        assert back.states.tobytes() == path.states.tobytes()
