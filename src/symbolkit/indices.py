@@ -151,11 +151,14 @@ def _h_integral_weights():
 
 
 def _eval_symbol_grid(p: SymbolField, ys: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """p on the product grid ys x xis -> complex (len(ys), len(xis))."""
-    ny, nxi = len(ys), len(xis)
-    xs = np.repeat(ys, nxi).reshape(-1, 1)
-    xx = np.tile(xis, ny).reshape(-1, 1)
-    return p.many(xs, xx).reshape(ny, nxi)
+    """p on the product grid ys x xis -> complex (len(ys), len(xis)).
+
+    States and frequencies are broadcast views rather than copies, and p does
+    its per-state work once per y.
+    """
+    grid = (len(ys), len(xis), 1)
+    return p.many(np.broadcast_to(ys.reshape(-1, 1, 1), grid),
+                  np.broadcast_to(xis.reshape(1, -1, 1), grid))
 
 
 def _h_values(p: SymbolField, ys: np.ndarray, es: np.ndarray, R: float,
@@ -345,18 +348,23 @@ def index_transfer_check(driver: LevyTriplet, coefficient, x_set, *, eta_max: fl
                          det_tol: float = 1e-8, ball: float = 0.25) -> IndexTransferReport:
     """Compare beta^x_inf of the solution symbol with beta^psi_inf of the driver triplet.
 
-    Requires d = n and a bijective frequency map: |det Phi(y)| must stay above
-    ``det_tol`` on sampled neighborhoods of every base point.
+    Requires d = n and a bijective frequency map: on 41 sampled states of the
+    neighborhood of every base point, |det Phi(y)| must stay above ``det_tol``
+    and det Phi(y) must keep one sign (a sign change puts a zero between two
+    samples).
     """
     if coefficient.d != coefficient.n:
         raise DimensionMismatch("index transfer requires d = n")
     for x in x_set:
         ys = _ball_grid(float(np.atleast_1d(x)[0]), ball, 41)
-        dets = np.array([np.linalg.det(coefficient(np.array([y]))) for y in ys])
-        if np.abs(dets).min() <= det_tol:
-            bad = ys[int(np.abs(dets).argmin())]
+        dets = np.linalg.det(coefficient.many(ys))
+        low = np.abs(dets).min()
+        bad = ys[int(np.abs(dets).argmin())]
+        if low <= det_tol:
+            raise BijectivityViolation(f"|det Phi({bad:.4f})| = {low:.2e} <= {det_tol:g}")
+        if dets.min() < 0.0 < dets.max():
             raise BijectivityViolation(
-                f"|det Phi({bad:.4f})| = {np.abs(dets).min():.2e} <= {det_tol:g}")
+                f"det Phi changes sign near {bad:.4f} (|det Phi| = {low:.2e} there)")
     beta_psi = beta_inf(symbol_from_exponent(driver), 0.0, eta_max=eta_max).beta
     sol = solution_symbol(driver, coefficient)
     per_x = []

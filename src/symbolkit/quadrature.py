@@ -10,7 +10,8 @@ for ``full_output``, so scipy returns its diagnostics instead of printing an
 Fixed-node integrals use :func:`gk21_rule`: the 21-point Gauss-Kronrod rule
 with its embedded 10-point Gauss rule (QUADPACK's qk21).  Laid on a list of
 panels, the Kronrod sum is the value and the Gauss-vs-Kronrod difference per
-panel is its error estimate, so one batched evaluation gives both.
+panel is its error estimate, so one batched evaluation gives both;
+:func:`gk21_panels` lays the rule on a list of panel edges.
 
 For the kernel-weighted integrals used by the H-functional we precompute a
 fixed exp-sinh node set on (0, inf).  The substitution rho = exp(pi/2 sinh t)
@@ -86,6 +87,16 @@ def gk21_rule():
     for arr in (nodes, kronrod, gauss):
         arr.setflags(write=False)
     return nodes, kronrod, gauss
+
+
+def gk21_panels(edges: np.ndarray):
+    """GK21 on each panel between consecutive ``edges``: (nodes, Kronrod weights,
+    Gauss weights), each (panels, 21)."""
+    x, wk, wg = gk21_rule()
+    edges = np.asarray(edges, dtype=float)
+    center = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return center + half * x, half * wk, half * wg
 
 
 @lru_cache(maxsize=None)

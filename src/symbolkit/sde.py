@@ -500,14 +500,6 @@ _MAGIC = b"SYMK"
 _VERSION = 1
 
 
-def path_to_csv(path: SamplePath, fh) -> None:
-    """Write t, x_1..x_d rows; floats use shortest round-trip repr."""
-    d = path.d
-    fh.write("t," + ",".join(f"x_{j + 1}" for j in range(d)) + "\n")
-    for t, row in zip(path.times, path.states):
-        fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
 def path_to_binary(path: SamplePath, fh) -> None:
     """Compact record: magic, version u32, d u32, length u64, then little-endian
     float64 times followed by states in C order."""

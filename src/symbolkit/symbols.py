@@ -30,7 +30,7 @@ import numpy as np
 from .coefficients import CoefficientField
 from .errors import DimensionMismatch, NonConvergence, QuadratureFailure
 from .levy import CHUNK_ROWS, LevyTriplet, expi, row_dot
-from .quadrature import integrate_checked
+from .quadrature import check_error, gk21_panels
 from .sde import SdeModel, simulate_ensemble
 from .seeding import TAG_SYMBOL_MC
 
@@ -41,10 +41,15 @@ from .seeding import TAG_SYMBOL_MC
 
 @dataclass
 class SymbolField:
-    """Evaluable p(x, xi), one evaluation function on batches.
+    """Evaluable p(x, xi), one evaluation function on state x frequency grids.
 
-    ``batch_fn((m,d), (m,d)) -> (m,)`` complex; a point call ``p(x, xi)`` is
-    row 0 of the one-row batch.  Every symbol here is negative definite, so
+    ``batch_fn((m,d), (m,k,d)) -> (m,k)`` complex: state i carries the k
+    frequencies ``xis[i]``, so per-state work (Phi(x), alpha(x)) is done once
+    per state and broadcast over k.  ``many`` takes paired rows,
+    ``(m,d), (m,d) -> (m,)``, or a grid, ``(m,k,d), (m,k,d) -> (m,k)``, whose
+    states repeat along k (a broadcast view of the m states) so that both
+    arguments name every point; a point call ``p(x, xi)`` is the 1 x 1 grid.
+    Every symbol here is negative definite, so
     p(x,-xi) = conj p(x,xi) and integrators may fold Re p to one half-line.
     The index searches in ``indices`` depend on this holding bit for bit for
     Re p and |p|: they evaluate p on nonnegative directions only.
@@ -57,36 +62,59 @@ class SymbolField:
 
     def __call__(self, x, xi) -> complex:
         x = np.asarray(x, dtype=float).reshape(1, self.d)
-        xi = np.asarray(xi, dtype=float).reshape(1, self.d)
-        return complex(self.batch_fn(x, xi)[0])
+        xi = np.asarray(xi, dtype=float).reshape(1, 1, self.d)
+        return complex(self.batch_fn(x, xi)[0, 0])
 
     def many(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
-        xis = np.asarray(xis, dtype=float).reshape(-1, self.d)
-        return np.asarray(self.batch_fn(xs, xis), dtype=complex).reshape(xs.shape[0])
+        """p on paired rows, (m,d), (m,d) -> (m,), or on a grid, (m,k,d), (m,k,d) -> (m,k).
+
+        On a grid every point of row i has the state ``xs[i, 0]``; pass the
+        states as ``np.broadcast_to(ys[:, None], xis.shape)``, a view.
+        """
+        xs = np.asarray(xs, dtype=float)
+        xis = np.asarray(xis, dtype=float)
+        if xis.ndim == 3:
+            states = xs[:, 0]
+            if xs.shape != xis.shape or xis.shape[2] != self.d or (
+                    xs.strides[1] != 0 and not np.array_equal(
+                        xs, np.broadcast_to(states[:, None], xs.shape), equal_nan=True)):
+                raise DimensionMismatch(
+                    "a grid takes (m,k,d) states and frequencies, each state repeated along k")
+            return np.asarray(self.batch_fn(states, xis), dtype=complex).reshape(xis.shape[:2])
+        xs = xs.reshape(-1, self.d)
+        m = xs.shape[0]
+        return np.asarray(self.batch_fn(xs, xis.reshape(m, 1, self.d)), dtype=complex).reshape(m)
 
 
 def symbol_from_exponent(driver: LevyTriplet, name: str = "driver") -> SymbolField:
     """x-free symbol p(x, xi) = psi(xi) of the driver's exponent."""
-    return SymbolField(batch_fn=lambda xs, xis: driver.many(xis), d=driver.dim,
-                       x_independent=True, name=name)
+
+    def batch(xs, xis):
+        return driver.many(xis.reshape(-1, driver.dim)).reshape(xis.shape[:2])
+
+    return SymbolField(batch_fn=batch, d=driver.dim, x_independent=True, name=name)
 
 
 def solution_symbol(driver: LevyTriplet, coefficient: CoefficientField,
                     drift_coefficient: Optional[CoefficientField] = None,
                     name: str = "solution") -> SymbolField:
-    """Symbol of the SDE solution: psi(Phi^T(x) xi) - i Psi(x).xi, psi the driver's exponent."""
+    """Symbol of the SDE solution: psi(Phi^T(x) xi) - i Psi(x).xi, psi the driver's exponent.
+
+    Phi and Psi are evaluated once per state; the frequency map Phi^T(x) xi is
+    one einsum over the grid, which in d = n = 1 adds the single product to
+    +0.0 as the paired-row form did.
+    """
     if coefficient.n != driver.dim:
         raise DimensionMismatch(
             f"coefficient has {coefficient.n} columns, driver dimension is {driver.dim}")
 
     def batch(xs, xis):
         phi = coefficient.many(xs)                       # (m, d, n)
-        args = np.einsum("mdn,md->mn", phi, xis)
-        vals = driver.many(args)
+        args = np.einsum("mdn,mkd->mkn", phi, xis)
+        vals = driver.many(args.reshape(-1, driver.dim)).reshape(xis.shape[:2])
         if drift_coefficient is not None:
             psi_vals = drift_coefficient.many(xs)[:, :, 0]
-            vals = vals - 1j * np.einsum("md,md->m", psi_vals, xis)
+            vals = vals - 1j * np.einsum("md,mkd->mk", psi_vals, xis)
         return vals
 
     return SymbolField(batch_fn=batch, d=coefficient.d, name=name)
@@ -106,9 +134,9 @@ def multi_driver_symbol(spec) -> SymbolField:
     d = parts[0].d
 
     def batch(xs, xis):
-        out = parts[0].many(xs, xis).copy()
+        out = np.array(parts[0].batch_fn(xs, xis), dtype=complex)
         for p in parts[1:]:
-            out += p.many(xs, xis)
+            out += p.batch_fn(xs, xis)
         return out
 
     return SymbolField(batch_fn=batch, d=d, name="multi-driver")
@@ -117,7 +145,7 @@ def multi_driver_symbol(spec) -> SymbolField:
 def power_law_symbol(alpha: float, coeff: float = 1.0) -> SymbolField:
     """p(x, xi) = coeff * |xi|^alpha."""
     return SymbolField(
-        batch_fn=lambda xs, xis: coeff * np.linalg.norm(xis, axis=1) ** alpha + 0j,
+        batch_fn=lambda xs, xis: coeff * np.abs(xis[..., 0]) ** alpha + 0j,
         d=1, x_independent=True, name=f"|xi|^{alpha}")
 
 
@@ -125,8 +153,8 @@ def mixed_power_symbol(terms: Sequence[tuple]) -> SymbolField:
     """p(x, xi) = sum_k c_k |xi|^{a_k} for terms [(c_k, a_k), ...]."""
 
     def batch(xs, xis):
-        r = np.linalg.norm(xis, axis=1)
-        out = np.zeros(len(r), dtype=complex)
+        r = np.abs(xis[..., 0])
+        out = np.zeros(r.shape, dtype=complex)
         for c, a in terms:
             out += c * r ** a
         return out
@@ -136,14 +164,16 @@ def mixed_power_symbol(terms: Sequence[tuple]) -> SymbolField:
 
 
 def stable_like_symbol(alpha_fn: Callable, name: str = "stable-like") -> SymbolField:
-    """p(y, xi) = |xi|^{alpha(y)} with a state-dependent index, one-dimensional."""
+    """p(y, xi) = |xi|^{alpha(y)} with a state-dependent index, one-dimensional.
+
+    alpha is evaluated once per state and broadcast over its frequencies.
+    """
 
     def batch(xs, xis):
-        r = np.linalg.norm(xis, axis=1)
+        r = np.abs(xis[..., 0])
         a = np.asarray(alpha_fn(xs[:, 0]), dtype=float)
-        out = np.zeros(len(r), dtype=complex)
-        pos = r > 0
-        out[pos] = r[pos] ** a[pos]
+        out = np.zeros(r.shape, dtype=complex)
+        np.power(r, a[:, None], out=out.real, where=r > 0)
         return out
 
     return SymbolField(batch_fn=batch, d=1, name=name)
@@ -421,13 +451,37 @@ def generator_apply_integro(triplet: LevyTriplet, u: TestFunction, x) -> float:
     return val
 
 
+_FOURIER_LEVELS = 40      # geometric panels toward xi = 0, where p may be like |xi|^alpha
+_FOURIER_WIDTHS = (0.5, 0.125, 0.03125)   # widest panel: first table, then for p oscillating in xi
+_FOURIER_MAX_WIDE = 4096  # wide panels per side in one table
+
+
+def _fourier_panels(half: float, width: float):
+    """GK21 panels on [-half, half]: geometric toward 0 from min(width, half)
+    over ``_FOURIER_LEVELS`` halvings, at most ``width`` wide beyond; None when
+    that takes more than ``_FOURIER_MAX_WIDE`` wide panels per side."""
+    b0 = min(width, half)
+    wide = int(np.ceil((half - b0) / width))
+    if wide > _FOURIER_MAX_WIDE:
+        return None
+    right = np.concatenate([[0.0], b0 * 0.5 ** np.arange(_FOURIER_LEVELS, 0, -1),
+                            np.linspace(b0, half, wide + 1)])
+    return gk21_panels(np.concatenate([-right[:0:-1], right]))
+
+
 def generator_apply_fourier(p: SymbolField, u: TestFunction, x, *,
                             window_tol: float = 1e-14,
                             imag_tol: float = 1e-8) -> float:
     """A u(x) = - int e^{i x xi} p(x, xi) hat-u(xi) d xi, one-dimensional.
 
-    Integrates over the window where |hat-u| >= window_tol and checks that the
-    imaginary residual stays below imag_tol * scale.
+    Integrates over the window where |hat-u| >= window_tol on a fixed table of
+    GK21 panels (see ``_fourier_panels``): one symbol call at the state x over
+    all nodes, and the real and imaginary parts from the same Kronrod sum.
+    The per-panel |Kronrod - Gauss| sums, for the real and the imaginary part,
+    are the error estimates checked against 1e-9; a table that misses it is
+    retried with narrower panels (``_FOURIER_WIDTHS``), as a symbol with jumps
+    far from 0 oscillates in xi.  The imaginary residual must stay below
+    imag_tol * scale.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if p.d != 1:
@@ -437,14 +491,29 @@ def generator_apply_fourier(p: SymbolField, u: TestFunction, x, *,
         half = float(u.hat_halfwidth(window_tol))
     except Exception as exc:
         raise QuadratureFailure(f"window detection failed: {exc}") from exc
+    if not 0.0 < half < np.inf:
+        raise QuadratureFailure(f"window half-width {half} is not a positive number")
 
-    def integrand(xi):
-        return np.exp(1j * x0 * xi) * p(x, xi) * u.hat(xi)
-
-    re = integrate_checked(lambda s: integrand(s).real, -half, half,
-                           tol=1e-9, points=[0.0], label="fourier generator (re)")
-    im = integrate_checked(lambda s: integrand(s).imag, -half, half,
-                           tol=1e-9, points=[0.0], label="fourier generator (im)")
+    value = None
+    for width in _FOURIER_WIDTHS:
+        table = _fourier_panels(half, width)
+        if table is None:
+            break
+        nodes, kronrod, gauss = table
+        grid = (1, nodes.size, 1)
+        f = p.many(np.broadcast_to(x, grid), nodes.reshape(grid)).reshape(nodes.shape) * expi(x0 * nodes)
+        f *= u.hat(nodes)
+        value = np.sum(kronrod * f)
+        diff = np.sum((kronrod - gauss) * f, axis=1)
+        errs = float(np.abs(diff.real).sum()), float(np.abs(diff.imag).sum())
+        if max(errs) <= 1e-9:
+            break
+    if value is None:
+        raise QuadratureFailure(f"window half-width {half:.6g} needs more than "
+                                f"{_FOURIER_MAX_WIDE} panels per side")
+    check_error(errs[0], "fourier generator (re)", tol=1e-9)
+    check_error(errs[1], "fourier generator (im)", tol=1e-9)
+    re, im = float(value.real), float(value.imag)
     scale = max(1.0, abs(re))
     if abs(im) > imag_tol * scale:
         raise QuadratureFailure(

@@ -184,12 +184,12 @@ def test_h_values_evaluate_nonnegative_directions_once():
 
     def batch(xs, xis):
         calls.append(xis.copy())
-        return inner.many(xs, xis)
+        return inner.batch_fn(xs, xis)
 
     p = SymbolField(batch_fn=batch, d=1)
     rho, weights = _h_integral_weights()
     es = np.linspace(-1.0, 1.0, 17)
     _h_values(p, np.array([0.0, 1.0]), es, 2.0, rho, weights)
     assert len(calls) == 1
-    assert calls[0].shape == (2 * 9 * rho.size, 1)
+    assert calls[0].shape == (2, 9 * rho.size, 1)
     assert not np.signbit(calls[0]).any()

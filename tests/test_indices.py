@@ -84,7 +84,7 @@ class TestBigH:
 
     def test_zero_symbol(self):
         p = sk.SymbolField(d=1, x_independent=True,
-                           batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex))
+                           batch_fn=lambda xs, xis: np.zeros(xis.shape[:2], dtype=complex))
         assert sk.big_H(p, 0.0, 1.0) == 0.0
 
     def test_comparable_to_sup_symbol(self):
@@ -116,7 +116,7 @@ class TestSmallH:
 
     def test_zero_symbol(self):
         p = sk.SymbolField(d=1, x_independent=True,
-                           batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex))
+                           batch_fn=lambda xs, xis: np.zeros(xis.shape[:2], dtype=complex))
         assert sk.small_h(p, 0.0, 1.0, 1e-6) == 0.0
 
     def test_stable_like_minimizing_exponent(self):
@@ -148,7 +148,7 @@ class TestBetaInf:
 
     def test_degenerate_symbol_raises(self):
         p = sk.SymbolField(d=1, x_independent=True,
-                           batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex))
+                           batch_fn=lambda xs, xis: np.zeros(xis.shape[:2], dtype=complex))
         with pytest.raises(sk.DegenerateSymbol):
             sk.beta_inf(p, 0.0)
 
@@ -189,7 +189,7 @@ class TestBetaZero:
 
     def test_non_decaying_flagged(self):
         p = sk.SymbolField(d=1, x_independent=True,
-                           batch_fn=lambda xs, xis: np.ones(len(xs), dtype=complex))
+                           batch_fn=lambda xs, xis: np.ones(xis.shape[:2], dtype=complex))
         res = sk.beta_zero(p)
         assert res.beta == 0.0
         assert res.non_decaying
@@ -211,6 +211,38 @@ class TestIndexTransfer:
         driver = catalog.stable_driver(1.2)
         with pytest.raises(sk.BijectivityViolation):
             index_transfer_check(driver, co.tanh_field(0.0, 1.0), [0.0])
+
+    @pytest.mark.parametrize("x", [0.0, 0.125, -0.25])
+    def test_zero_determinant_named_as_by_point_calls(self, x):
+        # det Phi = sin(y) is 0 at the sampled state y = 0; the guard evaluates
+        # the 41 states in one batch and names the state that point calls name
+        fld = co.sine(0.0, 1.0)
+        ys = x + 0.25 * np.linspace(-1.0, 1.0, 41)
+        dets = np.abs([np.linalg.det(fld(np.array([y]))) for y in ys])
+        want = f"|det Phi({ys[int(dets.argmin())]:.4f})| = {dets.min():.2e} <= 1e-08"
+        with pytest.raises(sk.BijectivityViolation) as err:
+            index_transfer_check(catalog.stable_driver(1.2), fld, [x])
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("x", [0.37, 0.3, 0.5])
+    def test_determinant_crossing_zero_between_samples_rejected(self, x):
+        # det Phi = sin(y) - 0.3 crosses zero at y = 0.3047 with no sample
+        # within 1e-8 of it; the sign change alone is a violation
+        fld = co.sine(-0.3, 1.0)
+        ys = x + 0.25 * np.linspace(-1.0, 1.0, 41)
+        dets = np.abs(np.sin(ys) - 0.3)
+        assert dets.min() > 1e-8
+        with pytest.raises(sk.BijectivityViolation,
+                           match=f"changes sign near {ys[int(dets.argmin())]:.4f}"):
+            index_transfer_check(catalog.stable_driver(1.2), fld, [x])
+
+    def test_guard_evaluates_the_coefficient_once_per_base_point(self):
+        fld = co.tanh_field(1.0, 0.5)
+        calls = []
+        batch = fld.batch_fn
+        fld.batch_fn = lambda xs: calls.append(xs.shape) or batch(xs)
+        index_transfer_check(catalog.stable_driver(1.2), fld, [-1.0, 1.0], eta_max=1e3)
+        assert calls[:2] == [(41, 1), (41, 1)]
 
 
 def solution_triplet_field(model):

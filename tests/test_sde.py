@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co, levy
-from symbolkit.sde import (path_from_binary, path_to_binary, path_to_csv,
+from symbolkit.cli import run_config
+from symbolkit.sde import (path_from_binary, path_to_binary,
                            simulate_ensemble, simulate_paths_dense)
 from symbolkit.seeding import TAG_PATH, rng_at
 
@@ -263,13 +264,19 @@ class TestCoefficientValidation:
 
 
 class TestExport:
-    def test_csv_layout(self):
-        path = sk.simulate_path(zero_model(), 1.5, 0.3, 0.1, seed=0)
-        buf = io.StringIO()
-        path_to_csv(path, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,x_1"
+    def test_csv_layout(self, tmp_path):
+        # simulate's results.csv: a t,x_1..x_d header, then one row per time
+        # whose values read back as path.bin's floats
+        cfg = {"model": {"name": "cp_tanh"}, "x0": 0.3, "horizon": 1.5, "step": 0.1,
+               "binary": True}
+        run_config("simulate", cfg, 0, tmp_path)
+        lines = (tmp_path / "results.csv").read_text().strip().splitlines()
+        with open(tmp_path / "path.bin", "rb") as fh:
+            path = path_from_binary(fh)
+        assert lines[0] == "t," + ",".join(f"x_{j + 1}" for j in range(path.d))
         assert len(lines) == len(path.times) + 1
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(values, np.column_stack((path.times, path.states)))
 
     def test_binary_roundtrip(self):
         model = catalog.bm_bump()

@@ -282,7 +282,7 @@ class TestGeneratorFourier:
         assert val == pytest.approx(-0.5, abs=1e-9)
 
     def test_zero_symbol(self):
-        p = sk.SymbolField(batch_fn=lambda xs, xis: np.zeros(len(xs), dtype=complex), d=1,
+        p = sk.SymbolField(batch_fn=lambda xs, xis: np.zeros(xis.shape[:2], dtype=complex), d=1,
                            x_independent=True)
         assert sk.generator_apply_fourier(p, gaussian_bump(), 0.0) == pytest.approx(0.0, abs=1e-12)
 
