@@ -47,6 +47,10 @@ from .quadrature import halfline_nodes, integrate_checked
 from .symbols import SymbolField, solution_symbol, symbol_from_exponent
 
 _LAMBDA_CUT = 60.0   # e^{-lam/2} tail beyond this is < 1e-13
+_BETA_INF_ETA_MIN, _BETA_INF_PER_DECADE, _BETA_INF_STATES = 10.0, 8, 21   # eta grid, ball
+_BETA0_R_MIN, _BETA0_PER_DECADE, _BETA0_FIT_DECADES = 1.0, 6, 1.0   # R grid, top decades fitted
+_DET_TOL, _DET_BALL = 1e-8, 0.25        # index transfer: least |det Phi| near each base point
+_BOUND_STATES, _BOUND_FREQS = 21, 81    # bound diagnostic: states in the box, xi per sign
 
 
 # --------------------------------------------------------------------------
@@ -265,37 +269,32 @@ class Beta0Result:
     x_box: Optional[tuple]
 
 
-def beta_inf(p: SymbolField, x, eta_max: float = 1e8,
-             window: Optional[tuple] = None, *, eta_min: float = 10.0,
-             points_per_decade: int = 8, n_state: int = 21) -> BetaInfResult:
+def beta_inf(p: SymbolField, x, eta_max: float = 1e8) -> BetaInfResult:
     """Upper index at infinity via the log-log ratio over a shrinking ball.
 
     s(eta) = sup_{|y-x|<=2/|eta|} log|p(y, eta)| / log|eta| on a geometric
-    grid; the limsup surrogate is the maximum of s over ``window`` (default:
-    the top decade).  The grid should extend far enough that constant factors
-    in the symbol have decayed out of the ratio: the default 1e8 keeps the
-    log(c)/log(eta) error below 0.05 for c in [1/2, 2].
+    grid; the limsup surrogate is the maximum of s over the top decade.  The
+    grid should extend far enough that constant factors in the symbol have
+    decayed out of the ratio: the default 1e8 keeps the log(c)/log(eta)
+    error below 0.05 for c in [1/2, 2].
     """
     if eta_max < 1e3:
         raise ValueError("eta_max must be at least 1e3")
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    if window is None:
-        window = (eta_max / 10.0, eta_max)
-    n_pts = max(2, int(np.ceil(points_per_decade * np.log10(eta_max / eta_min))))
-    etas = np.geomspace(eta_min, eta_max, n_pts)
+    window = (eta_max / 10.0, eta_max)
+    n_pts = max(2, int(np.ceil(_BETA_INF_PER_DECADE * np.log10(eta_max / _BETA_INF_ETA_MIN))))
+    etas = np.geomspace(_BETA_INF_ETA_MIN, eta_max, n_pts)
     points = []
     s_vals = []
     for eta in etas:
         ys = (np.array([x0]) if p.x_independent
-              else _ball_grid(x0, 2.0 / eta, n_state))
+              else _ball_grid(x0, 2.0 / eta, _BETA_INF_STATES))
         vals = np.abs(p.many(ys.reshape(-1, 1), np.full((len(ys), 1), eta)))
         sup_p = max(0.0, float(vals.max()))
         points.append((float(np.log(eta)), float(np.log(sup_p)) if sup_p > 0 else -np.inf))
         s_vals.append(np.log(sup_p) / np.log(eta) if sup_p > 0 else -np.inf)
     s_vals = np.asarray(s_vals)
-    in_window = (etas >= window[0]) & (etas <= window[1])
-    if not in_window.any():
-        raise ValueError("limsup window contains no grid points")
+    in_window = (etas >= window[0]) & (etas <= window[1])    # holds eta_max at least
     window_sup = np.array([np.exp(pt[1]) if np.isfinite(pt[1]) else 0.0
                            for pt in points])[in_window]
     if np.all(window_sup < 1e-14):
@@ -307,9 +306,8 @@ def beta_inf(p: SymbolField, x, eta_max: float = 1e8,
                          points=points, eta_max=eta_max)
 
 
-def beta_zero(p: SymbolField, r_max: float = 1e4, *, r_min: float = 1.0,
-              points_per_decade: int = 6, window_decades: float = 1.0,
-              x_box: Optional[tuple] = None, cfg: SearchConfig = SearchConfig()) -> Beta0Result:
+def beta_zero(p: SymbolField, r_max: float = 1e4, *, x_box: Optional[tuple] = None,
+              cfg: SearchConfig = SearchConfig()) -> Beta0Result:
     """Upper index at zero: decay exponent of sup_x H(x, R) as R grows.
 
     For x-dependent symbols the outer sup runs over a declared compact box
@@ -321,12 +319,12 @@ def beta_zero(p: SymbolField, r_max: float = 1e4, *, r_min: float = 1.0,
     else:
         box = x_box if x_box is not None else (-5.0, 5.0, 5)
         x_grid = np.linspace(box[0], box[1], int(box[2]))
-    n_pts = max(3, int(np.ceil(points_per_decade * np.log10(r_max / r_min))))
-    rs = np.geomspace(r_min, r_max, n_pts)
+    n_pts = max(3, int(np.ceil(_BETA0_PER_DECADE * np.log10(r_max / _BETA0_R_MIN))))
+    rs = np.geomspace(_BETA0_R_MIN, r_max, n_pts)
     hs = np.array([max(big_H(p, xv, R, cfg) for xv in x_grid) for R in rs])
     points = [(float(np.log(R)), float(np.log(h)) if h > 0 else -np.inf)
               for R, h in zip(rs, hs)]
-    window = (r_max / 10.0 ** window_decades, r_max)
+    window = (r_max / 10.0 ** _BETA0_FIT_DECADES, r_max)
     sel = (rs >= window[0]) & (rs <= window[1]) & (hs > 0)
     if sel.sum() < 2:
         raise ValueError("beta_0 fit window contains fewer than 2 usable points")
@@ -344,24 +342,24 @@ class IndexTransferReport:
     max_deviation: float
 
 
-def index_transfer_check(driver: LevyTriplet, coefficient, x_set, *, eta_max: float = 1e8,
-                         det_tol: float = 1e-8, ball: float = 0.25) -> IndexTransferReport:
+def index_transfer_check(driver: LevyTriplet, coefficient, x_set, *,
+                         eta_max: float = 1e8) -> IndexTransferReport:
     """Compare beta^x_inf of the solution symbol with beta^psi_inf of the driver triplet.
 
-    Requires d = n and a bijective frequency map: on 41 sampled states of the
-    neighborhood of every base point, |det Phi(y)| must stay above ``det_tol``
-    and det Phi(y) must keep one sign (a sign change puts a zero between two
-    samples).
+    Requires d = n and a bijective frequency map: on 41 sampled states within
+    ``_DET_BALL`` of every base point, |det Phi(y)| must stay above
+    ``_DET_TOL`` and det Phi(y) must keep one sign (a sign change puts a zero
+    between two samples).
     """
     if coefficient.d != coefficient.n:
         raise DimensionMismatch("index transfer requires d = n")
     for x in x_set:
-        ys = _ball_grid(float(np.atleast_1d(x)[0]), ball, 41)
+        ys = _ball_grid(float(np.atleast_1d(x)[0]), _DET_BALL, 41)
         dets = np.linalg.det(coefficient.many(ys))
         low = np.abs(dets).min()
         bad = ys[int(np.abs(dets).argmin())]
-        if low <= det_tol:
-            raise BijectivityViolation(f"|det Phi({bad:.4f})| = {low:.2e} <= {det_tol:g}")
+        if low <= _DET_TOL:
+            raise BijectivityViolation(f"|det Phi({bad:.4f})| = {low:.2e} <= {_DET_TOL:g}")
         if dets.min() < 0.0 < dets.max():
             raise BijectivityViolation(
                 f"det Phi changes sign near {bad:.4f} (|det Phi| = {low:.2e} there)")
@@ -397,8 +395,7 @@ class BoundDiagnostic:
 
 
 def symbol_bound_diagnostic(p: SymbolField, triplet_field: Callable, box: tuple,
-                            *, xi_max: float = 100.0, n_x: int = 21,
-                            n_xi: int = 81) -> BoundDiagnostic:
+                            *, xi_max: float = 100.0) -> BoundDiagnostic:
     """Numerical run of the boundedness equivalences over a compact state box.
 
     Computes (a) the quadratic-growth constant c_p, (b) the triplet norm
@@ -407,11 +404,11 @@ def symbol_bound_diagnostic(p: SymbolField, triplet_field: Callable, box: tuple,
     (b) <= LEMMA_CONSTANT_1D * (c).
     """
     lo, hi = float(box[0]), float(box[1])
-    xs = np.linspace(lo, hi, n_x)
+    xs = np.linspace(lo, hi, _BOUND_STATES)
     xi_small = np.linspace(-1.0, 1.0, 41)
     xi_large = np.concatenate([
-        -np.geomspace(1e-2, xi_max, n_xi)[::-1], [0.0],
-        np.geomspace(1e-2, xi_max, n_xi)])
+        -np.geomspace(1e-2, xi_max, _BOUND_FREQS)[::-1], [0.0],
+        np.geomspace(1e-2, xi_max, _BOUND_FREQS)])
 
     def sup_over_x(xi_vals):
         grid = _eval_symbol_grid(p, xs, xi_vals)

@@ -7,15 +7,15 @@ exponent
     psi(xi) = -i l.xi + (1/2) xi.Q.xi
               - integral( e^{i xi.y} - 1 - i xi.y 1_{|y|<1}(y) ) N(dy)
 
-itself.  The jump part is closed form for atomic and symmetric-stable
-measures.  For a density on the line (DensityForm, or a continuous jump law)
-it is a batched sum over fixed Gauss-Kronrod nodes, built once per measure on
-first use: the density is evaluated once per node, and each frequency then costs
-one pass over the panels (Taylor moments where |xi y| is small, angle
-addition elsewhere).  The embedded Gauss-vs-Kronrod error estimate is
-checked per frequency against the adaptive tolerance; a frequency that fails
-it is recomputed by compensated adaptive quadrature, which stays in the tree
-as the oracle.  Increments are
+itself.  The jump part is closed form for atomic, symmetric-stable and
+continuous-law measures (a law through its characteristic function).  For a
+density on the line (DensityForm) it is a batched sum over fixed Gauss-Kronrod
+nodes, built once per measure on first use: the density is evaluated once per
+node, and each frequency then costs one pass over the panels (Taylor moments
+where |xi y| is small, angle addition elsewhere).  The embedded
+Gauss-vs-Kronrod error estimate is checked per frequency against the adaptive
+tolerance; a frequency that fails it is recomputed by compensated adaptive
+quadrature, which stays in the tree as the oracle.  Increments are
 sampled from the pathwise decomposition: drift + Gaussian + jumps, with the
 small-jump compensator removed as a deterministic drift for every jump that
 is actually simulated.
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -160,12 +161,16 @@ class AtomLaw:
 
 @dataclass(frozen=True)
 class ContinuousLaw:
-    """One-dimensional continuous jump distribution with sampler and density."""
+    """One-dimensional continuous jump distribution: sampler, density, ``cf_m1(xi)`` =
+    E e^{i xi Y} - 1 on an array (free of cancellation near 0), and ``points``, where the
+    density peaks or jumps, which every quad over the law takes as breakpoints."""
 
     name: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     density: Callable[[float], float]
+    cf_m1: Callable[[np.ndarray], np.ndarray]
     support: tuple = (-np.inf, np.inf)
+    points: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -183,27 +188,30 @@ class ContinuousLaw:
 
     @property
     def breakpoints(self) -> list:
-        """-1, 0 and 1 where they lie inside the clipped support."""
+        """The law's points, -1, 0 and 1 where they lie inside the clipped support."""
         lo, hi = self.clipped_support
-        return [p for p in (-1.0, 0.0, 1.0) if lo < p < hi]
+        return sorted({p for p in (*self.points, -1.0, 0.0, 1.0) if lo < p < hi})
 
     @cached_property
-    def jump_nodes(self) -> Optional["JumpNodes"]:
-        """Fixed-node table of the jump integral, built on the first exponent call."""
-        return JumpNodes.build(self.density, *self.clipped_support)
-
-    def mean_small(self) -> np.ndarray:
+    def small_mean(self) -> float:
+        """E[Y 1_{|Y|<1}], computed once for the exponent and the sampler's compensator."""
         lo = max(self.support[0], -1.0)
         hi = min(self.support[1], 1.0)
         if hi <= lo:
-            return np.zeros(1)
-        val = integrate_checked(lambda y: y * self.density(y), lo, hi,
-                                tol=1e-9, label=f"{self.name} small-jump mean")
-        return np.array([val])
+            return 0.0
+        return integrate_checked(lambda y: y * self.density(y), lo, hi, tol=1e-9,
+                                 points=[p for p in self.points if lo < p < hi] or None,
+                                 label=f"{self.name} small-jump mean")
+
+    def mean_small(self) -> np.ndarray:
+        return np.array([self.small_mean])
 
     def exponent_many(self, rate: float, xi: np.ndarray) -> np.ndarray:
-        return _fixed_node_exponent(self.jump_nodes, rate, xi[:, 0], _LAW_TOL,
-                                    lambda x1: _law_exponent_adaptive(self, rate, x1))
+        out = self.cf_m1(xi[:, 0])                   # -rate (cf - 1 - i xi E[Y 1_{|Y|<1}])
+        out.imag -= xi[:, 0] * self.small_mean
+        out.real *= -rate                           # part by part: Re stays even bit for bit
+        out.imag *= -rate
+        return out
 
     def image(self, phi: float) -> "ContinuousLaw":
         a = abs(phi)
@@ -212,20 +220,21 @@ class ContinuousLaw:
             name=f"{self.name}*{phi}",
             sampler=lambda rng, size: phi * np.asarray(self.sampler(rng, size)),
             density=lambda z: self.density(z / phi) / a,
-            support=tuple(sorted((phi * lo, phi * hi))))
+            cf_m1=lambda xi: self.cf_m1(phi * xi),
+            support=tuple(sorted((phi * lo, phi * hi))),
+            points=tuple(sorted(phi * p for p in self.points)))
 
     def truncation_integral(self, a: float) -> float:
         """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law."""
-        return _truncation_integral(self.density, a, self.support)
+        return _truncation_integral(self.density, a, self.support, self.points)
 
     def generator_integral(self, g: Callable[[float], float]) -> float:
         lo, hi = self.clipped_support
-        return integrate_checked(
-            lambda y: g(y) * self.density(y), lo, hi, tol=1e-9,
-            points=[p for p in (-1.0, 1.0) if lo < p < hi], label="jump generator")
+        points = sorted({p for p in (*self.points, -1.0, 1.0) if lo < p < hi})
+        return integrate_checked(lambda y: g(y) * self.density(y), lo, hi, tol=1e-9,
+                                 points=points, label="jump generator")
 
     def mass_ratio(self) -> float:
-        # without breakpoints quad never sees the peak of a normal law and returns 0
         lo, hi = self.clipped_support
         return integrate_checked(lambda y: y * y / (1 + y * y) * self.density(y), lo, hi,
                                  tol=1e-9, points=self.breakpoints, label="jump mass")
@@ -237,17 +246,37 @@ def normal_law(mean: float = 0.0, std: float = 1.0) -> ContinuousLaw:
         name="normal",
         sampler=lambda rng, size: rng.normal(m, s, size=size),
         density=lambda y: np.exp(-0.5 * ((y - m) / s) ** 2) / (s * np.sqrt(2 * np.pi)),
+        cf_m1=lambda xi: np.expm1(_complex(-0.5 * (xi * s) ** 2, xi * m)),
+        points=(m - 8.0 * s, m, m + 8.0 * s),
     )
 
 
 def uniform_law(low: float = -1.0, high: float = 1.0) -> ContinuousLaw:
     a, b = float(low), float(high)
+    series = [(-1.0) ** k / factorial(2 * k + 1) for k in range(6, 0, -1)]   # of t^12 .. t^2
+
+    def cf_m1(xi):
+        # e^{i xi c} sinc(xi h) - 1 = (e^{i xi c} - 1)(1 + d) + d for the centre c, the half
+        # width h and d = sinc(xi h) - 1, which near 0 is its Taylor series through (xi h)^12
+        t = xi * (0.5 * (b - a))
+        with np.errstate(all="ignore"):
+            d = np.where(np.abs(t) < 0.5, t * t * np.polyval(series, t * t),
+                         np.sin(t) / t - 1.0)
+        e = np.expm1(_complex(np.zeros_like(xi), xi * (0.5 * (a + b))))
+        return _complex(e.real * (1.0 + d) + d, e.imag * (1.0 + d))
+
     return ContinuousLaw(
         name="uniform",
         sampler=lambda rng, size: rng.uniform(a, b, size=size),
         density=lambda y: (1.0 / (b - a)) if a <= y <= b else 0.0,
+        cf_m1=cf_m1,
         support=(a, b),
     )
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im from two float arrays of one shape, each part kept to the bit."""
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
 
 
 def tempered_power(a: float = 1.0, alpha: float = 0.5,
@@ -263,12 +292,12 @@ def exponential(a: float = 1.0, b: float = 1.0) -> Callable[[float], float]:
     return lambda y: a * np.exp(-b * abs(y))
 
 
-def _truncation_integral(density: Callable[[float], float], a: float, support: tuple) -> float:
+def _truncation_integral(density: Callable, a: float, support: tuple, points: tuple) -> float:
     """int y (1_{|y| < 1/a} - 1_{|y| < 1}) nu(y) dy over the support, a not 0 or 1.
 
     Each side stops at its end of the support: quad misses a jump of nu to 0
     just inside the range (1.2e-3 off, within its error estimate of 1e-10, for
-    uniform(-0.7, 1.9) and 1/a = 1.9016).
+    uniform(-0.7, 1.9) and 1/a = 1.9016).  The ``points`` inside a side are breakpoints.
     """
     lo, hi = sorted((1.0, 1.0 / a))
     sign = 1.0 if 1.0 / a > 1.0 else -1.0
@@ -276,8 +305,9 @@ def _truncation_integral(density: Callable[[float], float], a: float, support: t
     for sgn, end in ((1.0, support[1]), (-1.0, -support[0])):
         top = min(hi, end)
         if top > lo:
-            val += sgn * integrate_checked(lambda y: y * density(sgn * y), lo, top,
-                                           tol=1e-10, label="indicator correction")
+            val += sgn * integrate_checked(
+                lambda y: y * density(sgn * y), lo, top, tol=1e-10, label="indicator correction",
+                points=sorted(sgn * p for p in points if lo < sgn * p < top) or None)
     return sign * val
 
 
@@ -509,10 +539,10 @@ class DensityForm:
         if not np.isfinite(val):
             raise ValueError("density does not integrate (1 ^ y^2) finitely")
 
-    def _build_tables(self, knots_per_side: int = 4096):
+    def _build_tables(self):
         grids, cdfs, masses = [], [], []
         for sgn in (1.0, -1.0):
-            y = np.geomspace(self.cutoff, self.window, knots_per_side)
+            y = np.geomspace(self.cutoff, self.window, _KNOTS_PER_SIDE)
             dens = np.array([max(self.density(sgn * t), 0.0) for t in y])
             seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(y)
             cdf = np.concatenate([[0.0], np.cumsum(seg)])
@@ -535,7 +565,7 @@ class DensityForm:
     @cached_property
     def jump_nodes(self) -> Optional["JumpNodes"]:
         """Fixed-node table of the jump integral, built on the first exponent call."""
-        return JumpNodes.build(self.density, -self.window, self.window)
+        return JumpNodes.build(self.density, self.window)
 
     def sample_jumps(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` jump magnitudes-with-sign from the truncated density, shape (size, 1)."""
@@ -556,8 +586,13 @@ class DensityForm:
                                       self.sample_jumps, dt * self.small_jump_drift)
 
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
-        return _fixed_node_exponent(self.jump_nodes, 1.0, xi[:, 0], _DENSITY_TOL,
-                                    lambda x1: -_density_exponent_adaptive(self, x1))
+        x1 = xi[:, 0]
+        vals, err = (self.jump_nodes.integrate(x1) if self.jump_nodes is not None
+                     else (np.zeros(x1.shape[0], dtype=complex), np.full(x1.shape[0], np.inf)))
+        out = -1.0 * vals                           # not -vals: keeps the outputs' signed zeros
+        for k in np.flatnonzero(~(err <= _DENSITY_TOL)):    # NaN too: the adaptive oracle
+            out[k] = -_density_exponent_adaptive(self, float(x1[k]))
+        return out
 
     def image(self, phi: float) -> LevyMeasureSpec:
         if phi == 0.0:
@@ -570,7 +605,7 @@ class DensityForm:
         a = abs(phi)
         if a == 0.0 or a == 1.0:
             return 0.0
-        return phi * _truncation_integral(self.density, a, (-self.window, self.window))
+        return phi * _truncation_integral(self.density, a, (-self.window, self.window), ())
 
     def generator_term(self, u, x: float) -> float:
         g = _compensated(u, x)
@@ -691,8 +726,8 @@ class LevyTriplet:
 # --------------------------------------------------------------------------
 # exponent evaluation
 
+_KNOTS_PER_SIDE = 4096    # inverse-CDF table of a density, geometric from cutoff to window
 _DENSITY_TOL = 1e-8       # per-frequency error tolerance, as in the adaptive oracle
-_LAW_TOL = 1e-9           # ... and in the continuous-law oracle
 _TAIL_MASS = 1e-14        # mass left beyond the effective support
 _GEOM_RATIO = 0.5         # panels toward 0 shrink by this factor ...
 _GEOM_LEVELS = 80         # ... this many times, down to ~1e-24
@@ -743,36 +778,6 @@ def row_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     reaches a result.
     """
     return rows[:, 0] * v[0] if v.shape[0] == 1 else rows @ v
-
-
-def _fixed_node_exponent(nodes: Optional["JumpNodes"], rate: float, x1: np.ndarray,
-                         tol: float, oracle: Callable[[float], complex]) -> np.ndarray:
-    """-rate * J(x1) on the fixed nodes; frequencies failing the error check go to ``oracle``."""
-    out = np.empty(x1.shape[0], dtype=complex)
-    ok = np.zeros(x1.shape[0], dtype=bool)
-    if nodes is not None:
-        vals, err = nodes.integrate(x1)
-        ok = err <= tol                      # False on NaN
-        out[ok] = -rate * vals[ok]
-    for k in np.flatnonzero(~ok):
-        out[k] = oracle(float(x1[k]))
-    return out
-
-
-def _law_exponent_adaptive(law: ContinuousLaw, rate: float, x1: float) -> complex:
-    """Jump exponent of rate * law at one frequency by adaptive quadrature.
-
-    The oracle for the fixed nodes and their fallback.
-    """
-    lo, hi = law.clipped_support
-    points = law.breakpoints
-    re = integrate_checked(
-        lambda y: (np.cos(x1 * y) - 1.0) * law.density(y), lo, hi,
-        tol=_LAW_TOL, points=points, label="jump integral (re)")
-    im = integrate_checked(
-        lambda y: (np.sin(x1 * y) - x1 * y * (abs(y) < 1.0)) * law.density(y), lo, hi,
-        tol=_LAW_TOL, points=points, label="jump integral (im)")
-    return -rate * complex(re, im)
 
 
 def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
@@ -837,31 +842,28 @@ def _powers(t: np.ndarray) -> np.ndarray:
     return np.cumprod(np.repeat(t[..., None], _POWERS.size, axis=-1), axis=-1)
 
 
-def _effective_extent(f: Callable[[float], float], a: float, b: float):
-    """(E, mass beyond E): the first E = 2^k > a with int_E^b f <= _TAIL_MASS, else (b, 0)."""
+def _effective_extent(f: Callable[[float], float], b: float):
+    """(E, mass beyond E): the first E = 2^k with int_E^b f <= _TAIL_MASS, else (b, 0)."""
     e = 1.0
     while e < b:
-        if e > a:
-            octaves = [e * 2.0 ** k for k in range(1, 64) if e * 2.0 ** k < b]
-            mass = abs(integrate_checked(f, e, b, tol=np.inf, points=octaves,
-                                         label="effective support probe"))
-            if mass <= _TAIL_MASS:
-                return e, mass
+        octaves = [e * 2.0 ** k for k in range(1, 64) if e * 2.0 ** k < b]
+        mass = abs(integrate_checked(f, e, b, tol=np.inf, points=octaves,
+                                     label="effective support probe"))
+        if mass <= _TAIL_MASS:
+            return e, mass
         e *= 2.0
     return b, 0.0
 
 
-def _panel_segments(a: float, b: float) -> list:
-    """(lo, hi, n) segments of n equal panels covering [a, b], 0 <= a < b.
+def _panel_segments(b: float) -> list:
+    """(lo, hi, n) segments of n equal panels covering [0, b].
 
-    Breakpoints at 0 and 1, geometric toward 0 when a = 0; no panel is wider
-    than ``_PANEL_WIDTH``.
+    Breakpoints at 0 and 1, geometric toward 0; no panel is wider than
+    ``_PANEL_WIDTH``.
     """
-    cuts = {a, b}
-    if a < 1.0 < b:
+    cuts = {0.0, b, *(min(1.0, b) * _GEOM_RATIO ** np.arange(_GEOM_LEVELS + 1))}
+    if 1.0 < b:
         cuts.add(1.0)
-    if a == 0.0:
-        cuts.update(min(1.0, b) * _GEOM_RATIO ** np.arange(_GEOM_LEVELS + 1))
     ends = sorted(cuts)
     return [(lo, hi, int(np.ceil((hi - lo) / _PANEL_WIDTH)))
             for lo, hi in zip(ends[:-1], ends[1:])]
@@ -955,9 +957,9 @@ class _HalfLine:
 class JumpNodes:
     """Fixed nodes for J(xi) = int (e^{i xi y} - 1 - i xi y 1_{|y|<1}) nu(y) dy.
 
-    Each half-line of the support is cut into GK21 panels with breakpoints at
-    0 and 1: geometric toward 0, where nu may be singular like
-    |y|^{-1-alpha}, and at most ``_PANEL_WIDTH`` wide, out to the support or
+    Each half-line of [-window, window] is cut into GK21 panels with
+    breakpoints at 0 and 1: geometric toward 0, where nu may be singular like
+    |y|^{-1-alpha}, and at most ``_PANEL_WIDTH`` wide, out to the window or
     to where the remaining mass drops below ``_TAIL_MASS``.  nu is evaluated
     once per node, at build; a frequency then costs one pass over the panels
     (see :class:`_HalfLine`).  The error estimate of a frequency is the sum
@@ -969,20 +971,18 @@ class JumpNodes:
     """
 
     def __init__(self, sides: list, tail_mass: float):
-        self.mirrored = (len(sides) == 2 and np.array_equal(sides[0].top, sides[1].top)
+        self.mirrored = (np.array_equal(sides[0].top, sides[1].top)
                          and np.array_equal(sides[0].nu, sides[1].nu))
         self.sides = sides[:1] if self.mirrored else sides
         self.tail_mass = tail_mass
 
     @staticmethod
-    def build(density: Callable[[float], float], lo: float, hi: float) -> Optional["JumpNodes"]:
-        """Node table for nu on [lo, hi]; None when a half-line would exceed ``_MAX_NODES``."""
+    def build(density: Callable[[float], float], window: float) -> Optional["JumpNodes"]:
+        """Node table for nu on [-window, window]; None when a half-line exceeds ``_MAX_NODES``."""
         plans, tail_mass = [], 0.0
-        for sgn, a, b in ((1.0, max(lo, 0.0), hi), (-1.0, max(-hi, 0.0), -lo)):
-            if b <= a:
-                continue
-            top, mass = _effective_extent(lambda y, s=sgn: density(s * y), a, b)
-            segments = _panel_segments(a, top)
+        for sgn in (1.0, -1.0):
+            top, mass = _effective_extent(lambda y, s=sgn: density(s * y), window)
+            segments = _panel_segments(top)
             if 21 * sum(n for _, _, n in segments) > _MAX_NODES:
                 return None
             plans.append((sgn, segments))
@@ -1124,8 +1124,8 @@ def sample_increment(triplet: LevyTriplet, dt: float, rng: np.random.Generator) 
 C0_FLOOR = 1e-6
 
 
-def sector_constant(exponent, xi_grid, *, floor: float = C0_FLOOR) -> float:
-    """Sector constant c0 = max |Im psi| / Re psi over the grid, floored.
+def sector_constant(exponent, xi_grid) -> float:
+    """Sector constant c0 = max |Im psi| / Re psi over the grid, floored at ``C0_FLOOR``.
 
     ``exponent`` is any callable xi -> complex (a LevyTriplet or a frozen
     symbol slice).  Raises SectorViolation where Re psi = 0 with
@@ -1142,7 +1142,7 @@ def sector_constant(exponent, xi_grid, *, floor: float = C0_FLOOR) -> float:
                     f"Re psi = {re:.3e} with |Im psi| = {im:.3e} at xi = {xi}")
             continue
         c0 = max(c0, im / re)
-    return max(c0, floor)
+    return max(c0, C0_FLOOR)
 
 
 def kappa_from_c0(c0: float) -> float:

@@ -69,6 +69,7 @@ _GK21_GAUSS = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338)
+_HALFLINE_STEP, _HALFLINE_T_MAX = 0.08, 4.0     # exp-sinh nodes: step in t, over |t| <= t_max
 
 
 @lru_cache(maxsize=None)
@@ -100,16 +101,16 @@ def gk21_panels(edges: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def halfline_nodes(step: float = 0.08, t_max: float = 4.0):
+def halfline_nodes():
     """Exp-sinh nodes and weights for integrals int_0^inf f(rho) drho.
 
     Intended for integrands with e^{-rho}-type decay; nodes above rho=745
     (where e^{-rho} underflows) are dropped.
     """
-    j = np.arange(-int(t_max / step), int(t_max / step) + 1)
-    t = j * step
+    n = int(_HALFLINE_T_MAX / _HALFLINE_STEP)
+    t = np.arange(-n, n + 1) * _HALFLINE_STEP
     rho = np.exp(0.5 * np.pi * np.sinh(t))
-    w = rho * 0.5 * np.pi * np.cosh(t) * step
+    w = rho * 0.5 * np.pi * np.cosh(t) * _HALFLINE_STEP
     keep = (rho > 1e-300) & (rho < 745.0)
     rho, w = rho[keep], w[keep]
     rho.setflags(write=False)

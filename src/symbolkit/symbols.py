@@ -328,8 +328,7 @@ def _estimates_at_x(model: SdeModel, x_index: int, x, xis, ladder, paths_per_run
 def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
                        paths_per_rung: int = 10_000, seed: int = 0,
                        radius: Optional[float] = None, steps_per_rung: int = 10,
-                       check_radius: bool = True, threads: int = 1,
-                       x_index: int = 0) -> SymbolEstimate:
+                       check_radius: bool = True, threads: int = 1) -> SymbolEstimate:
     """Monte Carlo estimate of p(x, xi) with extrapolation to t = 0.
 
     Each rung simulates an independent ensemble stopped at the first exit
@@ -341,7 +340,7 @@ def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (model.d,):
         raise DimensionMismatch(f"xi shape {xi.shape}, expected ({model.d},)")
-    return _estimates_at_x(model, x_index, x, [xi], ladder, paths_per_rung, seed,
+    return _estimates_at_x(model, 0, x, [xi], ladder, paths_per_rung, seed,
                            radius, steps_per_rung, check_radius, threads)[0]
 
 
@@ -454,6 +453,8 @@ def generator_apply_integro(triplet: LevyTriplet, u: TestFunction, x) -> float:
 _FOURIER_LEVELS = 40      # geometric panels toward xi = 0, where p may be like |xi|^alpha
 _FOURIER_WIDTHS = (0.5, 0.125, 0.03125)   # widest panel: first table, then for p oscillating in xi
 _FOURIER_MAX_WIDE = 4096  # wide panels per side in one table
+_FOURIER_WINDOW_TOL = 1e-14   # the window is where |hat-u| >= this
+_FOURIER_IMAG_TOL = 1e-8      # largest imaginary residual, relative to max(1, |A u(x)|)
 
 
 def _fourier_panels(half: float, width: float):
@@ -469,26 +470,24 @@ def _fourier_panels(half: float, width: float):
     return gk21_panels(np.concatenate([-right[:0:-1], right]))
 
 
-def generator_apply_fourier(p: SymbolField, u: TestFunction, x, *,
-                            window_tol: float = 1e-14,
-                            imag_tol: float = 1e-8) -> float:
+def generator_apply_fourier(p: SymbolField, u: TestFunction, x) -> float:
     """A u(x) = - int e^{i x xi} p(x, xi) hat-u(xi) d xi, one-dimensional.
 
-    Integrates over the window where |hat-u| >= window_tol on a fixed table of
-    GK21 panels (see ``_fourier_panels``): one symbol call at the state x over
-    all nodes, and the real and imaginary parts from the same Kronrod sum.
-    The per-panel |Kronrod - Gauss| sums, for the real and the imaginary part,
-    are the error estimates checked against 1e-9; a table that misses it is
-    retried with narrower panels (``_FOURIER_WIDTHS``), as a symbol with jumps
-    far from 0 oscillates in xi.  The imaginary residual must stay below
-    imag_tol * scale.
+    Integrates over the window where |hat-u| >= ``_FOURIER_WINDOW_TOL`` on a
+    fixed table of GK21 panels (see ``_fourier_panels``): one symbol call at
+    the state x over all nodes, and the real and imaginary parts from the
+    same Kronrod sum.  The per-panel |Kronrod - Gauss| sums, for the real and
+    the imaginary part, are the error estimates checked against 1e-9; a table
+    that misses it is retried with narrower panels (``_FOURIER_WIDTHS``), as
+    a symbol with jumps far from 0 oscillates in xi.  The imaginary residual
+    must stay below ``_FOURIER_IMAG_TOL`` * scale.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if p.d != 1:
         raise DimensionMismatch("Fourier form is implemented in one dimension")
     x0 = float(x[0])
     try:
-        half = float(u.hat_halfwidth(window_tol))
+        half = float(u.hat_halfwidth(_FOURIER_WINDOW_TOL))
     except Exception as exc:
         raise QuadratureFailure(f"window detection failed: {exc}") from exc
     if not 0.0 < half < np.inf:
@@ -515,7 +514,7 @@ def generator_apply_fourier(p: SymbolField, u: TestFunction, x, *,
     check_error(errs[1], "fourier generator (im)", tol=1e-9)
     re, im = float(value.real), float(value.imag)
     scale = max(1.0, abs(re))
-    if abs(im) > imag_tol * scale:
-        raise QuadratureFailure(
-            f"imaginary residual {im:.3e} exceeds {imag_tol:.0e} * scale", achieved=abs(im))
+    if abs(im) > _FOURIER_IMAG_TOL * scale:
+        raise QuadratureFailure(f"imaginary residual {im:.3e} exceeds "
+                                f"{_FOURIER_IMAG_TOL:.0e} * scale", achieved=abs(im))
     return -re

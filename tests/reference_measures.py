@@ -9,7 +9,10 @@ bit, except ``mass_ratio`` of a continuous jump law (here ``quad`` misses the
 peak of a normal law) and of a stable measure (here the inner ``quad`` counts
 [0, 1e-10] twice), which are checked against mpmath instead, and
 ``truncation_shift`` of a uniform law (here ``quad`` runs across the law's
-ends), which is checked against its closed form.
+ends) and ``generator_term`` of a normal law (here ``quad`` takes only -1 and
+1 as breakpoints, not the law's own), which are checked against closed forms.
+The one edit: a continuous law's image composes the law's characteristic
+function and maps its breakpoints, which the law did not carry before.
 """
 
 import numpy as np
@@ -39,7 +42,9 @@ def _image_measure(measure, phi: float):
             name=f"{law.name}*{phi}",
             sampler=lambda rng, size: phi * np.asarray(base_sampler(rng, size)),
             density=lambda z: base_density(z / phi) / a,
-            support=supp)
+            cf_m1=lambda xi: law.cf_m1(phi * xi),
+            support=supp,
+            points=tuple(sorted(phi * p for p in law.points)))
         return FiniteActivity(rate=measure.rate, law=img)
     if isinstance(measure, DensityForm):
         base = measure.density

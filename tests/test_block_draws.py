@@ -22,7 +22,7 @@ import symbolkit as sk
 from symbolkit import catalog, coefficients as co, levy
 from symbolkit.coefficients import CoefficientField
 from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure,
-                            normal_law, sample_step_ensemble)
+                            normal_law, sample_step_ensemble, uniform_law)
 from symbolkit.sde import (BLOCK_ROWS, _check_overflow, _driver_steps, simulate_ensemble,
                            simulate_paths_dense)
 from symbolkit.seeding import TAG_PATH, rng_at
@@ -214,6 +214,10 @@ ECF_DRIVERS = {     # one driver per measure variant, drawn as the engine draws 
     "atoms": (lambda: catalog.compound_poisson_pm1(rate=2.0), 0.1),      # look-ahead, K = 5
     "atoms_drift": (DRIVERS["cp_drift"], 0.2),                           # look-ahead, K = 2
     "normal_law": (DRIVERS["normal_law"], 0.2),                          # look-ahead, K = 3
+    "narrow_normal_law": (lambda: LevyTriplet([0.0], [[0.0]], FiniteActivity(
+        1.5, normal_law(-5.0, 0.05))), 0.2),                             # look-ahead, K = 3
+    "uniform_law_image": (lambda: LevyTriplet([0.0], [[0.0]], FiniteActivity(
+        1.5, uniform_law(-0.7, 1.9).image(-1.7))), 0.2),                 # look-ahead, K = 3
     "cauchy": (BLOCKED["cauchy_drift"], 0.2),                            # block-drawn
     "stable_1.5": (PER_STEP["stable_1.5"], 0.2),                         # step by step
     "density": (DRIVERS["density"], 0.004),                              # look-ahead, K = 5

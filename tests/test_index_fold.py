@@ -22,7 +22,8 @@ import reference_indices as ref
 from symbolkit import catalog, indices
 from symbolkit import coefficients as co
 from symbolkit.indices import SearchConfig, _h_integral_weights, _h_values
-from symbolkit.levy import AtomLaw, FiniteActivity, LevyTriplet, ZeroMeasure, normal_law
+from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, ZeroMeasure, normal_law,
+                            uniform_law)
 from symbolkit.quadrature import halfline_nodes
 from symbolkit.sde import MultiDriverSpec
 from symbolkit.symbols import (SymbolField, mixed_power_symbol, multi_driver_symbol,
@@ -48,8 +49,8 @@ def _multi_driver():
         (co.sine(0.5, 1.0), catalog.bm_driver())]))
 
 
-# name -> (symbol factory, largest |xi| drawn); the continuous law and the
-# density stay on their fixed nodes, where the adaptive fallback is not called
+# name -> (symbol factory, largest |xi| drawn); the density stays on its fixed
+# nodes, where the adaptive fallback is not called
 EVEN_SYMBOLS = {
     "zero": (lambda: _triplet_symbol(0.0, 0.0), 1e8),
     "drift": (lambda: symbol_from_exponent(_driver("drift", rate=-0.7)), 1e8),
@@ -59,7 +60,11 @@ EVEN_SYMBOLS = {
     "atoms+drift+gaussian": (lambda: _triplet_symbol(
         0.3, 0.5, FiniteActivity(1.5, AtomLaw.of([(0.5, 0.25), (-2.0, 0.75)]))), 1e8),
     "normal-law": (lambda: _triplet_symbol(
-        0.1, 0.5, FiniteActivity(3.0, normal_law(0.2, 0.8))), 20.0),
+        0.1, 0.5, FiniteActivity(3.0, normal_law(0.2, 0.8))), 1e8),
+    "narrow-normal-law": (lambda: _triplet_symbol(
+        0.0, 0.0, FiniteActivity(1.5, normal_law(-5.0, 0.05))), 1e8),
+    "uniform-law-image": (lambda: _triplet_symbol(
+        0.2, 0.0, FiniteActivity(1.5, uniform_law(-0.7, 1.9).image(-1.7))), 1e8),
     "cauchy": (lambda: symbol_from_exponent(_driver("stable", alpha=1.0)), 1e8),
     "stable1.5": (lambda: symbol_from_exponent(
         _driver("stable", alpha=1.5, scale=0.5)), 1e8),

@@ -1,5 +1,6 @@
 """Exponent evaluation, samplers, and sector condition."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -7,11 +8,13 @@ from scipy.special import gamma as gamma_fn
 import symbolkit as sk
 from symbolkit import catalog
 from symbolkit import coefficients as co
-from symbolkit.levy import (AtomLaw, _density_exponent_adaptive, _law_exponent_adaptive,
+from symbolkit.levy import (AtomLaw, JumpNodes, _density_exponent_adaptive,
                             eval_exponent_many, normal_law,
                             sample_step_ensemble, stable_density_coefficient, uniform_law)
 from symbolkit.quadrature import gk21_rule
 from symbolkit.seeding import rng_at
+
+from reference_quadrature import _law_exponent_adaptive
 
 
 def cp_pm1_triplet(rate=1.0):
@@ -27,6 +30,10 @@ def catalog_triplets():
         "cp_pm1": cp_pm1_triplet(),
         "cp_normal": sk.LevyTriplet([0.0], [[0.0]],
                                     sk.FiniteActivity(2.0, normal_law(0.3, 0.5))),
+        "cp_normal_narrow": sk.LevyTriplet([0.0], [[0.0]],
+                                           sk.FiniteActivity(1.5, normal_law(-5.0, 0.05))),
+        "cp_uniform_image": sk.LevyTriplet([0.0], [[0.0]], sk.FiniteActivity(
+            1.5, uniform_law(-0.7, 1.9).image(-1.7))),
         "stable_07": sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(0.7)),
         "stable_15": sk.LevyTriplet([0.0], [[0.0]], sk.StableSymmetric(1.5, 2.0)),
         "tempered": catalog.tempered_density_driver(),
@@ -185,30 +192,22 @@ class TestTripletValidation:
 
 def oracle_measures():
     """Density-on-the-line measures with the fixed-node exponent (tempered_power 1.5 apart)."""
-    normal = sk.FiniteActivity(2.0, normal_law(0.3, 0.5))
     return {
         "tempered": catalog.tempered_density_driver().levy_measure,
-        "cp_normal": normal,
-        # asymmetric support: the density jumps at -0.7 and 1.9
-        "uniform_asym": sk.FiniteActivity(1.5, uniform_law(-0.7, 1.9)),
         "exponential": sk.LevyTriplet.from_dict({"levy_measure": {
             "kind": "density", "name": "exponential",
             "params": {"a": 1.0, "b": 1.0}}}).levy_measure,
         "frozen_tempered": sk.frozen_triplet(catalog.tempered_density_driver(),
                                              co.constant(0.6), 0.0).levy_measure,
-        "frozen_normal": sk.frozen_triplet(sk.LevyTriplet([0.0], [[0.0]], normal),
-                                           co.constant(-1.7), 0.0).levy_measure,
     }
 
 
 def adaptive_jump_exponent(measure, x1):
-    if isinstance(measure, sk.FiniteActivity):
-        return _law_exponent_adaptive(measure.law, measure.rate, x1)
     return -_density_exponent_adaptive(measure, x1)
 
 
 def fixed_nodes(measure):
-    return measure.law.jump_nodes if isinstance(measure, sk.FiniteActivity) else measure.jump_nodes
+    return measure.jump_nodes
 
 
 class TestFixedNodeExponent:
@@ -219,8 +218,7 @@ class TestFixedNodeExponent:
         measure = oracle_measures()[name]
         xi = np.linspace(-20.0, 20.0, 41)
         _, err = fixed_nodes(measure).integrate(xi)
-        tol = 1e-9 if isinstance(measure, sk.FiniteActivity) else 1e-8
-        assert (err <= tol).all()            # every value below is a fixed-node value
+        assert (err <= 1e-8).all()           # every value below is a fixed-node value
         fixed = measure.exponent_many(xi[:, None])
         oracle = np.array([adaptive_jump_exponent(measure, float(x)) for x in xi])
         assert np.abs(fixed - oracle).max() <= 1e-9
@@ -255,13 +253,12 @@ class TestFixedNodeExponent:
                 (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(abs(xi))) - 1.0)
             assert abs(-_density_exponent_adaptive(measure, xi) - exact) <= 1e-8
 
-    @pytest.mark.parametrize("name", ["tempered", "cp_normal", "uniform_asym"])
+    @pytest.mark.parametrize("name", ["tempered"])
     def test_fallback_is_the_oracle_bit_for_bit(self, name):
         measure = oracle_measures()[name]
         xi = np.array([25.0, -60.0, 150.0, 400.0, -1000.0])
         _, err = fixed_nodes(measure).integrate(xi)
-        tol = 1e-9 if isinstance(measure, sk.FiniteActivity) else 1e-8
-        failed = xi[~(err <= tol)]
+        failed = xi[~(err <= 1e-8)]
         assert failed.size >= 3
         for x in failed:
             try:
@@ -284,7 +281,7 @@ class TestFixedNodeExponent:
 
     @pytest.mark.parametrize("name", ["tempered", "cp_normal"])
     def test_value_does_not_depend_on_the_batch(self, name):
-        measure = oracle_measures()[name]
+        measure = {**oracle_measures(), **law_measures()}[name]
         xi = np.linspace(-12.0, 12.0, 97)
         batch = measure.exponent_many(xi[:, None])
         single = np.array([measure.exponent_many(np.array([[x]]))[0] for x in xi])
@@ -303,6 +300,112 @@ class TestFixedNodeExponent:
         table = measure.jump_nodes
         measure.exponent_many(np.array([[2.0]]))
         assert measure.jump_nodes is table
+
+
+def law_measures():
+    """Continuous jump laws, whose exponent is closed form."""
+    normal = sk.FiniteActivity(2.0, normal_law(0.3, 0.5))
+    return {
+        "cp_normal": normal,
+        # asymmetric support: the density jumps at -0.7 and 1.9
+        "uniform_asym": sk.FiniteActivity(1.5, uniform_law(-0.7, 1.9)),
+        "frozen_normal": sk.frozen_triplet(sk.LevyTriplet([0.0], [[0.0]], normal),
+                                           co.constant(-1.7), 0.0).levy_measure,
+    }
+
+
+# name -> (law, its parameters, phi of the image, rate) of law_measures() and more
+LAW_SPECS = {
+    "cp_normal": ("normal", (0.3, 0.5), 1.0, 2.0),
+    "uniform_asym": ("uniform", (-0.7, 1.9), 1.0, 1.5),
+    "frozen_normal": ("normal", (0.3, 0.5), -1.7, 2.0),
+    **{f"{kind}({params[0]:g},{params[1]:g})*{phi:g}": (kind, params, phi, 2.0)
+       for kind, params in (("normal", (0.0, 1.0)), ("normal", (0.3, 0.5)),
+                            ("normal", (-5.0, 0.05)), ("uniform", (-0.7, 1.9)))
+       for phi in (1.0, 1.3, -1.7)},
+}
+
+
+def law_measure(name):
+    kind, params, phi, rate = LAW_SPECS[name]
+    law = (normal_law if kind == "normal" else uniform_law)(*params)
+    return sk.FiniteActivity(rate, law if phi == 1.0 else law.image(phi))
+
+
+def mp_law_exponent(name, xi):
+    """-rate (cf(xi) - 1 - i xi E[Y 1_{|Y|<1}]) of a LAW_SPECS law, in 40-digit mpmath."""
+    kind, params, phi, rate = LAW_SPECS[name]
+    with mpmath.workdps(40):
+        x, ph = mpmath.mpf(xi), mpmath.mpf(phi)
+        if kind == "normal":
+            m, s = ph * mpmath.mpf(params[0]), abs(ph) * mpmath.mpf(params[1])
+            cf = mpmath.exp(1j * x * m - (x * s) ** 2 / 2)
+            small = (m * (mpmath.ncdf(1, m, s) - mpmath.ncdf(-1, m, s))
+                     - s * s * (mpmath.npdf(1, m, s) - mpmath.npdf(-1, m, s)))
+        else:
+            a, b = sorted((ph * mpmath.mpf(params[0]), ph * mpmath.mpf(params[1])))
+            cf = mpmath.exp(1j * x * (a + b) / 2) * mpmath.sinc(x * (b - a) / 2)
+            lo, hi = max(a, -1), min(b, 1)
+            small = (hi * hi - lo * lo) / (2 * (b - a)) if hi > lo else 0
+        return -rate * (cf - 1 - 1j * x * small)
+
+
+class TestLawExponent:
+    """The closed-form exponent of a continuous jump law against the adaptive oracle,
+    mpmath and the fixed nodes a density gets."""
+
+    @pytest.mark.parametrize("name", sorted(law_measures()))
+    def test_matches_adaptive_oracle(self, name):
+        measure = law_measures()[name]
+        xi = np.linspace(-20.0, 20.0, 41)
+        got = measure.exponent_many(xi[:, None])
+        checked = 0
+        for x, value in zip(xi, got):
+            try:
+                want = _law_exponent_adaptive(measure.law, measure.rate, float(x))
+            except sk.QuadratureFailure:
+                continue                    # the mpmath tests cover the closed form there
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), x
+            checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("name", ["cp_normal", "uniform_asym"])
+    def test_matches_mpmath_beyond_the_oracle(self, name):
+        # the oracle fails its own tolerance out here; the closed form does not
+        measure = law_measures()[name]
+        xi = np.array([25.0, -60.0, 150.0, 400.0, -1000.0])
+        failed = 0
+        for x in xi:
+            try:
+                _law_exponent_adaptive(measure.law, measure.rate, float(x))
+            except sk.QuadratureFailure:
+                failed += 1
+        assert failed >= 1
+        got = measure.exponent_many(xi[:, None])
+        for x, value in zip(xi, got):
+            want = mp_law_exponent(name, x)
+            assert abs(mpmath.mpc(value) - want) <= 1e-12 * abs(want), x
+
+    @pytest.mark.parametrize("name", sorted(set(LAW_SPECS) - set(law_measures())))
+    def test_matches_mpmath(self, name):
+        xis = (1e-8, -1e-8, 1e-4, 0.3, 3.0, 30.0, 1e4, 1e8)
+        got = law_measure(name).exponent_many(np.array(xis)[:, None])
+        for x, value in zip(xis, got):
+            want = mp_law_exponent(name, x)
+            assert abs(mpmath.mpc(value) - want) <= 1e-12 * abs(want), x
+
+    @pytest.mark.parametrize("name", ["cp_normal", "frozen_normal"])
+    def test_matches_fixed_nodes(self, name):
+        # the node table a density gets, laid on the law's density over a symmetric
+        # window (the uniform law's jump to 0 at -0.7 would fall inside a panel there)
+        measure = law_measures()[name]
+        nodes = JumpNodes.build(measure.law.density, max(np.abs(measure.law.clipped_support)))
+        xi = np.linspace(-25.0, 25.0, 201)
+        vals, err = nodes.integrate(xi)
+        ok = err <= 1e-9
+        assert ok.sum() >= 150
+        got = measure.exponent_many(xi[ok, None])
+        assert np.abs(got - -measure.rate * vals[ok]).max() <= 1e-14
 
 
 def test_gk21_rule_exactness():

@@ -2,8 +2,12 @@
 
 ``image``, ``truncation_shift``, ``generator_term`` and ``mass_ratio`` must
 reproduce ``tests/reference_measures.py`` bit for bit on every variant; the
-two declared exceptions, the mass of a continuous jump law and of a stable
-measure with alpha != 1, are checked against mpmath.
+declared exceptions, the mass of a continuous jump law and of a stable
+measure with alpha != 1, are checked against mpmath, and the truncation
+shift of a uniform law and the generator term of a normal law against their
+closed forms.  A normal law narrower than the old breakpoints -1, 0 and 1
+could see has its small-jump mean, mass, generator term and truncation shift
+checked against closed forms too.
 """
 
 import mpmath
@@ -54,6 +58,26 @@ def uniform_truncation_shift(rate, low, high, phi) -> float:
     return phi * rate * (moment_below(1.0 / abs(phi)) - moment_below(1.0)) if phi else 0.0
 
 
+def normal_partial_mean(mean, std, lo, hi) -> float:
+    """int_lo^hi y N(mean, std^2)(dy) = m (F(hi) - F(lo)) - s^2 (f(hi) - f(lo)), 30 digits."""
+    mpmath.mp.dps = 30
+    m, s = mpmath.mpf(mean), mpmath.mpf(std)
+    return float(m * (mpmath.ncdf(hi, m, s) - mpmath.ncdf(lo, m, s))
+                 - s * s * (mpmath.npdf(hi, m, s) - mpmath.npdf(lo, m, s)))
+
+
+def normal_generator_term(rate, mean, std, center, width, x) -> float:
+    """rate E[u(x+Y) - u(x) - Y u'(x) 1_{|Y|<1}] for u = gaussian_bump(center, width).
+
+    E u(x+Y) = w / sqrt(w^2 + s^2) e^{-(x + m - c)^2 / (2 (w^2 + s^2))}.
+    """
+    v = width ** 2 + std ** 2
+    ux = np.exp(-0.5 * ((x - center) / width) ** 2)
+    mean_u = width / np.sqrt(v) * np.exp(-0.5 * (x + mean - center) ** 2 / v)
+    grad = -(x - center) / width ** 2 * ux
+    return rate * (mean_u - ux - grad * normal_partial_mean(mean, std, -1.0, 1.0))
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -90,7 +114,8 @@ def test_image_matches_reference(name, phi):
     if isinstance(want, sk.FiniteActivity):
         assert got.rate == want.rate
         if isinstance(want.law, sk.ContinuousLaw):
-            assert (got.law.name, got.law.support) == (want.law.name, want.law.support)
+            assert ((got.law.name, got.law.support, got.law.points)
+                    == (want.law.name, want.law.support, want.law.points))
     if isinstance(want, sk.DensityForm):
         assert ((got.name, got.window, got.cutoff, got.activity, got.small_jump_drift)
                 == (want.name, want.window, want.cutoff, want.activity, want.small_jump_drift))
@@ -119,6 +144,12 @@ def test_truncation_shift_matches_reference(name, phi):
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_generator_term_matches_reference(name, x):
     measure, u = MEASURES[name], gaussian_bump(0.2, 0.8)
+    if name == "normal":
+        # the reference's quad takes only -1 and 1 as breakpoints, the method also the
+        # law's own: check the closed form
+        assert measure.generator_term(u, x) == pytest.approx(
+            normal_generator_term(2.0, 0.3, 0.5, 0.2, 0.8, x), rel=1e-12, abs=1e-12)
+        return
     assert (outcome(lambda: measure.generator_term(u, x))
             == outcome(lambda: ref._jump_generator_term(measure, u, x)))
 
@@ -138,7 +169,8 @@ def _mp_normal_mass(mean, std):
     return float(mpmath.quad(f, [-mpmath.inf, m - 5 * s, m, m + 5 * s, mpmath.inf]))
 
 
-@pytest.mark.parametrize("mean, std", [(0.0, 1.0), (0.3, 0.5), (0.0, 0.1), (2.0, 0.3)])
+@pytest.mark.parametrize("mean, std", [(0.0, 1.0), (0.3, 0.5), (0.0, 0.1), (2.0, 0.3),
+                                       (-5.0, 0.05), (0.5, 0.001), (1.5, 0.01)])
 def test_normal_law_mass_matches_mpmath(mean, std):
     # a quad without breakpoints gave 0.0 for each of these laws
     want = _mp_normal_mass(mean, std)
@@ -146,6 +178,37 @@ def test_normal_law_mass_matches_mpmath(mean, std):
         want, rel=1e-12, abs=0.0)
     assert sk.FiniteActivity(2.5, normal_law(mean, std)).mass_ratio() == pytest.approx(
         2.5 * want, rel=1e-12, abs=0.0)
+
+
+# narrow peaks away from -1, 0 and 1, where a quad over [-1000, 1000] with only those
+# breakpoints returned about 0; each law's breakpoints are its mean and mean +- 8 std
+NARROW = [(0.5, 0.001), (-5.0, 0.05), (1.5, 0.01), (1.3, 0.001), (0.999, 0.002), (0.3, 0.5),
+          (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("mean, std", NARROW)
+def test_normal_law_small_mean_is_the_truncated_mean(mean, std):
+    want = normal_partial_mean(mean, std, -1.0, 1.0)
+    assert normal_law(mean, std).mean_small()[0] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.4, -1.3])
+@pytest.mark.parametrize("mean, std", NARROW)
+def test_normal_law_generator_term_matches_closed_form(mean, std, x):
+    got = sk.FiniteActivity(1.5, normal_law(mean, std)).generator_term(gaussian_bump(), x)
+    assert got == pytest.approx(normal_generator_term(1.5, mean, std, 0.0, 1.0, x),
+                                rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [0.5, -0.6, 1.7, -3.0])
+@pytest.mark.parametrize("mean, std", NARROW)
+def test_normal_law_truncation_shift_matches_closed_form(mean, std, phi):
+    # phi * rate * int y (1_{|y| < 1/|phi|} - 1_{|y| < 1}) N(dy)
+    r = 1.0 / abs(phi)
+    want = phi * 1.5 * (normal_partial_mean(mean, std, -r, r)
+                        - normal_partial_mean(mean, std, -1.0, 1.0))
+    got = sk.FiniteActivity(1.5, normal_law(mean, std)).truncation_shift(phi)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_uniform_law_mass_matches_mpmath():
