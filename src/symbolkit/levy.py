@@ -1087,7 +1087,8 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
     shift = triplet.drift * dt
     smooth = None
     if triplet.gaussian:
-        smooth = rng.normal(size=(m, n))
+        smooth = rng.standard_normal(size=(m, n))
+        smooth += 0.0               # rng.normal's 0 + 1 * z: -0.0 becomes +0.0
         smooth *= np.sqrt(dt)
         if n == 1:
             smooth *= triplet.sigma[0, 0]       # what z @ sigma.T rounds to when n = 1

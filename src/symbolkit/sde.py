@@ -36,16 +36,23 @@ as (grid time, state-space effect).  The engine keeps these invariants:
   no path jumps: it draws the counts of its next
   K = min(BLOCK_ROWS // m, floor(1 / (activity dt m))) steps, about one
   expected jump, rewinds the generator to its saved state, and then draws
-  the steps before the first jump in one call and that step alone; K <= 1
-  draws step by step.
+  the steps before the first jump in one call and that step alone;
+  K < ``MIN_LOOK_AHEAD`` draws step by step.
   Output is therefore invariant under the worker count.  A single path uses
   the generators (master seed, ``TAG_PATH``, block index);
 - the arithmetic rounds as the plain formulation does (a zeroed update
   summed block by block, then the drift; norms as ``np.linalg.norm``), so
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
   that formulation as the oracle, and the former single-path engine too;
+- a jump-free run of steps with constant fields is one cumulative sum: in a
+  dense run whose coefficient and drift fields all declare ``lipschitz ==
+  0.0``, the steps that draw no simulated jump are buffered, up to
+  ``BLOCK_ROWS`` rows, their increments are formed in one pass in the order
+  ``_advance_chunk`` forms them, and ``np.add.accumulate`` adds them up along
+  time in the order of the per-step update, bit for bit.  A step with a jump
+  goes through ``_advance_chunk``; ensembles step one step at a time;
 - every step runs the overflow guard: a state norm above ``OVERFLOW_GUARD``
-  raises ``SimulationOverflow``.
+  raises ``SimulationOverflow``, at the same step in a buffered run.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .seeding import TAG_ENSEMBLE, TAG_PATH, rng_at
 OVERFLOW_GUARD = 1e12
 DEFAULT_CHUNK = 16384
 BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BLOCK_ROWS
+MIN_LOOK_AHEAD = 3          # a count look-ahead over fewer steps costs more than it saves
 
 
 @dataclass
@@ -219,14 +227,17 @@ def _driver_steps(driver, dt, n_steps, m, rng):
     ``jump_activity`` (pure compound Poisson) looks ahead at the Poisson counts
     of its next K steps, K = min(BLOCK_ROWS // m, floor(1 / (activity dt m)))
     (``_steps_before_jump``): the steps before the first that jumps are one
-    call, and that step is drawn alone.  Any other driver, and any driver
-    when K <= 1, draws once per step.  The sampler is looked up in ``levy``
+    call, and that step is drawn alone.  Any other driver, a blockable one
+    when K <= 1 and a look-ahead one when K < ``MIN_LOOK_AHEAD``, draws once
+    per step.  The sampler is looked up in ``levy``
     at each call, so a wrapper put there sees every draw, once per path-step.
     """
     rate = driver.jump_activity
     k_block = BLOCK_ROWS // m if driver.blockable or rate is not None else 1
     if rate is not None and rate * dt * m * k_block > 1.0:
         k_block = int(1.0 / (rate * dt * m))
+    if rate is not None and k_block < MIN_LOOK_AHEAD:
+        k_block = 1
     if k_block <= 1:
         for _ in range(n_steps):
             yield levy.sample_step_ensemble(driver, dt, m, rng)
@@ -285,9 +296,15 @@ def _advance_chunk(x, active, blocks, drift_field, dt, steps, inc, tmp, record=N
         x += inc
     else:
         np.add(x, inc, out=x, where=active[:, None])
-    if (steps[0].jump_values.shape[0] if len(steps) == 1
-            else any(s.jump_values.shape[0] for s in steps)):
+    if _has_jumps(steps):
         _apply_jumps(x, active, blocks, steps, record, t)
+
+
+def _has_jumps(steps):
+    """Whether any block's draws of this step carry a simulated jump."""
+    if len(steps) == 1:
+        return steps[0].jump_values.shape[0] > 0
+    return any(s.jump_values.shape[0] for s in steps)
 
 
 def _apply_jumps(x, active, blocks, steps, record, t):
@@ -466,18 +483,72 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
     """All states of m paths from x0: array (n_steps+1, m, d).
 
     The jumps of step k go into ``record``, if given, at grid time (k+1) dt.
+    When every field is constant (declares ``lipschitz == 0.0``), the steps
+    whose draws carry no simulated jump are buffered, up to ``BLOCK_ROWS``
+    rows, and applied together by ``_apply_run``; a step with a jump first
+    applies the buffer and then goes through ``_advance_chunk``.
     """
     out = np.empty((n_steps + 1, m, x0.shape[0]))
-    x = np.tile(x0, (m, 1))
-    out[0] = x
-    inc, tmp = np.empty_like(x), np.empty_like(x)
+    out[0] = x0
+    inc, tmp = np.empty_like(out[0]), np.empty_like(out[0])
     draws = _step_samples(blocks, dt, n_steps, m, rngs)
+    fields = [fld for fld, _ in blocks] + ([] if drift_field is None else [drift_field])
+    run = BLOCK_ROWS // m if all(fld.lipschitz == 0.0 for fld in fields) else 0
+    smooth = [[] for _ in blocks]   # per block, the draws of the steps not yet applied
+    k0 = 0                          # the first step not yet applied
     for k in range(n_steps):
-        _advance_chunk(x, None, blocks, drift_field, dt, next(draws), inc, tmp,
+        steps = next(draws)
+        if run > 1 and not _has_jumps(steps):
+            for buf, s in zip(smooth, steps):
+                buf.append(s.smooth)
+            if k + 1 - k0 == run:
+                _apply_run(blocks, drift_field, dt, smooth, out, k0, k + 1, n_steps)
+                k0 = k + 1
+            continue
+        if k > k0:
+            _apply_run(blocks, drift_field, dt, smooth, out, k0, k, n_steps)
+        x = out[k + 1]
+        x[...] = out[k]
+        _advance_chunk(x, None, blocks, drift_field, dt, steps, inc, tmp,
                        record, dt * (k + 1))
         _check_overflow(x, None, k, n_steps)
-        out[k + 1] = x
+        k0 = k + 1
+    if n_steps > k0:
+        _apply_run(blocks, drift_field, dt, smooth, out, k0, n_steps, n_steps)
     return out
+
+
+def _apply_run(blocks, drift_field, dt, smooth, out, lo, hi, n_steps):
+    """Apply the jump-free steps lo, ..., hi-1 of constant fields to ``out`` at once.
+
+    ``smooth`` holds each block's list of the draws of these steps, which it
+    empties.  Each field is evaluated on one row per (step, path), all at the
+    state out[lo]; the increments are formed in ``_advance_chunk``'s order
+    into out[lo+1:hi+1], and ``np.add.accumulate`` adds them up along time,
+    in the order of the per-step ``x += inc``, so the states are the per-step
+    ones bit for bit.  The overflow guard then runs on the first state it
+    could reject, so ``SimulationOverflow`` names the same step.
+    """
+    seg = out[lo:hi + 1]
+    r, (m, d) = hi - lo, seg.shape[1:]
+    inc = seg[1:].reshape(r * m, d)             # a view: out is C-contiguous
+    rows = np.broadcast_to(seg[0], (r, m, d)).reshape(r * m, d)
+    for j, ((fld, _), buf) in enumerate(zip(blocks, smooth)):
+        v = np.concatenate(buf)
+        buf.clear()
+        if j == 0:
+            _times(fld.many(rows), v, out=inc)
+            inc += 0.0
+        else:
+            inc += _times(fld.many(rows), v)
+    if drift_field is not None:
+        inc += np.multiply(drift_field.many(rows)[:, :, 0], dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # past an overflow the sum runs on; the check below raises at its first step
+        np.add.accumulate(seg, axis=0, out=seg)
+        peak = np.abs(seg[1:]).max(axis=(1, 2)) * d      # at least the largest row norm
+    for k in np.flatnonzero(~(peak <= OVERFLOW_GUARD)):  # NaN rows too: the guard decides
+        _check_overflow(seg[k + 1], None, lo + k, n_steps)
 
 
 def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,

@@ -23,8 +23,8 @@ from symbolkit import catalog, coefficients as co, levy
 from symbolkit.coefficients import CoefficientField
 from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure,
                             normal_law, sample_step_ensemble, uniform_law)
-from symbolkit.sde import (BLOCK_ROWS, _check_overflow, _driver_steps, simulate_ensemble,
-                           simulate_paths_dense)
+from symbolkit.sde import (BLOCK_ROWS, MIN_LOOK_AHEAD, _check_overflow, _driver_steps,
+                           simulate_ensemble, simulate_paths_dense)
 from symbolkit.seeding import TAG_PATH, rng_at
 
 BLOCKED = {
@@ -190,6 +190,23 @@ def test_look_ahead_inside_an_ensemble_matches_reference():
         assert _same_bits(getattr(got, field), getattr(want, field)), field
 
 
+@pytest.mark.parametrize("rate", [40.0, 30.0])          # K = 2 and 3 at step 0.01
+def test_look_ahead_spans_at_least_min_look_ahead_steps(rate, monkeypatch):
+    rows = []
+    sampler = levy.sample_step_ensemble
+
+    def counted(*args):
+        rows.append(args[2])
+        return sampler(*args)
+
+    monkeypatch.setattr(levy, "sample_step_ensemble", counted)
+    driver = catalog.compound_poisson_pm1(rate=rate)
+    for _ in _driver_steps(driver, 0.01, 300, 1, rng_at(4, 5)):
+        pass
+    assert sum(rows) == 300
+    assert (len(rows) == 300) == (int(1.0 / (rate * 0.01)) < MIN_LOOK_AHEAD)
+
+
 def test_long_compound_poisson_path_makes_few_sampler_calls(monkeypatch):
     rows = []
     sampler = levy.sample_step_ensemble
@@ -212,7 +229,7 @@ def test_long_compound_poisson_path_makes_few_sampler_calls(monkeypatch):
 ECF_DRIVERS = {     # one driver per measure variant, drawn as the engine draws them
     "gaussian_drift": (BLOCKED["gaussian_drift"], 0.2),
     "atoms": (lambda: catalog.compound_poisson_pm1(rate=2.0), 0.1),      # look-ahead, K = 5
-    "atoms_drift": (DRIVERS["cp_drift"], 0.2),                           # look-ahead, K = 2
+    "atoms_drift": (DRIVERS["cp_drift"], 0.2),                           # K = 2: step by step
     "normal_law": (DRIVERS["normal_law"], 0.2),                          # look-ahead, K = 3
     "narrow_normal_law": (lambda: LevyTriplet([0.0], [[0.0]], FiniteActivity(
         1.5, normal_law(-5.0, 0.05))), 0.2),                             # look-ahead, K = 3

@@ -8,7 +8,8 @@ import symbolkit as sk
 from symbolkit import catalog, coefficients as co
 from symbolkit.coefficients import CoefficientField
 from symbolkit.levy import AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, normal_law
-from symbolkit.sde import MultiDriverSpec, simulate_ensemble, simulate_multi, simulate_paths_dense
+from symbolkit.sde import (BLOCK_ROWS, MultiDriverSpec, simulate_ensemble, simulate_multi,
+                           simulate_paths_dense)
 
 
 def _model(driver, phi, drift=None):
@@ -58,6 +59,21 @@ def _planar_burst_model():
     return _model(driver, model.coefficient, model.drift_coefficient)
 
 
+def _constant_multi():
+    return MultiDriverSpec([(co.constant(0.8), catalog.bm_driver()),
+                            (co.constant(-1.2), catalog.compound_poisson_pm1(rate=3.0))])
+
+
+def _constant_planar_model():
+    """The planar driver under constant 2x2 and drift fields (the einsum path, n = 2)."""
+    phi = np.array([[1.0, 0.2], [0.1, 0.8]])
+    return _model(_planar_model().driver,
+                  CoefficientField(batch_fn=lambda xs: np.broadcast_to(phi, (len(xs), 2, 2)),
+                                   d=2, n=2, bound=2.0, lipschitz=0.0),
+                  CoefficientField(batch_fn=lambda xs: np.full((len(xs), 2, 1), -0.25),
+                                   d=2, n=1, bound=1.0, lipschitz=0.0))
+
+
 CASES = {name: (lambda name=name: (catalog.MODEL_CATALOG[name](), 0.0))
          for name in catalog.MODEL_CATALOG}
 CASES["feller_demo"] = lambda: (catalog.feller_demo_model(), 5.0)
@@ -75,6 +91,13 @@ CASES.update({
     "planar": lambda: (_planar_model(), np.array([0.3, -0.1])),
     "column": lambda: (_column_model(), np.array([0.0, 1.0])),
     "multi": lambda: (_multi_spec(), 0.0),
+    # constant fields only: the dense runs apply their jump-free steps as one sum
+    "constant_drift": lambda: (_model(catalog.bm_driver(), co.constant(0.7),
+                                      co.constant(-0.3)), 0.2),
+    "constant_multi": lambda: (_constant_multi(), 0.0),
+    "constant_planar": lambda: (_constant_planar_model(), np.array([0.3, -0.1])),
+    "look_ahead_constant": lambda: (_model(catalog.compound_poisson_pm1(rate=2.0),
+                                           co.constant(1.3)), 0.1),
 })
 # name -> (model, x0, a stop radius that some but not all paths leave); multi-jump
 # steps take the rounds of sde._apply_jumps
@@ -279,6 +302,11 @@ PATH_CASES = {
         2.0, AtomLaw.of([(1.0, 0.5), (-0.5, 0.5)]))), _TANH), 0.1, 10.0, 1e-2),
     "gaussian_poisson": lambda: (_model(LevyTriplet(
         [0.0], [[1.0]], FiniteActivity(20.0, normal_law(0.1, 0.6))), _TANH), 0.1, 10.0, 1e-2),
+    # constant fields: jump-free runs of up to BLOCK_ROWS steps, cut by the jumps
+    "constant_multi": lambda: (_constant_multi(), 0.0, 20.0, 2e-3),
+    "look_ahead_constant": lambda: (CASES["look_ahead_constant"]()[0], 0.1, 10.0, 1e-3),
+    # two full buffers and a ragged one: 2 * 4096 + 123 steps
+    "bm_unit_ragged": lambda: (catalog.bm_unit(), 0.1, 0.125 * (2 * BLOCK_ROWS + 123), 0.125),
     # the benchmark's simulate_multi pair: a Brownian and a compound-Poisson column
     "path_scalar_multi": lambda: (MultiDriverSpec([
         (co.bump(0.5, 1.0), catalog.bm_driver()),
@@ -320,6 +348,7 @@ def test_path_matches_scalar_reference(case, seed):
 
 def test_path_cases_exercise_jumps():
     for case in ("cp_tanh", "feller_demo", "poisson_rate5", "multi", "path_scalar_multi",
+                 "constant_multi",
                  *(name for name in PATH_CASES if name.startswith("look_ahead"))):
         _, want = _paths(PATH_CASES[case], 12345)
         assert want.jumps, case
@@ -373,3 +402,67 @@ def test_sample_increment_matches_reference():
             got = sk.sample_increment(trip, 0.1, sk.seeding.rng_at(seed, 4))
             want = ref.sample_increment(trip, 0.1, sk.seeding.rng_at(seed, 4))
             assert _same_bits(got, want)
+
+
+# --------------------------------------------------------------------------
+# constant fields: jump-free runs applied as one cumulative sum
+
+
+CONSTANT_CASES = ("bm_unit", "constant_drift", "constant_multi", "constant_planar",
+                  "look_ahead_constant")
+
+
+@pytest.mark.parametrize("n_paths", [1, 16])
+@pytest.mark.parametrize("case", CONSTANT_CASES)
+def test_constant_dense_runs_match_reference(case, n_paths):
+    # two full buffers of BLOCK_ROWS // n_paths steps and a ragged third, at a step
+    # of 0.01: the look-ahead sees K = 50 steps at one path and 3 at sixteen
+    model, x0 = CASES[case]()
+    blocks, drift = _blocks(model)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n_steps = 2 * (BLOCK_ROWS // n_paths) + 37
+    got = simulate_paths_dense(blocks, drift, x0, 0.01 * n_steps, n_steps, n_paths, 4,
+                               base_key=(3, 1))
+    want = ref.simulate_paths_dense(blocks, drift, x0, 0.01 * n_steps, n_steps, n_paths, 4,
+                                    base_key=(3, 1))
+    assert _same_bits(got, want)
+
+
+def _reference_overflow(blocks, n_steps, n_paths):
+    with pytest.raises(sk.SimulationOverflow) as err:
+        ref.simulate_ensemble(blocks, None, np.zeros(1), 0.125 * n_steps, n_steps, n_paths, 1)
+    return str(err.value)
+
+
+# drift 1e13 overflows on the first step; drift 1e10 on step 801 of 8000, inside a buffer
+@pytest.mark.parametrize("rate, n_steps", [(1e13, 8), (-1e13, 8), (1e10, 8000), (-1e10, 8000)])
+def test_constant_overflow_matches_reference(rate, n_steps):
+    model = _model(catalog.drift_driver(rate=rate), co.constant(1.0))
+    blocks = model.blocks()
+    with pytest.raises(sk.SimulationOverflow) as err:
+        sk.simulate_path(model, 0.0, 0.125 * n_steps, 0.125, 1)
+    assert str(err.value) == _reference_overflow(blocks, n_steps, 1)
+    with pytest.raises(sk.SimulationOverflow) as err:
+        simulate_paths_dense(blocks, None, np.zeros(1), 0.125 * n_steps, n_steps, 16, 1)
+    assert str(err.value) == _reference_overflow(blocks, n_steps, 16)
+    assert f"at step {1 if abs(rate) > 1e12 else 801} of {n_steps}" in str(err.value)
+
+
+def test_constant_fields_skip_the_per_step_rule_on_jump_free_steps(monkeypatch):
+    calls = []
+    advance = sk.sde._advance_chunk
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])      # the step's grid time
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(sk.sde, "_advance_chunk", counted)
+    path = sk.simulate_path(catalog.bm_unit(), 0.0, 10.0, 1e-3, 1)
+    assert len(path.times) == 10_001 and calls == []
+    path = sk.simulate_path(_model(catalog.poisson_unit(rate=5.0), co.constant(1.0)),
+                            0.0, 10.0, 1e-2, 3)
+    jump_times = sorted({t for t, _ in path.jumps})
+    assert len(jump_times) > 20 and calls == jump_times      # one call per jump step
+    calls.clear()
+    path = sk.simulate_path(_model(catalog.bm_driver(), co.bump(0.5, 1.0)), 0.0, 1.0, 1e-2, 1)
+    assert len(calls) == len(path.times) - 1 == 100

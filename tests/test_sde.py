@@ -258,9 +258,11 @@ class TestCoefficientValidation:
             co.validate_field(bad)
 
     def test_understated_lipschitz_caught(self):
-        bad = co.scalar_field(np.sin, bound=1.0, lipschitz=0.1, name="steep")
-        with pytest.raises(ValueError, match="Lipschitz"):
-            co.validate_field(bad)
+        # 0.0 declares a constant field, which dense runs sum in one pass
+        for lipschitz in (0.1, 0.0):
+            bad = co.scalar_field(np.sin, bound=1.0, lipschitz=lipschitz, name="steep")
+            with pytest.raises(ValueError, match="Lipschitz"):
+                co.validate_field(bad)
 
 
 class TestExport:
