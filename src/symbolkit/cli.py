@@ -127,6 +127,16 @@ def _grid(vals, key: str) -> list:
     return list(vals)
 
 
+def _whole(value, what: str, key: str, least: int) -> int:
+    """A whole number of at least ``least``; a bool, a fraction or less is a ConfigError."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{what} {value!r} is not a whole number", field=key)
+    if value < least:
+        raise ConfigError(f"{what} must be at least {least}, got {value!r}", field=key)
+    return int(value)
+
+
 def _ref(spec, key: str) -> dict:
     """Inline JSON object or a path to a JSON file holding one."""
     if isinstance(spec, str):
@@ -283,8 +293,8 @@ def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horiz
     records = [vars(r) for r in variation_experiment(
         _model(model),
         [float(g) for g in _grid(gammas, "gammas")],
-        [int(k) for k in _grid(levels, "levels")],
-        int(trials), seed, horizon=float(horizon), x0=x0)]
+        [_whole(k, "level", "levels", 0) for k in _grid(levels, "levels")],
+        _whole(trials, "trials", "trials", 1), seed, horizon=float(horizon), x0=x0)]
     header = ["gamma", "level", "median", "q25", "q75"]
     return {"rows": records}, header, _rows(records, header), None
 

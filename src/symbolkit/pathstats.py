@@ -195,8 +195,11 @@ def variation_experiment(model: SdeModel, gammas: Sequence[float],
 
     Emits per (gamma, level) the median and quartiles over trial paths; the
     trend across levels separates the finite-variation regime from the
-    divergent one.
+    divergent one.  Raises ValueError unless every gamma is positive and finite.
     """
+    for gamma in gammas:
+        if not 0.0 < float(gamma) < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
     rows = []
     for k in sorted(int(k) for k in levels):
         n = 2 ** k

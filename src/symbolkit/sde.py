@@ -14,9 +14,10 @@ r-th jump in round r, with one coefficient call per block and round.  The
 batched product rounds as the point product ``fld(x) @ y`` would, so the
 result is the path-by-path one bit for bit.
 
-There is one stepping rule, ``_advance_chunk``, which steps a chunk of paths
-at once.  ``simulate_ensemble`` runs it on chunks of paths and keeps only the
-terminal states; ``simulate_paths_dense`` keeps every state; ``simulate_path``
+There is one stepping rule, on arrays of paths: the step's smooth update
+(``_smooth_increment``) is added to the states, then its jumps are applied
+(``_advance_chunk`` does both).  ``simulate_ensemble`` runs it on chunks of
+paths and keeps only the terminal states; ``simulate_paths_dense`` keeps every state; ``simulate_path``
 and ``simulate_multi`` are a one-path dense run that also records each jump
 as (grid time, state-space effect).  The engine keeps these invariants:
 
@@ -25,34 +26,37 @@ as (grid time, state-space effect).  The engine keeps these invariants:
   variates but change neither its state nor its running maximum (kept only
   when ``record_max_steps`` asks for it);
 - each chunk owns seed-derived generators addressed by (master seed, caller
-  key, chunk index, block index), one per block, and ``_step_samples``, the
-  one step-draw helper, hands ``_advance_chunk`` each step's draws.  A block
-  draws a step's variates for the whole chunk in one call, in a fixed order;
-  a block whose driver draws from at most one distribution per step, with
-  n = 1 (``LevyTriplet.blockable``), draws K steps in one call of K*m rows
-  from the same stream (K*m <= ``BLOCK_ROWS``), which yields the same
-  variates bit for bit.  A pure compound-Poisson driver with n = 1
-  (``LevyTriplet.jump_activity``) draws only Poisson counts on a step where
-  no path jumps: it draws the counts of its next
-  K = min(BLOCK_ROWS // m, floor(1 / (activity dt m))) steps, about one
-  expected jump, rewinds the generator to its saved state, and then draws
-  the steps before the first jump in one call and that step alone;
-  K < ``MIN_LOOK_AHEAD`` draws step by step.
-  Output is therefore invariant under the worker count.  A single path uses
-  the generators (master seed, ``TAG_PATH``, block index);
+  key, chunk index, block index), one per block.  A block draws a step's
+  variates for the whole chunk in one call, in a fixed order; a block whose
+  driver draws from at most one distribution per step, with n = 1
+  (``LevyTriplet.blockable``), draws K steps in one call of K*m rows from the
+  same stream (K*m <= ``BLOCK_ROWS``), which yields the same variates bit for
+  bit.  A pure compound-Poisson driver with n = 1 (``LevyTriplet.jump_activity``)
+  draws only Poisson counts on a step where no path jumps: it draws the counts
+  of its next K = min(BLOCK_ROWS // m, floor(1 / (activity dt m))) steps,
+  about one expected jump, rewinds the generator to its saved state, and then
+  draws the steps before the first jump in one call and that step alone;
+  K < ``MIN_LOOK_AHEAD`` draws step by step.  Output is therefore invariant
+  under the worker count.  A single path uses the generators (master seed,
+  ``TAG_PATH``, block index);
+- the draws are handed on in runs, never sliced into a sample per step:
+  ``_driver_steps`` yields a block draw's jump-free steps as one (r, m, n)
+  array, and ``_step_samples``, the one step-draw helper, merges the blocks
+  into segments, either such a run of every block, cut where the shortest
+  ends, or the ``StepSample`` tuple of one step with simulated jumps;
 - the arithmetic rounds as the plain formulation does (a zeroed update
   summed block by block, then the drift; norms as ``np.linalg.norm``), so
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
-  that formulation as the oracle, and the former single-path engine too;
-- a jump-free run of steps with constant fields is one cumulative sum: in a
-  dense run whose coefficient and drift fields all declare ``lipschitz ==
-  0.0``, the steps that draw no simulated jump are buffered, up to
-  ``BLOCK_ROWS`` rows, their increments are formed in one pass in the order
-  ``_advance_chunk`` forms them, and ``np.add.accumulate`` adds them up along
-  time in the order of the per-step update, bit for bit.  A step with a jump
-  goes through ``_advance_chunk``; ensembles step one step at a time;
+  that formulation as the oracle, and the former single-path engine too.
+  One helper, ``_smooth_increment``, forms every step's smooth update
+  (field x draws, + 0.0, the other blocks, then drift x dt): ``_advance_chunk``
+  adds it in place and applies the step's jumps; a jump-free row of a dense
+  run is out[k+1] = out[k] + its increment; and in a dense run whose
+  coefficient and drift fields all declare ``lipschitz == 0.0``, ``_apply_run``
+  forms a whole run's increments in one pass and adds them up along time
+  with ``np.add.accumulate``, in the order of the per-step update, bit for bit;
 - every step runs the overflow guard: a state norm above ``OVERFLOW_GUARD``
-  raises ``SimulationOverflow``, at the same step in a buffered run.
+  raises ``SimulationOverflow``, at the same step in a summed run.
 """
 
 from __future__ import annotations
@@ -219,18 +223,21 @@ def _row_norms(v):
 
 
 def _driver_steps(driver, dt, n_steps, m, rng):
-    """Yield the driver's ``StepSample`` for each of ``n_steps`` steps of m paths.
+    """Yield the driver's draws for ``n_steps`` steps of m paths, as runs.
 
-    A blockable driver (``LevyTriplet.blockable``) draws K = BLOCK_ROWS // m
-    steps in one call of K*m rows and hands out one m-row slice per step:
-    the same values, bit for bit, as K calls of m rows.  A driver with a
-    ``jump_activity`` (pure compound Poisson) looks ahead at the Poisson counts
-    of its next K steps, K = min(BLOCK_ROWS // m, floor(1 / (activity dt m)))
-    (``_steps_before_jump``): the steps before the first that jumps are one
-    call, and that step is drawn alone.  Any other driver, a blockable one
-    when K <= 1 and a look-ahead one when K < ``MIN_LOOK_AHEAD``, draws once
-    per step.  The sampler is looked up in ``levy``
-    at each call, so a wrapper put there sees every draw, once per path-step.
+    A run is either an (r, m, n) array, the smooth draws of r steps none of
+    which draws a simulated jump, or the ``StepSample`` of one step, drawn
+    alone, that does.  A blockable driver (``LevyTriplet.blockable``) draws
+    K = BLOCK_ROWS // m steps in one call of K*m rows, the same values, bit
+    for bit, as K calls of m rows, and yields them as one run.  A driver with
+    a ``jump_activity`` (pure compound Poisson) looks ahead at the Poisson
+    counts of its next K steps, K = min(BLOCK_ROWS // m,
+    floor(1 / (activity dt m))) (``_steps_before_jump``): the steps before
+    the first that jumps are one call and one run, and that step is drawn
+    alone.  Any other driver, a blockable one when K <= 1 and a look-ahead one
+    when K < ``MIN_LOOK_AHEAD``, draws once per step.  The sampler is looked
+    up in ``levy`` at each call, so a wrapper put there sees every draw, once
+    per path-step.
     """
     rate = driver.jump_activity
     k_block = BLOCK_ROWS // m if driver.blockable or rate is not None else 1
@@ -240,18 +247,15 @@ def _driver_steps(driver, dt, n_steps, m, rng):
         k_block = 1
     if k_block <= 1:
         for _ in range(n_steps):
-            yield levy.sample_step_ensemble(driver, dt, m, rng)
+            s = levy.sample_step_ensemble(driver, dt, m, rng)
+            yield s if s.jump_values.shape[0] else s.smooth[None]
         return
-    no_jumps = np.zeros(m, dtype=np.int64)
     k0 = 0
     while k0 < n_steps:
         k = min(k_block, n_steps - k0)
         j = k if rate is None else _steps_before_jump(rng, rate, dt, k, m)
         if j:
-            s = levy.sample_step_ensemble(driver, dt, j * m, rng)
-            for lo in range(0, j * m, m):       # none of these steps jumps
-                yield StepSample(smooth=s.smooth[lo:lo + m], jump_counts=no_jumps,
-                                 jump_values=s.jump_values, jump_positions=s.jump_positions)
+            yield levy.sample_step_ensemble(driver, dt, j * m, rng).smooth.reshape(j, m, -1)
         if j < k:
             yield levy.sample_step_ensemble(driver, dt, m, rng)
         k0 += min(j + 1, k)
@@ -272,39 +276,76 @@ def _steps_before_jump(rng, rate, dt, k, m):
 
 
 def _step_samples(blocks, dt, n_steps, m, rngs):
-    """Per step, a tuple of each block's ``StepSample``: the one step-draw helper."""
-    return zip(*[_driver_steps(drv, dt, n_steps, m, rng) for (_, drv), rng in zip(blocks, rngs)])
+    """The one step-draw helper: the draws of ``n_steps`` steps as (smooth, steps) segments.
 
-
-def _advance_chunk(x, active, blocks, drift_field, dt, steps, inc, tmp, record=None, t=0.0):
-    """One Euler step of a chunk, updating the states x (m, d) in place.
-
-    ``steps`` holds each block's ``StepSample`` for this step.  ``active`` is
-    None while every path is active, else a bool mask; paths outside it stay
-    frozen.  ``inc`` and ``tmp`` are (m, d) scratch arrays.  ``record``, if
-    given, is a list that receives (t, state-space effect) for every jump.
+    ``smooth`` holds each block's (r, m, n_j) smooth draws of r steps.
+    ``steps`` is None when none of these steps draws a simulated jump, and
+    otherwise r = 1 and ``steps`` holds each block's ``StepSample`` of the
+    step.  With several blocks, a segment of jump-free steps ends where the
+    shortest of the blocks' runs ends, and a jump-free row of a block joins a
+    step with jumps as a ``StepSample`` without jumps.
     """
-    for j, ((fld, _), s) in enumerate(zip(blocks, steps)):
-        if j == 0:
-            _times(fld.many(x), s.smooth, out=inc)
-            inc += 0.0          # the sum starts from 0, which turns -0.0 into +0.0
+    runs = [_driver_steps(drv, dt, n_steps, m, rng) for (_, drv), rng in zip(blocks, rngs)]
+    if len(runs) == 1:              # nothing to merge
+        for run in runs[0]:
+            yield ((run,), None) if type(run) is np.ndarray else ((run.smooth[None],), (run,))
+        return
+    heads = [None] * len(runs)      # per block, the draws not yet handed out
+    k = 0
+    while k < n_steps:
+        heads = [next(run) if head is None else head for head, run in zip(heads, runs)]
+        if all(type(head) is np.ndarray for head in heads):
+            r = min(len(head) for head in heads)
+            yield tuple(head[:r] for head in heads), None
         else:
-            inc += _times(fld.many(x), s.smooth, out=tmp)
+            r = 1
+            steps = tuple(head if type(head) is StepSample else StepSample(
+                smooth=head[0], jump_counts=np.zeros(m, dtype=np.int64),
+                jump_values=np.empty((0, head.shape[2])), jump_positions=np.empty(0))
+                for head in heads)
+            yield tuple(s.smooth[None] for s in steps), steps
+        heads = [head[r:] if type(head) is np.ndarray and len(head) > r else None
+                 for head in heads]
+        k += r
+
+
+def _smooth_increment(x, blocks, drift_field, dt, rows, inc, tmp):
+    """The smooth part of one Euler step at the states x, formed in ``inc`` and returned.
+
+    ``rows`` holds each block's smooth draws, one row per state.  The sum is
+    field x draws of the first block, plus 0.0 (the sum starts from 0, which
+    turns -0.0 into +0.0), then the other blocks in order, then drift x dt.
+    ``tmp`` is a scratch array like ``inc``, or None to allocate one per term.
+    """
+    for j, ((fld, _), v) in enumerate(zip(blocks, rows)):
+        if j == 0:
+            _times(fld.many(x), v, out=inc)
+            inc += 0.0
+        else:
+            inc += _times(fld.many(x), v, out=tmp)
     if drift_field is not None:
         inc += np.multiply(drift_field.many(x)[:, :, 0], dt, out=tmp)
+    return inc
+
+
+def _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, tmp, steps,
+                   record=None, t=0.0):
+    """One Euler step of a chunk, updating the states x (m, d) in place.
+
+    ``rows`` holds each block's (m, n) smooth draws for this step, and
+    ``steps`` each block's ``StepSample`` when the step draws simulated
+    jumps, else None.  ``active`` is None while every path is active, else a
+    bool mask; paths outside it stay frozen.  ``inc`` and ``tmp`` are (m, d)
+    scratch arrays.  ``record``, if given, is a list that receives
+    (t, state-space effect) for every jump.
+    """
+    _smooth_increment(x, blocks, drift_field, dt, rows, inc, tmp)
     if active is None:
         x += inc
     else:
         np.add(x, inc, out=x, where=active[:, None])
-    if _has_jumps(steps):
+    if steps is not None:
         _apply_jumps(x, active, blocks, steps, record, t)
-
-
-def _has_jumps(steps):
-    """Whether any block's draws of this step carry a simulated jump."""
-    if len(steps) == 1:
-        return steps[0].jump_values.shape[0] > 0
-    return any(s.jump_values.shape[0] for s in steps)
 
 
 def _apply_jumps(x, active, blocks, steps, record, t):
@@ -401,9 +442,10 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
     maxdist = np.zeros(m) if records is not None else None     # nothing reads it otherwise
     rec_pos = {int(s): i for i, s in enumerate(record_steps)}
     stop_at_x0 = stop_radius is not None and np.array_equal(stop_center, x0)
-    draws = _step_samples(blocks, dt, n_steps, m, rngs)
-    for k in range(n_steps):
-        _advance_chunk(x, active, blocks, drift_field, dt, next(draws), inc, tmp)
+    segments = _step_samples(blocks, dt, n_steps, m, rngs)
+    for k, (rows, steps) in enumerate((rows, steps) for smooth, steps in segments
+                                      for rows in zip(*smooth)):
+        _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, tmp, steps)
         _check_overflow(x, active, k, n_steps)
         # a frozen path keeps its distances, so it needs no mask here: its
         # maximum already holds its distance, and it stays outside the ball
@@ -483,66 +525,54 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
     """All states of m paths from x0: array (n_steps+1, m, d).
 
     The jumps of step k go into ``record``, if given, at grid time (k+1) dt.
-    When every field is constant (declares ``lipschitz == 0.0``), the steps
-    whose draws carry no simulated jump are buffered, up to ``BLOCK_ROWS``
-    rows, and applied together by ``_apply_run``; a step with a jump first
-    applies the buffer and then goes through ``_advance_chunk``.
+    A step with jumps goes through ``_advance_chunk``; a jump-free step is
+    out[k+1] = out[k] + its smooth increment.  When every field is constant
+    (declares ``lipschitz == 0.0``), ``_apply_run`` applies each segment of
+    several jump-free steps at once.
     """
     out = np.empty((n_steps + 1, m, x0.shape[0]))
     out[0] = x0
     inc, tmp = np.empty_like(out[0]), np.empty_like(out[0])
-    draws = _step_samples(blocks, dt, n_steps, m, rngs)
     fields = [fld for fld, _ in blocks] + ([] if drift_field is None else [drift_field])
-    run = BLOCK_ROWS // m if all(fld.lipschitz == 0.0 for fld in fields) else 0
-    smooth = [[] for _ in blocks]   # per block, the draws of the steps not yet applied
-    k0 = 0                          # the first step not yet applied
-    for k in range(n_steps):
-        steps = next(draws)
-        if run > 1 and not _has_jumps(steps):
-            for buf, s in zip(smooth, steps):
-                buf.append(s.smooth)
-            if k + 1 - k0 == run:
-                _apply_run(blocks, drift_field, dt, smooth, out, k0, k + 1, n_steps)
-                k0 = k + 1
-            continue
-        if k > k0:
-            _apply_run(blocks, drift_field, dt, smooth, out, k0, k, n_steps)
-        x = out[k + 1]
-        x[...] = out[k]
-        _advance_chunk(x, None, blocks, drift_field, dt, steps, inc, tmp,
-                       record, dt * (k + 1))
-        _check_overflow(x, None, k, n_steps)
-        k0 = k + 1
-    if n_steps > k0:
-        _apply_run(blocks, drift_field, dt, smooth, out, k0, n_steps, n_steps)
+    constant = all(fld.lipschitz == 0.0 for fld in fields)
+    k = 0                           # the first step not yet applied
+    for smooth, steps in _step_samples(blocks, dt, n_steps, m, rngs):
+        if steps is not None:
+            x = out[k + 1]
+            x[...] = out[k]
+            _advance_chunk(x, None, blocks, drift_field, dt, [s.smooth for s in steps],
+                           inc, tmp, steps, record, dt * (k + 1))
+            _check_overflow(x, None, k, n_steps)
+            k += 1
+        elif constant and len(smooth[0]) > 1:
+            _apply_run(blocks, drift_field, dt, smooth, out, k, n_steps)
+            k += len(smooth[0])
+        else:
+            for rows in zip(*smooth):
+                _smooth_increment(out[k], blocks, drift_field, dt, rows, inc, tmp)
+                np.add(out[k], inc, out=out[k + 1])
+                _check_overflow(out[k + 1], None, k, n_steps)
+                k += 1
     return out
 
 
-def _apply_run(blocks, drift_field, dt, smooth, out, lo, hi, n_steps):
-    """Apply the jump-free steps lo, ..., hi-1 of constant fields to ``out`` at once.
+def _apply_run(blocks, drift_field, dt, smooth, out, lo, n_steps):
+    """Apply the jump-free steps lo, ..., lo+r-1 of constant fields to ``out`` at once.
 
-    ``smooth`` holds each block's list of the draws of these steps, which it
-    empties.  Each field is evaluated on one row per (step, path), all at the
-    state out[lo]; the increments are formed in ``_advance_chunk``'s order
-    into out[lo+1:hi+1], and ``np.add.accumulate`` adds them up along time,
-    in the order of the per-step ``x += inc``, so the states are the per-step
-    ones bit for bit.  The overflow guard then runs on the first state it
-    could reject, so ``SimulationOverflow`` names the same step.
+    ``smooth`` holds each block's (r, m, n) draws of these steps.  Each field
+    is evaluated on one row per (step, path), all at the state out[lo]; the
+    increments are formed by ``_smooth_increment`` into out[lo+1:lo+r+1], and
+    ``np.add.accumulate`` adds them up along time, in the order of the
+    per-step ``x += inc``, so the states are the per-step ones bit for bit.
+    The overflow guard then runs on the first state it could reject, so
+    ``SimulationOverflow`` names the same step.
     """
-    seg = out[lo:hi + 1]
-    r, (m, d) = hi - lo, seg.shape[1:]
+    r, (m, d) = len(smooth[0]), out.shape[1:]
+    seg = out[lo:lo + r + 1]
     inc = seg[1:].reshape(r * m, d)             # a view: out is C-contiguous
     rows = np.broadcast_to(seg[0], (r, m, d)).reshape(r * m, d)
-    for j, ((fld, _), buf) in enumerate(zip(blocks, smooth)):
-        v = np.concatenate(buf)
-        buf.clear()
-        if j == 0:
-            _times(fld.many(rows), v, out=inc)
-            inc += 0.0
-        else:
-            inc += _times(fld.many(rows), v)
-    if drift_field is not None:
-        inc += np.multiply(drift_field.many(rows)[:, :, 0], dt)
+    _smooth_increment(rows, blocks, drift_field, dt,
+                      [v.reshape(r * m, v.shape[2]) for v in smooth], inc, None)
     with np.errstate(over="ignore", invalid="ignore"):
         # past an overflow the sum runs on; the check below raises at its first step
         np.add.accumulate(seg, axis=0, out=seg)

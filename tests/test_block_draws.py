@@ -5,11 +5,12 @@ steps in one ``sample_step_ensemble`` call of K*m rows (``sde.BLOCK_ROWS``
 bounds K*m).  A pure compound-Poisson driver with n = 1 looks its Poisson
 counts K steps ahead and draws the jump-free steps before the first jump in
 one call, K = min(BLOCK_ROWS // m, floor(1 / (rate dt m))).  These tests pin
-that the slices the helper hands out are, bit for bit, what successive m-row
-calls on the same generator return, for every measure variant, that the
-predicates pick exactly the drivers they may, that paths, dense runs and
-ensembles still reproduce the reference engines across block boundaries, and
-that one-step draws have the characteristic function exp(-dt psi).
+that the runs the helper hands out are, row by row and bit for bit, what
+successive m-row calls on the same generator return, for every measure
+variant, that the predicates pick exactly the drivers they may, that paths,
+dense runs and ensembles still reproduce the reference engines across block
+boundaries, and that one-step draws have the characteristic function
+exp(-dt psi).
 """
 
 import warnings
@@ -21,8 +22,8 @@ import reference_engine as ref
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co, levy
 from symbolkit.coefficients import CoefficientField
-from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, ZeroMeasure,
-                            normal_law, sample_step_ensemble, uniform_law)
+from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, StepSample,
+                            ZeroMeasure, normal_law, sample_step_ensemble, uniform_law)
 from symbolkit.sde import (BLOCK_ROWS, MIN_LOOK_AHEAD, _check_overflow, _driver_steps,
                            simulate_ensemble, simulate_paths_dense)
 from symbolkit.seeding import TAG_PATH, rng_at
@@ -58,6 +59,18 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _each_step(driver, dt, n_steps, m, rng):
+    """The helper's draws one step at a time: each row of a run is a step without jumps."""
+    for run in _driver_steps(driver, dt, n_steps, m, rng):
+        if isinstance(run, StepSample):
+            assert run.jump_values.shape[0], "a step drawn alone without jumps is a run"
+            yield run
+            continue
+        for smooth in run:
+            yield StepSample(smooth=smooth, jump_counts=np.zeros(m, dtype=np.int64),
+                             jump_values=np.empty((0, run.shape[2])), jump_positions=np.empty(0))
+
+
 def _steps_for(m):
     """Two full blocks and a ragged third, or three steps when K = 1."""
     k = BLOCK_ROWS // m
@@ -79,7 +92,7 @@ def test_look_ahead_only_for_pure_compound_poisson_with_n_1(name):
 def test_helper_steps_are_successive_sampler_calls(name, m):
     driver = DRIVERS[name]()
     n_steps = _steps_for(m)
-    got = list(_driver_steps(driver, 0.01, n_steps, m, rng_at(4, 2)))
+    got = list(_each_step(driver, 0.01, n_steps, m, rng_at(4, 2)))
     rng = rng_at(4, 2)
     assert len(got) == n_steps
     for s in got:
@@ -108,7 +121,7 @@ def test_look_ahead_steps_are_successive_sampler_calls(name, m):
     driver = DRIVERS[name]()
     dt = 0.1 / driver.jump_activity
     helper, plain = rng_at(4, 3), rng_at(4, 3)
-    got = list(_driver_steps(driver, dt, 200, m, helper))
+    got = list(_each_step(driver, dt, 200, m, helper))
     assert len(got) == 200 and sum(int(s.jump_counts.sum()) for s in got) >= 10
     for s in got:
         want = sample_step_ensemble(driver, dt, m, plain)
@@ -246,7 +259,7 @@ def test_step_draws_have_the_exponent_characteristic_function(name):
     make, dt = ECF_DRIVERS[name]
     driver, n = make(), 20_000
     z = np.empty(n)
-    for i, s in enumerate(_driver_steps(driver, dt, n, 1, rng_at(31, 2))):
+    for i, s in enumerate(_each_step(driver, dt, n, 1, rng_at(31, 2))):
         z[i] = s.smooth[0, 0] + s.jump_values[:, 0].sum()
     for xi in (0.5, 1.5, 3.0):
         want = np.exp(-dt * driver(np.array([xi])))

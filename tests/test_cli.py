@@ -398,6 +398,43 @@ def test_empty_ensemble_is_config_error(kind, cfg, tmp_path):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+@pytest.mark.parametrize("cfg, field, message", [
+    ({**VARIATION_CFG, "levels": [4, 2.5]}, "levels", "level 2.5 is not a whole number"),
+    ({**VARIATION_CFG, "levels": [True]}, "levels", "level True is not a whole number"),
+    ({**VARIATION_CFG, "levels": ["4"]}, "levels", "level '4' is not a whole number"),
+    ({**VARIATION_CFG, "levels": [-1]}, "levels", "level must be at least 0, got -1"),
+    ({**VARIATION_CFG, "trials": 2.7}, "trials", "trials 2.7 is not a whole number"),
+    ({**VARIATION_CFG, "trials": False}, "trials", "trials False is not a whole number"),
+], ids=["fractional-level", "bool-level", "string-level", "negative-level",
+        "fractional-trials", "bool-trials"])
+def test_variation_counts_must_be_whole_numbers(cfg, field, message, tmp_path):
+    assert main_with_config("variation", cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert (err["error"], err["field"], err["message"]) == ("ConfigError", field, message)
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_variation_takes_whole_floats_as_their_integers(tmp_path):
+    outs = []
+    for tag, levels, trials in (("int", [4, 0], 4), ("float", [4.0, 0.0], 4.0)):
+        run_config("variation", {**VARIATION_CFG, "levels": levels, "trials": trials}, 1,
+                   tmp_path / tag)
+        outs.append((tmp_path / tag / "results.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf")])
+def test_variation_rejects_gammas_that_are_not_positive(gamma, tmp_path, capsys):
+    cfg = {"model": {"coefficient": {"name": "zero"}, "driver": {"name": "bm"}},
+           "gammas": [1.0, gamma], "levels": [4]}
+    assert main_with_config("variation", cfg, tmp_path) == 2
+    line = capsys.readouterr().err
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert line == json.dumps(err, sort_keys=True) + "\n"      # no numpy warning beside it
+    assert f"gamma must be positive and finite, got {gamma}" in err["message"]
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def _triplet_model(measure=None, **driver):
     """BM_MODEL's coefficient with a full-triplet driver."""
     if measure is not None:

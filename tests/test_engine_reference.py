@@ -7,9 +7,11 @@ import reference_engine as ref
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
 from symbolkit.coefficients import CoefficientField
-from symbolkit.levy import AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, normal_law
-from symbolkit.sde import (BLOCK_ROWS, MultiDriverSpec, simulate_ensemble, simulate_multi,
-                           simulate_paths_dense)
+from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, StepSample,
+                            normal_law)
+from symbolkit.sde import (BLOCK_ROWS, OVERFLOW_GUARD, MultiDriverSpec, simulate_ensemble,
+                           simulate_multi, simulate_paths_dense)
+from symbolkit.seeding import TAG_PATH, rng_at
 
 
 def _model(driver, phi, drift=None):
@@ -311,6 +313,19 @@ PATH_CASES = {
     "path_scalar_multi": lambda: (MultiDriverSpec([
         (co.bump(0.5, 1.0), catalog.bm_driver()),
         (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1())]), 0.0, 4.0, 2e-3),
+    # not blockable: every step is drawn alone
+    "stable_1.5_cosine": lambda: (_model(catalog.stable_driver(1.5), co.cosine(1.5, 1.0)),
+                                  0.0, 5.0, 1e-3),
+    # runs of 4096, 500 and 1 steps: the segments end where the shortest run ends
+    "multi_three_runs": lambda: (MultiDriverSpec([
+        (co.bump(0.5, 1.0), catalog.bm_driver()),
+        (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1(rate=2.0)),
+        (co.cosine(0.0, 1.0), catalog.stable_driver(1.5))]), 0.0, 5.0, 1e-3),
+    # a varying field overflows inside the first 4096-step block, near step 1600
+    "overflow_bump_up": lambda: (_model(catalog.drift_driver(1e10), co.bump(0.5, 1.0)),
+                                 0.0, 500.0, 0.125),
+    "overflow_bump_down": lambda: (_model(catalog.drift_driver(-1e10), co.bump(0.5, 1.0)),
+                                   0.0, 500.0, 0.125),
 }
 DRIFT_PATH_CASES = {
     "bm_bump_drift": lambda: (catalog.bm_bump_drift(), 0.0, 10.0, 1e-3),
@@ -336,9 +351,36 @@ def _assert_same_jumps(got, want):
         assert _same_bits(effect, effect_ref)
 
 
+def _reference_states(blocks, drift, x0, horizon, step, seed):
+    """One path stepped by ``reference_engine._advance_chunk`` on the generators
+    ``rng_at(seed, TAG_PATH, j)``, with the guard and message of its ``_run_chunk``."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
+    n_steps = int(np.ceil(horizon / step - 1e-12))
+    rngs = [rng_at(seed, TAG_PATH, j) for j in range(len(blocks))]
+    states, active = [x[0]], np.ones(1, dtype=bool)
+    for k in range(n_steps):
+        x = ref._advance_chunk(x, active, blocks, drift, step, rngs)
+        norm = np.linalg.norm(x[0])
+        if norm > OVERFLOW_GUARD:
+            raise sk.SimulationOverflow(
+                f"state norm {norm:.3e} exceeded {OVERFLOW_GUARD:.0e} "
+                f"at step {k + 1} of {n_steps}")
+        states.append(x[0])
+    return np.array(states)
+
+
 @pytest.mark.parametrize("seed", [12345, 3])
 @pytest.mark.parametrize("case", sorted(PATH_CASES))
 def test_path_matches_scalar_reference(case, seed):
+    if case.startswith("overflow"):
+        model, x0, horizon, step = PATH_CASES[case]()
+        with pytest.raises(sk.SimulationOverflow) as err:
+            _paths(PATH_CASES[case], seed)
+        with pytest.raises(sk.SimulationOverflow) as want:
+            _reference_states(*_blocks(model), x0, horizon, step, seed)
+        assert str(err.value) == str(want.value)
+        assert 1000 < int(str(err.value).split()[-3]) < BLOCK_ROWS
+        return
     got, want = _paths(PATH_CASES[case], seed)
     assert _same_bits(got.times, want.times)
     assert _same_bits(got.states, want.states)
@@ -348,7 +390,7 @@ def test_path_matches_scalar_reference(case, seed):
 
 def test_path_cases_exercise_jumps():
     for case in ("cp_tanh", "feller_demo", "poisson_rate5", "multi", "path_scalar_multi",
-                 "constant_multi",
+                 "constant_multi", "multi_three_runs",
                  *(name for name in PATH_CASES if name.startswith("look_ahead"))):
         _, want = _paths(PATH_CASES[case], 12345)
         assert want.jumps, case
@@ -367,6 +409,14 @@ def test_drift_path_within_rounding_of_scalar_reference(case):
     assert got.states.shape == want.states.shape
     assert np.abs(got.states - want.states).max() <= 1e-12 * np.abs(want.states).max()
     _assert_same_jumps(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_PATH_CASES))
+def test_drift_path_matches_reference_step_bit_for_bit(case):
+    model, x0, horizon, step = DRIFT_PATH_CASES[case]()
+    got = sk.simulate_path(model, x0, horizon, step, 12345)
+    want = _reference_states(*_blocks(model), x0, horizon, step, 12345)
+    assert _same_bits(got.states, want)
 
 
 def test_path_input_checks_match_scalar_reference():
@@ -449,6 +499,7 @@ def test_constant_overflow_matches_reference(rate, n_steps):
 
 
 def test_constant_fields_skip_the_per_step_rule_on_jump_free_steps(monkeypatch):
+    # jump-free steps of any field make no _advance_chunk call; each jumping step makes one
     calls = []
     advance = sk.sde._advance_chunk
 
@@ -465,4 +516,31 @@ def test_constant_fields_skip_the_per_step_rule_on_jump_free_steps(monkeypatch):
     assert len(jump_times) > 20 and calls == jump_times      # one call per jump step
     calls.clear()
     path = sk.simulate_path(_model(catalog.bm_driver(), co.bump(0.5, 1.0)), 0.0, 1.0, 1e-2, 1)
-    assert len(calls) == len(path.times) - 1 == 100
+    assert len(path.times) - 1 == 100 and calls == []
+    # steps drawn alone, one sampler call each
+    path = sk.simulate_path(PATH_CASES["stable_1.5_cosine"]()[0], 0.0, 1.0, 1e-2, 1)
+    assert len(path.times) - 1 == 100 and calls == []
+    path = sk.simulate_path(catalog.cp_tanh(), 0.0, 40.0, 1e-2, 3)
+    jump_times = sorted({t for t, _ in path.jumps})
+    assert len(jump_times) > 20 and calls == jump_times
+
+
+@pytest.mark.parametrize("name", ["stable_sin", "bm_bump_drift"])
+def test_jump_free_paths_build_no_step_samples_beyond_the_draws(name, monkeypatch):
+    built, drawn = [], []
+    init, sampler = StepSample.__init__, sk.levy.sample_step_ensemble
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_sampler(*args):
+        drawn.append(args[2])
+        return sampler(*args)
+
+    monkeypatch.setattr(StepSample, "__init__", counted_init)
+    monkeypatch.setattr(sk.levy, "sample_step_ensemble", counted_sampler)
+    path = sk.simulate_path(catalog.MODEL_CATALOG[name](), 0.0, 10.0, 1e-3, 7)
+    assert len(path.times) == 10_001 and not path.jumps
+    assert drawn == [BLOCK_ROWS, BLOCK_ROWS, 10_000 - 2 * BLOCK_ROWS]
+    assert len(built) == len(drawn)

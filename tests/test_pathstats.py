@@ -249,6 +249,11 @@ class TestVariationExperiment:
         for a, b in zip(meds, meds[1:]):
             assert b / a == pytest.approx(np.sqrt(2.0), rel=0.1)
 
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.inf, np.nan])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            variation_experiment(catalog.bm_unit(), [2.0, gamma], [4], trials=4, seed=0)
+
     def test_quartiles_ordered(self):
         rows = variation_experiment(catalog.bm_unit(), [1.5], [6], trials=16, seed=7)
         for r in rows:
