@@ -153,8 +153,10 @@ def _model(spec):
 def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=10,
                check_radius=True) -> dict:
     """symbol_mc_table's keywords from the estimator block."""
-    return {"t_ladder": tuple(t_ladder), "paths_per_rung": int(paths), "radius": R,
-            "steps_per_rung": int(steps_per_rung), "check_radius": check_radius}
+    return {"t_ladder": tuple(t_ladder),
+            "paths_per_rung": _whole(paths, "paths", "paths", 1000), "radius": R,
+            "steps_per_rung": _whole(steps_per_rung, "steps_per_rung", "steps_per_rung", 2),
+            "check_radius": check_radius}
 
 
 def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
@@ -305,7 +307,9 @@ def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large
         _model(model), float(x),
         [float(v) for v in _grid(lambdas, "lambdas")],
         [float(v) for v in t_small], [float(v) for v in t_large],
-        int(paths), seed, steps_per_run=int(steps_per_run), threads=threads)
+        _whole(paths, "paths", "paths", 1), seed,
+        steps_per_run=_whole(steps_per_run, "steps_per_run", "steps_per_run", 1),
+        threads=threads)
     records = [{"window": r.window, "t": r.t, "lambda": r.lam,
                 "median_max": r.median_max, "scaled": r.scaled} for r in profile.rows]
     header = ["window", "t", "lambda", "median_max", "scaled"]
@@ -316,7 +320,7 @@ def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large
 
 
 def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
-    d = int(d)
+    d = _whole(d, "d", "d", 1)
     if y_grid is not None:
         ys = [np.asarray(y, dtype=float) for y in y_grid]
     elif d == 1:
@@ -378,8 +382,8 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
 
 def _kind_feller_demo(seed, threads, /, *, t0=math.log(2.0), trials=100_000, x0=5.0,
                       steps=16):
-    report = feller_demo(float(t0), int(trials), seed, x0=float(x0), steps=int(steps),
-                         threads=threads)
+    report = feller_demo(float(t0), _whole(trials, "trials", "trials", 1), seed, x0=float(x0),
+                         steps=_whole(steps, "steps", "steps", 1), threads=threads)
     header = ["t0", "trials", "frequency", "ci_low", "ci_high", "expected"]
     return report, header, _rows([report], header), None
 

@@ -8,7 +8,9 @@ satisfies |y|^2/(1+|y|^2) = int (1 - cos(y.rho)) g_d(rho) drho and has moments
 of every order.  In one dimension the lambda integral collapses to
 g_1(rho) = e^{-|rho|}/2 (Gaussian-integral identity), in two to
 K_0(|rho|)/(2 pi); the generic lambda quadrature is kept as the oracle the
-closed forms are checked against.
+closed forms are checked against.  ``scipy.special``'s ``k0`` and ``j0`` are
+imported inside :func:`eval_g` and :func:`g_identity_check`, so they load at
+the first d = 2 kernel value or identity check.
 
 The upper functional
 
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import j0, k0
 
 from .errors import BijectivityViolation, DegenerateSymbol, DimensionMismatch
 from .levy import LevyTriplet, kappa_from_c0, sector_constant
@@ -91,6 +92,8 @@ def eval_g(d: int, rho) -> float:
     if d == 1:
         return 0.5 * np.exp(-r)
     if d == 2:
+        from scipy.special import k0
+
         return float(k0(r)) / (2 * np.pi)
     if d == 3:
         return np.exp(-r) / (4 * np.pi * r)
@@ -99,6 +102,8 @@ def eval_g(d: int, rho) -> float:
 
 def g_identity_check(d: int, y_grid) -> float:
     """Max residual of int (1 - cos(y.rho)) g_d drho = |y|^2/(1+|y|^2) over the grid."""
+    from scipy.special import j0, k0
+
     worst = 0.0
     for y in y_grid:
         s = float(np.linalg.norm(np.atleast_1d(y)))

@@ -18,7 +18,9 @@ tolerance; a frequency that fails it is recomputed by compensated adaptive
 quadrature, which stays in the tree as the oracle.  Increments are
 sampled from the pathwise decomposition: drift + Gaussian + jumps, with the
 small-jump compensator removed as a deterministic drift for every jump that
-is actually simulated.
+is actually simulated.  scipy's ``quad`` and ``gamma`` are imported inside
+the functions that call them, so ``scipy.integrate`` and ``scipy.special``
+load at the first adaptive integral or stable-density coefficient.
 
 Every e^{i phase} of real phase, here and in the Monte Carlo estimator, comes
 from :func:`expi`: cos into the real part, sin(phase + 0.0) into the
@@ -53,8 +55,6 @@ from math import factorial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .errors import DimensionMismatch, SectorViolation
 from .quadrature import check_error, gk21_rule, integrate_checked
@@ -638,6 +638,8 @@ def stable_density_coefficient(alpha: float, scale: float = 1.0) -> float:
     if abs(alpha - 1.0) < 1e-12:
         i_alpha = np.pi / 2.0
     else:
+        from scipy.special import gamma as gamma_fn
+
         i_alpha = gamma_fn(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (alpha * (1.0 - alpha))
     return scale / (2.0 * i_alpha)
 
@@ -793,6 +795,7 @@ def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
     """
     if x1 == 0.0:
         return 0.0 + 0.0j
+    from scipy.integrate import quad
 
     w = measure.window
     near_top = min(1.0, w)

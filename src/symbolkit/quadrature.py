@@ -5,7 +5,9 @@ Adaptive integrals go through :func:`integrate_checked`, which wraps
 with the achieved error estimate instead of silently returning a bad value;
 :func:`check_error` is that failure rule on its own.  Every ``quad`` call asks
 for ``full_output``, so scipy returns its diagnostics instead of printing an
-``IntegrationWarning``: the tolerance check is the only verdict.
+``IntegrationWarning``: the tolerance check is the only verdict.  ``quad`` is
+imported inside :func:`integrate_checked`, so ``scipy.integrate`` loads at the
+first adaptive integral, and a run that integrates nothing never pays for it.
 
 Fixed-node integrals use :func:`gk21_rule`: the 21-point Gauss-Kronrod rule
 with its embedded 10-point Gauss rule (QUADPACK's qk21).  Laid on a list of
@@ -25,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureFailure
 
@@ -41,6 +42,8 @@ def check_error(err: float, label: str, tol: float = 1e-8) -> None:
 
 def integrate_checked(f, a, b, *, tol=1e-9, points=None, limit=200, label="integral"):
     """Adaptive quadrature of ``f`` over (a, b); raise if the error estimate exceeds ``tol``."""
+    from scipy.integrate import quad
+
     kwargs = {"limit": limit, "epsabs": min(tol * 1e-2, 1e-10), "epsrel": 1e-11}
     if points is not None and np.isfinite(a) and np.isfinite(b):
         kwargs["points"] = points

@@ -423,6 +423,51 @@ def test_variation_takes_whole_floats_as_their_integers(tmp_path):
     assert outs[0] == outs[1]
 
 
+EST_CFG = {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0]}
+
+
+@pytest.mark.parametrize("kind, cfg, field, message", [
+    ("growth", {**GROWTH_CFG, "paths": 100.7}, "paths", "paths 100.7 is not a whole number"),
+    ("growth", {**GROWTH_CFG, "steps_per_run": True}, "steps_per_run",
+     "steps_per_run True is not a whole number"),
+    ("feller-demo", {"trials": 1000.5}, "trials", "trials 1000.5 is not a whole number"),
+    ("feller-demo", {"steps": 8.5}, "steps", "steps 8.5 is not a whole number"),
+    ("g-identity", {"d": True}, "d", "d True is not a whole number"),
+    ("symbol-estimate", {**EST_CFG, "estimator": {"paths": 2000.5}}, "paths",
+     "paths 2000.5 is not a whole number"),
+    ("symbol-estimate", {**EST_CFG, "estimator": {"paths": 2000, "steps_per_rung": 4.9}},
+     "steps_per_rung", "steps_per_rung 4.9 is not a whole number"),
+    ("symbol-compare", {**EST_CFG, "estimator": {"paths": 500}}, "paths",
+     "paths must be at least 1000, got 500"),
+    ("symbol-estimate", {**EST_CFG, "estimator": {"steps_per_rung": 1}}, "steps_per_rung",
+     "steps_per_rung must be at least 2, got 1"),
+    ("g-identity", {"d": 0}, "d", "d must be at least 1, got 0"),
+], ids=["growth-paths", "growth-steps_per_run", "feller-demo-trials", "feller-demo-steps",
+        "g-identity-d", "estimator-paths", "estimator-steps_per_rung", "estimator-few-paths",
+        "estimator-one-step", "g-identity-d-zero"])
+def test_counts_must_be_whole_numbers(kind, cfg, field, message, tmp_path):
+    assert main_with_config(kind, cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert (err["error"], err["field"], err["message"]) == ("ConfigError", field, message)
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("kind, ints, floats", [
+    ("growth", {**GROWTH_CFG, "paths": 100, "steps_per_run": 8},
+     {**GROWTH_CFG, "paths": 100.0, "steps_per_run": 8.0}),
+    ("feller-demo", {"trials": 1000, "steps": 8}, {"trials": 1000.0, "steps": 8.0}),
+    ("g-identity", {"d": 1}, {"d": 1.0}),
+    ("symbol-estimate", {**EST_CFG, "estimator": {"paths": 1000, "steps_per_rung": 4}},
+     {**EST_CFG, "estimator": {"paths": 1000.0, "steps_per_rung": 4.0}}),
+], ids=["growth", "feller-demo", "g-identity", "estimator"])
+def test_whole_float_counts_run_as_their_integers(kind, ints, floats, tmp_path):
+    outs = []
+    for tag, cfg in (("int", ints), ("float", floats)):
+        run_config(kind, cfg, 1, tmp_path / tag)
+        outs.append((tmp_path / tag / "results.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf")])
 def test_variation_rejects_gammas_that_are_not_positive(gamma, tmp_path, capsys):
     cfg = {"model": {"coefficient": {"name": "zero"}, "driver": {"name": "bm"}},
