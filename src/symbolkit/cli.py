@@ -127,6 +127,23 @@ def _grid(vals, key: str) -> list:
     return list(vals)
 
 
+def _real(value, key: str) -> float:
+    """A real number as a float; a bool, a string or a list is a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} {value!r} is not a number", field=key)
+    return float(value)
+
+
+def _reals(vals, key: str) -> list:
+    """The nonempty list ``vals`` of real numbers as floats."""
+    return [_real(v, key) for v in _grid(vals, key)]
+
+
+def _state(value, key: str):
+    """A state: one real number, or a list of them when d > 1."""
+    return [_real(v, key) for v in value] if isinstance(value, list) else _real(value, key)
+
+
 def _whole(value, what: str, key: str, least: int) -> int:
     """A whole number of at least ``least``; a bool, a fraction or less is a ConfigError."""
     if isinstance(value, bool) or not (isinstance(value, int)
@@ -161,13 +178,13 @@ def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=
 
 def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
     est = _call(_estimator, estimator, "estimator")
-    xs = [float(v) for v in _grid(x_grid, "x_grid")]
-    xis = [float(v) for v in _grid(xi_grid, "xi_grid")]
+    xs, xis = _reals(x_grid, "x_grid"), _reals(xi_grid, "xi_grid")
     return symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est)
 
 
 def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=False):
-    path = simulate_path(_model(model), x0, float(horizon), float(step), seed)
+    path = simulate_path(_model(model), _state(x0, "x0"), _real(horizon, "horizon"),
+                         _real(step, "step"), seed)
     header = ["t"] + [f"x_{j + 1}" for j in range(path.d)]
     rows = np.column_stack((path.times, path.states)).tolist()
     results = {
@@ -190,7 +207,7 @@ def _kind_symbol_analytic(seed, threads, /, *, model, x_grid, xi_grid):
     records = []
     for x in _grid(x_grid, "x_grid"):
         for xi in _grid(xi_grid, "xi_grid"):
-            val = p(np.atleast_1d(float(x)), np.atleast_1d(float(xi)))
+            val = p(np.atleast_1d(_real(x, "x_grid")), np.atleast_1d(_real(xi, "xi_grid")))
             records.append({"x": x, "xi": xi, "re": val.real, "im": val.imag})
     header = ["x", "xi", "re", "im"]
     return {"records": records}, header, _rows(records, header), None
@@ -250,7 +267,7 @@ def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
     p = symbol_of_model(model)
     records = []
     for x in _grid(x_grid, "x_grid"):
-        xv = np.atleast_1d(float(x))
+        xv = np.atleast_1d(_real(x, "x_grid"))
         trip = frozen_triplet(model.driver, model.coefficient, xv, model.drift_coefficient)
         integro = generator_apply_integro(trip, u, xv)
         fourier = generator_apply_fourier(p, u, xv)
@@ -269,10 +286,10 @@ def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
 def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_max=1e8,
                   r_max=1e4, r_table=(0.1, 1.0, 10.0, 100.0), compute_beta0=True):
     report = build_index_report(
-        resolve_symbol(symbol), [float(v) for v in _grid(x_grid, "x_grid")],
-        eta_max=float(eta_max), r_max=float(r_max),
+        resolve_symbol(symbol), _reals(x_grid, "x_grid"),
+        eta_max=_real(eta_max, "eta_max"), r_max=_real(r_max, "r_max"),
         x_box=tuple(x_box) if x_box else None,
-        r_table=[float(v) for v in r_table],
+        r_table=[_real(v, "r_table") for v in r_table],
         compute_beta0=compute_beta0)
     rows = [[r, h_up, h_low] for r, h_up, h_low in report.functional_table]
     return report.to_dict(), ["R", "H", "h"], rows, None
@@ -281,8 +298,8 @@ def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_ma
 def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_max=1e8):
     driver = resolve_driver(_ref(driver, "driver"))
     phi = coeff.from_dict(coefficient)
-    xs = [float(v) for v in _grid(x_grid, "x_grid")]
-    report = index_transfer_check(driver, phi, xs, eta_max=float(eta_max))
+    xs = _reals(x_grid, "x_grid")
+    report = index_transfer_check(driver, phi, xs, eta_max=_real(eta_max, "eta_max"))
     rows = [[x, b, abs(b - report.beta_driver)] for x, b in report.per_x]
     return ({"beta_driver": report.beta_driver,
              "per_x": [{"x": x, "beta": b} for x, b in report.per_x],
@@ -294,9 +311,10 @@ def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horiz
                     x0=0.0):
     records = [vars(r) for r in variation_experiment(
         _model(model),
-        [float(g) for g in _grid(gammas, "gammas")],
+        _reals(gammas, "gammas"),
         [_whole(k, "level", "levels", 0) for k in _grid(levels, "levels")],
-        _whole(trials, "trials", "trials", 1), seed, horizon=float(horizon), x0=x0)]
+        _whole(trials, "trials", "trials", 1), seed, horizon=_real(horizon, "horizon"),
+        x0=_state(x0, "x0"))]
     header = ["gamma", "level", "median", "q25", "q75"]
     return {"rows": records}, header, _rows(records, header), None
 
@@ -304,9 +322,8 @@ def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horiz
 def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large=(),
                  paths=2000, steps_per_run=256):
     profile = growth_experiment(
-        _model(model), float(x),
-        [float(v) for v in _grid(lambdas, "lambdas")],
-        [float(v) for v in t_small], [float(v) for v in t_large],
+        _model(model), _real(x, "x"), _reals(lambdas, "lambdas"),
+        [_real(v, "t_small") for v in t_small], [_real(v, "t_large") for v in t_large],
         _whole(paths, "paths", "paths", 1), seed,
         steps_per_run=_whole(steps_per_run, "steps_per_run", "steps_per_run", 1),
         threads=threads)
@@ -351,8 +368,8 @@ def _kind_bound_diagnostic(seed, threads, /, *, model=None, driver=None, box=(-1
         driver = resolve_driver(driver)
         p = symbol_from_exponent(driver)
         trip_field = lambda x: driver
-    diag = symbol_bound_diagnostic(p, trip_field, (float(box[0]), float(box[1])),
-                                   xi_max=float(xi_max))
+    diag = symbol_bound_diagnostic(p, trip_field, (_real(box[0], "box"), _real(box[1], "box")),
+                                   xi_max=_real(xi_max, "xi_max"))
     return (vars(diag), ["c_p", "triplet_norm", "unit_sup", "slack", "consistent"],
             [[diag.c_p, diag.triplet_norm, diag.unit_sup,
               diag.subadditivity_slack, diag.consistent]], None)
@@ -382,7 +399,8 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
 
 def _kind_feller_demo(seed, threads, /, *, t0=math.log(2.0), trials=100_000, x0=5.0,
                       steps=16):
-    report = feller_demo(float(t0), _whole(trials, "trials", "trials", 1), seed, x0=float(x0),
+    report = feller_demo(_real(t0, "t0"), _whole(trials, "trials", "trials", 1), seed,
+                         x0=_real(x0, "x0"),
                          steps=_whole(steps, "steps", "steps", 1), threads=threads)
     header = ["t0", "trials", "frequency", "ci_low", "ci_high", "expected"]
     return report, header, _rows([report], header), None

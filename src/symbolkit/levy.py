@@ -7,20 +7,18 @@ exponent
     psi(xi) = -i l.xi + (1/2) xi.Q.xi
               - integral( e^{i xi.y} - 1 - i xi.y 1_{|y|<1}(y) ) N(dy)
 
-itself.  The jump part is closed form for atomic, symmetric-stable and
-continuous-law measures (a law through its characteristic function).  For a
-density on the line (DensityForm) it is a batched sum over fixed Gauss-Kronrod
-nodes, built once per measure on first use: the density is evaluated once per
-node, and each frequency then costs one pass over the panels (Taylor moments
-where |xi y| is small, angle addition elsewhere).  The embedded
-Gauss-vs-Kronrod error estimate is checked per frequency against the adaptive
-tolerance; a frequency that fails it is recomputed by compensated adaptive
-quadrature, which stays in the tree as the oracle.  Increments are
-sampled from the pathwise decomposition: drift + Gaussian + jumps, with the
-small-jump compensator removed as a deterministic drift for every jump that
-is actually simulated.  scipy's ``quad`` and ``gamma`` are imported inside
-the functions that call them, so ``scipy.integrate`` and ``scipy.special``
-load at the first adaptive integral or stable-density coefficient.
+itself.  The jump part is closed form for every measure: atomic,
+symmetric-stable, continuous-law (a law through its characteristic function)
+and a density on the line (DensityForm), whose density is one tempered-power
+family with a closed-form windowed exponent (an xi-series over incomplete-gamma
+moments, or the full line less a continued-fraction tail), so building and
+evaluating it integrates nothing.  Increments are sampled from the pathwise
+decomposition: drift + Gaussian + jumps, with the small-jump compensator
+removed as a deterministic drift for every jump that is actually simulated.
+scipy's ``quad`` and ``gamma`` are imported inside the functions that call
+them, so ``scipy.integrate`` and ``scipy.special`` load at the first adaptive
+integral (a generator term, a mass ratio, a law's small-jump mean) or
+stable-density coefficient.
 
 Every e^{i phase} of real phase, here and in the Monte Carlo estimator, comes
 from :func:`expi`: cos into the real part, sin(phase + 0.0) into the
@@ -51,13 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, gamma
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, SectorViolation
-from .quadrature import check_error, gk21_rule, integrate_checked
+from .errors import DimensionMismatch, QuadratureFailure, SectorViolation
+from .quadrature import integrate_checked
 
 _ATOL = 1e-12
 
@@ -225,8 +223,22 @@ class ContinuousLaw:
             points=tuple(sorted(phi * p for p in self.points)))
 
     def truncation_integral(self, a: float) -> float:
-        """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law."""
-        return _truncation_integral(self.density, a, self.support, self.points)
+        """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law, a not 0 or 1.
+
+        Each side stops at its end of the support (quad missed the uniform(-0.7,
+        1.9) density's drop to 0 just inside [1, 1.9016] by 1.2e-3), and takes
+        the law's points inside it as breakpoints.
+        """
+        lo, hi = sorted((1.0, 1.0 / a))
+        val = 0.0
+        for sgn, end in ((1.0, self.support[1]), (-1.0, -self.support[0])):
+            top = min(hi, end)
+            if top > lo:
+                val += sgn * integrate_checked(
+                    lambda y: y * self.density(sgn * y), lo, top, tol=1e-10,
+                    label="indicator correction",
+                    points=sorted(sgn * p for p in self.points if lo < sgn * p < top) or None)
+        return (1.0 if 1.0 / a > 1.0 else -1.0) * val
 
     def generator_integral(self, g: Callable[[float], float]) -> float:
         lo, hi = self.clipped_support
@@ -279,36 +291,159 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.stack([re, im], axis=-1).view(complex)[..., 0]
 
 
-def tempered_power(a: float = 1.0, alpha: float = 0.5,
-                   b: float = 1.0) -> Callable[[float], float]:
-    """Tempered power tail y -> a |y|^{-1-alpha} e^{-b |y|}, zero at the origin."""
-    a, alpha, b = float(a), float(alpha), float(b)
-    return lambda y: a * abs(y) ** (-1.0 - alpha) * np.exp(-b * abs(y)) if y != 0 else 0.0
+_SERIES_TERMS = 13        # xi^2 .. xi^26: at |xi| W <= 2 the next term is below 1e-17 of the first
+_SERIES_REACH = 2.0       # |xi| * window up to which the exponent is its xi-series
+_CF_STEPS = 500           # continued-fraction steps; |z| >= 1 converges in about 100
 
 
-def exponential(a: float = 1.0, b: float = 1.0) -> Callable[[float], float]:
-    """Two-sided exponential y -> a e^{-b |y|}."""
-    a, b = float(a), float(b)
-    return lambda y: a * np.exp(-b * abs(y))
+def _gamma_cf(s, z: np.ndarray) -> np.ndarray:
+    """F(s, z) with Gamma(s, z) = e^{-z} z^s F(s, z), for a 1-d array z with |z| >= 1, Re z >= 0.
 
-
-def _truncation_integral(density: Callable, a: float, support: tuple, points: tuple) -> float:
-    """int y (1_{|y| < 1/a} - 1_{|y| < 1}) nu(y) dy over the support, a not 0 or 1.
-
-    Each side stops at its end of the support: quad misses a jump of nu to 0
-    just inside the range (1.2e-3 off, within its error estimate of 1e-10, for
-    uniform(-0.7, 1.9) and 1/a = 1.9016).  The ``points`` inside a side are breakpoints.
+    The modified Lentz method on the continued fraction of DLMF 8.9.2; s is a
+    number or an array like z.  Each entry stops at its own convergence, so its
+    value does not depend on the batch it comes in.
     """
-    lo, hi = sorted((1.0, 1.0 / a))
-    sign = 1.0 if 1.0 / a > 1.0 else -1.0
-    val = 0.0
-    for sgn, end in ((1.0, support[1]), (-1.0, -support[0])):
-        top = min(hi, end)
-        if top > lo:
-            val += sgn * integrate_checked(
-                lambda y: y * density(sgn * y), lo, top, tol=1e-10, label="indicator correction",
-                points=sorted(sgn * p for p in points if lo < sgn * p < top) or None)
-    return sign * val
+    out, idx, s = np.empty_like(z), np.arange(z.size), np.broadcast_to(s, z.shape)
+    bn = z + (1.0 - s)
+    h = d = 1.0 / bn
+    c = np.full_like(d, np.inf)
+    for n in range(1, _CF_STEPS):
+        if not idx.size:
+            return out
+        an = -n * (n - s)
+        bn = bn + 2.0
+        d = 1.0 / (an * d + bn)
+        c = bn + an / c
+        step = d * c
+        h = h * step
+        done = np.abs(step - 1.0) <= np.finfo(float).eps
+        if done.any():
+            out[idx[done]] = h[done]
+            idx, bn, c, d, h, s = (v[~done] for v in (idx, bn, c, d, h, s))
+    raise QuadratureFailure(f"incomplete gamma continued fraction at s = {s[0]} did not converge")
+
+
+@dataclass(frozen=True)
+class TemperedPower:
+    """The density y -> a |y|^{-1-alpha} e^{-b |y|} on the line, zero at the origin.
+
+    The one family of the named densities: ``tempered_power(a, alpha, b)``,
+    and ``exponential(a, b)`` at alpha = -1.  Each parameter is a finite
+    number, not a bool: a > 0, -1 <= alpha < 2 (below, the exponent's
+    full-line-minus-tail form cancels: 1e-3 relative at alpha = -10) and
+    b >= 0; b = 0 needs alpha > 0 and an explicit window.  The image under
+    y -> phi y is the family at (a |phi|^alpha, alpha, b / |phi|).
+    """
+
+    a: float
+    alpha: float
+    b: float
+
+    def __post_init__(self):
+        for key in ("a", "alpha", "b"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+                raise ValueError(f"density parameter {key!r} must be a number, got {value!r}")
+            object.__setattr__(self, key, float(value))
+        for key, ok, rule in (("a", 0.0 < self.a < np.inf, "finite and > 0"),
+                              ("alpha", -1.0 <= self.alpha < 2.0, "in [-1, 2)"),
+                              ("b", 0.0 <= self.b < np.inf, "finite and >= 0"),
+                              ("alpha", self.b > 0.0 or self.alpha > 0.0, "in (0, 2) at b = 0")):
+            if not ok:
+                raise ValueError(f"density parameter {key!r} must be {rule}, "
+                                 f"got {getattr(self, key)}")
+
+    def density(self, y: float) -> float:
+        return (self.a * abs(y) ** (-1.0 - self.alpha) * np.exp(-self.b * abs(y))
+                if y != 0 else 0.0)
+
+    def image(self, phi: float) -> "TemperedPower":
+        return TemperedPower(self.a * abs(phi) ** self.alpha, self.alpha, self.b / abs(phi))
+
+    def beyond(self, w: float) -> float:
+        """int_w^inf y^{-1-alpha} e^{-b y} dy = w^{-alpha} E_{1+alpha}(b w), for w > 0.
+
+        The continued fraction where b w > 1; below, the series of E_p (DLMF
+        8.19.8 and 8.19.10, with E_2 = e^{-x} - x E_1 at alpha = 1).
+        """
+        alpha, x = self.alpha, self.b * w
+        if x > 1.0:
+            return float(w ** -alpha * np.exp(-x) * _gamma_cf(-alpha, np.array([x]))[0])
+        if self.b == 0.0:
+            return w ** -alpha / alpha
+        terms = np.cumprod(np.concatenate([[1.0], -x / np.arange(1.0, 40.0)]))   # (-x)^k / k!
+        if alpha in (0.0, 1.0):
+            e1 = -np.euler_gamma - np.log(x) - float(terms[1:] @ (1.0 / np.arange(1.0, 40.0)))
+            return e1 if alpha == 0.0 else (np.exp(-x) - x * e1) / w
+        series = x ** alpha * gamma(-alpha) - float(terms @ (1.0 / (np.arange(40.0) - alpha)))
+        return w ** -alpha * series
+
+    def auto_window(self) -> float:
+        """The first w = 2^k with [w, 4w] mass (a proxy for the tail) below 1e-10."""
+        if self.b == 0.0:
+            raise ValueError("a density with 'b' = 0 needs an explicit window")
+        for k in range(60):
+            if 2.0 * self.a * (self.beyond(2.0 ** k) - self.beyond(2.0 ** (k + 2))) < 1e-10:
+                return 2.0 ** k
+        raise ValueError("could not find truncation window with tail mass < 1e-10")
+
+    def series(self, w: float) -> np.ndarray:
+        """The xi^2, xi^4, ... coefficients of int_0^w (1 - cos xi y) y^{-1-alpha} e^{-b y} dy.
+
+        (-1)^{j+1} m_j / (2j)! over the moments m_j = int_0^w y^{s-1} e^{-b y} dy
+        = b^{-s} gamma(s, b w), s = 2j - alpha: the lower incomplete gamma by
+        its series where b w <= s + 1 (DLMF 8.7.1), else Gamma(s) less the
+        continued fraction.
+        """
+        j = np.arange(1, _SERIES_TERMS + 1)
+        x, s, m = self.b * w, 2.0 * j - self.alpha, np.empty(_SERIES_TERMS)
+        near, far = x <= s + 1.0, x > s + 1.0
+        terms = np.cumprod(x / (s[near, None] + 1.0 + np.arange(200.0)), axis=1)   # x^k / (s+1)_k
+        m[near] = w ** s[near] * np.exp(-x) * (1.0 + terms.sum(axis=1)) / s[near]
+        m[far] = (self.b ** -s[far] * np.array([gamma(v) for v in s[far]])
+                  - w ** s[far] * np.exp(-x) * _gamma_cf(s[far], np.full(far.sum(), x)))
+        return (-1.0) ** (j + 1) * m / np.array([float(factorial(2 * k)) for k in j])
+
+    def windowed_exponent(self, x: np.ndarray, w: float, series: np.ndarray,
+                          beyond: float) -> np.ndarray:
+        """2 a int_0^w (1 - cos x y) y^{-1-alpha} e^{-b y} dy at x >= 0.
+
+        ``series`` and ``beyond`` are the family's at w.  For x w <= 2 the
+        xi-series; elsewhere the full-line form -Gamma(-alpha) Re(c^alpha -
+        b^alpha), c = b - i x, less the tail past w,
+        b^alpha Gamma(-alpha, b w) - Re(c^alpha Gamma(-alpha, c w)).
+        """
+        alpha, b = self.alpha, self.b
+        out, small = np.empty(x.shape[0]), x * w <= _SERIES_REACH
+        u = x[small] * x[small]
+        out[small] = u * np.polyval(series[::-1], u)
+        x = x[~small]
+        if b == 0.0:
+            full = (0.5 * np.pi * x if alpha == 1.0
+                    else -gamma(-alpha) * np.cos(0.5 * np.pi * alpha) * x ** alpha)
+        elif alpha == 0.0:
+            full = 0.5 * np.log1p((x / b) ** 2)
+        elif alpha == 1.0:
+            full = x * np.arctan(x / b) - 0.5 * b * np.log1p((x / b) ** 2)
+        else:
+            # Re((1 - i t)^alpha) - 1 = expm1(p) cos q - 2 sin^2(q / 2), free of cancellation
+            p, q = 0.5 * alpha * np.log1p((x / b) ** 2), alpha * np.arctan(x / b)
+            full = -gamma(-alpha) * b ** alpha * (np.expm1(p) * np.cos(q)
+                                                  - 2.0 * np.sin(0.5 * q) ** 2)
+        cf = _gamma_cf(-alpha, _complex(np.full(x.shape, b * w), -x * w))
+        past = w ** -alpha * np.exp(-b * w) * (expi(x * w) * cf).real
+        out[~small] = full - (beyond - past)
+        return 2.0 * self.a * out
+
+
+def tempered_power(a: float = 1.0, alpha: float = 0.5, b: float = 1.0) -> TemperedPower:
+    """Tempered power tail y -> a |y|^{-1-alpha} e^{-b |y|}, zero at the origin."""
+    return TemperedPower(a, alpha, b)
+
+
+def exponential(a: float = 1.0, b: float = 1.0) -> TemperedPower:
+    """Two-sided exponential y -> a e^{-b |y|}: the tempered power at alpha = -1."""
+    return TemperedPower(a, -1.0, b)
 
 
 def _compensated(u, x: float) -> Callable[[float], float]:
@@ -488,97 +623,59 @@ class StableSymmetric:
 
 
 class DensityForm:
-    """Jump measure given by a density nu(y) on the line, truncated to |y| <= window.
+    """Jump measure of a :class:`TemperedPower` density, truncated to |y| <= window.
 
-    Jumps with |y| >= cutoff are simulated as compound Poisson (tabulated
-    inverse CDF); smaller jumps are dropped together with their compensator.
-    The exponent integrates the full compensated integrand down to 0.
+    Jumps with |y| >= cutoff are simulated as compound Poisson (inverse CDF
+    tabulated at the first draw); smaller jumps are dropped together with their
+    compensator, exactly 0 for the even density.  The exponent is the closed
+    form of the whole compensated integral (:meth:`TemperedPower.windowed_exponent`).
     """
 
     dim = 1
     step_distributions = 3          # Poisson counts, jump values, positions
+    small_jump_drift = 0.0          # the compensator of a symmetric density
 
-    def __init__(self, density: Callable[[float], float], window: Optional[float] = None,
+    def __init__(self, family: TemperedPower, window: Optional[float] = None,
                  cutoff: float = 1e-3, name: str = "density"):
-        if cutoff <= 0:
+        if not isinstance(family, TemperedPower):
+            raise TypeError(f"a density measure takes a TemperedPower family, got {family!r}")
+        if not cutoff > 0:
             raise ValueError("cutoff must be positive")
-        self.density = density
+        self.family, self.density = family, family.density
         self.cutoff = float(cutoff)
         self.name = name
-        self.window = float(window) if window is not None else self._auto_window()
-        if self.window <= self.cutoff:
-            raise ValueError("window must exceed cutoff")
-        self._validate()
-        self._build_tables()
-
-    def _auto_window(self) -> float:
-        # grow W until the [W, 4W] mass (a proxy for the tail) is negligible
-        w = 1.0
-        for _ in range(60):
-            tail = 0.0
-            for sgn in (1.0, -1.0):
-                tail += abs(integrate_checked(
-                    lambda y: self.density(sgn * y), w, 4 * w,
-                    tol=np.inf, label="tail probe"))
-            if tail < 1e-10:
-                return w
-            w *= 2.0
-        raise ValueError("could not find truncation window with tail mass < 1e-10")
-
-    def _validate(self):
-        # integral (1 ^ y^2) nu(dy) must be finite; the y^2 part absorbs any
-        # singularity at 0 for an admissible measure
-        val = 0.0
-        for sgn in (1.0, -1.0):
-            val += integrate_checked(lambda y: y * y * self.density(sgn * y),
-                                     0.0, 1.0, tol=1e-6, points=[1e-8],
-                                     label=f"{self.name} small-jump mass")
-            val += integrate_checked(lambda y: self.density(sgn * y),
-                                     1.0, self.window, tol=1e-6,
-                                     label=f"{self.name} large-jump mass")
-        if not np.isfinite(val):
-            raise ValueError("density does not integrate (1 ^ y^2) finitely")
-
-    def _build_tables(self):
-        grids, cdfs, masses = [], [], []
-        for sgn in (1.0, -1.0):
-            y = np.geomspace(self.cutoff, self.window, _KNOTS_PER_SIDE)
-            dens = np.array([max(self.density(sgn * t), 0.0) for t in y])
-            seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(y)
-            cdf = np.concatenate([[0.0], np.cumsum(seg)])
-            grids.append(y)
-            cdfs.append(cdf)
-            masses.append(cdf[-1])
-        self._grids = grids
-        self._cdfs = cdfs
-        self._side_mass = np.array(masses)
-        self.activity = float(self._side_mass.sum())
-        # compensator for simulated jumps in [cutoff, 1)
-        comp = 0.0
-        if self.cutoff < 1.0:
-            for sgn in (1.0, -1.0):
-                comp += sgn * integrate_checked(
-                    lambda y: y * self.density(sgn * y), self.cutoff, 1.0,
-                    tol=1e-9, label=f"{self.name} compensator")
-        self.small_jump_drift = comp
+        self.window = float(window) if window is not None else family.auto_window()
+        if not self.cutoff < self.window < np.inf:
+            raise ValueError("window must exceed cutoff and be finite")
 
     @cached_property
-    def jump_nodes(self) -> Optional["JumpNodes"]:
-        """Fixed-node table of the jump integral, built on the first exponent call."""
-        return JumpNodes.build(self.density, self.window)
+    def _table(self):
+        """Inverse-CDF table of one side (the density is even), geometric from cutoff to window.
+
+        One scalar density call per knot: the array expression differs from it
+        in the last bit at 179 of the catalog driver's 4096 knots.
+        """
+        y = np.geomspace(self.cutoff, self.window, _KNOTS_PER_SIDE)
+        dens = np.array([self.density(t) for t in y])
+        return y, np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(y))])
+
+    @property
+    def activity(self) -> float:
+        """Simulated jumps per unit time, the mass of both sides."""
+        return 2.0 * float(self._table[1][-1])
+
+    @cached_property
+    def _window_terms(self):
+        """The family's xi-series and one-side mass beyond the window, computed once."""
+        return self.family.series(self.window), self.family.beyond(self.window)
 
     def sample_jumps(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` jump magnitudes-with-sign from the truncated density, shape (size, 1)."""
+        knots, cdf = self._table
         u = rng.uniform(size=size)
-        side = rng.uniform(size=size) * self.activity >= self._side_mass[0]
-        out = np.empty(size)
-        for s, idx in ((0, ~side), (1, side)):
-            k = int(np.count_nonzero(idx))
-            if k == 0:
-                continue
-            target = u[idx] * self._side_mass[s]
-            y = np.interp(target, self._cdfs[s], self._grids[s])
-            out[idx] = y if s == 0 else -y
+        negative = rng.uniform(size=size) * self.activity >= cdf[-1]
+        out = np.interp(u * cdf[-1], cdf, knots)
+        np.negative(out, out=out, where=negative)
         return out.reshape(size, 1)
 
     def sample_step(self, smooth, shift, dt, m, rng):
@@ -586,26 +683,21 @@ class DensityForm:
                                       self.sample_jumps, dt * self.small_jump_drift)
 
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
-        x1 = xi[:, 0]
-        vals, err = (self.jump_nodes.integrate(x1) if self.jump_nodes is not None
-                     else (np.zeros(x1.shape[0], dtype=complex), np.full(x1.shape[0], np.inf)))
-        out = -1.0 * vals                           # not -vals: keeps the outputs' signed zeros
-        for k in np.flatnonzero(~(err <= _DENSITY_TOL)):    # NaN too: the adaptive oracle
-            out[k] = -_density_exponent_adaptive(self, float(x1[k]))
-        return out
+        jump = -self.family.windowed_exponent(np.abs(xi[:, 0]), self.window,
+                                              *self._window_terms) + 0j
+        return -1.0 * jump                          # not -jump: keeps the outputs' signed zeros
 
     def image(self, phi: float) -> LevyMeasureSpec:
         if phi == 0.0:
             return ZeroMeasure()
         a = abs(phi)
-        return DensityForm(lambda z: self.density(z / phi) / a, window=self.window * a,
+        return DensityForm(self.family.image(phi), window=self.window * a,
                            cutoff=self.cutoff * a, name=f"{self.name}*{phi}")
 
     def truncation_shift(self, phi: float) -> float:
+        # the two sides' integrals cancel: a zero signed as phi times the side of 1 |phi| is on
         a = abs(phi)
-        if a == 0.0 or a == 1.0:
-            return 0.0
-        return phi * _truncation_integral(self.density, a, (-self.window, self.window), ())
+        return 0.0 if a in (0.0, 1.0) else phi * ((1.0 if a < 1.0 else -1.0) * 0.0)
 
     def generator_term(self, u, x: float) -> float:
         g = _compensated(u, x)
@@ -618,12 +710,10 @@ class DensityForm:
         return total
 
     def mass_ratio(self) -> float:
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            total += integrate_checked(
-                lambda y: y * y / (1 + y * y) * self.density(sgn * y),
-                0.0, self.window, tol=1e-9, points=[1e-8], label="density mass")
-        return total
+        # the negative side's integral repeats the positive side's bit for bit
+        return 2.0 * integrate_checked(lambda y: y * y / (1 + y * y) * self.density(y),
+                                       0.0, self.window, tol=1e-9, points=[1e-8],
+                                       label="density mass")
 
 
 LevyMeasureSpec = ZeroMeasure | FiniteActivity | StableSymmetric | DensityForm
@@ -687,18 +777,22 @@ class LevyTriplet:
         # stream does not depend on the call size) and n = 1 (n > 1 goes through
         # a matmul, whose rounding may depend on the row count)
         self.blockable = n == 1 and self.gaussian + levy_measure.step_distributions <= 1
-        # a compound-Poisson step with n = 1 and no Gaussian part draws only its
-        # Poisson counts when no path jumps, so a run of jump-free steps is one
-        # call too: sde._driver_steps finds the run by drawing the counts of K
-        # steps ahead and rewinding the generator to its saved state, with
-        # K = min(BLOCK_ROWS // m, floor(1 / (activity dt m))), about one
-        # expected jump per look-ahead; K <= 1 draws step by step
-        self.jump_activity = (levy_measure.activity if n == 1 and not self.gaussian
-                              and levy_measure.step_distributions == 3 else None)
 
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
+
+    @cached_property
+    def jump_activity(self) -> Optional[float]:
+        """The activity of a compound-Poisson step with n = 1 and no Gaussian part, else None.
+
+        sde._driver_steps draws such a step's counts K = min(BLOCK_ROWS // m,
+        floor(1 / (activity dt m))) steps ahead and its jump-free run in one
+        call (K <= 1: step by step).  Read at the first simulation, so a frozen
+        triplet builds no sampler table.
+        """
+        return (self.levy_measure.activity if self.dim == 1 and not self.gaussian
+                and self.levy_measure.step_distributions == 3 else None)
 
     def __call__(self, xi) -> complex:
         """psi(xi) at a single frequency of shape (n,)."""
@@ -729,23 +823,6 @@ class LevyTriplet:
 # exponent evaluation
 
 _KNOTS_PER_SIDE = 4096    # inverse-CDF table of a density, geometric from cutoff to window
-_DENSITY_TOL = 1e-8       # per-frequency error tolerance, as in the adaptive oracle
-_TAIL_MASS = 1e-14        # mass left beyond the effective support
-_GEOM_RATIO = 0.5         # panels toward 0 shrink by this factor ...
-_GEOM_LEVELS = 80         # ... this many times, down to ~1e-24
-_PANEL_WIDTH = 0.5        # widest panel
-_MAX_NODES = 1 << 15      # per side; wider supports stay on the adaptive path
-_CHUNK_ELEMS = 1 << 16    # frequency x node elements per temporary array
-_SERIES_CUT = 0.5         # |xi| * panel end below which a panel uses its moments
-_GROUP_MIN = 8            # panels of one width that share cos/sin of their offsets
-_NEAR_SPLIT = 1e-8        # the adaptive oracle integrates below this in y, above in log y
-
-# Taylor coefficients of cos(u) - 1 and sin(u) - u in the powers u^1 .. u^16
-_POWERS = np.arange(1, 17)
-_FACT = np.cumprod(_POWERS.astype(float))
-_COS_M1 = np.where(_POWERS % 2 == 0, (-1.0) ** (_POWERS // 2), 0.0) / _FACT
-_SIN_MU = np.where((_POWERS % 2 == 1) & (_POWERS > 1), (-1.0) ** (_POWERS // 2), 0.0) / _FACT
-
 
 # Rows per pass of the elementwise complex steps (atom exponent, MC values): a
 # 128 KiB complex temporary stays in cache, and whole 85k-row batches ran about
@@ -780,234 +857,6 @@ def row_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     reaches a result.
     """
     return rows[:, 0] * v[0] if v.shape[0] == 1 else rows @ v
-
-
-def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
-    """int (e^{i x1 y} - 1 - i x1 y 1_{|y|<1}) nu(y) dy by adaptive quadrature, split at |y| = 1.
-
-    The oracle for the fixed nodes and their fallback.  The inner piece uses
-    the compensated integrand (O(y^2) kills the density singularity) in two
-    separate integrals: over [0, 1e-8], and above 1e-8 in u = log y, where a
-    density singular like |y|^{-1-alpha} is smooth.  (One adaptive integral
-    over [1e-8, 1] in y is off by 1.8e-5 for alpha = 1.5 at x1 = 0.3, with an
-    error estimate of 6e-12.)  The tail uses cos/sin-weighted quadrature so
-    wide windows with oscillatory integrands stay cheap and accurate.
-    """
-    if x1 == 0.0:
-        return 0.0 + 0.0j
-    from scipy.integrate import quad
-
-    w = measure.window
-    near_top = min(1.0, w)
-
-    def near(g, label):
-        pieces = [(g, 0.0, min(_NEAR_SPLIT, near_top))]
-        if near_top > _NEAR_SPLIT:
-            pieces.append((lambda u: g(np.exp(u)) * np.exp(u),
-                           np.log(_NEAR_SPLIT), np.log(near_top)))
-        total = 0.0
-        for h, lo, hi in pieces:
-            val, err = quad(h, lo, hi, limit=400, epsabs=1e-11, epsrel=1e-11,
-                            full_output=1)[:2]
-            check_error(err, label)
-            total += val
-        return total
-
-    re = im = 0.0
-    for sgn in (1.0, -1.0):
-        f = (lambda y, s=sgn: measure.density(s * y))
-        # cos(u) - 1 written cancellation-free as -2 sin^2(u/2)
-        re += near(lambda y: -2.0 * np.sin(0.5 * x1 * y) ** 2 * f(y),
-                   "density jump integral (near, re)")
-        im += sgn * near(lambda y: (np.sin(x1 * y) - x1 * y) * f(y),
-                         "density jump integral (near, im)")
-        if w > 1.0:
-            cos_part, err = quad(f, 1.0, w, weight="cos", wvar=x1, limit=400,
-                                 epsabs=1e-11, epsrel=1e-11, full_output=1)[:2]
-            check_error(err, "density jump integral (tail, cos)")
-            mass, err = quad(f, 1.0, w, limit=400, epsabs=1e-11, epsrel=1e-11,
-                             full_output=1)[:2]
-            check_error(err, "density jump integral (tail mass)")
-            re += cos_part - mass
-            sin_part, err = quad(f, 1.0, w, weight="sin", wvar=x1, limit=400,
-                                 epsabs=1e-11, epsrel=1e-11, full_output=1)[:2]
-            check_error(err, "density jump integral (tail, sin)")
-            im += sgn * sin_part
-    return complex(re, im)
-
-
-# --------------------------------------------------------------------------
-# fixed-node jump integral for a density on the line
-
-
-def _powers(t: np.ndarray) -> np.ndarray:
-    """t^1 .. t^16 along a new last axis."""
-    return np.cumprod(np.repeat(t[..., None], _POWERS.size, axis=-1), axis=-1)
-
-
-def _effective_extent(f: Callable[[float], float], b: float):
-    """(E, mass beyond E): the first E = 2^k with int_E^b f <= _TAIL_MASS, else (b, 0)."""
-    e = 1.0
-    while e < b:
-        octaves = [e * 2.0 ** k for k in range(1, 64) if e * 2.0 ** k < b]
-        mass = abs(integrate_checked(f, e, b, tol=np.inf, points=octaves,
-                                     label="effective support probe"))
-        if mass <= _TAIL_MASS:
-            return e, mass
-        e *= 2.0
-    return b, 0.0
-
-
-def _panel_segments(b: float) -> list:
-    """(lo, hi, n) segments of n equal panels covering [0, b].
-
-    Breakpoints at 0 and 1, geometric toward 0; no panel is wider than
-    ``_PANEL_WIDTH``.
-    """
-    cuts = {0.0, b, *(min(1.0, b) * _GEOM_RATIO ** np.arange(_GEOM_LEVELS + 1))}
-    if 1.0 < b:
-        cuts.add(1.0)
-    ends = sorted(cuts)
-    return [(lo, hi, int(np.ceil((hi - lo) / _PANEL_WIDTH)))
-            for lo, hi in zip(ends[:-1], ends[1:])]
-
-
-class _HalfLine:
-    """GK21 panels on one half-line of the support, in |y|, ascending.
-
-    ``weights`` (2, P, 21) holds the Kronrod and the Kronrod-minus-Gauss
-    weights times nu.  With u = xi |y|, each frequency needs per panel the
-    sums of weight * (cos(u) - 1) and weight * (sin(u) - u 1_{|y|<1}).  The
-    panels with |xi| * end < ``_SERIES_CUT`` form a prefix; their sums come
-    from prefix tables of Taylor moments, in powers of y / (the prefix's last
-    end) so no power overflows, and stay free of cancellation.  The other
-    panels are summed over their nodes by angle addition,
-    e^{i xi (centre + offset)}: a block of panels of one width shares the
-    exponentials of its 21 offsets.
-    """
-
-    def __init__(self, sign: float, segments: list, density: Callable[[float], float]):
-        x, wk, wg = gk21_rule()
-        center, half, self.blocks = [], [], []
-        start = 0
-        for lo, hi, n in segments:
-            h = 0.5 * (hi - lo) / n
-            center.append(lo + h * (2 * np.arange(n) + 1))
-            half.append(np.full(n, h))
-            if n >= _GROUP_MIN:
-                self.blocks.append((slice(start, start + n), h))
-            elif self.blocks and self.blocks[-1][1] is None:
-                self.blocks[-1] = (slice(self.blocks[-1][0].start, start + n), None)
-            else:
-                self.blocks.append((slice(start, start + n), None))
-            start += n
-        self.sign = sign
-        self.center, self.half = np.concatenate(center), np.concatenate(half)
-        self.top = self.center + self.half
-        self.offsets = x
-        y = self.center[:, None] + self.half[:, None] * x
-        self.nu = np.array([density(sign * t) for t in y.ravel()], dtype=float).reshape(y.shape)
-        w = np.stack([wk * self.nu, (wk - wg) * self.nu]) * self.half[:, None]
-        self.weights = w
-        self.mass = w.sum(axis=2)
-        inner = self.top <= 1.0
-        self.compensator = np.einsum("wpk,pk->wp", w, y) * inner
-
-        # prefix tables (cos, sin) x (Kronrod sum, bound on the |Kronrod - Gauss|
-        # sum) x L x power: row L covers panels p < L, in powers of y / top[L-1]
-        own = np.einsum("wpk,pkq->wpq", w, _powers(y / self.top[:, None]))
-        sin_coef = np.where(_POWERS == 1, ~inner[:, None], _SIN_MU)
-        terms = np.stack([own[0] * _COS_M1, np.abs(own[1] * _COS_M1),
-                          own[0] * sin_coef, np.abs(own[1] * sin_coef)])
-        rescale = _powers(self.top[:-1] / self.top[1:])
-        tables = np.zeros((4, self.top.size + 1, _POWERS.size))
-        for p in range(self.top.size):
-            tables[:, p + 1] = terms[:, p] + (tables[:, p] * rescale[p - 1] if p else 0.0)
-        self.tables = tables.reshape(2, 2, *tables.shape[1:])
-        self.scale = np.concatenate([[1.0], self.top])
-
-    def sums(self, xc: np.ndarray):
-        """Values and error estimates of this half-line's part of J, each (2, c).
-
-        Row 0 is the real part, row 1 the imaginary part without the sign.
-        """
-        c, p = xc.shape[0], self.top.size
-        prefix = (np.abs(xc)[:, None] * self.top < _SERIES_CUT).sum(axis=1)
-        pw = _powers(xc * self.scale[prefix])
-        rows = self.tables[:, :, prefix]                             # (2, 2, c, Q)
-        vals = np.einsum("cq,fcq->fc", pw, rows[:, 0])
-        errs = np.einsum("cq,fcq->fc", np.abs(pw), rows[:, 1])
-        direct = np.zeros((2, 2, c, p))               # (cos, sin) x (Kronrod, diff)
-        p0 = int(prefix.min())
-        for block, h in self.blocks:
-            part = slice(max(block.start, p0), block.stop)
-            if part.start >= part.stop:
-                continue
-            if h is None:
-                ang = xc[:, None, None] * (self.half[part, None] * self.offsets)
-                spec = "cpk,wpk->wcp"
-            else:
-                ang = np.multiply.outer(xc, h * self.offsets)
-                spec = "ck,wpk->wcp"
-            z = (expi(np.multiply.outer(xc, self.center[part]))
-                 * np.einsum(spec, expi(ang), self.weights[:, part]))
-            direct[0, :, :, part] = z.real - self.mass[:, None, part]
-            direct[1, :, :, part] = z.imag - xc[:, None] * self.compensator[:, None, part]
-        direct = np.where(np.arange(p) >= prefix[:, None], direct, 0.0)
-        return vals + direct[:, 0].sum(axis=-1), errs + np.abs(direct[:, 1]).sum(axis=-1)
-
-
-class JumpNodes:
-    """Fixed nodes for J(xi) = int (e^{i xi y} - 1 - i xi y 1_{|y|<1}) nu(y) dy.
-
-    Each half-line of [-window, window] is cut into GK21 panels with
-    breakpoints at 0 and 1: geometric toward 0, where nu may be singular like
-    |y|^{-1-alpha}, and at most ``_PANEL_WIDTH`` wide, out to the window or
-    to where the remaining mass drops below ``_TAIL_MASS``.  nu is evaluated
-    once per node, at build; a frequency then costs one pass over the panels
-    (see :class:`_HalfLine`).  The error estimate of a frequency is the sum
-    over panels of |Kronrod - Gauss| plus the bound from the mass beyond the
-    effective support, taken separately for the real and imaginary parts.
-    When the negative half-line mirrors the positive one node for node, only
-    the positive one is summed: the real part doubles and the imaginary part
-    is exactly 0.
-    """
-
-    def __init__(self, sides: list, tail_mass: float):
-        self.mirrored = (np.array_equal(sides[0].top, sides[1].top)
-                         and np.array_equal(sides[0].nu, sides[1].nu))
-        self.sides = sides[:1] if self.mirrored else sides
-        self.tail_mass = tail_mass
-
-    @staticmethod
-    def build(density: Callable[[float], float], window: float) -> Optional["JumpNodes"]:
-        """Node table for nu on [-window, window]; None when a half-line exceeds ``_MAX_NODES``."""
-        plans, tail_mass = [], 0.0
-        for sgn in (1.0, -1.0):
-            top, mass = _effective_extent(lambda y, s=sgn: density(s * y), window)
-            segments = _panel_segments(top)
-            if 21 * sum(n for _, _, n in segments) > _MAX_NODES:
-                return None
-            plans.append((sgn, segments))
-            tail_mass += mass
-        return JumpNodes([_HalfLine(sgn, segs, density) for sgn, segs in plans], tail_mass)
-
-    def integrate(self, x1: np.ndarray):
-        """J at each frequency of x1 (m,) and its error estimate, the larger of re and im."""
-        m = x1.shape[0]
-        vals, errs = np.zeros((2, m)), np.zeros((2, m))
-        step = max(1, _CHUNK_ELEMS // (21 * max(side.top.size for side in self.sides)))
-        for c0 in range(0, m, step):
-            c = slice(c0, min(m, c0 + step))
-            for side in self.sides:
-                v, e = side.sums(x1[c])
-                vals[0, c] += v[0]
-                vals[1, c] += side.sign * v[1]
-                errs[:, c] += e
-        if self.mirrored:
-            return 2.0 * vals[0] + 0j, 2.0 * (errs[0] + self.tail_mass)
-        return (vals[0] + 1j * vals[1],
-                np.maximum(errs[0] + 2.0 * self.tail_mass, errs[1] + self.tail_mass))
 
 
 def eval_exponent_many(triplet: LevyTriplet, xi: np.ndarray) -> np.ndarray:
@@ -1205,8 +1054,8 @@ def _stable_measure(*, alpha, scale=1.0) -> StableSymmetric:
 
 
 def _density_measure(*, name, params={}, window=None, cutoff=1e-3) -> DensityForm:
-    density = named(_NAMED_DENSITIES, "named density", name, params)
-    return DensityForm(density, window=window, cutoff=float(cutoff), name=name)
+    return DensityForm(named(_NAMED_DENSITIES, "named density", name, params),
+                       window=window, cutoff=float(cutoff), name=name)
 
 
 # one constructor per levy_measure kind; its keyword-only parameters are the kind's keys

@@ -11,14 +11,17 @@ peak of a normal law) and of a stable measure (here the inner ``quad`` counts
 ``truncation_shift`` of a uniform law (here ``quad`` runs across the law's
 ends) and ``generator_term`` of a normal law (here ``quad`` takes only -1 and
 1 as breakpoints, not the law's own), which are checked against closed forms.
-The one edit: a continuous law's image composes the law's characteristic
-function and maps its breakpoints, which the law did not carry before.
+The edits: a continuous law's image composes the law's characteristic
+function and maps its breakpoints, which the law did not carry before; a
+density's image is the tempered-power family at (a |phi|^alpha, alpha,
+b / |phi|), now that a density measure holds its family, not a callable.
 """
 
 import numpy as np
 
 from symbolkit.levy import (AtomLaw, ContinuousLaw, DensityForm, FiniteActivity,
-                            StableSymmetric, ZeroMeasure, stable_density_coefficient)
+                            StableSymmetric, TemperedPower, ZeroMeasure,
+                            stable_density_coefficient)
 from symbolkit.quadrature import integrate_checked
 
 
@@ -47,8 +50,8 @@ def _image_measure(measure, phi: float):
             points=tuple(sorted(phi * p for p in law.points)))
         return FiniteActivity(rate=measure.rate, law=img)
     if isinstance(measure, DensityForm):
-        base = measure.density
-        return DensityForm(lambda z: base(z / phi) / a,
+        f = measure.family
+        return DensityForm(TemperedPower(f.a * a ** f.alpha, f.alpha, f.b / a),
                            window=measure.window * a,
                            cutoff=measure.cutoff * a,
                            name=f"{measure.name}*{phi}")

@@ -576,6 +576,106 @@ def test_malformed_config_is_config_error(kind, cfg, tmp_path):
     assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
     assert not (tmp_path / "out" / "results.json").exists()
 
+# a real-valued key or grid entry takes a number: a bool or a string exits 2 naming the key
+REAL_KEYS = {
+    "simulate-horizon": ("simulate", {**SIMULATE_CFG, "horizon": True}, "horizon", True),
+    "simulate-step": ("simulate", {**SIMULATE_CFG, "step": False}, "step", False),
+    "simulate-x0": ("simulate", {**SIMULATE_CFG, "x0": True}, "x0", True),
+    "simulate-x0-entry": ("simulate", {**SIMULATE_CFG, "x0": [True]}, "x0", True),
+    "feller-demo-t0": ("feller-demo", {"t0": True}, "t0", True),
+    "feller-demo-x0": ("feller-demo", {"x0": True}, "x0", True),
+    "indices-eta_max": ("indices", {**INDICES_CFG, "eta_max": True}, "eta_max", True),
+    "indices-x_grid": ("indices", {**INDICES_CFG, "x_grid": [True]}, "x_grid", True),
+    "index-transfer-eta_max": ("index-transfer", {
+        "driver": {"name": "stable", "params": {"alpha": 1.2}},
+        "coefficient": {"name": "constant"}, "x_grid": [0.0], "eta_max": True},
+        "eta_max", True),
+    "bound-diagnostic-xi_max": ("bound-diagnostic", {"model": {"name": "cp_tanh"},
+                                                     "xi_max": True}, "xi_max", True),
+    "bound-diagnostic-box": ("bound-diagnostic", {"model": {"name": "cp_tanh"},
+                                                  "box": [True, 1.0]}, "box", True),
+    "symbol-analytic-x_grid": ("symbol-analytic", {**ANALYTIC_CFG, "x_grid": [True]},
+                               "x_grid", True),
+    "symbol-analytic-xi_grid": ("symbol-analytic", {**ANALYTIC_CFG, "xi_grid": ["1.0"]},
+                                "xi_grid", "1.0"),
+    "symbol-estimate-xi_grid": ("symbol-estimate", {**ESTIMATE_CFG, "xi_grid": [False]},
+                                "xi_grid", False),
+    "generator-check-x_grid": ("generator-check", {"model": {"name": "bm_unit"},
+                                                   "x_grid": [True]}, "x_grid", True),
+    "variation-horizon": ("variation", {**VARIATION_CFG, "horizon": True}, "horizon", True),
+    "variation-gammas": ("variation", {**VARIATION_CFG, "gammas": [True]}, "gammas", True),
+    "growth-x": ("growth", {**GROWTH_CFG, "x": True}, "x", True),
+    "growth-lambdas": ("growth", {**GROWTH_CFG, "lambdas": [True]}, "lambdas", True),
+    "growth-t_small": ("growth", {**GROWTH_CFG, "t_small": [0.01, True]}, "t_small", True),
+}
+
+
+@pytest.mark.parametrize("kind, cfg, field, value", REAL_KEYS.values(), ids=list(REAL_KEYS))
+def test_real_keys_reject_bools_and_strings(kind, cfg, field, value, tmp_path):
+    assert main_with_config(kind, cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert (err["error"], err["field"], err["message"]) == (
+        "ConfigError", field, f"{field} {value!r} is not a number")
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+# a density parameter out of the tempered-power family's range exits 2 naming it
+def _density_model(params, **extra):
+    return {"coefficient": {"name": "constant"},
+            "driver": {"drift": [0.0], "levy_measure": {"kind": "density",
+                                                        "name": "tempered_power",
+                                                        "params": params, **extra}}}
+
+
+@pytest.mark.parametrize("params, extra, key", [
+    ({"a": -1.0}, {}, "a"),
+    ({"alpha": 2.0}, {}, "alpha"),
+    ({"alpha": 2.5}, {"window": 10.0}, "alpha"),
+    ({"b": -0.5}, {"window": 10.0}, "b"),
+    ({"b": -0.5}, {}, "b"),
+    ({"alpha": True}, {}, "alpha"),
+    ({"b": 0.0, "alpha": -0.5}, {"window": 10.0}, "alpha"),
+    ({"b": 0.0}, {}, "b"),
+], ids=["a-negative", "alpha-two", "alpha-above-two", "b-negative-window", "b-negative",
+        "alpha-bool", "b-zero-alpha-negative", "b-zero-no-window"])
+def test_bad_density_parameter_exits_2(params, extra, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": _density_model(params, **extra),
+                               "x_grid": [0.0], "xi_grid": [0.3]}))
+    out = tmp_path / "out"
+    assert main(["symbol-analytic", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    line = capsys.readouterr().err
+    err = json.loads((out / "error.json").read_text())
+    assert line == json.dumps(err, sort_keys=True) + "\n"      # no numpy warning beside it
+    assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+    assert f"'{key}'" in err["message"]
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_density_parameter_exits_2(value, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": _density_model({"b": 1.0}), "x_grid": [0.0],
+                               "xi_grid": [0.3]}).replace('"b": 1.0', f'"b": {value}'))
+    out = tmp_path / "out"
+    assert main(["symbol-analytic", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert "'b'" in json.loads((out / "error.json").read_text())["message"]
+
+
+@pytest.mark.parametrize("eta_max, beta", [(1e4, 0.721), (1e8, 0.598)])
+def test_tempered_driver_indices_run(eta_max, beta, tmp_path, capsys):
+    # the search's finite-eta bias shrinks toward alpha = 0.5 as eta_max grows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"symbol": {"driver": {"name": "tempered"}}, "x_grid": [0.0],
+                               "eta_max": eta_max, "compute_beta0": False}))
+    out = tmp_path / "out"
+    assert main(["indices", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    got = json.loads((out / "results.json").read_text())["results"]["per_x"][0]["beta_inf"]
+    assert got == pytest.approx(beta, abs=1e-3)
+    if eta_max == 1e8:
+        assert abs(got - 0.5) <= 0.1
+
 
 class TestFellerDemo:
     def test_tiny_horizon_never_jumps(self):

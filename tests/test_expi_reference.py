@@ -169,7 +169,7 @@ def test_mirrored_atoms_share_at_signed_zeros():
 
 
 def test_fixed_node_panels_bit_for_bit(monkeypatch):
-    # the density panels form their exponentials through expi too
+    # the density's closed form takes the tail's e^{i xi W} from expi too
     triplet = LevyTriplet([0.0], [[0.0]], catalog.tempered_density_driver().levy_measure)
     xi = np.linspace(-20.0, 20.0, 81)[:, None]
     got = eval_exponent_many(triplet, xi)

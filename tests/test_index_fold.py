@@ -49,8 +49,7 @@ def _multi_driver():
         (co.sine(0.5, 1.0), catalog.bm_driver())]))
 
 
-# name -> (symbol factory, largest |xi| drawn); the density stays on its fixed
-# nodes, where the adaptive fallback is not called
+# name -> (symbol factory, largest |xi| drawn)
 EVEN_SYMBOLS = {
     "zero": (lambda: _triplet_symbol(0.0, 0.0), 1e8),
     "drift": (lambda: symbol_from_exponent(_driver("drift", rate=-0.7)), 1e8),
@@ -68,7 +67,7 @@ EVEN_SYMBOLS = {
     "cauchy": (lambda: symbol_from_exponent(_driver("stable", alpha=1.0)), 1e8),
     "stable1.5": (lambda: symbol_from_exponent(
         _driver("stable", alpha=1.5, scale=0.5)), 1e8),
-    "tempered": (lambda: symbol_from_exponent(_driver("tempered")), 20.0),
+    "tempered": (lambda: symbol_from_exponent(_driver("tempered")), 1e8),
     "cp_tanh": (lambda: symbol_of_model(catalog.cp_tanh()), 1e8),
     "stable_sin": (lambda: symbol_of_model(catalog.stable_sin()), 1e8),
     "bm_bump_drift": (lambda: symbol_of_model(catalog.bm_bump_drift()), 1e8),

@@ -8,13 +8,14 @@ from scipy.special import gamma as gamma_fn
 import symbolkit as sk
 from symbolkit import catalog
 from symbolkit import coefficients as co
-from symbolkit.levy import (AtomLaw, JumpNodes, _density_exponent_adaptive,
-                            eval_exponent_many, normal_law,
-                            sample_step_ensemble, stable_density_coefficient, uniform_law)
+from symbolkit.levy import (AtomLaw, TemperedPower, eval_exponent_many, exponential,
+                            normal_law, sample_step_ensemble, stable_density_coefficient,
+                            uniform_law)
 from symbolkit.quadrature import gk21_rule
 from symbolkit.seeding import rng_at
 
-from reference_quadrature import _law_exponent_adaptive
+from reference_quadrature import _density_exponent_adaptive, _law_exponent_adaptive
+from reference_tempered import mp_tempered_exponent
 
 
 def cp_pm1_triplet(rate=1.0):
@@ -67,9 +68,8 @@ class TestEvalExponent:
         # nu(y) = k |y|^{-1-alpha} truncated far out approximates scale |xi|^alpha
         alpha = 0.8
         k = stable_density_coefficient(alpha, 1.0)
-        dens = lambda y: k * abs(y) ** (-1 - alpha) if y != 0 else 0.0
-        trip = sk.LevyTriplet([0.0], [[0.0]],
-                              sk.DensityForm(dens, window=4000.0, cutoff=1e-4))
+        trip = sk.LevyTriplet([0.0], [[0.0]], sk.DensityForm(
+            TemperedPower(k, alpha, 0.0), window=4000.0, cutoff=1e-4))
         for xi in (0.7, 2.0):
             val = trip(xi)
             # truncation at the window removes ~2k W^-alpha / alpha of mass
@@ -177,21 +177,21 @@ class TestTripletValidation:
 
     def test_density_auto_window(self):
         # a * e^{-2|y|} tail: [W, 4W] mass below 1e-10 near W ~ 12
-        dens = lambda y: np.exp(-2.0 * abs(y))
-        measure = sk.DensityForm(dens, window=None, cutoff=1e-3)
+        measure = sk.DensityForm(exponential(1.0, 2.0), window=None, cutoff=1e-3)
         assert 8.0 <= measure.window <= 64.0
         from scipy.integrate import quad
 
-        tail = 2 * quad(dens, measure.window, 10 * measure.window)[0]
+        tail = 2 * quad(measure.density, measure.window, 10 * measure.window)[0]
         assert tail < 1e-9
 
     def test_density_window_must_exceed_cutoff(self):
         with pytest.raises(ValueError, match="window"):
-            sk.DensityForm(lambda y: np.exp(-abs(y)), window=0.5, cutoff=1.0)
+            sk.DensityForm(exponential(1.0, 1.0), window=0.5, cutoff=1.0)
 
 
 def oracle_measures():
-    """Density-on-the-line measures with the fixed-node exponent (tempered_power 1.5 apart)."""
+    """Density-on-the-line measures checked against the adaptive oracle (tempered_power 1.5
+    apart)."""
     return {
         "tempered": catalog.tempered_density_driver().levy_measure,
         "exponential": sk.LevyTriplet.from_dict({"levy_measure": {
@@ -206,22 +206,24 @@ def adaptive_jump_exponent(measure, x1):
     return -_density_exponent_adaptive(measure, x1)
 
 
-def fixed_nodes(measure):
-    return measure.jump_nodes
-
-
 class TestFixedNodeExponent:
-    """The fixed-node jump exponent against the adaptive-quadrature oracle."""
+    """The closed-form density exponent against the adaptive-quadrature oracle and the
+    full-line closed form (the class name is the fixed-node table's it replaced)."""
 
     @pytest.mark.parametrize("name", sorted(oracle_measures()))
     def test_matches_adaptive_oracle(self, name):
         measure = oracle_measures()[name]
         xi = np.linspace(-20.0, 20.0, 41)
-        _, err = fixed_nodes(measure).integrate(xi)
-        assert (err <= 1e-8).all()           # every value below is a fixed-node value
-        fixed = measure.exponent_many(xi[:, None])
-        oracle = np.array([adaptive_jump_exponent(measure, float(x)) for x in xi])
-        assert np.abs(fixed - oracle).max() <= 1e-9
+        got = measure.exponent_many(xi[:, None])
+        checked = 0
+        for x, value in zip(xi, got):
+            try:
+                want = adaptive_jump_exponent(measure, float(x))
+            except sk.QuadratureFailure:
+                continue                    # the mpmath tests cover the closed form there
+            assert abs(value - want) <= 1e-9, x
+            checked += 1
+        assert checked >= 30
 
     def test_tempered_power_15_matches_closed_form(self):
         # nu = |y|^{-5/2} e^{-|y|} has psi(xi) = -2 Gamma(-a) ((1+xi^2)^{a/2} cos(a atan xi) - 1);
@@ -231,8 +233,6 @@ class TestFixedNodeExponent:
             "kind": "density", "name": "tempered_power",
             "params": {"alpha": alpha}}}).levy_measure
         xi = np.linspace(-20.0, 20.0, 41)
-        _, err = measure.jump_nodes.integrate(xi)
-        assert (err <= 1e-8).all()
         exact = -2.0 * gamma_fn(-alpha) * (
             (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(np.abs(xi))) - 1.0)
         fixed = measure.exponent_many(xi[:, None])
@@ -253,31 +253,14 @@ class TestFixedNodeExponent:
                 (1.0 + xi ** 2) ** (alpha / 2) * np.cos(alpha * np.arctan(abs(xi))) - 1.0)
             assert abs(-_density_exponent_adaptive(measure, xi) - exact) <= 1e-8
 
-    @pytest.mark.parametrize("name", ["tempered"])
-    def test_fallback_is_the_oracle_bit_for_bit(self, name):
-        measure = oracle_measures()[name]
-        xi = np.array([25.0, -60.0, 150.0, 400.0, -1000.0])
-        _, err = fixed_nodes(measure).integrate(xi)
-        failed = xi[~(err <= 1e-8)]
-        assert failed.size >= 3
-        for x in failed:
-            try:
-                expect = adaptive_jump_exponent(measure, float(x))
-            except sk.QuadratureFailure as exc:
-                with pytest.raises(sk.QuadratureFailure) as raised:
-                    measure.exponent_many(np.array([[x]]))
-                assert (str(raised.value), raised.value.achieved) == (str(exc), exc.achieved)
-                continue
-            got = measure.exponent_many(np.array([[x]]))[0]
-            assert (got.real, got.imag) == (expect.real, expect.imag)
-
     def test_quadrature_failure_still_raised(self):
-        # at |xi| = 1e4 the tempered density's adaptive error estimate is far above 1e-8
+        # at |xi| = 1e4 the tempered density's adaptive error estimate is far above 1e-8;
+        # the closed form returns the mpmath value there
         trip = catalog.tempered_density_driver()
         with pytest.raises(sk.QuadratureFailure):
             _density_exponent_adaptive(trip.levy_measure, 1e4)
-        with pytest.raises(sk.QuadratureFailure):
-            trip(1e4)
+        want = mp_tempered_exponent(1.0, 0.5, 1.0, 40.0, 1e4)
+        assert abs(trip(1e4) - complex(want)) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("name", ["tempered", "cp_normal"])
     def test_value_does_not_depend_on_the_batch(self, name):
@@ -289,17 +272,8 @@ class TestFixedNodeExponent:
 
     def test_symmetric_density_has_zero_imaginary_part(self):
         measure = oracle_measures()["tempered"]
-        assert measure.jump_nodes.mirrored
         vals = measure.exponent_many(np.linspace(-9.0, 9.0, 37)[:, None])
         assert (vals.imag == 0.0).all()
-
-    def test_node_table_is_lazy_and_cached(self):
-        measure = catalog.tempered_density_driver().levy_measure
-        assert "jump_nodes" not in vars(measure)
-        measure.exponent_many(np.array([[1.0]]))
-        table = measure.jump_nodes
-        measure.exponent_many(np.array([[2.0]]))
-        assert measure.jump_nodes is table
 
 
 def law_measures():
@@ -351,8 +325,8 @@ def mp_law_exponent(name, xi):
 
 
 class TestLawExponent:
-    """The closed-form exponent of a continuous jump law against the adaptive oracle,
-    mpmath and the fixed nodes a density gets."""
+    """The closed-form exponent of a continuous jump law against the adaptive oracle and
+    mpmath."""
 
     @pytest.mark.parametrize("name", sorted(law_measures()))
     def test_matches_adaptive_oracle(self, name):
@@ -393,19 +367,6 @@ class TestLawExponent:
         for x, value in zip(xis, got):
             want = mp_law_exponent(name, x)
             assert abs(mpmath.mpc(value) - want) <= 1e-12 * abs(want), x
-
-    @pytest.mark.parametrize("name", ["cp_normal", "frozen_normal"])
-    def test_matches_fixed_nodes(self, name):
-        # the node table a density gets, laid on the law's density over a symmetric
-        # window (the uniform law's jump to 0 at -0.7 would fall inside a panel there)
-        measure = law_measures()[name]
-        nodes = JumpNodes.build(measure.law.density, max(np.abs(measure.law.clipped_support)))
-        xi = np.linspace(-25.0, 25.0, 201)
-        vals, err = nodes.integrate(xi)
-        ok = err <= 1e-9
-        assert ok.sum() >= 150
-        got = measure.exponent_many(xi[ok, None])
-        assert np.abs(got - -measure.rate * vals[ok]).max() <= 1e-14
 
 
 def test_gk21_rule_exactness():
