@@ -5,7 +5,10 @@ seed, and an output directory, and writes results.json, results.csv and
 manifest.json.  Result files are a pure function of (config, seed): floats
 are serialized with shortest round-trip repr, JSON keys are sorted, and all
 parallelism is chunked deterministically, so reruns and different --threads
-settings produce byte-identical results.  The manifest records the resolved
+settings produce byte-identical results.  ``--threads K`` runs K workers
+through ``sde.ordered_map``: the path chunks of one ensemble in
+``feller-demo`` and ``growth``, and every rung ensemble of the whole table in
+``symbol-estimate`` and ``symbol-compare``.  The manifest records the resolved
 config, its hash, package versions and wall time; ``symbolkit rerun``
 replays a manifest.
 

@@ -17,7 +17,8 @@ result is the path-by-path one bit for bit.
 There is one stepping rule, on arrays of paths: the step's smooth update
 (``_smooth_increment``) is added to the states, then its jumps are applied
 (``_advance_chunk`` does both).  ``simulate_ensemble`` runs it on chunks of
-paths and keeps only the terminal states; ``simulate_paths_dense`` keeps every state; ``simulate_path``
+paths, through ``ordered_map``, the package's one worker pool, and keeps
+only the terminal states; ``simulate_paths_dense`` keeps every state; ``simulate_path``
 and ``simulate_multi`` are a one-path dense run that also records each jump
 as (grid time, state-space effect).  The engine keeps these invariants:
 
@@ -62,9 +63,12 @@ as (grid time, state-space effect).  The engine keeps these invariants:
 from __future__ import annotations
 
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -469,6 +473,35 @@ def _check_sizes(n_steps, n_paths, chunk_size=1):
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def ordered_map(fn: Callable, tasks: Iterable, threads: int = 1):
+    """Yield fn(task) for each task, in task order, on up to ``threads`` workers.
+
+    At threads <= 1 each task runs inline when its result is asked for.
+    Otherwise a pool of ``threads`` workers keeps 2 * threads tasks submitted
+    ahead of the result being handed out: as each result is taken, the
+    calling thread pulls the next task from ``tasks`` and submits it, so at
+    most 2 * threads + 1 results are held at once.
+    The first task to raise in task order raises at its turn.  Close the
+    generator when done (``contextlib.closing``): on a raise, or when the
+    consumer stops early, the pending tasks are cancelled and the pool is
+    joined before the error propagates, so no worker outlives the call.
+    """
+    if threads <= 1:
+        for task in tasks:
+            yield fn(task)
+        return
+    tasks = iter(tasks)
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending = deque(pool.submit(fn, task) for task in islice(tasks, 2 * threads))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, task) for task in islice(tasks, 1))
+            yield result
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
                       n_paths: int, seed: int, *, base_key=(TAG_ENSEMBLE,),
                       stop_center=None, stop_radius=None,
@@ -476,9 +509,11 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
                       chunk_size: int = DEFAULT_CHUNK, threads: int = 1) -> EnsembleResult:
     """Simulate ``n_paths`` independent Euler paths; terminal states of X^sigma.
 
-    Paths are split into fixed-size chunks with per-chunk generators, so the
-    result depends only on (seed, base_key), not on ``threads``.  Raises
-    ValueError unless ``n_steps``, ``n_paths`` and ``chunk_size`` are >= 1.
+    Paths are split into fixed-size chunks, chunk c with the generators
+    ``rng_at(seed, *base_key, c, j)``, one per block j, and the chunks are
+    run through ``ordered_map``, so the result depends only on (seed,
+    base_key), not on ``threads``.  Raises ValueError unless ``n_steps``,
+    ``n_paths`` and ``chunk_size`` are >= 1.
     """
     _check_sizes(n_steps, n_paths, chunk_size)
     d = blocks[0][0].d
@@ -491,32 +526,23 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     record_steps = np.asarray(sorted(int(s) for s in record_max_steps), dtype=int)
 
     bounds = list(range(0, n_paths, chunk_size)) + [n_paths]
-    tasks = []
-    for c in range(len(bounds) - 1):
-        m = bounds[c + 1] - bounds[c]
-        rngs = [rng_at(seed, *base_key, c, j) for j in range(len(blocks))]
-        tasks.append((c, m, rngs))
-
+    tasks = [(hi - lo, [rng_at(seed, *base_key, c, j) for j in range(len(blocks))])
+             for c, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     terminal = np.empty((n_paths, d))
     exited = np.zeros(n_paths, dtype=bool)
     records = np.zeros((len(record_steps), n_paths)) if len(record_steps) else None
 
     def work(task):
-        c, m, rngs = task
-        return c, _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
-                             stop_center, stop_radius, record_steps)
+        m, rngs = task
+        return _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
+                          stop_center, stop_radius, record_steps)
 
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-    for c, (x, ex, rec) in results:
-        lo, hi = bounds[c], bounds[c + 1]
-        terminal[lo:hi] = x
-        exited[lo:hi] = ex
-        if records is not None:
-            records[:, lo:hi] = rec
+    with closing(ordered_map(work, tasks, threads if len(tasks) > 1 else 1)) as results:
+        for lo, hi, (x, ex, rec) in zip(bounds, bounds[1:], results):
+            terminal[lo:hi] = x
+            exited[lo:hi] = ex
+            if records is not None:
+                records[:, lo:hi] = rec
     return EnsembleResult(terminal=terminal, exited=exited,
                           running_max=records, record_steps=record_steps)
 

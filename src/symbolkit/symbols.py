@@ -22,6 +22,7 @@ against the symbol) so they can be cross-checked numerically.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -31,7 +32,7 @@ from .coefficients import CoefficientField
 from .errors import DimensionMismatch, NonConvergence, QuadratureFailure
 from .levy import CHUNK_ROWS, LevyTriplet, expi, row_dot
 from .quadrature import check_error, gk21_panels
-from .sde import SdeModel, simulate_ensemble
+from .sde import SdeModel, ordered_map, simulate_ensemble
 from .seeding import TAG_SYMBOL_MC
 
 
@@ -247,24 +248,44 @@ def _extrapolate(ladder, values, ses):
     return a, se_a, residuals
 
 
-def _rung_terminals(model: SdeModel, x, t, paths, seed, key, radius,
-                    steps_per_rung, threads):
-    res = simulate_ensemble(model.blocks(), model.drift_coefficient, x,
-                            t, steps_per_rung, paths, seed, base_key=key,
-                            stop_center=x, stop_radius=radius, threads=threads)
-    return res.terminal, float(np.mean(res.exited))
+def _mirror_groups(xis) -> list:
+    """The xi grid as groups (k, [j, ...]): xi_k, formed directly, and the later xi_j = -xi_k."""
+    groups, taken = [], set()
+    for k, xi in enumerate(xis):
+        if k not in taken:
+            mirrors = [j for j in range(k + 1, len(xis))
+                       if j not in taken and np.array_equal(xis[j], -xi)]
+            taken.update(mirrors)
+            groups.append((k, mirrors))
+    return groups
+
+
+def _values_for_pm_xi(terminal, x, xi, t, minus: bool):
+    """-(e^{i (X_t - x).xi} - 1) / t per path in row 0, and with ``minus`` the same at -xi in row 1.
+
+    The phases are formed ``CHUNK_ROWS`` paths at a time, and the rest in
+    place on both rows.  Row 1 takes e^{-i theta} as conj(e^{i theta}) with
+    +0.0 added to its imaginary part: the phases of -xi are those of xi
+    negated, and expi(-theta) is conj(expi(theta)) bit for bit except at
+    theta = +-0, where expi gives +0.0 and the conjugate -0.0.  Every step
+    is elementwise, so the rows are the values at xi and -xi formed alone.
+    """
+    out = np.empty((2 if minus else 1, terminal.shape[0]), dtype=complex)
+    e = out[0]
+    for c0 in range(0, e.shape[0], CHUNK_ROWS):
+        expi(row_dot(terminal[c0:c0 + CHUNK_ROWS] - x, xi), out=e[c0:c0 + CHUNK_ROWS])
+    if minus:
+        np.conjugate(e, out=out[1])
+        out[1].imag += 0.0
+    out -= 1.0
+    np.negative(out, out=out)
+    out /= t
+    return out
 
 
 def _values_for_xi(terminal, x, xi, t):
-    """-(e^{i (X_t - x).xi} - 1) / t per path, formed in place, ``CHUNK_ROWS`` paths at a time."""
-    out = np.empty(terminal.shape[0], dtype=complex)
-    for c0 in range(0, out.shape[0], CHUNK_ROWS):
-        e = out[c0:c0 + CHUNK_ROWS]
-        expi(row_dot(terminal[c0:c0 + CHUNK_ROWS] - x, xi), out=e)
-        e -= 1.0
-        np.negative(e, out=e)
-        e /= t
-    return out
+    """-(e^{i (X_t - x).xi} - 1) / t per path: row 0 of ``_values_for_pm_xi``."""
+    return _values_for_pm_xi(terminal, x, xi, t, False)[0]
 
 
 def _rung_stat(values, t, n_steps, exited) -> RungStat:
@@ -287,37 +308,30 @@ def _consistency_guard(ladder, rungs, residuals):
                 diagnostics=[(r.t, r.value, r.se) for r in rungs])
 
 
-def _estimates_at_x(model: SdeModel, x_index: int, x, xis, ladder, paths_per_rung, seed,
-                    radius, steps_per_rung, check_radius, threads) -> list:
-    """Estimates at one x for each xi, sharing each rung ensemble across xi.
+def _estimates_at_x(x, xis, ladder, variants, stats, paths_per_rung) -> list:
+    """Estimates at one x for each xi, from its rung statistics.
 
-    Rung ensembles are addressed by (x_index, rung, variant): variant 0 at the
-    radius, variant 1 at twice the radius with fresh seeds.
+    ``variants`` is [(0, r_used)], plus (1, 2 r_used) with the radius check;
+    ``stats[variant][ri][k]`` is the ``RungStat`` of rung ri at ``xis[k]``.
+    Loops over xi, then variant, so the first guard to fail is the one a
+    serial run meets first.
     """
-    r_used = default_radius(x) if radius is None else float(radius)
-    variants = [(0, r_used)] + ([(1, 2.0 * r_used)] if check_radius else [])
-    terminals = {
-        variant: [_rung_terminals(model, x, t, paths_per_rung, seed,
-                                  (TAG_SYMBOL_MC, x_index, ri, variant), r,
-                                  steps_per_rung, threads)
-                  for ri, t in enumerate(ladder)]
-        for variant, r in variants}
+    r_used = variants[0][1]
     out = []
-    for xi in xis:
+    for k, xi in enumerate(xis):
         results = {}
         for variant, _ in variants:
-            rungs = [_rung_stat(_values_for_xi(terminal, x, xi, t), t, steps_per_rung, exited)
-                     for (terminal, exited), t in zip(terminals[variant], ladder)]
+            rungs = [by_xi[k] for by_xi in stats[variant]]
             est, se, residuals = _extrapolate(ladder, [r.value for r in rungs],
                                               [r.se for r in rungs])
             _consistency_guard(ladder, rungs, residuals)
             results[variant] = (est, se, rungs)
         est, se, rungs = results[0]
         r_check = None
-        if check_radius:
+        if len(variants) > 1:
             est2, se2, _ = results[1]
             joint = np.hypot(se, se2)
-            r_check = RSensitivity(radius=2.0 * r_used, estimate=est2, se=se2,
+            r_check = RSensitivity(radius=variants[1][1], estimate=est2, se=se2,
                                    consistent=bool(abs(est - est2) <= 3.0 * joint + 1e-12))
         out.append(SymbolEstimate(x=x, xi=xi, estimate=est, se=se, rungs=rungs,
                                   r_used=r_used, ladder=ladder,
@@ -335,13 +349,14 @@ def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
     from B_radius(x).  ``check_radius`` reruns the ladder at twice the radius
     with fresh seeds; the two extrapolations must agree within 3 joint SE.
     """
-    ladder = _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
+    _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (model.d,):
         raise DimensionMismatch(f"xi shape {xi.shape}, expected ({model.d},)")
-    return _estimates_at_x(model, 0, x, [xi], ladder, paths_per_rung, seed,
-                           radius, steps_per_rung, check_radius, threads)[0]
+    return symbol_mc_table(model, [x], [xi], t_ladder=t_ladder, paths_per_rung=paths_per_rung,
+                           seed=seed, radius=radius, steps_per_rung=steps_per_rung,
+                           check_radius=check_radius, threads=threads)[0]
 
 
 def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
@@ -350,15 +365,49 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
                     check_radius: bool = True, threads: int = 1) -> list:
     """Estimates on an (x, xi) grid, sharing each rung ensemble across xi.
 
-    Returns a list of SymbolEstimate in x-major order.
+    Returns a list of SymbolEstimate in x-major order.  Rung ensembles are
+    addressed by (x index, rung, variant): variant 0 at the radius, variant 1
+    at twice the radius with fresh seeds.  Every (x, variant, rung) ensemble
+    of the table is one task of one ``sde.ordered_map`` on ``threads``
+    workers.  A task runs its ensemble (one ``simulate_ensemble`` call, its
+    ``DEFAULT_CHUNK``-path chunks in order), forms the per-path values on the
+    whole ensemble one xi at a time (``_values_for_pm_xi``: a -xi in the grid
+    takes its e^{-i theta} from xi's) and reduces them to one ``RungStat`` per
+    xi.  The calling thread takes the rung statistics in task order and forms
+    the extrapolation, the consistency guard and the radius check per x, xi
+    and variant, in that order.  So every value is the serial run's bit for
+    bit whatever ``threads`` is, and the first error a serial run meets is
+    the one raised.
     """
     ladder = _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
+    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
     xis = [np.atleast_1d(np.asarray(v, dtype=float)) for v in xis]
+    groups = _mirror_groups(xis)
+    grid = []                   # per x: [(variant, radius), ...]
+    for x in xs:
+        r_used = default_radius(x) if radius is None else float(radius)
+        grid.append([(0, r_used)] + ([(1, 2.0 * r_used)] if check_radius else []))
+    tasks = [(ix, x, variant, r, ri, t) for ix, (x, variants) in enumerate(zip(xs, grid))
+             for variant, r in variants for ri, t in enumerate(ladder)]
+
+    def rung(task):
+        ix, x, variant, r, ri, t = task
+        res = simulate_ensemble(model.blocks(), model.drift_coefficient, x, t, steps_per_rung,
+                                paths_per_rung, seed, base_key=(TAG_SYMBOL_MC, ix, ri, variant),
+                                stop_center=x, stop_radius=r)
+        exited = float(np.mean(res.exited))
+        stats = [None] * len(xis)
+        for k, mirrors in groups:
+            values = _values_for_pm_xi(res.terminal, x, xis[k], t, bool(mirrors))
+            for j, v in zip([k] + mirrors, [values[0]] + [values[-1]] * len(mirrors)):
+                stats[j] = _rung_stat(v, t, steps_per_rung, exited)
+        return stats
+
     out = []
-    for ix, x in enumerate(xs):
-        out += _estimates_at_x(model, ix, np.atleast_1d(np.asarray(x, dtype=float)), xis,
-                               ladder, paths_per_rung, seed, radius, steps_per_rung,
-                               check_radius, threads)
+    with closing(ordered_map(rung, tasks, threads)) as results:
+        for x, variants in zip(xs, grid):
+            stats = {variant: [next(results) for _ in ladder] for variant, _ in variants}
+            out += _estimates_at_x(x, xis, ladder, variants, stats, paths_per_rung)
     return out
 
 

@@ -213,10 +213,12 @@ def test_values_for_xi_planar_bit_for_bit():
 
 
 def test_symbol_mc_values_unchanged_end_to_end(monkeypatch):
+    # the table's workers form the values at xi and -xi through _values_for_pm_xi
     model = catalog.resolve_model({"name": "cp_tanh"})
     kwargs = dict(seed=5, paths_per_rung=1000, check_radius=False)
     got = sk.estimate_symbol_mc(model, 0.0, 1.5, **kwargs)
-    monkeypatch.setattr(sk.symbols, "_values_for_xi", old_values_for_xi)
+    monkeypatch.setattr(sk.symbols, "_values_for_pm_xi", lambda terminal, x, xi, t, minus: np.array(
+        [old_values_for_xi(terminal, x, s * xi, t) for s in ((1.0, -1.0) if minus else (1.0,))]))
     want = sk.estimate_symbol_mc(model, 0.0, 1.5, **kwargs)
     assert (got.estimate, got.se) == (want.estimate, want.se)
     assert [(r.value, r.se) for r in got.rungs] == [(r.value, r.se) for r in want.rungs]
