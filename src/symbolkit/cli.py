@@ -131,10 +131,17 @@ def _grid(vals, key: str) -> list:
 
 
 def _real(value, key: str) -> float:
-    """A real number as a float; a bool, a string or a list is a ConfigError naming ``key``."""
+    """A finite real number as a float; a bool, a string, a list, NaN or +-inf is a
+    ConfigError naming ``key``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} {value!r} is not a number", field=key)
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:                   # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{key} {value!r} is not a finite number", field=key)
+    return real
 
 
 def _reals(vals, key: str) -> list:
@@ -286,13 +293,28 @@ def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
             header, _rows(records, header), None)
 
 
+def _x_box(spec) -> tuple:
+    """``[lo, hi, count]``: finite lo < hi and a whole count of at least 1."""
+    if not isinstance(spec, (list, tuple)) or len(spec) != 3:
+        raise ConfigError(f"x_box {spec!r} is not [lo, hi, count]", field="x_box")
+    lo, hi = _real(spec[0], "x_box"), _real(spec[1], "x_box")
+    if not lo < hi:
+        raise ConfigError(f"x_box needs lo < hi, got lo {lo!r} and hi {hi!r}", field="x_box")
+    return lo, hi, _whole(spec[2], "x_box count", "x_box", 1)
+
+
 def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_max=1e8,
                   r_max=1e4, r_table=(0.1, 1.0, 10.0, 100.0), compute_beta0=True):
+    r_max = _real(r_max, "r_max")
+    if r_max <= 1.0:
+        raise ConfigError(f"r_max must be greater than 1, got {r_max!r}", field="r_max")
+    radii = [_real(v, "r_table") for v in r_table]
+    if any(r <= 0.0 for r in radii):
+        raise ConfigError(f"r_table entries must be positive, got {r_table!r}", field="r_table")
     report = build_index_report(
         resolve_symbol(symbol), _reals(x_grid, "x_grid"),
-        eta_max=_real(eta_max, "eta_max"), r_max=_real(r_max, "r_max"),
-        x_box=tuple(x_box) if x_box else None,
-        r_table=[_real(v, "r_table") for v in r_table],
+        eta_max=_real(eta_max, "eta_max"), r_max=r_max,
+        x_box=None if x_box is None else _x_box(x_box), r_table=radii,
         compute_beta0=compute_beta0)
     rows = [[r, h_up, h_low] for r, h_up, h_low in report.functional_table]
     return report.to_dict(), ["R", "H", "h"], rows, None

@@ -316,8 +316,11 @@ def beta_zero(p: SymbolField, r_max: float = 1e4, *, x_box: Optional[tuple] = No
     """Upper index at zero: decay exponent of sup_x H(x, R) as R grows.
 
     For x-dependent symbols the outer sup runs over a declared compact box
-    (lo, hi, count); it is recorded in the result.
+    (lo, hi, count); it is recorded in the result.  ``r_max`` must exceed 1,
+    the first radius of the R grid.
     """
+    if not r_max > _BETA0_R_MIN:
+        raise ValueError(f"r_max must be greater than {_BETA0_R_MIN:g}, got {r_max}")
     if p.x_independent:
         x_grid = np.array([0.0])
         box = None

@@ -46,7 +46,9 @@ class SymbolField:
 
     ``batch_fn((m,d), (m,k,d)) -> (m,k)`` complex: state i carries the k
     frequencies ``xis[i]``, so per-state work (Phi(x), alpha(x)) is done once
-    per state and broadcast over k.  ``many`` takes paired rows,
+    per state and broadcast over k; a solution symbol runs its frequency map
+    and exponent once per distinct (Phi, Psi) state under a bitwise key (see
+    ``solution_symbol``).  ``many`` takes paired rows,
     ``(m,d), (m,d) -> (m,)``, or a grid, ``(m,k,d), (m,k,d) -> (m,k)``, whose
     states repeat along k (a broadcast view of the m states) so that both
     arguments name every point; a point call ``p(x, xi)`` is the 1 x 1 grid.
@@ -96,14 +98,33 @@ def symbol_from_exponent(driver: LevyTriplet, name: str = "driver") -> SymbolFie
     return SymbolField(batch_fn=batch, d=driver.dim, x_independent=True, name=name)
 
 
+def _distinct_rows(rows: np.ndarray):
+    """(first, inverse) over the rows of a 2-d float array, rows compared by their bits.
+
+    ``first`` holds the index of each distinct row's first occurrence and
+    ``rows[first][inverse]`` is ``rows``.  Bits, not values, decide: +0.0 and
+    -0.0 stay apart, and so do NaNs with different payloads.
+    """
+    keys = np.ascontiguousarray(rows)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def solution_symbol(driver: LevyTriplet, coefficient: CoefficientField,
                     drift_coefficient: Optional[CoefficientField] = None,
                     name: str = "solution") -> SymbolField:
     """Symbol of the SDE solution: psi(Phi^T(x) xi) - i Psi(x).xi, psi the driver's exponent.
 
-    Phi and Psi are evaluated once per state; the frequency map Phi^T(x) xi is
-    one einsum over the grid, which in d = n = 1 adds the single product to
-    +0.0 as the paired-row form did.
+    Phi and Psi are evaluated once per state.  The rest of the per-state work
+    runs once per distinct state under a bitwise key: states whose Phi and
+    Psi rows (and frequency rows, unless every state shares one stride-0
+    frequency row, as grid calls pass them) have equal bits share one
+    frequency map, exponent and drift term, gathered back to every state.
+    The exponent is elementwise in its frequency rows, so every row keeps the
+    bits of a call that evaluates each state.  The frequency map Phi^T(x) xi
+    is one einsum over the grid, which in d = n = 1 adds the single product
+    to +0.0 as the paired-row form did.
     """
     if coefficient.n != driver.dim:
         raise DimensionMismatch(
@@ -111,12 +132,20 @@ def solution_symbol(driver: LevyTriplet, coefficient: CoefficientField,
 
     def batch(xs, xis):
         phi = coefficient.many(xs)                       # (m, d, n)
+        drift = None if drift_coefficient is None else drift_coefficient.many(xs)[:, :, 0]
+        m, shared = phi.shape[0], xis.strides[0] == 0
+        first, back = _distinct_rows(np.concatenate(
+            [phi.reshape(m, -1)] + ([] if drift is None else [drift])
+            + ([] if shared else [xis.reshape(m, -1)]), axis=1))
+        if first.size < m:
+            phi = phi[first]
+            drift = None if drift is None else drift[first]
+            xis = xis[:first.size] if shared else xis[first]
         args = np.einsum("mdn,mkd->mkn", phi, xis)
         vals = driver.many(args.reshape(-1, driver.dim)).reshape(xis.shape[:2])
-        if drift_coefficient is not None:
-            psi_vals = drift_coefficient.many(xs)[:, :, 0]
-            vals = vals - 1j * np.einsum("md,mkd->mk", psi_vals, xis)
-        return vals
+        if drift is not None:
+            vals = vals - 1j * np.einsum("md,mkd->mk", drift, xis)
+        return vals[back] if first.size < m else vals
 
     return SymbolField(batch_fn=batch, d=coefficient.d, name=name)
 

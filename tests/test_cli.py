@@ -476,7 +476,9 @@ def test_variation_rejects_gammas_that_are_not_positive(gamma, tmp_path, capsys)
     line = capsys.readouterr().err
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert line == json.dumps(err, sort_keys=True) + "\n"      # no numpy warning beside it
-    assert f"gamma must be positive and finite, got {gamma}" in err["message"]
+    # an infinite gamma stops at the config's finiteness check, before the experiment
+    assert (f"gammas {gamma} is not a finite number" if gamma == float("inf")
+            else f"gamma must be positive and finite, got {gamma}") in err["message"]
     assert not (tmp_path / "out" / "results.json").exists()
 
 
@@ -617,6 +619,80 @@ def test_real_keys_reject_bools_and_strings(kind, cfg, field, value, tmp_path):
     assert (err["error"], err["field"], err["message"]) == (
         "ConfigError", field, f"{field} {value!r} is not a number")
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+# a NaN or +-inf in a real-valued key exits 2 naming the key; each config holds the
+# placeholder VALUE, replaced by the raw JSON token
+NON_FINITE = {
+    "simulate-horizon": ("simulate", {**SIMULATE_CFG, "horizon": "VALUE"}, "horizon"),
+    "indices-eta_max": ("indices", {**INDICES_CFG, "eta_max": "VALUE"}, "eta_max"),
+    "symbol-analytic-x_grid": ("symbol-analytic", {**ANALYTIC_CFG, "x_grid": ["VALUE"]},
+                               "x_grid"),
+    "generator-check-x_grid": ("generator-check", {"model": {"name": "bm_unit"},
+                                                   "x_grid": ["VALUE"]}, "x_grid"),
+    "growth-t_small": ("growth", {**GROWTH_CFG, "t_small": ["VALUE", 0.1]}, "t_small"),
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("kind, cfg, field", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_real_keys_reject_non_finite_values(kind, cfg, field, token, tmp_path, capfd):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg).replace('"VALUE"', token))
+    assert main([kind, "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    captured = capfd.readouterr()
+    err = json.loads((out / "error.json").read_text())
+    assert captured.err == json.dumps(err, sort_keys=True) + "\n"
+    value = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[token]
+    assert (err["error"], err["field"], err["message"]) == (
+        "ConfigError", field, f"{field} {value} is not a finite number")
+    assert not (out / "results.json").exists()
+
+
+# the indices ranges are checked before any search runs, each error naming its key
+INDICES_RANGES = {
+    "r_max-one": ({"r_max": 1}, "r_max", "r_max must be greater than 1, got 1.0"),
+    "r_max-negative": ({"r_max": -5}, "r_max", "r_max must be greater than 1, got -5.0"),
+    "x_box-fractional-count": ({"x_box": [-2.0, 2.0, 2.5]}, "x_box",
+                               "x_box count 2.5 is not a whole number"),
+    "x_box-bool-count": ({"x_box": [-2.0, 2.0, True]}, "x_box",
+                         "x_box count True is not a whole number"),
+    "x_box-zero-count": ({"x_box": [-2.0, 2.0, 0]}, "x_box",
+                         "x_box count must be at least 1, got 0"),
+    "x_box-reversed": ({"x_box": [1, -1, 0]}, "x_box",
+                       "x_box needs lo < hi, got lo 1.0 and hi -1.0"),
+    "x_box-short": ({"x_box": [-1]}, "x_box", "x_box [-1] is not [lo, hi, count]"),
+    "x_box-non-finite": ({"x_box": [-2.0, float("inf"), 3]}, "x_box",
+                         "x_box inf is not a finite number"),
+    "r_table-negative": ({"r_table": [1.0, -1.0]}, "r_table",
+                         "r_table entries must be positive, got [1.0, -1.0]"),
+}
+
+
+@pytest.mark.parametrize("extra, field, message", INDICES_RANGES.values(),
+                         ids=list(INDICES_RANGES))
+def test_indices_ranges_exit_2_before_the_search(extra, field, message, tmp_path, capfd,
+                                                  monkeypatch):
+    monkeypatch.setattr(cli, "build_index_report",
+                        lambda *a, **k: pytest.fail("the search ran"))
+    cfg = {"symbol": {"model": {"name": "cp_tanh"}}, "x_grid": [0.0], **extra}
+    assert main_with_config("indices", cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["field"], err["message"]) == ("ConfigError", field, message)
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_indices_x_box_count_runs_as_its_integer(tmp_path):
+    outs = []
+    for tag, count in (("int", 2), ("float", 2.0)):
+        run_config("indices", {**INDICES_CFG, "symbol": {"model": {"name": "cp_tanh"}},
+                               "r_max": 10.0, "x_box": [-1, 1, count], "compute_beta0": True},
+                   1, tmp_path / tag)
+        outs.append((tmp_path / tag / "results.json").read_bytes())
+    assert outs[0] == outs[1]
+    beta0 = json.loads(outs[0])["results"]["beta0"]
+    assert beta0["x_box"] == [-1.0, 1.0, 2]
 
 
 # a density parameter out of the tempered-power family's range exits 2 naming it

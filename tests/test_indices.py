@@ -187,6 +187,11 @@ class TestBetaZero:
         assert abs(res.beta - 1.0) <= 0.1
         assert res.x_box == (-5.0, 5.0, 5)
 
+    @pytest.mark.parametrize("r_max", [1.0, 0.5, -5.0, float("nan")])
+    def test_r_max_must_exceed_one(self, r_max):
+        with pytest.raises(ValueError, match="r_max must be greater than 1"):
+            sk.beta_zero(power_law_symbol(1.0), r_max=r_max)
+
     def test_non_decaying_flagged(self):
         p = sk.SymbolField(d=1, x_independent=True,
                            batch_fn=lambda xs, xis: np.ones(xis.shape[:2], dtype=complex))
