@@ -180,7 +180,9 @@ def _model(spec):
 def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=10,
                check_radius=True) -> dict:
     """symbol_mc_table's keywords from the estimator block."""
-    return {"t_ladder": tuple(t_ladder),
+    if R is not None and not _real(R, "R") > 0:
+        raise ConfigError(f"R must be positive, got {R!r}", field="R")
+    return {"t_ladder": tuple(_reals(t_ladder, "t_ladder")),
             "paths_per_rung": _whole(paths, "paths", "paths", 1000), "radius": R,
             "steps_per_rung": _whole(steps_per_rung, "steps_per_rung", "steps_per_rung", 2),
             "check_radius": check_radius}
@@ -364,7 +366,7 @@ def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large
 def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
     d = _whole(d, "d", "d", 1)
     if y_grid is not None:
-        ys = [np.asarray(y, dtype=float) for y in y_grid]
+        ys = [np.asarray(_state(y, "y_grid")) for y in _grid(y_grid, "y_grid")]
     elif d == 1:
         ys = list(np.linspace(-10.0, 10.0, 41))
     elif d == 2:

@@ -101,12 +101,15 @@ def eval_g(d: int, rho) -> float:
 
 
 def g_identity_check(d: int, y_grid) -> float:
-    """Max residual of int (1 - cos(y.rho)) g_d drho = |y|^2/(1+|y|^2) over the grid."""
+    """Max residual of int (1 - cos(y.rho)) g_d drho = |y|^2/(1+|y|^2) over the grid;
+    a y of NaN or infinite norm is a ValueError, not a residual that ``max`` drops."""
     from scipy.special import j0, k0
 
     worst = 0.0
     for y in y_grid:
         s = float(np.linalg.norm(np.atleast_1d(y)))
+        if not np.isfinite(s):
+            raise ValueError(f"|y| is not finite at y = {y!r}")
         target = s * s / (1.0 + s * s)
         if s == 0.0:
             value = 0.0
@@ -174,15 +177,16 @@ def _h_values(p: SymbolField, ys: np.ndarray, es: np.ndarray, R: float,
               rho: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """H integrand value for every (y, e) pair -> (ny, ne).
 
-    p is evaluated once per distinct |e| and gathered back before the
-    weighted sum: numpy picks its matmul kernel by shape (a single direction
-    would go to a BLAS dot), so the sum runs over the unfolded grid's shape.
+    p, the weighted sum and the edge term are formed once per distinct |e|,
+    and only the (ny, n|e|) result is gathered back to every e.  A single |e|
+    (a grid such as [-1, 1]) gathers the values before the sum: numpy sends a
+    one-row product to a BLAS dot, which rounds unlike the unfolded grid's.
     """
     folded, back = np.unique(np.abs(es), return_inverse=True)
+    before, after = (back, slice(None)) if folded.size == 1 else (slice(None), back)
     xis = (folded[:, None] * rho[None, :] / R).reshape(-1)
-    vals = _eval_symbol_grid(p, ys, xis).reshape(len(ys), len(folded), len(rho))[:, back]
-    edge = np.abs(vals[:, :, np.flatnonzero(rho == 1.0)[0]])
-    return vals.real @ weights + edge
+    vals = _eval_symbol_grid(p, ys, xis).reshape(len(ys), folded.size, len(rho))[:, before]
+    return (vals.real @ weights + np.abs(vals[:, :, np.flatnonzero(rho == 1.0)[0]]))[:, after]
 
 
 def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig()) -> float:
@@ -281,7 +285,8 @@ def beta_inf(p: SymbolField, x, eta_max: float = 1e8) -> BetaInfResult:
     grid; the limsup surrogate is the maximum of s over the top decade.  The
     grid should extend far enough that constant factors in the symbol have
     decayed out of the ratio: the default 1e8 keeps the log(c)/log(eta)
-    error below 0.05 for c in [1/2, 2].
+    error below 0.05 for c in [1/2, 2].  The whole ladder is one paired-row
+    ``p.many`` call; each eta's sup is the max over its own ball's rows.
     """
     if eta_max < 1e3:
         raise ValueError("eta_max must be at least 1e3")
@@ -289,20 +294,18 @@ def beta_inf(p: SymbolField, x, eta_max: float = 1e8) -> BetaInfResult:
     window = (eta_max / 10.0, eta_max)
     n_pts = max(2, int(np.ceil(_BETA_INF_PER_DECADE * np.log10(eta_max / _BETA_INF_ETA_MIN))))
     etas = np.geomspace(_BETA_INF_ETA_MIN, eta_max, n_pts)
+    ys = (np.full((n_pts, 1), x0) if p.x_independent
+          else np.array([_ball_grid(x0, 2.0 / eta, _BETA_INF_STATES) for eta in etas]))
+    rows = p.many(ys.reshape(-1, 1), np.repeat(etas, ys.shape[1]).reshape(-1, 1))
+    sups = np.fmax(np.abs(rows).reshape(ys.shape).max(axis=1), 0.0)    # a NaN row reads 0
     points = []
     s_vals = []
-    for eta in etas:
-        ys = (np.array([x0]) if p.x_independent
-              else _ball_grid(x0, 2.0 / eta, _BETA_INF_STATES))
-        vals = np.abs(p.many(ys.reshape(-1, 1), np.full((len(ys), 1), eta)))
-        sup_p = max(0.0, float(vals.max()))
+    for eta, sup_p in zip(etas, sups.tolist()):
         points.append((float(np.log(eta)), float(np.log(sup_p)) if sup_p > 0 else -np.inf))
         s_vals.append(np.log(sup_p) / np.log(eta) if sup_p > 0 else -np.inf)
     s_vals = np.asarray(s_vals)
     in_window = (etas >= window[0]) & (etas <= window[1])    # holds eta_max at least
-    window_sup = np.array([np.exp(pt[1]) if np.isfinite(pt[1]) else 0.0
-                           for pt in points])[in_window]
-    if np.all(window_sup < 1e-14):
+    if np.all(sups[in_window] < 1e-14):
         raise DegenerateSymbol("|p| < 1e-14 on the whole limsup window")
     beta = float(np.max(s_vals[in_window]))
     clamped = not (0.0 <= beta <= 2.0)

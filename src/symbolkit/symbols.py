@@ -253,8 +253,8 @@ DEFAULT_LADDER = (0.04, 0.02, 0.01, 0.005)
 
 def _check_ladder(t_ladder, steps_per_rung, paths_per_rung):
     ladder = tuple(float(t) for t in t_ladder)
-    if any(t <= 0 for t in ladder):
-        raise ValueError("ladder times must be positive")
+    if not all(0.0 < t < np.inf for t in ladder):
+        raise ValueError(f"ladder times must be positive and finite, got {ladder}")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"t-ladder must be strictly decreasing, got {ladder}")
     if steps_per_rung < 2:
