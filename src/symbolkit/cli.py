@@ -365,16 +365,20 @@ def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large
 
 def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
     d = _whole(d, "d", "d", 1)
+    if d not in (1, 2):
+        raise ConfigError("g-identity: d must be 1 or 2", field="d")
     if y_grid is not None:
         ys = [np.asarray(_state(y, "y_grid")) for y in _grid(y_grid, "y_grid")]
     elif d == 1:
         ys = list(np.linspace(-10.0, 10.0, 41))
-    elif d == 2:
+    else:
         side = np.linspace(-10.0, 10.0, 10)
         ys = [np.array([a, b]) for a in side for b in side]
-    else:
-        raise ConfigError("g-identity: d must be 1 or 2", field="d")
-    results = {"d": d, "max_residual": g_identity_check(d, ys), "n_points": len(ys)}
+    try:
+        residual = g_identity_check(d, ys)
+    except ValueError as exc:               # a |y| the check cannot take
+        raise ConfigError(f"g-identity: {exc}", field="y_grid") from None
+    results = {"d": d, "max_residual": residual, "n_points": len(ys)}
     header = ["d", "max_residual"]
     return results, header, _rows([results], header), None
 

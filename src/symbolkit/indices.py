@@ -7,10 +7,12 @@ The kernel
 satisfies |y|^2/(1+|y|^2) = int (1 - cos(y.rho)) g_d(rho) drho and has moments
 of every order.  In one dimension the lambda integral collapses to
 g_1(rho) = e^{-|rho|}/2 (Gaussian-integral identity), in two to
-K_0(|rho|)/(2 pi); the generic lambda quadrature is kept as the oracle the
-closed forms are checked against.  ``scipy.special``'s ``k0`` and ``j0`` are
-imported inside :func:`eval_g` and :func:`g_identity_check`, so they load at
-the first d = 2 kernel value or identity check.
+K_0(|rho|)/(2 pi); the generic lambda quadrature, the one adaptive ``quad``
+integral left in the package, is kept as the oracle the closed forms are
+checked against and as the d >= 4 kernel.  :func:`g_identity_check` checks the
+identity on a fixed GK21 panel table.  ``scipy.special``'s ``k0`` and ``j0``
+are imported inside :func:`eval_g` and :func:`g_identity_check`, so they load
+at the first d = 2 kernel value or identity check.
 
 The upper functional
 
@@ -37,17 +39,20 @@ and beta^x_inf take maxima, which repeats do not change.  H's edge term
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BijectivityViolation, DegenerateSymbol, DimensionMismatch
+from .errors import BijectivityViolation, DegenerateSymbol, DimensionMismatch, QuadratureFailure
 from .levy import LevyTriplet, kappa_from_c0, sector_constant
-from .quadrature import halfline_nodes, integrate_checked
+from .quadrature import halfline_nodes, integrate_checked, integrate_panels, radial_edges
 from .symbols import SymbolField, solution_symbol, symbol_from_exponent
 
 _LAMBDA_CUT = 60.0   # e^{-lam/2} tail beyond this is < 1e-13
+_G_REACH, _G_CYCLE = 40.0, 4.0   # identity check: r cut (e^{-r}, K_0(r) < 1e-17), width * max |y|
+_G_BATCH = 1 << 20      # identity check: values per batch of |y|
 _BETA_INF_ETA_MIN, _BETA_INF_PER_DECADE, _BETA_INF_STATES = 10.0, 8, 21   # eta grid, ball
 _BETA0_R_MIN, _BETA0_PER_DECADE, _BETA0_FIT_DECADES = 1.0, 6, 1.0   # R grid, top decades fitted
 _DET_TOL, _DET_BALL = 1e-8, 0.25        # index transfer: least |det Phi| near each base point
@@ -101,29 +106,48 @@ def eval_g(d: int, rho) -> float:
 
 
 def g_identity_check(d: int, y_grid) -> float:
-    """Max residual of int (1 - cos(y.rho)) g_d drho = |y|^2/(1+|y|^2) over the grid;
-    a y of NaN or infinite norm is a ValueError, not a residual that ``max`` drops."""
-    from scipy.special import j0, k0
+    """Max residual of int (1 - cos(y.rho)) g_d drho = |y|^2/(1+|y|^2) over the grid.
 
-    worst = 0.0
+    In polar form, with s = |y|, the left side is int_0^inf e^{-r} (1 - cos(s r))
+    dr for d = 1 and int_0^inf r K_0(r) (1 - J_0(s r)) dr for d = 2, both cut at
+    r = ``_G_REACH``.  Each distinct |y| is integrated once, all on one GK21
+    table (:func:`~symbolkit.quadrature.integrate_panels`) graded toward 0,
+    where r K_0(r) has a log kink, with panels at most min(1, ``_G_CYCLE`` /
+    max |y|) wide.  |y| is taken with ``math.hypot``, which neither overflows
+    nor warns; a |y| that is NaN or infinite, or too large for a table of
+    ``MAX_PANELS`` panels, is a ValueError, not a residual that ``max``
+    drops.
+    """
+    if d not in (1, 2):
+        raise ValueError("identity check implemented for d in {1, 2}")
+    norms = []
     for y in y_grid:
-        s = float(np.linalg.norm(np.atleast_1d(y)))
-        if not np.isfinite(s):
+        s = math.hypot(*np.atleast_1d(np.asarray(y, dtype=float)))
+        if not math.isfinite(s):
             raise ValueError(f"|y| is not finite at y = {y!r}")
-        target = s * s / (1.0 + s * s)
-        if s == 0.0:
-            value = 0.0
-        elif d == 1:
-            value = integrate_checked(
-                lambda r: (1.0 - np.cos(s * r)) * np.exp(-r), 0.0, np.inf,
-                tol=1e-8, limit=400, label="identity d=1")
-        elif d == 2:
-            value = integrate_checked(
-                lambda r: r * k0(r) * (1.0 - j0(s * r)), 0.0, 60.0,
-                tol=1e-8, limit=400, points=[1e-8, 1.0], label="identity d=2")
+        norms.append(s)
+    s = np.unique(norms)
+    s = s[s > 0.0]                          # |y| = 0: both sides are 0
+    if not s.size:
+        return 0.0
+    label = f"identity d={d}"
+    try:
+        edges = np.concatenate([[0.0], radial_edges(_G_REACH, min(1.0, _G_CYCLE / s[-1]), label)])
+    except QuadratureFailure as exc:
+        raise ValueError(f"|y| = {s[-1]:.6g} is too large for the identity check: {exc}") from None
+    if d == 2:
+        from scipy.special import j0, k0
+    rows = max(1, _G_BATCH // (21 * (edges.size - 1)))
+    worst = 0.0
+    for c in range(0, s.size, rows):
+        batch = s[c:c + rows]
+        col = batch[:, None, None]
+        if d == 1:
+            g = lambda r: np.exp(-r) * (2.0 * np.sin(0.5 * col * r) ** 2)   # 1 - cos(s r)
         else:
-            raise ValueError("identity check implemented for d in {1, 2}")
-        worst = max(worst, abs(value - target))
+            g = lambda r: r * k0(r) * (1.0 - j0(col * r))
+        value = integrate_panels(g, edges, tol=1e-8, label=label)
+        worst = max(worst, float(np.max(np.abs(value - batch * batch / (1.0 + batch * batch)))))
     return worst
 
 

@@ -15,9 +15,20 @@ moments, or the full line less a continued-fraction tail), so building and
 evaluating it integrates nothing.  Increments are sampled from the pathwise
 decomposition: drift + Gaussian + jumps, with the small-jump compensator
 removed as a deterministic drift for every jump that is actually simulated.
-scipy's ``quad`` and ``gamma`` are imported inside the functions that call
-them, so ``scipy.integrate`` and ``scipy.special`` load at the first adaptive
-integral (a generator term, a mass ratio, a law's small-jump mean) or
+
+Every integral over a measure (a law's small-jump mean, truncation integral,
+generator integral and mass; a stable or density generator term; a density's
+mass) is one :func:`~symbolkit.quadrature.integrate_panels` call of a
+vectorised integrand on a fixed GK21 panel table.  A law's table is graded
+toward its breakpoints.  A stable or density table is graded toward 0, where
+the measure is singular, and the piece on [0, eps] (eps <= 2^-60) is the
+integrand's leading term in closed form: u''(x) y^2 for the generator, and
+y^{1-alpha} for the mass, which at alpha = 1.9 still holds 0.16 of it there.
+The generator integrand of an even measure is the second difference
+u(x + y) + u(x - y) - 2 u(x) of the test function, taken free of cancellation
+(``TestFunction.second_difference``).  So no integral imports
+``scipy.integrate``; scipy's ``gamma`` is imported inside
+:func:`stable_density_coefficient`, so ``scipy.special`` loads at the first
 stable-density coefficient.
 
 Every e^{i phase} of real phase, here and in the Monte Carlo estimator, comes
@@ -55,7 +66,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureFailure, SectorViolation
-from .quadrature import integrate_checked
+from .quadrature import graded_edges, integrate_panels, radial_edges
 
 _ATOL = 1e-12
 
@@ -159,9 +170,10 @@ class AtomLaw:
 
 @dataclass(frozen=True)
 class ContinuousLaw:
-    """One-dimensional continuous jump distribution: sampler, density, ``cf_m1(xi)`` =
-    E e^{i xi Y} - 1 on an array (free of cancellation near 0), and ``points``, where the
-    density peaks or jumps, which every quad over the law takes as breakpoints."""
+    """One-dimensional continuous jump distribution: sampler, density (on an array),
+    ``cf_m1(xi)`` = E e^{i xi Y} - 1 on an array (free of cancellation near 0), and
+    ``points``, where the density peaks or jumps, toward which every panel table over
+    the law is graded."""
 
     name: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]
@@ -190,6 +202,14 @@ class ContinuousLaw:
         lo, hi = self.clipped_support
         return sorted({p for p in (*self.points, -1.0, 0.0, 1.0) if lo < p < hi})
 
+    def _integral(self, g, lo: float, hi: float, *, tol: float, label: str,
+                  knots: tuple = ()) -> float:
+        """int_lo^hi g(y) density(y) dy for a vectorised g, on panels graded toward lo, hi
+        and the breakpoints and ``knots`` between them."""
+        inner = (p for p in (*self.breakpoints, *knots) if lo < p < hi)
+        return integrate_panels(lambda y: g(y) * self.density(y),
+                                graded_edges(sorted({lo, hi, *inner})), tol=tol, label=label)
+
     @cached_property
     def small_mean(self) -> float:
         """E[Y 1_{|Y|<1}], computed once for the exponent and the sampler's compensator."""
@@ -197,9 +217,8 @@ class ContinuousLaw:
         hi = min(self.support[1], 1.0)
         if hi <= lo:
             return 0.0
-        return integrate_checked(lambda y: y * self.density(y), lo, hi, tol=1e-9,
-                                 points=[p for p in self.points if lo < p < hi] or None,
-                                 label=f"{self.name} small-jump mean")
+        return self._integral(lambda y: y, lo, hi, tol=1e-9,
+                              label=f"{self.name} small-jump mean")
 
     def mean_small(self) -> np.ndarray:
         return np.array([self.small_mean])
@@ -225,31 +244,28 @@ class ContinuousLaw:
     def truncation_integral(self, a: float) -> float:
         """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law, a not 0 or 1.
 
-        Each side stops at its end of the support (quad missed the uniform(-0.7,
-        1.9) density's drop to 0 just inside [1, 1.9016] by 1.2e-3), and takes
-        the law's points inside it as breakpoints.
+        One integral of y 1_{lo < |y|} over [-hi, hi] within the clipped
+        support, (lo, hi) = sorted((1, 1/a)): the table stops at the support's
+        ends (quad once missed the uniform(-0.7, 1.9) density's drop to 0 just
+        inside [1, 1.9016] by 1.2e-3) and is graded toward -lo and lo too, where
+        the indicator jumps.
         """
         lo, hi = sorted((1.0, 1.0 / a))
-        val = 0.0
-        for sgn, end in ((1.0, self.support[1]), (-1.0, -self.support[0])):
-            top = min(hi, end)
-            if top > lo:
-                val += sgn * integrate_checked(
-                    lambda y: y * self.density(sgn * y), lo, top, tol=1e-10,
-                    label="indicator correction",
-                    points=sorted(sgn * p for p in self.points if lo < sgn * p < top) or None)
+        left, right = self.clipped_support
+        left, right = max(-hi, left), min(hi, right)
+        val = 0.0 if right <= left else self._integral(
+            lambda y: y * (np.abs(y) > lo), left, right, tol=1e-10,
+            label="indicator correction", knots=(-lo, lo))
         return (1.0 if 1.0 / a > 1.0 else -1.0) * val
 
-    def generator_integral(self, g: Callable[[float], float]) -> float:
+    def generator_integral(self, g: Callable) -> float:
         lo, hi = self.clipped_support
-        points = sorted({p for p in (*self.points, -1.0, 1.0) if lo < p < hi})
-        return integrate_checked(lambda y: g(y) * self.density(y), lo, hi, tol=1e-9,
-                                 points=points, label="jump generator")
+        return self._integral(g, lo, hi, tol=1e-9, label="jump generator")
 
     def mass_ratio(self) -> float:
         lo, hi = self.clipped_support
-        return integrate_checked(lambda y: y * y / (1 + y * y) * self.density(y), lo, hi,
-                                 tol=1e-9, points=self.breakpoints, label="jump mass")
+        return self._integral(lambda y: y * y / (1 + y * y), lo, hi, tol=1e-9,
+                              label="jump mass")
 
 
 def normal_law(mean: float = 0.0, std: float = 1.0) -> ContinuousLaw:
@@ -280,7 +296,7 @@ def uniform_law(low: float = -1.0, high: float = 1.0) -> ContinuousLaw:
     return ContinuousLaw(
         name="uniform",
         sampler=lambda rng, size: rng.uniform(a, b, size=size),
-        density=lambda y: (1.0 / (b - a)) if a <= y <= b else 0.0,
+        density=lambda y: np.where((a <= y) & (y <= b), 1.0 / (b - a), 0.0),
         cf_m1=cf_m1,
         support=(a, b),
     )
@@ -446,11 +462,33 @@ def exponential(a: float = 1.0, b: float = 1.0) -> TemperedPower:
     return TemperedPower(a, -1.0, b)
 
 
-def _compensated(u, x: float) -> Callable[[float], float]:
-    """y -> u(x + y) - u(x) - y u'(x) 1_{|y|<1}, the generator's jump integrand."""
+def _compensated(u, x: float) -> Callable:
+    """y -> u(x + y) - u(x) - y u'(x) 1_{|y|<1}, the generator's jump integrand, on arrays."""
     gx = u.u(x)
     gpx = float(u.grad(x)[0])
-    return lambda y: u.u(x + y) - gx - y * gpx * (abs(y) < 1.0)
+    return lambda y: u.u(x + y) - gx - y * gpx * (np.abs(y) < 1.0)
+
+
+def _even_generator_term(family: TemperedPower, window: float, u, x: float) -> float:
+    """int (u(x + y) - u(x) - y u'(x) 1_{|y|<1}) nu(dy) for nu = ``family`` on |y| <= window.
+
+    Folded onto y > 0 (nu is even), the integrand is the second difference
+    D(y) = u(x + y) + u(x - y) - 2 u(x) against a y^{-1-alpha} e^{-b y}, on
+    one table graded toward 0 up to reach = min(window, |x| + u.spatial_scale),
+    its panels at most ``u.panel_width`` wide.  On [0, eps] D is u''(x) y^2 to
+    O(eps^2) relative, so that piece is u''(x) a eps^{2-alpha} / (2 - alpha).
+    Beyond reach u(x +- y) is below e^{-50}, so D = -2 u(x) against the
+    family's mass from reach to the window (``TemperedPower.beyond``).
+    """
+    a, alpha, b = family.a, family.alpha, family.b
+    reach = min(window, abs(x) + u.spatial_scale)
+    edges = radial_edges(reach, u.panel_width, "jump generator")
+    body = integrate_panels(
+        lambda y: u.second_difference(x, y) * (a * y ** (-1.0 - alpha) * np.exp(-b * y)),
+        edges, tol=1e-9, label="jump generator")
+    head = float(u.hess(x)[0, 0]) * a * edges[0] ** (2.0 - alpha) / (2.0 - alpha)
+    tail = -2.0 * u.u(x) * a * (family.beyond(reach) - family.beyond(window))
+    return float(head + body + tail)
 
 
 # --------------------------------------------------------------------------
@@ -603,18 +641,9 @@ class StableSymmetric:
         return 0.0                  # the measure is symmetric
 
     def generator_term(self, u, x: float) -> float:
+        """The even-measure generator term of the density k |y|^{-1-alpha} on the line."""
         k = stable_density_coefficient(self.alpha, self.scale)
-        gx = u.u(x)
-        w = max(50.0, abs(x) + u.spatial_scale)
-
-        def sym(y):
-            return (u.u(x + y) + u.u(x - y) - 2.0 * gx) * y ** (-1.0 - self.alpha)
-
-        body = integrate_checked(sym, 0.0, w, tol=1e-9, points=[1e-8, 1.0],
-                                 label="stable generator")
-        # beyond w the test function is numerically zero; -2 u(x) tail remains
-        tail = -2.0 * gx * w ** (-self.alpha) / self.alpha
-        return k * (body + tail)
+        return _even_generator_term(TemperedPower(k, self.alpha, 0.0), np.inf, u, x)
 
     def mass_ratio(self) -> float:
         """k pi / sin(pi alpha/2): int_0^inf y^{1-alpha}/(1+y^2) dy = (pi/2) / sin(pi alpha/2)."""
@@ -700,20 +729,20 @@ class DensityForm:
         return 0.0 if a in (0.0, 1.0) else phi * ((1.0 if a < 1.0 else -1.0) * 0.0)
 
     def generator_term(self, u, x: float) -> float:
-        g = _compensated(u, x)
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            total += integrate_checked(
-                lambda y: g(sgn * y) * self.density(sgn * y),
-                0.0, self.window, tol=1e-9, points=[1e-8, min(1.0, self.window)],
-                label="density generator")
-        return total
+        return _even_generator_term(self.family, self.window, u, x)
 
     def mass_ratio(self) -> float:
-        # the negative side's integral repeats the positive side's bit for bit
-        return 2.0 * integrate_checked(lambda y: y * y / (1 + y * y) * self.density(y),
-                                       0.0, self.window, tol=1e-9, points=[1e-8],
-                                       label="density mass")
+        """2 a int_0^W y^{1-alpha} e^{-b y} / (1 + y^2) dy on a table graded toward 0.
+
+        The piece on [0, eps] is a eps^{2-alpha} / (2 - alpha) per side, to
+        O(eps) relative; no geometric table reaches it, as at alpha = 1.9
+        [0, 2^-60] still holds 0.16 a.
+        """
+        a, alpha, b = self.family.a, self.family.alpha, self.family.b
+        edges = radial_edges(self.window, self.window, "density mass")
+        body = integrate_panels(lambda y: a * y ** (1.0 - alpha) * np.exp(-b * y) / (1.0 + y * y),
+                                edges, tol=1e-9, label="density mass")
+        return 2.0 * (a * edges[0] ** (2.0 - alpha) / (2.0 - alpha) + body)
 
 
 LevyMeasureSpec = ZeroMeasure | FiniteActivity | StableSymmetric | DensityForm

@@ -1,19 +1,23 @@
 """Thin quadrature layer.
 
-Adaptive integrals go through :func:`integrate_checked`, which wraps
-``scipy.integrate.quad`` and raises :class:`~symbolkit.errors.QuadratureFailure`
-with the achieved error estimate instead of silently returning a bad value;
-:func:`check_error` is that failure rule on its own.  Every ``quad`` call asks
-for ``full_output``, so scipy returns its diagnostics instead of printing an
-``IntegrationWarning``: the tolerance check is the only verdict.  ``quad`` is
-imported inside :func:`integrate_checked`, so ``scipy.integrate`` loads at the
-first adaptive integral, and a run that integrates nothing never pays for it.
+Every integral ``symbolkit`` takes over a jump measure or in the kernel
+identity is one call to :func:`integrate_panels`: the 21-point Gauss-Kronrod
+rule with its embedded 10-point Gauss rule (QUADPACK's qk21, Piessens et al.,
+1983, :func:`gk21_rule`) laid on a fixed table of panels (:func:`gk21_panels`),
+one batched evaluation of a vectorised integrand over all nodes.  The Kronrod
+sum is the value, and the summed per-panel |Kronrod - Gauss| is its error
+estimate: past the tolerance it raises
+:class:`~symbolkit.errors.QuadratureFailure` with that estimate as
+``achieved``, and so does a table of more than ``MAX_PANELS`` panels.  The
+tables are graded geometrically: :func:`graded_edges` toward every knot of an
+interval (a law's support ends and breakpoints), :func:`radial_edges` toward 0
+(a measure singular there, whose caller takes [0, eps] in closed form).
 
-Fixed-node integrals use :func:`gk21_rule`: the 21-point Gauss-Kronrod rule
-with its embedded 10-point Gauss rule (QUADPACK's qk21).  Laid on a list of
-panels, the Kronrod sum is the value and the Gauss-vs-Kronrod difference per
-panel is its error estimate, so one batched evaluation gives both;
-:func:`gk21_panels` lays the rule on a list of panel edges.
+:func:`integrate_checked` wraps scipy's adaptive ``quad`` for the one integral
+left on it, the d >= 4 kernel ``indices.eval_g_quadrature``, which no CLI kind
+reaches; ``quad`` is imported inside it, so ``scipy.integrate`` loads only
+there.  It asks for ``full_output``, so scipy returns its diagnostics instead
+of printing an ``IntegrationWarning``, and :func:`check_error` is the verdict.
 
 For the kernel-weighted integrals used by the H-functional we precompute a
 fixed exp-sinh node set on (0, inf).  The substitution rho = exp(pi/2 sinh t)
@@ -73,6 +77,9 @@ _GK21_GAUSS = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338)
 _HALFLINE_STEP, _HALFLINE_T_MAX = 0.08, 4.0     # exp-sinh nodes: step in t, over |t| <= t_max
+MAX_PANELS = 1 << 14      # panels of one fixed table
+RADIAL_FLOOR = 2.0 ** -60   # a radial table starts at or below this; its caller takes [0, eps]
+GRADED_LEVELS = 8         # halvings toward each knot of a graded table
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +108,69 @@ def gk21_panels(edges: np.ndarray):
     center = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return center + half * x, half * wk, half * wg
+
+
+def _check_panels(count, label: str) -> None:
+    if count > MAX_PANELS:
+        raise QuadratureFailure(f"{label}: the panel table needs {count:.6g} panels, "
+                                f"more than {MAX_PANELS}")
+
+
+def graded_edges(knots) -> np.ndarray:
+    """Panel edges on [knots[0], knots[-1]], graded geometrically toward every knot.
+
+    ``knots`` ascend.  Each interval between consecutive knots is halved, and
+    each half is cut at 2^-1, ..., 2^-``GRADED_LEVELS`` of its length from its
+    knot, so a kink, a jump or a peak at a knot lies on a panel edge with
+    short panels around it.  Each half is measured from its own knot, so
+    knots symmetric about 0 give edges symmetric about 0 bit for bit.
+    """
+    knots = np.asarray(knots, dtype=float)
+    a, b = knots[:-1, None], knots[1:, None]
+    mid = 0.5 * (a + b)
+    steps = 0.5 ** np.arange(GRADED_LEVELS, 0, -1)
+    rows = np.concatenate([a, a + (mid - a) * steps, mid, b - (b - mid) * steps[::-1]], axis=1)
+    return np.append(rows.ravel(), knots[-1])
+
+
+def radial_edges(top: float, width: float, label: str) -> np.ndarray:
+    """Panel edges on [eps, top], graded geometrically toward 0.
+
+    Halvings from b0 = min(width, top) down to eps = b0 2^-k, the first at or
+    below ``RADIAL_FLOOR`` (at least one), then panels at most ``width`` wide
+    from b0 to top.  Raises QuadratureFailure, before building anything, when that takes
+    more than ``MAX_PANELS`` panels.
+    """
+    top, width = float(top), float(width)
+    b0 = min(width, top)
+    levels = max(1, int(np.ceil(np.log2(b0 / RADIAL_FLOOR))))
+    wide = np.ceil((top - b0) / width)          # a float: inf for a width too small to count
+    _check_panels(levels + wide, label)
+    return np.concatenate([b0 * 0.5 ** np.arange(levels, 0, -1),
+                           np.linspace(b0, top, int(wide) + 1)])
+
+
+def integrate_panels(g, edges, *, tol: float, label: str):
+    """The Kronrod sum of ``g`` over the GK21 panels between consecutive ``edges``.
+
+    ``g`` maps the (panels, 21) node array to values of shape (..., panels,
+    21); a leading axis integrates several functions on one table, and the
+    result has that leading shape (a float for none).  The sum adds each
+    node's term to its mirror's (the table's nodes reversed), so an odd
+    integrand on a table symmetric about 0 sums to exactly 0.  Raises
+    QuadratureFailure when the table has more than ``MAX_PANELS`` panels, or
+    when a function's summed per-panel |Kronrod - Gauss| exceeds ``tol``,
+    with the largest such sum as ``achieved``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    _check_panels(edges.size - 1, label)
+    nodes, kronrod, gauss = gk21_panels(edges)
+    f = g(nodes)
+    terms = (f * kronrod).reshape(*f.shape[:-2], -1)
+    value = 0.5 * np.sum(terms + terms[..., ::-1], axis=-1)
+    err = np.abs(np.sum(f * (kronrod - gauss), axis=-1)).sum(axis=-1)
+    check_error(float(np.max(err)), label, tol)
+    return value if value.ndim else float(value)
 
 
 @lru_cache(maxsize=None)

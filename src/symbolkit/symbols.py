@@ -22,6 +22,7 @@ against the symbol) so they can be cross-checked numerically.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -264,6 +265,13 @@ def _check_ladder(t_ladder, steps_per_rung, paths_per_rung):
     return ladder
 
 
+def _check_radius(radius):
+    """A stopping radius is None (the default) or a positive finite real, not a bool."""
+    if radius is not None and (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
+                               or not 0.0 < radius < np.inf):
+        raise ValueError(f"radius must be None or a positive finite number, got {radius!r}")
+
+
 def _extrapolate(ladder, values, ses):
     """Affine least squares v(t) ~ a + b t; returns (a, se_a, residual_flags)."""
     t = np.asarray(ladder)
@@ -375,7 +383,8 @@ def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
     """Monte Carlo estimate of p(x, xi) with extrapolation to t = 0.
 
     Each rung simulates an independent ensemble stopped at the first exit
-    from B_radius(x).  ``check_radius`` reruns the ladder at twice the radius
+    from B_radius(x) (``radius``: None, the default radius, or a positive
+    finite number).  ``check_radius`` reruns the ladder at twice the radius
     with fresh seeds; the two extrapolations must agree within 3 joint SE.
     """
     _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
@@ -406,9 +415,11 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
     the extrapolation, the consistency guard and the radius check per x, xi
     and variant, in that order.  So every value is the serial run's bit for
     bit whatever ``threads`` is, and the first error a serial run meets is
-    the one raised.
+    the one raised.  ``radius`` is None (``default_radius`` at each x) or a
+    positive finite number; anything else is a ValueError.
     """
     ladder = _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
+    _check_radius(radius)
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
     xis = [np.atleast_1d(np.asarray(v, dtype=float)) for v in xis]
     groups = _mirror_groups(xis)
@@ -448,7 +459,12 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
 class TestFunction:
     """Smooth rapidly-decaying test function with closed-form Fourier transform.
 
-    Convention: hat(xi) = (2 pi)^(-d) * int e^{-i y.xi} u(y) dy.
+    Convention: hat(xi) = (2 pi)^(-d) * int e^{-i y.xi} u(y) dy.  ``u``,
+    ``grad`` and ``hess`` take a point or an array of points (``grad`` and
+    ``hess`` append their (d,) and (d, d) axes), and ``second_difference(x,
+    y)`` is u(x + y) + u(x - y) - 2 u(x) on an array y, free of the
+    cancellation the three calls suffer at small y.  ``panel_width`` is the
+    widest GK21 panel that resolves u in the jump generator's tables.
     """
 
     name: str
@@ -458,22 +474,40 @@ class TestFunction:
     hat: Callable
     hat_halfwidth: Callable     # tol -> window where |hat| >= tol inside
     spatial_scale: float
+    second_difference: Callable
+    panel_width: float
 
 
 def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
+    """u(x) = exp(-(x - center)^2 / (2 width^2)), for a finite center and width > 0."""
     m, s = float(center), float(width)
+    if not (np.isfinite(m) and 0.0 < s < np.inf):
+        raise ValueError(f"a gaussian bump needs a finite center and a finite width > 0, "
+                         f"got center {center!r} and width {width!r}")
 
     def u(x):
-        x = np.asarray(x, dtype=float).reshape(-1)[0]
-        return float(np.exp(-0.5 * ((x - m) / s) ** 2))
+        return np.exp(-0.5 * ((np.asarray(x, dtype=float) - m) / s) ** 2)
 
     def grad(x):
-        x = np.asarray(x, dtype=float).reshape(-1)[0]
-        return np.array([-(x - m) / s ** 2 * u(x)])
+        x = np.asarray(x, dtype=float)
+        return (-(x - m) / s ** 2 * u(x))[..., None]
 
     def hess(x):
-        x = np.asarray(x, dtype=float).reshape(-1)[0]
-        return np.array([[((x - m) ** 2 / s ** 4 - 1.0 / s ** 2) * u(x)]])
+        x = np.asarray(x, dtype=float)
+        return (((x - m) ** 2 / s ** 4 - 1.0 / s ** 2) * u(x))[..., None, None]
+
+    def second_difference(x, y):
+        # 2 u(x) (e^{-v^2/2} cosh(t v) - 1), t = (x - m)/s and v = y/s: where |t v| <= 1
+        # as 2 u(x) (expm1(-v^2/2) cosh(t v) + 2 sinh^2(t v / 2)), elsewhere directly
+        y = np.asarray(y, dtype=float)
+        ux, t = u(x), (x - m) / s
+        v = y / s
+        near = np.abs(t * v) <= 1.0
+        out = u(x + y) + u(x - y) - 2.0 * ux
+        tv, vn = t * v[near], v[near]
+        out[near] = 2.0 * ux * (np.expm1(-0.5 * vn * vn) * np.cosh(tv)
+                                + 2.0 * np.sinh(0.5 * tv) ** 2)
+        return out
 
     amp = s / np.sqrt(2 * np.pi)
 
@@ -485,7 +519,8 @@ def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
 
     return TestFunction(name=f"gaussian({m},{s})", u=u, grad=grad, hess=hess,
                         hat=hat, hat_halfwidth=halfwidth,
-                        spatial_scale=abs(m) + 10.0 * s)
+                        spatial_scale=abs(m) + 10.0 * s,
+                        second_difference=second_difference, panel_width=0.25 * s)
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,18 @@
 ``symbolkit.indices``) are the functions the measure methods ``image``,
 ``truncation_shift``, ``generator_term`` and ``mass_ratio`` replaced, kept
 unchanged as oracles.  The tests require the methods to reproduce them bit for
-bit, except ``mass_ratio`` of a continuous jump law (here ``quad`` misses the
-peak of a normal law) and of a stable measure (here the inner ``quad`` counts
-[0, 1e-10] twice), which are checked against mpmath instead, and
-``truncation_shift`` of a uniform law (here ``quad`` runs across the law's
-ends) and ``generator_term`` of a normal law (here ``quad`` takes only -1 and
-1 as breakpoints, not the law's own), which are checked against closed forms.
+bit where the method still takes the same arithmetic: every ``image``, the
+truncation shift of atoms, stable measures and densities, the generator term
+of atoms, and the mass of atoms and of a stable measure at alpha = 1.  The
+methods now take every other integral on a fixed GK21 panel table, not by
+``quad``, so those are checked against independent references at 1e-12
+relative instead: the mass of a continuous jump law, a stable measure with
+alpha != 1 (here the inner ``quad`` counts [0, 1e-10] twice) and a density
+against mpmath; the truncation shift of a uniform law (here ``quad`` runs
+across the law's ends) and of a normal law against closed forms; and the
+generator term of a law against closed forms, of a stable measure against its
+Fourier form in closed form (here ``quad`` raises at alpha = 1.5, x = 0), and
+of a density against 30-digit mpmath.
 The edits: a continuous law's image composes the law's characteristic
 function and maps its breakpoints, which the law did not carry before; a
 density's image is the tempered-power family at (a |phi|^alpha, alpha,

@@ -1,5 +1,4 @@
-"""The adaptive-quadrature jump exponents of a continuous law and of a density, kept as
-slow oracles.
+"""The adaptive-quadrature forms of ``symbolkit``'s jump integrals, kept as slow oracles.
 
 ``_law_exponent_adaptive`` is the function ``symbolkit.levy`` used for a
 continuous jump law before the law carried its characteristic function: two
@@ -13,11 +12,21 @@ check the closed form against mpmath everywhere else (it raises
 used for a density measure before the density became a closed-form family
 (and the fallback of the fixed-node table before that), moved here
 unchanged; the tests check the closed form against it wherever it passes.
+
+The rest are the adaptive ``integrate_checked`` forms the fixed GK21 panel
+tables replaced, moved here unchanged as free functions (``self`` is the
+law or the measure): a continuous law's small-jump mean, truncation
+integral, generator integral and mass; the stable and the density generator
+term; the density mass; and ``indices.g_identity_check``.  The tests require
+the panel tables to agree with them to 1e-9 wherever they pass their own
+tolerance; the independent references (closed forms, 30-digit mpmath, the
+Fourier generator) carry the tighter checks.  ``_compensated`` is the scalar
+integrand they called, unchanged.
 """
 
 import numpy as np
 
-from symbolkit.levy import ContinuousLaw, DensityForm
+from symbolkit.levy import ContinuousLaw, DensityForm, StableSymmetric, stable_density_coefficient
 from symbolkit.quadrature import check_error, integrate_checked
 
 _LAW_TOL = 1e-9           # the per-integral tolerance of the continuous-law oracle
@@ -92,3 +101,113 @@ def _density_exponent_adaptive(measure: DensityForm, x1: float) -> complex:
             check_error(err, "density jump integral (tail, sin)")
             im += sgn * sin_part
     return complex(re, im)
+
+
+def _compensated(u, x: float):
+    """y -> u(x + y) - u(x) - y u'(x) 1_{|y|<1}, the generator's jump integrand."""
+    gx = u.u(x)
+    gpx = float(u.grad(x)[0])
+    return lambda y: u.u(x + y) - gx - y * gpx * (abs(y) < 1.0)
+
+
+def _law_small_mean_adaptive(self: ContinuousLaw) -> float:
+    """E[Y 1_{|Y|<1}], computed once for the exponent and the sampler's compensator."""
+    lo = max(self.support[0], -1.0)
+    hi = min(self.support[1], 1.0)
+    if hi <= lo:
+        return 0.0
+    return integrate_checked(lambda y: y * self.density(y), lo, hi, tol=1e-9,
+                             points=[p for p in self.points if lo < p < hi] or None,
+                             label=f"{self.name} small-jump mean")
+
+
+def _law_truncation_integral_adaptive(self: ContinuousLaw, a: float) -> float:
+    """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law, a not 0 or 1.
+
+    Each side stops at its end of the support (quad missed the uniform(-0.7,
+    1.9) density's drop to 0 just inside [1, 1.9016] by 1.2e-3), and takes
+    the law's points inside it as breakpoints.
+    """
+    lo, hi = sorted((1.0, 1.0 / a))
+    val = 0.0
+    for sgn, end in ((1.0, self.support[1]), (-1.0, -self.support[0])):
+        top = min(hi, end)
+        if top > lo:
+            val += sgn * integrate_checked(
+                lambda y: y * self.density(sgn * y), lo, top, tol=1e-10,
+                label="indicator correction",
+                points=sorted(sgn * p for p in self.points if lo < sgn * p < top) or None)
+    return (1.0 if 1.0 / a > 1.0 else -1.0) * val
+
+
+def _law_generator_integral_adaptive(self: ContinuousLaw, g) -> float:
+    lo, hi = self.clipped_support
+    points = sorted({p for p in (*self.points, -1.0, 1.0) if lo < p < hi})
+    return integrate_checked(lambda y: g(y) * self.density(y), lo, hi, tol=1e-9,
+                             points=points, label="jump generator")
+
+
+def _law_mass_ratio_adaptive(self: ContinuousLaw) -> float:
+    lo, hi = self.clipped_support
+    return integrate_checked(lambda y: y * y / (1 + y * y) * self.density(y), lo, hi,
+                             tol=1e-9, points=self.breakpoints, label="jump mass")
+
+
+def _stable_generator_term_adaptive(self: StableSymmetric, u, x: float) -> float:
+    k = stable_density_coefficient(self.alpha, self.scale)
+    gx = u.u(x)
+    w = max(50.0, abs(x) + u.spatial_scale)
+
+    def sym(y):
+        return (u.u(x + y) + u.u(x - y) - 2.0 * gx) * y ** (-1.0 - self.alpha)
+
+    body = integrate_checked(sym, 0.0, w, tol=1e-9, points=[1e-8, 1.0],
+                             label="stable generator")
+    # beyond w the test function is numerically zero; -2 u(x) tail remains
+    tail = -2.0 * gx * w ** (-self.alpha) / self.alpha
+    return k * (body + tail)
+
+
+def _density_generator_term_adaptive(self: DensityForm, u, x: float) -> float:
+    g = _compensated(u, x)
+    total = 0.0
+    for sgn in (1.0, -1.0):
+        total += integrate_checked(
+            lambda y: g(sgn * y) * self.density(sgn * y),
+            0.0, self.window, tol=1e-9, points=[1e-8, min(1.0, self.window)],
+            label="density generator")
+    return total
+
+
+def _density_mass_ratio_adaptive(self: DensityForm) -> float:
+    # the negative side's integral repeats the positive side's bit for bit
+    return 2.0 * integrate_checked(lambda y: y * y / (1 + y * y) * self.density(y),
+                                   0.0, self.window, tol=1e-9, points=[1e-8],
+                                   label="density mass")
+
+
+def _g_identity_check_adaptive(d: int, y_grid) -> float:
+    """Max residual of int (1 - cos(y.rho)) g_d drho = |y|^2/(1+|y|^2) over the grid;
+    a y of NaN or infinite norm is a ValueError, not a residual that ``max`` drops."""
+    from scipy.special import j0, k0
+
+    worst = 0.0
+    for y in y_grid:
+        s = float(np.linalg.norm(np.atleast_1d(y)))
+        if not np.isfinite(s):
+            raise ValueError(f"|y| is not finite at y = {y!r}")
+        target = s * s / (1.0 + s * s)
+        if s == 0.0:
+            value = 0.0
+        elif d == 1:
+            value = integrate_checked(
+                lambda r: (1.0 - np.cos(s * r)) * np.exp(-r), 0.0, np.inf,
+                tol=1e-8, limit=400, label="identity d=1")
+        elif d == 2:
+            value = integrate_checked(
+                lambda r: r * k0(r) * (1.0 - j0(s * r)), 0.0, 60.0,
+                tol=1e-8, limit=400, points=[1e-8, 1.0], label="identity d=2")
+        else:
+            raise ValueError("identity check implemented for d in {1, 2}")
+        worst = max(worst, abs(value - target))
+    return worst

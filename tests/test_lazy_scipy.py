@@ -64,16 +64,20 @@ def _counting(monkeypatch):
 
 
 def test_quad_is_looked_up_at_call_time(monkeypatch):
-    measure = catalog.tempered_density_driver().levy_measure
+    # integrate_checked, and through it the d >= 4 kernel, are the one adaptive integral;
+    # the generator terms, masses and the identity check are fixed panel tables, each
+    # against an independent reference
     calls = _counting(monkeypatch)
 
     assert abs(quadrature.integrate_checked(np.exp, 0.0, 1.0) - (np.e - 1.0)) <= 1e-12
     assert len(calls) == 1
-    measure.generator_term(symbols.gaussian_bump(), 1.0)
-    assert len(calls) > 1
-    before = len(calls)
-    assert indices.g_identity_check(2, [np.array([1.0, 0.5])]) <= 1e-6
-    assert len(calls) == before + 1
+    assert indices.eval_g_quadrature(4, 1.0) > 0.0
+    assert len(calls) == 2
+    driver, u = catalog.tempered_density_driver(), symbols.gaussian_bump()
+    fourier = symbols.generator_apply_fourier(symbols.symbol_from_exponent(driver), u, 1.0)
+    assert abs(driver.levy_measure.generator_term(u, 1.0) - fourier) <= 1e-12 * abs(fourier)
+    assert indices.g_identity_check(2, [np.array([1.0, 0.5])]) <= 1e-14
+    assert len(calls) == 2
 
 
 def test_special_functions_equal_direct_scipy():

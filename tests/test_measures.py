@@ -2,12 +2,18 @@
 
 ``image``, ``truncation_shift``, ``generator_term`` and ``mass_ratio`` must
 reproduce ``tests/reference_measures.py`` bit for bit on every variant; the
-declared exceptions, the mass of a continuous jump law and of a stable
-measure with alpha != 1, are checked against mpmath, and the truncation
-shift of a uniform law and the generator term of a normal law against their
-closed forms.  A normal law narrower than the old breakpoints -1, 0 and 1
-could see has its small-jump mean, mass, generator term and truncation shift
-checked against closed forms too.
+declared exceptions are checked against independent references at 1e-12
+relative instead.  Those are the integrals now taken on fixed GK21 panel
+tables, not by ``quad``:
+- the mass of a continuous jump law, a stable measure with alpha != 1 and a
+  density: mpmath;
+- the truncation shift of a uniform and a normal law: closed forms;
+- the generator term of a law: closed forms; of a stable measure: its
+  Fourier form in closed form (Gradshteyn-Ryzhik 3.952.8); of a density:
+  30-digit mpmath.
+A normal law narrower than the old breakpoints -1, 0 and 1 could see has its
+small-jump mean, mass, generator term and truncation shift checked against
+closed forms too.
 """
 
 import mpmath
@@ -64,6 +70,66 @@ def normal_partial_mean(mean, std, lo, hi) -> float:
     m, s = mpmath.mpf(mean), mpmath.mpf(std)
     return float(m * (mpmath.ncdf(hi, m, s) - mpmath.ncdf(lo, m, s))
                  - s * s * (mpmath.npdf(hi, m, s) - mpmath.npdf(lo, m, s)))
+
+
+def uniform_generator_term(rate, low, high, center, width, x) -> float:
+    """rate E[u(x+Y) - u(x) - Y u'(x) 1_{|Y|<1}] for Y ~ U(low, high), u = gaussian_bump,
+    in 30-digit mpmath: E u(x+Y) = w sqrt(pi/2) (erf((x+high-c)/(w sqrt 2)) -
+    erf((x+low-c)/(w sqrt 2))) / (high - low)."""
+    with mpmath.workdps(30):
+        lo, hi, c, w, x = map(mpmath.mpf, (low, high, center, width, x))
+        ux = mpmath.exp(-(x - c) ** 2 / (2 * w * w))
+        mean_u = w * mpmath.sqrt(mpmath.pi / 2) * (
+            mpmath.erf((x + hi - c) / (w * mpmath.sqrt(2)))
+            - mpmath.erf((x + lo - c) / (w * mpmath.sqrt(2)))) / (hi - lo)
+        a, b = max(lo, -1), min(hi, 1)
+        small = (b * b - a * a) / (2 * (hi - lo)) if b > a else 0
+        return float(rate * (mean_u - ux + (x - c) / w ** 2 * ux * small))
+
+
+def stable_generator_term(alpha, scale, center, width, x) -> float:
+    """-int e^{i x xi} scale |xi|^alpha hat-u(xi) dxi for u = gaussian_bump(center, width).
+
+    -scale w sqrt(2/pi) int_0^inf xi^alpha e^{-a xi^2} cos(b xi) dxi, a = w^2/2,
+    b = x - c, and the integral is (1/2) a^{-(alpha+1)/2} Gamma((alpha+1)/2)
+    1F1((alpha+1)/2; 1/2; -b^2/(4a)) (Gradshteyn-Ryzhik 3.952.8); 30 digits.
+    """
+    with mpmath.workdps(30):
+        al, c, w, x = map(mpmath.mpf, (alpha, center, width, x))
+        a, b = w * w / 2, x - c
+        h = (al + 1) / 2
+        integral = a ** -h * mpmath.gamma(h) * mpmath.hyp1f1(h, 0.5, -b * b / (4 * a)) / 2
+        return float(-mpmath.mpf(scale) * w * mpmath.sqrt(2 / mpmath.pi) * integral)
+
+
+def density_generator_term(measure, center, width, x) -> float:
+    """int_0^W (u(x+y) + u(x-y) - 2 u(x)) a y^{-1-alpha} e^{-b y} dy, 30-digit mpmath.
+
+    Below d = 1e-12 the second difference is u''(x) y^2 to 1e-24 relative, so
+    that piece is u''(x) a b^{alpha-2} gamma(2 - alpha, b d) (the lower
+    incomplete gamma); above it mpmath's quad on the test function itself.
+    """
+    f = measure.family
+    with mpmath.workdps(30):
+        a, al, b, top = map(mpmath.mpf, (f.a, f.alpha, f.b, measure.window))
+        c, w, x = map(mpmath.mpf, (center, width, x))
+        u = lambda z: mpmath.exp(-(z - c) ** 2 / (2 * w * w))
+        upp = ((x - c) ** 2 / w ** 4 - 1 / w ** 2) * u(x)
+        d = mpmath.mpf("1e-12")
+        head = upp * a * b ** (al - 2) * mpmath.gammainc(2 - al, 0, b * d)
+        body = mpmath.quad(lambda y: (u(x + y) + u(x - y) - 2 * u(x)) * a * y ** (-1 - al)
+                           * mpmath.exp(-b * y),
+                           [d, mpmath.mpf("1e-6"), mpmath.mpf("1e-2"), 1, 2, 4, 8, 16, 32, top])
+        return float(head + body)
+
+
+def density_mass(measure) -> float:
+    """2 a int_0^W y^{1-alpha} e^{-b y} / (1 + y^2) dy, 30-digit mpmath."""
+    f = measure.family
+    with mpmath.workdps(30):
+        a, al, b, top = map(mpmath.mpf, (f.a, f.alpha, f.b, measure.window))
+        return float(2 * a * mpmath.quad(lambda y: y ** (1 - al) * mpmath.exp(-b * y) / (1 + y * y),
+                                         [0, 1, top]))
 
 
 def normal_generator_term(rate, mean, std, center, width, x) -> float:
@@ -136,19 +202,38 @@ def test_truncation_shift_matches_reference(name, phi):
         assert measure.truncation_shift(phi) == pytest.approx(
             uniform_truncation_shift(1.5, -0.7, 1.9, phi), abs=1e-12)
         return
+    if name == "normal" and phi not in (0.0, 1.0):
+        # the method's fixed panel table rounds apart from the reference's quad: check
+        # the closed form
+        r = 1.0 / abs(phi)
+        want = phi * 2.0 * (normal_partial_mean(0.3, 0.5, -r, r)
+                            - normal_partial_mean(0.3, 0.5, -1.0, 1.0))
+        assert measure.truncation_shift(phi) == pytest.approx(want, rel=1e-12, abs=0.0)
+        return
     assert same_bits(np.float64(measure.truncation_shift(phi)),
                      np.float64(ref._drift_indicator_correction(measure, phi)))
+
+
+# the generator terms on fixed panel tables, against independent references; the
+# reference's quad raises at stable_15, x = 0
+GENERATOR_REFERENCES = {
+    "normal": lambda x: normal_generator_term(2.0, 0.3, 0.5, 0.2, 0.8, x),
+    "uniform": lambda x: uniform_generator_term(1.5, -0.7, 1.9, 0.2, 0.8, x),
+    "stable_07": lambda x: stable_generator_term(0.7, 0.9, 0.2, 0.8, x),
+    "stable_10": lambda x: stable_generator_term(1.0, 1.0, 0.2, 0.8, x),
+    "stable_15": lambda x: stable_generator_term(1.5, 1.3, 0.2, 0.8, x),
+    "tempered": lambda x: density_generator_term(MEASURES["tempered"], 0.2, 0.8, x),
+    "exponential": lambda x: density_generator_term(MEASURES["exponential"], 0.2, 0.8, x),
+}
 
 
 @pytest.mark.parametrize("x", [0.0, 0.4, -1.3])
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_generator_term_matches_reference(name, x):
     measure, u = MEASURES[name], gaussian_bump(0.2, 0.8)
-    if name == "normal":
-        # the reference's quad takes only -1 and 1 as breakpoints, the method also the
-        # law's own: check the closed form
+    if name in GENERATOR_REFERENCES:
         assert measure.generator_term(u, x) == pytest.approx(
-            normal_generator_term(2.0, 0.3, 0.5, 0.2, 0.8, x), rel=1e-12, abs=1e-12)
+            GENERATOR_REFERENCES[name](x), rel=1e-12, abs=0.0)
         return
     assert (outcome(lambda: measure.generator_term(u, x))
             == outcome(lambda: ref._jump_generator_term(measure, u, x)))
@@ -157,8 +242,12 @@ def test_generator_term_matches_reference(name, x):
 @pytest.mark.parametrize("name", sorted(set(MEASURES) - {"normal", "uniform", "stable_07",
                                                           "stable_15"}))
 def test_mass_ratio_matches_reference(name):
-    # stable_10 included: the closed form gives the old quad value bit for bit at alpha = 1
+    # stable_10 included: the closed form gives the old quad value bit for bit at alpha = 1;
+    # a density's mass is a fixed panel table: check 30-digit mpmath
     measure = MEASURES[name]
+    if isinstance(measure, sk.DensityForm):
+        assert measure.mass_ratio() == pytest.approx(density_mass(measure), rel=1e-12, abs=0.0)
+        return
     assert same_bits(np.float64(measure.mass_ratio()), np.float64(ref._jump_mass_ratio(measure)))
 
 

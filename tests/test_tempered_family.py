@@ -217,7 +217,7 @@ def test_set_up_and_exponent_integrate_nothing(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate_checked", refuse)
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
-    monkeypatch.setattr(sk.levy, "integrate_checked", refuse)
+    monkeypatch.setattr(sk.levy, "integrate_panels", refuse)
     for name in sorted(VARIANTS):
         measure = variant(name)
         for m in (measure, measure.image(-1.7)):
