@@ -195,8 +195,11 @@ def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
 
 
 def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=False):
-    path = simulate_path(_model(model), _state(x0, "x0"), _real(horizon, "horizon"),
-                         _real(step, "step"), seed)
+    horizon, step = _real(horizon, "horizon"), _real(step, "step")
+    if step > 0 and not math.isfinite(horizon / step):
+        raise ConfigError(f"horizon {horizon!r} over step {step!r} is not a finite number "
+                          f"of steps", field="horizon")
+    path = simulate_path(_model(model), _state(x0, "x0"), horizon, step, seed)
     header = ["t"] + [f"x_{j + 1}" for j in range(path.d)]
     rows = np.column_stack((path.times, path.states)).tolist()
     results = {

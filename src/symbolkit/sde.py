@@ -52,10 +52,14 @@ as (grid time, state-space effect).  The engine keeps these invariants:
   One helper, ``_smooth_increment``, forms every step's smooth update
   (field x draws, + 0.0, the other blocks, then drift x dt): ``_advance_chunk``
   adds it in place and applies the step's jumps; a jump-free row of a dense
-  run is out[k+1] = out[k] + its increment; and in a dense run whose
-  coefficient and drift fields all declare ``lipschitz == 0.0``, ``_apply_run``
-  forms a whole run's increments in one pass and adds them up along time
-  with ``np.add.accumulate``, in the order of the per-step update, bit for bit;
+  run is out[k+1] = out[k] + its increment; and ``_apply_run`` forms a whole
+  run's increments in one pass and adds them up along time with
+  ``np.add.accumulate``, in the order of the per-step update, bit for bit,
+  when the run's fields take the same values on every step: in a dense run
+  whose coefficient and drift fields all declare ``lipschitz == 0.0``, and in
+  one without a drift field whose draws for the run are all exactly zero (a
+  pure compound-Poisson driver between its jumps), where each step adds +0.0
+  and the state stands still;
 - every step runs the overflow guard: a state norm above ``OVERFLOW_GUARD``
   raises ``SimulationOverflow``, at the same step in a summed run.
 """
@@ -552,9 +556,13 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
 
     The jumps of step k go into ``record``, if given, at grid time (k+1) dt.
     A step with jumps goes through ``_advance_chunk``; a jump-free step is
-    out[k+1] = out[k] + its smooth increment.  When every field is constant
-    (declares ``lipschitz == 0.0``), ``_apply_run`` applies each segment of
-    several jump-free steps at once.
+    out[k+1] = out[k] + its smooth increment.  ``_apply_run`` applies a
+    segment of several jump-free steps at once when every field is constant
+    (declares ``lipschitz == 0.0``), or when there is no drift field and every
+    block's draws for the segment are exactly zero, as a pure compound-Poisson
+    driver's are between its jumps: each step then adds fld(x) * 0 + 0.0,
+    which is +0.0 at a finite field value and NaN at any other, so the path
+    stands still and each field sees the same state on every step.
     """
     out = np.empty((n_steps + 1, m, x0.shape[0]))
     out[0] = x0
@@ -570,7 +578,8 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
                            inc, tmp, steps, record, dt * (k + 1))
             _check_overflow(x, None, k, n_steps)
             k += 1
-        elif constant and len(smooth[0]) > 1:
+        elif len(smooth[0]) > 1 and (constant or drift_field is None
+                                     and not any(v.any() for v in smooth)):
             _apply_run(blocks, drift_field, dt, smooth, out, k, n_steps)
             k += len(smooth[0])
         else:
@@ -583,11 +592,15 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
 
 
 def _apply_run(blocks, drift_field, dt, smooth, out, lo, n_steps):
-    """Apply the jump-free steps lo, ..., lo+r-1 of constant fields to ``out`` at once.
+    """Apply the jump-free steps lo, ..., lo+r-1 to ``out`` at once.
 
-    ``smooth`` holds each block's (r, m, n) draws of these steps.  Each field
-    is evaluated on one row per (step, path), all at the state out[lo]; the
-    increments are formed by ``_smooth_increment`` into out[lo+1:lo+r+1], and
+    ``_step_dense`` calls it for constant fields, and for all-zero draws
+    without a drift field, where the states stand still.  ``smooth`` holds
+    each block's (r, m, n) draws of these steps.  Each field is evaluated on
+    one row per (step, path), all at the state out[lo], except that a -0.0
+    there is +0.0 from the second step on, as the per-step update leaves it
+    (a field may be finite at one and not at the other); the increments are
+    formed by ``_smooth_increment`` into out[lo+1:lo+r+1], and
     ``np.add.accumulate`` adds them up along time, in the order of the
     per-step ``x += inc``, so the states are the per-step ones bit for bit.
     The overflow guard then runs on the first state it could reject, so
@@ -596,7 +609,10 @@ def _apply_run(blocks, drift_field, dt, smooth, out, lo, n_steps):
     r, (m, d) = len(smooth[0]), out.shape[1:]
     seg = out[lo:lo + r + 1]
     inc = seg[1:].reshape(r * m, d)             # a view: out is C-contiguous
-    rows = np.broadcast_to(seg[0], (r, m, d)).reshape(r * m, d)
+    rows = np.broadcast_to(seg[0], (r, m, d))
+    if (np.signbit(seg[0]) & (seg[0] == 0.0)).any():
+        rows = np.concatenate([seg[:1], np.broadcast_to(seg[0] + 0.0, (r - 1, m, d))])
+    rows = rows.reshape(r * m, d)
     _smooth_increment(rows, blocks, drift_field, dt,
                       [v.reshape(r * m, v.shape[2]) for v in smooth], inc, None)
     with np.errstate(over="ignore", invalid="ignore"):

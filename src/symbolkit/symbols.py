@@ -320,11 +320,6 @@ def _values_for_pm_xi(terminal, x, xi, t, minus: bool):
     return out
 
 
-def _values_for_xi(terminal, x, xi, t):
-    """-(e^{i (X_t - x).xi} - 1) / t per path: row 0 of ``_values_for_pm_xi``."""
-    return _values_for_pm_xi(terminal, x, xi, t, False)[0]
-
-
 def _rung_stat(values, t, n_steps, exited) -> RungStat:
     m = values.shape[0]
     mean = complex(values.mean())

@@ -202,6 +202,18 @@ class TestMainExitCodes:
         assert err["exit_code"] == 4
         assert not (tmp_path / "out" / "results.json").exists()
 
+    def test_infinite_step_count_exit_2(self, tmp_path, capfd, monkeypatch):
+        # 1e308 / 1e-3 is inf: a config error naming horizon, raised before the run
+        monkeypatch.setattr(cli, "simulate_path", lambda *a: pytest.fail("the run started"))
+        cfg = {"model": {"name": "cp_tanh"}, "horizon": 1e308, "step": 1e-3}
+        assert main_with_config("simulate", cfg, tmp_path) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+        assert (err["error"], err["field"], err["message"]) == (
+            "ConfigError", "horizon",
+            "horizon 1e+308 over step 0.001 is not a finite number of steps")
+        assert not (tmp_path / "out" / "results.json").exists()
+
     def test_dense_overflow_exit_3(self, tmp_path):
         # the dense ensembles behind variation run the overflow guard every step; a
         # state beyond 1e154 still reports a finite norm, without a numpy warning

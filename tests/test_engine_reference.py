@@ -544,3 +544,126 @@ def test_jump_free_paths_build_no_step_samples_beyond_the_draws(name, monkeypatc
     assert len(path.times) == 10_001 and not path.jumps
     assert drawn == [BLOCK_ROWS, BLOCK_ROWS, 10_000 - 2 * BLOCK_ROWS]
     assert len(built) == len(drawn)
+
+
+# --------------------------------------------------------------------------
+# zero draws without a drift field: a pure compound-Poisson path stands still
+# between its jumps, and its jump-free runs are applied as one sum
+
+
+def _signed_zero_field():
+    """1 at -0.0 and below, inf at +0.0 and above: finite at x0 = -0.0 but not
+    at the +0.0 that the first step leaves there."""
+    return CoefficientField(batch_fn=lambda xs: np.where(np.signbit(xs), 1.0, np.inf)[:, :, None],
+                            d=1, n=1, bound=np.inf, lipschitz=np.inf, bounded=False)
+
+
+_INF_AT_ZERO = CoefficientField(batch_fn=lambda xs: np.where(xs == 0.0, np.inf, 1.0)[:, :, None],
+                                d=1, n=1, bound=np.inf, lipschitz=np.inf, bounded=False)
+# name -> (model, x0); every jump-free run of these draws only zeros
+ZERO_DRAW_CASES = {
+    "cp_tanh": lambda: (catalog.cp_tanh(), 0.3),
+    "cp_tanh_negative_zero": lambda: (catalog.cp_tanh(), -0.0),
+    "feller": lambda: (_model(catalog.poisson_unit(), co.negative_identity()), 5.0),
+    "feller_negative_zero": lambda: (_model(catalog.poisson_unit(), co.negative_identity()),
+                                     -0.0),
+    "tempered_bump": lambda: (_model(catalog.tempered_density_driver(), co.bump(0.5, 1.0)),
+                              0.1),
+    "tempered_bump_negative_zero": lambda: (_model(catalog.tempered_density_driver(),
+                                                   co.bump(0.5, 1.0)), -0.0),
+    # a field value of inf at x0: inf * 0 is NaN, and the path is NaN from step 1 on
+    "inf_at_x0": lambda: (_model(catalog.compound_poisson_pm1(rate=2.0), _INF_AT_ZERO), 0.0),
+    "inf_after_negative_zero": lambda: (_model(catalog.compound_poisson_pm1(rate=2.0),
+                                               _signed_zero_field()), -0.0),
+}
+# draws that are not all zero, or a drift field: these runs still go one step at a time
+STEPPED_CASES = {
+    "normal_law_mean": lambda: (_model(LevyTriplet([0.0], [[0.0]], FiniteActivity(
+        2.0, normal_law(0.2, 0.6))), _TANH), 0.1),
+    "driver_drift": lambda: (_model(LevyTriplet([0.3], [[0.0]], FiniteActivity(
+        2.0, AtomLaw.of([(1.0, 0.5), (-1.0, 0.5)]))), _TANH), 0.1),
+    "drift_field": lambda: (_model(catalog.compound_poisson_pm1(rate=2.0), _TANH,
+                                   co.sine(0.0, 0.5)), 0.1),
+}
+
+
+def _count_runs(monkeypatch):
+    runs = []
+    apply_run = sk.sde._apply_run
+
+    def counted(*args):
+        runs.append(len(args[3][0]))        # the run's length in steps
+        return apply_run(*args)
+
+    monkeypatch.setattr(sk.sde, "_apply_run", counted)
+    return runs
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DRAW_CASES))
+def test_zero_draw_path_matches_reference_step(case, monkeypatch):
+    model, x0 = ZERO_DRAW_CASES[case]()
+    runs = _count_runs(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        got = sk.simulate_path(model, x0, 2.0, 1e-3, 5)
+        want = _reference_states(*_blocks(model), x0, 2.0, 1e-3, 5)
+    assert _same_bits(got.states, want)
+    assert sum(runs) > 1000 and min(runs) > 1
+    if case.startswith("inf"):
+        assert np.isnan(want[2:]).all()
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DRAW_CASES))
+def test_zero_draw_dense_matches_reference(case, monkeypatch):
+    # 16 paths at a step of 1e-4: the look-ahead sees K = 256 steps of cp_tanh and 12
+    # of the tempered driver, whose activity is about 50
+    model, x0 = ZERO_DRAW_CASES[case]()
+    blocks, drift = _blocks(model)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    runs = _count_runs(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        got = simulate_paths_dense(blocks, drift, x0, 0.05, 500, 16, 5, base_key=(3, 2))
+        want = ref.simulate_paths_dense(blocks, drift, x0, 0.05, 500, 16, 5, base_key=(3, 2))
+    assert _same_bits(got, want)
+    assert runs and min(runs) > 1
+
+
+@pytest.mark.parametrize("x0", [2e12, -2e12])
+def test_zero_draw_overflow_matches_reference(x0):
+    model = catalog.cp_tanh()
+    with pytest.raises(sk.SimulationOverflow) as err:
+        sk.simulate_path(model, x0, 1.0, 1e-3, 1)
+    with pytest.raises(sk.SimulationOverflow) as want:
+        _reference_states(model.blocks(), None, x0, 1.0, 1e-3, 1)
+    assert str(err.value) == str(want.value)
+    assert "at step 1 of 1000" in str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(STEPPED_CASES))
+def test_nonzero_draws_or_drift_field_step_one_at_a_time(case, monkeypatch):
+    model, x0 = STEPPED_CASES[case]()
+    runs = _count_runs(monkeypatch)
+    got = sk.simulate_path(model, x0, 2.0, 1e-3, 5)
+    want = _reference_states(*_blocks(model), x0, 2.0, 1e-3, 5)
+    assert _same_bits(got.states, want)
+    assert runs == []
+
+
+def test_zero_draw_path_makes_one_increment_call_per_run(monkeypatch):
+    segments, calls = [], []
+    step_samples, increment = sk.sde._step_samples, sk.sde._smooth_increment
+
+    def counted_segments(*args):
+        for seg in step_samples(*args):
+            segments.append(len(seg[0][0]))
+            yield seg
+
+    def counted_increment(*args):
+        calls.append(len(args[0]))          # the number of state rows
+        return increment(*args)
+
+    monkeypatch.setattr(sk.sde, "_step_samples", counted_segments)
+    monkeypatch.setattr(sk.sde, "_smooth_increment", counted_increment)
+    path = sk.simulate_path(catalog.cp_tanh(), 0.0, 10.0, 1e-3, 11)
+    assert len(path.times) == 10_001 and path.jumps
+    assert sum(segments) == 10_000 and len(calls) == len(segments) < 100
+    assert calls == segments                # one call per run, on a row per step

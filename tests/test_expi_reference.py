@@ -2,8 +2,8 @@
 
 The old formulas stay here as the slow oracles: ``np.exp(1j * phase)``, the
 atom-by-atom exponent loop, the three-part sum of ``eval_exponent_many`` and
-the MC values of ``_values_for_xi``.  Equality is on the int64 view, so signed
-zeros count.
+the MC values at +xi alone of ``_values_for_pm_xi``.  Equality is on the
+int64 view, so signed zeros count.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import symbolkit as sk
 from symbolkit import catalog, levy
 from symbolkit.levy import (CHUNK_ROWS, AtomLaw, FiniteActivity, LevyTriplet,
                             StableSymmetric, ZeroMeasure, eval_exponent_many, expi)
-from symbolkit.symbols import _values_for_xi
+from symbolkit.symbols import _values_for_pm_xi
 
 
 def assert_same_bits(got, want):
@@ -190,7 +190,7 @@ def test_values_for_xi_bit_for_bit(t):
                                x + np.array([[5e-324], [-5e-324], [1e8], [-1e8]])])
     for xi in ([-3.0], [-0.0], [0.0], [1.5], [1e-8], [1e3]):
         xi = np.array(xi)
-        assert_same_bits(_values_for_xi(terminal, x, xi, t),
+        assert_same_bits(_values_for_pm_xi(terminal, x, xi, t, False)[0],
                          old_values_for_xi(terminal, x, xi, t))
 
 
@@ -198,7 +198,7 @@ def test_values_for_xi_negative_zero_phase():
     # terminals equal to x and a negative xi: every product in the phase is -0.0
     x = np.array([1.0])
     terminal = np.full((16, 1), 1.0)
-    got = _values_for_xi(terminal, x, np.array([-2.0]), 0.01)
+    got = _values_for_pm_xi(terminal, x, np.array([-2.0]), 0.01, False)[0]
     assert_same_bits(got, old_values_for_xi(terminal, x, np.array([-2.0]), 0.01))
 
 
@@ -208,7 +208,7 @@ def test_values_for_xi_planar_bit_for_bit():
     terminal = np.concatenate([x + rng.normal(size=(CHUNK_ROWS + 9, 2)), np.repeat(x[None], 4, 0)])
     for xi in ([1.0, -2.0], [-0.0, 0.0], [3.0, 3.0]):
         xi = np.array(xi)
-        assert_same_bits(_values_for_xi(terminal, x, xi, 0.02),
+        assert_same_bits(_values_for_pm_xi(terminal, x, xi, 0.02, False)[0],
                          old_values_for_xi(terminal, x, xi, 0.02))
 
 

@@ -1,7 +1,7 @@
 """d = 1 phases as elementwise products against the matmul forms they replaced, bit for bit.
 
 ``AtomLaw.exponent_many`` forms a d = 1 phase as xi * y, and
-``symbols._values_for_xi`` as (X_t - x) * xi.  The matmul forms xi @ y and
+``symbols._values_for_pm_xi`` as (X_t - x) * xi.  The matmul forms xi @ y and
 (X_t - x) @ xi, kept here as oracles, start their sum from +0.0: they differ
 from the products only where the phase is zero, +0 against -0, and every use
 of the phase removes that sign.  Equality is on the int64 view, so signed
@@ -15,7 +15,7 @@ from symbolkit import catalog, symbols
 from symbolkit import coefficients as co
 from symbolkit.levy import CHUNK_ROWS, AtomLaw, FiniteActivity, LevyTriplet, expi
 from symbolkit.sde import SdeModel
-from symbolkit.symbols import _values_for_xi, symbol_of_model
+from symbolkit.symbols import _values_for_pm_xi, symbol_of_model
 
 TINY = np.finfo(float).tiny
 SIGNED_EDGES = np.array([0.0, 5e-324, 1e-320, TINY / 2.0, TINY, 1e-8, 0.3, 1.0, 3.0, 1e3, 1e8])
@@ -64,7 +64,7 @@ def matmul_atom_exponent(self, rate, xi):
 
 
 def matmul_values(terminal, x, xi, t):
-    """``_values_for_xi`` with the phase (X_t - x) @ xi in every dimension."""
+    """``_values_for_pm_xi`` at +xi alone, with the phase (X_t - x) @ xi in every dimension."""
     e = expi((terminal - x) @ xi)
     e -= 1.0
     np.negative(e, out=e)
@@ -148,7 +148,8 @@ def test_values_for_xi_d1_is_the_matmul_form(t):
     terminal = _terminals(x, 1)
     for xi in (0.0, -0.0, 5e-324, -5e-324, 1.0, -3.0, 1e-8, 1e3, -1e8):
         xi = np.array([xi])
-        assert_same_bits(_values_for_xi(terminal, x, xi, t), matmul_values(terminal, x, xi, t))
+        assert_same_bits(_values_for_pm_xi(terminal, x, xi, t, False)[0],
+                         matmul_values(terminal, x, xi, t))
 
 
 def _seen_phases(monkeypatch):
@@ -167,7 +168,7 @@ def test_values_for_xi_phase_is_elementwise_in_d1(monkeypatch):
     seen = _seen_phases(monkeypatch)
     x, xi = np.array([1.0]), np.array([-2.0])
     terminal = np.full((6, 1), 1.0)
-    got = _values_for_xi(terminal, x, xi, 0.01)
+    got = _values_for_pm_xi(terminal, x, xi, 0.01, False)[0]
     assert np.signbit(seen[0]).all()
     assert not np.signbit((terminal - x) @ xi).any()
     assert_same_bits(got, matmul_values(terminal, x, xi, 0.01))
@@ -178,7 +179,7 @@ def test_values_for_xi_d2_goes_through_matmul(xi, monkeypatch):
     seen = _seen_phases(monkeypatch)
     x, xi = np.array([0.5, -1.0]), np.array(xi)
     terminal = _terminals(x, 2)
-    got = _values_for_xi(terminal, x, xi, 0.02)
+    got = _values_for_pm_xi(terminal, x, xi, 0.02, False)[0]
     phase = np.concatenate(seen)
     assert_same_bits(phase, (terminal - x) @ xi)
     assert not np.signbit(phase[:5]).any()      # the matmul sum of two -0 products is +0
