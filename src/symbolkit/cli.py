@@ -39,7 +39,7 @@ from .catalog import (feller_demo_model, resolve_driver, resolve_model,
 from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
 from .indices import (build_index_report, g_identity_check,
                       index_transfer_check, symbol_bound_diagnostic)
-from .pathstats import growth_experiment, variation_experiment
+from .pathstats import growth_experiment, variation_experiment, variation_work_error
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
 from .symbols import (DEFAULT_LADDER, frozen_triplet, gaussian_bump,
@@ -106,10 +106,23 @@ def _rows(records, header) -> list:
     return [[rec[key] for key in header] for rec in records]
 
 
+_CSV_BLOCK = 2048       # rows formatted at once
+
+
 def _write_csv(path: Path, header, rows):
+    """Write the header and the rows, a list of lists or a 2-d float array.
+
+    The rows are formatted ``_CSV_BLOCK`` at a time, an array's as the
+    Python floats of ``tolist``, so a long path is never held as text or as
+    lists whole.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo:lo + _CSV_BLOCK]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in block))
 
 
 def _config_hash(config: dict) -> str:
@@ -121,7 +134,8 @@ def _config_hash(config: dict) -> str:
 # kind handlers: (seed, threads, /, **config) -> (results, csv_header, csv_rows, extra),
 # extra being None or a writer of further files.  A handler's keyword-only parameters
 # are its kind's config keys, with their defaults.  The CSV rows are _rows(records,
-# header) of the kind's one record list, unless its columns are not record keys.
+# header) of the kind's one record list, unless its columns are not record keys;
+# simulate hands over its (n+1, 1+d) array of times and states.
 
 
 def _grid(vals, key: str) -> list:
@@ -201,7 +215,7 @@ def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=Fal
                           f"of steps", field="horizon")
     path = simulate_path(_model(model), _state(x0, "x0"), horizon, step, seed)
     header = ["t"] + [f"x_{j + 1}" for j in range(path.d)]
-    rows = np.column_stack((path.times, path.states)).tolist()
+    rows = np.column_stack((path.times, path.states))
     results = {
         "terminal": path.states[-1].tolist(),
         "n_steps": int(len(path.times) - 1),
@@ -339,11 +353,14 @@ def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_m
 
 def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horizon=1.0,
                     x0=0.0):
+    model, gammas = _model(model), _reals(gammas, "gammas")
+    levels = [_whole(k, "level", "levels", 0) for k in _grid(levels, "levels")]
+    trials = _whole(trials, "trials", "trials", 1)
+    bad = variation_work_error(levels, trials)
+    if bad is not None:
+        raise ConfigError(f"variation: {bad[1]}", field=bad[0])
     records = [vars(r) for r in variation_experiment(
-        _model(model),
-        _reals(gammas, "gammas"),
-        [_whole(k, "level", "levels", 0) for k in _grid(levels, "levels")],
-        _whole(trials, "trials", "trials", 1), seed, horizon=_real(horizon, "horizon"),
+        model, gammas, levels, trials, seed, horizon=_real(horizon, "horizon"),
         x0=_state(x0, "x0"))]
     header = ["gamma", "level", "median", "q25", "q75"]
     return {"rows": records}, header, _rows(records, header), None

@@ -34,6 +34,10 @@ levels.  That is deliberately not the subpartition supremum: the refining
 sums are the statistic with a known limit (for a Brownian path they settle at
 the quadratic variation T at gamma = 2, diverge like n^{1-gamma/2} below and
 vanish above), which is what the finiteness-threshold diagnostic reads off.
+No level's dense path is held whole: the states reach the sums a window of
+``sde.DENSE_WINDOW`` steps at a time, so memory is O(window x trials), plus
+O(2^level) for a single trial, whose step norms numpy sums pairwise.  A run
+above level 32 or 2^32 path-steps is refused before anything is simulated.
 """
 
 from __future__ import annotations
@@ -188,6 +192,71 @@ class VariationRow:
     q75: float
 
 
+MAX_LEVEL = 32                  # 2^32 steps per path
+MAX_PATH_STEPS = 1 << 32        # trials x the sum of 2^level over the levels
+
+
+def variation_work_error(levels: Sequence[int], trials: int):
+    """(key, message) when a variation run exceeds the work bound, else None.
+
+    The bound: no level above ``MAX_LEVEL``, and at most ``MAX_PATH_STEPS``
+    path-steps, trials x the sum of 2^level over the levels.  The key is
+    ``levels`` when the levels alone exceed it, else ``trials``.  Nothing
+    is simulated, and no power of two is formed past ``MAX_LEVEL``.
+    """
+    if max(levels, default=0) > MAX_LEVEL:
+        return "levels", f"a level is above {MAX_LEVEL}"
+    per_trial = sum(2 ** int(k) for k in levels)
+    if trials * per_trial > MAX_PATH_STEPS:
+        key = "levels" if per_trial > MAX_PATH_STEPS else "trials"
+        return key, (f"the trials times {per_trial} steps per trial exceed "
+                     f"{MAX_PATH_STEPS} path-steps")
+    return None
+
+
+class _PowerSums:
+    """Per-trial sums of |increment|^gamma of a dense run, fed one window of states at a time.
+
+    The increments and their norms round as ``np.linalg.norm(np.diff(states,
+    axis=0), axis=2)`` does (over a length-1 axis ``norm`` is sqrt(x*x)).
+    With two or more trials each gamma's sum carries on across windows as one
+    axis-0 ``np.add.reduce`` of the running sums stacked on the window's
+    powers: numpy adds the rows of a C-contiguous (n, trials >= 2) array one
+    after another, so this is the whole-path ``np.sum(steps ** gamma,
+    axis=0)`` bit for bit.  numpy sums an (n, 1) column pairwise instead, so
+    one trial keeps its n step norms and sums them once, in ``values``.
+    """
+
+    def __init__(self, gammas, n_steps, trials):
+        self.gammas = gammas
+        self.steps = np.empty((n_steps, 1)) if trials == 1 else None
+        self.filled = 0
+        self.sums = [None] * len(gammas)
+
+    def __call__(self, states):
+        inc = np.subtract(states[1:], states[:-1])
+        if inc.shape[2] == 1:
+            np.multiply(inc, inc, out=inc)
+            steps = np.sqrt(inc, out=inc)[:, :, 0]
+        else:
+            steps = np.linalg.norm(inc, axis=2)
+        if self.steps is not None:
+            self.steps[self.filled:self.filled + len(steps)] = steps
+            self.filled += len(steps)
+            return
+        for g, gamma in enumerate(self.gammas):
+            power = steps ** gamma
+            if self.sums[g] is not None:
+                power = np.concatenate((self.sums[g][None], power))
+            self.sums[g] = np.add.reduce(power, axis=0)
+
+    def values(self) -> list:
+        """Each gamma's (trials,) sums."""
+        if self.steps is None:
+            return self.sums
+        return [np.sum(self.steps ** gamma, axis=0) for gamma in self.gammas]
+
+
 def variation_experiment(model: SdeModel, gammas: Sequence[float],
                          levels: Sequence[int], trials: int, seed: int, *,
                          horizon: float = 1.0, x0=0.0) -> list:
@@ -195,23 +264,29 @@ def variation_experiment(model: SdeModel, gammas: Sequence[float],
 
     Emits per (gamma, level) the median and quartiles over trial paths; the
     trend across levels separates the finite-variation regime from the
-    divergent one.  Raises ValueError unless every gamma is positive and finite.
+    divergent one.  The paths are never held whole: each level's states
+    reach ``_PowerSums`` a window of ``sde.DENSE_WINDOW`` steps at a time, so
+    memory is O(window x trials), plus O(2^level) for a single trial.
+    Raises ValueError unless every gamma is positive and finite, and when
+    the run exceeds the work bound of ``variation_work_error``.
     """
     for gamma in gammas:
         if not 0.0 < float(gamma) < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    bad = variation_work_error(levels, trials)
+    if bad is not None:
+        raise ValueError(bad[1])
+    gammas = [float(gamma) for gamma in gammas]
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     rows = []
     for k in sorted(int(k) for k in levels):
         n = 2 ** k
-        dense = simulate_paths_dense(model.blocks(), model.drift_coefficient,
-                                     np.atleast_1d(np.asarray(x0, dtype=float)),
-                                     horizon, n, trials, seed,
-                                     base_key=(TAG_EXPERIMENT, 0, k))
-        steps = np.linalg.norm(np.diff(dense, axis=0), axis=2)   # (n, trials)
-        for gamma in gammas:
-            vals = np.sum(steps ** float(gamma), axis=0)
+        sums = _PowerSums(gammas, n, trials)
+        simulate_paths_dense(model.blocks(), model.drift_coefficient, x0, horizon, n, trials,
+                             seed, base_key=(TAG_EXPERIMENT, 0, k), sink=sums)
+        for gamma, vals in zip(gammas, sums.values()):
             q25, med, q75 = np.percentile(vals, [25, 50, 75])
-            rows.append(VariationRow(gamma=float(gamma), level=k, n_points=n + 1,
+            rows.append(VariationRow(gamma=gamma, level=k, n_points=n + 1,
                                      median=float(med), q25=float(q25), q75=float(q75)))
     return rows
 

@@ -18,9 +18,11 @@ There is one stepping rule, on arrays of paths: the step's smooth update
 (``_smooth_increment``) is added to the states, then its jumps are applied
 (``_advance_chunk`` does both).  ``simulate_ensemble`` runs it on chunks of
 paths, through ``ordered_map``, the package's one worker pool, and keeps
-only the terminal states; ``simulate_paths_dense`` keeps every state; ``simulate_path``
-and ``simulate_multi`` are a one-path dense run that also records each jump
-as (grid time, state-space effect).  The engine keeps these invariants:
+only the terminal states; ``simulate_paths_dense`` keeps every state, or
+hands them to a sink a window of ``DENSE_WINDOW`` steps at a time;
+``simulate_path`` and ``simulate_multi`` are a one-path dense run that also
+records each jump as (grid time, state-space effect).  The engine keeps
+these invariants:
 
 - the chunk's state array is updated in place, with no per-step copy;
 - a path that has left the stop ball is frozen: later steps still draw its
@@ -66,6 +68,7 @@ as (grid time, state-space effect).  The engine keeps these invariants:
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +89,7 @@ OVERFLOW_GUARD = 1e12
 DEFAULT_CHUNK = 16384
 BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BLOCK_ROWS
 MIN_LOOK_AHEAD = 3          # a count look-ahead over fewer steps costs more than it saves
+DENSE_WINDOW = 1024         # steps of states a dense run with a sink holds at once
 
 
 @dataclass
@@ -158,6 +162,8 @@ def _simulate_one(blocks, drift_field, x0, horizon, step, seed):
         raise ValueError(f"step must be positive, got {step}")
     if horizon < step:
         raise ValueError(f"horizon {horizon} shorter than one step {step}")
+    if not math.isfinite(float(horizon) / float(step)):
+        raise ValueError(f"horizon {horizon} over step {step} is not a finite number of steps")
     d = blocks[0][0].d
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
@@ -551,8 +557,8 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
                           running_max=records, record_steps=record_steps)
 
 
-def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
-    """All states of m paths from x0: array (n_steps+1, m, d).
+def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None, sink=None):
+    """All states of m paths from x0: array (n_steps+1, m, d), or windows of it to ``sink``.
 
     The jumps of step k go into ``record``, if given, at grid time (k+1) dt.
     A step with jumps goes through ``_advance_chunk``; a jump-free step is
@@ -563,52 +569,73 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None):
     driver's are between its jumps: each step then adds fld(x) * 0 + 0.0,
     which is +0.0 at a finite field value and NaN at any other, so the path
     stands still and each field sees the same state on every step.
+
+    With a ``sink``, only a window of ``DENSE_WINDOW`` steps is held: when it
+    is full, and once more after the last step, ``sink`` receives the
+    (w+1, m, d) states of the window, whose first row is the last state of
+    the window before (x0 for the first), and the last state is carried over
+    as the next window's first row.  A segment that runs past the end of a
+    window is applied in pieces, each piece as the whole segment would be.
+    The windows are views of one buffer, valid only during the call, and
+    ``_step_dense`` returns None.
     """
-    out = np.empty((n_steps + 1, m, x0.shape[0]))
+    held = n_steps if sink is None else min(n_steps, DENSE_WINDOW)
+    out = np.empty((held + 1, m, x0.shape[0]))
     out[0] = x0
     inc, tmp = np.empty_like(out[0]), np.empty_like(out[0])
     fields = [fld for fld, _ in blocks] + ([] if drift_field is None else [drift_field])
     constant = all(fld.lipschitz == 0.0 for fld in fields)
     k = 0                           # the first step not yet applied
+    i = 0                           # its row in out, less one
     for smooth, steps in _step_samples(blocks, dt, n_steps, m, rngs):
-        if steps is not None:
-            x = out[k + 1]
-            x[...] = out[k]
-            _advance_chunk(x, None, blocks, drift_field, dt, [s.smooth for s in steps],
-                           inc, tmp, steps, record, dt * (k + 1))
-            _check_overflow(x, None, k, n_steps)
-            k += 1
-        elif len(smooth[0]) > 1 and (constant or drift_field is None
-                                     and not any(v.any() for v in smooth)):
-            _apply_run(blocks, drift_field, dt, smooth, out, k, n_steps)
-            k += len(smooth[0])
-        else:
-            for rows in zip(*smooth):
-                _smooth_increment(out[k], blocks, drift_field, dt, rows, inc, tmp)
-                np.add(out[k], inc, out=out[k + 1])
-                _check_overflow(out[k + 1], None, k, n_steps)
-                k += 1
-    return out
+        run = len(smooth[0]) > 1 and (constant or drift_field is None
+                                      and not any(v.any() for v in smooth))
+        lo = 0                      # the first step of the segment not yet applied
+        while lo < len(smooth[0]):
+            if i == held:           # the window is full: hand it on, keep its last state
+                sink(out)
+                out[0] = out[held]
+                i = 0
+            r = min(len(smooth[0]) - lo, held - i)
+            if steps is not None:
+                x = out[i + 1]
+                x[...] = out[i]
+                _advance_chunk(x, None, blocks, drift_field, dt, [s.smooth for s in steps],
+                               inc, tmp, steps, record, dt * (k + 1))
+                _check_overflow(x, None, k, n_steps)
+            elif run and r > 1:
+                _apply_run(blocks, drift_field, dt, [v[lo:lo + r] for v in smooth],
+                           out[i:i + r + 1], k, n_steps)
+            else:
+                for j, rows in enumerate(zip(*(v[lo:lo + r] for v in smooth))):
+                    _smooth_increment(out[i + j], blocks, drift_field, dt, rows, inc, tmp)
+                    np.add(out[i + j], inc, out=out[i + j + 1])
+                    _check_overflow(out[i + j + 1], None, k + j, n_steps)
+            lo, i, k = lo + r, i + r, k + r
+    if sink is None:
+        return out
+    sink(out[:i + 1])
+    return None
 
 
-def _apply_run(blocks, drift_field, dt, smooth, out, lo, n_steps):
-    """Apply the jump-free steps lo, ..., lo+r-1 to ``out`` at once.
+def _apply_run(blocks, drift_field, dt, smooth, seg, lo, n_steps):
+    """Apply the jump-free steps lo, ..., lo+r-1 to the states ``seg`` at once.
 
     ``_step_dense`` calls it for constant fields, and for all-zero draws
     without a drift field, where the states stand still.  ``smooth`` holds
-    each block's (r, m, n) draws of these steps.  Each field is evaluated on
-    one row per (step, path), all at the state out[lo], except that a -0.0
-    there is +0.0 from the second step on, as the per-step update leaves it
-    (a field may be finite at one and not at the other); the increments are
-    formed by ``_smooth_increment`` into out[lo+1:lo+r+1], and
-    ``np.add.accumulate`` adds them up along time, in the order of the
+    each block's (r, m, n) draws of these steps, and ``seg`` is the (r+1, m, d)
+    view of the dense states whose first row is the state before step lo.
+    Each field is evaluated on one row per (step, path), all at the state
+    seg[0], except that a -0.0 there is +0.0 from the second step on, as the
+    per-step update leaves it (a field may be finite at one and not at the
+    other); the increments are formed by ``_smooth_increment`` into seg[1:],
+    and ``np.add.accumulate`` adds them up along time, in the order of the
     per-step ``x += inc``, so the states are the per-step ones bit for bit.
     The overflow guard then runs on the first state it could reject, so
     ``SimulationOverflow`` names the same step.
     """
-    r, (m, d) = len(smooth[0]), out.shape[1:]
-    seg = out[lo:lo + r + 1]
-    inc = seg[1:].reshape(r * m, d)             # a view: out is C-contiguous
+    r, (m, d) = len(smooth[0]), seg.shape[1:]
+    inc = seg[1:].reshape(r * m, d)             # a view: seg is C-contiguous
     rows = np.broadcast_to(seg[0], (r, m, d))
     if (np.signbit(seg[0]) & (seg[0] == 0.0)).any():
         rows = np.concatenate([seg[:1], np.broadcast_to(seg[0] + 0.0, (r - 1, m, d))])
@@ -624,16 +651,20 @@ def _apply_run(blocks, drift_field, dt, smooth, out, lo, n_steps):
 
 
 def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,
-                         n_paths: int, seed: int, *, base_key=(TAG_ENSEMBLE,)) -> np.ndarray:
+                         n_paths: int, seed: int, *, base_key=(TAG_ENSEMBLE,),
+                         sink=None) -> Optional[np.ndarray]:
     """All intermediate states for a modest ensemble: array (n_steps+1, M, d).
 
+    With a ``sink``, the same states go to it instead, in overlapping windows
+    of ``DENSE_WINDOW`` steps (see ``_step_dense``), and None is returned.
     Raises ValueError unless ``n_steps`` and ``n_paths`` are >= 1, and
     SimulationOverflow when a state norm exceeds ``OVERFLOW_GUARD``.
     """
     _check_sizes(n_steps, n_paths)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     rngs = [rng_at(seed, *base_key, 0, j) for j in range(len(blocks))]
-    return _step_dense(blocks, drift_field, x0, horizon / n_steps, n_steps, n_paths, rngs)
+    return _step_dense(blocks, drift_field, x0, horizon / n_steps, n_steps, n_paths, rngs,
+                       sink=sink)
 
 
 # --------------------------------------------------------------------------

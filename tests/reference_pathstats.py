@@ -1,16 +1,21 @@
-"""The straightforward gamma-variation routines, kept as oracles for ``symbolkit.pathstats``.
+"""The straightforward path-statistic routines, kept as oracles for ``symbolkit.pathstats``.
 
 ``turning_points`` is the one-index-at-a-time scan, and ``gamma_variation`` the
 O(k^2) dynamic program that evaluates every earlier turning point as a
 predecessor, one numpy row per point.  Both are unchanged except for their
 names; ``gamma_variation`` calls this module's ``turning_points``.  The tests
 require the pruned, blocked program to reproduce their values and partitions
-bit for bit.
+bit for bit.  ``variation_experiment`` is the whole-path form: it simulates
+each level's dense (2^level + 1, trials, d) states at once and sums the
+powers of their increments in one ``np.sum``; the streamed one must give its
+rows bit for bit.
 """
 
 import numpy as np
 
-from symbolkit.pathstats import VariationResult
+from symbolkit.pathstats import VariationResult, VariationRow
+from symbolkit.sde import simulate_paths_dense
+from symbolkit.seeding import TAG_EXPERIMENT
 
 
 def turning_points(v: np.ndarray) -> np.ndarray:
@@ -66,3 +71,24 @@ def gamma_variation(values, gamma: float) -> VariationResult:
     chain.reverse()
     return VariationResult(gamma=gamma, value=float(best[-1]), grid_size=m,
                            partition=idx[np.asarray(chain, dtype=np.int64)])
+
+
+def variation_experiment(model, gammas, levels, trials, seed, *, horizon=1.0, x0=0.0):
+    """Finest-grid sum of |increments|^gamma across dyadic levels, on whole dense paths."""
+    for gamma in gammas:
+        if not 0.0 < float(gamma) < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    rows = []
+    for k in sorted(int(k) for k in levels):
+        n = 2 ** k
+        dense = simulate_paths_dense(model.blocks(), model.drift_coefficient,
+                                     np.atleast_1d(np.asarray(x0, dtype=float)),
+                                     horizon, n, trials, seed,
+                                     base_key=(TAG_EXPERIMENT, 0, k))
+        steps = np.linalg.norm(np.diff(dense, axis=0), axis=2)   # (n, trials)
+        for gamma in gammas:
+            vals = np.sum(steps ** float(gamma), axis=0)
+            q25, med, q75 = np.percentile(vals, [25, 50, 75])
+            rows.append(VariationRow(gamma=float(gamma), level=k, n_points=n + 1,
+                                     median=float(med), q25=float(q25), q75=float(q75)))
+    return rows
