@@ -39,7 +39,8 @@ from .catalog import (feller_demo_model, resolve_driver, resolve_model,
 from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
 from .indices import (build_index_report, g_identity_check,
                       index_transfer_check, symbol_bound_diagnostic)
-from .pathstats import growth_experiment, variation_experiment, variation_work_error
+from .pathstats import (growth_experiment, growth_lambda_error, variation_experiment,
+                        variation_work_error)
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
 from .symbols import (DEFAULT_LADDER, frozen_triplet, gaussian_bump,
@@ -178,6 +179,16 @@ def _whole(value, what: str, key: str, least: int) -> int:
     return int(value)
 
 
+def _ensemble_size(paths: int, steps: int, paths_key: str, steps_key: str) -> None:
+    """A ConfigError when one ensemble of ``paths`` x ``steps`` exceeds
+    ``sde.MAX_PATH_STEPS`` path-steps, naming ``steps_key`` when the steps alone
+    do, else ``paths_key``; checked before anything is simulated."""
+    if paths * steps > sde.MAX_PATH_STEPS:
+        raise ConfigError(f"{paths_key} x {steps_key} exceeds {sde.MAX_PATH_STEPS} "
+                          f"path-steps in one ensemble",
+                          field=steps_key if steps > sde.MAX_PATH_STEPS else paths_key)
+
+
 def _ref(spec, key: str) -> dict:
     """Inline JSON object or a path to a JSON file holding one."""
     if isinstance(spec, str):
@@ -196,10 +207,12 @@ def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=
     """symbol_mc_table's keywords from the estimator block."""
     if R is not None and not _real(R, "R") > 0:
         raise ConfigError(f"R must be positive, got {R!r}", field="R")
+    paths = _whole(paths, "paths", "paths", 1000)
+    steps_per_rung = _whole(steps_per_rung, "steps_per_rung", "steps_per_rung", 2)
+    _ensemble_size(paths, steps_per_rung, "paths", "steps_per_rung")
     return {"t_ladder": tuple(_reals(t_ladder, "t_ladder")),
-            "paths_per_rung": _whole(paths, "paths", "paths", 1000), "radius": R,
-            "steps_per_rung": _whole(steps_per_rung, "steps_per_rung", "steps_per_rung", 2),
-            "check_radius": check_radius}
+            "paths_per_rung": paths, "radius": R,
+            "steps_per_rung": steps_per_rung, "check_radius": check_radius}
 
 
 def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
@@ -368,12 +381,17 @@ def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horiz
 
 def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large=(),
                  paths=2000, steps_per_run=256):
-    profile = growth_experiment(
-        _model(model), _real(x, "x"), _reals(lambdas, "lambdas"),
-        [_real(v, "t_small") for v in t_small], [_real(v, "t_large") for v in t_large],
-        _whole(paths, "paths", "paths", 1), seed,
-        steps_per_run=_whole(steps_per_run, "steps_per_run", "steps_per_run", 1),
-        threads=threads)
+    model, x, lambdas = _model(model), _real(x, "x"), _reals(lambdas, "lambdas")
+    t_small = [_real(v, "t_small") for v in t_small]
+    t_large = [_real(v, "t_large") for v in t_large]
+    paths = _whole(paths, "paths", "paths", 1)
+    steps_per_run = _whole(steps_per_run, "steps_per_run", "steps_per_run", 1)
+    bad = growth_lambda_error(lambdas, t_small + t_large)
+    if bad is not None:
+        raise ConfigError(f"growth: {bad}", field="lambdas")
+    _ensemble_size(paths, steps_per_run, "paths", "steps_per_run")
+    profile = growth_experiment(model, x, lambdas, t_small, t_large, paths, seed,
+                                steps_per_run=steps_per_run, threads=threads)
     records = [{"window": r.window, "t": r.t, "lambda": r.lam,
                 "median_max": r.median_max, "scaled": r.scaled} for r in profile.rows]
     header = ["window", "t", "lambda", "median_max", "scaled"]
@@ -450,9 +468,10 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
 
 def _kind_feller_demo(seed, threads, /, *, t0=math.log(2.0), trials=100_000, x0=5.0,
                       steps=16):
-    report = feller_demo(_real(t0, "t0"), _whole(trials, "trials", "trials", 1), seed,
-                         x0=_real(x0, "x0"),
-                         steps=_whole(steps, "steps", "steps", 1), threads=threads)
+    t0, trials = _real(t0, "t0"), _whole(trials, "trials", "trials", 1)
+    x0, steps = _real(x0, "x0"), _whole(steps, "steps", "steps", 1)
+    _ensemble_size(trials, steps, "trials", "steps")
+    report = feller_demo(t0, trials, seed, x0=x0, steps=steps, threads=threads)
     header = ["t0", "trials", "frequency", "ci_low", "ci_high", "expected"]
     return report, header, _rows([report], header), None
 

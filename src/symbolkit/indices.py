@@ -5,14 +5,14 @@ The kernel
     g_d(rho) = 1/2 int_0^inf (2 pi lam)^{-d/2} e^{-|rho|^2/(2 lam)} e^{-lam/2} dlam
 
 satisfies |y|^2/(1+|y|^2) = int (1 - cos(y.rho)) g_d(rho) drho and has moments
-of every order.  In one dimension the lambda integral collapses to
-g_1(rho) = e^{-|rho|}/2 (Gaussian-integral identity), in two to
-K_0(|rho|)/(2 pi); the generic lambda quadrature, the one adaptive ``quad``
-integral left in the package, is kept as the oracle the closed forms are
-checked against and as the d >= 4 kernel.  :func:`g_identity_check` checks the
-identity on a fixed GK21 panel table.  ``scipy.special``'s ``k0`` and ``j0``
-are imported inside :func:`eval_g` and :func:`g_identity_check`, so they load
-at the first d = 2 kernel value or identity check.
+of every order.  The lambda integral is a Bessel integral (Gradshteyn-Ryzhik
+3.471.9, DLMF 10.32.10): g_d(rho) = (2 pi)^{-d/2} r^{1-d/2} K_{d/2-1}(r) with
+r = |rho|, which is e^{-r}/2 for d = 1, K_0(r)/(2 pi) for d = 2 and
+e^{-r}/(4 pi r) for d = 3; :func:`eval_g` takes it in closed form for every
+d.  :func:`g_identity_check` checks the identity on a fixed GK21 panel table.
+``scipy.special``'s ``k0``, ``kv`` and ``j0`` are imported inside
+:func:`eval_g` and :func:`g_identity_check`, so they load at the first
+kernel value for d >= 2 or identity check.
 
 The upper functional
 
@@ -40,6 +40,7 @@ and beta^x_inf take maxima, which repeats do not change.  H's edge term
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -47,10 +48,9 @@ import numpy as np
 
 from .errors import BijectivityViolation, DegenerateSymbol, DimensionMismatch, QuadratureFailure
 from .levy import LevyTriplet, kappa_from_c0, sector_constant
-from .quadrature import halfline_nodes, integrate_checked, integrate_panels, radial_edges
+from .quadrature import halfline_nodes, integrate_panels, radial_edges
 from .symbols import SymbolField, solution_symbol, symbol_from_exponent
 
-_LAMBDA_CUT = 60.0   # e^{-lam/2} tail beyond this is < 1e-13
 _G_REACH, _G_CYCLE = 40.0, 4.0   # identity check: r cut (e^{-r}, K_0(r) < 1e-17), width * max |y|
 _G_BATCH = 1 << 20      # identity check: values per batch of |y|
 _BETA_INF_ETA_MIN, _BETA_INF_PER_DECADE, _BETA_INF_STATES = 10.0, 8, 21   # eta grid, ball
@@ -63,32 +63,15 @@ _BOUND_STATES, _BOUND_FREQS = 21, 81    # bound diagnostic: states in the box, x
 # kernel
 
 
-def eval_g_quadrature(d: int, rho: float) -> float:
-    """Oracle evaluation of g_d by adaptive lambda quadrature.
-
-    Substituting lam = u^2 removes the lam^{-d/2} endpoint singularity, so the
-    adaptive rule sees a smooth integrand (the Gaussian factor kills u = 0
-    whenever rho > 0).
-    """
-    r = float(abs(rho))
-    if r == 0.0 and d >= 2:
-        raise ValueError(f"g_{d}(0) diverges for d >= 2")
-    u_cut = np.sqrt(_LAMBDA_CUT) + 4.0
-
-    def integrand(u):
-        if u == 0.0:
-            return 0.0 if (r > 0 or d > 1) else 2.0 * (2 * np.pi) ** -0.5
-        lam = u * u
-        return 2.0 * u * (2 * np.pi * lam) ** (-d / 2) * np.exp(-r * r / (2 * lam) - lam / 2)
-
-    hint = min(max(np.sqrt(r), 1e-3), u_cut / 2)
-    return 0.5 * integrate_checked(integrand, 0.0, u_cut, tol=1e-10,
-                                   points=[hint, min(r + 1e-6, u_cut / 2)],
-                                   label=f"g_{d}({r})")
-
-
 def eval_g(d: int, rho) -> float:
-    """Kernel g_d at rho; closed forms for d in {1, 2, 3}, quadrature otherwise."""
+    """Kernel g_d at rho: (2 pi)^{-d/2} r^{1-d/2} K_{d/2-1}(r) with r = |rho|.
+
+    Elementary for d = 1 and 3, K_0 for d = 2, ``scipy.special.kv`` beyond.
+    Raises ValueError unless ``d`` is an integer of at least 1 (a bool is
+    not), and at rho = 0 for d >= 2, where g_d diverges.
+    """
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"d must be an integer of at least 1, got {d!r}")
     r = float(np.linalg.norm(np.atleast_1d(rho)))
     if r == 0.0:
         if d == 1:
@@ -102,7 +85,9 @@ def eval_g(d: int, rho) -> float:
         return float(k0(r)) / (2 * np.pi)
     if d == 3:
         return np.exp(-r) / (4 * np.pi * r)
-    return eval_g_quadrature(d, r)
+    from scipy.special import kv
+
+    return float((2 * np.pi) ** (-d / 2) * r ** (1 - d / 2) * kv(d / 2 - 1, r))
 
 
 def g_identity_check(d: int, y_grid) -> float:

@@ -26,8 +26,8 @@ integrand's leading term in closed form: u''(x) y^2 for the generator, and
 y^{1-alpha} for the mass, which at alpha = 1.9 still holds 0.16 of it there.
 The generator integrand of an even measure is the second difference
 u(x + y) + u(x - y) - 2 u(x) of the test function, taken free of cancellation
-(``TestFunction.second_difference``).  So no integral imports
-``scipy.integrate``; scipy's ``gamma`` is imported inside
+(``TestFunction.second_difference``).  So no integral is adaptive; scipy's
+``gamma`` is imported inside
 :func:`stable_density_coefficient`, so ``scipy.special`` loads at the first
 stable-density coefficient.
 

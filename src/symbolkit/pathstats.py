@@ -42,12 +42,13 @@ above level 32 or 2^32 path-steps is refused before anything is simulated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .sde import SdeModel, simulate_ensemble, simulate_paths_dense
+from .sde import MAX_PATH_STEPS, SdeModel, simulate_ensemble, simulate_paths_dense
 from .seeding import TAG_EXPERIMENT
 
 
@@ -193,7 +194,6 @@ class VariationRow:
 
 
 MAX_LEVEL = 32                  # 2^32 steps per path
-MAX_PATH_STEPS = 1 << 32        # trials x the sum of 2^level over the levels
 
 
 def variation_work_error(levels: Sequence[int], trials: int):
@@ -306,6 +306,26 @@ class GrowthProfile:
     trends: dict              # (window, lam) -> {"slope": ..., "toward_zero": bool}
 
 
+def growth_lambda_error(lambdas: Sequence[float], times: Sequence[float]):
+    """Why the scalings t^{-1/lambda} cannot be formed, else None.
+
+    Every lambda must be positive, and t^{-1/lambda} finite at every positive
+    t of ``times`` (a tiny lambda overflows it for t < 1).  Nothing is
+    simulated.
+    """
+    for lam in lambdas:
+        if not lam > 0:
+            return f"lambda {lam!r} is not positive"
+        for t in (float(t) for t in times if t > 0):
+            try:
+                finite = math.isfinite(t ** (-1.0 / lam))
+            except OverflowError:
+                finite = False
+            if not finite:
+                return f"t^(-1/lambda) overflows at t = {t!r}, lambda = {lam!r}"
+    return None
+
+
 def growth_experiment(model: SdeModel, x, lambdas: Sequence[float],
                       t_small: Sequence[float], t_large: Sequence[float],
                       paths: int, seed: int, *, steps_per_run: int = 256,
@@ -315,8 +335,13 @@ def growth_experiment(model: SdeModel, x, lambdas: Sequence[float],
     The corollary-style statements are emitted as trends: for the small
     window ``toward_zero`` means the scaled median shrinks as t decreases
     (positive log-log slope); for the large window, as t grows (negative
-    slope).  Nothing is asserted here; callers read the tendencies.
+    slope).  Nothing is asserted here; callers read the tendencies.  Raises
+    ValueError, before any simulation, when ``growth_lambda_error`` finds a
+    lambda whose scalings cannot be formed.
     """
+    bad = growth_lambda_error(lambdas, [*t_small, *t_large])
+    if bad is not None:
+        raise ValueError(bad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows = []
     medians = {}

@@ -1,23 +1,19 @@
 """Thin quadrature layer.
 
-Every integral ``symbolkit`` takes over a jump measure or in the kernel
-identity is one call to :func:`integrate_panels`: the 21-point Gauss-Kronrod
-rule with its embedded 10-point Gauss rule (QUADPACK's qk21, Piessens et al.,
-1983, :func:`gk21_rule`) laid on a fixed table of panels (:func:`gk21_panels`),
-one batched evaluation of a vectorised integrand over all nodes.  The Kronrod
-sum is the value, and the summed per-panel |Kronrod - Gauss| is its error
-estimate: past the tolerance it raises
-:class:`~symbolkit.errors.QuadratureFailure` with that estimate as
-``achieved``, and so does a table of more than ``MAX_PANELS`` panels.  The
-tables are graded geometrically: :func:`graded_edges` toward every knot of an
+Every integral ``symbolkit`` takes over a jump measure, in the kernel identity
+and in the Fourier form of the generator is one call to :func:`integrate_panels`:
+the 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule
+(QUADPACK's qk21, Piessens et al., 1983, :func:`gk21_rule`) laid on a fixed
+table of panels (:func:`gk21_panels`), one batched evaluation of a vectorised
+integrand over all nodes.  The Kronrod sum is the value, and the summed
+per-panel |Kronrod - Gauss| is its error estimate: past the tolerance (or
+NaN) it raises :class:`~symbolkit.errors.QuadratureFailure` with that
+estimate as ``achieved``, and so does a table of more than ``MAX_PANELS``
+panels, with ``achieved`` None.  The tables are graded geometrically: :func:`graded_edges` toward every knot of an
 interval (a law's support ends and breakpoints), :func:`radial_edges` toward 0
-(a measure singular there, whose caller takes [0, eps] in closed form).
-
-:func:`integrate_checked` wraps scipy's adaptive ``quad`` for the one integral
-left on it, the d >= 4 kernel ``indices.eval_g_quadrature``, which no CLI kind
-reaches; ``quad`` is imported inside it, so ``scipy.integrate`` loads only
-there.  It asks for ``full_output``, so scipy returns its diagnostics instead
-of printing an ``IntegrationWarning``, and :func:`check_error` is the verdict.
+(a measure singular there, whose caller takes [0, eps] in closed form; the
+Fourier generator mirrors it about 0).  No integral is adaptive, and scipy's
+integration package is never imported.
 
 For the kernel-weighted integrals used by the H-functional we precompute a
 fixed exp-sinh node set on (0, inf).  The substitution rho = exp(pi/2 sinh t)
@@ -36,24 +32,13 @@ from .errors import QuadratureFailure
 
 
 def check_error(err: float, label: str, tol: float = 1e-8) -> None:
-    """Raise QuadratureFailure when the error estimate ``err`` exceeds ``tol``."""
-    if err > tol:
+    """Raise QuadratureFailure unless the error estimate ``err`` is at most ``tol``
+    (so a NaN estimate fails too)."""
+    if not err <= tol:
         raise QuadratureFailure(
             f"{label}: error estimate {err:.3e} exceeds tolerance {tol:.1e}",
             achieved=err,
         )
-
-
-def integrate_checked(f, a, b, *, tol=1e-9, points=None, limit=200, label="integral"):
-    """Adaptive quadrature of ``f`` over (a, b); raise if the error estimate exceeds ``tol``."""
-    from scipy.integrate import quad
-
-    kwargs = {"limit": limit, "epsabs": min(tol * 1e-2, 1e-10), "epsrel": 1e-11}
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        kwargs["points"] = points
-    value, err = quad(f, a, b, full_output=1, **kwargs)[:2]
-    check_error(err, label, tol)
-    return value
 
 
 # Nonnegative half of the 21-point Kronrod nodes on [-1, 1], descending to 0,
@@ -159,8 +144,8 @@ def integrate_panels(g, edges, *, tol: float, label: str):
     node's term to its mirror's (the table's nodes reversed), so an odd
     integrand on a table symmetric about 0 sums to exactly 0.  Raises
     QuadratureFailure when the table has more than ``MAX_PANELS`` panels, or
-    when a function's summed per-panel |Kronrod - Gauss| exceeds ``tol``,
-    with the largest such sum as ``achieved``.
+    when a function's summed per-panel |Kronrod - Gauss| exceeds ``tol`` or
+    is NaN, with the largest such sum (NaN if any is) as ``achieved``.
     """
     edges = np.asarray(edges, dtype=float)
     _check_panels(edges.size - 1, label)

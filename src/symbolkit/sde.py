@@ -90,6 +90,7 @@ DEFAULT_CHUNK = 16384
 BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BLOCK_ROWS
 MIN_LOOK_AHEAD = 3          # a count look-ahead over fewer steps costs more than it saves
 DENSE_WINDOW = 1024         # steps of states a dense run with a sink holds at once
+MAX_PATH_STEPS = 1 << 32    # paths x steps of one ensemble, and of one variation run
 
 
 @dataclass
@@ -481,6 +482,8 @@ def _check_sizes(n_steps, n_paths, chunk_size=1):
     for name, value in (("n_steps", n_steps), ("n_paths", n_paths), ("chunk_size", chunk_size)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if int(n_steps) * int(n_paths) > MAX_PATH_STEPS:
+        raise ValueError(f"n_paths x n_steps exceeds {MAX_PATH_STEPS} path-steps")
 
 
 def ordered_map(fn: Callable, tasks: Iterable, threads: int = 1):
@@ -523,7 +526,8 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     ``rng_at(seed, *base_key, c, j)``, one per block j, and the chunks are
     run through ``ordered_map``, so the result depends only on (seed,
     base_key), not on ``threads``.  Raises ValueError unless ``n_steps``,
-    ``n_paths`` and ``chunk_size`` are >= 1.
+    ``n_paths`` and ``chunk_size`` are >= 1 and ``n_paths`` x ``n_steps`` is
+    at most ``MAX_PATH_STEPS``.
     """
     _check_sizes(n_steps, n_paths, chunk_size)
     d = blocks[0][0].d
@@ -657,8 +661,9 @@ def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,
 
     With a ``sink``, the same states go to it instead, in overlapping windows
     of ``DENSE_WINDOW`` steps (see ``_step_dense``), and None is returned.
-    Raises ValueError unless ``n_steps`` and ``n_paths`` are >= 1, and
-    SimulationOverflow when a state norm exceeds ``OVERFLOW_GUARD``.
+    Raises ValueError unless ``n_steps`` and ``n_paths`` are >= 1 and their
+    product is at most ``MAX_PATH_STEPS``, and SimulationOverflow when a
+    state norm exceeds ``OVERFLOW_GUARD``.
     """
     _check_sizes(n_steps, n_paths)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))

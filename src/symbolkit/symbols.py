@@ -32,7 +32,7 @@ import numpy as np
 from .coefficients import CoefficientField
 from .errors import DimensionMismatch, NonConvergence, QuadratureFailure
 from .levy import CHUNK_ROWS, LevyTriplet, expi, row_dot
-from .quadrature import check_error, gk21_panels
+from .quadrature import integrate_panels, radial_edges
 from .sde import SdeModel, ordered_map, simulate_ensemble
 from .seeding import TAG_SYMBOL_MC
 
@@ -558,36 +558,22 @@ def generator_apply_integro(triplet: LevyTriplet, u: TestFunction, x) -> float:
     return val
 
 
-_FOURIER_LEVELS = 40      # geometric panels toward xi = 0, where p may be like |xi|^alpha
-_FOURIER_WIDTHS = (0.5, 0.125, 0.03125)   # widest panel: first table, then for p oscillating in xi
-_FOURIER_MAX_WIDE = 4096  # wide panels per side in one table
 _FOURIER_WINDOW_TOL = 1e-14   # the window is where |hat-u| >= this
 _FOURIER_IMAG_TOL = 1e-8      # largest imaginary residual, relative to max(1, |A u(x)|)
-
-
-def _fourier_panels(half: float, width: float):
-    """GK21 panels on [-half, half]: geometric toward 0 from min(width, half)
-    over ``_FOURIER_LEVELS`` halvings, at most ``width`` wide beyond; None when
-    that takes more than ``_FOURIER_MAX_WIDE`` wide panels per side."""
-    b0 = min(width, half)
-    wide = int(np.ceil((half - b0) / width))
-    if wide > _FOURIER_MAX_WIDE:
-        return None
-    right = np.concatenate([[0.0], b0 * 0.5 ** np.arange(_FOURIER_LEVELS, 0, -1),
-                            np.linspace(b0, half, wide + 1)])
-    return gk21_panels(np.concatenate([-right[:0:-1], right]))
 
 
 def generator_apply_fourier(p: SymbolField, u: TestFunction, x) -> float:
     """A u(x) = - int e^{i x xi} p(x, xi) hat-u(xi) d xi, one-dimensional.
 
-    Integrates over the window where |hat-u| >= ``_FOURIER_WINDOW_TOL`` on a
-    fixed table of GK21 panels (see ``_fourier_panels``): one symbol call at
-    the state x over all nodes, and the real and imaginary parts from the
-    same Kronrod sum.  The per-panel |Kronrod - Gauss| sums, for the real and
-    the imaginary part, are the error estimates checked against 1e-9; a table
-    that misses it is retried with narrower panels (``_FOURIER_WIDTHS``), as
-    a symbol with jumps far from 0 oscillates in xi.  The imaginary residual
+    Integrates over the window where |hat-u| >= ``_FOURIER_WINDOW_TOL`` with
+    one :func:`~symbolkit.quadrature.integrate_panels` call on a fixed table:
+    ``radial_edges`` on [0, half], graded toward xi = 0 (where p may be like
+    |xi|^alpha) with panels at most 0.5 wide beyond, mirrored about 0.  The
+    symbol is called once per table at the state x over all nodes, and the
+    real and imaginary parts are each checked against 1e-9.  A table that
+    misses it is retried with panels a quarter as wide, as a symbol with
+    jumps far from 0 oscillates in xi, until the table would exceed
+    ``MAX_PANELS``; then the last miss is raised.  The imaginary residual
     must stay below ``_FOURIER_IMAG_TOL`` * scale.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -601,26 +587,24 @@ def generator_apply_fourier(p: SymbolField, u: TestFunction, x) -> float:
     if not 0.0 < half < np.inf:
         raise QuadratureFailure(f"window half-width {half} is not a positive number")
 
-    value = None
-    for width in _FOURIER_WIDTHS:
-        table = _fourier_panels(half, width)
-        if table is None:
-            break
-        nodes, kronrod, gauss = table
+    def integrand(nodes):
         grid = (1, nodes.size, 1)
-        f = p.many(np.broadcast_to(x, grid), nodes.reshape(grid)).reshape(nodes.shape) * expi(x0 * nodes)
-        f *= u.hat(nodes)
-        value = np.sum(kronrod * f)
-        diff = np.sum((kronrod - gauss) * f, axis=1)
-        errs = float(np.abs(diff.real).sum()), float(np.abs(diff.imag).sum())
-        if max(errs) <= 1e-9:
+        f = p.many(np.broadcast_to(x, grid), nodes.reshape(grid)).reshape(nodes.shape) * (
+            expi(x0 * nodes) * u.hat(nodes))
+        return np.stack([f.real, f.imag])
+
+    width, missed = 0.5, None
+    while True:
+        try:
+            right = radial_edges(half, width, "fourier generator")
+            value = integrate_panels(integrand, np.concatenate([-right[::-1], [0.0], right]),
+                                     tol=1e-9, label="fourier generator")
             break
-    if value is None:
-        raise QuadratureFailure(f"window half-width {half:.6g} needs more than "
-                                f"{_FOURIER_MAX_WIDE} panels per side")
-    check_error(errs[0], "fourier generator (re)", tol=1e-9)
-    check_error(errs[1], "fourier generator (im)", tol=1e-9)
-    re, im = float(value.real), float(value.imag)
+        except QuadratureFailure as exc:
+            if exc.achieved is None:
+                raise missed or exc
+            width, missed = 0.25 * width, exc
+    re, im = float(value[0]), float(value[1])
     scale = max(1.0, abs(re))
     if abs(im) > _FOURIER_IMAG_TOL * scale:
         raise QuadratureFailure(f"imaginary residual {im:.3e} exceeds "

@@ -9,8 +9,9 @@ for its docstring.  The tests require the fixed-panel form in
 
 import numpy as np
 
+from reference_quadrature import integrate_checked
+
 from symbolkit.errors import DimensionMismatch, QuadratureFailure
-from symbolkit.quadrature import integrate_checked
 from symbolkit.symbols import SymbolField, TestFunction
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from symbolkit.levy import (AtomLaw, ContinuousLaw, DensityForm, FiniteActivity,
                             StableSymmetric, TemperedPower, ZeroMeasure,
                             stable_density_coefficient)
-from symbolkit.quadrature import integrate_checked
+from reference_quadrature import integrate_checked
 
 
 def _image_measure(measure, phi: float):

@@ -22,12 +22,55 @@ the panel tables to agree with them to 1e-9 wherever they pass their own
 tolerance; the independent references (closed forms, 30-digit mpmath, the
 Fourier generator) carry the tighter checks.  ``_compensated`` is the scalar
 integrand they called, unchanged.
+
+``integrate_checked`` is the adaptive ``quad`` wrapper all of these call, and
+``eval_g_quadrature`` the lambda-quadrature kernel g_d that ``indices.eval_g``
+used for d >= 4 before the Bessel closed form; both moved here from
+``symbolkit`` unchanged.
 """
 
 import numpy as np
 
 from symbolkit.levy import ContinuousLaw, DensityForm, StableSymmetric, stable_density_coefficient
-from symbolkit.quadrature import check_error, integrate_checked
+from symbolkit.quadrature import check_error
+
+_LAMBDA_CUT = 60.0   # e^{-lam/2} tail beyond this is < 1e-13
+
+
+def integrate_checked(f, a, b, *, tol=1e-9, points=None, limit=200, label="integral"):
+    """Adaptive quadrature of ``f`` over (a, b); raise if the error estimate exceeds ``tol``."""
+    from scipy.integrate import quad
+
+    kwargs = {"limit": limit, "epsabs": min(tol * 1e-2, 1e-10), "epsrel": 1e-11}
+    if points is not None and np.isfinite(a) and np.isfinite(b):
+        kwargs["points"] = points
+    value, err = quad(f, a, b, full_output=1, **kwargs)[:2]
+    check_error(err, label, tol)
+    return value
+
+
+def eval_g_quadrature(d: int, rho: float) -> float:
+    """Oracle evaluation of g_d by adaptive lambda quadrature.
+
+    Substituting lam = u^2 removes the lam^{-d/2} endpoint singularity, so the
+    adaptive rule sees a smooth integrand (the Gaussian factor kills u = 0
+    whenever rho > 0).
+    """
+    r = float(abs(rho))
+    if r == 0.0 and d >= 2:
+        raise ValueError(f"g_{d}(0) diverges for d >= 2")
+    u_cut = np.sqrt(_LAMBDA_CUT) + 4.0
+
+    def integrand(u):
+        if u == 0.0:
+            return 0.0 if (r > 0 or d > 1) else 2.0 * (2 * np.pi) ** -0.5
+        lam = u * u
+        return 2.0 * u * (2 * np.pi * lam) ** (-d / 2) * np.exp(-r * r / (2 * lam) - lam / 2)
+
+    hint = min(max(np.sqrt(r), 1e-3), u_cut / 2)
+    return 0.5 * integrate_checked(integrand, 0.0, u_cut, tol=1e-10,
+                                   points=[hint, min(r + 1e-6, u_cut / 2)],
+                                   label=f"g_{d}({r})")
 
 _LAW_TOL = 1e-9           # the per-integral tolerance of the continuous-law oracle
 _NEAR_SPLIT = 1e-8        # the density oracle integrates below this in y, above in log y

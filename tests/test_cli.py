@@ -360,19 +360,29 @@ def test_every_kind_writes_strict_json(kind, tmp_path):
     assert (tmp_path / "results.csv").read_text().splitlines()[0] == STRICT_HEADERS[kind]
 
 
+def _far_atoms(position):
+    return {"model": {"coefficient": {"name": "constant"},
+                      "driver": {"drift": [0.0], "levy_measure": {
+                          "kind": "atoms", "rate": 1.0,
+                          "atoms": [[position, 0.5], [-position, 0.5]]}}},
+            "x_grid": [0.0]}
+
+
 def test_quadrature_failure_writes_achieved_error(tmp_path):
-    # known failure: jumps at +-1000 make the symbol oscillate faster in xi than the
-    # narrowest Fourier panel table resolves
-    cfg = {"model": {"coefficient": {"name": "constant"},
-                     "driver": {"drift": [0.0], "levy_measure": {
-                         "kind": "atoms", "rate": 1.0,
-                         "atoms": [[1000.0, 0.5], [-1000.0, 0.5]]}}},
-           "x_grid": [0.0]}
-    assert main_with_config("generator-check", cfg, tmp_path) == 3
+    # known failure: jumps at +-1e5 make the symbol oscillate faster in xi than the
+    # narrowest Fourier panel table within MAX_PANELS resolves
+    assert main_with_config("generator-check", _far_atoms(1e5), tmp_path) == 3
     err = json.loads((tmp_path / "out" / "error.json").read_text(),
                      parse_constant=_reject_constant)
     assert err["error"] == "QuadratureFailure"
-    assert err["achieved"] == pytest.approx(1.37e-2, rel=0.1)
+    assert err["achieved"] == pytest.approx(0.10, rel=0.1)
+
+
+def test_far_atoms_agree_on_narrower_panels(tmp_path):
+    # jumps at +-1000: the Fourier form's retry tables resolve the oscillation in xi
+    assert main_with_config("generator-check", _far_atoms(1000.0), tmp_path) == 0
+    results = json.loads((tmp_path / "out" / "results.json").read_text())["results"]
+    assert results["all_agree"] is True
 
 
 def test_nonconvergence_writes_diagnostics(tmp_path, capsys):

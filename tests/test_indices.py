@@ -1,5 +1,6 @@
 """Kernel, maximal-symbol functionals, indices, and the boundedness lemma."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as G
@@ -7,12 +8,13 @@ from scipy.special import gamma as G
 import symbolkit as sk
 from symbolkit import catalog, coefficients as co
 from symbolkit.catalog import default_stable_like_alpha
-from symbolkit.indices import (eval_g_quadrature, index_transfer_check,
-                               symbol_bound_diagnostic, symbol_sector_constant)
+from symbolkit.indices import (index_transfer_check, symbol_bound_diagnostic,
+                               symbol_sector_constant)
 from symbolkit.levy import kappa_from_c0
-from symbolkit.quadrature import integrate_checked
 from symbolkit.symbols import (mixed_power_symbol, power_law_symbol, stable_like_symbol,
                                symbol_of_model)
+
+from reference_quadrature import eval_g_quadrature, integrate_checked
 
 
 class TestKernel:
@@ -34,6 +36,22 @@ class TestKernel:
     def test_closed_form_vs_quadrature_d3(self):
         for rho in np.geomspace(0.05, 10.0, 8):
             assert sk.eval_g(3, rho) == pytest.approx(eval_g_quadrature(3, rho), abs=1e-9)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_closed_form_vs_mpmath_besselk(self, d):
+        # g_d(r) = (2 pi)^{-d/2} r^{1-d/2} K_{d/2-1}(r) (DLMF 10.32.10), at 30 digits
+        half = mpmath.mpf(d) / 2
+        with mpmath.workdps(30):
+            for r in np.geomspace(1e-3, 30.0, 41):
+                rm = mpmath.mpf(float(r))
+                want = (2 * mpmath.pi) ** -half * rm ** (1 - half) * mpmath.besselk(half - 1, rm)
+                got = sk.eval_g(d, r)
+                assert abs(got - want) <= 2e-15 * abs(want), (d, r, got)
+
+    @pytest.mark.parametrize("d", [0, 2.5, True, -1, 1.0])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            sk.eval_g(d, 1.0)
 
     def test_total_mass_d1(self):
         total = 2 * integrate_checked(lambda r: sk.eval_g(1, r), 0.0, np.inf, tol=1e-9)

@@ -1,4 +1,4 @@
-"""scipy loads at the first integral or special function, and quad is looked up per call."""
+"""scipy.special loads at the first special function, and scipy.integrate never loads."""
 
 import json
 import os
@@ -7,11 +7,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 import symbolkit
-from symbolkit import catalog, indices, levy, quadrature, symbols
+from symbolkit import indices, levy
 
 SRC = Path(symbolkit.__file__).resolve().parent.parent
 
@@ -51,33 +50,39 @@ def test_runs_that_integrate_nothing_load_no_scipy_submodule():
     assert report == {"loaded": [], "tempered": "tempered", "after": []}
 
 
-def _counting(monkeypatch):
-    calls = []
-    real = scipy.integrate.quad
-
-    def quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "quad", quad)
-    return calls
-
-
-def test_quad_is_looked_up_at_call_time(monkeypatch):
-    # integrate_checked, and through it the d >= 4 kernel, are the one adaptive integral;
-    # the generator terms, masses and the identity check are fixed panel tables, each
-    # against an independent reference
-    calls = _counting(monkeypatch)
-
-    assert abs(quadrature.integrate_checked(np.exp, 0.0, 1.0) - (np.e - 1.0)) <= 1e-12
-    assert len(calls) == 1
-    assert indices.eval_g_quadrature(4, 1.0) > 0.0
-    assert len(calls) == 2
-    driver, u = catalog.tempered_density_driver(), symbols.gaussian_bump()
+# Takes one of each integral symbolkit evaluates: the d >= 4 kernel, the Fourier
+# generator (on a retried table too) against the integro form, a continuous law's
+# and a stable measure's generator terms, and the d = 2 identity check; then prints
+# whether scipy.integrate has loaded.
+_INTEGRALS = """
+import json, sys
+import numpy as np
+from symbolkit import catalog, coefficients as co, indices, symbols
+from symbolkit.levy import AtomLaw, FiniteActivity, LevyTriplet, normal_law
+u = symbols.gaussian_bump()
+assert indices.eval_g(4, 1.0) > 0.0 and indices.eval_g(7, 0.3) > 0.0
+far = LevyTriplet([0.0], [[0.0]], FiniteActivity(1.0, AtomLaw.of([(60.0, 0.5), (-60.0, 0.5)])))
+law = LevyTriplet([0.0], [[0.0]], FiniteActivity(1.0, normal_law(0.0, 1.0)))
+for driver in (catalog.tempered_density_driver(), catalog.stable_driver(1.5), far, law):
     fourier = symbols.generator_apply_fourier(symbols.symbol_from_exponent(driver), u, 1.0)
-    assert abs(driver.levy_measure.generator_term(u, 1.0) - fourier) <= 1e-12 * abs(fourier)
-    assert indices.g_identity_check(2, [np.array([1.0, 0.5])]) <= 1e-14
-    assert len(calls) == 2
+    integro = symbols.generator_apply_integro(driver, u, 1.0)
+    assert abs(fourier - integro) <= 1e-9 * max(1.0, abs(fourier)), (fourier, integro)
+assert indices.g_identity_check(2, [np.array([1.0, 0.5])]) <= 1e-14
+print(json.dumps({"integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_integrals_never_load_scipy_integrate():
+    # no module of the package names scipy.integrate, and no integral loads it
+    for path in sorted((SRC / "symbolkit").glob("*.py")):
+        text = path.read_text()
+        assert "scipy.integrate" not in text and "import quad" not in text, path.name
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", _INTEGRALS], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"integrate": False}
 
 
 def test_special_functions_equal_direct_scipy():

