@@ -180,13 +180,12 @@ def _whole(value, what: str, key: str, least: int) -> int:
 
 
 def _ensemble_size(paths: int, steps: int, paths_key: str, steps_key: str) -> None:
-    """A ConfigError when one ensemble of ``paths`` x ``steps`` exceeds
-    ``sde.MAX_PATH_STEPS`` path-steps, naming ``steps_key`` when the steps alone
-    do, else ``paths_key``; checked before anything is simulated."""
-    if paths * steps > sde.MAX_PATH_STEPS:
-        raise ConfigError(f"{paths_key} x {steps_key} exceeds {sde.MAX_PATH_STEPS} "
-                          f"path-steps in one ensemble",
-                          field=steps_key if steps > sde.MAX_PATH_STEPS else paths_key)
+    """A ConfigError naming the key when ``sde.ensemble_size_error`` refuses
+    one ensemble of ``paths`` x ``steps``; checked before anything is simulated."""
+    bad = sde.ensemble_size_error(paths, steps)
+    if bad is not None:
+        raise ConfigError(f"{paths_key} x {steps_key} {bad[1]}",
+                          field=steps_key if bad[0] == "steps" else paths_key)
 
 
 def _ref(spec, key: str) -> dict:

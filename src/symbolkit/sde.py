@@ -482,8 +482,19 @@ def _check_sizes(n_steps, n_paths, chunk_size=1):
     for name, value in (("n_steps", n_steps), ("n_paths", n_paths), ("chunk_size", chunk_size)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if int(n_steps) * int(n_paths) > MAX_PATH_STEPS:
-        raise ValueError(f"n_paths x n_steps exceeds {MAX_PATH_STEPS} path-steps")
+    bad = ensemble_size_error(int(n_paths), int(n_steps))
+    if bad is not None:
+        raise ValueError(f"n_paths x n_steps {bad[1]}")
+
+
+def ensemble_size_error(paths: int, steps: int):
+    """(which, message) when one ensemble of ``paths`` x ``steps`` exceeds
+    ``MAX_PATH_STEPS`` path-steps, else None.  ``which`` is ``"steps"`` when
+    the steps alone exceed it, else ``"paths"``."""
+    if paths * steps <= MAX_PATH_STEPS:
+        return None
+    return ("steps" if steps > MAX_PATH_STEPS else "paths",
+            f"exceeds {MAX_PATH_STEPS} path-steps in one ensemble")
 
 
 def ordered_map(fn: Callable, tasks: Iterable, threads: int = 1):

@@ -573,7 +573,8 @@ def generator_apply_fourier(p: SymbolField, u: TestFunction, x) -> float:
     real and imaginary parts are each checked against 1e-9.  A table that
     misses it is retried with panels a quarter as wide, as a symbol with
     jumps far from 0 oscillates in xi, until the table would exceed
-    ``MAX_PANELS``; then the last miss is raised.  The imaginary residual
+    ``MAX_PANELS``; then the last miss is raised.  A NaN error estimate is
+    raised at once, as no finer table mends it.  The imaginary residual
     must stay below ``_FOURIER_IMAG_TOL`` * scale.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -603,6 +604,8 @@ def generator_apply_fourier(p: SymbolField, u: TestFunction, x) -> float:
         except QuadratureFailure as exc:
             if exc.achieved is None:
                 raise missed or exc
+            if np.isnan(exc.achieved):
+                raise
             width, missed = 0.25 * width, exc
     re, im = float(value[0]), float(value[1])
     scale = max(1.0, abs(re))

@@ -120,12 +120,15 @@ def test_narrow_window_keeps_the_grading():
 
 
 def test_nan_symbol_raises():
-    # a symbol that is NaN past |xi| = 1: every table's error estimate is NaN, a failure
+    # a symbol that is NaN past |xi| = 1: the first table's error estimate is NaN, a
+    # failure raised without trying a finer table
+    calls = []
     p = SymbolField(batch_fn=lambda xs, xis: np.where(np.abs(xis[..., 0]) > 1.0, np.nan, 1.0)
                     + 0j, d=1, x_independent=True)
     with pytest.raises(QuadratureFailure, match="fourier generator") as err:
-        generator_apply_fourier(p, gaussian_bump(), 0.0)
+        generator_apply_fourier(_recording(p, calls), gaussian_bump(), 0.0)
     assert np.isnan(err.value.achieved)
+    assert len(calls) == 1
 
 
 def test_atoms_at_1000_agree_with_the_integro_form():

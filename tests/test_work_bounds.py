@@ -42,6 +42,14 @@ def test_library_ensembles_refuse_past_the_bound(n_paths, n_steps, no_simulation
 @pytest.mark.parametrize("n_paths, n_steps", [(2 ** 12, 2 ** 20), (1, 2 ** 32), (2 ** 32, 1)])
 def test_library_bound_admits_up_to_it(n_paths, n_steps):
     sde._check_sizes(n_steps, n_paths)
+    assert sde.ensemble_size_error(n_paths, n_steps) is None
+
+
+@pytest.mark.parametrize("n_paths, n_steps, which", [
+    (2 ** 12 + 1, 2 ** 20, "paths"), (10 ** 308, 16, "paths"), (1, 2 ** 32 + 1, "steps")])
+def test_size_error_names_the_factor_past_the_bound(n_paths, n_steps, which):
+    assert sde.ensemble_size_error(n_paths, n_steps) == (
+        which, "exceeds 4294967296 path-steps in one ensemble")
 
 
 GROWTH = {"model": {"name": "bm_unit"}, "lambdas": [1.0], "t_small": [0.01, 0.1]}
