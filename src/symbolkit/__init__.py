@@ -22,8 +22,8 @@ from .symbols import (SymbolField, TestFunction, estimate_symbol_mc, frozen_trip
                       gaussian_bump, generator_apply_fourier, generator_apply_integro,
                       multi_driver_symbol, solution_symbol, symbol_mc_table,
                       symbol_of_model)
-from .indices import (IndexReport, SearchConfig, beta_inf, beta_zero,
-                      big_H, build_index_report, eval_g, g_identity_check,
-                      index_transfer_check, small_h, symbol_bound_diagnostic)
+from .indices import (IndexReport, beta_inf, beta_zero, big_H, build_index_report, eval_g,
+                      g_identity_check, index_transfer_check, small_h,
+                      symbol_bound_diagnostic)
 from .pathstats import (VariationResult, gamma_variation, growth_experiment,
                         variation_experiment)

@@ -39,8 +39,7 @@ from .catalog import (feller_demo_model, resolve_driver, resolve_model,
 from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
 from .indices import (build_index_report, g_identity_check,
                       index_transfer_check, symbol_bound_diagnostic)
-from .pathstats import (growth_experiment, growth_lambda_error, variation_experiment,
-                        variation_work_error)
+from .pathstats import growth_experiment, variation_experiment
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
 from .symbols import (DEFAULT_LADDER, frozen_triplet, gaussian_bump,
@@ -179,15 +178,6 @@ def _whole(value, what: str, key: str, least: int) -> int:
     return int(value)
 
 
-def _ensemble_size(paths: int, steps: int, paths_key: str, steps_key: str) -> None:
-    """A ConfigError naming the key when ``sde.ensemble_size_error`` refuses
-    one ensemble of ``paths`` x ``steps``; checked before anything is simulated."""
-    bad = sde.ensemble_size_error(paths, steps)
-    if bad is not None:
-        raise ConfigError(f"{paths_key} x {steps_key} {bad[1]}",
-                          field=steps_key if bad[0] == "steps" else paths_key)
-
-
 def _ref(spec, key: str) -> dict:
     """Inline JSON object or a path to a JSON file holding one."""
     if isinstance(spec, str):
@@ -197,8 +187,17 @@ def _ref(spec, key: str) -> dict:
     return spec
 
 
-def _model(spec):
-    return resolve_model(_ref(spec, "model"))
+def _resolve(spec, key: str):
+    """The object that config key ``key`` describes, from an inline object or a file;
+    a TypeError or ValueError while resolving it is a ConfigError naming ``key``."""
+    spec = _ref(spec, key)
+    resolve = {"model": resolve_model, "driver": resolve_driver, "symbol": resolve_symbol,
+               "coefficient": coeff.from_dict,
+               "test_function": lambda spec: gaussian_bump(**spec)}[key]
+    try:
+        return resolve(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}", field=key) from exc
 
 
 def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=10,
@@ -208,7 +207,7 @@ def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=
         raise ConfigError(f"R must be positive, got {R!r}", field="R")
     paths = _whole(paths, "paths", "paths", 1000)
     steps_per_rung = _whole(steps_per_rung, "steps_per_rung", "steps_per_rung", 2)
-    _ensemble_size(paths, steps_per_rung, "paths", "steps_per_rung")
+    sde.check_ensemble_size(paths, steps_per_rung, "paths", "steps_per_rung")
     return {"t_ladder": tuple(_reals(t_ladder, "t_ladder")),
             "paths_per_rung": paths, "radius": R,
             "steps_per_rung": steps_per_rung, "check_radius": check_radius}
@@ -221,11 +220,8 @@ def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
 
 
 def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=False):
-    horizon, step = _real(horizon, "horizon"), _real(step, "step")
-    if step > 0 and not math.isfinite(horizon / step):
-        raise ConfigError(f"horizon {horizon!r} over step {step!r} is not a finite number "
-                          f"of steps", field="horizon")
-    path = simulate_path(_model(model), _state(x0, "x0"), horizon, step, seed)
+    path = simulate_path(_resolve(model, "model"), _state(x0, "x0"), _real(horizon, "horizon"),
+                         _real(step, "step"), seed)
     header = ["t"] + [f"x_{j + 1}" for j in range(path.d)]
     rows = np.column_stack((path.times, path.states))
     results = {
@@ -244,7 +240,7 @@ def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=Fal
 
 
 def _kind_symbol_analytic(seed, threads, /, *, model, x_grid, xi_grid):
-    p = symbol_of_model(_model(model))
+    p = symbol_of_model(_resolve(model, "model"))
     records = []
     for x in _grid(x_grid, "x_grid"):
         for xi in _grid(xi_grid, "xi_grid"):
@@ -273,7 +269,8 @@ def _mc_records(estimates):
 
 
 def _kind_symbol_estimate(seed, threads, /, *, model, x_grid, xi_grid, estimator={}):
-    records = _mc_records(_mc_table(_model(model), x_grid, xi_grid, estimator, seed, threads))
+    records = _mc_records(_mc_table(_resolve(model, "model"), x_grid, xi_grid, estimator,
+                                    seed, threads))
     rows = [[e["x"], e["xi"], e["re"], e["im"], e["se"],
              e["r_check"]["consistent"] if e["r_check"] else True]
             for e in records]
@@ -282,7 +279,7 @@ def _kind_symbol_estimate(seed, threads, /, *, model, x_grid, xi_grid, estimator
 
 
 def _kind_symbol_compare(seed, threads, /, *, model, x_grid, xi_grid, estimator={}):
-    model = _model(model)
+    model = _resolve(model, "model")
     p = symbol_of_model(model)
     records = []
     for e in _mc_table(model, x_grid, xi_grid, estimator, seed, threads):
@@ -303,8 +300,7 @@ def _kind_symbol_compare(seed, threads, /, *, model, x_grid, xi_grid, estimator=
 
 
 def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
-    model = _model(model)
-    u = gaussian_bump(**test_function)
+    model, u = _resolve(model, "model"), _resolve(test_function, "test_function")
     p = symbol_of_model(model)
     records = []
     for x in _grid(x_grid, "x_grid"):
@@ -343,7 +339,7 @@ def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_ma
     if any(r <= 0.0 for r in radii):
         raise ConfigError(f"r_table entries must be positive, got {r_table!r}", field="r_table")
     report = build_index_report(
-        resolve_symbol(symbol), _reals(x_grid, "x_grid"),
+        _resolve(symbol, "symbol"), _reals(x_grid, "x_grid"),
         eta_max=_real(eta_max, "eta_max"), r_max=r_max,
         x_box=None if x_box is None else _x_box(x_box), r_table=radii,
         compute_beta0=compute_beta0)
@@ -352,8 +348,7 @@ def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_ma
 
 
 def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_max=1e8):
-    driver = resolve_driver(_ref(driver, "driver"))
-    phi = coeff.from_dict(coefficient)
+    driver, phi = _resolve(driver, "driver"), _resolve(coefficient, "coefficient")
     xs = _reals(x_grid, "x_grid")
     report = index_transfer_check(driver, phi, xs, eta_max=_real(eta_max, "eta_max"))
     rows = [[x, b, abs(b - report.beta_driver)] for x, b in report.per_x]
@@ -365,12 +360,9 @@ def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_m
 
 def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horizon=1.0,
                     x0=0.0):
-    model, gammas = _model(model), _reals(gammas, "gammas")
+    model, gammas = _resolve(model, "model"), _reals(gammas, "gammas")
     levels = [_whole(k, "level", "levels", 0) for k in _grid(levels, "levels")]
     trials = _whole(trials, "trials", "trials", 1)
-    bad = variation_work_error(levels, trials)
-    if bad is not None:
-        raise ConfigError(f"variation: {bad[1]}", field=bad[0])
     records = [vars(r) for r in variation_experiment(
         model, gammas, levels, trials, seed, horizon=_real(horizon, "horizon"),
         x0=_state(x0, "x0"))]
@@ -380,15 +372,11 @@ def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horiz
 
 def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large=(),
                  paths=2000, steps_per_run=256):
-    model, x, lambdas = _model(model), _real(x, "x"), _reals(lambdas, "lambdas")
+    model, x, lambdas = _resolve(model, "model"), _real(x, "x"), _reals(lambdas, "lambdas")
     t_small = [_real(v, "t_small") for v in t_small]
     t_large = [_real(v, "t_large") for v in t_large]
     paths = _whole(paths, "paths", "paths", 1)
     steps_per_run = _whole(steps_per_run, "steps_per_run", "steps_per_run", 1)
-    bad = growth_lambda_error(lambdas, t_small + t_large)
-    if bad is not None:
-        raise ConfigError(f"growth: {bad}", field="lambdas")
-    _ensemble_size(paths, steps_per_run, "paths", "steps_per_run")
     profile = growth_experiment(model, x, lambdas, t_small, t_large, paths, seed,
                                 steps_per_run=steps_per_run, threads=threads)
     records = [{"window": r.window, "t": r.t, "lambda": r.lam,
@@ -402,8 +390,6 @@ def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large
 
 def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
     d = _whole(d, "d", "d", 1)
-    if d not in (1, 2):
-        raise ConfigError("g-identity: d must be 1 or 2", field="d")
     if y_grid is not None:
         ys = [np.asarray(_state(y, "y_grid")) for y in _grid(y_grid, "y_grid")]
     elif d == 1:
@@ -411,11 +397,7 @@ def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
     else:
         side = np.linspace(-10.0, 10.0, 10)
         ys = [np.array([a, b]) for a in side for b in side]
-    try:
-        residual = g_identity_check(d, ys)
-    except ValueError as exc:               # a |y| the check cannot take
-        raise ConfigError(f"g-identity: {exc}", field="y_grid") from None
-    results = {"d": d, "max_residual": residual, "n_points": len(ys)}
+    results = {"d": d, "max_residual": g_identity_check(d, ys), "n_points": len(ys)}
     header = ["d", "max_residual"]
     return results, header, _rows([results], header), None
 
@@ -428,12 +410,12 @@ def _kind_bound_diagnostic(seed, threads, /, *, model=None, driver=None, box=(-1
     if not isinstance(box, (list, tuple)) or len(box) != 2:
         raise ConfigError("bound-diagnostic: 'box' must hold exactly two numbers", field="box")
     if model is not None:
-        model = _model(model)
+        model = _resolve(model, "model")
         p = symbol_of_model(model)
         trip_field = lambda x: frozen_triplet(model.driver, model.coefficient, x,
                                               model.drift_coefficient)
     else:
-        driver = resolve_driver(driver)
+        driver = _resolve(driver, "driver")
         p = symbol_from_exponent(driver)
         trip_field = lambda x: driver
     diag = symbol_bound_diagnostic(p, trip_field, (_real(box[0], "box"), _real(box[1], "box")),
@@ -452,6 +434,9 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
     """
     if x0 == 0.0:
         raise ConfigError("feller-demo: x0 must be nonzero", field="x0")
+    if not t0 > 0.0:
+        raise ConfigError(f"feller-demo: t0 must be positive, got {t0!r}", field="t0")
+    sde.check_ensemble_size(trials, steps, "trials", "steps")
     model = feller_demo_model()
     res = sde.simulate_ensemble(model.blocks(), None, np.array([x0]), t0, steps,
                             trials, seed, base_key=(TAG_EXPERIMENT, 2),
@@ -469,7 +454,6 @@ def _kind_feller_demo(seed, threads, /, *, t0=math.log(2.0), trials=100_000, x0=
                       steps=16):
     t0, trials = _real(t0, "t0"), _whole(trials, "trials", "trials", 1)
     x0, steps = _real(x0, "x0"), _whole(steps, "steps", "steps", 1)
-    _ensemble_size(trials, steps, "trials", "steps")
     report = feller_demo(t0, trials, seed, x0=x0, steps=steps, threads=threads)
     header = ["t0", "trials", "frequency", "ci_low", "ci_high", "expected"]
     return report, header, _rows([report], header), None
@@ -508,7 +492,7 @@ def run_config(kind: str, config: dict, seed: int, outdir, threads: int = 1) -> 
     t0 = time.monotonic()
     try:
         results, header, rows, extra = _call(_HANDLERS[kind], keys, kind, int(seed), threads)
-    except (ConfigError, SymbolkitError):
+    except SymbolkitError:                  # a ConfigError among them, although a ValueError
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{kind}: invalid configuration: {exc}") from exc
@@ -632,7 +616,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error(exc, 2, outdir)
         return 2
-    except SymbolkitError as exc:
+    except (SymbolkitError, ArithmeticError) as exc:     # a float overflow is numerical too
         _emit_error(exc, 3, outdir)
         return 3
     except (OSError, MemoryError) as exc:

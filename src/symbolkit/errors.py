@@ -47,8 +47,9 @@ class SimulationOverflow(SymbolkitError):
     """State norm exceeded the overflow guard during path simulation."""
 
 
-class ConfigError(SymbolkitError):
-    """Invalid experiment configuration (schema violation)."""
+class ConfigError(SymbolkitError, ValueError):
+    """A setting out of its declared range, refused once by the function that takes it;
+    ``field`` names the config key or the library argument of the same name."""
 
     def __init__(self, message, field=None):
         super().__init__(message)

@@ -46,7 +46,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BijectivityViolation, DegenerateSymbol, DimensionMismatch, QuadratureFailure
+from .errors import (BijectivityViolation, ConfigError, DegenerateSymbol, DimensionMismatch,
+                     QuadratureFailure)
 from .levy import LevyTriplet, kappa_from_c0, sector_constant
 from .quadrature import halfline_nodes, integrate_panels, radial_edges
 from .symbols import SymbolField, solution_symbol, symbol_from_exponent
@@ -57,6 +58,9 @@ _BETA_INF_ETA_MIN, _BETA_INF_PER_DECADE, _BETA_INF_STATES = 10.0, 8, 21   # eta 
 _BETA0_R_MIN, _BETA0_PER_DECADE, _BETA0_FIT_DECADES = 1.0, 6, 1.0   # R grid, top decades fitted
 _DET_TOL, _DET_BALL = 1e-8, 0.25        # index transfer: least |det Phi| near each base point
 _BOUND_STATES, _BOUND_FREQS = 21, 81    # bound diagnostic: states in the box, xi per sign
+_BOUND_XI_MIN = 1e-2                    # bound diagnostic: least |xi| of the large grid
+# H and h: ball states, directions, refinement rounds and points per refinement window
+_SEARCH_STATES, _SEARCH_DIRECTIONS, _REFINE_ROUNDS, _REFINE_POINTS = 65, 17, 2, 21
 
 
 # --------------------------------------------------------------------------
@@ -100,16 +104,16 @@ def g_identity_check(d: int, y_grid) -> float:
     where r K_0(r) has a log kink, with panels at most min(1, ``_G_CYCLE`` /
     max |y|) wide.  |y| is taken with ``math.hypot``, which neither overflows
     nor warns; a |y| that is NaN or infinite, or too large for a table of
-    ``MAX_PANELS`` panels, is a ValueError, not a residual that ``max``
-    drops.
+    ``MAX_PANELS`` panels, is a ConfigError naming ``y_grid``, not a residual
+    that ``max`` drops; a ``d`` other than 1 or 2 is one naming ``d``.
     """
     if d not in (1, 2):
-        raise ValueError("identity check implemented for d in {1, 2}")
+        raise ConfigError("g-identity: d must be 1 or 2", field="d")
     norms = []
     for y in y_grid:
         s = math.hypot(*np.atleast_1d(np.asarray(y, dtype=float)))
         if not math.isfinite(s):
-            raise ValueError(f"|y| is not finite at y = {y!r}")
+            raise ConfigError(f"g-identity: |y| is not finite at y = {y!r}", field="y_grid")
         norms.append(s)
     s = np.unique(norms)
     s = s[s > 0.0]                          # |y| = 0: both sides are 0
@@ -119,7 +123,8 @@ def g_identity_check(d: int, y_grid) -> float:
     try:
         edges = np.concatenate([[0.0], radial_edges(_G_REACH, min(1.0, _G_CYCLE / s[-1]), label)])
     except QuadratureFailure as exc:
-        raise ValueError(f"|y| = {s[-1]:.6g} is too large for the identity check: {exc}") from None
+        raise ConfigError(f"g-identity: |y| = {s[-1]:.6g} is too large for the identity check: "
+                          f"{exc}", field="y_grid") from None
     if d == 2:
         from scipy.special import j0, k0
     rows = max(1, _G_BATCH // (21 * (edges.size - 1)))
@@ -138,16 +143,6 @@ def g_identity_check(d: int, y_grid) -> float:
 
 # --------------------------------------------------------------------------
 # search grids
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Deterministic sampling plan for sup/inf over balls."""
-
-    n_state: int = 65
-    n_direction: int = 17
-    refine_rounds: int = 2
-    refine_points: int = 21
 
 
 def _ball_grid(center: float, halfwidth: float, n: int) -> np.ndarray:
@@ -198,7 +193,7 @@ def _h_values(p: SymbolField, ys: np.ndarray, es: np.ndarray, R: float,
     return (vals.real @ weights + np.abs(vals[:, :, np.flatnonzero(rho == 1.0)[0]]))[:, after]
 
 
-def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig()) -> float:
+def big_H(p: SymbolField, x, R: float) -> float:
     """Upper maximal-symbol functional H(x, R) by grid search with refinement."""
     if R <= 0:
         raise ValueError("R must be positive")
@@ -207,30 +202,29 @@ def big_H(p: SymbolField, x, R: float, cfg: SearchConfig = SearchConfig()) -> fl
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
     rho, weights = _h_integral_weights()
 
-    ys = np.array([x0]) if p.x_independent else _ball_grid(x0, 2.0 * R, cfg.n_state)
-    es = np.linspace(-1.0, 1.0, cfg.n_direction)
+    ys = np.array([x0]) if p.x_independent else _ball_grid(x0, 2.0 * R, _SEARCH_STATES)
+    es = np.linspace(-1.0, 1.0, _SEARCH_DIRECTIONS)
     vals = _h_values(p, ys, es, R, rho, weights)
     best = float(vals.max())
     iy, ie = np.unravel_index(int(vals.argmax()), vals.shape)
     y_star, e_star = ys[iy], es[ie]
-    hw_y = 0.0 if p.x_independent else 2.0 * R * 2.0 / max(cfg.n_state - 1, 1)
-    hw_e = 2.0 / max(cfg.n_direction - 1, 1)
-    for _ in range(cfg.refine_rounds):
+    hw_y = 0.0 if p.x_independent else 2.0 * R * 2.0 / max(_SEARCH_STATES - 1, 1)
+    hw_e = 2.0 / max(_SEARCH_DIRECTIONS - 1, 1)
+    for _ in range(_REFINE_ROUNDS):
         ys2 = (np.array([x0]) if p.x_independent
-               else _window_grid(y_star, hw_y, x0 - 2 * R, x0 + 2 * R, cfg.refine_points))
-        es2 = _window_grid(e_star, hw_e, -1.0, 1.0, cfg.refine_points)
+               else _window_grid(y_star, hw_y, x0 - 2 * R, x0 + 2 * R, _REFINE_POINTS))
+        es2 = _window_grid(e_star, hw_e, -1.0, 1.0, _REFINE_POINTS)
         vals2 = _h_values(p, ys2, es2, R, rho, weights)
         if float(vals2.max()) > best:
             best = float(vals2.max())
             iy, ie = np.unravel_index(int(vals2.argmax()), vals2.shape)
             y_star, e_star = ys2[iy], es2[ie]
-        hw_y /= max(cfg.refine_points - 1, 1) / 2.0
-        hw_e /= max(cfg.refine_points - 1, 1) / 2.0
+        hw_y /= max(_REFINE_POINTS - 1, 1) / 2.0
+        hw_e /= max(_REFINE_POINTS - 1, 1) / 2.0
     return best
 
 
-def small_h(p: SymbolField, x, R: float, c0: float,
-            cfg: SearchConfig = SearchConfig()) -> float:
+def small_h(p: SymbolField, x, R: float, c0: float) -> float:
     """Lower functional h(x, R): inf over the ball of sup over directions of
     Re p(y, e / (4 kappa R)) with kappa from the sector constant."""
     if R <= 0:
@@ -241,25 +235,25 @@ def small_h(p: SymbolField, x, R: float, c0: float,
     kappa = kappa_from_c0(c0)
     scale = 1.0 / (4.0 * kappa * R)
 
-    folded = np.unique(np.abs(np.linspace(-1.0, 1.0, cfg.n_direction)))
+    folded = np.unique(np.abs(np.linspace(-1.0, 1.0, _SEARCH_DIRECTIONS)))
 
     def sup_over_e(ys):
         return _eval_symbol_grid(p, ys, folded * scale).real.max(axis=1)
 
-    ys = np.array([x0]) if p.x_independent else _ball_grid(x0, 2.0 * R, cfg.n_state)
+    ys = np.array([x0]) if p.x_independent else _ball_grid(x0, 2.0 * R, _SEARCH_STATES)
     sups = sup_over_e(ys)
     best = float(sups.min())
     y_star = ys[int(sups.argmin())]
-    hw_y = 0.0 if p.x_independent else 2.0 * R * 2.0 / max(cfg.n_state - 1, 1)
-    for _ in range(cfg.refine_rounds):
+    hw_y = 0.0 if p.x_independent else 2.0 * R * 2.0 / max(_SEARCH_STATES - 1, 1)
+    for _ in range(_REFINE_ROUNDS):
         if p.x_independent:
             break
-        ys2 = _window_grid(y_star, hw_y, x0 - 2 * R, x0 + 2 * R, cfg.refine_points)
+        ys2 = _window_grid(y_star, hw_y, x0 - 2 * R, x0 + 2 * R, _REFINE_POINTS)
         sups2 = sup_over_e(ys2)
         if float(sups2.min()) < best:
             best = float(sups2.min())
             y_star = ys2[int(sups2.argmin())]
-        hw_y /= max(cfg.refine_points - 1, 1) / 2.0
+        hw_y /= max(_REFINE_POINTS - 1, 1) / 2.0
     return best
 
 
@@ -297,8 +291,8 @@ def beta_inf(p: SymbolField, x, eta_max: float = 1e8) -> BetaInfResult:
     error below 0.05 for c in [1/2, 2].  The whole ladder is one paired-row
     ``p.many`` call; each eta's sup is the max over its own ball's rows.
     """
-    if eta_max < 1e3:
-        raise ValueError("eta_max must be at least 1e3")
+    if not eta_max >= 1e3:
+        raise ConfigError(f"eta_max must be at least 1e3, got {eta_max!r}", field="eta_max")
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
     window = (eta_max / 10.0, eta_max)
     n_pts = max(2, int(np.ceil(_BETA_INF_PER_DECADE * np.log10(eta_max / _BETA_INF_ETA_MIN))))
@@ -323,8 +317,8 @@ def beta_inf(p: SymbolField, x, eta_max: float = 1e8) -> BetaInfResult:
                          points=points, eta_max=eta_max)
 
 
-def beta_zero(p: SymbolField, r_max: float = 1e4, *, x_box: Optional[tuple] = None,
-              cfg: SearchConfig = SearchConfig()) -> Beta0Result:
+def beta_zero(p: SymbolField, r_max: float = 1e4, *,
+              x_box: Optional[tuple] = None) -> Beta0Result:
     """Upper index at zero: decay exponent of sup_x H(x, R) as R grows.
 
     For x-dependent symbols the outer sup runs over a declared compact box
@@ -341,7 +335,7 @@ def beta_zero(p: SymbolField, r_max: float = 1e4, *, x_box: Optional[tuple] = No
         x_grid = np.linspace(box[0], box[1], int(box[2]))
     n_pts = max(3, int(np.ceil(_BETA0_PER_DECADE * np.log10(r_max / _BETA0_R_MIN))))
     rs = np.geomspace(_BETA0_R_MIN, r_max, n_pts)
-    hs = np.array([max(big_H(p, xv, R, cfg) for xv in x_grid) for R in rs])
+    hs = np.array([max(big_H(p, xv, R) for xv in x_grid) for R in rs])
     points = [(float(np.log(R)), float(np.log(h)) if h > 0 else -np.inf)
               for R, h in zip(rs, hs)]
     window = (r_max / 10.0 ** _BETA0_FIT_DECADES, r_max)
@@ -421,14 +415,18 @@ def symbol_bound_diagnostic(p: SymbolField, triplet_field: Callable, box: tuple,
     Computes (a) the quadratic-growth constant c_p, (b) the triplet norm
     |l| + |Q| + int y^2/(1+y^2) N, (c) the unit-ball sup of |p|; checks the
     subadditivity bound P(xi) <= 2 (1+|xi|^2) (c) on the grid and
-    (b) <= LEMMA_CONSTANT_1D * (c).
+    (b) <= LEMMA_CONSTANT_1D * (c).  The large-|xi| grid runs from ``_BOUND_XI_MIN``
+    to ``xi_max``, so an ``xi_max`` not above it is a ConfigError.
     """
+    if not xi_max > _BOUND_XI_MIN:
+        raise ConfigError(f"xi_max must be greater than {_BOUND_XI_MIN:g}, got {xi_max!r}",
+                          field="xi_max")
     lo, hi = float(box[0]), float(box[1])
     xs = np.linspace(lo, hi, _BOUND_STATES)
     xi_small = np.linspace(-1.0, 1.0, 41)
     xi_large = np.concatenate([
-        -np.geomspace(1e-2, xi_max, _BOUND_FREQS)[::-1], [0.0],
-        np.geomspace(1e-2, xi_max, _BOUND_FREQS)])
+        -np.geomspace(_BOUND_XI_MIN, xi_max, _BOUND_FREQS)[::-1], [0.0],
+        np.geomspace(_BOUND_XI_MIN, xi_max, _BOUND_FREQS)])
 
     def sup_over_x(xi_vals):
         grid = _eval_symbol_grid(p, xs, xi_vals)
@@ -499,7 +497,6 @@ def symbol_sector_constant(p: SymbolField, xs, xi_grid) -> float:
 def build_index_report(p: SymbolField, xs, *, eta_max: float = 1e8,
                        r_max: float = 1e4, x_box: Optional[tuple] = None,
                        r_table: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
-                       cfg: SearchConfig = SearchConfig(),
                        compute_beta0: bool = True) -> IndexReport:
     """Full index run for a symbol: per-x upper indices, beta_0, H/h samples."""
     per_x = [beta_inf(p, x, eta_max=eta_max) for x in xs]
@@ -507,8 +504,7 @@ def build_index_report(p: SymbolField, xs, *, eta_max: float = 1e8,
     c0 = symbol_sector_constant(p, xs, xi_grid)
     kappa = kappa_from_c0(c0)
     x0 = xs[0]
-    table = [(float(R), big_H(p, x0, R, cfg), small_h(p, x0, R, c0, cfg))
-             for R in r_table]
-    b0 = beta_zero(p, r_max=r_max, x_box=x_box, cfg=cfg) if compute_beta0 else None
+    table = [(float(R), big_H(p, x0, R), small_h(p, x0, R, c0)) for R in r_table]
+    b0 = beta_zero(p, r_max=r_max, x_box=x_box) if compute_beta0 else None
     return IndexReport(per_x=per_x, beta0=b0, c0=c0, kappa=kappa,
                        functional_table=table)

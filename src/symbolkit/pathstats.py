@@ -36,8 +36,9 @@ the quadratic variation T at gamma = 2, diverge like n^{1-gamma/2} below and
 vanish above), which is what the finiteness-threshold diagnostic reads off.
 No level's dense path is held whole: the states reach the sums a window of
 ``sde.DENSE_WINDOW`` steps at a time, so memory is O(window x trials), plus
-O(2^level) for a single trial, whose step norms numpy sums pairwise.  A run
-above level 32 or 2^32 path-steps is refused before anything is simulated.
+O(2^level) for a single trial, whose step norms numpy sums pairwise.  Both
+experiments refuse an argument out of range before anything is simulated,
+with a ``ConfigError`` (a ``ValueError``) naming it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .sde import MAX_PATH_STEPS, SdeModel, simulate_ensemble, simulate_paths_dense
+from .errors import ConfigError
+from .sde import (MAX_PATH_STEPS, SdeModel, check_ensemble_size, simulate_ensemble,
+                  simulate_paths_dense)
 from .seeding import TAG_EXPERIMENT
 
 
@@ -196,24 +199,6 @@ class VariationRow:
 MAX_LEVEL = 32                  # 2^32 steps per path
 
 
-def variation_work_error(levels: Sequence[int], trials: int):
-    """(key, message) when a variation run exceeds the work bound, else None.
-
-    The bound: no level above ``MAX_LEVEL``, and at most ``MAX_PATH_STEPS``
-    path-steps, trials x the sum of 2^level over the levels.  The key is
-    ``levels`` when the levels alone exceed it, else ``trials``.  Nothing
-    is simulated, and no power of two is formed past ``MAX_LEVEL``.
-    """
-    if max(levels, default=0) > MAX_LEVEL:
-        return "levels", f"a level is above {MAX_LEVEL}"
-    per_trial = sum(2 ** int(k) for k in levels)
-    if trials * per_trial > MAX_PATH_STEPS:
-        key = "levels" if per_trial > MAX_PATH_STEPS else "trials"
-        return key, (f"the trials times {per_trial} steps per trial exceed "
-                     f"{MAX_PATH_STEPS} path-steps")
-    return None
-
-
 class _PowerSums:
     """Per-trial sums of |increment|^gamma of a dense run, fed one window of states at a time.
 
@@ -267,15 +252,25 @@ def variation_experiment(model: SdeModel, gammas: Sequence[float],
     divergent one.  The paths are never held whole: each level's states
     reach ``_PowerSums`` a window of ``sde.DENSE_WINDOW`` steps at a time, so
     memory is O(window x trials), plus O(2^level) for a single trial.
-    Raises ValueError unless every gamma is positive and finite, and when
-    the run exceeds the work bound of ``variation_work_error``.
+    Raises ConfigError unless every gamma and the horizon are positive and
+    finite, and when the run exceeds the work bound: a level above
+    ``MAX_LEVEL``, or more than ``MAX_PATH_STEPS`` path-steps, trials x the
+    sum of 2^level, naming ``levels`` when the levels alone exceed it.
     """
     for gamma in gammas:
         if not 0.0 < float(gamma) < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    bad = variation_work_error(levels, trials)
-    if bad is not None:
-        raise ValueError(bad[1])
+            raise ConfigError(f"variation: gamma must be positive and finite, got {gamma}",
+                              field="gammas")
+    if not 0.0 < horizon < np.inf:
+        raise ConfigError(f"variation: horizon must be positive and finite, got {horizon}",
+                          field="horizon")
+    if max(levels, default=0) > MAX_LEVEL:        # no power of two is formed past it
+        raise ConfigError(f"variation: a level is above {MAX_LEVEL}", field="levels")
+    per_trial = sum(2 ** int(k) for k in levels)
+    if trials * per_trial > MAX_PATH_STEPS:
+        raise ConfigError(f"variation: the trials times {per_trial} steps per trial exceed "
+                          f"{MAX_PATH_STEPS} path-steps",
+                          field="levels" if per_trial > MAX_PATH_STEPS else "trials")
     gammas = [float(gamma) for gamma in gammas]
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     rows = []
@@ -306,26 +301,6 @@ class GrowthProfile:
     trends: dict              # (window, lam) -> {"slope": ..., "toward_zero": bool}
 
 
-def growth_lambda_error(lambdas: Sequence[float], times: Sequence[float]):
-    """Why the scalings t^{-1/lambda} cannot be formed, else None.
-
-    Every lambda must be positive, and t^{-1/lambda} finite at every positive
-    t of ``times`` (a tiny lambda overflows it for t < 1).  Nothing is
-    simulated.
-    """
-    for lam in lambdas:
-        if not lam > 0:
-            return f"lambda {lam!r} is not positive"
-        for t in (float(t) for t in times if t > 0):
-            try:
-                finite = math.isfinite(t ** (-1.0 / lam))
-            except OverflowError:
-                finite = False
-            if not finite:
-                return f"t^(-1/lambda) overflows at t = {t!r}, lambda = {lam!r}"
-    return None
-
-
 def growth_experiment(model: SdeModel, x, lambdas: Sequence[float],
                       t_small: Sequence[float], t_large: Sequence[float],
                       paths: int, seed: int, *, steps_per_run: int = 256,
@@ -336,12 +311,26 @@ def growth_experiment(model: SdeModel, x, lambdas: Sequence[float],
     window ``toward_zero`` means the scaled median shrinks as t decreases
     (positive log-log slope); for the large window, as t grows (negative
     slope).  Nothing is asserted here; callers read the tendencies.  Raises
-    ValueError, before any simulation, when ``growth_lambda_error`` finds a
-    lambda whose scalings cannot be formed.
+    ConfigError, before any simulation, naming ``t_small`` or ``t_large`` for a
+    time that is not positive, ``lambdas`` for a lambda that is not positive or
+    whose t^{-1/lambda} overflows at a configured t, or ``paths`` x ``steps_per_run``.
     """
-    bad = growth_lambda_error(lambdas, [*t_small, *t_large])
-    if bad is not None:
-        raise ValueError(bad)
+    for key, times in (("t_small", t_small), ("t_large", t_large)):
+        for t in times:
+            if not t > 0:
+                raise ConfigError(f"growth: {key} entry {t!r} is not positive", field=key)
+    for lam in lambdas:
+        if not lam > 0:
+            raise ConfigError(f"growth: lambda {lam!r} is not positive", field="lambdas")
+        for t in (float(t) for t in (*t_small, *t_large)):
+            try:
+                finite = math.isfinite(t ** (-1.0 / lam))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"growth: t^(-1/lambda) overflows at t = {t!r}, "
+                                  f"lambda = {lam!r}", field="lambdas")
+    check_ensemble_size(paths, steps_per_run, "paths", "steps_per_run")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows = []
     medians = {}

@@ -64,6 +64,9 @@ these invariants:
   and the state stands still;
 - every step runs the overflow guard: a state norm above ``OVERFLOW_GUARD``
   raises ``SimulationOverflow``, at the same step in a summed run.
+
+A step, horizon or size out of range is refused before anything is stepped,
+with a ``ConfigError`` (a ``ValueError``) whose ``field`` names the argument.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .coefficients import CoefficientField
-from .errors import DimensionMismatch, SimulationOverflow
+from .errors import ConfigError, DimensionMismatch, SimulationOverflow
 from . import levy
 from .levy import LevyTriplet, StepSample
 from .seeding import TAG_ENSEMBLE, TAG_PATH, rng_at
@@ -160,11 +163,12 @@ class SamplePath:
 def _simulate_one(blocks, drift_field, x0, horizon, step, seed):
     """One path of the ensemble step, generators ``rng_at(seed, TAG_PATH, j)``."""
     if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise ConfigError(f"step must be positive, got {step}", field="step")
     if horizon < step:
-        raise ValueError(f"horizon {horizon} shorter than one step {step}")
+        raise ConfigError(f"horizon {horizon} shorter than one step {step}", field="horizon")
     if not math.isfinite(float(horizon) / float(step)):
-        raise ValueError(f"horizon {horizon} over step {step} is not a finite number of steps")
+        raise ConfigError(f"horizon {horizon} over step {step} is not a finite number of steps",
+                          field="horizon")
     d = blocks[0][0].d
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
@@ -481,20 +485,17 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
 def _check_sizes(n_steps, n_paths, chunk_size=1):
     for name, value in (("n_steps", n_steps), ("n_paths", n_paths), ("chunk_size", chunk_size)):
         if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    bad = ensemble_size_error(int(n_paths), int(n_steps))
-    if bad is not None:
-        raise ValueError(f"n_paths x n_steps {bad[1]}")
+            raise ConfigError(f"{name} must be at least 1, got {value}", field=name)
+    check_ensemble_size(int(n_paths), int(n_steps), "n_paths", "n_steps")
 
 
-def ensemble_size_error(paths: int, steps: int):
-    """(which, message) when one ensemble of ``paths`` x ``steps`` exceeds
-    ``MAX_PATH_STEPS`` path-steps, else None.  ``which`` is ``"steps"`` when
-    the steps alone exceed it, else ``"paths"``."""
-    if paths * steps <= MAX_PATH_STEPS:
-        return None
-    return ("steps" if steps > MAX_PATH_STEPS else "paths",
-            f"exceeds {MAX_PATH_STEPS} path-steps in one ensemble")
+def check_ensemble_size(paths: int, steps: int, paths_key: str, steps_key: str) -> None:
+    """Refuse one ensemble of ``paths`` x ``steps`` past ``MAX_PATH_STEPS`` path-steps, naming
+    ``steps_key`` when the steps alone exceed it, else ``paths_key`` (the caller's names)."""
+    if paths * steps > MAX_PATH_STEPS:
+        raise ConfigError(f"{paths_key} x {steps_key} exceeds {MAX_PATH_STEPS} path-steps "
+                          f"in one ensemble",
+                          field=steps_key if steps > MAX_PATH_STEPS else paths_key)
 
 
 def ordered_map(fn: Callable, tasks: Iterable, threads: int = 1):
@@ -536,7 +537,7 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     Paths are split into fixed-size chunks, chunk c with the generators
     ``rng_at(seed, *base_key, c, j)``, one per block j, and the chunks are
     run through ``ordered_map``, so the result depends only on (seed,
-    base_key), not on ``threads``.  Raises ValueError unless ``n_steps``,
+    base_key), not on ``threads``.  Raises ConfigError unless ``n_steps``,
     ``n_paths`` and ``chunk_size`` are >= 1 and ``n_paths`` x ``n_steps`` is
     at most ``MAX_PATH_STEPS``.
     """
@@ -672,7 +673,7 @@ def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,
 
     With a ``sink``, the same states go to it instead, in overlapping windows
     of ``DENSE_WINDOW`` steps (see ``_step_dense``), and None is returned.
-    Raises ValueError unless ``n_steps`` and ``n_paths`` are >= 1 and their
+    Raises ConfigError unless ``n_steps`` and ``n_paths`` are >= 1 and their
     product is at most ``MAX_PATH_STEPS``, and SimulationOverflow when a
     state norm exceeds ``OVERFLOW_GUARD``.
     """

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import CoefficientField
-from .errors import DimensionMismatch, NonConvergence, QuadratureFailure
+from .errors import ConfigError, DimensionMismatch, NonConvergence, QuadratureFailure
 from .levy import CHUNK_ROWS, LevyTriplet, expi, row_dot
 from .quadrature import integrate_panels, radial_edges
 from .sde import SdeModel, ordered_map, simulate_ensemble
@@ -255,9 +255,10 @@ DEFAULT_LADDER = (0.04, 0.02, 0.01, 0.005)
 def _check_ladder(t_ladder, steps_per_rung, paths_per_rung):
     ladder = tuple(float(t) for t in t_ladder)
     if not all(0.0 < t < np.inf for t in ladder):
-        raise ValueError(f"ladder times must be positive and finite, got {ladder}")
+        raise ConfigError(f"ladder times must be positive and finite, got {ladder}",
+                          field="t_ladder")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"t-ladder must be strictly decreasing, got {ladder}")
+        raise ConfigError(f"t-ladder must be strictly decreasing, got {ladder}", field="t_ladder")
     if steps_per_rung < 2:
         raise ValueError("need at least 2 Euler steps per rung so that t >= 2 dt")
     if paths_per_rung < 1000:

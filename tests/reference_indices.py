@@ -7,15 +7,25 @@ shorter docstrings and calling this module's ``eval_symbol_grid``.  The tests re
 folded searches, which evaluate p on |e| only, to reproduce them bit for bit.
 """
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from symbolkit.errors import DegenerateSymbol, DimensionMismatch
-from symbolkit.indices import (BetaInfResult, SearchConfig, _ball_grid,
-                               _h_integral_weights, _window_grid)
+from symbolkit.indices import BetaInfResult, _ball_grid, _h_integral_weights, _window_grid
 from symbolkit.levy import kappa_from_c0
 from symbolkit.symbols import SymbolField
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Sampling plan for the sup/inf over balls; the defaults are the searches' constants."""
+
+    n_state: int = 65
+    n_direction: int = 17
+    refine_rounds: int = 2
+    refine_points: int = 21
 
 
 def eval_symbol_grid(p: SymbolField, ys: np.ndarray, xis: np.ndarray) -> np.ndarray:

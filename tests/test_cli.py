@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symbolkit import cli
+from symbolkit import cli, indices, sde, symbols
 from symbolkit.cli import KINDS, _emit_error, feller_demo, main, run_config
 from symbolkit.errors import ConfigError, NonConvergence
 
@@ -204,7 +204,7 @@ class TestMainExitCodes:
 
     def test_infinite_step_count_exit_2(self, tmp_path, capfd, monkeypatch):
         # 1e308 / 1e-3 is inf: a config error naming horizon, raised before the run
-        monkeypatch.setattr(cli, "simulate_path", lambda *a: pytest.fail("the run started"))
+        monkeypatch.setattr(sde, "_step_dense", lambda *a, **k: pytest.fail("the run started"))
         cfg = {"model": {"name": "cp_tanh"}, "horizon": 1e308, "step": 1e-3}
         assert main_with_config("simulate", cfg, tmp_path) == 2
         err = json.loads((tmp_path / "out" / "error.json").read_text())
@@ -873,3 +873,86 @@ def test_readme_kind_keys_match_the_signatures():
         readme_required, readme_optional = table[name]
         assert readme_required == required, name
         assert [(key, json.dumps(value)) for key, value in readme_optional] == optional, name
+
+
+# --------------------------------------------------------------------------
+# each bound is checked once, by the library function that takes the argument; the
+# config key has the argument's name, so the error names the key, before any work
+
+ETA_SYMBOL = {"name": "stable_like"}
+TRANSFER_CFG = {"driver": {"name": "stable", "params": {"alpha": 1.2}},
+                "coefficient": {"name": "constant"}, "x_grid": [0.0]}
+KEYED_ERRORS = {
+    "simulate-step-zero": ("simulate", {**SIMULATE_CFG, "step": 0}, "step"),
+    "simulate-step-negative": ("simulate", {**SIMULATE_CFG, "step": -0.01}, "step"),
+    "simulate-horizon-below-step": ("simulate", {**SIMULATE_CFG, "horizon": 0.01}, "horizon"),
+    "variation-horizon": ("variation", {**VARIATION_CFG, "horizon": -1}, "horizon"),
+    "growth-t_small": ("growth", {**GROWTH_CFG, "t_small": [0, 0.1]}, "t_small"),
+    "growth-lambdas": ("growth", {**GROWTH_CFG, "lambdas": [0]}, "lambdas"),
+    "feller-demo-t0": ("feller-demo", {"t0": -1}, "t0"),
+    "indices-eta_max": ("indices", {"symbol": ETA_SYMBOL, "eta_max": 0.5}, "eta_max"),
+    "index-transfer-eta_max": ("index-transfer", {**TRANSFER_CFG, "eta_max": 0.5}, "eta_max"),
+    "estimator-t_ladder": ("symbol-estimate",
+                           {**ESTIMATE_CFG, "estimator": {"t_ladder": [0.02, 0.04]}},
+                           "t_ladder"),
+    "bound-diagnostic-xi_max": ("bound-diagnostic", {"model": {"name": "cp_tanh"},
+                                                     "xi_max": -5}, "xi_max"),
+    "g-identity-d": ("g-identity", {"d": 3}, "d"),
+    # a key that names a catalog object: any error while resolving it names the key
+    "model-unknown": ("simulate", {**SIMULATE_CFG, "model": {"name": "nope"}}, "model"),
+    "model-bad-param": ("simulate", {**SIMULATE_CFG, "model": {
+        "coefficient": {"name": "bump", "params": {"a": "x"}}, "driver": {"name": "bm"}}},
+        "model"),
+    "model-covariance-not-psd": ("simulate", {**SIMULATE_CFG, "model": {
+        "coefficient": {"name": "constant"},
+        "driver": {"drift": [0.0], "covariance": [[-1.0]]}}}, "model"),
+    "driver-unknown": ("bound-diagnostic", {"driver": {"name": "nope"}}, "driver"),
+    "driver-not-an-object": ("bound-diagnostic", {"driver": [1.0]}, "driver"),
+    "coefficient-unknown": ("index-transfer", {**TRANSFER_CFG, "coefficient": {"name": "nope"}},
+                            "coefficient"),
+    "symbol-unknown": ("indices", {"symbol": {"name": "nope"}}, "symbol"),
+    "test_function-unknown-key": ("generator-check", {"model": {"name": "bm_unit"},
+                                                      "x_grid": [0.0],
+                                                      "test_function": {"wide": 1.0}},
+                                  "test_function"),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Stepping, symbol evaluation and the identity integral all fail if reached."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the bound was checked")
+
+    monkeypatch.setattr(sde, "_step_dense", refuse)
+    monkeypatch.setattr(sde, "_run_chunk", refuse)
+    monkeypatch.setattr(symbols.SymbolField, "many", refuse)
+    monkeypatch.setattr(symbols.SymbolField, "__call__", refuse)
+    monkeypatch.setattr(indices, "integrate_panels", refuse)
+
+
+@pytest.mark.parametrize("kind, cfg, field", KEYED_ERRORS.values(), ids=list(KEYED_ERRORS))
+def test_bound_exits_2_naming_the_key(kind, cfg, field, tmp_path, capfd, no_work):
+    assert main_with_config(kind, cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["field"]) == ("ConfigError", field)
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+# a float overflow inside a computation is a numerical failure: exit 3, one line
+OVERFLOWS = {
+    "wide-test-function": {"model": {"name": "cp_tanh"}, "x_grid": [0.3],
+                           "test_function": {"width": 1e308}},
+    "huge-bump": {"model": {"coefficient": {"name": "bump", "params": {"a": 1e308, "b": 1.0}},
+                            "driver": {"name": "cp_pm1"}}, "x_grid": [0.3]},
+}
+
+
+@pytest.mark.parametrize("cfg", OVERFLOWS.values(), ids=list(OVERFLOWS))
+def test_float_overflow_exits_3(cfg, tmp_path, capfd):
+    assert main_with_config("generator-check", cfg, tmp_path) == 3
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["exit_code"]) == ("OverflowError", 3)
+    assert not (tmp_path / "out" / "results.json").exists()

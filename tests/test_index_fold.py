@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 import reference_indices as ref
 from symbolkit import catalog, indices
 from symbolkit import coefficients as co
-from symbolkit.indices import SearchConfig, _h_integral_weights, _h_values
+from symbolkit.indices import _h_integral_weights, _h_values
 from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, ZeroMeasure, normal_law,
                             uniform_law)
 from symbolkit.quadrature import halfline_nodes
@@ -121,10 +121,10 @@ def test_re_and_abs_even_property(name, data):
 
 SEARCH_SYMBOLS = ("cp_tanh", "stable_like", "stable_sin", "bm_bump_drift", "multi-driver",
                   "atoms+drift+gaussian")
-CONFIGS = {
-    "default": SearchConfig(),
-    "even": SearchConfig(n_direction=16),           # no e = 0 node
-    "straddle": SearchConfig(n_direction=2),        # the first refinement window is [-1, 1]
+DIRECTIONS = {
+    "default": 17,
+    "even": 16,             # no e = 0 node
+    "straddle": 2,          # the first refinement window is [-1, 1]
 }
 
 
@@ -138,22 +138,34 @@ def test_rho_one_is_a_single_node():
     assert np.count_nonzero(rho == 1.0) == 1
 
 
-@pytest.mark.parametrize("cfg", sorted(CONFIGS))
+@pytest.fixture
+def cfg(request, monkeypatch):
+    """The oracle's search plan, with the searches' direction count set to match."""
+    monkeypatch.setattr(indices, "_SEARCH_DIRECTIONS", DIRECTIONS[request.param])
+    return ref.SearchConfig(n_direction=DIRECTIONS[request.param])
+
+
+def test_oracle_plan_is_the_searches_constants():
+    assert ref.SearchConfig() == ref.SearchConfig(
+        indices._SEARCH_STATES, indices._SEARCH_DIRECTIONS, indices._REFINE_ROUNDS,
+        indices._REFINE_POINTS)
+
+
+@pytest.mark.parametrize("cfg", sorted(DIRECTIONS), indirect=True)
 @pytest.mark.parametrize("name", SEARCH_SYMBOLS)
 def test_big_H_equals_the_unfolded_search(name, cfg):
     p = even_symbol(name)
     for x, R in ((0.3, 0.1), (-1.0, 1.0), (0.0, 10.0)):
-        got = indices.big_H(p, x, R, CONFIGS[cfg])
-        assert bits(got) == bits(ref.big_H(p, x, R, CONFIGS[cfg])), (x, R)
+        assert bits(indices.big_H(p, x, R)) == bits(ref.big_H(p, x, R, cfg)), (x, R)
 
 
-@pytest.mark.parametrize("cfg", sorted(CONFIGS))
+@pytest.mark.parametrize("cfg", sorted(DIRECTIONS), indirect=True)
 @pytest.mark.parametrize("name", SEARCH_SYMBOLS)
 def test_small_h_equals_the_unfolded_search(name, cfg):
     p = even_symbol(name)
     for x, R, c0 in ((0.3, 0.1, 1.0), (-1.0, 1.0, 2.5), (0.0, 10.0, 0.5)):
-        got = indices.small_h(p, x, R, c0, CONFIGS[cfg])
-        assert bits(got) == bits(ref.small_h(p, x, R, c0, CONFIGS[cfg])), (x, R, c0)
+        got = indices.small_h(p, x, R, c0)
+        assert bits(got) == bits(ref.small_h(p, x, R, c0, cfg)), (x, R, c0)
 
 
 @pytest.mark.parametrize("name", SEARCH_SYMBOLS)

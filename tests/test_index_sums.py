@@ -20,8 +20,7 @@ import reference_indices as ref
 from symbolkit import catalog, indices
 from symbolkit import coefficients as co
 from symbolkit.cli import main
-from symbolkit.indices import (SearchConfig, _h_integral_weights, _h_values, _window_grid,
-                               g_identity_check)
+from symbolkit.indices import _h_integral_weights, _h_values, _window_grid, g_identity_check
 from symbolkit.symbols import (SymbolField, _check_ladder, solution_symbol,
                                symbol_from_exponent, symbol_of_model)
 
@@ -95,10 +94,11 @@ def test_cp_tanh_balls_reach_the_saturated_field():
 
 @pytest.mark.parametrize("n", N_DIRECTIONS)
 @pytest.mark.parametrize("name", sorted(SYMBOLS))
-def test_big_H_equals_the_unfolded_search(name, n):
-    p, cfg = symbol(name), SearchConfig(n_direction=n)
+def test_big_H_equals_the_unfolded_search(name, n, monkeypatch):
+    monkeypatch.setattr(indices, "_SEARCH_DIRECTIONS", n)
+    p, cfg = symbol(name), ref.SearchConfig(n_direction=n)
     for x, R in ((0.3, 0.1), (-1.0, 1.0), (0.0, 20.0), (1.5, 50.0)):
-        assert bits(indices.big_H(p, x, R, cfg)) == bits(ref.big_H(p, x, R, cfg)), (x, R)
+        assert bits(indices.big_H(p, x, R)) == bits(ref.big_H(p, x, R, cfg)), (x, R)
 
 
 # --------------------------------------------------------------------------

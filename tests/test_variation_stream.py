@@ -19,7 +19,8 @@ from symbolkit import catalog, cli, pathstats, sde
 from symbolkit import coefficients as co
 from symbolkit.coefficients import CoefficientField
 from symbolkit.levy import AtomLaw, FiniteActivity, LevyTriplet
-from symbolkit.pathstats import MAX_PATH_STEPS, variation_experiment, variation_work_error
+from symbolkit.errors import ConfigError
+from symbolkit.pathstats import MAX_PATH_STEPS, variation_experiment
 from symbolkit.sde import DENSE_WINDOW, MultiDriverSpec, simulate_paths_dense
 
 
@@ -152,6 +153,7 @@ def no_simulation(monkeypatch):
         raise AssertionError("the work bound must be checked before any simulation")
 
     monkeypatch.setattr(pathstats, "simulate_paths_dense", refuse)
+    monkeypatch.setattr(pathstats, "_PowerSums", refuse)    # one trial at level 32 holds 32 GiB
     monkeypatch.setattr(sde, "_step_dense", refuse)
 
 
@@ -166,17 +168,21 @@ def no_simulation(monkeypatch):
     ([20], 2 ** 12 + 1, "trials"),
 ])
 def test_work_bound_refuses(levels, trials, key, no_simulation):
-    bad = variation_work_error(levels, trials)
-    assert bad is not None and bad[0] == key
-    with pytest.raises(ValueError, match="a level is above 32|exceed 4294967296 path-steps"):
+    with pytest.raises(ConfigError, match="a level is above 32|exceed 4294967296 path-steps") as exc:
         variation_experiment(catalog.bm_unit(), [1.0], levels, trials, 1)
+    assert exc.value.field == key
 
 
 @pytest.mark.parametrize("levels, trials", [
     ([32], 1), ([30, 30, 30, 30], 1), ([20], 2 ** 12), ([0], 1), ([], 1)])
-def test_work_bound_admits(levels, trials):
-    assert variation_work_error(levels, trials) is None
+def test_work_bound_admits(levels, trials, no_simulation):
     assert trials * sum(2 ** k for k in levels) <= MAX_PATH_STEPS
+    if not levels:
+        assert variation_experiment(catalog.bm_unit(), [1.0], levels, trials, 1) == []
+        return
+    # the bound passes, so the first level's sums and run are set up
+    with pytest.raises(AssertionError, match="before any simulation"):
+        variation_experiment(catalog.bm_unit(), [1.0], levels, trials, 1)
 
 
 @pytest.mark.parametrize("config, key", [

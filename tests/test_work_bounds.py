@@ -1,10 +1,11 @@
 """Work bounds checked from the config alone, before any path is stepped.
 
 One ensemble holds at most ``sde.MAX_PATH_STEPS`` path-steps (paths x steps):
-the library's ensemble runners raise ValueError past it, and each CLI kind
-that runs one (``feller-demo``, ``symbol-estimate``, ``symbol-compare``,
-``growth``) exits 2 naming the key.  ``growth`` also takes only positive
-lambdas whose scalings t^{-1/lambda} are finite at every configured t.
+the library's ensemble runners raise ConfigError (a ValueError) past it, naming
+the argument, and each CLI kind that runs one (``feller-demo``,
+``symbol-estimate``, ``symbol-compare``, ``growth``) exits 2 naming the key.
+``growth`` also takes only positive lambdas whose scalings t^{-1/lambda} are
+finite at every configured t.
 """
 
 import json
@@ -12,7 +13,8 @@ import json
 import pytest
 
 from symbolkit import catalog, cli, pathstats, sde
-from symbolkit.pathstats import growth_experiment, growth_lambda_error
+from symbolkit.errors import ConfigError
+from symbolkit.pathstats import growth_experiment
 
 
 @pytest.fixture
@@ -42,14 +44,22 @@ def test_library_ensembles_refuse_past_the_bound(n_paths, n_steps, no_simulation
 @pytest.mark.parametrize("n_paths, n_steps", [(2 ** 12, 2 ** 20), (1, 2 ** 32), (2 ** 32, 1)])
 def test_library_bound_admits_up_to_it(n_paths, n_steps):
     sde._check_sizes(n_steps, n_paths)
-    assert sde.ensemble_size_error(n_paths, n_steps) is None
+    sde.check_ensemble_size(n_paths, n_steps, "paths", "steps")
 
 
 @pytest.mark.parametrize("n_paths, n_steps, which", [
     (2 ** 12 + 1, 2 ** 20, "paths"), (10 ** 308, 16, "paths"), (1, 2 ** 32 + 1, "steps")])
-def test_size_error_names_the_factor_past_the_bound(n_paths, n_steps, which):
-    assert sde.ensemble_size_error(n_paths, n_steps) == (
-        which, "exceeds 4294967296 path-steps in one ensemble")
+def test_size_error_names_the_factor_past_the_bound(n_paths, n_steps, which, no_simulation):
+    # each caller's own argument names: n_paths/n_steps, and growth's paths/steps_per_run
+    model = catalog.bm_unit()
+    with pytest.raises(ConfigError) as exc:
+        sde.simulate_ensemble(model.blocks(), None, [0.0], 1.0, n_steps, n_paths, 1)
+    assert exc.value.field == f"n_{which}"
+    assert str(exc.value) == "n_paths x n_steps exceeds 4294967296 path-steps in one ensemble"
+    with pytest.raises(ConfigError) as exc:
+        growth_experiment(model, 0.0, [1.0], [0.1], [], n_paths, 1, steps_per_run=n_steps)
+    assert exc.value.field == {"paths": "paths", "steps": "steps_per_run"}[which]
+    assert str(exc.value) == "paths x steps_per_run exceeds 4294967296 path-steps in one ensemble"
 
 
 GROWTH = {"model": {"name": "bm_unit"}, "lambdas": [1.0], "t_small": [0.01, 0.1]}
@@ -96,8 +106,9 @@ def test_cli_growth_refuses_bad_lambdas(lambdas, tmp_path, capsys, no_simulation
 
 @pytest.mark.parametrize("lambdas", BAD_LAMBDAS)
 def test_growth_experiment_refuses_bad_lambdas(lambdas, no_simulation):
-    with pytest.raises(ValueError, match="not positive|overflows"):
+    with pytest.raises(ValueError, match="not positive|overflows") as exc:
         growth_experiment(catalog.bm_unit(), 0.0, lambdas, [0.01, 0.1], [], 100, 1)
+    assert exc.value.field == "lambdas"
 
 
 @pytest.mark.parametrize("lambdas, times", [
@@ -105,5 +116,7 @@ def test_growth_experiment_refuses_bad_lambdas(lambdas, no_simulation):
     ([1e-308], [2.0, 10.0]),          # t > 1: the scaling underflows to 0, a finite value
     ([1e308], [1e-300]),
 ])
-def test_growth_lambda_bound_admits(lambdas, times):
-    assert growth_lambda_error(lambdas, times) is None
+def test_growth_lambda_bound_admits(lambdas, times, no_simulation):
+    # the checks pass, so the first ensemble is stepped
+    with pytest.raises(AssertionError, match="no ensemble may be stepped"):
+        growth_experiment(catalog.bm_unit(), 0.0, lambdas, times, [], 100, 1)
