@@ -138,9 +138,11 @@ def _config_hash(config: dict) -> str:
 # simulate hands over its (n+1, 1+d) array of times and states.
 
 
-def _grid(vals, key: str) -> list:
-    if not isinstance(vals, (list, tuple)) or not vals:
-        raise ConfigError(f"field {key!r} must be a nonempty list", field=key)
+def _grid(vals, key: str, empty: bool = False) -> list:
+    """The list ``vals``, nonempty unless ``empty``; anything else is a ConfigError."""
+    if not isinstance(vals, (list, tuple)) or not (vals or empty):
+        raise ConfigError(f"field {key!r} must be a {'' if empty else 'nonempty '}list",
+                          field=key)
     return list(vals)
 
 
@@ -158,9 +160,9 @@ def _real(value, key: str) -> float:
     return real
 
 
-def _reals(vals, key: str) -> list:
-    """The nonempty list ``vals`` of real numbers as floats."""
-    return [_real(v, key) for v in _grid(vals, key)]
+def _reals(vals, key: str, empty: bool = False) -> list:
+    """The list ``vals`` of real numbers as floats, nonempty unless ``empty``."""
+    return [_real(v, key) for v in _grid(vals, key, empty)]
 
 
 def _state(value, key: str):
@@ -335,7 +337,7 @@ def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_ma
     r_max = _real(r_max, "r_max")
     if r_max <= 1.0:
         raise ConfigError(f"r_max must be greater than 1, got {r_max!r}", field="r_max")
-    radii = [_real(v, "r_table") for v in r_table]
+    radii = _reals(r_table, "r_table", empty=True)
     if any(r <= 0.0 for r in radii):
         raise ConfigError(f"r_table entries must be positive, got {r_table!r}", field="r_table")
     report = build_index_report(
@@ -373,8 +375,8 @@ def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horiz
 def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large=(),
                  paths=2000, steps_per_run=256):
     model, x, lambdas = _resolve(model, "model"), _real(x, "x"), _reals(lambdas, "lambdas")
-    t_small = [_real(v, "t_small") for v in t_small]
-    t_large = [_real(v, "t_large") for v in t_large]
+    t_small = _reals(t_small, "t_small", empty=True)
+    t_large = _reals(t_large, "t_large", empty=True)
     paths = _whole(paths, "paths", "paths", 1)
     steps_per_run = _whole(steps_per_run, "steps_per_run", "steps_per_run", 1)
     profile = growth_experiment(model, x, lambdas, t_small, t_large, paths, seed,

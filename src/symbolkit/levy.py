@@ -1074,7 +1074,7 @@ def _atoms_measure(*, rate, atoms=None, law=None) -> FiniteActivity:
         law = AtomLaw.of(atoms)
     else:
         params = dict(law)
-        law = named(_NAMED_LAWS, "continuous jump law", params.pop("name"), params)
+        law = named(_NAMED_LAWS, "continuous jump law", params.pop("name", None), params)
     return FiniteActivity(rate=float(rate), law=law)
 
 
@@ -1094,4 +1094,4 @@ _MEASURES = {"zero": ZeroMeasure, "atoms": _atoms_measure, "stable": _stable_mea
 
 def _measure_from_dict(spec: dict) -> LevyMeasureSpec:
     params = dict(spec)
-    return named(_MEASURES, "levy_measure kind", params.pop("kind"), params)
+    return named(_MEASURES, "levy_measure kind", params.pop("kind", None), params)

@@ -50,8 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .sde import (MAX_PATH_STEPS, SdeModel, check_ensemble_size, simulate_ensemble,
-                  simulate_paths_dense)
+from .sde import (MAX_PATH_STEPS, SdeModel, check_ensemble_size, initial_state,
+                  simulate_ensemble, simulate_paths_dense)
 from .seeding import TAG_EXPERIMENT
 
 
@@ -253,9 +253,10 @@ def variation_experiment(model: SdeModel, gammas: Sequence[float],
     reach ``_PowerSums`` a window of ``sde.DENSE_WINDOW`` steps at a time, so
     memory is O(window x trials), plus O(2^level) for a single trial.
     Raises ConfigError unless every gamma and the horizon are positive and
-    finite, and when the run exceeds the work bound: a level above
-    ``MAX_LEVEL``, or more than ``MAX_PATH_STEPS`` path-steps, trials x the
-    sum of 2^level, naming ``levels`` when the levels alone exceed it.
+    finite and x0 has the model's dimension, and when the run exceeds the
+    work bound: a level above ``MAX_LEVEL``, or more than ``MAX_PATH_STEPS``
+    path-steps, trials x the sum of 2^level, naming ``levels`` when the
+    levels alone exceed it.
     """
     for gamma in gammas:
         if not 0.0 < float(gamma) < np.inf:
@@ -272,7 +273,7 @@ def variation_experiment(model: SdeModel, gammas: Sequence[float],
                           f"{MAX_PATH_STEPS} path-steps",
                           field="levels" if per_trial > MAX_PATH_STEPS else "trials")
     gammas = [float(gamma) for gamma in gammas]
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = initial_state(x0, model.d)
     rows = []
     for k in sorted(int(k) for k in levels):
         n = 2 ** k
@@ -342,9 +343,8 @@ def growth_experiment(model: SdeModel, x, lambdas: Sequence[float],
             res = simulate_ensemble(model.blocks(), model.drift_coefficient, x,
                                     t, steps_per_run, paths, seed,
                                     base_key=(TAG_EXPERIMENT, 1, widx, i),
-                                    record_max_steps=[steps_per_run],
-                                    threads=threads)
-            med = float(np.median(res.running_max[-1]))
+                                    record_max=True, threads=threads)
+            med = float(np.median(res.running_max))
             medians[(wname, t)] = med
             for lam in lambdas:
                 rows.append(GrowthRow(window=wname, t=t, lam=float(lam),

@@ -17,8 +17,10 @@ result is the path-by-path one bit for bit.
 There is one stepping rule, on arrays of paths: the step's smooth update
 (``_smooth_increment``) is added to the states, then its jumps are applied
 (``_advance_chunk`` does both).  ``simulate_ensemble`` runs it on chunks of
-paths, through ``ordered_map``, the package's one worker pool, and keeps
-only the terminal states; ``simulate_paths_dense`` keeps every state, or
+``DEFAULT_CHUNK`` paths, through ``ordered_map``, the package's one worker
+pool, and keeps only the terminal states of X^sigma, sigma the first exit
+from a ball around x0, and on request each path's max |X - x0| up to the
+horizon; ``simulate_paths_dense`` keeps every state, or
 hands them to a sink a window of ``DENSE_WINDOW`` steps at a time;
 ``simulate_path`` and ``simulate_multi`` are a one-path dense run that also
 records each jump as (grid time, state-space effect).  The engine keeps
@@ -26,8 +28,9 @@ these invariants:
 
 - the chunk's state array is updated in place, with no per-step copy;
 - a path that has left the stop ball is frozen: later steps still draw its
-  variates but change neither its state nor its running maximum (kept only
-  when ``record_max_steps`` asks for it);
+  variates but change neither its state nor its running maximum.  One
+  distance |X - x0| per path and step serves both the stop test and the
+  maximum; when neither is asked for, no distance is formed;
 - each chunk owns seed-derived generators addressed by (master seed, caller
   key, chunk index, block index), one per block.  A block draws a step's
   variates for the whole chunk in one call, in a fixed order; a block whose
@@ -162,23 +165,28 @@ class SamplePath:
 
 def _simulate_one(blocks, drift_field, x0, horizon, step, seed):
     """One path of the ensemble step, generators ``rng_at(seed, TAG_PATH, j)``."""
-    if step <= 0:
+    if not step > 0:                # NaN too
         raise ConfigError(f"step must be positive, got {step}", field="step")
     if horizon < step:
         raise ConfigError(f"horizon {horizon} shorter than one step {step}", field="horizon")
     if not math.isfinite(float(horizon) / float(step)):
         raise ConfigError(f"horizon {horizon} over step {step} is not a finite number of steps",
                           field="horizon")
-    d = blocks[0][0].d
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (d,):
-        raise DimensionMismatch(f"x0 shape {x0.shape}, expected ({d},)")
+    x0 = initial_state(x0, blocks[0][0].d)
     n_steps = int(np.ceil(horizon / step - 1e-12))
     times = step * np.arange(n_steps + 1)
     rngs = [rng_at(seed, TAG_PATH, j) for j in range(len(blocks))]
     jumps: list = []
     states = _step_dense(blocks, drift_field, x0, step, n_steps, 1, rngs, jumps)
     return SamplePath(times=times, states=states[:, 0], jumps=jumps, seed=int(seed))
+
+
+def initial_state(x0, d: int) -> np.ndarray:
+    """x0 as a (d,) float array; another shape is a ConfigError naming ``x0``."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (d,):
+        raise ConfigError(f"x0 shape {x0.shape}, expected ({d},)", field="x0")
+    return x0
 
 
 def simulate_path(model: SdeModel, x0, horizon: float, step: float, seed: int) -> SamplePath:
@@ -222,9 +230,8 @@ def stopped_path(path: SamplePath, center, radius: float) -> SamplePath:
 @dataclass
 class EnsembleResult:
     terminal: np.ndarray            # (M, d) states of X^sigma at the horizon
-    exited: np.ndarray              # (M,) bool
-    running_max: Optional[np.ndarray] = None     # (n_records, M) |X-x0| running maxima
-    record_steps: Optional[np.ndarray] = None
+    exited: np.ndarray              # (M,) bool: left the stop ball around x0
+    running_max: Optional[np.ndarray] = None     # (M,) max |X - x0| up to the horizon
 
 
 def _times(phi, v, out=None):
@@ -451,39 +458,33 @@ def _check_overflow(x, active, k, n_steps):
             f"state norm {norm:.3e} exceeded {OVERFLOW_GUARD:.0e} at step {k + 1} of {n_steps}")
 
 
-def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
-               stop_center, stop_radius, record_steps):
+def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs, stop_radius, record_max):
     d = x0.shape[0]
     x = np.tile(x0, (m, 1))
     inc, tmp = np.empty((m, d)), np.empty((m, d))
     active = None                   # None until the first path exits
-    records = np.zeros((len(record_steps), m)) if len(record_steps) else None
-    maxdist = np.zeros(m) if records is not None else None     # nothing reads it otherwise
-    rec_pos = {int(s): i for i, s in enumerate(record_steps)}
-    stop_at_x0 = stop_radius is not None and np.array_equal(stop_center, x0)
+    maxdist = np.zeros(m) if record_max else None
     segments = _step_samples(blocks, dt, n_steps, m, rngs)
     for k, (rows, steps) in enumerate((rows, steps) for smooth, steps in segments
                                       for rows in zip(*smooth)):
         _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, tmp, steps)
         _check_overflow(x, active, k, n_steps)
-        # a frozen path keeps its distances, so it needs no mask here: its
-        # maximum already holds its distance, and it stays outside the ball
-        if records is not None or stop_at_x0:
-            dist = _row_norms(np.subtract(x, x0, out=inc))
-        if records is not None:
+        if stop_radius is None and maxdist is None:
+            continue
+        # a frozen path keeps its distance, so it needs no mask here: its
+        # maximum already holds it, and it stays outside the ball
+        dist = _row_norms(np.subtract(x, x0, out=inc))
+        if maxdist is not None:
             np.maximum(maxdist, dist, out=maxdist)
         if stop_radius is not None:
-            dstop = dist if stop_at_x0 else _row_norms(np.subtract(x, stop_center, out=tmp))
-            gone = dstop > stop_radius
+            gone = dist > stop_radius
             if gone.any():
                 active = ~gone
-        if records is not None and (k + 1) in rec_pos:
-            records[rec_pos[k + 1]] = maxdist
-    return x, np.zeros(m, dtype=bool) if active is None else ~active, records
+    return x, np.zeros(m, dtype=bool) if active is None else ~active, maxdist
 
 
-def _check_sizes(n_steps, n_paths, chunk_size=1):
-    for name, value in (("n_steps", n_steps), ("n_paths", n_paths), ("chunk_size", chunk_size)):
+def _check_sizes(n_steps, n_paths):
+    for name, value in (("n_steps", n_steps), ("n_paths", n_paths)):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}", field=name)
     check_ensemble_size(int(n_paths), int(n_steps), "n_paths", "n_steps")
@@ -529,48 +530,41 @@ def ordered_map(fn: Callable, tasks: Iterable, threads: int = 1):
 
 def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
                       n_paths: int, seed: int, *, base_key=(TAG_ENSEMBLE,),
-                      stop_center=None, stop_radius=None,
-                      record_max_steps: Sequence[int] = (),
-                      chunk_size: int = DEFAULT_CHUNK, threads: int = 1) -> EnsembleResult:
+                      stop_radius=None, record_max: bool = False,
+                      threads: int = 1) -> EnsembleResult:
     """Simulate ``n_paths`` independent Euler paths; terminal states of X^sigma.
 
-    Paths are split into fixed-size chunks, chunk c with the generators
-    ``rng_at(seed, *base_key, c, j)``, one per block j, and the chunks are
-    run through ``ordered_map``, so the result depends only on (seed,
-    base_key), not on ``threads``.  Raises ConfigError unless ``n_steps``,
-    ``n_paths`` and ``chunk_size`` are >= 1 and ``n_paths`` x ``n_steps`` is
-    at most ``MAX_PATH_STEPS``.
+    sigma is the first exit from the ball of radius ``stop_radius`` around
+    x0 (no stopping when it is None); ``record_max`` also returns each path's
+    max |X - x0| up to the horizon.  Paths are split into chunks of
+    ``DEFAULT_CHUNK``, chunk c with the generators ``rng_at(seed, *base_key,
+    c, j)``, one per block j, and the chunks are run through ``ordered_map``,
+    so the result depends only on (seed, base_key), not on ``threads``.
+    Raises ConfigError unless ``n_steps`` and ``n_paths`` are >= 1 and
+    ``n_paths`` x ``n_steps`` is at most ``MAX_PATH_STEPS``.
     """
-    _check_sizes(n_steps, n_paths, chunk_size)
+    _check_sizes(n_steps, n_paths)
     d = blocks[0][0].d
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dt = horizon / n_steps
-    if stop_radius is not None and stop_center is None:
-        stop_center = x0
-    if stop_center is not None:
-        stop_center = np.atleast_1d(np.asarray(stop_center, dtype=float))
-    record_steps = np.asarray(sorted(int(s) for s in record_max_steps), dtype=int)
-
-    bounds = list(range(0, n_paths, chunk_size)) + [n_paths]
+    bounds = list(range(0, n_paths, DEFAULT_CHUNK)) + [n_paths]
     tasks = [(hi - lo, [rng_at(seed, *base_key, c, j) for j in range(len(blocks))])
              for c, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     terminal = np.empty((n_paths, d))
     exited = np.zeros(n_paths, dtype=bool)
-    records = np.zeros((len(record_steps), n_paths)) if len(record_steps) else None
+    running_max = np.empty(n_paths) if record_max else None
 
     def work(task):
         m, rngs = task
-        return _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
-                          stop_center, stop_radius, record_steps)
+        return _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs, stop_radius, record_max)
 
     with closing(ordered_map(work, tasks, threads if len(tasks) > 1 else 1)) as results:
-        for lo, hi, (x, ex, rec) in zip(bounds, bounds[1:], results):
+        for lo, hi, (x, ex, mx) in zip(bounds, bounds[1:], results):
             terminal[lo:hi] = x
             exited[lo:hi] = ex
-            if records is not None:
-                records[:, lo:hi] = rec
-    return EnsembleResult(terminal=terminal, exited=exited,
-                          running_max=records, record_steps=record_steps)
+            if record_max:
+                running_max[lo:hi] = mx
+    return EnsembleResult(terminal=terminal, exited=exited, running_max=running_max)
 
 
 def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None, sink=None):

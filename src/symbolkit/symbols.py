@@ -430,7 +430,7 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
         ix, x, variant, r, ri, t = task
         res = simulate_ensemble(model.blocks(), model.drift_coefficient, x, t, steps_per_rung,
                                 paths_per_rung, seed, base_key=(TAG_SYMBOL_MC, ix, ri, variant),
-                                stop_center=x, stop_radius=r)
+                                stop_radius=r)
         exited = float(np.mean(res.exited))
         stats = [None] * len(xis)
         for k, mirrors in groups:

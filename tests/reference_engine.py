@@ -5,9 +5,13 @@
 straightforward versions of the ensemble engine in ``symbolkit.sde`` and
 ``symbolkit.levy``: a fresh state array and a zeroed update per step,
 ``einsum`` for every block, masks on every step and full ``np.linalg.norm``
-distances.  The only edit is that ``_advance_chunk`` calls this module's
-sampler instead of ``levy.sample_step_ensemble``.  The tests require the
-fast engine to reproduce these functions bit for bit.
+distances.  The only edits are that ``_advance_chunk`` calls this module's
+sampler instead of ``levy.sample_step_ensemble`` and that ``simulate_ensemble``
+returns its own ``Ensemble``.  This ``simulate_ensemble`` still takes any stop
+centre, any record steps and any chunk size; ``simulate_ensemble_at_x0`` fixes
+them as the package does (centre x0, one record at the horizon, chunks of
+``DEFAULT_CHUNK``).  The tests require the fast engine to reproduce these
+functions bit for bit.
 
 ``_simulate_blocks_scalar``, ``_apply_jumps_scalar``, ``sample_increment_parts``
 and ``sample_increment`` are the separate single-path engine that
@@ -20,12 +24,15 @@ state, the scalar engine after).
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from symbolkit.errors import DimensionMismatch, SimulationOverflow
 from symbolkit.levy import (DensityForm, FiniteActivity, StableSymmetric, StepSample,
                             ZeroMeasure)
+from symbolkit import sde
 from symbolkit.sde import DEFAULT_CHUNK, OVERFLOW_GUARD, EnsembleResult, SamplePath
 from symbolkit.seeding import TAG_ENSEMBLE, TAG_PATH, rng_at
 
@@ -149,6 +156,14 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
     return x, ~active, records
 
 
+@dataclass
+class Ensemble:
+    terminal: np.ndarray
+    exited: np.ndarray
+    running_max: Optional[np.ndarray]       # (len(record_steps), M)
+    record_steps: np.ndarray
+
+
 def simulate_ensemble(blocks, drift_field, x0, horizon, n_steps, n_paths, seed, *,
                       base_key=(TAG_ENSEMBLE,), stop_center=None, stop_radius=None,
                       record_max_steps=(), chunk_size=DEFAULT_CHUNK, threads=1):
@@ -188,8 +203,22 @@ def simulate_ensemble(blocks, drift_field, x0, horizon, n_steps, n_paths, seed, 
         exited[lo:hi] = ex
         if records is not None:
             records[:, lo:hi] = rec
-    return EnsembleResult(terminal=terminal, exited=exited,
-                          running_max=records, record_steps=record_steps)
+    return Ensemble(terminal=terminal, exited=exited,
+                    running_max=records, record_steps=record_steps)
+
+
+def simulate_ensemble_at_x0(blocks, drift_field, x0, horizon, n_steps, n_paths, seed, *,
+                            base_key=(TAG_ENSEMBLE,), stop_radius=None, record_max=False,
+                            threads=1):
+    """``simulate_ensemble`` as ``sde.simulate_ensemble`` calls it: the stop ball
+    around x0, the running maximum at the horizon only, chunks of
+    ``sde.DEFAULT_CHUNK`` paths (looked up at the call, so a test may patch it)."""
+    res = simulate_ensemble(blocks, drift_field, x0, horizon, n_steps, n_paths, seed,
+                            base_key=base_key, stop_center=x0, stop_radius=stop_radius,
+                            record_max_steps=[n_steps] if record_max else [],
+                            chunk_size=sde.DEFAULT_CHUNK, threads=threads)
+    return EnsembleResult(terminal=res.terminal, exited=res.exited,
+                          running_max=None if res.running_max is None else res.running_max[0])
 
 
 def simulate_paths_dense(blocks, drift_field, x0, horizon, n_steps, n_paths, seed, *,

@@ -34,7 +34,7 @@ def values_for_xi(terminal, x, xi, t):
 def rung_terminals(model, x, t, paths, seed, key, radius, steps_per_rung, threads):
     res = simulate_ensemble(model.blocks(), model.drift_coefficient, x,
                             t, steps_per_rung, paths, seed, base_key=key,
-                            stop_center=x, stop_radius=radius, threads=threads)
+                            stop_radius=radius, threads=threads)
     return res.terminal, float(np.mean(res.exited))
 
 

@@ -20,7 +20,7 @@ import pytest
 
 import reference_engine as ref
 import symbolkit as sk
-from symbolkit import catalog, coefficients as co, levy
+from symbolkit import catalog, coefficients as co, levy, sde
 from symbolkit.coefficients import CoefficientField
 from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, StepSample,
                             ZeroMeasure, normal_law, sample_step_ensemble, uniform_law)
@@ -193,13 +193,15 @@ def test_look_ahead_dense_matches_reference(n_paths):
     assert _same_bits(got, want)
 
 
-def test_look_ahead_inside_an_ensemble_matches_reference():
+def test_look_ahead_inside_an_ensemble_matches_reference(monkeypatch):
     # chunks of 3, 3, 3 and 1 paths: K = 66 and 200
+    monkeypatch.setattr(sde, "DEFAULT_CHUNK", 3)
     model = _tanh_model(catalog.compound_poisson_pm1(rate=2.0))
-    kwargs = dict(stop_radius=1.5, record_max_steps=[100, 400], chunk_size=3)
+    kwargs = dict(stop_radius=1.5, record_max=True)
     got = simulate_ensemble(model.blocks(), None, np.zeros(1), 1.0, 400, 10, 6, **kwargs)
-    want = ref.simulate_ensemble(model.blocks(), None, np.zeros(1), 1.0, 400, 10, 6, **kwargs)
-    for field in ("terminal", "exited", "running_max", "record_steps"):
+    want = ref.simulate_ensemble_at_x0(model.blocks(), None, np.zeros(1), 1.0, 400, 10, 6,
+                                       **kwargs)
+    for field in ("terminal", "exited", "running_max"):
         assert _same_bits(getattr(got, field), getattr(want, field)), field
 
 

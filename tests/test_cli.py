@@ -691,6 +691,8 @@ INDICES_RANGES = {
                          "x_box inf is not a finite number"),
     "r_table-negative": ({"r_table": [1.0, -1.0]}, "r_table",
                          "r_table entries must be positive, got [1.0, -1.0]"),
+    **{f"r_table-{value}": ({"r_table": value}, "r_table", "field 'r_table' must be a list")
+       for value in (1.0, True, None)},
 }
 
 
@@ -915,7 +917,20 @@ KEYED_ERRORS = {
                                                       "x_grid": [0.0],
                                                       "test_function": {"wide": 1.0}},
                                   "test_function"),
+    # a levy_measure without its kind, a continuous law without its name
+    "model-measure-without-kind": ("simulate", {**SIMULATE_CFG, "model": {
+        "coefficient": {"name": "constant"},
+        "driver": {"drift": [0.0], "levy_measure": {"rate": 1.0}}}}, "model"),
+    "driver-law-without-name": ("bound-diagnostic", {"driver": {
+        "drift": [0.0], "levy_measure": {"kind": "atoms", "rate": 1.0, "law": {"mean": 0.0}}}},
+        "driver"),
+    # an x0 of another dimension than the model's
+    "simulate-x0-dimension": ("simulate", {**SIMULATE_CFG, "x0": [0.0, 1.0]}, "x0"),
+    "variation-x0-empty": ("variation", {**VARIATION_CFG, "x0": []}, "x0"),
 }
+# growth's time lists must be lists (empty ones are allowed)
+KEYED_ERRORS.update({f"growth-{key}-{value}": ("growth", {**GROWTH_CFG, key: value}, key)
+                     for key in ("t_small", "t_large") for value in (1.0, True, None)})
 
 
 @pytest.fixture

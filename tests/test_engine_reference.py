@@ -5,7 +5,7 @@ import pytest
 
 import reference_engine as ref
 import symbolkit as sk
-from symbolkit import catalog, coefficients as co
+from symbolkit import catalog, coefficients as co, sde
 from symbolkit.coefficients import CoefficientField
 from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetric, StepSample,
                             normal_law)
@@ -124,22 +124,23 @@ def _assert_same_ensemble(got, want):
     assert _same_bits(got.terminal, want.terminal)
     assert _same_bits(got.exited, want.exited)
     assert _same_bits(got.running_max, want.running_max)
-    assert _same_bits(got.record_steps, want.record_steps)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_ensemble_matches_reference(case, threads):
+def test_ensemble_matches_reference(case, threads, monkeypatch):
+    monkeypatch.setattr(sde, "DEFAULT_CHUNK", 700)        # chunks of 700, 700 and 100
     model, x0 = CASES[case]()
     blocks, drift = _blocks(model)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    # a tight radius, so paths exit mid-run, and a stop centre away from x0
-    for stop in ({}, {"stop_radius": 0.4}, {"stop_center": x0 + 0.1, "stop_radius": 0.6}):
-        kwargs = dict(base_key=(7, 3), record_max_steps=[12, 3, 7], chunk_size=700,
-                      threads=threads, **stop)
+    # a tight radius, so paths exit mid-run
+    for stop, record_max in (({}, True), ({"stop_radius": 0.4}, True),
+                             ({"stop_radius": 0.4}, False)):
+        kwargs = dict(base_key=(7, 3), record_max=record_max, threads=threads, **stop)
         got = simulate_ensemble(blocks, drift, x0, 0.3, 12, 1500, 11, **kwargs)
-        want = ref.simulate_ensemble(blocks, drift, x0, 0.3, 12, 1500, 11, **kwargs)
+        want = ref.simulate_ensemble_at_x0(blocks, drift, x0, 0.3, 12, 1500, 11, **kwargs)
         _assert_same_ensemble(got, want)
+        assert (want.running_max is None) == (not record_max)
         assert want.exited.any() == ("stop_radius" in stop
                                      and case not in ("zero_coefficient", "tiny_coefficient"))
 
@@ -160,14 +161,15 @@ def test_burst_cases_reach_eight_jumps_in_a_step(case):
 
 @pytest.mark.parametrize("stopped", [False, True])
 @pytest.mark.parametrize("case", sorted(BURSTS))
-def test_burst_ensemble_matches_reference(case, stopped):
+def test_burst_ensemble_matches_reference(case, stopped, monkeypatch):
+    monkeypatch.setattr(sde, "DEFAULT_CHUNK", 200)
     model, x0, radius = BURSTS[case]()
     blocks, drift = _blocks(model)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     kwargs = dict(base_key=(7, 3), stop_radius=radius if stopped else None,
-                  record_max_steps=[3, 10], chunk_size=200, threads=2)
+                  record_max=True, threads=2)
     got = simulate_ensemble(blocks, drift, x0, 0.25, 10, 400, 2, **kwargs)
-    want = ref.simulate_ensemble(blocks, drift, x0, 0.25, 10, 400, 2, **kwargs)
+    want = ref.simulate_ensemble_at_x0(blocks, drift, x0, 0.25, 10, 400, 2, **kwargs)
     _assert_same_ensemble(got, want)
     assert (0.0 < want.exited.mean() < 1.0) == stopped
 
@@ -210,9 +212,10 @@ def test_multi_jump_step_takes_rounds_not_point_calls(monkeypatch):
 
 def test_exits_happen_mid_run():
     model = catalog.bm_bump()
-    kwargs = dict(stop_radius=0.3, record_max_steps=[20])
+    kwargs = dict(stop_radius=0.3, record_max=True)
     got = simulate_ensemble(model.blocks(), None, np.zeros(1), 0.05, 20, 2000, 4, **kwargs)
-    want = ref.simulate_ensemble(model.blocks(), None, np.zeros(1), 0.05, 20, 2000, 4, **kwargs)
+    want = ref.simulate_ensemble_at_x0(model.blocks(), None, np.zeros(1), 0.05, 20, 2000, 4,
+                                       **kwargs)
     assert 0.2 < want.exited.mean() < 0.95
     _assert_same_ensemble(got, want)
 
@@ -221,9 +224,9 @@ def test_default_chunk_matches_reference():
     # one full DEFAULT_CHUNK chunk plus a partial one, as in the symbol-compare rungs
     model = catalog.cp_tanh()
     x0 = np.array([1.0])
-    kwargs = dict(stop_center=x0, stop_radius=20.0, threads=2)
+    kwargs = dict(stop_radius=20.0, threads=2)
     got = simulate_ensemble(model.blocks(), None, x0, 0.04, 10, 20000, 3, **kwargs)
-    want = ref.simulate_ensemble(model.blocks(), None, x0, 0.04, 10, 20000, 3, **kwargs)
+    want = ref.simulate_ensemble_at_x0(model.blocks(), None, x0, 0.04, 10, 20000, 3, **kwargs)
     _assert_same_ensemble(got, want)
 
 
@@ -421,12 +424,16 @@ def test_drift_path_matches_reference_step_bit_for_bit(case):
 
 def test_path_input_checks_match_scalar_reference():
     model = catalog.cp_tanh()
-    for args, error in (((0.0, 1.0, 0.0), ValueError), ((0.0, 1.0, -0.1), ValueError),
-                        ((0.0, 0.05, 0.1), ValueError),
-                        (([0.0, 1.0], 1.0, 0.1), sk.DimensionMismatch)):
+    # an x0 of the wrong dimension is a ConfigError naming x0 (the scalar engine
+    # raised DimensionMismatch)
+    for args, error, ref_error in (((0.0, 1.0, 0.0), ValueError, ValueError),
+                                   ((0.0, 1.0, -0.1), ValueError, ValueError),
+                                   ((0.0, 0.05, 0.1), ValueError, ValueError),
+                                   (([0.0, 1.0], 1.0, 0.1), sk.ConfigError,
+                                    sk.DimensionMismatch)):
         with pytest.raises(error):
             sk.simulate_path(model, *args, seed=0)
-        with pytest.raises(error):
+        with pytest.raises(ref_error):
             ref._simulate_blocks_scalar(model.blocks(), None, *args, 0)
 
 

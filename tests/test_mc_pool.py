@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import reference_mc as ref
 import symbolkit as sk
-from symbolkit import catalog, coefficients as co, symbols
+from symbolkit import catalog, coefficients as co, sde, symbols
 from symbolkit.coefficients import CoefficientField
 from symbolkit.errors import NonConvergence, SimulationOverflow
 from symbolkit.levy import CHUNK_ROWS, AtomLaw, FiniteActivity, LevyTriplet, expi
@@ -329,11 +329,11 @@ def test_guard_failure_matches_the_oracle(monkeypatch):
                         threads=threads, **kwargs) == want
 
 
-def test_ensemble_overflow_on_two_threads_joins_its_workers():
+def test_ensemble_overflow_on_two_threads_joins_its_workers(monkeypatch):
+    monkeypatch.setattr(sde, "DEFAULT_CHUNK", 1000)
     driver = LevyTriplet([1e13], [[0.0]], FiniteActivity(1.0, AtomLaw.of([(1.0, 1.0)])))
     model = sk.SdeModel(coefficient=co.constant(1.0), driver=driver)
     before = threading.active_count()
     with pytest.raises(SimulationOverflow):
-        simulate_ensemble(model.blocks(), None, [0.0], 1.0, 4, 5000, 1, chunk_size=1000,
-                          threads=2)
+        simulate_ensemble(model.blocks(), None, [0.0], 1.0, 4, 5000, 1, threads=2)
     assert threading.active_count() == before

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbolkit as sk
-from symbolkit import catalog, coefficients as co, levy
+from symbolkit import catalog, coefficients as co, levy, sde
 from symbolkit.cli import run_config
 from symbolkit.sde import (path_from_binary, path_to_binary,
                            simulate_ensemble, simulate_paths_dense)
@@ -119,20 +119,26 @@ class TestMultiDriver:
         se = res.terminal[:, 0].std(ddof=1) / np.sqrt(n)
         assert abs(mean - 1.0) <= 3 * se
 
-    @pytest.mark.parametrize("sizes", [(0, 10, 5), (4, 0, 5), (4, 10, 0)])
+    @pytest.mark.parametrize("sizes", [(0, 10), (4, 0)])
     def test_ensemble_sizes_below_one_rejected(self, sizes):
-        n_steps, n_paths, chunk = sizes
+        n_steps, n_paths = sizes
         blocks = catalog.bm_bump().blocks()
         with pytest.raises(ValueError, match="must be at least 1"):
-            simulate_ensemble(blocks, None, np.zeros(1), 1.0, n_steps, n_paths, 0,
-                              chunk_size=chunk)
-        if chunk:
-            with pytest.raises(ValueError, match="must be at least 1"):
-                simulate_paths_dense(blocks, None, np.zeros(1), 1.0, n_steps, n_paths, 0)
+            simulate_ensemble(blocks, None, np.zeros(1), 1.0, n_steps, n_paths, 0)
+        with pytest.raises(ValueError, match="must be at least 1"):
+            simulate_paths_dense(blocks, None, np.zeros(1), 1.0, n_steps, n_paths, 0)
 
     def test_empty_driver_list_rejected(self):
         with pytest.raises(ValueError):
             sk.MultiDriverSpec([])
+
+
+@pytest.mark.parametrize("x0, step, field", [
+    (0.0, float("nan"), "step"), ([0.0, 1.0], 0.1, "x0"), ([], 0.1, "x0")])
+def test_path_argument_refused_naming_it(x0, step, field):
+    with pytest.raises(sk.ConfigError) as exc:
+        sk.simulate_path(catalog.cp_tanh(), x0, 1.0, step, 1)
+    assert exc.value.field == field
 
 
 class TestExitTimes:
@@ -191,13 +197,13 @@ class TestEnsemble:
         scatter = 4 * 1.5 * np.sqrt(0.5 / n)   # |Phi| <= 1.5
         assert abs(means[0] - means[1]) <= scatter
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(sde, "DEFAULT_CHUNK", 8192)
         model = catalog.cp_tanh()
         runs = []
         for threads in (1, 4):
             res = simulate_ensemble(model.blocks(), None, np.array([0.0]), 0.5,
-                                    10, 40_000, seed=31, threads=threads,
-                                    chunk_size=8192)
+                                    10, 40_000, seed=31, threads=threads)
             runs.append(res.terminal.copy())
         assert np.array_equal(runs[0], runs[1])
 
@@ -212,11 +218,18 @@ class TestEnsemble:
         assert np.abs(res.terminal[:, 0] - 1.1).max() <= 1e-12
 
     def test_running_max_nondecreasing(self):
+        # at a fixed step 1/64 the runs to 16, 32, 48 and 64 steps share their first
+        # steps' draws, so each path's maximum can only grow with the horizon, and it
+        # is at least the terminal distance
         model = catalog.bm_unit()
-        res = simulate_ensemble(model.blocks(), None, np.array([0.0]), 1.0,
-                                64, 256, seed=3, record_max_steps=[16, 32, 48, 64])
-        diffs = np.diff(res.running_max, axis=0)
-        assert diffs.min() >= 0.0
+        maxima = []
+        for n in (16, 32, 48, 64):
+            res = simulate_ensemble(model.blocks(), None, np.array([0.0]), n / 64,
+                                    n, 256, seed=3, record_max=True)
+            assert res.running_max.shape == (256,)
+            assert np.all(res.running_max >= np.abs(res.terminal[:, 0]))
+            maxima.append(res.running_max)
+        assert np.diff(maxima, axis=0).min() >= 0.0
 
 
 def test_sampler_and_exponent_are_looked_up_in_levy_at_call_time(monkeypatch):

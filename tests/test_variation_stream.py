@@ -173,6 +173,13 @@ def test_work_bound_refuses(levels, trials, key, no_simulation):
     assert exc.value.field == key
 
 
+@pytest.mark.parametrize("x0", [[], [0.0, 1.0], [[0.0]]])
+def test_x0_of_another_dimension_refused(x0, no_simulation):
+    with pytest.raises(ConfigError, match="x0 shape") as exc:
+        variation_experiment(catalog.bm_unit(), [1.0], [4], 2, 1, x0=x0)
+    assert exc.value.field == "x0"
+
+
 @pytest.mark.parametrize("levels, trials", [
     ([32], 1), ([30, 30, 30, 30], 1), ([20], 2 ** 12), ([0], 1), ([], 1)])
 def test_work_bound_admits(levels, trials, no_simulation):
