@@ -10,7 +10,8 @@ through ``sde.ordered_map``: the path chunks of one ensemble in
 ``feller-demo`` and ``growth``, and every rung ensemble of the whole table in
 ``symbol-estimate`` and ``symbol-compare``.  The manifest records the resolved
 config, its hash, package versions and wall time; ``symbolkit rerun``
-replays a manifest.
+replays a manifest.  Its scipy version is that of the scipy the run loaded
+(a special function loads it), or null when the run loaded none.
 
 Exit codes: 0 success, 2 config/schema violation, 3 numerical failure,
 4 I/O error or an allocation that cannot be met.  Failures emit a
@@ -30,21 +31,41 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, sde
 from . import coefficients as coeff
 from .catalog import (feller_demo_model, resolve_driver, resolve_model,
                       resolve_symbol)
 from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
-from .indices import (build_index_report, g_identity_check,
-                      index_transfer_check, symbol_bound_diagnostic)
-from .pathstats import growth_experiment, variation_experiment
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
 from .symbols import (DEFAULT_LADDER, frozen_triplet, gaussian_bump,
                       generator_apply_fourier, generator_apply_integro, symbol_from_exponent,
                       symbol_mc_table, symbol_of_model)
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for ``symbolkit.<module>.<name>`` that loads the module when first called.
+
+    Only the kinds that use ``indices`` or ``pathstats`` pay for loading them.  The
+    stand-in is a plain attribute of this module, so it can be patched like any
+    imported name.
+    """
+    package = sys.modules[__package__]
+
+    def call(*args, **kwargs):
+        return getattr(getattr(package, module), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+build_index_report = _on_first_call("indices", "build_index_report")
+index_transfer_check = _on_first_call("indices", "index_transfer_check")
+symbol_bound_diagnostic = _on_first_call("indices", "symbol_bound_diagnostic")
+g_identity_check = _on_first_call("indices", "g_identity_check")
+variation_experiment = _on_first_call("pathstats", "variation_experiment")
+growth_experiment = _on_first_call("pathstats", "growth_experiment")
 
 # --------------------------------------------------------------------------
 # config helpers
@@ -502,13 +523,14 @@ def run_config(kind: str, config: dict, seed: int, outdir, threads: int = 1) -> 
 
     resolved = dict(config)
     resolved["seed"] = int(seed)
+    scipy = sys.modules.get("scipy")        # loaded only by a run that needs a special function
     manifest = {
         "kind": kind,
         "seed": int(seed),
         "config": _jsonable(resolved),
         "config_hash": _config_hash(resolved),
         "versions": {"symbolkit": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
+                     "scipy": None if scipy is None else scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "wall_time_s": wall,
         "outputs": ["results.json", "results.csv"],

@@ -1,8 +1,8 @@
 """Coefficient fields for the SDE layer.
 
 A field wraps Phi: R^d -> R^{d x n} together with declared bound and
-Lipschitz constants.  The declared constants are spot-checked, not derived:
-``validate_field`` samples random pairs in a box and verifies the claims.
+Lipschitz constants.  The declared constants are analytic, not derived at run
+time; the test suite spot-checks each catalog field's on random pairs in a box.
 Each field has one evaluation function, on batches of states; a point call
 is the one-row batch.  The shipped catalog covers the bounded Lipschitz
 coefficients used by the experiments; all catalog entries are
@@ -62,41 +62,6 @@ def scalar_field(f: Callable[[np.ndarray], np.ndarray], *, bound: float, lipschi
         batch_fn=lambda xs: np.asarray(f(xs[:, 0]), dtype=float).reshape(-1, 1, 1),
         d=1, n=1, bound=bound, lipschitz=lipschitz, bounded=bounded,
         growth_constant=growth_constant, name=name)
-
-
-def validate_field(fld: CoefficientField, box_halfwidth: float = 5.0,
-                   n_pairs: int = 1000, seed: int = 0) -> None:
-    """Spot-check the declared bound / Lipschitz / growth constants.
-
-    Raises ValueError with a witness pair on the first violation.
-    """
-    rng = np.random.default_rng(seed)
-    slack = 1.0 + 1e-9
-    xs = rng.uniform(-box_halfwidth, box_halfwidth, size=(n_pairs, fld.d))
-    ys = rng.uniform(-box_halfwidth, box_halfwidth, size=(n_pairs, fld.d))
-    px = fld.many(xs)
-    py = fld.many(ys)
-    norms = np.linalg.norm(px.reshape(n_pairs, -1), axis=1)
-    if fld.bounded:
-        bad = norms > fld.bound * slack
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"{fld.name}: |Phi({xs[i]})| = {norms[i]} exceeds bound {fld.bound}")
-    else:
-        k = fld.growth_constant if fld.growth_constant is not None else fld.bound ** 2
-        lhs = norms ** 2
-        rhs = k * (1.0 + np.linalg.norm(xs, axis=1) ** 2) * slack
-        if (lhs > rhs).any():
-            i = int(np.argmax(lhs > rhs))
-            raise ValueError(f"{fld.name}: growth condition fails at {xs[i]}")
-    diff = np.linalg.norm((px - py).reshape(n_pairs, -1), axis=1)
-    dist = np.linalg.norm(xs - ys, axis=1)
-    bad = diff > fld.lipschitz * dist * slack + 1e-15
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"{fld.name}: Lipschitz violation between {xs[i]} and {ys[i]} "
-            f"(|dPhi| = {diff[i]}, L|dx| = {fld.lipschitz * dist[i]})")
 
 
 # --------------------------------------------------------------------------

@@ -987,19 +987,6 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
                       jump_values=values, jump_positions=positions)
 
 
-def sample_increment(triplet: LevyTriplet, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """One increment of the driver over a window of length dt.
-
-    The smooth part of a one-path ``sample_step_ensemble`` draw, plus its
-    jumps added in position order.
-    """
-    step = sample_step_ensemble(triplet, dt, 1, rng)
-    out = step.smooth[0].copy()
-    for k in np.argsort(step.jump_positions, kind="stable"):
-        out += step.jump_values[k]
-    return out
-
-
 # --------------------------------------------------------------------------
 # sector condition
 

@@ -314,7 +314,8 @@ def growth_experiment(model: SdeModel, x, lambdas: Sequence[float],
     slope).  Nothing is asserted here; callers read the tendencies.  Raises
     ConfigError, before any simulation, naming ``t_small`` or ``t_large`` for a
     time that is not positive, ``lambdas`` for a lambda that is not positive or
-    whose t^{-1/lambda} overflows at a configured t, or ``paths`` x ``steps_per_run``.
+    whose t^{-1/lambda} overflows at a configured t, ``paths`` x ``steps_per_run``, or
+    ``x`` for a start of another dimension than the model's.
     """
     for key, times in (("t_small", t_small), ("t_large", t_large)):
         for t in times:
@@ -332,7 +333,7 @@ def growth_experiment(model: SdeModel, x, lambdas: Sequence[float],
                 raise ConfigError(f"growth: t^(-1/lambda) overflows at t = {t!r}, "
                                   f"lambda = {lam!r}", field="lambdas")
     check_ensemble_size(paths, steps_per_run, "paths", "steps_per_run")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = initial_state(x, model.d, "x")
     rows = []
     medians = {}
     for widx, (wname, ts) in enumerate((("small", t_small), ("large", t_large))):

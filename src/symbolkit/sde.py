@@ -77,7 +77,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
@@ -181,11 +180,12 @@ def _simulate_one(blocks, drift_field, x0, horizon, step, seed):
     return SamplePath(times=times, states=states[:, 0], jumps=jumps, seed=int(seed))
 
 
-def initial_state(x0, d: int) -> np.ndarray:
-    """x0 as a (d,) float array; another shape is a ConfigError naming ``x0``."""
+def initial_state(x0, d: int, key: str = "x0") -> np.ndarray:
+    """x0 as a (d,) float array; another shape is a ConfigError naming ``key``, the
+    caller's name for the start."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
-        raise ConfigError(f"x0 shape {x0.shape}, expected ({d},)", field="x0")
+        raise ConfigError(f"{key} shape {x0.shape}, expected ({d},)", field=key)
     return x0
 
 
@@ -197,30 +197,6 @@ def simulate_path(model: SdeModel, x0, horizon: float, step: float, seed: int) -
 def simulate_multi(spec: MultiDriverSpec, x0, horizon: float, step: float, seed: int) -> SamplePath:
     """Euler path driven by independent one-dimensional drivers."""
     return _simulate_one(spec.blocks(), None, x0, horizon, step, seed)
-
-
-def first_exit_time(path: SamplePath, center, radius: float):
-    """First grid time with |X - center| > radius, or None if never."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dist = np.linalg.norm(path.states - center, axis=1)
-    hits = np.nonzero(dist > radius)[0]
-    if hits.size == 0:
-        return None
-    return float(path.times[hits[0]])
-
-
-def stopped_path(path: SamplePath, center, radius: float) -> SamplePath:
-    """Freeze the path at its first exit from the ball; jumps after exit are dropped."""
-    tau = first_exit_time(path, center, radius)
-    if tau is None:
-        return path
-    idx = int(np.searchsorted(path.times, tau))
-    states = path.states.copy()
-    states[idx + 1:] = states[idx]
-    jumps = [(t, v) for t, v in path.jumps if t <= tau]
-    return SamplePath(times=path.times.copy(), states=states, jumps=jumps, seed=path.seed)
 
 
 # --------------------------------------------------------------------------
@@ -516,6 +492,8 @@ def ordered_map(fn: Callable, tasks: Iterable, threads: int = 1):
         for task in tasks:
             yield fn(task)
         return
+    from concurrent.futures import ThreadPoolExecutor     # a one-thread run never loads it
+
     tasks = iter(tasks)
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
@@ -541,11 +519,14 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     c, j)``, one per block j, and the chunks are run through ``ordered_map``,
     so the result depends only on (seed, base_key), not on ``threads``.
     Raises ConfigError unless ``n_steps`` and ``n_paths`` are >= 1 and
-    ``n_paths`` x ``n_steps`` is at most ``MAX_PATH_STEPS``.
+    ``n_paths`` x ``n_steps`` is at most ``MAX_PATH_STEPS``, and
+    DimensionMismatch unless x0 has shape (d,), both before any step.
     """
     _check_sizes(n_steps, n_paths)
     d = blocks[0][0].d
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (d,):
+        raise DimensionMismatch(f"x0 shape {x0.shape}, expected ({d},)")
     dt = horizon / n_steps
     bounds = list(range(0, n_paths, DEFAULT_CHUNK)) + [n_paths]
     tasks = [(hi - lo, [rng_at(seed, *base_key, c, j) for j in range(len(blocks))])

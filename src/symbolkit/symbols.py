@@ -33,7 +33,7 @@ from .coefficients import CoefficientField
 from .errors import ConfigError, DimensionMismatch, NonConvergence, QuadratureFailure
 from .levy import CHUNK_ROWS, LevyTriplet, expi, row_dot
 from .quadrature import integrate_panels, radial_edges
-from .sde import SdeModel, ordered_map, simulate_ensemble
+from .sde import SdeModel, initial_state, ordered_map, simulate_ensemble
 from .seeding import TAG_SYMBOL_MC
 
 
@@ -384,7 +384,7 @@ def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
     with fresh seeds; the two extrapolations must agree within 3 joint SE.
     """
     _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = initial_state(x, model.d, "x")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (model.d,):
         raise DimensionMismatch(f"xi shape {xi.shape}, expected ({model.d},)")
@@ -412,11 +412,12 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
     and variant, in that order.  So every value is the serial run's bit for
     bit whatever ``threads`` is, and the first error a serial run meets is
     the one raised.  ``radius`` is None (``default_radius`` at each x) or a
-    positive finite number; anything else is a ValueError.
+    positive finite number; anything else is a ValueError.  A state of another
+    dimension than the model's is a ConfigError naming ``x_grid``, the CLI's key.
     """
     ladder = _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
     _check_radius(radius)
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
+    xs = [initial_state(x, model.d, "x_grid") for x in xs]
     xis = [np.atleast_1d(np.asarray(v, dtype=float)) for v in xis]
     groups = _mirror_groups(xis)
     grid = []                   # per x: [(variant, radius), ...]
@@ -475,11 +476,18 @@ class TestFunction:
 
 
 def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
-    """u(x) = exp(-(x - center)^2 / (2 width^2)), for a finite center and width > 0."""
+    """u(x) = exp(-(x - center)^2 / (2 width^2)), for a finite center and width > 0.
+
+    ``grad`` and ``hess`` divide by width^2 and width^4, so a width whose fourth
+    power or its reciprocal leaves the normal float range is refused too.
+    """
     m, s = float(center), float(width)
     if not (np.isfinite(m) and 0.0 < s < np.inf):
         raise ValueError(f"a gaussian bump needs a finite center and a finite width > 0, "
                          f"got center {center!r} and width {width!r}")
+    if not 4.0 * abs(np.log(s)) < -np.log(np.finfo(float).tiny):
+        raise ValueError(f"a gaussian bump's width^4 and width^-4 must be normal floats, "
+                         f"got width {width!r}")
 
     def u(x):
         return np.exp(-0.5 * ((np.asarray(x, dtype=float) - m) / s) ** 2)

@@ -13,8 +13,8 @@ them as the package does (centre x0, one record at the horizon, chunks of
 ``DEFAULT_CHUNK``).  The tests require the fast engine to reproduce these
 functions bit for bit.
 
-``_simulate_blocks_scalar``, ``_apply_jumps_scalar``, ``sample_increment_parts``
-and ``sample_increment`` are the separate single-path engine that
+``_simulate_blocks_scalar``, ``_apply_jumps_scalar`` and ``sample_increment_parts``
+are the separate single-path engine that
 ``simulate_path``/``simulate_multi`` ran on before they became one-path runs
 of the ensemble step.  The only edit is that ``sample_increment_parts`` calls
 this module's sampler.  The tests require the one-path runs to reproduce
@@ -244,15 +244,6 @@ def sample_increment_parts(triplet, dt, rng):
              for k in range(int(step.jump_counts[0]))]
     jumps.sort(key=lambda item: item[0])
     return step.smooth[0], jumps
-
-
-def sample_increment(triplet, dt, rng):
-    """One increment of the driver over a window of length dt."""
-    smooth, jumps = sample_increment_parts(triplet, dt, rng)
-    out = smooth.copy()
-    for _, y in jumps:
-        out += y
-    return out
 
 
 def _apply_jumps_scalar(x, blocks, per_block_jumps, record, t_next):

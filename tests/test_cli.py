@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symbolkit as sk
 from symbolkit import cli, indices, sde, symbols
 from symbolkit.cli import KINDS, _emit_error, feller_demo, main, run_config
 from symbolkit.errors import ConfigError, NonConvergence
@@ -917,6 +918,10 @@ KEYED_ERRORS = {
                                                       "x_grid": [0.0],
                                                       "test_function": {"wide": 1.0}},
                                   "test_function"),
+    # a bump so wide that width^4 overflows
+    "wide-test-function": ("generator-check", {"model": {"name": "cp_tanh"}, "x_grid": [0.3],
+                                               "test_function": {"width": 1e308}},
+                           "test_function"),
     # a levy_measure without its kind, a continuous law without its name
     "model-measure-without-kind": ("simulate", {**SIMULATE_CFG, "model": {
         "coefficient": {"name": "constant"},
@@ -955,10 +960,38 @@ def test_bound_exits_2_naming_the_key(kind, cfg, field, tmp_path, capfd, no_work
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+def _planar_model():
+    """A d = 2 model, which no catalog config builds."""
+    phi = np.array([[1.0, 0.2], [0.1, 0.8]])
+    field = sk.CoefficientField(batch_fn=lambda xs: np.broadcast_to(phi, (len(xs), 2, 2)),
+                                d=2, n=2, bound=2.0, lipschitz=0.0)
+    return sk.SdeModel(coefficient=field, driver=sk.LevyTriplet([0.0, 0.0], np.eye(2)))
+
+
+# a scalar start on a 2-d model exits 2 naming the kind's key, before any step
+@pytest.mark.parametrize("kind, cfg, field", [
+    ("growth", GROWTH_CFG, "x"),
+    ("symbol-compare", {**ESTIMATE_CFG, "estimator": {"paths": 1000}}, "x_grid"),
+    ("symbol-estimate", {**ESTIMATE_CFG, "estimator": {"paths": 1000}}, "x_grid")])
+def test_start_of_another_dimension_exits_2(kind, cfg, field, tmp_path, capfd, no_work,
+                                           monkeypatch):
+    monkeypatch.setattr(cli, "resolve_model", lambda spec: _planar_model())
+    assert main_with_config(kind, cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["field"]) == ("ConfigError", field)
+    assert err["message"] == f"{field} shape (1,), expected (2,)"
+
+
+@pytest.mark.parametrize("x0", [0.0, [0.0], [0.0, 0.0, 0.0]])
+def test_ensemble_refuses_a_start_of_another_dimension(x0, no_work):
+    model = _planar_model()
+    with pytest.raises(sk.DimensionMismatch, match=r"x0 shape \("):
+        sde.simulate_ensemble(model.blocks(), None, x0, 0.1, 4, 8, 1)
+
+
 # a float overflow inside a computation is a numerical failure: exit 3, one line
 OVERFLOWS = {
-    "wide-test-function": {"model": {"name": "cp_tanh"}, "x_grid": [0.3],
-                           "test_function": {"width": 1e308}},
     "huge-bump": {"model": {"coefficient": {"name": "bump", "params": {"a": 1e308, "b": 1.0}},
                             "driver": {"name": "cp_pm1"}}, "x_grid": [0.3]},
 }

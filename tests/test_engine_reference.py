@@ -446,21 +446,6 @@ def test_path_overflow_matches_scalar_reference(rate):
             run()
 
 
-def test_sample_increment_matches_reference():
-    triplets = [model.driver for model in (catalog.bm_bump(), catalog.cp_tanh(),
-                                                    catalog.stable_sin(),
-                                                    catalog.feller_demo_model())]
-    triplets += [catalog.tempered_density_driver(), catalog.drift_driver(0.5),
-                 catalog.compound_poisson_pm1(rate=80.0),
-                 _planar_model().driver, LevyTriplet([0.0], [[0.0]]),
-                 LevyTriplet([0.0], [[2.0]], FiniteActivity(50.0, normal_law(0.2, 0.5)))]
-    for trip in triplets:
-        for seed in range(6):
-            got = sk.sample_increment(trip, 0.1, sk.seeding.rng_at(seed, 4))
-            want = ref.sample_increment(trip, 0.1, sk.seeding.rng_at(seed, 4))
-            assert _same_bits(got, want)
-
-
 # --------------------------------------------------------------------------
 # constant fields: jump-free runs applied as one cumulative sum
 

@@ -1,4 +1,10 @@
-"""scipy.special loads at the first special function, and scipy.integrate never loads."""
+"""Start-up loads only what a run uses.
+
+scipy loads at the first special function and scipy.integrate never does; the
+thread pool loads at threads > 1; ``indices`` and ``pathstats`` load at the first
+call into them; and the package's names resolve on first access.  Each check runs
+in a fresh interpreter, since the test process has loaded everything.
+"""
 
 import json
 import os
@@ -7,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.special
 
 import symbolkit
@@ -14,14 +21,27 @@ from symbolkit import indices, levy
 
 SRC = Path(symbolkit.__file__).resolve().parent.parent
 
+
+def _fresh(script: str, *args: str):
+    """The JSON that ``script`` prints, run in a fresh interpreter on this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 # Imports symbolkit, resolves the catalog models that need no integral, runs tiny
-# simulate and variation configs, and prints the scipy submodules loaded by then;
+# simulate and variation configs, and prints the scipy modules loaded by then;
 # then resolves the tempered density model and evaluates its exponent, whose set-up
-# and closed form integrate nothing either.
+# and closed form need no special function either.
 _GUARD = """
 import json, sys, tempfile
 import symbolkit
 from symbolkit import catalog, cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 names = ("bm_bump", "cp_tanh", "stable_sin", "bm_bump_drift", "bm_unit", "feller_demo")
 for name in names:
     catalog.resolve_model({"name": name})
@@ -30,24 +50,164 @@ with tempfile.TemporaryDirectory() as out:
                                 "binary": True}, 1, out + "/sim")
     cli.run_config("variation", {"model": {"name": "bm_unit"}, "gammas": [1.0, 2.0],
                                  "levels": [4], "trials": 4}, 1, out + "/var")
-loaded = [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+loaded = scipy_modules()
 model = catalog.resolve_model({"coefficient": {"name": "bump", "params": {"a": 0.5, "b": 1.0}},
                                "driver": {"name": "tempered"}})
 model.driver.many([[0.01], [0.5], [-3.0], [1e4]])
 print(json.dumps({"loaded": loaded, "tempered": model.driver.levy_measure.name,
-                  "after": [m for m in ("scipy.integrate", "scipy.special")
-                            if m in sys.modules]}))
+                  "after": scipy_modules()}))
 """
 
 
 def test_runs_that_integrate_nothing_load_no_scipy_submodule():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-c", _GUARD], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report == {"loaded": [], "tempered": "tempered", "after": []}
+    assert _fresh(_GUARD) == {"loaded": [], "tempered": "tempered", "after": []}
+
+
+# Runs one CLI kind through cli.main on the config in argv[1], with the extra
+# arguments after it, and prints the watched modules loaded by then and the
+# manifest's scipy version.
+_RUN = """
+import json, sys, tempfile
+from symbolkit import cli
+kind, cfg = sys.argv[1], json.loads(sys.argv[2])
+with tempfile.TemporaryDirectory() as out:
+    with open(out + "/cfg.json", "w") as fh:
+        json.dump(cfg, fh)
+    code = cli.main([kind, "--config", out + "/cfg.json", "--seed", "1", "--out", out + "/o",
+                     *sys.argv[3:]])
+    with open(out + "/o/manifest.json") as fh:
+        version = json.load(fh)["versions"]["scipy"]
+watched = ("scipy", "concurrent.futures", "symbolkit.indices", "symbolkit.pathstats")
+print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules],
+                  "scipy": version}))
+"""
+
+SIMULATE = {"model": {"name": "cp_tanh"}, "horizon": 0.1, "step": 0.01, "binary": True}
+COMPARE = {"model": {"name": "bm_bump"}, "x_grid": [0.0], "xi_grid": [-1.0, 1.0],
+           "estimator": {"paths": 1000, "t_ladder": [0.02, 0.01]}}
+INDICES = {"symbol": {"name": "power_law", "params": {"alpha": 1.5}}, "x_grid": [0.0],
+           "r_max": 100.0, "r_table": [1.0], "compute_beta0": False}
+
+
+def test_simulate_loads_no_scipy_pool_indices_or_pathstats():
+    assert _fresh(_RUN, "simulate", json.dumps(SIMULATE)) == {"code": 0, "loaded": [],
+                                                              "scipy": None}
+
+
+def test_one_thread_symbol_compare_loads_no_scipy_pool_indices_or_pathstats():
+    report = _fresh(_RUN, "symbol-compare", json.dumps(COMPARE), "--threads", "1")
+    assert report == {"code": 0, "loaded": [], "scipy": None}
+
+
+def test_indices_loads_indices_but_not_pathstats():
+    report = _fresh(_RUN, "indices", json.dumps(INDICES))
+    assert report["code"] == 0
+    assert "symbolkit.indices" in report["loaded"]
+    assert "symbolkit.pathstats" not in report["loaded"]
+
+
+def test_manifest_names_the_scipy_the_run_loaded():
+    report = _fresh(_RUN, "g-identity", json.dumps({"d": 2}))
+    assert (report["code"], report["scipy"]) == (0, scipy.__version__)
+    assert {"scipy", "symbolkit.indices"} <= set(report["loaded"])
+
+
+PUBLIC = (
+    "AtomLaw", "BijectivityViolation", "CoefficientField", "ConfigError", "ContinuousLaw",
+    "DegenerateSymbol", "DensityForm", "DimensionMismatch", "FiniteActivity", "IndexReport",
+    "LevyTriplet", "MultiDriverSpec", "NonConvergence", "QuadratureFailure", "SamplePath",
+    "SdeModel", "SectorViolation", "SimulationOverflow", "StableSymmetric", "SymbolField",
+    "SymbolkitError", "TestFunction", "VariationResult", "ZeroMeasure", "beta_inf", "beta_zero",
+    "big_H", "build_index_report", "estimate_symbol_mc", "eval_g", "frozen_triplet",
+    "g_identity_check", "gamma_variation", "gaussian_bump", "generator_apply_fourier",
+    "generator_apply_integro", "growth_experiment", "index_transfer_check", "kappa_from_c0",
+    "multi_driver_symbol", "sector_constant", "simulate_multi", "simulate_path", "small_h",
+    "solution_symbol", "symbol_bound_diagnostic", "symbol_mc_table", "symbol_of_model",
+    "variation_experiment")
+SUBMODULES = ("catalog", "cli", "coefficients", "errors", "indices", "levy", "pathstats",
+              "quadrature", "sde", "seeding", "symbols")
+
+# Imports symbolkit alone, records which submodules that loaded, then resolves
+# every name in argv[1] as sk.<name> and reports where each one came from.
+_NAMES = """
+import json, sys, types
+import symbolkit as sk
+first = sorted(m for m in sys.modules if m.startswith("symbolkit."))
+where = {}
+for name in json.loads(sys.argv[1]):
+    value = getattr(sk, name)
+    where[name] = value.__name__ if isinstance(value, types.ModuleType) else value.__module__
+missing = {}
+for name in ("sample_increment", "first_exit_time", "stopped_path", "validate_field", "nope"):
+    try:
+        getattr(sk, name)
+    except AttributeError as exc:
+        missing[name] = str(exc)
+print(json.dumps({"first": first, "where": where, "dir": dir(sk), "all": sk.__all__,
+                  "missing": missing}))
+"""
+
+
+def test_every_public_name_and_submodule_resolves_on_first_access():
+    names = list(PUBLIC) + list(SUBMODULES)
+    report = _fresh(_NAMES, json.dumps(names))
+    assert report["first"] == []
+    for name in PUBLIC:
+        assert report["where"][name] == getattr(symbolkit, name).__module__, name
+    for name in SUBMODULES:
+        assert report["where"][name] == f"symbolkit.{name}"
+    assert sorted(report["all"]) == sorted(names)
+    assert set(names) <= set(report["dir"])
+    assert report["missing"] == {
+        name: f"module 'symbolkit' has no attribute {name!r}"
+        for name in ("sample_increment", "first_exit_time", "stopped_path", "validate_field",
+                     "nope")}
+
+
+# Replaces each of the six cli stand-ins with a recorder before anything calls it,
+# runs the kind that calls it, and prints the names reached and whether indices
+# or pathstats loaded.
+_PATCHED = """
+import json, sys, tempfile
+from symbolkit import cli
+class Reached(Exception):
+    pass
+def recorder(name):
+    def record(*args, **kwargs):
+        raise Reached(name)
+    return record
+cases = json.loads(sys.argv[1])
+reached = []
+with tempfile.TemporaryDirectory() as out:
+    for name, (kind, cfg) in cases.items():
+        setattr(cli, name, recorder(name))
+        try:
+            cli.run_config(kind, cfg, 1, out + "/" + kind)
+        except Reached as exc:
+            reached.append(str(exc))
+print(json.dumps({"reached": reached, "loaded": [m for m in sys.modules
+                                                 if m in ("symbolkit.indices",
+                                                          "symbolkit.pathstats")]}))
+"""
+
+STAND_INS = {
+    "build_index_report": ("indices", INDICES),
+    "index_transfer_check": ("index-transfer", {"driver": {"name": "stable",
+                                                           "params": {"alpha": 1.2}},
+                                                "coefficient": {"name": "constant"},
+                                                "x_grid": [0.0]}),
+    "symbol_bound_diagnostic": ("bound-diagnostic", {"model": {"name": "cp_tanh"}}),
+    "g_identity_check": ("g-identity", {"d": 1}),
+    "variation_experiment": ("variation", {"model": {"name": "bm_unit"}, "gammas": [2.0],
+                                           "levels": [4]}),
+    "growth_experiment": ("growth", {"model": {"name": "bm_unit"}, "lambdas": [1.0],
+                                     "t_small": [0.01, 0.1]}),
+}
+
+
+def test_patching_each_cli_stand_in_reaches_its_handler():
+    report = _fresh(_PATCHED, json.dumps(STAND_INS))
+    assert report == {"reached": list(STAND_INS), "loaded": []}
 
 
 # Takes one of each integral symbolkit evaluates: the d >= 4 kernel, the Fourier
@@ -78,12 +238,7 @@ print(json.dumps({"integrate": "scipy.integrate" in sys.modules}))
 
 
 def test_integrals_never_load_scipy_integrate():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-c", _INTEGRALS], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"integrate": False}
+    assert _fresh(_INTEGRALS) == {"integrate": False}
 
 
 def test_special_functions_equal_direct_scipy():

@@ -111,16 +111,18 @@ class TestExponentProperties:
 class TestSampling:
     def test_pure_drift_deterministic(self):
         trip = sk.LevyTriplet([3.0], [[0.0]])
-        inc = sk.sample_increment(trip, 0.5, rng_at(0))
-        assert inc[0] == pytest.approx(1.5, abs=1e-15)
+        step = sample_step_ensemble(trip, 0.5, 1, rng_at(0))
+        assert step.smooth[0, 0] == pytest.approx(1.5, abs=1e-15)
+        assert not step.jump_counts.any()
 
     def test_degenerate_process(self):
         trip = sk.LevyTriplet([0.0], [[0.0]])
-        assert sk.sample_increment(trip, 0.9, rng_at(1))[0] == 0.0
+        step = sample_step_ensemble(trip, 0.9, 1, rng_at(1))
+        assert step.smooth[0, 0] == 0.0 and not step.jump_counts.any()
 
     def test_invalid_dt_rejected(self):
         with pytest.raises(ValueError):
-            sk.sample_increment(sk.LevyTriplet([0.0], [[1.0]]), 0.0, rng_at(2))
+            sample_step_ensemble(sk.LevyTriplet([0.0], [[1.0]]), 0.0, 1, rng_at(2))
 
     def test_poisson_unit_jump_mean(self):
         # E[increment] = rate * dt * E[jump]; oracle is the Poisson mean formula

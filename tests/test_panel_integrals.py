@@ -244,7 +244,8 @@ def test_second_difference_is_free_of_cancellation():
 
 
 @pytest.mark.parametrize("center, width", [(np.nan, 1.0), (0.0, 0.0), (0.0, -1.0),
-                                           (0.0, np.inf)])
+                                           (0.0, np.inf), (0.0, 1e308), (0.0, 1e-308),
+                                           (0.0, 1e-77), (0.0, 1e78)])
 def test_gaussian_bump_takes_a_finite_center_and_positive_width(center, width):
     with pytest.raises(ValueError, match="gaussian bump"):
         gaussian_bump(center, width)

@@ -1,4 +1,4 @@
-"""Path simulation: scheme conventions, exit times, determinism."""
+"""Path simulation: scheme conventions, determinism; declared field constants."""
 
 import io
 from collections import Counter
@@ -141,40 +141,6 @@ def test_path_argument_refused_naming_it(x0, step, field):
     assert exc.value.field == field
 
 
-class TestExitTimes:
-    def test_constant_path_never_exits(self):
-        path = sk.simulate_path(zero_model(), 7.0, 1.0, 0.1, seed=0)
-        assert sk.first_exit_time(path, 7.0, 0.5) is None
-
-    def test_drift_crossing_uses_strict_inequality(self):
-        model = sk.SdeModel(coefficient=co.zero(), driver=catalog.bm_driver(),
-                            drift_coefficient=co.constant(1.0))
-        path = sk.simulate_path(model, 0.0, 2.0, 0.1, seed=0)
-        assert sk.first_exit_time(path, 0.0, 1.0) == pytest.approx(1.1)
-
-    def test_jump_crossing(self):
-        times = np.arange(0.0, 1.05, 0.1)
-        states = np.zeros((len(times), 1))
-        states[3:] = 5.0
-        path = sk.SamplePath(times=times, states=states,
-                             jumps=[(0.3, np.array([5.0]))], seed=0)
-        assert sk.first_exit_time(path, 0.0, 2.0) == pytest.approx(0.3)
-
-    def test_stopped_path_freezes(self):
-        model = sk.SdeModel(coefficient=co.constant(1.0), driver=catalog.bm_driver())
-        path = sk.simulate_path(model, 0.0, 2.0, 0.01, seed=21)
-        stopped = sk.stopped_path(path, 0.0, 0.5)
-        tau = sk.first_exit_time(path, 0.0, 0.5)
-        assert tau is not None
-        idx = int(np.searchsorted(path.times, tau))
-        assert np.all(stopped.states[idx:] == stopped.states[idx])
-        assert np.array_equal(stopped.states[:idx], path.states[:idx])
-        # running max is invariant under freezing after sigma
-        up_to = np.maximum.accumulate(np.abs(path.states[: idx + 1, 0]))
-        frozen = np.maximum.accumulate(np.abs(stopped.states[:, 0]))
-        assert frozen[-1] == pytest.approx(up_to[-1])
-
-
 class TestEnsemble:
     def test_matches_weak_order_variance(self):
         # X_T = c W_T exactly for constant coefficient
@@ -257,25 +223,59 @@ def test_sampler_and_exponent_are_looked_up_in_levy_at_call_time(monkeypatch):
     assert calls == {"sample_step_ensemble": 5, "eval_exponent_many": 2}
 
 
+def validate_field(fld, box_halfwidth=5.0, n_pairs=1000, seed=0):
+    """Spot-check a field's declared bound / Lipschitz / growth constants.
+
+    Raises ValueError with a witness pair on the first violation.
+    """
+    rng = np.random.default_rng(seed)
+    slack = 1.0 + 1e-9
+    xs = rng.uniform(-box_halfwidth, box_halfwidth, size=(n_pairs, fld.d))
+    ys = rng.uniform(-box_halfwidth, box_halfwidth, size=(n_pairs, fld.d))
+    px = fld.many(xs)
+    py = fld.many(ys)
+    norms = np.linalg.norm(px.reshape(n_pairs, -1), axis=1)
+    if fld.bounded:
+        bad = norms > fld.bound * slack
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{fld.name}: |Phi({xs[i]})| = {norms[i]} exceeds bound {fld.bound}")
+    else:
+        k = fld.growth_constant if fld.growth_constant is not None else fld.bound ** 2
+        lhs = norms ** 2
+        rhs = k * (1.0 + np.linalg.norm(xs, axis=1) ** 2) * slack
+        if (lhs > rhs).any():
+            i = int(np.argmax(lhs > rhs))
+            raise ValueError(f"{fld.name}: growth condition fails at {xs[i]}")
+    diff = np.linalg.norm((px - py).reshape(n_pairs, -1), axis=1)
+    dist = np.linalg.norm(xs - ys, axis=1)
+    bad = diff > fld.lipschitz * dist * slack + 1e-15
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"{fld.name}: Lipschitz violation between {xs[i]} and {ys[i]} "
+            f"(|dPhi| = {diff[i]}, L|dx| = {fld.lipschitz * dist[i]})")
+
+
 class TestCoefficientValidation:
     def test_catalog_fields_pass_spot_checks(self):
         for fld in (co.constant(2.0), co.bump(0.5, 1.0), co.sine(2.0, 1.0),
                     co.tanh_field(2.0, 1.0), co.cosine(0.0, 1.0)):
-            co.validate_field(fld)
-        co.validate_field(co.negative_identity())   # growth condition branch
+            validate_field(fld)
+        validate_field(co.negative_identity())   # growth condition branch
 
     def test_understated_bound_caught(self):
         bad = co.scalar_field(lambda x: 2.0 + 0.0 * x, bound=1.0, lipschitz=0.0,
                               name="liar")
         with pytest.raises(ValueError, match="bound"):
-            co.validate_field(bad)
+            validate_field(bad)
 
     def test_understated_lipschitz_caught(self):
         # 0.0 declares a constant field, which dense runs sum in one pass
         for lipschitz in (0.1, 0.0):
             bad = co.scalar_field(np.sin, bound=1.0, lipschitz=lipschitz, name="steep")
             with pytest.raises(ValueError, match="Lipschitz"):
-                co.validate_field(bad)
+                validate_field(bad)
 
 
 class TestExport:
