@@ -13,6 +13,10 @@ config, its hash, package versions and wall time; ``symbolkit rerun``
 replays a manifest.  Its scipy version is that of the scipy the run loaded
 (a special function loads it), or null when the run loaded none.
 
+A kind's config keys are its handler's keyword-only parameters, each annotated
+with the key's type; ``_call`` converts every key in signature order, so a
+config with two faults names the first faulty key in that order.
+
 Exit codes: 0 success, 2 config/schema violation, 3 numerical failure,
 4 I/O error or an allocation that cannot be met.  Failures emit a
 machine-readable error JSON on stderr.
@@ -21,6 +25,7 @@ machine-readable error JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -72,23 +77,29 @@ growth_experiment = _on_first_call("pathstats", "growth_experiment")
 
 
 def _call(fn, spec, where: str, *args):
-    """fn(*args, **spec): fn's keyword-only parameters are the keys of the JSON object spec.
+    """fn(*args, **config): fn's keyword-only parameters are the keys of the JSON object spec.
 
-    An unknown or missing key is a ConfigError naming it, and so is a key with a
-    bool default that is given anything but true or false.
+    An unknown or missing key is a ConfigError naming it.  Then each value, given or default,
+    goes through its annotation, the key's type, in signature order; a None default stays.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a JSON object", field=where)
-    params = [p for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    params = [p for p in inspect.signature(fn, eval_str=True).parameters.values()
+              if p.kind is p.KEYWORD_ONLY]
     unknown = sorted(set(spec) - {p.name for p in params})
     missing = [p.name for p in params if p.default is p.empty and p.name not in spec]
-    not_bool = [p.name for p in params if isinstance(p.default, bool)
-                and p.name in spec and not isinstance(spec[p.name], bool)]
-    for keys, what in ((unknown, "unknown key(s) {}"), (missing, "missing required key(s) {}"),
-                       (not_bool, "key(s) {} must be true or false")):
+    for keys, what in ((unknown, "unknown key(s) {}"), (missing, "missing required key(s) {}")):
         if keys:
             raise ConfigError(f"{where}: " + what.format(keys), field=keys[0])
-    return fn(*args, **spec)
+    config = {}
+    for p in params:
+        value = spec.get(p.name, p.default)
+        if p.annotation is bool and not isinstance(value, bool):
+            raise ConfigError(f"{where}: key(s) {[p.name]} must be true or false", field=p.name)
+        if p.annotation is not bool and (value is not None or p.default is not None):
+            value = p.annotation(value, p.name)
+        config[p.name] = value
+    return fn(*args, **config)
 
 
 def _jsonable(obj):
@@ -154,22 +165,15 @@ def _config_hash(config: dict) -> str:
 # --------------------------------------------------------------------------
 # kind handlers: (seed, threads, /, **config) -> (results, csv_header, csv_rows, extra),
 # extra being None or a writer of further files.  A handler's keyword-only parameters
-# are its kind's config keys, with their defaults.  The CSV rows are _rows(records,
-# header) of the kind's one record list, unless its columns are not record keys;
-# simulate hands over its (n+1, 1+d) array of times and states.
+# are its kind's config keys, each annotated with its type and given its default.  The
+# CSV rows are _rows(records, header) of the kind's one record list, unless its columns
+# are not record keys; simulate hands over its (n+1, 1+d) array of times and states.  A
+# key's type is a converter (value, key) -> value that refuses a value with a ConfigError
+# naming the key, or bool.
 
 
-def _grid(vals, key: str, empty: bool = False) -> list:
-    """The list ``vals``, nonempty unless ``empty``; anything else is a ConfigError."""
-    if not isinstance(vals, (list, tuple)) or not (vals or empty):
-        raise ConfigError(f"field {key!r} must be a {'' if empty else 'nonempty '}list",
-                          field=key)
-    return list(vals)
-
-
-def _real(value, key: str) -> float:
-    """A finite real number as a float; a bool, a string, a list, NaN or +-inf is a
-    ConfigError naming ``key``."""
+def Real(value, key: str) -> float:
+    """A finite real number as a float; a bool, a string, a list, NaN or +-inf is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} {value!r} is not a number", field=key)
     try:
@@ -181,39 +185,49 @@ def _real(value, key: str) -> float:
     return real
 
 
-def _reals(vals, key: str, empty: bool = False) -> list:
-    """The list ``vals`` of real numbers as floats, nonempty unless ``empty``."""
-    return [_real(v, key) for v in _grid(vals, key, empty)]
+def Positive(value, key: str) -> float:
+    """A positive finite real number as a float."""
+    real = Real(value, key)
+    if not real > 0.0:
+        raise ConfigError(f"{key} must be positive, got {value!r}", field=key)
+    return real
 
 
-def _state(value, key: str):
+def State(value, key: str):
     """A state: one real number, or a list of them when d > 1."""
-    return [_real(v, key) for v in value] if isinstance(value, list) else _real(value, key)
+    return [Real(v, key) for v in value] if isinstance(value, list) else Real(value, key)
 
 
-def _whole(value, what: str, key: str, least: int) -> int:
-    """A whole number of at least ``least``; a bool, a fraction or less is a ConfigError."""
-    if isinstance(value, bool) or not (isinstance(value, int)
-                                       or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{what} {value!r} is not a whole number", field=key)
-    if value < least:
-        raise ConfigError(f"{what} must be at least {least}, got {value!r}", field=key)
-    return int(value)
+def Whole(least: int, what: str | None = None):
+    """A whole number of at least ``least`` as an int; messages call it ``what`` or the key."""
+    def whole(value, key: str) -> int:
+        name = what or key
+        if isinstance(value, bool) or not (isinstance(value, int)
+                                           or isinstance(value, float) and value.is_integer()):
+            raise ConfigError(f"{name} {value!r} is not a whole number", field=key)
+        if value < least:
+            raise ConfigError(f"{name} must be at least {least}, got {value!r}", field=key)
+        return int(value)
+    return whole
 
 
-def _ref(spec, key: str) -> dict:
-    """Inline JSON object or a path to a JSON file holding one."""
+def Grid(entry, empty: bool = False):
+    """A list of ``entry`` values, nonempty unless ``empty``."""
+    def grid(vals, key: str) -> list:
+        if not isinstance(vals, (list, tuple)) or not (vals or empty):
+            raise ConfigError(f"field {key!r} must be a {'' if empty else 'nonempty '}list",
+                              field=key)
+        return [entry(v, key) for v in vals]
+    return grid
+
+
+def Resolved(spec, key: str):
+    """The object that ``key`` describes, from an inline object or the path of a JSON file
+    holding one.  The resolver is looked up here at each call, so a patched one is used."""
     if isinstance(spec, str):
-        return _load_object(spec, key)
-    if not isinstance(spec, dict):
+        spec = _load_object(spec, key)
+    elif not isinstance(spec, dict):
         raise ConfigError(f"field {key!r} has type {type(spec).__name__}", field=key)
-    return spec
-
-
-def _resolve(spec, key: str):
-    """The object that config key ``key`` describes, from an inline object or a file;
-    a TypeError or ValueError while resolving it is a ConfigError naming ``key``."""
-    spec = _ref(spec, key)
     resolve = {"model": resolve_model, "driver": resolve_driver, "symbol": resolve_symbol,
                "coefficient": coeff.from_dict,
                "test_function": lambda spec: gaussian_bump(**spec)}[key]
@@ -223,28 +237,38 @@ def _resolve(spec, key: str):
         raise ConfigError(f"{key}: {exc}", field=key) from exc
 
 
-def _estimator(*, R=None, t_ladder=DEFAULT_LADDER, paths=10_000, steps_per_rung=10,
-               check_radius=True) -> dict:
+def Box(spec, key: str) -> tuple:
+    """``[lo, hi]``: two finite numbers."""
+    if not isinstance(spec, (list, tuple)) or len(spec) != 2:
+        raise ConfigError(f"bound-diagnostic: {key!r} must hold exactly two numbers", field=key)
+    return Real(spec[0], key), Real(spec[1], key)
+
+
+def XBox(spec, key: str) -> tuple:
+    """``[lo, hi, count]``: finite lo < hi and a whole count of at least 1."""
+    if not isinstance(spec, (list, tuple)) or len(spec) != 3:
+        raise ConfigError(f"{key} {spec!r} is not [lo, hi, count]", field=key)
+    lo, hi = Real(spec[0], key), Real(spec[1], key)
+    if not lo < hi:
+        raise ConfigError(f"{key} needs lo < hi, got lo {lo!r} and hi {hi!r}", field=key)
+    return lo, hi, Whole(1, f"{key} count")(spec[2], key)
+
+
+def _estimator(*, R: Positive = None, t_ladder: Grid(Real) = DEFAULT_LADDER,
+               paths: Whole(1000) = 10_000, steps_per_rung: Whole(2) = 10,
+               check_radius: bool = True) -> dict:
     """symbol_mc_table's keywords from the estimator block."""
-    if R is not None and not _real(R, "R") > 0:
-        raise ConfigError(f"R must be positive, got {R!r}", field="R")
-    paths = _whole(paths, "paths", "paths", 1000)
-    steps_per_rung = _whole(steps_per_rung, "steps_per_rung", "steps_per_rung", 2)
     sde.check_ensemble_size(paths, steps_per_rung, "paths", "steps_per_rung")
-    return {"t_ladder": tuple(_reals(t_ladder, "t_ladder")),
-            "paths_per_rung": paths, "radius": R,
+    return {"t_ladder": t_ladder, "paths_per_rung": paths, "radius": R,
             "steps_per_rung": steps_per_rung, "check_radius": check_radius}
 
 
-def _mc_table(model, x_grid, xi_grid, estimator, seed, threads) -> list:
-    est = _call(_estimator, estimator, "estimator")
-    xs, xis = _reals(x_grid, "x_grid"), _reals(xi_grid, "xi_grid")
-    return symbol_mc_table(model, xs, xis, seed=seed, threads=threads, **est)
+Estimator = functools.partial(_call, _estimator)    # (spec, key): the estimator block
 
 
-def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=False):
-    path = simulate_path(_resolve(model, "model"), _state(x0, "x0"), _real(horizon, "horizon"),
-                         _real(step, "step"), seed)
+def _kind_simulate(seed, threads, /, *, model: Resolved, horizon: Real, step: Real,
+                   x0: State = 0.0, binary: bool = False):
+    path = simulate_path(model, x0, horizon, step, seed)
     header = ["t"] + [f"x_{j + 1}" for j in range(path.d)]
     rows = np.column_stack((path.times, path.states))
     results = {
@@ -262,12 +286,13 @@ def _kind_simulate(seed, threads, /, *, model, horizon, step, x0=0.0, binary=Fal
     return results, header, rows, extra
 
 
-def _kind_symbol_analytic(seed, threads, /, *, model, x_grid, xi_grid):
-    p = symbol_of_model(_resolve(model, "model"))
+def _kind_symbol_analytic(seed, threads, /, *, model: Resolved, x_grid: Grid(Real),
+                          xi_grid: Grid(Real)):
+    p = symbol_of_model(model)
     records = []
-    for x in _grid(x_grid, "x_grid"):
-        for xi in _grid(xi_grid, "xi_grid"):
-            val = p(np.atleast_1d(_real(x, "x_grid")), np.atleast_1d(_real(xi, "xi_grid")))
+    for x in x_grid:
+        for xi in xi_grid:
+            val = p(np.atleast_1d(x), np.atleast_1d(xi))
             records.append({"x": x, "xi": xi, "re": val.real, "im": val.imag})
     header = ["x", "xi", "re", "im"]
     return {"records": records}, header, _rows(records, header), None
@@ -291,9 +316,10 @@ def _mc_records(estimates):
     return records
 
 
-def _kind_symbol_estimate(seed, threads, /, *, model, x_grid, xi_grid, estimator={}):
-    records = _mc_records(_mc_table(_resolve(model, "model"), x_grid, xi_grid, estimator,
-                                    seed, threads))
+def _kind_symbol_estimate(seed, threads, /, *, model: Resolved, x_grid: Grid(Real),
+                          xi_grid: Grid(Real), estimator: Estimator = {}):
+    records = _mc_records(symbol_mc_table(model, x_grid, xi_grid, seed=seed, threads=threads,
+                                          **estimator))
     rows = [[e["x"], e["xi"], e["re"], e["im"], e["se"],
              e["r_check"]["consistent"] if e["r_check"] else True]
             for e in records]
@@ -301,11 +327,11 @@ def _kind_symbol_estimate(seed, threads, /, *, model, x_grid, xi_grid, estimator
             ["x", "xi", "re", "im", "se", "r_consistent"], rows, None)
 
 
-def _kind_symbol_compare(seed, threads, /, *, model, x_grid, xi_grid, estimator={}):
-    model = _resolve(model, "model")
+def _kind_symbol_compare(seed, threads, /, *, model: Resolved, x_grid: Grid(Real),
+                         xi_grid: Grid(Real), estimator: Estimator = {}):
     p = symbol_of_model(model)
     records = []
-    for e in _mc_table(model, x_grid, xi_grid, estimator, seed, threads):
+    for e in symbol_mc_table(model, x_grid, xi_grid, seed=seed, threads=threads, **estimator):
         exact = p(e.x, e.xi)
         err = abs(e.estimate - exact)
         tol = max(3.0 * e.se, 0.05 * (1.0 + abs(exact)))
@@ -322,18 +348,18 @@ def _kind_symbol_compare(seed, threads, /, *, model, x_grid, xi_grid, estimator=
             header, _rows(records, header), None)
 
 
-def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
-    model, u = _resolve(model, "model"), _resolve(test_function, "test_function")
+def _kind_generator_check(seed, threads, /, *, model: Resolved, x_grid: Grid(Real),
+                          test_function: Resolved = {}):
     p = symbol_of_model(model)
     records = []
-    for x in _grid(x_grid, "x_grid"):
-        xv = np.atleast_1d(_real(x, "x_grid"))
+    for x in x_grid:
+        xv = np.atleast_1d(x)
         trip = frozen_triplet(model.driver, model.coefficient, xv, model.drift_coefficient)
-        integro = generator_apply_integro(trip, u, xv)
-        fourier = generator_apply_fourier(p, u, xv)
+        integro = generator_apply_integro(trip, test_function, xv)
+        fourier = generator_apply_fourier(p, test_function, xv)
         diff = abs(integro - fourier)
         denom = max(abs(integro), abs(fourier), 1e-12)
-        records.append({"x": float(x), "integro": integro, "fourier": fourier,
+        records.append({"x": x, "integro": integro, "fourier": fourier,
                         "abs_diff": diff, "rel_diff": diff / denom,
                         "agree": bool(diff <= max(1e-3 * denom, 1e-9))})
     header = ["x", "integro", "fourier", "rel_diff", "agree"]
@@ -343,37 +369,23 @@ def _kind_generator_check(seed, threads, /, *, model, x_grid, test_function={}):
             header, _rows(records, header), None)
 
 
-def _x_box(spec) -> tuple:
-    """``[lo, hi, count]``: finite lo < hi and a whole count of at least 1."""
-    if not isinstance(spec, (list, tuple)) or len(spec) != 3:
-        raise ConfigError(f"x_box {spec!r} is not [lo, hi, count]", field="x_box")
-    lo, hi = _real(spec[0], "x_box"), _real(spec[1], "x_box")
-    if not lo < hi:
-        raise ConfigError(f"x_box needs lo < hi, got lo {lo!r} and hi {hi!r}", field="x_box")
-    return lo, hi, _whole(spec[2], "x_box count", "x_box", 1)
-
-
-def _kind_indices(seed, threads, /, *, symbol, x_grid=(0.0,), x_box=None, eta_max=1e8,
-                  r_max=1e4, r_table=(0.1, 1.0, 10.0, 100.0), compute_beta0=True):
-    r_max = _real(r_max, "r_max")
+def _kind_indices(seed, threads, /, *, symbol: Resolved, x_grid: Grid(Real) = (0.0,),
+                  x_box: XBox = None, eta_max: Real = 1e8, r_max: Real = 1e4,
+                  r_table: Grid(Real, empty=True) = (0.1, 1.0, 10.0, 100.0),
+                  compute_beta0: bool = True):
+    # build_index_report refuses these too; refused here, they never load the indices module
     if r_max <= 1.0:
         raise ConfigError(f"r_max must be greater than 1, got {r_max!r}", field="r_max")
-    radii = _reals(r_table, "r_table", empty=True)
-    if any(r <= 0.0 for r in radii):
+    if any(r <= 0.0 for r in r_table):
         raise ConfigError(f"r_table entries must be positive, got {r_table!r}", field="r_table")
-    report = build_index_report(
-        _resolve(symbol, "symbol"), _reals(x_grid, "x_grid"),
-        eta_max=_real(eta_max, "eta_max"), r_max=r_max,
-        x_box=None if x_box is None else _x_box(x_box), r_table=radii,
-        compute_beta0=compute_beta0)
-    rows = [[r, h_up, h_low] for r, h_up, h_low in report.functional_table]
-    return report.to_dict(), ["R", "H", "h"], rows, None
+    report = build_index_report(symbol, x_grid, eta_max=eta_max, r_max=r_max, x_box=x_box,
+                                r_table=r_table, compute_beta0=compute_beta0)
+    return report.to_dict(), ["R", "H", "h"], report.functional_table, None
 
 
-def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_max=1e8):
-    driver, phi = _resolve(driver, "driver"), _resolve(coefficient, "coefficient")
-    xs = _reals(x_grid, "x_grid")
-    report = index_transfer_check(driver, phi, xs, eta_max=_real(eta_max, "eta_max"))
+def _kind_index_transfer(seed, threads, /, *, driver: Resolved, coefficient: Resolved,
+                         x_grid: Grid(Real), eta_max: Real = 1e8):
+    report = index_transfer_check(driver, coefficient, x_grid, eta_max=eta_max)
     rows = [[x, b, abs(b - report.beta_driver)] for x, b in report.per_x]
     return ({"beta_driver": report.beta_driver,
              "per_x": [{"x": x, "beta": b} for x, b in report.per_x],
@@ -381,25 +393,18 @@ def _kind_index_transfer(seed, threads, /, *, driver, coefficient, x_grid, eta_m
             ["x", "beta_inf", "deviation"], rows, None)
 
 
-def _kind_variation(seed, threads, /, *, model, gammas, levels, trials=16, horizon=1.0,
-                    x0=0.0):
-    model, gammas = _resolve(model, "model"), _reals(gammas, "gammas")
-    levels = [_whole(k, "level", "levels", 0) for k in _grid(levels, "levels")]
-    trials = _whole(trials, "trials", "trials", 1)
-    records = [vars(r) for r in variation_experiment(
-        model, gammas, levels, trials, seed, horizon=_real(horizon, "horizon"),
-        x0=_state(x0, "x0"))]
+def _kind_variation(seed, threads, /, *, model: Resolved, gammas: Grid(Real),
+                    levels: Grid(Whole(0, "level")), trials: Whole(1) = 16,
+                    horizon: Real = 1.0, x0: State = 0.0):
+    records = [vars(r) for r in variation_experiment(model, gammas, levels, trials, seed,
+                                                     horizon=horizon, x0=x0)]
     header = ["gamma", "level", "median", "q25", "q75"]
     return {"rows": records}, header, _rows(records, header), None
 
 
-def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large=(),
-                 paths=2000, steps_per_run=256):
-    model, x, lambdas = _resolve(model, "model"), _real(x, "x"), _reals(lambdas, "lambdas")
-    t_small = _reals(t_small, "t_small", empty=True)
-    t_large = _reals(t_large, "t_large", empty=True)
-    paths = _whole(paths, "paths", "paths", 1)
-    steps_per_run = _whole(steps_per_run, "steps_per_run", "steps_per_run", 1)
+def _kind_growth(seed, threads, /, *, model: Resolved, lambdas: Grid(Real), x: Real = 0.0,
+                 t_small: Grid(Real, empty=True) = (), t_large: Grid(Real, empty=True) = (),
+                 paths: Whole(1) = 2000, steps_per_run: Whole(1) = 256):
     profile = growth_experiment(model, x, lambdas, t_small, t_large, paths, seed,
                                 steps_per_run=steps_per_run, threads=threads)
     records = [{"window": r.window, "t": r.t, "lambda": r.lam,
@@ -411,10 +416,9 @@ def _kind_growth(seed, threads, /, *, model, lambdas, x=0.0, t_small=(), t_large
             header, _rows(records, header), None)
 
 
-def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
-    d = _whole(d, "d", "d", 1)
+def _kind_g_identity(seed, threads, /, *, d: Whole(1) = 1, y_grid: Grid(State) = None):
     if y_grid is not None:
-        ys = [np.asarray(_state(y, "y_grid")) for y in _grid(y_grid, "y_grid")]
+        ys = y_grid
     elif d == 1:
         ys = list(np.linspace(-10.0, 10.0, 41))
     else:
@@ -425,24 +429,20 @@ def _kind_g_identity(seed, threads, /, *, d=1, y_grid=None):
     return results, header, _rows([results], header), None
 
 
-def _kind_bound_diagnostic(seed, threads, /, *, model=None, driver=None, box=(-1.0, 1.0),
-                           xi_max=100.0):
+def _kind_bound_diagnostic(seed, threads, /, *, model: Resolved = None,
+                           driver: Resolved = None, box: Box = (-1.0, 1.0),
+                           xi_max: Real = 100.0):
     if (model is None) == (driver is None):
         raise ConfigError("bound-diagnostic: need exactly one of 'model' and 'driver'",
                           field="model")
-    if not isinstance(box, (list, tuple)) or len(box) != 2:
-        raise ConfigError("bound-diagnostic: 'box' must hold exactly two numbers", field="box")
     if model is not None:
-        model = _resolve(model, "model")
         p = symbol_of_model(model)
         trip_field = lambda x: frozen_triplet(model.driver, model.coefficient, x,
                                               model.drift_coefficient)
     else:
-        driver = _resolve(driver, "driver")
         p = symbol_from_exponent(driver)
         trip_field = lambda x: driver
-    diag = symbol_bound_diagnostic(p, trip_field, (_real(box[0], "box"), _real(box[1], "box")),
-                                   xi_max=_real(xi_max, "xi_max"))
+    diag = symbol_bound_diagnostic(p, trip_field, box, xi_max=xi_max)
     return (vars(diag), ["c_p", "triplet_norm", "unit_sup", "slack", "consistent"],
             [[diag.c_p, diag.triplet_norm, diag.unit_sup,
               diag.subadditivity_slack, diag.consistent]], None)
@@ -473,10 +473,8 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
             "frequency_at_zero": float(np.mean(terminal == 0.0))}
 
 
-def _kind_feller_demo(seed, threads, /, *, t0=math.log(2.0), trials=100_000, x0=5.0,
-                      steps=16):
-    t0, trials = _real(t0, "t0"), _whole(trials, "trials", "trials", 1)
-    x0, steps = _real(x0, "x0"), _whole(steps, "steps", "steps", 1)
+def _kind_feller_demo(seed, threads, /, *, t0: Real = math.log(2.0),
+                      trials: Whole(1) = 100_000, x0: Real = 5.0, steps: Whole(1) = 16):
     report = feller_demo(t0, trials, seed, x0=x0, steps=steps, threads=threads)
     header = ["t0", "trials", "frequency", "ci_low", "ci_high", "expected"]
     return report, header, _rows([report], header), None

@@ -317,6 +317,15 @@ def beta_inf(p: SymbolField, x, eta_max: float = 1e8) -> BetaInfResult:
                          points=points, eta_max=eta_max)
 
 
+def _check_radii(r_max: float, r_table: Sequence[float] = ()) -> None:
+    """Refuse an r_max not above beta_0's first radius, 1, or an r_table radius not above 0."""
+    if not r_max > _BETA0_R_MIN:
+        raise ConfigError(f"r_max must be greater than {_BETA0_R_MIN:g}, got {r_max}",
+                          field="r_max")
+    if not all(R > 0.0 for R in r_table):
+        raise ConfigError(f"r_table entries must be positive, got {r_table}", field="r_table")
+
+
 def beta_zero(p: SymbolField, r_max: float = 1e4, *,
               x_box: Optional[tuple] = None) -> Beta0Result:
     """Upper index at zero: decay exponent of sup_x H(x, R) as R grows.
@@ -325,8 +334,7 @@ def beta_zero(p: SymbolField, r_max: float = 1e4, *,
     (lo, hi, count); it is recorded in the result.  ``r_max`` must exceed 1,
     the first radius of the R grid.
     """
-    if not r_max > _BETA0_R_MIN:
-        raise ValueError(f"r_max must be greater than {_BETA0_R_MIN:g}, got {r_max}")
+    _check_radii(r_max)
     if p.x_independent:
         x_grid = np.array([0.0])
         box = None
@@ -498,7 +506,9 @@ def build_index_report(p: SymbolField, xs, *, eta_max: float = 1e8,
                        r_max: float = 1e4, x_box: Optional[tuple] = None,
                        r_table: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
                        compute_beta0: bool = True) -> IndexReport:
-    """Full index run for a symbol: per-x upper indices, beta_0, H/h samples."""
+    """Full index run for a symbol: per-x upper indices, beta_0, H/h samples.  ``r_max``
+    and ``r_table`` are refused before any search, also when ``compute_beta0`` is false."""
+    _check_radii(r_max, r_table)
     per_x = [beta_inf(p, x, eta_max=eta_max) for x in xs]
     xi_grid = [np.array([v]) for v in np.geomspace(0.1, 50.0, 25)]
     c0 = symbol_sector_constant(p, xs, xi_grid)

@@ -385,9 +385,6 @@ def estimate_symbol_mc(model: SdeModel, x, xi, *, t_ladder=DEFAULT_LADDER,
     """
     _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
     x = initial_state(x, model.d, "x")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (model.d,):
-        raise DimensionMismatch(f"xi shape {xi.shape}, expected ({model.d},)")
     return symbol_mc_table(model, [x], [xi], t_ladder=t_ladder, paths_per_rung=paths_per_rung,
                            seed=seed, radius=radius, steps_per_rung=steps_per_rung,
                            check_radius=check_radius, threads=threads)[0]
@@ -413,12 +410,16 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
     bit whatever ``threads`` is, and the first error a serial run meets is
     the one raised.  ``radius`` is None (``default_radius`` at each x) or a
     positive finite number; anything else is a ValueError.  A state of another
-    dimension than the model's is a ConfigError naming ``x_grid``, the CLI's key.
+    dimension than the model's is a ConfigError naming ``x_grid``, the CLI's key; a
+    frequency of any shape but (d,) is a DimensionMismatch.
     """
     ladder = _check_ladder(t_ladder, steps_per_rung, paths_per_rung)
     _check_radius(radius)
     xs = [initial_state(x, model.d, "x_grid") for x in xs]
     xis = [np.atleast_1d(np.asarray(v, dtype=float)) for v in xis]
+    for xi in xis:
+        if xi.shape != (model.d,):
+            raise DimensionMismatch(f"xi shape {xi.shape}, expected ({model.d},)")
     groups = _mirror_groups(xis)
     grid = []                   # per x: [(variant, radius), ...]
     for x in xs:

@@ -990,6 +990,17 @@ def test_ensemble_refuses_a_start_of_another_dimension(x0, no_work):
         sde.simulate_ensemble(model.blocks(), None, x0, 0.1, 4, 8, 1)
 
 
+# a frequency of another shape than (d,) is refused, whichever entry of the grid it is
+@pytest.mark.parametrize("xi", [1.0, [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_mc_table_refuses_a_frequency_of_another_shape(xi, no_work):
+    message = re.escape(f"xi shape {np.atleast_1d(xi).shape}, expected (2,)")
+    with pytest.raises(sk.DimensionMismatch, match=message):
+        symbols.symbol_mc_table(_planar_model(), [[0.0, 0.0]], [[1.0, 0.5], xi],
+                                paths_per_rung=1000)
+    with pytest.raises(sk.DimensionMismatch, match=message):
+        symbols.estimate_symbol_mc(_planar_model(), [0.0, 0.0], xi, paths_per_rung=1000)
+
+
 # a float overflow inside a computation is a numerical failure: exit 3, one line
 OVERFLOWS = {
     "huge-bump": {"model": {"coefficient": {"name": "bump", "params": {"a": 1e308, "b": 1.0}},

@@ -325,3 +325,22 @@ class TestReport:
         grid = [np.array([v]) for v in np.geomspace(0.1, 20.0, 15)]
         c0 = symbol_sector_constant(p, [0.0, 1.0], grid)
         assert c0 > 1e-6   # drift gives a genuine imaginary part
+
+    @pytest.mark.parametrize("kwargs, field, message", [
+        ({"r_max": 1.0}, "r_max", "r_max must be greater than 1, got 1.0"),
+        ({"r_max": float("nan"), "compute_beta0": False}, "r_max",
+         "r_max must be greater than 1, got nan"),
+        ({"r_table": [1.0, 0.0]}, "r_table", "r_table entries must be positive, got [1.0, 0.0]"),
+        ({"r_table": [-1.0], "compute_beta0": False}, "r_table",
+         "r_table entries must be positive, got [-1.0]"),
+    ], ids=["r_max-one", "r_max-nan-no-beta0", "r_table-zero", "r_table-negative-no-beta0"])
+    def test_radii_are_refused_before_any_search(self, kwargs, field, message, monkeypatch):
+        # beta_0 is off in half the cases, so r_max would otherwise never be looked at
+        def refuse(*args, **kw):
+            raise AssertionError("a search ran before the radii were checked")
+
+        for name in ("beta_inf", "big_H", "small_h", "beta_zero", "symbol_sector_constant"):
+            monkeypatch.setattr(sk.indices, name, refuse)
+        with pytest.raises(sk.ConfigError) as info:
+            sk.build_index_report(power_law_symbol(1.0), [0.0], **kwargs)
+        assert (info.value.field, str(info.value)) == (field, message)
