@@ -373,11 +373,6 @@ def _kind_indices(seed, threads, /, *, symbol: Resolved, x_grid: Grid(Real) = (0
                   x_box: XBox = None, eta_max: Real = 1e8, r_max: Real = 1e4,
                   r_table: Grid(Real, empty=True) = (0.1, 1.0, 10.0, 100.0),
                   compute_beta0: bool = True):
-    # build_index_report refuses these too; refused here, they never load the indices module
-    if r_max <= 1.0:
-        raise ConfigError(f"r_max must be greater than 1, got {r_max!r}", field="r_max")
-    if any(r <= 0.0 for r in r_table):
-        raise ConfigError(f"r_table entries must be positive, got {r_table!r}", field="r_table")
     report = build_index_report(symbol, x_grid, eta_max=eta_max, r_max=r_max, x_box=x_box,
                                 r_table=r_table, compute_beta0=compute_beta0)
     return report.to_dict(), ["R", "H", "h"], report.functional_table, None

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .levy import catalog_entry
 
+_FLOAT = np.dtype(float)
+
 
 @dataclass
 class CoefficientField:
@@ -44,12 +46,15 @@ class CoefficientField:
         return np.asarray(self.batch_fn(x[None, :]), dtype=float).reshape(1, self.d, self.n)[0]
 
     def many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
+        """Phi at the states xs (m, d), or m states of a 1-d xs, as an (m, d, n) float64
+        array; float64 arrays of these shapes pass to and from ``batch_fn`` unconverted."""
+        if type(xs) is not np.ndarray or xs.dtype is not _FLOAT or xs.ndim != 2:
+            xs = np.asarray(xs, dtype=float)
+            if xs.ndim == 1:
+                xs = xs[:, None]
         out = self.batch_fn(xs)
-        shape = (xs.shape[0], self.d, self.n)
-        if type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape:
+        shape = (len(xs), self.d, self.n)
+        if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
             return out
         return np.asarray(out, dtype=float).reshape(shape)
 

@@ -55,7 +55,7 @@ these invariants:
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
   that formulation as the oracle, and the former single-path engine too.
   One helper, ``_smooth_increment``, forms every step's smooth update
-  (field x draws, + 0.0, the other blocks, then drift x dt): ``_advance_chunk``
+  (from +0.0, field x draws block by block, then drift x dt): ``_advance_chunk``
   adds it in place and applies the step's jumps; a jump-free row of a dense
   run is out[k+1] = out[k] + its increment; and ``_apply_run`` forms a whole
   run's increments in one pass and adds them up along time with
@@ -65,11 +65,19 @@ these invariants:
   one without a drift field whose draws for the run are all exactly zero (a
   pure compound-Poisson driver between its jumps), where each step adds +0.0
   and the state stands still;
+- a block whose driver is pure jump (``jump_activity``), whose field
+  declares a finite ``bound``, and whose draws for a step are all exactly
+  zero is left out of that step's smooth update without evaluating the
+  field: its term fld(x) * 0 is a zero, and a sum started from +0.0 is never
+  -0.0, so adding it changes nothing.  The declared bound is trusted as
+  ``lipschitz == 0.0`` is above, and a state is never infinite at a step's
+  start, since the overflow guard raises first;
 - every step runs the overflow guard: a state norm above ``OVERFLOW_GUARD``
   raises ``SimulationOverflow``, at the same step in a summed run.
 
 A step, horizon or size out of range is refused before anything is stepped,
-with a ``ConfigError`` (a ``ValueError``) whose ``field`` names the argument.
+with a ``ConfigError`` (a ``ValueError``) whose ``field`` names the argument;
+one path holds at most ``MAX_PATH_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -95,7 +103,8 @@ DEFAULT_CHUNK = 16384
 BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BLOCK_ROWS
 MIN_LOOK_AHEAD = 3          # a count look-ahead over fewer steps costs more than it saves
 DENSE_WINDOW = 1024         # steps of states a dense run with a sink holds at once
-MAX_PATH_STEPS = 1 << 32    # paths x steps of one ensemble, and of one variation run
+MAX_PATH_STEPS = 1 << 32    # steps of one path; paths x steps of one ensemble, of one variation run
+_ZERO = np.zeros(())         # the +0.0 every smooth sum starts from
 
 
 @dataclass
@@ -173,6 +182,9 @@ def _simulate_one(blocks, drift_field, x0, horizon, step, seed):
                           field="horizon")
     x0 = initial_state(x0, blocks[0][0].d)
     n_steps = int(np.ceil(horizon / step - 1e-12))
+    if n_steps > MAX_PATH_STEPS:
+        raise ConfigError(f"horizon {horizon} over step {step} is more than {MAX_PATH_STEPS} "
+                          f"steps in one path", field="horizon")
     times = step * np.arange(n_steps + 1)
     rngs = [rng_at(seed, TAG_PATH, j) for j in range(len(blocks))]
     jumps: list = []
@@ -311,37 +323,52 @@ def _step_samples(blocks, dt, n_steps, m, rngs):
         k += r
 
 
-def _smooth_increment(x, blocks, drift_field, dt, rows, inc, tmp):
-    """The smooth part of one Euler step at the states x, formed in ``inc`` and returned.
+def _smooth_increment(x, blocks, drift_field, dt, rows, inc, scratch):
+    """The smooth part of one Euler step at the states x, in ``inc`` or ``scratch[1]``.
 
-    ``rows`` holds each block's smooth draws, one row per state.  The sum is
-    field x draws of the first block, plus 0.0 (the sum starts from 0, which
-    turns -0.0 into +0.0), then the other blocks in order, then drift x dt.
-    ``tmp`` is a scratch array like ``inc``, or None to allocate one per term.
+    ``rows`` holds each block's smooth draws, one row per state.  The sum
+    starts from +0.0 and adds field x draws block by block, then drift x dt.
+    A block is left out when its driver is pure jump (``jump_activity``), its
+    field declares a finite ``bound`` and its draws are all exactly zero: its
+    term fld(x) * 0 is then a zero, which leaves a sum that started from +0.0
+    as it is, so the field is not evaluated.  ``scratch`` is a pair of arrays
+    like ``inc``, or None to allocate them.  The partial sums go to ``inc``
+    and ``scratch[1]`` in turn, so that no operation writes to one of its own
+    inputs (on a few rows numpy's overlap handling costs more than the
+    arithmetic), and the array that holds the last one is returned.
     """
-    for j, ((fld, _), v) in enumerate(zip(blocks, rows)):
-        if j == 0:
-            _times(fld.many(x), v, out=inc)
-            inc += 0.0
+    prod, spare = (np.empty_like(inc), np.empty_like(inc)) if scratch is None else scratch
+    acc, total = inc, _ZERO
+    for (fld, drv), v in zip(blocks, rows):
+        if drv.jump_activity is not None and fld.bound < math.inf and not np.count_nonzero(v):
+            continue
+        phi = fld.many(x)
+        if phi.shape[2] == 1:
+            np.multiply(phi[..., 0], v, out=prod)
         else:
-            inc += _times(fld.many(x), v, out=tmp)
+            np.einsum("kdn,kn->kd", phi, v, out=prod)
+        total = np.add(total, prod, out=acc)
+        acc = spare if acc is inc else inc
     if drift_field is not None:
-        inc += np.multiply(drift_field.many(x)[:, :, 0], dt, out=tmp)
-    return inc
+        total = np.add(total, np.multiply(drift_field.many(x)[..., 0], dt, out=prod), out=acc)
+    if total is _ZERO:
+        inc.fill(0.0)
+        return inc
+    return total
 
 
-def _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, tmp, steps,
+def _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, scratch, steps,
                    record=None, t=0.0):
     """One Euler step of a chunk, updating the states x (m, d) in place.
 
     ``rows`` holds each block's (m, n) smooth draws for this step, and
     ``steps`` each block's ``StepSample`` when the step draws simulated
     jumps, else None.  ``active`` is None while every path is active, else a
-    bool mask; paths outside it stay frozen.  ``inc`` and ``tmp`` are (m, d)
-    scratch arrays.  ``record``, if given, is a list that receives
-    (t, state-space effect) for every jump.
+    bool mask; paths outside it stay frozen.  ``inc`` is an (m, d) array and
+    ``scratch`` a pair of them.  ``record``, if given, is a list that
+    receives (t, state-space effect) for every jump.
     """
-    _smooth_increment(x, blocks, drift_field, dt, rows, inc, tmp)
+    inc = _smooth_increment(x, blocks, drift_field, dt, rows, inc, scratch)
     if active is None:
         x += inc
     else:
@@ -437,13 +464,13 @@ def _check_overflow(x, active, k, n_steps):
 def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs, stop_radius, record_max):
     d = x0.shape[0]
     x = np.tile(x0, (m, 1))
-    inc, tmp = np.empty((m, d)), np.empty((m, d))
+    inc, scratch = np.empty((m, d)), (np.empty((m, d)), np.empty((m, d)))
     active = None                   # None until the first path exits
     maxdist = np.zeros(m) if record_max else None
     segments = _step_samples(blocks, dt, n_steps, m, rngs)
     for k, (rows, steps) in enumerate((rows, steps) for smooth, steps in segments
                                       for rows in zip(*smooth)):
-        _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, tmp, steps)
+        _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, scratch, steps)
         _check_overflow(x, active, k, n_steps)
         if stop_radius is None and maxdist is None:
             continue
@@ -573,7 +600,7 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None, sink
     held = n_steps if sink is None else min(n_steps, DENSE_WINDOW)
     out = np.empty((held + 1, m, x0.shape[0]))
     out[0] = x0
-    inc, tmp = np.empty_like(out[0]), np.empty_like(out[0])
+    inc, scratch = np.empty_like(out[0]), (np.empty_like(out[0]), np.empty_like(out[0]))
     fields = [fld for fld, _ in blocks] + ([] if drift_field is None else [drift_field])
     constant = all(fld.lipschitz == 0.0 for fld in fields)
     k = 0                           # the first step not yet applied
@@ -592,16 +619,19 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None, sink
                 x = out[i + 1]
                 x[...] = out[i]
                 _advance_chunk(x, None, blocks, drift_field, dt, [s.smooth for s in steps],
-                               inc, tmp, steps, record, dt * (k + 1))
+                               inc, scratch, steps, record, dt * (k + 1))
                 _check_overflow(x, None, k, n_steps)
             elif run and r > 1:
                 _apply_run(blocks, drift_field, dt, [v[lo:lo + r] for v in smooth],
                            out[i:i + r + 1], k, n_steps)
             else:
-                for j, rows in enumerate(zip(*(v[lo:lo + r] for v in smooth))):
-                    _smooth_increment(out[i + j], blocks, drift_field, dt, rows, inc, tmp)
-                    np.add(out[i + j], inc, out=out[i + j + 1])
-                    _check_overflow(out[i + j + 1], None, k + j, n_steps)
+                states = out[i:i + r + 1]
+                for x, x_next, rows, j in zip(states, states[1:],
+                                              zip(*(v[lo:lo + r] for v in smooth)),
+                                              range(k, k + r)):
+                    np.add(x, _smooth_increment(x, blocks, drift_field, dt, rows, inc, scratch),
+                           out=x_next)
+                    _check_overflow(x_next, None, j, n_steps)
             lo, i, k = lo + r, i + r, k + r
     if sink is None:
         return out
@@ -631,8 +661,10 @@ def _apply_run(blocks, drift_field, dt, smooth, seg, lo, n_steps):
     if (np.signbit(seg[0]) & (seg[0] == 0.0)).any():
         rows = np.concatenate([seg[:1], np.broadcast_to(seg[0] + 0.0, (r - 1, m, d))])
     rows = rows.reshape(r * m, d)
-    _smooth_increment(rows, blocks, drift_field, dt,
-                      [v.reshape(r * m, v.shape[2]) for v in smooth], inc, None)
+    total = _smooth_increment(rows, blocks, drift_field, dt,
+                              [v.reshape(r * m, v.shape[2]) for v in smooth], inc, None)
+    if total is not inc:
+        inc[...] = total
     with np.errstate(over="ignore", invalid="ignore"):
         # past an overflow the sum runs on; the check below raises at its first step
         np.add.accumulate(seg, axis=0, out=seg)

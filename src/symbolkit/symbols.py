@@ -260,9 +260,10 @@ def _check_ladder(t_ladder, steps_per_rung, paths_per_rung):
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"t-ladder must be strictly decreasing, got {ladder}", field="t_ladder")
     if steps_per_rung < 2:
-        raise ValueError("need at least 2 Euler steps per rung so that t >= 2 dt")
+        raise ConfigError("need at least 2 Euler steps per rung so that t >= 2 dt",
+                          field="steps_per_rung")
     if paths_per_rung < 1000:
-        raise ValueError("paths_per_rung must be at least 1000")
+        raise ConfigError("paths_per_rung must be at least 1000", field="paths_per_rung")
     return ladder
 
 
@@ -270,7 +271,8 @@ def _check_radius(radius):
     """A stopping radius is None (the default) or a positive finite real, not a bool."""
     if radius is not None and (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
                                or not 0.0 < radius < np.inf):
-        raise ValueError(f"radius must be None or a positive finite number, got {radius!r}")
+        raise ConfigError(f"radius must be None or a positive finite number, got {radius!r}",
+                          field="radius")
 
 
 def _extrapolate(ladder, values, ses):

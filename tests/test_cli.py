@@ -195,12 +195,19 @@ class TestMainExitCodes:
                      "--out", str(blocker / "nested")])
         assert code == 4
 
-    def test_oversized_grid_exit_4(self, tmp_path):
-        # 1e18 steps: numpy refuses the grid at once, without allocating it
-        cfg = {"model": {"name": "cp_tanh"}, "horizon": 1e9, "step": 1e-9}
-        assert main_with_config("simulate", cfg, tmp_path) == 4
+    @pytest.mark.parametrize("horizon, step", [(1e9, 1e-9), (1.0, 1e-308)],
+                             ids=["1e18-steps", "1e308-steps"])
+    def test_oversized_grid_exit_2(self, horizon, step, tmp_path, capfd, monkeypatch):
+        # 1e18 and 1e308 steps: more than MAX_PATH_STEPS in one path, a config error
+        # naming horizon, raised before the time grid is built
+        monkeypatch.setattr(sde, "_step_dense", lambda *a, **k: pytest.fail("the run started"))
+        cfg = {"model": {"name": "cp_tanh"}, "horizon": horizon, "step": step}
+        assert main_with_config("simulate", cfg, tmp_path) == 2
         err = json.loads((tmp_path / "out" / "error.json").read_text())
-        assert err["exit_code"] == 4
+        assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+        assert (err["error"], err["field"], err["message"]) == (
+            "ConfigError", "horizon",
+            f"horizon {horizon!r} over step {step!r} is more than 4294967296 steps in one path")
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_infinite_step_count_exit_2(self, tmp_path, capfd, monkeypatch):
@@ -701,8 +708,9 @@ INDICES_RANGES = {
                          ids=list(INDICES_RANGES))
 def test_indices_ranges_exit_2_before_the_search(extra, field, message, tmp_path, capfd,
                                                   monkeypatch):
-    monkeypatch.setattr(cli, "build_index_report",
-                        lambda *a, **k: pytest.fail("the search ran"))
+    # build_index_report refuses r_max and r_table before its first search
+    for search in ("beta_inf", "big_H"):
+        monkeypatch.setattr(indices, search, lambda *a, **k: pytest.fail("the search ran"))
     cfg = {"symbol": {"model": {"name": "cp_tanh"}}, "x_grid": [0.0], **extra}
     assert main_with_config("indices", cfg, tmp_path) == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())

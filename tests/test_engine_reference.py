@@ -278,6 +278,12 @@ def _path_multi():
                             (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1(rate=60.0))])
 
 
+def _scalar_multi(cp_first=False):
+    blocks = [(co.bump(0.5, 1.0), catalog.bm_driver()),
+              (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1())]
+    return MultiDriverSpec(blocks[::-1] if cp_first else blocks)
+
+
 _TANH = co.tanh_field(2.0, 1.0)
 # name -> (model or MultiDriverSpec, x0, horizon, step)
 PATH_CASES = {
@@ -312,10 +318,12 @@ PATH_CASES = {
     "look_ahead_constant": lambda: (CASES["look_ahead_constant"]()[0], 0.1, 10.0, 1e-3),
     # two full buffers and a ragged one: 2 * 4096 + 123 steps
     "bm_unit_ragged": lambda: (catalog.bm_unit(), 0.1, 0.125 * (2 * BLOCK_ROWS + 123), 0.125),
-    # the benchmark's simulate_multi pair: a Brownian and a compound-Poisson column
-    "path_scalar_multi": lambda: (MultiDriverSpec([
-        (co.bump(0.5, 1.0), catalog.bm_driver()),
-        (co.tanh_field(2.0, 1.0), catalog.compound_poisson_pm1())]), 0.0, 4.0, 2e-3),
+    # the benchmark's simulate_multi pair: a Brownian and a compound-Poisson column,
+    # whose zero-draw steps leave the second out, in either order and from -0.0
+    "path_scalar_multi": lambda: (_scalar_multi(), 0.0, 4.0, 2e-3),
+    "path_scalar_multi_negative_zero": lambda: (_scalar_multi(), -0.0, 4.0, 2e-3),
+    "path_scalar_multi_cp_first": lambda: (_scalar_multi(True), 0.3, 4.0, 2e-3),
+    "path_scalar_multi_cp_first_negative_zero": lambda: (_scalar_multi(True), -0.0, 4.0, 2e-3),
     # not blockable: every step is drawn alone
     "stable_1.5_cosine": lambda: (_model(catalog.stable_driver(1.5), co.cosine(1.5, 1.0)),
                                   0.0, 5.0, 1e-3),
@@ -659,3 +667,57 @@ def test_zero_draw_path_makes_one_increment_call_per_run(monkeypatch):
     assert len(path.times) == 10_001 and path.jumps
     assert sum(segments) == 10_000 and len(calls) == len(segments) < 100
     assert calls == segments                # one call per run, on a row per step
+
+
+# --------------------------------------------------------------------------
+# zero-draw blocks of bounded fields: a pure-jump block whose field declares a
+# finite bound adds fld(x) * 0 on a step whose draws are all zero, and is left out
+
+
+def _smooth_many_calls(monkeypatch):
+    """The fields ``CoefficientField.many`` is called on inside ``sde._smooth_increment``."""
+    fields, inside = [], []
+    many, increment = CoefficientField.many, sde._smooth_increment
+
+    def counted_many(self, xs):
+        if inside:
+            fields.append(self)
+        return many(self, xs)
+
+    def counted_increment(*args):
+        inside.append(True)
+        try:
+            return increment(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CoefficientField, "many", counted_many)
+    monkeypatch.setattr(sde, "_smooth_increment", counted_increment)
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DRAW_CASES))
+def test_zero_draw_paths_evaluate_only_unbounded_fields(case, monkeypatch):
+    model, x0 = ZERO_DRAW_CASES[case]()
+    fields = _smooth_many_calls(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        sk.simulate_path(model, x0, 2.0, 1e-3, 5)
+    if np.isfinite(model.coefficient.bound):
+        assert fields == []
+    else:
+        assert fields and all(f is model.coefficient for f in fields)
+
+
+def test_bounded_zero_draw_blocks_make_no_smooth_field_call(monkeypatch):
+    fields = _smooth_many_calls(monkeypatch)
+    ens = simulate_ensemble(*_blocks(catalog.cp_tanh()), np.zeros(1), 0.5, 50, 2000, 3)
+    assert (ens.terminal != 0.0).any() and fields == []
+    # the Gaussian column is still evaluated on every step, the compound-Poisson one never
+    spec = PATH_CASES["path_scalar_multi"]()[0]
+    simulate_multi(spec, 0.0, 1.0, 1e-2, 5)
+    assert len(fields) == 100 and all(f is spec.drivers[0][0] for f in fields)
+    # and so is a drift field
+    fields.clear()
+    model, x0 = STEPPED_CASES["drift_field"]()
+    sk.simulate_path(model, x0, 1.0, 1e-2, 5)
+    assert len(fields) == 100 and all(f is model.drift_coefficient for f in fields)

@@ -141,6 +141,40 @@ def test_path_argument_refused_naming_it(x0, step, field):
     assert exc.value.field == field
 
 
+class _Reached(Exception):
+    pass
+
+
+def _no_grid(monkeypatch):
+    """Make the time grid raise _Reached: a refused path never builds it, and an
+    accepted one stops there without allocating 2^32 steps."""
+    def arange(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr(np, "arange", arange)
+
+
+# finite step counts past MAX_PATH_STEPS: 1e308 (beyond numpy's array size), 1e13 (a
+# 72.8 TiB grid) and one step past the bound
+@pytest.mark.parametrize("horizon, step", [(1.0, 1e-308), (1e10, 1e-3),
+                                           ((sde.MAX_PATH_STEPS + 1) * 0.5, 0.5)])
+def test_path_past_max_steps_refused_naming_horizon(horizon, step, monkeypatch):
+    _no_grid(monkeypatch)
+    for run in (lambda: sk.simulate_path(catalog.cp_tanh(), 0.0, horizon, step, 1),
+                lambda: sk.simulate_multi(sk.MultiDriverSpec(catalog.cp_tanh().blocks()),
+                                          0.0, horizon, step, 1)):
+        with pytest.raises(sk.ConfigError) as exc:
+            run()
+        assert exc.value.field == "horizon"
+        assert str(exc.value) == (f"horizon {horizon} over step {step} is more than "
+                                  f"{sde.MAX_PATH_STEPS} steps in one path")
+
+
+def test_path_of_max_steps_reaches_the_grid(monkeypatch):
+    _no_grid(monkeypatch)
+    with pytest.raises(_Reached):
+        sk.simulate_path(catalog.cp_tanh(), 0.0, sde.MAX_PATH_STEPS * 0.5, 0.5, 1)
+
+
 class TestEnsemble:
     def test_matches_weak_order_variance(self):
         # X_T = c W_T exactly for constant coefficient

@@ -158,6 +158,20 @@ class TestEstimateSymbolMc:
         with pytest.raises(ValueError, match="paths_per_rung"):
             sk.estimate_symbol_mc(model, 0.0, 1.0, paths_per_rung=10, seed=0)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"steps_per_rung": 1}, "steps_per_rung"), ({"paths_per_rung": 500}, "paths_per_rung"),
+        ({"radius": 0.0}, "radius"), ({"radius": float("inf")}, "radius"),
+        ({"radius": True}, "radius")])
+    def test_estimator_arguments_refused_naming_them(self, kwargs, field):
+        # both library entry points raise a ConfigError (a ValueError) naming the argument
+        model = catalog.bm_bump()
+        args = {"paths_per_rung": 1000, "seed": 0, **kwargs}
+        for run in (lambda: sk.estimate_symbol_mc(model, 0.0, 1.0, **args),
+                    lambda: sk.symbol_mc_table(model, [0.0], [1.0], **args)):
+            with pytest.raises(sk.ConfigError) as exc:
+                run()
+            assert exc.value.field == field
+
     def test_inconsistent_rungs_raise(self):
         from symbolkit.symbols import RungStat, _consistency_guard
 
