@@ -34,7 +34,7 @@ _EXPORTS = {
                   "variation_experiment"),
 }
 _SUBMODULES = ("catalog", "cli", "coefficients", "errors", "indices", "levy", "pathstats",
-               "quadrature", "sde", "seeding", "symbols")
+               "quadrature", "sde", "seeding", "special", "symbols")
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF) + list(_SUBMODULES)

@@ -10,8 +10,7 @@ through ``sde.ordered_map``: the path chunks of one ensemble in
 ``feller-demo`` and ``growth``, and every rung ensemble of the whole table in
 ``symbol-estimate`` and ``symbol-compare``.  The manifest records the resolved
 config, its hash, package versions and wall time; ``symbolkit rerun``
-replays a manifest.  Its scipy version is that of the scipy the run loaded
-(a special function loads it), or null when the run loaded none.
+replays a manifest.
 
 A kind's config keys are its handler's keyword-only parameters, each annotated
 with the key's type; ``_call`` converts every key in signature order, so a
@@ -42,6 +41,7 @@ from . import coefficients as coeff
 from .catalog import (feller_demo_model, resolve_driver, resolve_model,
                       resolve_symbol)
 from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
+from .levy import POISSON_MEAN_MAX
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
 from .symbols import (DEFAULT_LADDER, frozen_triplet, gaussian_bump,
@@ -448,7 +448,8 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
     """Empirical P(X_{t0} = x0) for dX = -X_- dN with binomial confidence band.
 
     The no-jump probability e^{-t0} is the exact reference; at t0 = ln 2 it
-    equals 1/2.
+    equals 1/2.  A t0 whose per-step jump mean is past ``POISSON_MEAN_MAX``,
+    the most numpy's Poisson sampler takes, is refused naming ``t0``.
     """
     if x0 == 0.0:
         raise ConfigError("feller-demo: x0 must be nonzero", field="x0")
@@ -456,6 +457,10 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
         raise ConfigError(f"feller-demo: t0 must be positive, got {t0!r}", field="t0")
     sde.check_ensemble_size(trials, steps, "trials", "steps")
     model = feller_demo_model()
+    mean = model.driver.levy_measure.activity * (t0 / steps)
+    if not mean <= POISSON_MEAN_MAX:
+        raise ConfigError(f"feller-demo: t0 {t0!r} over {steps} steps is a per-step jump mean "
+                          f"of {mean:.6g}, past the sampler's {POISSON_MEAN_MAX:.6g}", field="t0")
     res = sde.simulate_ensemble(model.blocks(), None, np.array([x0]), t0, steps,
                             trials, seed, base_key=(TAG_EXPERIMENT, 2),
                             threads=threads)
@@ -516,14 +521,12 @@ def run_config(kind: str, config: dict, seed: int, outdir, threads: int = 1) -> 
 
     resolved = dict(config)
     resolved["seed"] = int(seed)
-    scipy = sys.modules.get("scipy")        # loaded only by a run that needs a special function
     manifest = {
         "kind": kind,
         "seed": int(seed),
         "config": _jsonable(resolved),
         "config_hash": _config_hash(resolved),
         "versions": {"symbolkit": __version__, "numpy": np.__version__,
-                     "scipy": None if scipy is None else scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "wall_time_s": wall,
         "outputs": ["results.json", "results.csv"],

@@ -10,9 +10,8 @@ of every order.  The lambda integral is a Bessel integral (Gradshteyn-Ryzhik
 r = |rho|, which is e^{-r}/2 for d = 1, K_0(r)/(2 pi) for d = 2 and
 e^{-r}/(4 pi r) for d = 3; :func:`eval_g` takes it in closed form for every
 d.  :func:`g_identity_check` checks the identity on a fixed GK21 panel table.
-``scipy.special``'s ``k0``, ``kv`` and ``j0`` are imported inside
-:func:`eval_g` and :func:`g_identity_check`, so they load at the first
-kernel value for d >= 2 or identity check.
+K_nu, K_0 and J_0 come from :mod:`symbolkit.special`, in numpy and the math
+module.
 
 The upper functional
 
@@ -50,6 +49,7 @@ from .errors import (BijectivityViolation, ConfigError, DegenerateSymbol, Dimens
                      QuadratureFailure)
 from .levy import LevyTriplet, kappa_from_c0, sector_constant
 from .quadrature import halfline_nodes, integrate_panels, radial_edges
+from .special import bessel_k, j0, k0
 from .symbols import SymbolField, solution_symbol, symbol_from_exponent
 
 _G_REACH, _G_CYCLE = 40.0, 4.0   # identity check: r cut (e^{-r}, K_0(r) < 1e-17), width * max |y|
@@ -70,7 +70,7 @@ _SEARCH_STATES, _SEARCH_DIRECTIONS, _REFINE_ROUNDS, _REFINE_POINTS = 65, 17, 2, 
 def eval_g(d: int, rho) -> float:
     """Kernel g_d at rho: (2 pi)^{-d/2} r^{1-d/2} K_{d/2-1}(r) with r = |rho|.
 
-    Elementary for d = 1 and 3, K_0 for d = 2, ``scipy.special.kv`` beyond.
+    Elementary for d = 1 and 3, :func:`~symbolkit.special.bessel_k` otherwise.
     Raises ValueError unless ``d`` is an integer of at least 1 (a bool is
     not), and at rho = 0 for d >= 2, where g_d diverges.
     """
@@ -83,15 +83,9 @@ def eval_g(d: int, rho) -> float:
         raise ValueError(f"g_{d}(0) diverges for d >= 2")
     if d == 1:
         return 0.5 * np.exp(-r)
-    if d == 2:
-        from scipy.special import k0
-
-        return float(k0(r)) / (2 * np.pi)
     if d == 3:
         return np.exp(-r) / (4 * np.pi * r)
-    from scipy.special import kv
-
-    return float((2 * np.pi) ** (-d / 2) * r ** (1 - d / 2) * kv(d / 2 - 1, r))
+    return (2 * math.pi) ** (-d / 2) * r ** (1 - d / 2) * bessel_k(d / 2 - 1, r)
 
 
 def g_identity_check(d: int, y_grid) -> float:
@@ -125,8 +119,6 @@ def g_identity_check(d: int, y_grid) -> float:
     except QuadratureFailure as exc:
         raise ConfigError(f"g-identity: |y| = {s[-1]:.6g} is too large for the identity check: "
                           f"{exc}", field="y_grid") from None
-    if d == 2:
-        from scipy.special import j0, k0
     rows = max(1, _G_BATCH // (21 * (edges.size - 1)))
     worst = 0.0
     for c in range(0, s.size, rows):

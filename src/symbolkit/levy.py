@@ -26,10 +26,8 @@ integrand's leading term in closed form: u''(x) y^2 for the generator, and
 y^{1-alpha} for the mass, which at alpha = 1.9 still holds 0.16 of it there.
 The generator integrand of an even measure is the second difference
 u(x + y) + u(x - y) - 2 u(x) of the test function, taken free of cancellation
-(``TestFunction.second_difference``).  So no integral is adaptive; scipy's
-``gamma`` is imported inside
-:func:`stable_density_coefficient`, so ``scipy.special`` loads at the first
-stable-density coefficient.
+(``TestFunction.second_difference``).  So no integral is adaptive, and every
+Gamma value, :func:`stable_density_coefficient`'s among them, is ``math.gamma``.
 
 Every e^{i phase} of real phase, here and in the Monte Carlo estimator, comes
 from :func:`expi`: cos into the real part, sin(phase + 0.0) into the
@@ -521,11 +519,17 @@ class ZeroMeasure:
         return 0.0
 
 
+# the largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX); past it, it raises
+# "lam value too large"
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 def poisson_counts(rng, activity, dt, size):
     """Jump counts of ``size`` path-steps of length dt at ``activity`` jumps per unit time.
 
     The one count draw of a compound-Poisson step: ``sde._driver_steps``
-    also draws its look-ahead with it, then rewinds the generator.
+    also draws its look-ahead with it, then rewinds the generator.  A mean
+    ``activity * dt`` past ``POISSON_MEAN_MAX`` is numpy's ValueError.
     """
     return rng.poisson(activity * dt, size=size)
 
@@ -757,9 +761,7 @@ def stable_density_coefficient(alpha: float, scale: float = 1.0) -> float:
     if abs(alpha - 1.0) < 1e-12:
         i_alpha = np.pi / 2.0
     else:
-        from scipy.special import gamma as gamma_fn
-
-        i_alpha = gamma_fn(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (alpha * (1.0 - alpha))
+        i_alpha = gamma(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (alpha * (1.0 - alpha))
     return scale / (2.0 * i_alpha)
 
 

@@ -12,8 +12,7 @@ estimate as ``achieved``, and so does a table of more than ``MAX_PANELS``
 panels, with ``achieved`` None.  The tables are graded geometrically: :func:`graded_edges` toward every knot of an
 interval (a law's support ends and breakpoints), :func:`radial_edges` toward 0
 (a measure singular there, whose caller takes [0, eps] in closed form; the
-Fourier generator mirrors it about 0).  No integral is adaptive, and scipy's
-integration package is never imported.
+Fourier generator mirrors it about 0).  No integral is adaptive.
 
 For the kernel-weighted integrals used by the H-functional we precompute a
 fixed exp-sinh node set on (0, inf).  The substitution rho = exp(pi/2 sinh t)

@@ -77,7 +77,8 @@ these invariants:
 
 A step, horizon or size out of range is refused before anything is stepped,
 with a ``ConfigError`` (a ``ValueError``) whose ``field`` names the argument;
-one path holds at most ``MAX_PATH_STEPS`` steps.
+one path holds at most ``MAX_PATH_STEPS`` steps, and its times and states at
+most ``MAX_PATH_BYTES`` bytes.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BL
 MIN_LOOK_AHEAD = 3          # a count look-ahead over fewer steps costs more than it saves
 DENSE_WINDOW = 1024         # steps of states a dense run with a sink holds at once
 MAX_PATH_STEPS = 1 << 32    # steps of one path; paths x steps of one ensemble, of one variation run
+MAX_PATH_BYTES = 1 << 32    # one path's times and states, 8 (n + 1)(d + 1) bytes for n steps
 _ZERO = np.zeros(())         # the +0.0 every smooth sum starts from
 
 
@@ -185,6 +187,11 @@ def _simulate_one(blocks, drift_field, x0, horizon, step, seed):
     if n_steps > MAX_PATH_STEPS:
         raise ConfigError(f"horizon {horizon} over step {step} is more than {MAX_PATH_STEPS} "
                           f"steps in one path", field="horizon")
+    size = 8 * (n_steps + 1) * (x0.size + 1)
+    if size > MAX_PATH_BYTES:
+        raise ConfigError(f"horizon {horizon} over step {step} is {n_steps} steps, whose times "
+                          f"and states take {size} bytes, more than the {MAX_PATH_BYTES} of "
+                          f"one path", field="horizon")
     times = step * np.arange(n_steps + 1)
     rngs = [rng_at(seed, TAG_PATH, j) for j in range(len(blocks))]
     jumps: list = []

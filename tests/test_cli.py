@@ -222,6 +222,34 @@ class TestMainExitCodes:
             "horizon 1e+308 over step 0.001 is not a finite number of steps")
         assert not (tmp_path / "out" / "results.json").exists()
 
+    def test_path_past_its_bytes_exit_2(self, tmp_path, capfd, monkeypatch):
+        # 2^32 steps are within MAX_PATH_STEPS, but their times and states take 64 GiB:
+        # a config error naming horizon, from the config alone, before any array is built
+        def arange(*args, **kwargs):
+            pytest.fail("the time grid was built")
+        monkeypatch.setattr(np, "arange", arange)
+        cfg = {"model": {"name": "cp_tanh"}, "horizon": 2.0 ** 31, "step": 0.5}
+        assert main_with_config("simulate", cfg, tmp_path) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+        assert (err["error"], err["field"]) == ("ConfigError", "horizon")
+        assert err["message"] == (f"horizon 2147483648.0 over step 0.5 is 4294967296 steps, "
+                                  f"whose times and states take 68719476752 bytes, more than "
+                                  f"the {sde.MAX_PATH_BYTES} of one path")
+        assert not (tmp_path / "out" / "results.json").exists()
+
+    def test_feller_t0_past_the_poisson_sampler_exit_2(self, tmp_path, capfd, monkeypatch):
+        # t0 / steps = 6.25e306 is a per-step jump mean numpy's Poisson sampler refuses
+        # ("lam value too large"): a config error naming t0, raised before the ensemble
+        monkeypatch.setattr(sde, "simulate_ensemble",
+                            lambda *a, **k: pytest.fail("the ensemble started"))
+        assert main_with_config("feller-demo", {"t0": 1e308}, tmp_path) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+        assert (err["error"], err["field"]) == ("ConfigError", "t0")
+        assert "per-step jump mean of 6.25e+306" in err["message"]
+        assert not (tmp_path / "out" / "results.json").exists()
+
     def test_dense_overflow_exit_3(self, tmp_path):
         # the dense ensembles behind variation run the overflow guard every step; a
         # state beyond 1e154 still reports a finite norm, without a numpy warning

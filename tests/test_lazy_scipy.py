@@ -1,19 +1,21 @@
 """Start-up loads only what a run uses.
 
-scipy loads at the first special function and scipy.integrate never does; the
-thread pool loads at threads > 1; ``indices`` and ``pathstats`` load at the first
-call into them; and the package's names resolve on first access.  Each check runs
-in a fresh interpreter, since the test process has loaded everything.
+No run loads scipy, whose special functions the package takes from
+``symbolkit.special`` and ``math``; the thread pool loads at threads > 1;
+``indices`` and ``pathstats`` load at the first call into them; and the
+package's names resolve on first access.  Each check runs in a fresh
+interpreter, since the test process has loaded everything.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
+import pytest
 import scipy.special
 
 import symbolkit
@@ -32,40 +34,60 @@ def _fresh(script: str, *args: str):
     return json.loads(proc.stdout)
 
 
-# Imports symbolkit, resolves the catalog models that need no integral, runs tiny
-# simulate and variation configs, and prints the scipy modules loaded by then;
-# then resolves the tempered density model and evaluates its exponent, whose set-up
-# and closed form need no special function either.
-_GUARD = """
+# Runs every CLI kind through cli.main on the tiny config argv[1] holds for it, then
+# replays the g-identity manifest, and prints each exit code, the manifest's version
+# keys and the scipy modules loaded by then.
+_EVERY_KIND = """
 import json, sys, tempfile
-import symbolkit
-from symbolkit import catalog, cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-names = ("bm_bump", "cp_tanh", "stable_sin", "bm_bump_drift", "bm_unit", "feller_demo")
-for name in names:
-    catalog.resolve_model({"name": name})
+from symbolkit import cli
+codes = {}
 with tempfile.TemporaryDirectory() as out:
-    cli.run_config("simulate", {"model": {"name": "cp_tanh"}, "horizon": 0.1, "step": 0.01,
-                                "binary": True}, 1, out + "/sim")
-    cli.run_config("variation", {"model": {"name": "bm_unit"}, "gammas": [1.0, 2.0],
-                                 "levels": [4], "trials": 4}, 1, out + "/var")
-loaded = scipy_modules()
-model = catalog.resolve_model({"coefficient": {"name": "bump", "params": {"a": 0.5, "b": 1.0}},
-                               "driver": {"name": "tempered"}})
-model.driver.many([[0.01], [0.5], [-3.0], [1e4]])
-print(json.dumps({"loaded": loaded, "tempered": model.driver.levy_measure.name,
-                  "after": scipy_modules()}))
+    for kind, cfg in json.loads(sys.argv[1]).items():
+        with open(f"{out}/{kind}.json", "w") as fh:
+            json.dump(cfg, fh)
+        codes[kind] = cli.main([kind, "--config", f"{out}/{kind}.json", "--seed", "1",
+                                "--out", f"{out}/{kind}"])
+    codes["rerun"] = cli.main(["rerun", "--manifest", f"{out}/g-identity/manifest.json",
+                               "--out", f"{out}/rerun"])
+    with open(f"{out}/rerun/manifest.json") as fh:
+        versions = sorted(json.load(fh)["versions"])
+print(json.dumps({"codes": codes, "versions": versions,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
+STABLE = {"name": "stable", "params": {"alpha": 1.5}}
+# each kind at its smallest, on the stable measures whose generator and mass take
+# Gamma and with the d = 2 identity check, which takes K_0 and J_0
+EVERY_KIND = {
+    "simulate": {"model": {"name": "cp_tanh"}, "horizon": 0.1, "step": 0.01},
+    "symbol-analytic": {"model": {"name": "stable_sin"}, "x_grid": [0.0], "xi_grid": [1.0]},
+    "symbol-estimate": {"model": {"name": "bm_unit"}, "x_grid": [0.0], "xi_grid": [1.0],
+                        "estimator": {"paths": 1000, "t_ladder": [0.02, 0.01]}},
+    "symbol-compare": {"model": {"name": "bm_bump"}, "x_grid": [0.0], "xi_grid": [1.0],
+                       "estimator": {"paths": 1000, "t_ladder": [0.02, 0.01]}},
+    "generator-check": {"model": {"name": "stable_sin"}, "x_grid": [0.3]},
+    "indices": {"symbol": {"name": "power_law", "params": {"alpha": 1.5}}, "x_grid": [0.0],
+                "r_max": 100.0, "r_table": [1.0], "compute_beta0": False},
+    "index-transfer": {"driver": STABLE, "coefficient": {"name": "constant"}, "x_grid": [0.0],
+                       "eta_max": 1e3},
+    "variation": {"model": {"name": "bm_unit"}, "gammas": [2.0], "levels": [4], "trials": 2},
+    "growth": {"model": {"name": "bm_unit"}, "lambdas": [1.0], "t_small": [0.01, 0.1],
+               "paths": 50, "steps_per_run": 8},
+    "g-identity": {"d": 2},
+    "bound-diagnostic": {"driver": STABLE},
+    "feller-demo": {"trials": 1000, "steps": 4},
+}
 
-def test_runs_that_integrate_nothing_load_no_scipy_submodule():
-    assert _fresh(_GUARD) == {"loaded": [], "tempered": "tempered", "after": []}
+
+def test_every_kind_and_rerun_load_no_scipy():
+    assert set(EVERY_KIND) == set(symbolkit.cli.KINDS)
+    report = _fresh(_EVERY_KIND, json.dumps(EVERY_KIND))
+    assert report == {"codes": {kind: 0 for kind in [*EVERY_KIND, "rerun"]},
+                      "versions": ["numpy", "python", "symbolkit"], "scipy": []}
 
 
 # Runs one CLI kind through cli.main on the config in argv[1], with the extra
-# arguments after it, and prints the watched modules loaded by then and the
-# manifest's scipy version.
+# arguments after it, and prints the watched modules loaded by then.
 _RUN = """
 import json, sys, tempfile
 from symbolkit import cli
@@ -75,11 +97,8 @@ with tempfile.TemporaryDirectory() as out:
         json.dump(cfg, fh)
     code = cli.main([kind, "--config", out + "/cfg.json", "--seed", "1", "--out", out + "/o",
                      *sys.argv[3:]])
-    with open(out + "/o/manifest.json") as fh:
-        version = json.load(fh)["versions"]["scipy"]
 watched = ("scipy", "concurrent.futures", "symbolkit.indices", "symbolkit.pathstats")
-print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules],
-                  "scipy": version}))
+print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
 """
 
 SIMULATE = {"model": {"name": "cp_tanh"}, "horizon": 0.1, "step": 0.01, "binary": True}
@@ -90,13 +109,12 @@ INDICES = {"symbol": {"name": "power_law", "params": {"alpha": 1.5}}, "x_grid": 
 
 
 def test_simulate_loads_no_scipy_pool_indices_or_pathstats():
-    assert _fresh(_RUN, "simulate", json.dumps(SIMULATE)) == {"code": 0, "loaded": [],
-                                                              "scipy": None}
+    assert _fresh(_RUN, "simulate", json.dumps(SIMULATE)) == {"code": 0, "loaded": []}
 
 
 def test_one_thread_symbol_compare_loads_no_scipy_pool_indices_or_pathstats():
     report = _fresh(_RUN, "symbol-compare", json.dumps(COMPARE), "--threads", "1")
-    assert report == {"code": 0, "loaded": [], "scipy": None}
+    assert report == {"code": 0, "loaded": []}
 
 
 def test_indices_loads_indices_but_not_pathstats():
@@ -104,12 +122,6 @@ def test_indices_loads_indices_but_not_pathstats():
     assert report["code"] == 0
     assert "symbolkit.indices" in report["loaded"]
     assert "symbolkit.pathstats" not in report["loaded"]
-
-
-def test_manifest_names_the_scipy_the_run_loaded():
-    report = _fresh(_RUN, "g-identity", json.dumps({"d": 2}))
-    assert (report["code"], report["scipy"]) == (0, scipy.__version__)
-    assert {"scipy", "symbolkit.indices"} <= set(report["loaded"])
 
 
 PUBLIC = (
@@ -125,7 +137,7 @@ PUBLIC = (
     "solution_symbol", "symbol_bound_diagnostic", "symbol_mc_table", "symbol_of_model",
     "variation_experiment")
 SUBMODULES = ("catalog", "cli", "coefficients", "errors", "indices", "levy", "pathstats",
-              "quadrature", "sde", "seeding", "symbols")
+              "quadrature", "sde", "seeding", "special", "symbols")
 
 # Imports symbolkit alone, records which submodules that loaded, then resolves
 # every name in argv[1] as sk.<name> and reports where each one came from.
@@ -242,8 +254,12 @@ def test_integrals_never_load_scipy_integrate():
 
 
 def test_special_functions_equal_direct_scipy():
-    alpha = 1.5
-    i_alpha = scipy.special.gamma(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (
-        alpha * (1.0 - alpha))
-    assert levy.stable_density_coefficient(alpha) == 1.0 / (2.0 * i_alpha)
-    assert indices.eval_g(2, 0.7) == float(scipy.special.k0(0.7)) / (2 * np.pi)
+    # Gamma is math.gamma and K_0 symbolkit.special's, each within 2 ulp of scipy's here
+    for alpha in (0.3, 0.7, 1.2, 1.5, 1.9):
+        i_alpha = math.gamma(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (alpha * (1.0 - alpha))
+        assert levy.stable_density_coefficient(alpha) == 1.0 / (2.0 * i_alpha)
+        assert math.gamma(2.0 - alpha) == pytest.approx(scipy.special.gamma(2.0 - alpha),
+                                                        rel=4.5e-16, abs=0.0)
+    for r in (0.01, 0.7, 1.0, 3.0, 20.0):
+        assert indices.eval_g(2, r) == pytest.approx(float(scipy.special.k0(r)) / (2 * np.pi),
+                                                     rel=4.5e-16, abs=0.0)

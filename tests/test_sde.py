@@ -147,7 +147,7 @@ class _Reached(Exception):
 
 def _no_grid(monkeypatch):
     """Make the time grid raise _Reached: a refused path never builds it, and an
-    accepted one stops there without allocating 2^32 steps."""
+    accepted one stops there without allocating its steps."""
     def arange(*args, **kwargs):
         raise _Reached
     monkeypatch.setattr(np, "arange", arange)
@@ -169,10 +169,32 @@ def test_path_past_max_steps_refused_naming_horizon(horizon, step, monkeypatch):
                                   f"{sde.MAX_PATH_STEPS} steps in one path")
 
 
-def test_path_of_max_steps_reaches_the_grid(monkeypatch):
+_ONE_PATH = {"path": lambda horizon: sk.simulate_path(catalog.cp_tanh(), 0.0, horizon, 0.5, 1),
+             "multi": lambda horizon: sk.simulate_multi(
+                 sk.MultiDriverSpec(catalog.cp_tanh().blocks() * 2), 0.0, horizon, 0.5, 1)}
+
+
+# 2^32 steps, 64 GiB of times and states, is within MAX_PATH_STEPS but past
+# MAX_PATH_BYTES; so is 2^28 steps, the fewest past it in d = 1
+@pytest.mark.parametrize("n_steps", [1 << 32, 1 << 28])
+@pytest.mark.parametrize("run", list(_ONE_PATH))
+def test_path_past_max_bytes_refused_naming_horizon(run, n_steps, monkeypatch):
+    _no_grid(monkeypatch)
+    with pytest.raises(sk.ConfigError) as exc:
+        _ONE_PATH[run](n_steps * 0.5)
+    size = 16 * (n_steps + 1)
+    assert size > sde.MAX_PATH_BYTES
+    assert exc.value.field == "horizon"
+    assert str(exc.value) == (f"horizon {n_steps * 0.5} over step 0.5 is {n_steps} steps, "
+                              f"whose times and states take {size} bytes, more than the "
+                              f"{sde.MAX_PATH_BYTES} of one path")
+
+
+@pytest.mark.parametrize("run", list(_ONE_PATH))
+def test_path_of_max_bytes_reaches_the_grid(run, monkeypatch):
     _no_grid(monkeypatch)
     with pytest.raises(_Reached):
-        sk.simulate_path(catalog.cp_tanh(), 0.0, sde.MAX_PATH_STEPS * 0.5, 0.5, 1)
+        _ONE_PATH[run](((1 << 28) - 1) * 0.5)
 
 
 class TestEnsemble:
