@@ -41,7 +41,6 @@ from . import coefficients as coeff
 from .catalog import (feller_demo_model, resolve_driver, resolve_model,
                       resolve_symbol)
 from .errors import ConfigError, NonConvergence, QuadratureFailure, SymbolkitError
-from .levy import POISSON_MEAN_MAX
 from .sde import path_to_binary, simulate_path
 from .seeding import TAG_EXPERIMENT
 from .symbols import (DEFAULT_LADDER, frozen_triplet, gaussian_bump,
@@ -448,8 +447,8 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
     """Empirical P(X_{t0} = x0) for dX = -X_- dN with binomial confidence band.
 
     The no-jump probability e^{-t0} is the exact reference; at t0 = ln 2 it
-    equals 1/2.  A t0 whose per-step jump mean is past ``POISSON_MEAN_MAX``,
-    the most numpy's Poisson sampler takes, is refused naming ``t0``.
+    equals 1/2.  A t0 whose expected jumps in one step of one chunk take more
+    than ``sde.MAX_PATH_BYTES`` at 16 bytes each is refused naming ``t0``.
     """
     if x0 == 0.0:
         raise ConfigError("feller-demo: x0 must be nonzero", field="x0")
@@ -457,10 +456,11 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
         raise ConfigError(f"feller-demo: t0 must be positive, got {t0!r}", field="t0")
     sde.check_ensemble_size(trials, steps, "trials", "steps")
     model = feller_demo_model()
-    mean = model.driver.levy_measure.activity * (t0 / steps)
-    if not mean <= POISSON_MEAN_MAX:
-        raise ConfigError(f"feller-demo: t0 {t0!r} over {steps} steps is a per-step jump mean "
-                          f"of {mean:.6g}, past the sampler's {POISSON_MEAN_MAX:.6g}", field="t0")
+    jumps = model.driver.levy_measure.activity * (t0 / steps) * min(trials, sde.DEFAULT_CHUNK)
+    if not jumps <= sde.MAX_PATH_BYTES // 16:
+        raise ConfigError(f"feller-demo: t0 {t0!r} over {steps} steps is {jumps:.6g} jumps "
+                          f"in a step of a chunk, past {sde.MAX_PATH_BYTES} bytes at 16 each",
+                          field="t0")
     res = sde.simulate_ensemble(model.blocks(), None, np.array([x0]), t0, steps,
                             trials, seed, base_key=(TAG_EXPERIMENT, 2),
                             threads=threads)

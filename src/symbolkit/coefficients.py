@@ -35,7 +35,6 @@ class CoefficientField:
     n: int
     bound: float
     lipschitz: float
-    bounded: bool = True
     growth_constant: Optional[float] = None
     name: str = "coefficient"
 
@@ -60,13 +59,13 @@ class CoefficientField:
 
 
 def scalar_field(f: Callable[[np.ndarray], np.ndarray], *, bound: float, lipschitz: float,
-                 bounded: bool = True, growth_constant: Optional[float] = None,
+                 growth_constant: Optional[float] = None,
                  name: str = "coefficient") -> CoefficientField:
     """One-dimensional field from a numpy-vectorized scalar function."""
     return CoefficientField(
         batch_fn=lambda xs: np.asarray(f(xs[:, 0]), dtype=float).reshape(-1, 1, 1),
-        d=1, n=1, bound=bound, lipschitz=lipschitz, bounded=bounded,
-        growth_constant=growth_constant, name=name)
+        d=1, n=1, bound=bound, lipschitz=lipschitz, growth_constant=growth_constant,
+        name=name)
 
 
 # --------------------------------------------------------------------------
@@ -114,8 +113,7 @@ def tanh_field(offset: float = 0.0, gain: float = 1.0) -> CoefficientField:
 def negative_identity() -> CoefficientField:
     """x -> -x, the unbounded coefficient of the Feller-failure demo."""
     return scalar_field(lambda x: -np.asarray(x, dtype=float),
-                        bound=np.inf, lipschitz=1.0, bounded=False,
-                        growth_constant=1.0, name="neg_identity")
+                        bound=np.inf, lipschitz=1.0, growth_constant=1.0, name="neg_identity")
 
 
 _CATALOG = {

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, gamma
+from math import factorial, gamma, isfinite
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -519,17 +519,12 @@ class ZeroMeasure:
         return 0.0
 
 
-# the largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX); past it, it raises
-# "lam value too large"
-POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-
-
 def poisson_counts(rng, activity, dt, size):
     """Jump counts of ``size`` path-steps of length dt at ``activity`` jumps per unit time.
 
     The one count draw of a compound-Poisson step: ``sde._driver_steps``
     also draws its look-ahead with it, then rewinds the generator.  A mean
-    ``activity * dt`` past ``POISSON_MEAN_MAX`` is numpy's ValueError.
+    ``activity * dt`` past numpy's POISSON_LAM_MAX, about 9.2e18, is its ValueError.
     """
     return rng.poisson(activity * dt, size=size)
 
@@ -790,6 +785,9 @@ class LevyTriplet:
         if self.covariance.shape != (n, n):
             raise DimensionMismatch(
                 f"covariance shape {self.covariance.shape} does not match drift length {n}")
+        if not (np.isfinite(self.drift).all() and np.isfinite(self.covariance).all()):
+            raise ValueError(f"drift {self.drift.tolist()} and covariance "
+                             f"{self.covariance.tolist()} must be finite")
         if not np.allclose(self.covariance, self.covariance.T, atol=_ATOL, rtol=0.0):
             raise ValueError("covariance must be symmetric")
         w, v = np.linalg.eigh(self.covariance)
@@ -1034,9 +1032,12 @@ def _triplet(name, /, *, drift=(0.0,), covariance=None, levy_measure=None) -> Le
 
 
 def named(table: dict, what: str, name, params: dict):
-    """table[name](**params): the one lookup of a name in a table of constructors."""
+    """table[name](**params) with finite float params: the one lookup in a constructor table."""
     if name not in table:
         raise ValueError(f"unknown {what} {name!r}; catalog: {sorted(table)}")
+    for key, value in params.items() if isinstance(params, dict) else ():
+        if isinstance(value, float) and not isfinite(value):
+            raise ValueError(f"{what} {name!r} parameter {key!r} must be finite, got {value!r}")
     return table[name](**params)
 
 

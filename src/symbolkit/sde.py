@@ -493,11 +493,16 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs, stop_radius, recor
     return x, np.zeros(m, dtype=bool) if active is None else ~active, maxdist
 
 
-def _check_sizes(n_steps, n_paths):
+def _ensemble_start(blocks, x0, n_steps, n_paths) -> np.ndarray:
+    """x0 as a (d,) float array, after the checks of both ensembles (see simulate_ensemble)."""
     for name, value in (("n_steps", n_steps), ("n_paths", n_paths)):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}", field=name)
     check_ensemble_size(int(n_paths), int(n_steps), "n_paths", "n_steps")
+    x0, d = np.atleast_1d(np.asarray(x0, dtype=float)), blocks[0][0].d
+    if x0.shape != (d,):
+        raise DimensionMismatch(f"x0 shape {x0.shape}, expected ({d},)")
+    return x0
 
 
 def check_ensemble_size(paths: int, steps: int, paths_key: str, steps_key: str) -> None:
@@ -556,16 +561,12 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     ``n_paths`` x ``n_steps`` is at most ``MAX_PATH_STEPS``, and
     DimensionMismatch unless x0 has shape (d,), both before any step.
     """
-    _check_sizes(n_steps, n_paths)
-    d = blocks[0][0].d
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (d,):
-        raise DimensionMismatch(f"x0 shape {x0.shape}, expected ({d},)")
+    x0 = _ensemble_start(blocks, x0, n_steps, n_paths)
     dt = horizon / n_steps
     bounds = list(range(0, n_paths, DEFAULT_CHUNK)) + [n_paths]
     tasks = [(hi - lo, [rng_at(seed, *base_key, c, j) for j in range(len(blocks))])
              for c, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-    terminal = np.empty((n_paths, d))
+    terminal = np.empty((n_paths, len(x0)))
     exited = np.zeros(n_paths, dtype=bool)
     running_max = np.empty(n_paths) if record_max else None
 
@@ -687,12 +688,11 @@ def simulate_paths_dense(blocks, drift_field, x0, horizon: float, n_steps: int,
 
     With a ``sink``, the same states go to it instead, in overlapping windows
     of ``DENSE_WINDOW`` steps (see ``_step_dense``), and None is returned.
-    Raises ConfigError unless ``n_steps`` and ``n_paths`` are >= 1 and their
-    product is at most ``MAX_PATH_STEPS``, and SimulationOverflow when a
-    state norm exceeds ``OVERFLOW_GUARD``.
+    Raises ConfigError and DimensionMismatch before any step as
+    ``simulate_ensemble`` does, and SimulationOverflow when a state norm
+    exceeds ``OVERFLOW_GUARD``.
     """
-    _check_sizes(n_steps, n_paths)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _ensemble_start(blocks, x0, n_steps, n_paths)
     rngs = [rng_at(seed, *base_key, 0, j) for j in range(len(blocks))]
     return _step_dense(blocks, drift_field, x0, horizon / n_steps, n_steps, n_paths, rngs,
                        sink=sink)

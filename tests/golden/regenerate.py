@@ -11,8 +11,6 @@ config and seed to the table and run the script.  A change that moves an output 
 the script too: the table's diff is then the declared move.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import sys
@@ -20,6 +18,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from symbolkit import cli
 
 TABLE = Path(__file__).with_name("outputs.json")
 
@@ -46,8 +46,6 @@ def sha256(files: dict) -> dict:
 
 
 def main() -> int:
-    from symbolkit import cli
-
     table = load()
     with tempfile.TemporaryDirectory() as tmp:
         for name, case in table["cases"].items():

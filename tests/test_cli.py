@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import re
 import subprocess
 import sys
@@ -238,16 +239,37 @@ class TestMainExitCodes:
                                   f"the {sde.MAX_PATH_BYTES} of one path")
         assert not (tmp_path / "out" / "results.json").exists()
 
-    def test_feller_t0_past_the_poisson_sampler_exit_2(self, tmp_path, capfd, monkeypatch):
-        # t0 / steps = 6.25e306 is a per-step jump mean numpy's Poisson sampler refuses
-        # ("lam value too large"): a config error naming t0, raised before the ensemble
-        monkeypatch.setattr(sde, "simulate_ensemble",
-                            lambda *a, **k: pytest.fail("the ensemble started"))
-        assert main_with_config("feller-demo", {"t0": 1e308}, tmp_path) == 2
+    # one step of a 16384-path chunk at rate 1 over 16 steps holds 2^28 jumps (16 bytes
+    # each, MAX_PATH_BYTES in all) at t0 = 2^18.  Past it, a config error naming t0 comes
+    # before the ensemble: t0 = 1e308 is a per-step jump mean numpy's Poisson sampler
+    # refuses ("lam value too large"), and t0 = 1e18 over 1000 trials asked numpy for an
+    # array "too big"; both exited 2 without a field
+    @pytest.mark.parametrize("cfg, refused", [
+        ({"t0": 1e308}, True),
+        ({"t0": 1e18, "trials": 1000}, True),
+        ({"t0": math.nextafter(2.0 ** 18, math.inf)}, True),
+        ({"t0": 2.0 ** 18}, False),
+        ({"t0": 2.0 ** 28 * 16 / 1000, "trials": 1000}, False),
+    ], ids=["1e308", "1e18", "past-the-chunk", "at-the-chunk", "at-1000-trials"])
+    def test_feller_t0_past_the_jumps_of_one_chunk_exit_2(self, cfg, refused, tmp_path, capfd,
+                                                         monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def ensemble(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(sde, "simulate_ensemble", ensemble)
+        if not refused:
+            with pytest.raises(Reached):
+                main_with_config("feller-demo", cfg, tmp_path)
+            return
+        assert main_with_config("feller-demo", cfg, tmp_path) == 2
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
         assert (err["error"], err["field"]) == ("ConfigError", "t0")
-        assert "per-step jump mean of 6.25e+306" in err["message"]
+        jumps = cfg["t0"] / 16 * min(cfg.get("trials", 100_000), sde.DEFAULT_CHUNK)
+        assert err["message"] == (f"feller-demo: t0 {cfg['t0']!r} over 16 steps is {jumps:.6g} "
+                                  f"jumps in a step of a chunk, past {2 ** 32} bytes at 16 each")
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_dense_overflow_exit_3(self, tmp_path):
@@ -404,10 +426,11 @@ def _far_atoms(position):
             "x_grid": [0.0]}
 
 
-def test_quadrature_failure_writes_achieved_error(tmp_path):
+def test_quadrature_failure_writes_achieved_error(tmp_path, capfd):
     # known failure: jumps at +-1e5 make the symbol oscillate faster in xi than the
     # narrowest Fourier panel table within MAX_PANELS resolves
     assert main_with_config("generator-check", _far_atoms(1e5), tmp_path) == 3
+    assert capfd.readouterr().err == (tmp_path / "out" / "error.json").read_text()
     err = json.loads((tmp_path / "out" / "error.json").read_text(),
                      parse_constant=_reject_constant)
     assert err["error"] == "QuadratureFailure"
@@ -1021,9 +1044,13 @@ def test_start_of_another_dimension_exits_2(kind, cfg, field, tmp_path, capfd, n
 
 @pytest.mark.parametrize("x0", [0.0, [0.0], [0.0, 0.0, 0.0]])
 def test_ensemble_refuses_a_start_of_another_dimension(x0, no_work):
+    # without the check, ufunc broadcasting would run a (1,) start on a 2-d model, every
+    # coordinate of the dense ensemble following the first
     model = _planar_model()
     with pytest.raises(sk.DimensionMismatch, match=r"x0 shape \("):
         sde.simulate_ensemble(model.blocks(), None, x0, 0.1, 4, 8, 1)
+    with pytest.raises(sk.DimensionMismatch, match=r"x0 shape \("):
+        sde.simulate_paths_dense(model.blocks(), None, x0, 0.1, 4, 8, 1)
 
 
 # a frequency of another shape than (d,) is refused, whichever entry of the grid it is
@@ -1051,3 +1078,56 @@ def test_float_overflow_exits_3(cfg, tmp_path, capfd):
     assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
     assert (err["error"], err["exit_code"]) == ("OverflowError", 3)
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+# a NaN or infinite catalog parameter exits 2 naming the key that holds it, before any
+# symbol is evaluated; each config holds the placeholder VALUE, replaced by the raw JSON
+# token.  symbol-analytic exited 0 with re and im null on the first three, and the NaN
+# bump parameter under the tempered driver was blamed on the density
+def _normal_law_driver(drift=(0.0,), covariance=((0.0,),), rate=1.0, mean=0.0):
+    return {"drift": list(drift), "covariance": [list(row) for row in covariance],
+            "levy_measure": {"kind": "atoms", "rate": rate,
+                             "law": {"name": "normal", "mean": mean, "std": 1.0}}}
+
+
+def _bump_model(driver, a=0.5):
+    return {**ANALYTIC_CFG, "model": {"coefficient": {"name": "bump", "params": {"a": a, "b": 1.0}},
+                                      "driver": driver}}
+
+
+CATALOG_NON_FINITE = {
+    "drift-nan": ("symbol-analytic", "NaN", _bump_model(_normal_law_driver(drift=["VALUE"])),
+                  "model", "model: drift [nan] and covariance [[0.0]] must be finite"),
+    "covariance-inf": ("symbol-analytic", "Infinity",
+                       _bump_model(_normal_law_driver(covariance=[["VALUE"]])), "model",
+                       "model: drift [0.0] and covariance [[inf]] must be finite"),
+    "rate-nan": ("symbol-analytic", "NaN", _bump_model(_normal_law_driver(rate="VALUE")), "model",
+                 "model: levy_measure kind 'atoms' parameter 'rate' must be finite, got nan"),
+    "bump-a-nan": ("symbol-analytic", "NaN", _bump_model(_normal_law_driver(), a="VALUE"),
+                   "model", "model: coefficient 'bump' parameter 'a' must be finite, got nan"),
+    "law-mean-inf": ("symbol-analytic", "-Infinity",
+                     _bump_model(_normal_law_driver(mean="VALUE")), "model",
+                     "model: continuous jump law 'normal' parameter 'mean' must be finite, "
+                     "got -inf"),
+    "tempered-bump-a-nan": ("symbol-analytic", "NaN", _bump_model({"name": "tempered"}, a="VALUE"),
+                            "model",
+                            "model: coefficient 'bump' parameter 'a' must be finite, got nan"),
+    "driver-drift-nan": ("bound-diagnostic", "NaN", {"driver": _normal_law_driver(drift=["VALUE"])},
+                         "driver", "driver: drift [nan] and covariance [[0.0]] must be finite"),
+    "driver-rate-nan": ("bound-diagnostic", "NaN",
+                        {"driver": {"name": "poisson", "params": {"rate": "VALUE"}}}, "driver",
+                        "driver: driver 'poisson' parameter 'rate' must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("kind, token, cfg, field, message", CATALOG_NON_FINITE.values(),
+                         ids=list(CATALOG_NON_FINITE))
+def test_non_finite_catalog_parameter_exits_2(kind, token, cfg, field, message, tmp_path,
+                                              capfd, no_work):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg).replace('"VALUE"', token))
+    assert main([kind, "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["field"], err["message"]) == ("ConfigError", field, message)
+    assert not (out / "results.json").exists()

@@ -28,7 +28,7 @@ def _planar_model():
             np.stack([np.full(len(xs), 0.1), 0.8 + 0.3 * np.cos(xs[:, 0])], axis=1)], axis=1),
         d=2, n=2, bound=2.0, lipschitz=1.0)
     drift = CoefficientField(batch_fn=lambda xs: -0.5 * xs[:, :, None],
-                             d=2, n=1, bound=np.inf, lipschitz=0.5, bounded=False)
+                             d=2, n=1, bound=np.inf, lipschitz=0.5)
     return _model(driver, phi, drift)
 
 
@@ -555,11 +555,11 @@ def _signed_zero_field():
     """1 at -0.0 and below, inf at +0.0 and above: finite at x0 = -0.0 but not
     at the +0.0 that the first step leaves there."""
     return CoefficientField(batch_fn=lambda xs: np.where(np.signbit(xs), 1.0, np.inf)[:, :, None],
-                            d=1, n=1, bound=np.inf, lipschitz=np.inf, bounded=False)
+                            d=1, n=1, bound=np.inf, lipschitz=np.inf)
 
 
 _INF_AT_ZERO = CoefficientField(batch_fn=lambda xs: np.where(xs == 0.0, np.inf, 1.0)[:, :, None],
-                                d=1, n=1, bound=np.inf, lipschitz=np.inf, bounded=False)
+                                d=1, n=1, bound=np.inf, lipschitz=np.inf)
 # name -> (model, x0); every jump-free run of these draws only zeros
 ZERO_DRAW_CASES = {
     "cp_tanh": lambda: (catalog.cp_tanh(), 0.3),

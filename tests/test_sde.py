@@ -291,7 +291,7 @@ def validate_field(fld, box_halfwidth=5.0, n_pairs=1000, seed=0):
     px = fld.many(xs)
     py = fld.many(ys)
     norms = np.linalg.norm(px.reshape(n_pairs, -1), axis=1)
-    if fld.bounded:
+    if fld.bound < np.inf:
         bad = norms > fld.bound * slack
         if bad.any():
             i = int(np.argmax(bad))

@@ -43,7 +43,7 @@ def test_library_ensembles_refuse_past_the_bound(n_paths, n_steps, no_simulation
 
 @pytest.mark.parametrize("n_paths, n_steps", [(2 ** 12, 2 ** 20), (1, 2 ** 32), (2 ** 32, 1)])
 def test_library_bound_admits_up_to_it(n_paths, n_steps):
-    sde._check_sizes(n_steps, n_paths)
+    sde._ensemble_start(catalog.bm_unit().blocks(), 0.0, n_steps, n_paths)
     sde.check_ensemble_size(n_paths, n_steps, "paths", "steps")
 
 
