@@ -770,9 +770,10 @@ class LevyTriplet:
     The triplet fixes the exponent psi: ``driver(xi)`` evaluates it at one
     frequency and ``driver.many(xi)`` on a batch (both through
     :func:`eval_exponent_many`); :func:`sample_step_ensemble` samples its
-    increments.  Validates at construction: Q symmetric positive semidefinite
-    with its stored square root reproducing Q to 1e-12 per entry, and the
-    jump measure integrating (1 ^ |y|^2) finitely.
+    increments.  Validates at construction: the drift a nonempty flat vector,
+    Q symmetric positive semidefinite with its stored square root reproducing
+    Q to 1e-12 per entry, and the jump measure integrating (1 ^ |y|^2)
+    finitely.
     """
 
     def __init__(self, drift, covariance, levy_measure: LevyMeasureSpec = ZeroMeasure(),
@@ -781,6 +782,8 @@ class LevyTriplet:
         self.covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
         self.levy_measure = levy_measure
         self.name = name
+        if self.drift.ndim != 1 or self.drift.size == 0:
+            raise ValueError(f"drift {self.drift.tolist()} must be a nonempty list of numbers")
         n = self.drift.shape[0]
         if self.covariance.shape != (n, n):
             raise DimensionMismatch(
@@ -936,7 +939,8 @@ class StepSample:
     compensator contributions.  Individually simulated (finite-activity)
     jumps are stored flat: ``jump_counts`` (m,), ``jump_values``
     (total, n), ``jump_positions`` (total,) with positions in (0, dt],
-    grouped by path in order.
+    grouped by path in order.  A driver that simulates no jumps hands a
+    read-only zero view as its counts (``no_jumps``).
     """
 
     smooth: np.ndarray
@@ -946,6 +950,16 @@ class StepSample:
 
 
 _NO_POSITIONS = np.empty(0)
+_NO_COUNT = bytes(8)                # one int64 zero, read-only
+
+
+def no_jumps(m: int) -> np.ndarray:
+    """The jump counts of m paths none of which jumps: a read-only (m,) view of one zero.
+
+    The ndarray constructor builds it in 0.5 us at any m; ``np.broadcast_to``
+    takes 3-5 us, as long as zero-filling 16384 counts.
+    """
+    return np.ndarray((m,), np.int64, _NO_COUNT, 0, (0,))
 
 
 def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
@@ -981,7 +995,7 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
     if smooth is None:
         smooth = np.full((m, n), shift)
     if counts is None:
-        counts = np.zeros(m, dtype=np.int64)
+        counts = no_jumps(m)
     values, positions = jumps or (triplet._no_jump_values, _NO_POSITIONS)
     return StepSample(smooth=smooth, jump_counts=counts,
                       jump_values=values, jump_positions=positions)

@@ -28,9 +28,15 @@ these invariants:
 
 - the chunk's state array is updated in place, with no per-step copy;
 - a path that has left the stop ball is frozen: later steps still draw its
-  variates but change neither its state nor its running maximum.  One
-  distance |X - x0| per path and step serves both the stop test and the
-  maximum; when neither is asked for, no distance is formed;
+  variates but change neither its state nor its running maximum.  After
+  each step of a chunk, the largest and smallest state of each coordinate
+  (``_extremes``) bound every path's state norm and its distance from x0
+  (``_reach``), so the overflow guard runs only when the first bound
+  exceeds it, and when no maximum is recorded the stop test decides per
+  chunk: no path is outside the ball when the second bound is at most the
+  radius (a path that exited stays outside it).  Otherwise one distance
+  |X - x0| per path and step serves both the stop test and the maximum;
+  when neither is asked for, no distance is formed;
 - each chunk owns seed-derived generators addressed by (master seed, caller
   key, chunk index, block index), one per block.  A block draws a step's
   variates for the whole chunk in one call, in a fixed order; a block whose
@@ -72,8 +78,9 @@ these invariants:
   -0.0, so adding it changes nothing.  The declared bound is trusted as
   ``lipschitz == 0.0`` is above, and a state is never infinite at a step's
   start, since the overflow guard raises first;
-- every step runs the overflow guard: a state norm above ``OVERFLOW_GUARD``
-  raises ``SimulationOverflow``, at the same step in a summed run.
+- every step runs the overflow guard, or in an ensemble a bound on it: a
+  state norm above ``OVERFLOW_GUARD`` raises ``SimulationOverflow``, at the
+  same step in a summed run.
 
 A step, horizon or size out of range is refused before anything is stepped,
 with a ``ConfigError`` (a ``ValueError``) whose ``field`` names the argument;
@@ -321,7 +328,7 @@ def _step_samples(blocks, dt, n_steps, m, rngs):
         else:
             r = 1
             steps = tuple(head if type(head) is StepSample else StepSample(
-                smooth=head[0], jump_counts=np.zeros(m, dtype=np.int64),
+                smooth=head[0], jump_counts=levy.no_jumps(m),
                 jump_values=np.empty((0, head.shape[2])), jump_positions=np.empty(0))
                 for head in heads)
             yield tuple(s.smooth[None] for s in steps), steps
@@ -468,18 +475,52 @@ def _check_overflow(x, active, k, n_steps):
             f"state norm {norm:.3e} exceeded {OVERFLOW_GUARD:.0e} at step {k + 1} of {n_steps}")
 
 
+def _extremes(x):
+    """[(max, min)] of each coordinate of the states x (m, d), as Python floats.
+
+    A column that holds a NaN gives (NaN, NaN): numpy's max and min propagate
+    it.  One reduction per column: numpy's axis-0 reduction of a C-ordered
+    (m, d) array with d > 1 takes ten times as long as d strided ones.
+    """
+    return [(float(v.max()), float(v.min())) for v in x.T]
+
+
+def _reach(extremes, x0):
+    """A bound on every path's distance |X - x0| from each coordinate's (max, min).
+
+    max(fl(hi - x0), fl(x0 - lo)) is the largest |fl(x - x0)| of a coordinate,
+    as rounding is monotone.  The squares are summed in order and the root
+    taken, as ``_row_norms`` rounds a row of d < 8 entries; a relative margin
+    of d 2^-52 covers numpy's pairwise sum of 8 entries or more.  A NaN state
+    gives NaN.
+    """
+    total = 0.0
+    for (hi, lo), a in zip(extremes, x0):
+        e = max(hi - a, a - lo)
+        total += e * e
+    return math.sqrt(total) * (1.0 + len(x0) * 2.0 ** -52)
+
+
 def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs, stop_radius, record_max):
     d = x0.shape[0]
     x = np.tile(x0, (m, 1))
     inc, scratch = np.empty((m, d)), (np.empty((m, d)), np.empty((m, d)))
     active = None                   # None until the first path exits
     maxdist = np.zeros(m) if record_max else None
+    start, guard = x0.tolist(), OVERFLOW_GUARD / d
     segments = _step_samples(blocks, dt, n_steps, m, rngs)
     for k, (rows, steps) in enumerate((rows, steps) for smooth, steps in segments
                                       for rows in zip(*smooth)):
         _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, scratch, steps)
-        _check_overflow(x, active, k, n_steps)
+        extremes = _extremes(x)
+        # d max |x_c| is at least every row norm and decides as the guard does in
+        # d = 1; a NaN passes here, as it passes the guard
+        if any(hi > guard or lo < -guard for hi, lo in extremes):
+            _check_overflow(x, active, k, n_steps)
         if stop_radius is None and maxdist is None:
+            continue
+        # no path is outside the ball, so none left it at this step and none before
+        if maxdist is None and _reach(extremes, start) <= stop_radius:
             continue
         # a frozen path keeps its distance, so it needs no mask here: its
         # maximum already holds it, and it stays outside the ball

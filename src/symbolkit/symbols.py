@@ -22,6 +22,8 @@ against the symbol) so they can be cross-checked numerically.
 
 from __future__ import annotations
 
+import cmath
+import math
 import numbers
 from contextlib import closing
 from dataclasses import dataclass
@@ -300,7 +302,21 @@ def _mirror_groups(xis) -> list:
     return groups
 
 
-def _values_for_pm_xi(terminal, x, xi, t, minus: bool):
+def _moved_rows(terminal, x):
+    """Indices of the terminal states (m, d) that differ from x, NaN among them, when they
+    are at most half of the m and d = 1; else None, and the values are formed densely.
+
+    In d = 1 the phase is an elementwise product (``row_dot``), so a row's value
+    does not depend on the rows formed with it; in d > 1 it is a matmul, whose
+    rounding may depend on the row count.
+    """
+    if x.shape[0] != 1:
+        return None
+    changed = terminal[:, 0] != x[0]
+    return np.flatnonzero(changed) if 2 * np.count_nonzero(changed) <= changed.size else None
+
+
+def _values_for_pm_xi(terminal, x, xi, t, minus: bool, moved=None):
     """-(e^{i (X_t - x).xi} - 1) / t per path in row 0, and with ``minus`` the same at -xi in row 1.
 
     The phases are formed ``CHUNK_ROWS`` paths at a time, and the rest in
@@ -309,18 +325,30 @@ def _values_for_pm_xi(terminal, x, xi, t, minus: bool):
     negated, and expi(-theta) is conj(expi(theta)) bit for bit except at
     theta = +-0, where expi gives +0.0 and the conjugate -0.0.  Every step
     is elementwise, so the rows are the values at xi and -xi formed alone.
+
+    ``moved``, if not None, holds the paths that left x (``_moved_rows``).
+    The values are then formed on x itself and those paths alone, and every
+    other path takes the value at x: such a path's phase is a zero, and
+    e^{i 0} is (1, +0) whatever the zero's sign, so each row keeps the bits of
+    the dense formation.
     """
-    out = np.empty((2 if minus else 1, terminal.shape[0]), dtype=complex)
+    rows = terminal if moved is None else np.concatenate([x[None], terminal[moved]])
+    out = np.empty((2 if minus else 1, rows.shape[0]), dtype=complex)
     e = out[0]
     for c0 in range(0, e.shape[0], CHUNK_ROWS):
-        expi(row_dot(terminal[c0:c0 + CHUNK_ROWS] - x, xi), out=e[c0:c0 + CHUNK_ROWS])
+        expi(row_dot(rows[c0:c0 + CHUNK_ROWS] - x, xi), out=e[c0:c0 + CHUNK_ROWS])
     if minus:
         np.conjugate(e, out=out[1])
         out[1].imag += 0.0
     out -= 1.0
     np.negative(out, out=out)
     out /= t
-    return out
+    if moved is None:
+        return out
+    full = np.empty((out.shape[0], terminal.shape[0]), dtype=complex)
+    full[...] = out[:, :1]
+    full[:, moved] = out[:, 1:]
+    return full
 
 
 def _rung_stat(values, t, n_steps, exited) -> RungStat:
@@ -403,14 +431,16 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
     at twice the radius with fresh seeds.  Every (x, variant, rung) ensemble
     of the table is one task of one ``sde.ordered_map`` on ``threads``
     workers.  A task runs its ensemble (one ``simulate_ensemble`` call, its
-    ``DEFAULT_CHUNK``-path chunks in order), forms the per-path values on the
-    whole ensemble one xi at a time (``_values_for_pm_xi``: a -xi in the grid
-    takes its e^{-i theta} from xi's) and reduces them to one ``RungStat`` per
-    xi.  The calling thread takes the rung statistics in task order and forms
-    the extrapolation, the consistency guard and the radius check per x, xi
-    and variant, in that order.  So every value is the serial run's bit for
-    bit whatever ``threads`` is, and the first error a serial run meets is
-    the one raised.  ``radius`` is None (``default_radius`` at each x) or a
+    ``DEFAULT_CHUNK``-path chunks in order), forms the per-path values one xi
+    at a time (``_values_for_pm_xi``: a -xi in the grid takes its e^{-i theta}
+    from xi's, and only the paths that moved are formed when they are at most
+    half, ``_moved_rows``) and reduces them over the whole ensemble to one
+    ``RungStat`` per xi; a rung whose mean or SE is not finite (a phase that
+    overflows) raises NonConvergence naming x and xi.  The calling thread
+    takes the rung statistics in task order and forms the extrapolation, the
+    consistency guard and the radius check per x, xi and variant, in that
+    order.  So every value is the serial run's bit for bit whatever
+    ``threads`` is, and the first error a serial run meets is the one raised.  ``radius`` is None (``default_radius`` at each x) or a
     positive finite number; anything else is a ValueError.  A state of another
     dimension than the model's is a ConfigError naming ``x_grid``, the CLI's key; a
     frequency of any shape but (d,) is a DimensionMismatch.
@@ -436,11 +466,17 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
                                 paths_per_rung, seed, base_key=(TAG_SYMBOL_MC, ix, ri, variant),
                                 stop_radius=r)
         exited = float(np.mean(res.exited))
+        moved = _moved_rows(res.terminal, x)
         stats = [None] * len(xis)
-        for k, mirrors in groups:
-            values = _values_for_pm_xi(res.terminal, x, xis[k], t, bool(mirrors))
-            for j, v in zip([k] + mirrors, [values[0]] + [values[-1]] * len(mirrors)):
-                stats[j] = _rung_stat(v, t, steps_per_rung, exited)
+        with np.errstate(over="ignore", invalid="ignore"):     # per thread: set in the task
+            for k, mirrors in groups:
+                values = _values_for_pm_xi(res.terminal, x, xis[k], t, bool(mirrors), moved)
+                for j, v in zip([k] + mirrors, [values[0]] + [values[-1]] * len(mirrors)):
+                    stats[j] = stat = _rung_stat(v, t, steps_per_rung, exited)
+                    if not (cmath.isfinite(stat.value) and math.isfinite(stat.se)):
+                        raise NonConvergence(
+                            f"rung at t={t} has mean {stat.value} and SE {stat.se} at "
+                            f"x = {x.tolist()}, xi = {xis[j].tolist()}: not finite")
         return stats
 
     out = []

@@ -455,6 +455,22 @@ def test_nonconvergence_writes_diagnostics(tmp_path, capsys):
                                   [0.02, {"re": 0.75, "im": None}, 0.02]]
 
 
+@pytest.mark.parametrize("model", ["cp_tanh", "stable_sin"])
+def test_overflowing_phase_exits_3_naming_x_and_xi(model, tmp_path, capfd):
+    # a path's phase (X_t - x) xi overflows at xi = 1e308, so its value is NaN: this
+    # wrote null estimates at exit 0 after six lines of numpy RuntimeWarnings
+    cfg = {"model": {"name": model}, "x_grid": [0.0], "xi_grid": [1e308],
+           "estimator": {"paths": 1000}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main_with_config("symbol-compare", cfg, tmp_path) == 3
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert err["error"] == "NonConvergence"
+    assert err["message"].endswith("at x = [0.0], xi = [1e+308]: not finite")
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def main_with_config(kind, cfg, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -1118,6 +1134,34 @@ CATALOG_NON_FINITE = {
                         {"driver": {"name": "poisson", "params": {"rate": "VALUE"}}}, "driver",
                         "driver: driver 'poisson' parameter 'rate' must be finite, got nan"),
 }
+
+
+# a drift that is not a nonempty flat list exits 2 naming the key that holds the
+# driver, before any work: a drift of [[]] took symbol-analytic to the zero-drift
+# symbol at exit 0, and simulate and symbol-compare to a numpy broadcast error with
+# no field
+FLAT_DRIFT = {
+    "symbol-analytic": ("symbol-analytic", _bump_model(_normal_law_driver(drift=[[]])),
+                        "model", [[]]),
+    "simulate": ("simulate", {**SIMULATE_CFG, "model": _bump_model(
+        _normal_law_driver(drift=[[]]))["model"]}, "model", [[]]),
+    "symbol-compare": ("symbol-compare", _bump_model(_normal_law_driver(drift=[[]])),
+                       "model", [[]]),
+    "symbol-compare-empty": ("symbol-compare", _bump_model(_normal_law_driver(drift=[])),
+                             "model", []),
+    "bound-diagnostic": ("bound-diagnostic", {"driver": _normal_law_driver(drift=[[0.0]])},
+                         "driver", [[0.0]]),
+}
+
+
+@pytest.mark.parametrize("kind, cfg, field, drift", FLAT_DRIFT.values(), ids=list(FLAT_DRIFT))
+def test_drift_of_another_shape_exits_2(kind, cfg, field, drift, tmp_path, capfd, no_work):
+    assert main_with_config(kind, cfg, tmp_path) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["field"], err["message"]) == (
+        "ConfigError", field, f"{field}: drift {drift} must be a nonempty list of numbers")
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 @pytest.mark.parametrize("kind, token, cfg, field, message", CATALOG_NON_FINITE.values(),

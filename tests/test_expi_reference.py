@@ -217,7 +217,9 @@ def test_symbol_mc_values_unchanged_end_to_end(monkeypatch):
     model = catalog.resolve_model({"name": "cp_tanh"})
     kwargs = dict(seed=5, paths_per_rung=1000, check_radius=False)
     got = sk.estimate_symbol_mc(model, 0.0, 1.5, **kwargs)
-    monkeypatch.setattr(sk.symbols, "_values_for_pm_xi", lambda terminal, x, xi, t, minus: np.array(
+    # the stand-in forms every path, so it also checks the moved-paths subset
+    monkeypatch.setattr(sk.symbols, "_values_for_pm_xi",
+                        lambda terminal, x, xi, t, minus, moved=None: np.array(
         [old_values_for_xi(terminal, x, s * xi, t) for s in ((1.0, -1.0) if minus else (1.0,))]))
     want = sk.estimate_symbol_mc(model, 0.0, 1.5, **kwargs)
     assert (got.estimate, got.se) == (want.estimate, want.se)

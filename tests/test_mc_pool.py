@@ -106,8 +106,8 @@ def test_zero_coefficient_values_keep_their_signed_zeros(threads, monkeypatch):
     # conjugate the rows of -xi would read +0.0 where the direct values read -0.0
     values, seen = symbols._values_for_pm_xi, []
 
-    def spy(terminal, x, xi, t, minus):
-        out = values(terminal, x, xi, t, minus)
+    def spy(terminal, x, xi, t, minus, moved=None):
+        out = values(terminal, x, xi, t, minus, moved)
         seen.append((terminal, x, xi, t, minus, out.copy()))
         return out
 
