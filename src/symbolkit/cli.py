@@ -6,7 +6,7 @@ manifest.json.  Result files are a pure function of (config, seed): floats
 are serialized with shortest round-trip repr, JSON keys are sorted, and all
 parallelism is chunked deterministically, so reruns and different --threads
 settings produce byte-identical results.  ``--threads K`` runs K workers
-through ``sde.ordered_map``: the path chunks of one ensemble in
+through ``sde.ordered_map``: the groups of path chunks of one ensemble in
 ``feller-demo`` and ``growth``, and every rung ensemble of the whole table in
 ``symbol-estimate`` and ``symbol-compare``.  The manifest records the resolved
 config, its hash, package versions and wall time; ``symbolkit rerun``
@@ -447,8 +447,9 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
     """Empirical P(X_{t0} = x0) for dX = -X_- dN with binomial confidence band.
 
     The no-jump probability e^{-t0} is the exact reference; at t0 = ln 2 it
-    equals 1/2.  A t0 whose expected jumps in one step of one chunk take more
-    than ``sde.MAX_PATH_BYTES`` at 16 bytes each is refused naming ``t0``.
+    equals 1/2.  A t0 whose expected jumps in one step of one group of chunks
+    (``sde.GROUP_CHUNKS`` x ``sde.DEFAULT_CHUNK`` paths, stepped as one array) take
+    more than ``sde.MAX_PATH_BYTES`` at 16 bytes each is refused naming ``t0``.
     """
     if x0 == 0.0:
         raise ConfigError("feller-demo: x0 must be nonzero", field="x0")
@@ -456,10 +457,11 @@ def feller_demo(t0: float, trials: int, seed: int, *, x0: float = 5.0,
         raise ConfigError(f"feller-demo: t0 must be positive, got {t0!r}", field="t0")
     sde.check_ensemble_size(trials, steps, "trials", "steps")
     model = feller_demo_model()
-    jumps = model.driver.levy_measure.activity * (t0 / steps) * min(trials, sde.DEFAULT_CHUNK)
+    group = sde.GROUP_CHUNKS * sde.DEFAULT_CHUNK
+    jumps = model.driver.levy_measure.activity * (t0 / steps) * min(trials, group)
     if not jumps <= sde.MAX_PATH_BYTES // 16:
         raise ConfigError(f"feller-demo: t0 {t0!r} over {steps} steps is {jumps:.6g} jumps "
-                          f"in a step of a chunk, past {sde.MAX_PATH_BYTES} bytes at 16 each",
+                          f"in a step of a group, past {sde.MAX_PATH_BYTES} bytes at 16 each",
                           field="t0")
     res = sde.simulate_ensemble(model.blocks(), None, np.array([x0]), t0, steps,
                             trials, seed, base_key=(TAG_EXPERIMENT, 2),

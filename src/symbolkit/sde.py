@@ -16,27 +16,38 @@ result is the path-by-path one bit for bit.
 
 There is one stepping rule, on arrays of paths: the step's smooth update
 (``_smooth_increment``) is added to the states, then its jumps are applied
-(``_advance_chunk`` does both).  ``simulate_ensemble`` runs it on chunks of
-``DEFAULT_CHUNK`` paths, through ``ordered_map``, the package's one worker
-pool, and keeps only the terminal states of X^sigma, sigma the first exit
-from a ball around x0, and on request each path's max |X - x0| up to the
-horizon; ``simulate_paths_dense`` keeps every state, or
+(``_advance_chunk`` does both).  ``simulate_ensemble`` splits its paths into
+chunks of ``DEFAULT_CHUNK`` and steps them in groups of ``GROUP_CHUNKS``
+consecutive chunks, through ``ordered_map``, the package's one worker pool,
+and keeps only the terminal states of X^sigma, sigma the first exit from a
+ball around x0, and on request each path's max |X - x0| up to the horizon;
+``simulate_paths_dense`` keeps every state, or
 hands them to a sink a window of ``DENSE_WINDOW`` steps at a time;
 ``simulate_path`` and ``simulate_multi`` are a one-path dense run that also
 records each jump as (grid time, state-space effect).  The engine keeps
 these invariants:
 
-- the chunk's state array is updated in place, with no per-step copy;
+- the chunk is the unit of random addressing and the group the unit of
+  stepping: each chunk draws its variates from its own generators, in the
+  calls it would make alone, and a group steps its chunks' paths as one state
+  array, updated in place with no per-step copy, so that each step makes one
+  smooth update, one jump pass and one stop test for all of them.  Every
+  operation on the states acts row by row, so a path's states are the ones
+  its chunk would reach stepped alone, bit for bit;
 - a path that has left the stop ball is frozen: later steps still draw its
   variates but change neither its state nor its running maximum.  After
-  each step of a chunk, the largest and smallest state of each coordinate
+  each step of a group, the largest and smallest state of each coordinate
   (``_extremes``) bound every path's state norm and its distance from x0
   (``_reach``), so the overflow guard runs only when the first bound
   exceeds it, and when no maximum is recorded the stop test decides per
-  chunk: no path is outside the ball when the second bound is at most the
+  group: no path is outside the ball when the second bound is at most the
   radius (a path that exited stays outside it).  Otherwise one distance
   |X - x0| per path and step serves both the stop test and the maximum;
-  when neither is asked for, no distance is formed;
+  when neither is asked for, no distance is formed.  The guard and the
+  screen decide per path: a NaN state neither raises nor hides another
+  path's state from them, so a group raises at the first step at which one
+  of its chunks would.  A group that raises is stepped again chunk by chunk,
+  so the error is the one the lowest failing chunk raises alone;
 - each chunk owns seed-derived generators addressed by (master seed, caller
   key, chunk index, block index), one per block.  A block draws a step's
   variates for the whole chunk in one call, in a fixed order; a block whose
@@ -54,8 +65,11 @@ these invariants:
 - the draws are handed on in runs, never sliced into a sample per step:
   ``_driver_steps`` yields a block draw's jump-free steps as one (r, m, n)
   array, and ``_step_samples``, the one step-draw helper, merges the blocks
-  into segments, either such a run of every block, cut where the shortest
-  ends, or the ``StepSample`` tuple of one step with simulated jumps;
+  and chunks into segments, either such a run of every block and chunk, cut
+  where the shortest ends, or the ``StepSample`` tuple of one step with
+  simulated jumps, its chunks' jumps concatenated in chunk order.  A group's
+  smooth draws stay one array per chunk, each multiplied with its own rows
+  of the field, and are never copied into one;
 - the arithmetic rounds as the plain formulation does (a zeroed update
   summed block by block, then the drift; norms as ``np.linalg.norm``), so
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
@@ -94,7 +108,7 @@ import math
 import struct
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -107,13 +121,15 @@ from .levy import LevyTriplet, StepSample
 from .seeding import TAG_ENSEMBLE, TAG_PATH, rng_at
 
 OVERFLOW_GUARD = 1e12
-DEFAULT_CHUNK = 16384
+DEFAULT_CHUNK = 16384       # paths per chunk, the unit of random addressing
+GROUP_CHUNKS = 2            # consecutive chunks an ensemble steps as one state array
 BLOCK_ROWS = 4096           # rows per block draw: K steps of m paths, K*m <= BLOCK_ROWS
 MIN_LOOK_AHEAD = 3          # a count look-ahead over fewer steps costs more than it saves
 DENSE_WINDOW = 1024         # steps of states a dense run with a sink holds at once
 MAX_PATH_STEPS = 1 << 32    # steps of one path; paths x steps of one ensemble, of one variation run
 MAX_PATH_BYTES = 1 << 32    # one path's times and states, 8 (n + 1)(d + 1) bytes for n steps
-_ZERO = np.zeros(())         # the +0.0 every smooth sum starts from
+_ZERO = np.zeros(())         # the +0.0 a smooth sum starts from
+_ZERO.flags.writeable = False
 
 
 @dataclass
@@ -303,45 +319,83 @@ def _steps_before_jump(rng, rate, dt, k, m):
     return int(hits[0]) // m if hits.size else k
 
 
-def _step_samples(blocks, dt, n_steps, m, rngs):
+def _step_samples(blocks, dt, n_steps, chunks):
     """The one step-draw helper: the draws of ``n_steps`` steps as (smooth, steps) segments.
 
-    ``smooth`` holds each block's (r, m, n_j) smooth draws of r steps.
-    ``steps`` is None when none of these steps draws a simulated jump, and
-    otherwise r = 1 and ``steps`` holds each block's ``StepSample`` of the
-    step.  With several blocks, a segment of jump-free steps ends where the
-    shortest of the blocks' runs ends, and a jump-free row of a block joins a
-    step with jumps as a ``StepSample`` without jumps.
+    ``chunks`` holds (m, rngs) for each chunk of the states, in row order,
+    with one generator per block; each chunk and block draws alone
+    (``_driver_steps``).  ``smooth`` holds each block's smooth draws of r
+    steps: an (r, m, n_j) array for one chunk, and for several the tuple of
+    their (r, m_c, n_j) arrays, in row order, which are never copied into
+    one.  ``steps`` is None when none of these steps draws a simulated jump,
+    and otherwise r = 1 and ``steps`` holds each block's ``StepSample`` of
+    the step; a group's sample holds its chunks' jump counts, values and
+    positions concatenated in chunk order, so each path's jumps stay grouped
+    by path in order, and the tuple of their smooth draws.  With several
+    blocks or chunks, a segment of jump-free steps ends where the shortest of
+    their runs ends, and a jump-free row joins a step with jumps as a
+    ``StepSample`` without jumps.
     """
-    runs = [_driver_steps(drv, dt, n_steps, m, rng) for (_, drv), rng in zip(blocks, rngs)]
+    runs = [_driver_steps(drv, dt, n_steps, m, rng)
+            for m, rngs in chunks for (_, drv), rng in zip(blocks, rngs)]
     if len(runs) == 1:              # nothing to merge
         for run in runs[0]:
             yield ((run,), None) if type(run) is np.ndarray else ((run.smooth[None],), (run,))
         return
-    heads = [None] * len(runs)      # per block, the draws not yet handed out
+    nb = len(blocks)                # run c * nb + j is chunk c's block j
+    # each block's jump counts of a step are joined into one buffer, reused from step to
+    # step (the caller is done with a segment before it asks for the next): in a fresh
+    # process a new array of 2^15 counts cost 64 page faults per step, more than the copy
+    counts = [np.empty(sum(m for m, _ in chunks), np.int64) for _ in blocks]
+    heads = [None] * len(runs)      # per run, the draws not yet handed out
     k = 0
     while k < n_steps:
         heads = [next(run) if head is None else head for head, run in zip(heads, runs)]
         if all(type(head) is np.ndarray for head in heads):
             r = min(len(head) for head in heads)
-            yield tuple(head[:r] for head in heads), None
+            yield _joined([head[:r] for head in heads], nb), None
         else:
             r = 1
-            steps = tuple(head if type(head) is StepSample else StepSample(
-                smooth=head[0], jump_counts=levy.no_jumps(m),
+            parts = [head if type(head) is StepSample else StepSample(
+                smooth=head[0], jump_counts=levy.no_jumps(head.shape[1]),
                 jump_values=np.empty((0, head.shape[2])), jump_positions=np.empty(0))
-                for head in heads)
-            yield tuple(s.smooth[None] for s in steps), steps
+                for head in heads]
+            yield _joined([p.smooth[None] for p in parts], nb), _joined(parts, nb, counts)
         heads = [head[r:] if type(head) is np.ndarray and len(head) > r else None
                  for head in heads]
         k += r
 
 
+def _joined(parts, nb, counts=None):
+    """Each of the nb blocks' draws of consecutive chunks, part c * nb + j being
+    chunk c's draw of block j: the parts as they are for one chunk, else a
+    block's arrays as their tuple and its ``StepSample``s as one with the jump
+    fields concatenated, the counts into ``counts[j]``."""
+    if len(parts) == nb:
+        return tuple(parts)
+    out = []
+    for j in range(nb):
+        p = parts[j::nb]
+        out.append(tuple(p) if type(p[0]) is np.ndarray else StepSample(
+            smooth=tuple(s.smooth for s in p),
+            jump_counts=np.concatenate([s.jump_counts for s in p], out=counts[j]),
+            jump_values=np.concatenate([s.jump_values for s in p]),
+            jump_positions=np.concatenate([s.jump_positions for s in p])))
+    return tuple(out)
+
+
+def _rows(smooth):
+    """The steps of a segment's smooth draws, one tuple of each block's rows per step."""
+    return zip(*(v if type(v) is np.ndarray else zip(*v) for v in smooth))
+
+
 def _smooth_increment(x, blocks, drift_field, dt, rows, inc, scratch):
     """The smooth part of one Euler step at the states x, in ``inc`` or ``scratch[1]``.
 
-    ``rows`` holds each block's smooth draws, one row per state.  The sum
-    starts from +0.0 and adds field x draws block by block, then drift x dt.
+    ``rows`` holds each block's smooth draws, one row per state: an array, or
+    for a group the tuple of its chunks' arrays in row order, each multiplied
+    with its rows of the field.  The sum starts from +0.0 and adds field x
+    draws block by block, then drift x dt.
     A block is left out when its driver is pure jump (``jump_activity``), its
     field declares a finite ``bound`` and its draws are all exactly zero: its
     term fld(x) * 0 is then a zero, which leaves a sum that started from +0.0
@@ -349,25 +403,32 @@ def _smooth_increment(x, blocks, drift_field, dt, rows, inc, scratch):
     like ``inc``, or None to allocate them.  The partial sums go to ``inc``
     and ``scratch[1]`` in turn, so that no operation writes to one of its own
     inputs (on a few rows numpy's overlap handling costs more than the
-    arithmetic), and the array that holds the last one is returned.
+    arithmetic), and the array that holds the last one is returned, or the
+    0-d +0.0 when no term was added (it broadcasts as a zeroed update would,
+    at one call less).
     """
     prod, spare = (np.empty_like(inc), np.empty_like(inc)) if scratch is None else scratch
     acc, total = inc, _ZERO
     for (fld, drv), v in zip(blocks, rows):
-        if drv.jump_activity is not None and fld.bound < math.inf and not np.count_nonzero(v):
+        one = type(v) is np.ndarray
+        if (drv.jump_activity is not None and fld.bound < math.inf
+                and not (np.count_nonzero(v) if one else any(map(np.count_nonzero, v)))):
             continue
         phi = fld.many(x)
-        if phi.shape[2] == 1:
+        # one array inline: a one-path step is a few microseconds, and a call more shows
+        if one and phi.shape[2] == 1:
             np.multiply(phi[..., 0], v, out=prod)
-        else:
+        elif one:
             np.einsum("kdn,kn->kd", phi, v, out=prod)
+        else:                       # a group: each chunk's draws times its rows of phi
+            lo = 0
+            for part in v:
+                _times(phi[lo:lo + len(part)], part, out=prod[lo:lo + len(part)])
+                lo += len(part)
         total = np.add(total, prod, out=acc)
         acc = spare if acc is inc else inc
     if drift_field is not None:
         total = np.add(total, np.multiply(drift_field.many(x)[..., 0], dt, out=prod), out=acc)
-    if total is _ZERO:
-        inc.fill(0.0)
-        return inc
     return total
 
 
@@ -375,9 +436,9 @@ def _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, scratch, steps
                    record=None, t=0.0):
     """One Euler step of a chunk, updating the states x (m, d) in place.
 
-    ``rows`` holds each block's (m, n) smooth draws for this step, and
-    ``steps`` each block's ``StepSample`` when the step draws simulated
-    jumps, else None.  ``active`` is None while every path is active, else a
+    ``rows`` holds each block's smooth draws for this step (see
+    ``_smooth_increment``), and ``steps`` each block's ``StepSample`` when
+    the step draws simulated jumps, else None.  ``active`` is None while every path is active, else a
     bool mask; paths outside it stay frozen.  ``inc`` is an (m, d) array and
     ``scratch`` a pair of them.  ``record``, if given, is a list that
     receives (t, state-space effect) for every jump.
@@ -403,18 +464,17 @@ def _apply_jumps(x, active, blocks, steps, record, t):
     sum starts from +0.0 when n = 1 and adds the n products in the same
     order when n > 1 (``einsum`` does not).
     """
-    counts = steps[0].jump_counts if len(steps) == 1 else sum(s.jump_counts for s in steps)
-    multi = counts > 1
-    if active is not None:
-        multi &= active
+    counts = None if len(steps) == 1 else sum(s.jump_counts for s in steps)
     path, pos, blk, row = [], [], [], []     # every jump of the multi-jump paths
     for j, ((fld, _), s) in enumerate(zip(blocks, steps)):
         ids = (s.jump_counts > 0).nonzero()[0]
         c = s.jump_counts[ids]
         first = np.cumsum(c) - c
-        single = counts[ids] == 1
+        total = c if counts is None else counts[ids]    # the path's jumps in every block
+        single, sel = total == 1, total > 1
         if active is not None:
             single &= active[ids]
+            sel &= active[ids]
         if single.any():
             k = ids[single]
             effect = _times(fld.many(x[k]), s.jump_values[first[single]])
@@ -422,7 +482,6 @@ def _apply_jumps(x, active, blocks, steps, record, t):
             if record is not None:
                 effect += 0.0   # recorded as fld(x) @ y rounds: -0.0 becomes +0.0
                 record.extend((t, e) for e in effect)
-        sel = multi[ids]
         if sel.any():
             c = c[sel]
             q = np.arange(c.sum()) + np.repeat(first[sel] - (np.cumsum(c) - c), c)
@@ -453,24 +512,26 @@ def _apply_jumps(x, active, blocks, steps, record, t):
 def _check_overflow(x, active, k, n_steps):
     """Raise SimulationOverflow when an active path's state norm exceeds the guard.
 
-    All paths are scanned: a frozen path passed this check when it exited and
-    never holds NaN (NaN never exits), so it cannot change the verdict.
+    Each path decides alone: the reductions ignore NaN (``np.fmax``), so a
+    NaN path neither raises nor hides another path's overflow.  All paths are
+    scanned: a frozen path passed this check when it exited, so it cannot
+    change the verdict.
     """
     if x.size == 1:
         v = x.item()                # a Python float decides as the array would, NaN too
         big = v > OVERFLOW_GUARD or v < -OVERFLOW_GUARD
     elif x.shape[1] == 1:
-        # one reduction of |x|, as max > guard or min < -guard decides: a NaN
-        # anywhere makes the maximum NaN, which raises neither way
-        big = np.maximum.reduce(np.abs(x), axis=None) > OVERFLOW_GUARD
+        # one reduction of |x|, as max > guard or min < -guard decides
+        big = np.fmax.reduce(np.abs(x), axis=None) > OVERFLOW_GUARD
     else:
         # a square beyond the float range is inf, which exceeds the guard all the same
         with np.errstate(over="ignore"):
-            big = np.linalg.norm(x, axis=1).max() > OVERFLOW_GUARD
+            big = np.fmax.reduce(np.linalg.norm(x, axis=1)) > OVERFLOW_GUARD
     if big:
         # the reported norm squares nothing, so a state beyond 1e154 reads finite
         live = x if active is None else x[active]
-        norm = np.abs(live).max() if x.shape[1] == 1 else np.hypot.reduce(live, axis=1).max()
+        norm = np.fmax.reduce(np.abs(live) if x.shape[1] == 1 else np.hypot.reduce(live, axis=1),
+                              axis=None)
         raise SimulationOverflow(
             f"state norm {norm:.3e} exceeded {OVERFLOW_GUARD:.0e} at step {k + 1} of {n_steps}")
 
@@ -478,11 +539,20 @@ def _check_overflow(x, active, k, n_steps):
 def _extremes(x):
     """[(max, min)] of each coordinate of the states x (m, d), as Python floats.
 
-    A column that holds a NaN gives (NaN, NaN): numpy's max and min propagate
-    it.  One reduction per column: numpy's axis-0 reduction of a C-ordered
-    (m, d) array with d > 1 takes ten times as long as d strided ones.
+    NaN states are ignored, as by ``np.fmax``; a column of NaN only gives
+    (NaN, NaN).  One reduction per column: numpy's axis-0 reduction of a
+    C-ordered (m, d) array with d > 1 takes ten times as long as d strided
+    ones.  The reductions are numpy's max and min, and only a column whose
+    max is NaN is reduced again with ``np.fmax``/``np.fmin``, which take three
+    times as long on a strided column.
     """
-    return [(float(v.max()), float(v.min())) for v in x.T]
+    out = []
+    for v in x.T:
+        hi, lo = float(v.max()), float(v.min())
+        if hi != hi:                # a NaN state: the other states decide
+            hi, lo = float(np.fmax.reduce(v)), float(np.fmin.reduce(v))
+        out.append((hi, lo))
+    return out
 
 
 def _reach(extremes, x0):
@@ -492,7 +562,8 @@ def _reach(extremes, x0):
     as rounding is monotone.  The squares are summed in order and the root
     taken, as ``_row_norms`` rounds a row of d < 8 entries; a relative margin
     of d 2^-52 covers numpy's pairwise sum of 8 entries or more.  A NaN state
-    gives NaN.
+    is left out, as ``_extremes`` leaves it: its distance is NaN, which never
+    exits the ball.  A column of NaN gives NaN.
     """
     total = 0.0
     for (hi, lo), a in zip(extremes, x0):
@@ -501,20 +572,28 @@ def _reach(extremes, x0):
     return math.sqrt(total) * (1.0 + len(x0) * 2.0 ** -52)
 
 
-def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs, stop_radius, record_max):
-    d = x0.shape[0]
-    x = np.tile(x0, (m, 1))
+def _run_group(blocks, drift_field, x0, dt, n_steps, chunks, stop_radius, record_max,
+               out=None):
+    """Step consecutive chunks' paths as one state array; (terminal, exited, maxima).
+
+    ``chunks`` holds (m, rngs) per chunk, in row order, with one generator
+    per block (see ``_step_samples``).  The states are stepped in ``out``, an
+    (M, d) array such as the group's rows of the ensemble's result, or in a
+    new array.
+    """
+    d, m = x0.shape[0], sum(size for size, _ in chunks)
+    x = np.empty((m, d)) if out is None else out
+    x[...] = x0
     inc, scratch = np.empty((m, d)), (np.empty((m, d)), np.empty((m, d)))
     active = None                   # None until the first path exits
     maxdist = np.zeros(m) if record_max else None
     start, guard = x0.tolist(), OVERFLOW_GUARD / d
-    segments = _step_samples(blocks, dt, n_steps, m, rngs)
+    segments = _step_samples(blocks, dt, n_steps, chunks)
     for k, (rows, steps) in enumerate((rows, steps) for smooth, steps in segments
-                                      for rows in zip(*smooth)):
+                                      for rows in _rows(smooth)):
         _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, scratch, steps)
         extremes = _extremes(x)
-        # d max |x_c| is at least every row norm and decides as the guard does in
-        # d = 1; a NaN passes here, as it passes the guard
+        # d max |x_c| is at least every row norm and decides as the guard does in d = 1
         if any(hi > guard or lo < -guard for hi, lo in extremes):
             _check_overflow(x, active, k, n_steps)
         if stop_radius is None and maxdist is None:
@@ -572,10 +651,10 @@ def ordered_map(fn: Callable, tasks: Iterable, threads: int = 1):
         for task in tasks:
             yield fn(task)
         return
-    from concurrent.futures import ThreadPoolExecutor     # a one-thread run never loads it
+    from concurrent import futures      # a one-thread run never loads it
 
     tasks = iter(tasks)
-    pool = ThreadPoolExecutor(max_workers=threads)
+    pool = futures.ThreadPoolExecutor(max_workers=threads)
     try:
         pending = deque(pool.submit(fn, task) for task in islice(tasks, 2 * threads))
         while pending:
@@ -596,31 +675,48 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     x0 (no stopping when it is None); ``record_max`` also returns each path's
     max |X - x0| up to the horizon.  Paths are split into chunks of
     ``DEFAULT_CHUNK``, chunk c with the generators ``rng_at(seed, *base_key,
-    c, j)``, one per block j, and the chunks are run through ``ordered_map``,
-    so the result depends only on (seed, base_key), not on ``threads``.
+    c, j)``, one per block j, and groups of ``GROUP_CHUNKS`` consecutive
+    chunks are stepped through ``ordered_map``, each as one state array, so
+    the result depends only on (seed, base_key), not on ``threads``, and is
+    the chunk-by-chunk run's bit for bit.  A group that raises is stepped
+    again one chunk at a time, so the error raised is the chunk-by-chunk
+    run's: that of its lowest chunk that raises alone.
     Raises ConfigError unless ``n_steps`` and ``n_paths`` are >= 1 and
     ``n_paths`` x ``n_steps`` is at most ``MAX_PATH_STEPS``, and
     DimensionMismatch unless x0 has shape (d,), both before any step.
     """
     x0 = _ensemble_start(blocks, x0, n_steps, n_paths)
     dt = horizon / n_steps
-    bounds = list(range(0, n_paths, DEFAULT_CHUNK)) + [n_paths]
-    tasks = [(hi - lo, [rng_at(seed, *base_key, c, j) for j in range(len(blocks))])
-             for c, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    bounds = range(0, n_paths + DEFAULT_CHUNK, DEFAULT_CHUNK)
+    chunks = [(c, lo, min(hi, n_paths)) for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    groups = [chunks[i:i + GROUP_CHUNKS] for i in range(0, len(chunks), GROUP_CHUNKS)]
     terminal = np.empty((n_paths, len(x0)))
-    exited = np.zeros(n_paths, dtype=bool)
+    exited = np.empty(n_paths, dtype=bool)
     running_max = np.empty(n_paths) if record_max else None
 
-    def work(task):
-        m, rngs = task
-        return _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs, stop_radius, record_max)
+    def run(group):             # each group writes its own rows of the result
+        lo, hi = group[0][1], group[-1][2]
+        _, ex, mx = _run_group(
+            blocks, drift_field, x0, dt, n_steps,
+            [(b - a, [rng_at(seed, *base_key, c, j) for j in range(len(blocks))])
+             for c, a, b in group], stop_radius, record_max, out=terminal[lo:hi])
+        exited[lo:hi] = ex
+        if record_max:
+            running_max[lo:hi] = mx
 
-    with closing(ordered_map(work, tasks, threads if len(tasks) > 1 else 1)) as results:
-        for lo, hi, (x, ex, mx) in zip(bounds, bounds[1:], results):
-            terminal[lo:hi] = x
-            exited[lo:hi] = ex
-            if record_max:
-                running_max[lo:hi] = mx
+    def work(group):
+        try:
+            return run(group)
+        except Exception:
+            if len(group) == 1:
+                raise
+        # the chunk-by-chunk run meets the first error of the lowest chunk that raises
+        for chunk in group:
+            run([chunk])
+
+    with closing(ordered_map(work, groups, threads if len(groups) > 1 else 1)) as results:
+        for _ in results:
+            pass
     return EnsembleResult(terminal=terminal, exited=exited, running_max=running_max)
 
 
@@ -654,7 +750,7 @@ def _step_dense(blocks, drift_field, x0, dt, n_steps, m, rngs, record=None, sink
     constant = all(fld.lipschitz == 0.0 for fld in fields)
     k = 0                           # the first step not yet applied
     i = 0                           # its row in out, less one
-    for smooth, steps in _step_samples(blocks, dt, n_steps, m, rngs):
+    for smooth, steps in _step_samples(blocks, dt, n_steps, [(m, rngs)]):
         run = len(smooth[0]) > 1 and (constant or drift_field is None
                                       and not any(v.any() for v in smooth))
         lo = 0                      # the first step of the segment not yet applied

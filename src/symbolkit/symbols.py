@@ -430,8 +430,9 @@ def symbol_mc_table(model: SdeModel, xs, xis, *, t_ladder=DEFAULT_LADDER,
     addressed by (x index, rung, variant): variant 0 at the radius, variant 1
     at twice the radius with fresh seeds.  Every (x, variant, rung) ensemble
     of the table is one task of one ``sde.ordered_map`` on ``threads``
-    workers.  A task runs its ensemble (one ``simulate_ensemble`` call, its
-    ``DEFAULT_CHUNK``-path chunks in order), forms the per-path values one xi
+    workers.  A task runs its ensemble (one ``simulate_ensemble`` call, which
+    steps its ``DEFAULT_CHUNK``-path chunks in groups of ``GROUP_CHUNKS``, in
+    order, inline on the task's worker), forms the per-path values one xi
     at a time (``_values_for_pm_xi``: a -xi in the grid takes its e^{-i theta}
     from xi's, and only the paths that moved are formed when they are at most
     half, ``_moved_rows``) and reduces them over the whole ensemble to one

@@ -6,12 +6,14 @@ straightforward versions of the ensemble engine in ``symbolkit.sde`` and
 ``symbolkit.levy``: a fresh state array and a zeroed update per step,
 ``einsum`` for every block, masks on every step and full ``np.linalg.norm``
 distances.  The only edits are that ``_advance_chunk`` calls this module's
-sampler instead of ``levy.sample_step_ensemble`` and that ``simulate_ensemble``
-returns its own ``Ensemble``.  This ``simulate_ensemble`` still takes any stop
-centre, any record steps and any chunk size; ``simulate_ensemble_at_x0`` fixes
-them as the package does (centre x0, one record at the horizon, chunks of
-``DEFAULT_CHUNK``).  The tests require the fast engine to reproduce these
-functions bit for bit.
+sampler instead of ``levy.sample_step_ensemble``, that ``simulate_ensemble``
+returns its own ``Ensemble``, and that the overflow guard leaves NaN norms out
+of its maximum, so each path decides alone, as the package's guard does.  This
+``simulate_ensemble`` still takes any stop centre, any record steps and any
+chunk size; ``simulate_ensemble_at_x0`` fixes them as the package does (centre
+x0, one record at the horizon, chunks of ``DEFAULT_CHUNK``), and runs chunk by
+chunk, where the package steps groups of chunks.  The tests require the fast
+engine to reproduce these functions bit for bit.
 
 ``_simulate_blocks_scalar``, ``_apply_jumps_scalar`` and ``sample_increment_parts``
 are the separate single-path engine that
@@ -142,9 +144,10 @@ def _run_chunk(blocks, drift_field, x0, dt, n_steps, m, rngs,
     for k in range(n_steps):
         x = _advance_chunk(x, active, blocks, drift_field, dt, rngs)
         norms = np.linalg.norm(x[active], axis=1) if active.any() else np.empty(0)
-        if norms.size and norms.max() > OVERFLOW_GUARD:
+        peak = np.fmax.reduce(norms) if norms.size else 0.0     # a NaN path decides nothing
+        if peak > OVERFLOW_GUARD:
             raise SimulationOverflow(
-                f"state norm {norms.max():.3e} exceeded {OVERFLOW_GUARD:.0e} "
+                f"state norm {peak:.3e} exceeded {OVERFLOW_GUARD:.0e} "
                 f"at step {k + 1} of {n_steps}")
         dist = np.linalg.norm(x - x0, axis=1)
         maxdist = np.where(active, np.maximum(maxdist, dist), maxdist)

@@ -239,18 +239,18 @@ class TestMainExitCodes:
                                   f"the {sde.MAX_PATH_BYTES} of one path")
         assert not (tmp_path / "out" / "results.json").exists()
 
-    # one step of a 16384-path chunk at rate 1 over 16 steps holds 2^28 jumps (16 bytes
-    # each, MAX_PATH_BYTES in all) at t0 = 2^18.  Past it, a config error naming t0 comes
-    # before the ensemble: t0 = 1e308 is a per-step jump mean numpy's Poisson sampler
-    # refuses ("lam value too large"), and t0 = 1e18 over 1000 trials asked numpy for an
-    # array "too big"; both exited 2 without a field
+    # one step of a group of two 16384-path chunks at rate 1 over 16 steps holds 2^28
+    # jumps (16 bytes each, MAX_PATH_BYTES in all) at t0 = 2^17.  Past it, a config error
+    # naming t0 comes before the ensemble: t0 = 1e308 is a per-step jump mean numpy's
+    # Poisson sampler refuses ("lam value too large"), and t0 = 1e18 over 1000 trials
+    # asked numpy for an array "too big"; both exited 2 without a field
     @pytest.mark.parametrize("cfg, refused", [
         ({"t0": 1e308}, True),
         ({"t0": 1e18, "trials": 1000}, True),
-        ({"t0": math.nextafter(2.0 ** 18, math.inf)}, True),
-        ({"t0": 2.0 ** 18}, False),
+        ({"t0": math.nextafter(2.0 ** 17, math.inf)}, True),
+        ({"t0": 2.0 ** 17}, False),
         ({"t0": 2.0 ** 28 * 16 / 1000, "trials": 1000}, False),
-    ], ids=["1e308", "1e18", "past-the-chunk", "at-the-chunk", "at-1000-trials"])
+    ], ids=["1e308", "1e18", "past-the-group", "at-the-group", "at-1000-trials"])
     def test_feller_t0_past_the_jumps_of_one_chunk_exit_2(self, cfg, refused, tmp_path, capfd,
                                                          monkeypatch):
         class Reached(Exception):
@@ -267,9 +267,10 @@ class TestMainExitCodes:
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
         assert (err["error"], err["field"]) == ("ConfigError", "t0")
-        jumps = cfg["t0"] / 16 * min(cfg.get("trials", 100_000), sde.DEFAULT_CHUNK)
+        group = sde.GROUP_CHUNKS * sde.DEFAULT_CHUNK
+        jumps = cfg["t0"] / 16 * min(cfg.get("trials", 100_000), group)
         assert err["message"] == (f"feller-demo: t0 {cfg['t0']!r} over 16 steps is {jumps:.6g} "
-                                  f"jumps in a step of a chunk, past {2 ** 32} bytes at 16 each")
+                                  f"jumps in a step of a group, past {2 ** 32} bytes at 16 each")
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_dense_overflow_exit_3(self, tmp_path):
@@ -1020,10 +1021,22 @@ def no_work(monkeypatch):
         raise AssertionError("work started before the bound was checked")
 
     monkeypatch.setattr(sde, "_step_dense", refuse)
-    monkeypatch.setattr(sde, "_run_chunk", refuse)
+    monkeypatch.setattr(sde, "_run_group", refuse)
     monkeypatch.setattr(symbols.SymbolField, "many", refuse)
     monkeypatch.setattr(symbols.SymbolField, "__call__", refuse)
     monkeypatch.setattr(indices, "integrate_panels", refuse)
+
+
+def test_no_work_stops_every_stepping_run(no_work):
+    # a valid run reaches the patched steppers, so the fixture cannot pass vacuously
+    model = sk.catalog.bm_unit()
+    runs = [lambda: sde.simulate_ensemble(model.blocks(), None, [0.0], 1.0, 2, 3, 1),
+            lambda: sde.simulate_paths_dense(model.blocks(), None, [0.0], 1.0, 2, 3, 1),
+            lambda: feller_demo(0.5, 10, 1),
+            lambda: symbols.symbol_mc_table(model, [0.0], [1.0], paths_per_rung=1000)]
+    for run in runs:
+        with pytest.raises(AssertionError, match="work started before the bound was checked"):
+            run()
 
 
 @pytest.mark.parametrize("kind, cfg, field", KEYED_ERRORS.values(), ids=list(KEYED_ERRORS))

@@ -1,16 +1,16 @@
 """The ensemble step's stop test and overflow guard, decided from each coordinate's extremes.
 
-``sde._run_chunk`` takes each coordinate's largest and smallest state after a
+``sde._run_group`` takes each coordinate's largest and smallest state after a
 step and forms the per-path distances only when the bound they give exceeds the
 stop radius (as it does once a path has exited) or maxima are recorded; it runs
 the full overflow guard only when a coordinate reaches ``OVERFLOW_GUARD / d``.
-These tests hold it to the per-path formulation: on scripted chunks whose states
-hypothesis picks (NaN, +-0, states exactly at the radius, radii of 1e-200 and
-1e200, states past the guard, paths frozen by an earlier exit, d up to 3), to
-``_per_path`` below, and on real ensembles, the planar d = 2 model among them, to
+Both ignore NaN states, so each path decides alone.  These tests hold it to the
+per-path formulation: on scripted chunks whose states hypothesis picks (NaN,
++-0, states exactly at the radius, radii of 1e-200 and 1e200, states past the
+guard, paths frozen by an earlier exit, d up to 3), to ``_per_path`` below, and
+on real ensembles, the planar d = 2 model among them, to
 ``tests/reference_engine.py``.  The reference guards the active paths only; the
-package guards every path, as a frozen path passed the guard when it exited,
-unless a NaN state in that step hid it, so on scripted NaN chunks the two differ.
+package guards every path, as a frozen path passed the guard when it exited.
 """
 
 import re
@@ -55,7 +55,7 @@ def _per_path(states, x0, radius, record_max):
     maxdist = np.zeros(len(x))
     for k, nxt in enumerate(states):
         x[active] = nxt[active]
-        norm = np.linalg.norm(x, axis=1).max()
+        norm = np.fmax.reduce(np.linalg.norm(x, axis=1))     # a NaN norm decides nothing
         if norm > OVERFLOW_GUARD:
             raise sk.SimulationOverflow(f"state norm {norm} at step {k + 1} of {len(states)}")
         dist = np.linalg.norm(x - x0, axis=1)
@@ -91,7 +91,7 @@ def test_screen_decides_as_the_per_path_code(case):
     rngs = [sk.seeding.rng_at(1, 0)]
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(sde, "_advance_chunk", _scripted(states))
-        got = _outcome(lambda: sde._run_chunk(blocks, None, x0, 0.1, n_steps, m, rngs,
+        got = _outcome(lambda: sde._run_group(blocks, None, x0, 0.1, n_steps, [(m, rngs)],
                                               radius, record_max))
         want = _outcome(lambda: _per_path(states, x0, radius, record_max))
     assert type(got) is type(want)
@@ -108,16 +108,34 @@ def test_scripted_chunks_reach_each_branch(monkeypatch):
               np.array([[0.25], [0.5], [np.nan]])]
     monkeypatch.setattr(sde, "_advance_chunk", _scripted(states))
     rngs = [sk.seeding.rng_at(1, 0)]
-    x, exited, _ = sde._run_chunk(catalog.bm_unit().blocks(), None, x0, 0.1, 3, 3, rngs,
+    x, exited, _ = sde._run_group(catalog.bm_unit().blocks(), None, x0, 0.1, 3, [(3, rngs)],
                                   radius, False)
     assert exited.tolist() == [False, True, False]
     assert x[:2, 0].tolist() == [0.25, 1.5] and np.isnan(x[2, 0])
 
 
+def test_nan_path_does_not_hide_an_overflow_in_its_step(monkeypatch):
+    # d = 2, rows [0, 2e12] and [0, NaN] at step 1: the first row raises at step 1.
+    # A NaN-propagating guard let it pass and exit the tiny ball, frozen at 2e12,
+    # and then raised on the frozen row at step 2
+    x0 = np.zeros(2)
+    states = [np.array([[0.0, 2e12], [0.0, np.nan]]), np.array([[0.0, 0.0], [0.0, np.nan]])]
+    blocks = [(sk.CoefficientField(batch_fn=lambda xs: np.ones((len(xs), 2, 1)), d=2, n=1,
+                                   bound=1.0, lipschitz=0.0), catalog.bm_driver())]
+    monkeypatch.setattr(sde, "_advance_chunk", _scripted(states))
+    with pytest.raises(sk.SimulationOverflow, match=r"state norm 2\.000e\+12 .* at step 1 of 2"):
+        sde._run_group(blocks, None, x0, 0.1, 2, [(2, [sk.seeding.rng_at(1, 0)])],
+                       1e-200, False)
+    assert _outcome(lambda: _per_path(states, x0, 1e-200, False)) == 1
+
+
 def test_bounds_hold_the_claims():
     x = np.array([[1.0, -3.0], [-2.0, 0.5], [0.25, 2.0]])
     assert sde._extremes(x) == [(1.0, -2.0), (2.0, -3.0)]
-    nan = sde._extremes(np.array([[np.nan], [1.0]]))[0]
+    # a NaN state is left out; only a column of NaN gives NaN
+    assert sde._extremes(np.array([[np.nan, 2.0], [1.0, np.nan], [-1.0, 0.5]])) == \
+        [(1.0, -1.0), (2.0, 0.5)]
+    nan = sde._extremes(np.array([[np.nan], [np.nan]]))[0]
     assert all(np.isnan(v) for v in nan)
     # in d = 1 the bound is the largest distance to within its margin of 2^-52
     x = np.array([[0.1], [-0.7], [0.3]])

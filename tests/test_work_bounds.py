@@ -22,8 +22,18 @@ def no_simulation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no ensemble may be stepped")
 
-    monkeypatch.setattr(sde, "_run_chunk", refuse)
+    monkeypatch.setattr(sde, "_run_group", refuse)
     monkeypatch.setattr(sde, "_step_dense", refuse)
+
+
+def test_no_simulation_stops_every_ensemble(no_simulation):
+    # a valid ensemble reaches the patched steppers, so the fixture cannot pass vacuously
+    model = catalog.bm_unit()
+    for run in (sde.simulate_ensemble, sde.simulate_paths_dense):
+        with pytest.raises(AssertionError, match="no ensemble may be stepped"):
+            run(model.blocks(), None, [0.0], 1.0, 2, 3, 1)
+    with pytest.raises(AssertionError, match="no ensemble may be stepped"):
+        growth_experiment(model, 0.0, [1.0], [0.1], [], 4, 1, steps_per_run=2)
 
 
 def test_one_bound_for_ensembles_and_variation():
