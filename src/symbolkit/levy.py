@@ -963,13 +963,15 @@ def no_jumps(m: int) -> np.ndarray:
 
 
 def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
-                         rng: np.random.Generator) -> StepSample:
+                         rng: np.random.Generator, out: Optional[np.ndarray] = None) -> StepSample:
     """Draw m independent one-step increments, keeping discrete jumps separate.
 
     Draws, in this order: the Gaussian normals, then the jump part (stable
     variates, or Poisson counts followed by jump values and positions).
     ``smooth`` sums, in this order, drift * dt, the Gaussian part, the stable
-    part, and minus the compensator of the simulated jumps.
+    part, and minus the compensator of the simulated jumps.  Given ``out``, a
+    C-contiguous (m, n) float array, ``smooth`` is formed in it and is
+    ``out``, the same values bit for bit as without it.
 
     The jump part is the measure's ``sample_step(smooth, shift, dt, m, rng)``:
     it adds its part to ``smooth`` (None without a Gaussian part) or to
@@ -982,7 +984,7 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
     shift = triplet.drift * dt
     smooth = None
     if triplet.gaussian:
-        smooth = rng.standard_normal(size=(m, n))
+        smooth = rng.standard_normal(size=(m, n), out=out)
         smooth += 0.0               # rng.normal's 0 + 1 * z: -0.0 becomes +0.0
         smooth *= np.sqrt(dt)
         if n == 1:
@@ -993,7 +995,11 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
 
     smooth, shift, counts, jumps = triplet.levy_measure.sample_step(smooth, shift, dt, m, rng)
     if smooth is None:
-        smooth = np.full((m, n), shift)
+        smooth = np.empty((m, n)) if out is None else out
+        smooth[...] = shift
+    elif out is not None and smooth is not out:     # n > 1, or stable draws only
+        out[...] = smooth
+        smooth = out
     if counts is None:
         counts = no_jumps(m)
     values, positions = jumps or (triplet._no_jump_values, _NO_POSITIONS)

@@ -28,12 +28,12 @@ records each jump as (grid time, state-space effect).  The engine keeps
 these invariants:
 
 - the chunk is the unit of random addressing and the group the unit of
-  stepping: each chunk draws its variates from its own generators, in the
-  calls it would make alone, and a group steps its chunks' paths as one state
-  array, updated in place with no per-step copy, so that each step makes one
-  smooth update, one jump pass and one stop test for all of them.  Every
-  operation on the states acts row by row, so a path's states are the ones
-  its chunk would reach stepped alone, bit for bit;
+  stepping: each chunk draws from its own generators the variates it would
+  draw alone, and a group steps its chunks' paths as one state array, updated
+  in place with no per-step copy, so that each step makes one smooth update,
+  one jump pass and one stop test for all of them.  Every operation on the
+  states acts row by row, so a path's states are the ones its chunk would
+  reach stepped alone, bit for bit;
 - a path that has left the stop ball is frozen: later steps still draw its
   variates but change neither its state nor its running maximum.  After
   each step of a group, the largest and smallest state of each coordinate
@@ -46,8 +46,10 @@ these invariants:
   when neither is asked for, no distance is formed.  The guard and the
   screen decide per path: a NaN state neither raises nor hides another
   path's state from them, so a group raises at the first step at which one
-  of its chunks would.  A group that raises is stepped again chunk by chunk,
-  so the error is the one the lowest failing chunk raises alone;
+  of its chunks would.  Only an overflow or an arithmetic error, which
+  depend on the states reached, is stepped again chunk by chunk, so that it
+  is the one the lowest failing chunk raises alone; any other error
+  propagates as the group raised it;
 - each chunk owns seed-derived generators addressed by (master seed, caller
   key, chunk index, block index), one per block.  A block draws a step's
   variates for the whole chunk in one call, in a fixed order; a block whose
@@ -59,17 +61,18 @@ these invariants:
   of its next K = min(BLOCK_ROWS // m, floor(1 / (activity dt m))) steps,
   about one expected jump, rewinds the generator to its saved state, and then
   draws the steps before the first jump in one call and that step alone;
-  K < ``MIN_LOOK_AHEAD`` draws step by step.  Output is therefore invariant
-  under the worker count.  A single path uses the generators (master seed,
-  ``TAG_PATH``, block index);
+  K < ``MIN_LOOK_AHEAD`` draws step by step, and so does every chunk of a
+  group of several, a partial one too, the same variates bit for bit.
+  Output is therefore invariant under the worker count.  A single path uses
+  the generators (master seed, ``TAG_PATH``, block index);
 - the draws are handed on in runs, never sliced into a sample per step:
   ``_driver_steps`` yields a block draw's jump-free steps as one (r, m, n)
   array, and ``_step_samples``, the one step-draw helper, merges the blocks
-  and chunks into segments, either such a run of every block and chunk, cut
-  where the shortest ends, or the ``StepSample`` tuple of one step with
-  simulated jumps, its chunks' jumps concatenated in chunk order.  A group's
-  smooth draws stay one array per chunk, each multiplied with its own rows
-  of the field, and are never copied into one;
+  and chunks into segments, either such a run of every block, cut where the
+  shortest ends, or the ``StepSample`` tuple of one step with simulated
+  jumps, its chunks' jumps concatenated in chunk order.  A group's smooth
+  draws are one array per block, reused from step to step: each chunk draws
+  each step into its own rows of it (``levy.sample_step_ensemble``'s ``out``);
 - the arithmetic rounds as the plain formulation does (a zeroed update
   summed block by block, then the drift; norms as ``np.linalg.norm``), so
   results are bit-identical to it.  ``tests/reference_engine.py`` keeps
@@ -109,7 +112,7 @@ import struct
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -266,7 +269,7 @@ def _row_norms(v):
     return np.sqrt(sq, out=sq)
 
 
-def _driver_steps(driver, dt, n_steps, m, rng):
+def _driver_steps(driver, dt, n_steps, m, rng, out=None):
     """Yield the driver's draws for ``n_steps`` steps of m paths, as runs.
 
     A run is either an (r, m, n) array, the smooth draws of r steps none of
@@ -279,19 +282,20 @@ def _driver_steps(driver, dt, n_steps, m, rng):
     floor(1 / (activity dt m))) (``_steps_before_jump``): the steps before
     the first that jumps are one call and one run, and that step is drawn
     alone.  Any other driver, a blockable one when K <= 1 and a look-ahead one
-    when K < ``MIN_LOOK_AHEAD``, draws once per step.  The sampler is looked
-    up in ``levy`` at each call, so a wrapper put there sees every draw, once
-    per path-step.
+    when K < ``MIN_LOOK_AHEAD``, draws once per step, and so does every driver
+    given ``out``, an (m, n) array that each step's smooth draws are formed
+    in.  The sampler is looked up in ``levy`` at each call, so a wrapper put
+    there sees every draw, once per path-step.
     """
     rate = driver.jump_activity
-    k_block = BLOCK_ROWS // m if driver.blockable or rate is not None else 1
+    k_block = BLOCK_ROWS // m if out is None and (driver.blockable or rate is not None) else 1
     if rate is not None and rate * dt * m * k_block > 1.0:
         k_block = int(1.0 / (rate * dt * m))
     if rate is not None and k_block < MIN_LOOK_AHEAD:
         k_block = 1
     if k_block <= 1:
         for _ in range(n_steps):
-            s = levy.sample_step_ensemble(driver, dt, m, rng)
+            s = levy.sample_step_ensemble(driver, dt, m, rng, out)
             yield s if s.jump_values.shape[0] else s.smooth[None]
         return
     k0 = 0
@@ -324,78 +328,69 @@ def _step_samples(blocks, dt, n_steps, chunks):
 
     ``chunks`` holds (m, rngs) for each chunk of the states, in row order,
     with one generator per block; each chunk and block draws alone
-    (``_driver_steps``).  ``smooth`` holds each block's smooth draws of r
-    steps: an (r, m, n_j) array for one chunk, and for several the tuple of
-    their (r, m_c, n_j) arrays, in row order, which are never copied into
-    one.  ``steps`` is None when none of these steps draws a simulated jump,
-    and otherwise r = 1 and ``steps`` holds each block's ``StepSample`` of
-    the step; a group's sample holds its chunks' jump counts, values and
-    positions concatenated in chunk order, so each path's jumps stay grouped
-    by path in order, and the tuple of their smooth draws.  With several
-    blocks or chunks, a segment of jump-free steps ends where the shortest of
-    their runs ends, and a jump-free row joins a step with jumps as a
-    ``StepSample`` without jumps.
+    (``_driver_steps``).  ``smooth`` holds each block's (r, M, n_j) smooth
+    draws of r steps, M the paths of all chunks.  ``steps`` is None when none
+    of these steps draws a simulated jump, and otherwise r = 1 and ``steps``
+    holds each block's ``StepSample`` of the step.  With several blocks, a
+    segment of jump-free steps ends where the shortest of their runs ends,
+    and a jump-free row joins a step with jumps as a ``StepSample`` without
+    jumps.  Several chunks draw each step alone into their rows of one (M,
+    n_j) array per block, so r = 1; a group's sample holds that array and its
+    chunks' jump counts, values and positions concatenated in chunk order, so
+    each path's jumps stay grouped by path in order.  These arrays and the
+    counts are reused from step to step: the caller is done with a segment
+    before it asks for the next.
     """
-    runs = [_driver_steps(drv, dt, n_steps, m, rng)
-            for m, rngs in chunks for (_, drv), rng in zip(blocks, rngs)]
+    nb, group = len(blocks), len(chunks) > 1
+    ends = list(accumulate(m for m, _ in chunks))
+    # one array per block, drawn into step after step: in a fresh process a new array of
+    # 2^15 rows costs 64 page faults
+    bufs = [np.empty((ends[-1], drv.dim)) for _, drv in blocks] if group else [None] * nb
+    counts = [np.empty(ends[-1], np.int64) for _ in blocks] if group else None
+    runs = [_driver_steps(drv, dt, n_steps, m, rng, buf if buf is None else buf[hi - m:hi])
+            for (m, rngs), hi in zip(chunks, ends)
+            for (_, drv), rng, buf in zip(blocks, rngs, bufs)]   # run c * nb + j: chunk c, block j
     if len(runs) == 1:              # nothing to merge
         for run in runs[0]:
             yield ((run,), None) if type(run) is np.ndarray else ((run.smooth[None],), (run,))
         return
-    nb = len(blocks)                # run c * nb + j is chunk c's block j
-    # each block's jump counts of a step are joined into one buffer, reused from step to
-    # step (the caller is done with a segment before it asks for the next): in a fresh
-    # process a new array of 2^15 counts cost 64 page faults per step, more than the copy
-    counts = [np.empty(sum(m for m, _ in chunks), np.int64) for _ in blocks]
     heads = [None] * len(runs)      # per run, the draws not yet handed out
     k = 0
     while k < n_steps:
         heads = [next(run) if head is None else head for head, run in zip(heads, runs)]
-        if all(type(head) is np.ndarray for head in heads):
-            r = min(len(head) for head in heads)
-            yield _joined([head[:r] for head in heads], nb), None
-        else:
-            r = 1
+        jumps = not all(type(head) is np.ndarray for head in heads)
+        r = 1 if jumps else min(len(head) for head in heads)
+        smooth = (tuple(buf[None] for buf in bufs) if group else
+                  tuple(h[:r] if type(h) is np.ndarray else h.smooth[None] for h in heads))
+        steps = None
+        if jumps:
             parts = [head if type(head) is StepSample else StepSample(
                 smooth=head[0], jump_counts=levy.no_jumps(head.shape[1]),
                 jump_values=np.empty((0, head.shape[2])), jump_positions=np.empty(0))
                 for head in heads]
-            yield _joined([p.smooth[None] for p in parts], nb), _joined(parts, nb, counts)
+            steps = (tuple(_joined(parts[j::nb], bufs[j], counts[j]) for j in range(nb))
+                     if group else tuple(parts))
+        yield smooth, steps
         heads = [head[r:] if type(head) is np.ndarray and len(head) > r else None
                  for head in heads]
         k += r
 
 
-def _joined(parts, nb, counts=None):
-    """Each of the nb blocks' draws of consecutive chunks, part c * nb + j being
-    chunk c's draw of block j: the parts as they are for one chunk, else a
-    block's arrays as their tuple and its ``StepSample``s as one with the jump
-    fields concatenated, the counts into ``counts[j]``."""
-    if len(parts) == nb:
-        return tuple(parts)
-    out = []
-    for j in range(nb):
-        p = parts[j::nb]
-        out.append(tuple(p) if type(p[0]) is np.ndarray else StepSample(
-            smooth=tuple(s.smooth for s in p),
-            jump_counts=np.concatenate([s.jump_counts for s in p], out=counts[j]),
-            jump_values=np.concatenate([s.jump_values for s in p]),
-            jump_positions=np.concatenate([s.jump_positions for s in p])))
-    return tuple(out)
-
-
-def _rows(smooth):
-    """The steps of a segment's smooth draws, one tuple of each block's rows per step."""
-    return zip(*(v if type(v) is np.ndarray else zip(*v) for v in smooth))
+def _joined(parts, smooth, counts):
+    """One block's ``StepSample``s of consecutive chunks as one, with the group's smooth
+    draws ``smooth`` and the jump fields concatenated, the counts into ``counts``."""
+    return StepSample(smooth=smooth,
+                      jump_counts=np.concatenate([s.jump_counts for s in parts], out=counts),
+                      jump_values=np.concatenate([s.jump_values for s in parts]),
+                      jump_positions=np.concatenate([s.jump_positions for s in parts]))
 
 
 def _smooth_increment(x, blocks, drift_field, dt, rows, inc, scratch):
     """The smooth part of one Euler step at the states x, in ``inc`` or ``scratch[1]``.
 
-    ``rows`` holds each block's smooth draws, one row per state: an array, or
-    for a group the tuple of its chunks' arrays in row order, each multiplied
-    with its rows of the field.  The sum starts from +0.0 and adds field x
-    draws block by block, then drift x dt.
+    ``rows`` holds each block's smooth draws, an array of one row per state.
+    The sum starts from +0.0 and adds field x draws block by block, then
+    drift x dt.
     A block is left out when its driver is pure jump (``jump_activity``), its
     field declares a finite ``bound`` and its draws are all exactly zero: its
     term fld(x) * 0 is then a zero, which leaves a sum that started from +0.0
@@ -410,21 +405,14 @@ def _smooth_increment(x, blocks, drift_field, dt, rows, inc, scratch):
     prod, spare = (np.empty_like(inc), np.empty_like(inc)) if scratch is None else scratch
     acc, total = inc, _ZERO
     for (fld, drv), v in zip(blocks, rows):
-        one = type(v) is np.ndarray
-        if (drv.jump_activity is not None and fld.bound < math.inf
-                and not (np.count_nonzero(v) if one else any(map(np.count_nonzero, v)))):
+        if drv.jump_activity is not None and fld.bound < math.inf and not np.count_nonzero(v):
             continue
         phi = fld.many(x)
-        # one array inline: a one-path step is a few microseconds, and a call more shows
-        if one and phi.shape[2] == 1:
+        # _times inline: a one-path step is a few microseconds, and a call more shows
+        if phi.shape[2] == 1:
             np.multiply(phi[..., 0], v, out=prod)
-        elif one:
+        else:
             np.einsum("kdn,kn->kd", phi, v, out=prod)
-        else:                       # a group: each chunk's draws times its rows of phi
-            lo = 0
-            for part in v:
-                _times(phi[lo:lo + len(part)], part, out=prod[lo:lo + len(part)])
-                lo += len(part)
         total = np.add(total, prod, out=acc)
         acc = spare if acc is inc else inc
     if drift_field is not None:
@@ -590,7 +578,7 @@ def _run_group(blocks, drift_field, x0, dt, n_steps, chunks, stop_radius, record
     start, guard = x0.tolist(), OVERFLOW_GUARD / d
     segments = _step_samples(blocks, dt, n_steps, chunks)
     for k, (rows, steps) in enumerate((rows, steps) for smooth, steps in segments
-                                      for rows in _rows(smooth)):
+                                      for rows in zip(*smooth)):
         _advance_chunk(x, active, blocks, drift_field, dt, rows, inc, scratch, steps)
         extremes = _extremes(x)
         # d max |x_c| is at least every row norm and decides as the guard does in d = 1
@@ -678,9 +666,11 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     c, j)``, one per block j, and groups of ``GROUP_CHUNKS`` consecutive
     chunks are stepped through ``ordered_map``, each as one state array, so
     the result depends only on (seed, base_key), not on ``threads``, and is
-    the chunk-by-chunk run's bit for bit.  A group that raises is stepped
-    again one chunk at a time, so the error raised is the chunk-by-chunk
-    run's: that of its lowest chunk that raises alone.
+    the chunk-by-chunk run's bit for bit.  A group that raises
+    ``SimulationOverflow`` or an ``ArithmeticError`` is stepped again one
+    chunk at a time, so the error raised is the chunk-by-chunk run's: that of
+    its lowest chunk that raises alone.  Any other error propagates as the
+    group raised it.
     Raises ConfigError unless ``n_steps`` and ``n_paths`` are >= 1 and
     ``n_paths`` x ``n_steps`` is at most ``MAX_PATH_STEPS``, and
     DimensionMismatch unless x0 has shape (d,), both before any step.
@@ -707,10 +697,11 @@ def simulate_ensemble(blocks, drift_field, x0, horizon: float, n_steps: int,
     def work(group):
         try:
             return run(group)
-        except Exception:
+        except (SimulationOverflow, ArithmeticError):
             if len(group) == 1:
                 raise
-        # the chunk-by-chunk run meets the first error of the lowest chunk that raises
+        # such an error depends on the states reached, and the chunk-by-chunk run meets
+        # the first one of the lowest chunk that raises; any other error is the group's
         for chunk in group:
             run([chunk])
 

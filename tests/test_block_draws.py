@@ -101,6 +101,46 @@ def test_helper_steps_are_successive_sampler_calls(name, m):
             assert _same_bits(getattr(s, field), getattr(want, field)), field
 
 
+# every measure variant with and without a Gaussian part, and the planar n = 2 driver
+OUT_MEASURES = {
+    "zero": lambda: ZeroMeasure(),
+    "atoms": lambda: FiniteActivity(30.0, AtomLaw.of([(1.0, 0.5), (-0.5, 0.5)])),
+    "law": lambda: FiniteActivity(30.0, normal_law(0.1, 0.6)),
+    "stable_1": lambda: StableSymmetric(1.0, 0.5),
+    "stable_1.5": lambda: StableSymmetric(1.5, 0.7),
+    "density": lambda: catalog.tempered_density_driver().levy_measure,
+}
+OUT_DRIVERS = {
+    **{f"{name}_{part}": lambda make=make, q=q: LevyTriplet([0.3], [[q]], make())
+       for name, make in OUT_MEASURES.items() for part, q in (("pure", 0.0), ("gauss", 2.0))},
+    **{f"planar_{part}": lambda q=q: LevyTriplet(
+        [0.1, -0.2], q * np.array([[1.0, 0.3], [0.3, 0.5]]),
+        FiniteActivity(40.0, AtomLaw.of([((0.5, -0.2), 0.5), ((-1.5, 0.3), 0.5)])))
+       for part, q in (("pure", 0.0), ("gauss", 1.0))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_DRIVERS))
+def test_a_draw_into_out_is_the_fresh_draw(name):
+    # three steps of 7 paths into rows 2..8 of a 12-row buffer, against fresh-array
+    # draws from the same generator state
+    driver, m = OUT_DRIVERS[name](), 7
+    buf = np.full((m + 5, driver.dim), 7.5)
+    into, fresh = rng_at(6, 4), rng_at(6, 4)
+    jumped = 0
+    for _ in range(3):
+        out = buf[2:2 + m]
+        got = sample_step_ensemble(driver, 0.01, m, into, out)
+        want = sample_step_ensemble(driver, 0.01, m, fresh)
+        assert got.smooth is out
+        for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), field
+        assert (buf[:2] == 7.5).all() and (buf[2 + m:] == 7.5).all()
+        jumped += int(got.jump_counts.sum())
+    assert into.random() == fresh.random()
+    assert (jumped > 0) == (name.startswith(("atoms", "law", "density", "planar")))
+
+
 @pytest.mark.parametrize("name", sorted(BLOCKED))
 def test_blocked_driver_leaves_the_stream_where_per_step_draws_do(name):
     driver, m = DRIVERS[name](), 3

@@ -6,8 +6,9 @@ generators but steps ``GROUP_CHUNKS`` consecutive chunks as one state array.
 these tests require the same terminal states, exits, maxima and errors bit for
 bit.  ``DEFAULT_CHUNK`` is patched to C = 2100, above ``BLOCK_ROWS`` / 2, so a
 full chunk draws step by step while a last chunk of a few paths draws K-step
-runs, and the path counts 1, C - 1, C, C + 1, 2C, 2C + 1 and 3C + 1 give groups
-of one and two chunks, full and partial.
+runs when it is its group's only chunk and step by step beside another, and
+the path counts 1, C - 1, C, C + 1, 2C, 2C + 1 and 3C + 1 give groups of one
+and two chunks, full and partial.
 """
 
 import re
@@ -83,15 +84,16 @@ def test_groups_match_the_chunk_by_chunk_oracle(case, n_paths, threads, monkeypa
         _assert_same_ensemble(got, want)
 
 
-def test_partial_chunk_runs_merge_with_a_step_by_step_partner(monkeypatch):
-    # C + 1 paths are one group: chunk 0 draws step by step, chunk 1's one path draws
-    # all six steps in one call, and each group step takes one row of that run
+def test_a_partial_chunk_in_a_group_draws_step_by_step(monkeypatch):
+    # C + 1 paths are one group: chunk 1's one path, which alone would draw all six
+    # steps in one call, draws one step per call beside chunk 0, into its row of the
+    # group's draw array
     monkeypatch.setattr(sde, "DEFAULT_CHUNK", C)
     runs, rows = [], []
     driver_steps, increment = sde._driver_steps, sde._smooth_increment
 
-    def spied_steps(driver, dt, n_steps, m, rng):
-        for run in driver_steps(driver, dt, n_steps, m, rng):
+    def spied_steps(driver, dt, n_steps, m, rng, out=None):
+        for run in driver_steps(driver, dt, n_steps, m, rng, out):
             runs.append((m, len(run) if type(run) is np.ndarray else 1))
             yield run
 
@@ -104,7 +106,7 @@ def test_partial_chunk_runs_merge_with_a_step_by_step_partner(monkeypatch):
     got, want = _run_both("gauss", C + 1, 1, stop_radius=0.4, record_max=True)
     _assert_same_ensemble(got, want)
     assert BLOCK_ROWS // C == 1
-    assert sorted(set(runs)) == [(1, 6), (C, 1)]
+    assert sorted(set(runs)) == [(1, 1), (C, 1)] and len(runs) == 12
     assert rows == [C + 1] * 6          # one smooth update per group step
 
 
@@ -121,6 +123,37 @@ def test_each_group_step_is_one_smooth_update(monkeypatch):
     got, want = _run_both("planar", 3 * C + 1, 1, stop_radius=0.4)
     _assert_same_ensemble(got, want)
     assert rows == [2 * C] * 6 + [C + 1] * 6
+
+
+def _field_failing_on_groups(error):
+    """bm_bump's field, raising ``error`` on more rows than a chunk of 4 paths holds."""
+    fld = catalog.bm_bump().coefficient
+
+    def batch(xs):
+        if len(xs) > 4:
+            raise error
+        return fld.many(xs)
+    return CoefficientField(batch_fn=batch, d=1, n=1, bound=fld.bound, lipschitz=fld.lipschitz)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("error", [TypeError, KeyError, ZeroDivisionError, FloatingPointError])
+def test_only_an_arithmetic_error_of_a_group_is_stepped_again(error, threads, monkeypatch):
+    # 16 paths are four chunks of 4, stepped in two groups of 8 rows; stepped alone,
+    # no chunk meets the error.  An arithmetic error, like an overflow, depends on the
+    # states reached, so the group is stepped again chunk by chunk; any other error is
+    # a fault of the group step and propagates
+    monkeypatch.setattr(sde, "DEFAULT_CHUNK", 4)
+    model = _model(catalog.bm_driver(), _field_failing_on_groups(error("a group's rows")))
+    args = (model.blocks(), None, np.zeros(1), 0.4, 4, 16, 5)
+    if not issubclass(error, ArithmeticError):
+        with pytest.raises(error, match="a group's rows"):
+            simulate_ensemble(*args, threads=threads)
+        return
+    got = simulate_ensemble(*args, threads=threads, stop_radius=0.3, record_max=True)
+    want = ref.simulate_ensemble_at_x0(*args, threads=threads, stop_radius=0.3,
+                                       record_max=True)
+    _assert_same_ensemble(got, want)
 
 
 def _poisson_past_the_guard():
