@@ -44,8 +44,9 @@ rate times an AtomLaw or a ContinuousLaw, whose formulas it scales),
 StableSymmetric and DensityForm.  Each holds its own formulas, and the
 exponent, the sampler, the frozen triplet, the generator and the index bounds
 reach a measure only through ``dim`` (None for the zero measure),
-``exponent_many(xi)``, ``sample_step`` (see :func:`sample_step_ensemble`;
-FiniteActivity and DensityForm share one compound-Poisson step),
+``exponent_many(xi)``, ``sample_step(smooth, dt, rng)`` (adds its part to a
+step's increments in place, see :func:`sample_step_ensemble`; FiniteActivity
+and DensityForm share one compound-Poisson step),
 ``image(phi)`` (the measure under y -> phi y), ``truncation_shift(phi)``,
 ``generator_term(u, x)``, ``mass_ratio()`` (int y^2/(1+y^2) N(dy)) and
 ``step_distributions``, the number of distributions one sampled step draws
@@ -80,6 +81,9 @@ class AtomLaw:
     probabilities: tuple
 
     def __post_init__(self):
+        if not (all(np.isfinite(y).all() for y in self.positions)
+                and all(isfinite(p) for p in self.probabilities)):
+            raise ValueError("atom positions and probabilities must be finite")
         total = float(sum(self.probabilities))
         if abs(total - 1.0) > _ATOL:
             raise ValueError(f"atom probabilities sum to {total}, expected 1 +- {_ATOL}")
@@ -148,7 +152,9 @@ class AtomLaw:
         return out
 
     def image(self, phi: float) -> "AtomLaw":
-        return AtomLaw.of([(phi * y[0], p) for y, p in zip(self.positions, self.probabilities)])
+        with np.errstate(over="raise"):         # an overflowing position is numerical, not config
+            return AtomLaw.of([(phi * y[0], p)
+                               for y, p in zip(self.positions, self.probabilities)])
 
     def truncation_integral(self, a: float) -> float:
         """int y (1_{|y| < 1/a} - 1_{|y| < 1}) against the law, one-dimensional."""
@@ -268,6 +274,8 @@ class ContinuousLaw:
 
 def normal_law(mean: float = 0.0, std: float = 1.0) -> ContinuousLaw:
     m, s = float(mean), float(std)
+    if not s > 0:
+        raise ValueError(f"normal law std must be > 0, got {s}")
     return ContinuousLaw(
         name="normal",
         sampler=lambda rng, size: rng.normal(m, s, size=size),
@@ -279,6 +287,8 @@ def normal_law(mean: float = 0.0, std: float = 1.0) -> ContinuousLaw:
 
 def uniform_law(low: float = -1.0, high: float = 1.0) -> ContinuousLaw:
     a, b = float(low), float(high)
+    if not (a < b and isfinite(b - a)):
+        raise ValueError(f"uniform law needs low < high with a finite high - low, got {a} and {b}")
     series = [(-1.0) ** k / factorial(2 * k + 1) for k in range(6, 0, -1)]   # of t^12 .. t^2
 
     def cf_m1(xi):
@@ -503,8 +513,8 @@ class ZeroMeasure:
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
         return np.zeros(xi.shape[0], dtype=complex)
 
-    def sample_step(self, smooth, shift, dt, m, rng):
-        return smooth, shift, None, None
+    def sample_step(self, smooth, dt, rng):
+        return None, None
 
     def image(self, phi: float) -> "ZeroMeasure":
         return self
@@ -529,22 +539,20 @@ def poisson_counts(rng, activity, dt, size):
     return rng.poisson(activity * dt, size=size)
 
 
-def _compound_poisson_step(smooth, shift, dt, m, rng, activity, draw, comp):
+def _compound_poisson_step(smooth, dt, rng, activity, draw, comp):
     """``sample_step`` of a measure whose jumps are simulated one by one.
 
     Poisson counts at ``activity`` jumps per unit time, values from
-    ``draw(rng, k)``, positions uniform on (0, dt); ``comp`` is the
-    compensator of the simulated jumps over dt.
+    ``draw(rng, k)``, positions uniform on (0, dt); ``comp``, the compensator
+    of the simulated jumps over dt, is subtracted from ``smooth``.
     """
-    counts = poisson_counts(rng, activity, dt, m)
+    counts = poisson_counts(rng, activity, dt, smooth.shape[0])
     total = int(counts.sum())
     jumps = None
     if total:
         jumps = (draw(rng, total), rng.uniform(0.0, dt, size=total))
-    if smooth is None:
-        return None, shift - comp, counts, jumps
     smooth -= comp
-    return smooth, shift, counts, jumps
+    return counts, jumps
 
 
 @dataclass(frozen=True)
@@ -573,8 +581,8 @@ class FiniteActivity:
         """Simulated jumps per unit time."""
         return self.rate
 
-    def sample_step(self, smooth, shift, dt, m, rng):
-        return _compound_poisson_step(smooth, shift, dt, m, rng, self.rate, self.law.sample,
+    def sample_step(self, smooth, dt, rng):
+        return _compound_poisson_step(smooth, dt, rng, self.rate, self.law.sample,
                                       dt * self.rate * self.small_jump_mean)
 
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
@@ -622,14 +630,11 @@ class StableSymmetric:
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
         return self.scale * np.linalg.norm(xi, axis=-1) ** self.alpha + 0j
 
-    def sample_step(self, smooth, shift, dt, m, rng):
-        draw = sample_standard_stable(self.alpha, rng, m).reshape(m, 1)
+    def sample_step(self, smooth, dt, rng):
+        draw = sample_standard_stable(self.alpha, rng, smooth.shape[0]).reshape(smooth.shape)
         draw *= (self.scale * dt) ** (1.0 / self.alpha)
-        if smooth is None:
-            draw += shift
-            return draw, shift, None, None
         smooth += draw
-        return smooth, shift, None, None
+        return None, None
 
     def image(self, phi: float) -> LevyMeasureSpec:
         if phi == 0.0:
@@ -706,8 +711,8 @@ class DensityForm:
         np.negative(out, out=out, where=negative)
         return out.reshape(size, 1)
 
-    def sample_step(self, smooth, shift, dt, m, rng):
-        return _compound_poisson_step(smooth, shift, dt, m, rng, self.activity,
+    def sample_step(self, smooth, dt, rng):
+        return _compound_poisson_step(smooth, dt, rng, self.activity,
                                       self.sample_jumps, dt * self.small_jump_drift)
 
     def exponent_many(self, xi: np.ndarray) -> np.ndarray:
@@ -968,38 +973,30 @@ def sample_step_ensemble(triplet: LevyTriplet, dt: float, m: int,
 
     Draws, in this order: the Gaussian normals, then the jump part (stable
     variates, or Poisson counts followed by jump values and positions).
-    ``smooth`` sums, in this order, drift * dt, the Gaussian part, the stable
-    part, and minus the compensator of the simulated jumps.  Given ``out``, a
-    C-contiguous (m, n) float array, ``smooth`` is formed in it and is
-    ``out``, the same values bit for bit as without it.
-
-    The jump part is the measure's ``sample_step(smooth, shift, dt, m, rng)``:
-    it adds its part to ``smooth`` (None without a Gaussian part) or to
-    ``shift``, and returns both with ``counts`` and ``(values, positions)``,
-    each None when it simulates no jumps.
+    ``smooth`` starts as drift * dt plus the Gaussian part; the measure's
+    ``sample_step(smooth, dt, rng)`` adds the jump part to it in place (the
+    stable part, or minus the compensator of the simulated jumps) and returns
+    ``counts`` and ``(values, positions)``, each None when it simulates no
+    jumps.  Given ``out``, a C-contiguous (m, n) float array, ``smooth`` is
+    formed in it and is ``out``, the same values bit for bit as without it.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = triplet.dim
-    shift = triplet.drift * dt
-    smooth = None
     if triplet.gaussian:
-        smooth = rng.standard_normal(size=(m, n), out=out)
+        smooth = rng.standard_normal(size=(m, n), out=out if n == 1 else None)
         smooth += 0.0               # rng.normal's 0 + 1 * z: -0.0 becomes +0.0
         smooth *= np.sqrt(dt)
         if n == 1:
             smooth *= triplet.sigma[0, 0]       # what z @ sigma.T rounds to when n = 1
         else:
-            smooth = smooth @ triplet.sigma.T
-        smooth += shift
-
-    smooth, shift, counts, jumps = triplet.levy_measure.sample_step(smooth, shift, dt, m, rng)
-    if smooth is None:
+            smooth = np.matmul(smooth, triplet.sigma.T, out=out)
+        smooth += triplet.drift * dt
+    else:
         smooth = np.empty((m, n)) if out is None else out
-        smooth[...] = shift
-    elif out is not None and smooth is not out:     # n > 1, or stable draws only
-        out[...] = smooth
-        smooth = out
+        smooth[...] = triplet.drift * dt
+
+    counts, jumps = triplet.levy_measure.sample_step(smooth, dt, rng)
     if counts is None:
         counts = no_jumps(m)
     values, positions = jumps or (triplet._no_jump_values, _NO_POSITIONS)

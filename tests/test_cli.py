@@ -1094,18 +1094,25 @@ def test_mc_table_refuses_a_frequency_of_another_shape(xi, no_work):
 
 
 # a float overflow inside a computation is a numerical failure: exit 3, one line
+# the frozen image of atoms at +-1e300 under phi ~ 1e10 overflows where it is formed; it
+# went on to a NaN quadrature estimate, exit 3 after four numpy warnings
 OVERFLOWS = {
-    "huge-bump": {"model": {"coefficient": {"name": "bump", "params": {"a": 1e308, "b": 1.0}},
-                            "driver": {"name": "cp_pm1"}}, "x_grid": [0.3]},
+    "huge-bump": ({"model": {"coefficient": {"name": "bump", "params": {"a": 1e308, "b": 1.0}},
+                             "driver": {"name": "cp_pm1"}}, "x_grid": [0.3]}, "OverflowError"),
+    "huge-atom-image": ({"model": {
+        "coefficient": {"name": "bump", "params": {"a": 1e10, "b": 1.0}},
+        "driver": {"drift": [0.0], "levy_measure": {"kind": "atoms", "rate": 1.0,
+                                                    "atoms": [[1e300, 0.5], [-1e300, 0.5]]}}},
+        "x_grid": [0.0]}, "FloatingPointError"),
 }
 
 
-@pytest.mark.parametrize("cfg", OVERFLOWS.values(), ids=list(OVERFLOWS))
-def test_float_overflow_exits_3(cfg, tmp_path, capfd):
+@pytest.mark.parametrize("cfg, error", OVERFLOWS.values(), ids=list(OVERFLOWS))
+def test_float_overflow_exits_3(cfg, error, tmp_path, capfd):
     assert main_with_config("generator-check", cfg, tmp_path) == 3
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
-    assert (err["error"], err["exit_code"]) == ("OverflowError", 3)
+    assert (err["error"], err["exit_code"]) == (error, 3)
     assert not (tmp_path / "out" / "results.json").exists()
 
 
@@ -1188,3 +1195,48 @@ def test_non_finite_catalog_parameter_exits_2(kind, token, cfg, field, message, 
     assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
     assert (err["error"], err["field"], err["message"]) == ("ConfigError", field, message)
     assert not (out / "results.json").exists()
+
+
+# a jump law or atom no measure can hold is refused where it is built, so each kind exits 2
+# naming the key that holds it, with the one error line on stderr.  A normal std of 0
+# exited 3 after numpy warnings, std -1 and a reversed uniform exited 0 with wrong values
+# (or 2 without a field on simulate), an empty uniform exited 3, and an overflowing
+# uniform width or a NaN atom wrote null re and im at exit 0
+BAD_LAWS = {
+    "normal-std-zero": ({"law": {"name": "normal", "std": 0.0}},
+                        "normal law std must be > 0, got 0.0"),
+    "normal-std-negative": ({"law": {"name": "normal", "std": -1.0}},
+                            "normal law std must be > 0, got -1.0"),
+    "uniform-empty": ({"law": {"name": "uniform", "low": 1.0, "high": 1.0}},
+                      "uniform law needs low < high with a finite high - low, got 1.0 and 1.0"),
+    "uniform-reversed": ({"law": {"name": "uniform", "low": 2.0, "high": -1.0}},
+                         "uniform law needs low < high with a finite high - low, "
+                         "got 2.0 and -1.0"),
+    "uniform-overflowing-width": ({"law": {"name": "uniform", "low": -1e308, "high": 1e308}},
+                                  "uniform law needs low < high with a finite high - low, "
+                                  "got -1e+308 and 1e+308"),
+    "atom-position-nan": ({"atoms": [[float("nan"), 0.5], [-1.0, 0.5]]},
+                          "atom positions and probabilities must be finite"),
+    "atom-probability-nan": ({"atoms": [[1.0, float("nan")], [-1.0, 0.5]]},
+                             "atom positions and probabilities must be finite"),
+}
+LAW_KINDS = {
+    "symbol-analytic": lambda model: {"model": model, "x_grid": [0.3], "xi_grid": [1.0]},
+    "generator-check": lambda model: {"model": model, "x_grid": [0.3]},
+    "simulate": lambda model: {"model": model, "horizon": 0.1, "step": 0.01},
+    "bound-diagnostic": lambda model: {"driver": model["driver"]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAW_KINDS))
+@pytest.mark.parametrize("measure, message", BAD_LAWS.values(), ids=list(BAD_LAWS))
+def test_bad_jump_law_exits_2(kind, measure, message, tmp_path, capfd, no_work):
+    driver = {"drift": [0.0], "levy_measure": {"kind": "atoms", "rate": 1.0, **measure}}
+    model = {"coefficient": {"name": "bump", "params": {"a": 0.5, "b": 1.0}}, "driver": driver}
+    assert main_with_config(kind, LAW_KINDS[kind](model), tmp_path) == 2
+    field = "driver" if kind == "bound-diagnostic" else "model"
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["field"], err["message"]) == ("ConfigError", field,
+                                                            f"{field}: {message}")
+    assert not (tmp_path / "out" / "results.json").exists()

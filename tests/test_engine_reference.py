@@ -12,6 +12,7 @@ from symbolkit.levy import (AtomLaw, FiniteActivity, LevyTriplet, StableSymmetri
 from symbolkit.sde import (BLOCK_ROWS, OVERFLOW_GUARD, MultiDriverSpec, simulate_ensemble,
                            simulate_multi, simulate_paths_dense)
 from symbolkit.seeding import TAG_PATH, rng_at
+from test_block_draws import OUT_DRIVERS, OUT_MEASURES
 
 
 def _model(driver, phi, drift=None):
@@ -253,19 +254,27 @@ def test_overflow_matches_reference(radius, rate):
 
 
 def test_sampler_matches_reference():
+    # the oracle sums drift * dt first, then the Gaussian, stable and compensator parts;
+    # every measure variant runs with drift 0.3 and -0.0, with and without a Gaussian
+    # part, each drawn into a fresh array and into a given one
     triplets = [model.driver for model in (catalog.bm_bump(), catalog.cp_tanh(),
                                                     catalog.stable_sin())]
     triplets += [catalog.tempered_density_driver(), catalog.drift_driver(0.5),
                  _planar_model().driver,
                  LevyTriplet([0.2], [[0.4]], StableSymmetric(1.3, 0.5)),
                  LevyTriplet([0.0], [[2.0]], FiniteActivity(3.0, normal_law(0.2, 0.5)))]
+    triplets += [make() for make in OUT_DRIVERS.values()]
+    triplets += [LevyTriplet([-0.0], [[q]], make())
+                 for make in OUT_MEASURES.values() for q in (0.0, 2.0)]
     for trip in triplets:
         for m in (1, 257):
-            got = sk.levy.sample_step_ensemble(trip, 0.05, m, sk.seeding.rng_at(9, m))
             want = ref.sample_step_ensemble(trip, 0.05, m, sk.seeding.rng_at(9, m))
-            for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+            for out in (None, np.empty((m, trip.dim))):
+                got = sk.levy.sample_step_ensemble(trip, 0.05, m, sk.seeding.rng_at(9, m), out)
+                for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.shape == b.shape, (trip, field)
+                    assert np.ascontiguousarray(a).tobytes() == b.tobytes(), (trip, field)
 
 
 # --------------------------------------------------------------------------

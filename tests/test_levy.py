@@ -124,6 +124,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_step_ensemble(sk.LevyTriplet([0.0], [[1.0]]), 0.0, 1, rng_at(2))
 
+    @pytest.mark.parametrize("name", ["bm", "stable_15", "cp_pm1"])
+    def test_nan_dt_rejected(self, name):
+        # a NaN dt passed a dt <= 0 test: NaN draws, or numpy's "lam < 0 or lam is NaN"
+        trip = catalog_triplets()[name]
+        with pytest.raises(ValueError, match="dt must be positive, got nan"):
+            sample_step_ensemble(trip, float("nan"), 1, rng_at(2))
+
     def test_poisson_unit_jump_mean(self):
         # E[increment] = rate * dt * E[jump]; oracle is the Poisson mean formula
         trip = sk.LevyTriplet([0.0], [[0.0]],
