@@ -32,10 +32,12 @@ Gamma value, :func:`stable_density_coefficient`'s among them, is ``math.gamma``.
 Every e^{i phase} of real phase, here and in the Monte Carlo estimator, comes
 from :func:`expi`: cos into the real part, sin(phase + 0.0) into the
 imaginary part, bit for bit what ``np.exp(1j * phase)`` returns, without the
-cost of the complex exp.  An atom at the exact negation of an earlier atom's
-position reuses that atom's cos/sin, which halves the trigonometry of a
-symmetric atom law; the atom terms are formed ``CHUNK_ROWS`` frequencies at a
-time, each row's arithmetic unchanged.  A triplet without drift and Gaussian
+cost of the complex exp.  An even atom law, its atoms in adjacent pairs
+(y, -y) of equal probability, has a real exponent and takes one cos and no
+sine per pair: (cos - 1) rate p subtracted twice, which rounds as the pair's
+complex terms do.  Any other atom law sums e^{i phase} terms atom by atom.
+The atom terms are formed ``CHUNK_ROWS`` frequencies at a time, each row's
+arithmetic unchanged.  A triplet without drift and Gaussian
 part returns its jump part plus 0.0, which rounds as adding the two zero
 parts did.
 
@@ -106,48 +108,65 @@ class AtomLaw:
         stacked = np.stack(self.positions)
         return stacked[idx]
 
+    @cached_property
+    def small(self) -> tuple:
+        """Per atom, whether |y| < 1 (the compensated atoms): np.linalg.norm's verdict,
+        from |y| in d = 1 and from a norm that may overflow, quietly, in d > 1."""
+        if self.dim == 1:
+            return tuple(abs(float(y[0])) < 1.0 for y in self.positions)
+        with np.errstate(over="ignore"):
+            return tuple(bool(np.linalg.norm(y) < 1.0) for y in self.positions)
+
+    @cached_property
+    def even(self) -> bool:
+        """Whether the atoms come in adjacent pairs (y, -y) of equal probability."""
+        pos, prob = self.positions, self.probabilities
+        return len(pos) % 2 == 0 and all(
+            np.array_equal(pos[k + 1], -pos[k]) and prob[k + 1] == prob[k]
+            for k in range(0, len(pos), 2))
+
     def mean_small(self) -> np.ndarray:
         """E[Y 1_{|Y|<1}], the compensated part of the jump mean."""
         out = np.zeros(self.dim)
-        for y, p in zip(self.positions, self.probabilities):
-            if np.linalg.norm(y) < 1.0:
+        for y, p, small in zip(self.positions, self.probabilities, self.small):
+            if small:
                 out += p * y
         return out
 
     def exponent_many(self, rate: float, xi: np.ndarray) -> np.ndarray:
         """-rate * sum_k p_k (e^{i xi.y_k} - 1 - i xi.y_k 1_{|y_k|<1}), atom by atom.
 
-        An atom at the exact negation of an earlier atom's position takes that
-        atom's e^{i phase} conjugated (cos is even, sin is odd); each atom lends
-        its e^{i phase} at most once.  At a zero phase the conjugate's imaginary
-        part is -0 where sin(+-0 + 0.0) is +0; the product with rate * p rounds
-        both to +0.
+        An even law (``even``) takes one cos per pair: r = (cos(xi.y) - 1) rate p
+        is subtracted twice from the real part, and the imaginary part stays +0.
+        That is the complex sum bit for bit: each atom's real part is that r
+        (the compensator and the products with +-0 leave it alone), and the
+        pair's imaginary parts cancel exactly (cos is even, sin odd), back to
+        the +0 the sum started from.  Any other law sums the complex terms.
+        An infinite phase xi.y raises FloatingPointError; a NaN one (a NaN
+        state or frequency) gives NaN, in the real part only for an even law.
         """
-        pos = self.positions
-        partner = {}                # atom k -> the earlier atom at -y_k whose e^{i phase} it takes
-        for k, y in enumerate(pos):
-            taken = set(partner) | set(partner.values())
-            i = next((i for i in range(k) if i not in taken and np.array_equal(pos[i], -y)), None)
-            if i is not None:
-                partner[k] = i
-        lenders = set(partner.values())
-        small = [np.linalg.norm(y) < 1.0 for y in pos]
+        pos, prob, small, even = self.positions, self.probabilities, self.small, self.even
         out = np.zeros(xi.shape[0], dtype=complex)
         for c0 in range(0, xi.shape[0], CHUNK_ROWS):
             rows = slice(c0, c0 + CHUNK_ROWS)
-            conjugates = {}
-            for k, (y, p) in enumerate(zip(pos, self.probabilities)):
-                phase = row_dot(xi[rows], y) if small[k] or k not in partner else None
-                if k in partner:
-                    term = conjugates.pop(partner[k])
-                else:
-                    term = expi(phase)
-                    if k in lenders:
-                        conjugates[k] = np.conj(term)
+            for k in range(0, len(pos), 2 if even else 1):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    phase = row_dot(xi[rows], pos[k])
+                if np.isinf(phase).any():
+                    raise FloatingPointError(
+                        f"atom phase xi.y overflows at the atom y = {pos[k].tolist()}")
+                if even:
+                    r = np.cos(phase, out=phase)
+                    r -= 1.0
+                    r *= rate * prob[k]
+                    out.real[rows] -= r
+                    out.real[rows] -= r
+                    continue
+                term = expi(phase)
                 term -= 1.0
                 if small[k]:
                     term -= 1j * phase
-                term *= rate * p
+                term *= rate * prob[k]
                 out[rows] -= term
         return out
 
@@ -168,7 +187,9 @@ class AtomLaw:
         return sum(p * g(float(y[0])) for y, p in zip(self.positions, self.probabilities))
 
     def mass_ratio(self) -> float:
-        return sum(p * float(y[0]) ** 2 / (1.0 + float(y[0]) ** 2)
+        # from |y| = 2^512 on y^2 overflows, and p y^2 / (1 + y^2) is p to 2^-1024
+        return sum(p if abs(float(y[0])) >= 2.0 ** 512
+                   else p * float(y[0]) ** 2 / (1.0 + float(y[0]) ** 2)
                    for y, p in zip(self.positions, self.probabilities))
 
 

@@ -284,8 +284,10 @@ def _driver_steps(driver, dt, n_steps, m, rng, out=None):
     alone.  Any other driver, a blockable one when K <= 1 and a look-ahead one
     when K < ``MIN_LOOK_AHEAD``, draws once per step, and so does every driver
     given ``out``, an (m, n) array that each step's smooth draws are formed
-    in.  The sampler is looked up in ``levy`` at each call, so a wrapper put
-    there sees every draw, once per path-step.
+    in.  A run of several steps is formed in one K*m-row buffer, drawn into
+    again for the next run: the caller is done with a run before it asks for
+    the next (see ``_step_samples``).  The sampler is looked up in ``levy``
+    at each call, so a wrapper put there sees every draw, once per path-step.
     """
     rate = driver.jump_activity
     k_block = BLOCK_ROWS // m if out is None and (driver.blockable or rate is not None) else 1
@@ -299,11 +301,13 @@ def _driver_steps(driver, dt, n_steps, m, rng, out=None):
             yield s if s.jump_values.shape[0] else s.smooth[None]
         return
     k0 = 0
+    buf = np.empty((k_block * m, driver.dim))
     while k0 < n_steps:
         k = min(k_block, n_steps - k0)
         j = k if rate is None else _steps_before_jump(rng, rate, dt, k, m)
         if j:
-            yield levy.sample_step_ensemble(driver, dt, j * m, rng).smooth.reshape(j, m, -1)
+            yield levy.sample_step_ensemble(driver, dt, j * m, rng,
+                                            buf[:j * m]).smooth.reshape(j, m, -1)
         if j < k:
             yield levy.sample_step_ensemble(driver, dt, m, rng)
         k0 += min(j + 1, k)

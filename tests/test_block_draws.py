@@ -90,15 +90,17 @@ def test_look_ahead_only_for_pure_compound_poisson_with_n_1(name):
 @pytest.mark.parametrize("m", [1, 3, BLOCK_ROWS + 1])
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_helper_steps_are_successive_sampler_calls(name, m):
+    # each step is checked as it is handed out: a run's rows are valid until the next draw
     driver = DRIVERS[name]()
     n_steps = _steps_for(m)
-    got = list(_each_step(driver, 0.01, n_steps, m, rng_at(4, 2)))
     rng = rng_at(4, 2)
-    assert len(got) == n_steps
-    for s in got:
+    seen = 0
+    for s in _each_step(driver, 0.01, n_steps, m, rng_at(4, 2)):
         want = sample_step_ensemble(driver, 0.01, m, rng)
         for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
             assert _same_bits(getattr(s, field), getattr(want, field)), field
+        seen += 1
+    assert seen == n_steps
 
 
 # every measure variant with and without a Gaussian part, and the planar n = 2 driver
@@ -141,6 +143,16 @@ def test_a_draw_into_out_is_the_fresh_draw(name):
     assert (jumped > 0) == (name.startswith(("atoms", "law", "density", "planar")))
 
 
+@pytest.mark.parametrize("name", ["gaussian", "cauchy", "compound_poisson"])
+def test_block_runs_are_drawn_into_one_buffer(name):
+    # a run of several steps is formed where the run before it was
+    driver = DRIVERS[name]()
+    runs = [run for run in _driver_steps(driver, 1e-4, _steps_for(3), 3, rng_at(6, 1))
+            if not isinstance(run, StepSample) and len(run) > 1]
+    assert len(runs) >= 2
+    assert all(np.shares_memory(runs[0], run) for run in runs[1:])
+
+
 @pytest.mark.parametrize("name", sorted(BLOCKED))
 def test_blocked_driver_leaves_the_stream_where_per_step_draws_do(name):
     driver, m = DRIVERS[name](), 3
@@ -161,12 +173,13 @@ def test_look_ahead_steps_are_successive_sampler_calls(name, m):
     driver = DRIVERS[name]()
     dt = 0.1 / driver.jump_activity
     helper, plain = rng_at(4, 3), rng_at(4, 3)
-    got = list(_each_step(driver, dt, 200, m, helper))
-    assert len(got) == 200 and sum(int(s.jump_counts.sum()) for s in got) >= 10
-    for s in got:
+    seen = jumps = 0
+    for s in _each_step(driver, dt, 200, m, helper):
         want = sample_step_ensemble(driver, dt, m, plain)
         for field in ("smooth", "jump_counts", "jump_values", "jump_positions"):
             assert _same_bits(getattr(s, field), getattr(want, field)), field
+        seen, jumps = seen + 1, jumps + int(s.jump_counts.sum())
+    assert seen == 200 and jumps >= 10
     assert helper.random() == plain.random()
 
 

@@ -1116,6 +1116,50 @@ def test_float_overflow_exits_3(cfg, error, tmp_path, capfd):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+# an atom phase xi.y that overflows is a numerical failure: exit 3, one line, no numpy
+# warning; each exited 0 with re and im null (or a quiet index record) after four warnings
+def _atoms_driver(atoms):
+    return {"drift": [0.0], "covariance": [[0.0]],
+            "levy_measure": {"kind": "atoms", "rate": 1.0, "atoms": atoms}}
+
+
+ATOM_PHASE_OVERFLOWS = {
+    "huge-atoms": ("symbol-analytic", {"model": {
+        "coefficient": {"name": "bump", "params": {"a": 1e10}},
+        "driver": _atoms_driver([[1e300, 0.5], [-1e300, 0.5]])},
+        "x_grid": [0.0], "xi_grid": [1.0]}),
+    "huge-xi": ("symbol-analytic", {"model": {"name": "cp_tanh"}, "x_grid": [0.0],
+                                    "xi_grid": [1e308]}),
+    "huge-eta-max": ("indices", {"symbol": {"model": {"name": "cp_tanh"}}, "x_grid": [0.0],
+                                 "eta_max": 1e308, "x_box": [-2.0, 2.0, 3],
+                                 "compute_beta0": False}),
+}
+
+
+@pytest.mark.parametrize("kind, cfg", ATOM_PHASE_OVERFLOWS.values(),
+                         ids=list(ATOM_PHASE_OVERFLOWS))
+def test_an_atom_phase_that_overflows_exits_3(kind, cfg, tmp_path, capfd):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main_with_config(kind, cfg, tmp_path) == 3
+    assert not caught
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert capfd.readouterr().err == json.dumps(err, sort_keys=True) + "\n"
+    assert (err["error"], err["exit_code"]) == ("FloatingPointError", 3)
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_bound_diagnostic_on_atoms_past_2_to_the_512_exits_0(tmp_path, capfd):
+    # y^2 overflowed in the mass ratio: exit 3 with an OverflowError, after a numpy warning
+    cfg = {"driver": _atoms_driver([[1e200, 0.5], [-1e200, 0.5]])}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main_with_config("bound-diagnostic", cfg, tmp_path) == 0
+    assert not caught and capfd.readouterr().err == ""
+    results = json.loads((tmp_path / "out" / "results.json").read_text())["results"]
+    assert results["triplet_norm"] == 1.0
+
+
 # a NaN or infinite catalog parameter exits 2 naming the key that holds it, before any
 # symbol is evaluated; each config holds the placeholder VALUE, replaced by the raw JSON
 # token.  symbol-analytic exited 0 with re and im null on the first three, and the NaN

@@ -6,6 +6,8 @@ the MC values at +xi alone of ``_values_for_pm_xi``.  Equality is on the
 int64 view, so signed zeros count.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,12 +162,159 @@ def test_psi_many_across_row_chunks_bit_for_bit(name):
 
 
 def test_mirrored_atoms_share_at_signed_zeros():
-    # y and -y at xi = +-0: the conjugate's -0 sine must not reach the result
+    # y and -y at xi = +-0: the even path's real part and +0 imaginary part
     measure = FiniteActivity(1.0, AtomLaw.of([(1.0, 0.5), (-1.0, 0.5)]))
     xi = np.array([[0.0], [-0.0]])
     got = measure.exponent_many(xi)
     assert_same_bits(got, old_atom_exponent(measure, xi))
     assert_same_bits(got, np.zeros(2, dtype=complex))
+
+
+# --------------------------------------------------------------------------
+# even atom laws: one cos per mirror pair, against the complex sum
+
+XI_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-320, -TINY / 2.0, TINY, 1e-9, -1e-9,
+                     1e8, -1e8])
+SMALL_Y = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)     # compensated
+LARGE_Y = st.floats(1.0, 1e150) | st.floats(-1e150, -1.0)
+RATES = st.floats(1e-300, 1e6)
+
+
+def even_atoms(d):
+    """1-3 adjacent mirror pairs (y, -y) of equal probability in dimension d."""
+    pair = st.tuples(st.lists(SMALL_Y | LARGE_Y, min_size=d, max_size=d), st.floats(0.01, 1.0))
+
+    def atoms(pairs):
+        total = 2.0 * sum(w for _, w in pairs)
+        return [(s * np.array(y), w / total) for y, w in pairs for s in (1.0, -1.0)]
+    return st.lists(pair, min_size=1, max_size=3).map(atoms)
+
+
+def edge_rows(d):
+    """The edge frequencies (+-0, subnormals, 1e-9, 1e8) in every coordinate."""
+    return np.stack([np.roll(XI_EDGES, j) for j in range(d)], axis=1)
+
+
+def xi_rows(d):
+    """The edge rows and drawn rows of d frequencies."""
+    entry = st.sampled_from(XI_EDGES.tolist()) | st.floats(-1e8, 1e8)
+    return arrays(np.float64, st.tuples(st.integers(1, 40), st.just(d)),
+                  elements=entry).map(lambda drawn: np.concatenate([edge_rows(d), drawn]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(even_atoms(d), RATES, xi_rows(d))))
+def test_even_law_is_the_complex_sum_bit_for_bit(case):
+    atoms, rate, xi = case
+    measure = FiniteActivity(rate, AtomLaw.of(atoms))
+    assert measure.law.even
+    got = measure.exponent_many(xi)
+    assert_same_bits(got, old_atom_exponent(measure, xi))
+    assert not got.imag.any() and not np.signbit(got.imag).any()
+
+
+def test_even_law_stays_real_where_the_compensator_overflows():
+    # each complex term's -i xi.y rate p overflows, and the pair's infinities sum to NaN
+    measure = FiniteActivity(10.0, AtomLaw.of([(0.5, 0.5), (-0.5, 0.5)]))
+    xi = np.array([[1e308], [-1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = old_atom_exponent(measure, xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measure.exponent_many(xi)
+    assert_same_bits(got.real, want.real)
+    assert np.isnan(want.imag).all()
+    assert not got.imag.any() and not np.signbit(got.imag).any()
+
+
+UNEVEN_LAWS = {
+    "unequal_mirror_probabilities": [(1.0, 0.4), (-1.0, 0.6)],
+    "non_adjacent_mirrors": [(1.0, 0.25), (2.0, 0.25), (-1.0, 0.25), (-2.0, 0.25)],
+    "odd_count": [(0.5, 0.3), (-0.5, 0.3), (2.0, 0.4)],
+    "lone_zero": [(0.0, 1.0)],
+    "same_side_pair": [(0.5, 0.5), (0.5, 0.5)],
+    "planar_unequal": [((1.0, -0.5), 0.3), ((-1.0, 0.5), 0.7)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNEVEN_LAWS))
+def test_uneven_law_is_the_complex_sum_bit_for_bit(name):
+    law = AtomLaw.of(UNEVEN_LAWS[name])
+    assert not law.even
+    rng = np.random.default_rng(8)
+    xi = np.concatenate([edge_rows(law.dim),
+                         rng.normal(size=(2 * CHUNK_ROWS + 5, law.dim)) * 300.0])
+    for rate in (1e-300, 1.7, 1e6):
+        measure = FiniteActivity(rate, law)
+        assert_same_bits(measure.exponent_many(xi), old_atom_exponent(measure, xi))
+
+
+@pytest.mark.parametrize("phi", [-3.7, -1.0, 1e-300, 0.3, 1e100])
+def test_image_of_an_even_law_is_even(phi):
+    law = catalog.compound_poisson_pm1(2.0).levy_measure.law
+    wide = AtomLaw.of([(0.4, 0.1), (-0.4, 0.1), (1e150, 0.4), (-1e150, 0.4)])
+    assert law.even and wide.even
+    assert law.image(phi).even and wide.image(phi).even
+
+
+@pytest.mark.parametrize("y", [[0.0], [5e-324], [np.nextafter(1.0, 0.0)], [1.0], [-1e300],
+                               [0.6, 0.8], [0.6, np.nextafter(0.8, 0.0)], [1e-300, -0.3],
+                               [1e300, 0.0], [-1e200, 1e200]])
+def test_small_atoms_are_decided_as_the_norm_without_a_warning(y):
+    law = AtomLaw.of([(y, 1.0)])
+    with np.errstate(over="ignore"):
+        want = bool(np.linalg.norm(np.array(y)) < 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.small == (want,)
+        assert_same_bits(law.mean_small(), np.array(y) if want else np.zeros(len(y)))
+
+
+@pytest.mark.parametrize("atoms, xi", [
+    ([(1e300, 0.5), (-1e300, 0.5)], [1e10]),          # even: the product overflows
+    ([(1.0, 0.5), (-1.0, 0.5)], [np.inf]),
+    ([(1e300, 0.4), (-1e300, 0.6)], [1e10]),          # the complex loop
+    ([((1e300, 1.0), 1.0)], [1e10, 0.0]),             # the planar matmul
+])
+def test_an_infinite_phase_raises_without_a_warning(atoms, xi):
+    measure = FiniteActivity(1.0, AtomLaw.of(atoms))
+    xi = np.array([[0.5] * len(xi), xi])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflows"):
+            measure.exponent_many(xi)
+
+
+@pytest.mark.parametrize("atoms", [[(1.0, 0.5), (-1.0, 0.5)], [(0.5, 0.4), (-1.0, 0.6)]])
+def test_a_nan_phase_gives_nan_without_a_warning(atoms):
+    measure = FiniteActivity(1.0, AtomLaw.of(atoms))
+    xi = np.array([[0.5], [np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measure.exponent_many(xi)
+    assert_same_bits(got[:1], old_atom_exponent(measure, xi[:1]))
+    assert np.isnan(got[1].real)
+
+
+def old_mass_ratio(law):
+    return sum(p * float(y[0]) ** 2 / (1.0 + float(y[0]) ** 2)
+               for y, p in zip(law.positions, law.probabilities))
+
+
+def test_mass_ratio_keeps_the_old_bits_wherever_they_compute():
+    # p y^2 / (1 + y^2) is not p for every p past |y| = 2^27 (the product comes first),
+    # so the old expression stays up to 2^512, where y^2 first overflows
+    rng = np.random.default_rng(3)
+    ys = np.concatenate([2.0 ** np.linspace(26.9, 28.0, 4001), 2.0 ** rng.uniform(0, 512, 4000),
+                         [np.nextafter(2.0 ** 512, 0.0)], rng.normal(size=1000)])
+    for y, p in zip(ys, rng.uniform(0.0, 1.0, ys.size)):
+        law = AtomLaw.of([(y, p), (-y, 1.0 - p)])
+        assert law.mass_ratio() == old_mass_ratio(law)
+    for y in (2.0 ** 512, 1e200, 1.7e308):
+        law = AtomLaw.of([(y, 0.3), (-y, 0.7)])
+        with pytest.raises(OverflowError):
+            old_mass_ratio(law)
+        assert law.mass_ratio() == 0.3 + 0.7
 
 
 def test_fixed_node_panels_bit_for_bit(monkeypatch):

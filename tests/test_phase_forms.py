@@ -33,30 +33,16 @@ def assert_same_bits(got, want):
 
 
 def matmul_atom_exponent(self, rate, xi):
-    """``AtomLaw.exponent_many`` with the phase xi @ y in every dimension."""
-    pos = self.positions
-    partner = {}
-    for k, y in enumerate(pos):
-        taken = set(partner) | set(partner.values())
-        i = next((i for i in range(k) if i not in taken and np.array_equal(pos[i], -y)), None)
-        if i is not None:
-            partner[k] = i
-    lenders = set(partner.values())
-    small = [np.linalg.norm(y) < 1.0 for y in pos]
+    """``AtomLaw.exponent_many``'s complex sum, atom by atom, with the phase xi @ y in every
+    dimension."""
     out = np.zeros(xi.shape[0], dtype=complex)
     for c0 in range(0, xi.shape[0], CHUNK_ROWS):
         rows = slice(c0, c0 + CHUNK_ROWS)
-        conjugates = {}
-        for k, (y, p) in enumerate(zip(pos, self.probabilities)):
-            phase = xi[rows] @ y if small[k] or k not in partner else None
-            if k in partner:
-                term = conjugates.pop(partner[k])
-            else:
-                term = expi(phase)
-                if k in lenders:
-                    conjugates[k] = np.conj(term)
+        for y, p in zip(self.positions, self.probabilities):
+            phase = xi[rows] @ y
+            term = expi(phase)
             term -= 1.0
-            if small[k]:
+            if np.linalg.norm(y) < 1.0:
                 term -= 1j * phase
             term *= rate * p
             out[rows] -= term
